@@ -58,6 +58,7 @@ from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode
 from repro.tiles.matrix import TileMatrix
+from repro.tiles.tile import Tile
 
 
 @dataclass
@@ -221,23 +222,25 @@ def cholesky(
 # ----------------------------------------------------------------------
 def _cholesky_direct(tiled: TileMatrix, wp: Precision,
                      tile_precision, result: CholeskyResult) -> None:
-    from repro.linalg.kernels import panel_operand
-
+    # Kernel results come back rounded to their compute precision, so
+    # tiles stored at that same precision adopt them (Tile._on_grid);
+    # TRSM computes at wp but stores at the mosaic's precision, so its
+    # result is rounded by set_tile.
     nt = tiled.layout.tile_rows
     for k in range(nt):
-        akk = tiled.get_tile(k, k).to_float64()
+        akk = tiled.get_tile(k, k).float64_values()
         lkk = tile_potrf(akk, precision=wp)
-        tiled.set_tile(k, k, lkk, precision=wp)
+        tiled.set_tile(k, k, Tile._on_grid(lkk, wp))
         _accumulate(result, "potrf", wp, potrf_flops(akk.shape[0]))
 
         # stored panel tiles, read back once per panel instead of once
         # per trailing update they participate in
-        panel64: dict[int, np.ndarray] = {}
+        panel: dict[int, Tile] = {}
         for i in range(k + 1, nt):
-            aik = tiled.get_tile(i, k).to_float64()
+            aik = tiled.get_tile(i, k).float64_values()
             lik = tile_trsm(lkk, aik, precision=wp, side="right", trans=True)
             tiled.set_tile(i, k, lik, precision=tile_precision(i, k))
-            panel64[i] = tiled.get_tile(i, k).to_float64()
+            panel[i] = tiled.get_tile(i, k)
             _accumulate(result, "trsm", wp, trsm_flops(aik.shape[1], aik.shape[0]))
 
         # per-(tile, precision) quantization cache for the trailing update:
@@ -248,27 +251,27 @@ def _cholesky_direct(tiled: TileMatrix, wp: Precision,
         def qtile(idx: int, precision: Precision):
             key = (idx, precision)
             if key not in qpanel:
-                qpanel[key] = panel_operand(panel64[idx], precision)
+                qpanel[key] = panel_operand(panel[idx], precision)
             return qpanel[key]
 
         for i in range(k + 1, nt):
-            lik = panel64[i]
+            lik = panel[i]
             # SYRK on the diagonal of the trailing matrix
-            aii = tiled.get_tile(i, i).to_float64()
+            aii = tiled.get_tile(i, i)
             p_ii = wp
             new_aii = tile_syrk(qtile(i, p_ii), aii, precision=p_ii,
                                 alpha=-1.0, beta=1.0)
-            tiled.set_tile(i, i, new_aii, precision=p_ii)
+            tiled.set_tile(i, i, Tile._on_grid(new_aii, p_ii))
             _accumulate(result, "syrk", p_ii, syrk_flops(aii.shape[0], lik.shape[1]))
 
             # GEMM on the off-diagonal trailing tiles of this block column
             for j in range(k + 1, i):
-                aij = tiled.get_tile(i, j).to_float64()
+                aij = tiled.get_tile(i, j)
                 p_ij = tile_precision(i, j)
                 new_aij = tile_gemm(qtile(i, p_ij), qtile(j, p_ij), aij,
                                     precision=p_ij,
                                     alpha=-1.0, beta=1.0, transb=True)
-                tiled.set_tile(i, j, new_aij, precision=p_ij)
+                tiled.set_tile(i, j, Tile._on_grid(new_aij, p_ij))
                 _accumulate(result, "gemm", p_ij,
                             gemm_flops(aij.shape[0], aij.shape[1], lik.shape[1]))
 
@@ -279,8 +282,6 @@ def _cholesky_direct(tiled: TileMatrix, wp: Precision,
 def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                       tile_precision, result: CholeskyResult,
                       runtime: Runtime, phase: str = "cholesky") -> None:
-    from repro.tiles.tile import Tile
-
     if tiled.store is not None:
         _cholesky_runtime_store(tiled, nt, wp, tile_precision, result,
                                 runtime, phase)
@@ -292,8 +293,8 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
 
     # Handle payloads are Tile objects, so the working set stays in the
     # tiles' *storage* precision (fp16/fp8 mosaics keep their footprint
-    # advantage); task bodies convert to float64 on read, exactly like
-    # the serial path's per-access ``get_tile().to_float64()``.
+    # advantage); task bodies read float64 values and adopt kernel
+    # results exactly like the serial path (see _cholesky_direct).
     handles: dict[tuple[int, int], object] = {}
     for i in range(nt):
         for j in range(i + 1):
@@ -327,8 +328,7 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
         if got is None:
             # benign race: a duplicate compute yields the same
             # deterministic operand and one copy wins
-            got = qcache.setdefault(
-                key, panel_operand(tile.to_float64(), precision))
+            got = qcache.setdefault(key, panel_operand(tile, precision))
         return got
 
     def qdone(*keys: tuple[int, Precision]) -> None:
@@ -342,13 +342,13 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                     qcount[key] = left
 
     def potrf_body(a):
-        return Tile(tile_potrf(a.to_float64(), precision=wp), precision=wp,
-                    coords=a.coords)
+        return Tile._on_grid(tile_potrf(a.float64_values(), precision=wp),
+                             wp, a.coords)
 
     def make_trsm_body(storage: Precision):
         def body(lkk, aik):
-            lik = tile_trsm(lkk.to_float64(), aik.to_float64(), precision=wp,
-                            side="right", trans=True)
+            lik = tile_trsm(lkk.float64_values(), aik.float64_values(),
+                            precision=wp, side="right", trans=True)
             # storing at the tile's storage precision is the same
             # rounding the serial path applies before the trailing
             # updates read the panel back
@@ -357,19 +357,19 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
 
     def make_syrk_body(p, uid_ik):
         def body(lik, aii):
-            out = tile_syrk(qop(uid_ik, lik, p), aii.to_float64(),
+            out = tile_syrk(qop(uid_ik, lik, p), aii,
                             precision=p, alpha=-1.0, beta=1.0)
             qdone((uid_ik, p))
-            return Tile(out, precision=p, coords=aii.coords)
+            return Tile._on_grid(out, p, aii.coords)
         return body
 
     def make_gemm_body(p, uid_ik, uid_jk):
         def body(lik, ljk, aij):
             out = tile_gemm(qop(uid_ik, lik, p), qop(uid_jk, ljk, p),
-                            aij.to_float64(), precision=p,
+                            aij, precision=p,
                             alpha=-1.0, beta=1.0, transb=True)
             qdone((uid_ik, p), (uid_jk, p))
-            return Tile(out, precision=p, coords=aij.coords)
+            return Tile._on_grid(out, p, aij.coords)
         return body
 
     for k in range(nt):
@@ -444,10 +444,11 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
         runtime.release(ns)
     result.schedule = schedule
 
-    # copy results back into the tile matrix (payloads are Tiles whose
-    # values already sit on the target precision's grid)
+    # hand the results back to the tile matrix: every payload is a Tile
+    # at its target precision (the last task on it stored it there), so
+    # set_tile takes it over without rounding
     for (i, j), handle in handles.items():
-        tiled.set_tile(i, j, handle.payload.to_float64(),
+        tiled.set_tile(i, j, handle.payload,
                        precision=tile_precision(i, j) if i != j else wp)
 
 
@@ -470,9 +471,9 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
 
     Bitwise equivalence with the serial elimination holds for the same
     reason as the resident DAG path: every read is ordered by an
-    explicit dependency edge, ``set_tile``'s storage-precision rounding
-    is exactly the serial path's, and spill/reload round-trips are
-    exact.
+    explicit dependency edge, each result is adopted (POTRF/SYRK/GEMM)
+    or rounded to its storage precision (TRSM) exactly as on the serial
+    path, and spill/reload round-trips are exact.
     """
     import threading
 
@@ -517,8 +518,7 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
         key = (uid, precision)
         got = qcache.get(key)
         if got is None:
-            got = qcache.setdefault(
-                key, panel_operand(tile.to_float64(), precision))
+            got = qcache.setdefault(key, panel_operand(tile, precision))
         return got
 
     def qdone(*keys: tuple[int, Precision]) -> None:
@@ -533,14 +533,15 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
 
     def make_potrf_body(k: int):
         def body(_a):
-            lkk = tile_potrf(tiled.get_tile(k, k).to_float64(), precision=wp)
-            tiled.set_tile(k, k, lkk, precision=wp)
+            lkk = tile_potrf(tiled.get_tile(k, k).float64_values(),
+                             precision=wp)
+            tiled.set_tile(k, k, Tile._on_grid(lkk, wp))
         return body
 
     def make_trsm_body(i: int, k: int, storage: Precision):
         def body(_lkk, _aik):
-            lik = tile_trsm(tiled.get_tile(k, k).to_float64(),
-                            tiled.get_tile(i, k).to_float64(),
+            lik = tile_trsm(tiled.get_tile(k, k).float64_values(),
+                            tiled.get_tile(i, k).float64_values(),
                             precision=wp, side="right", trans=True)
             tiled.set_tile(i, k, lik, precision=storage)
         return body
@@ -548,10 +549,10 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
     def make_syrk_body(i: int, k: int, p: Precision, uid_ik: int):
         def body(_lik, _aii):
             out = tile_syrk(qop(uid_ik, tiled.get_tile(i, k), p),
-                            tiled.get_tile(i, i).to_float64(),
+                            tiled.get_tile(i, i),
                             precision=p, alpha=-1.0, beta=1.0)
             qdone((uid_ik, p))
-            tiled.set_tile(i, i, out, precision=p)
+            tiled.set_tile(i, i, Tile._on_grid(out, p))
         return body
 
     def make_gemm_body(i: int, j: int, k: int, p: Precision,
@@ -559,19 +560,20 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
         def body(_lik, _ljk, _aij):
             out = tile_gemm(qop(uid_ik, tiled.get_tile(i, k), p),
                             qop(uid_jk, tiled.get_tile(j, k), p),
-                            tiled.get_tile(i, j).to_float64(), precision=p,
+                            tiled.get_tile(i, j), precision=p,
                             alpha=-1.0, beta=1.0, transb=True)
             qdone((uid_ik, p), (uid_jk, p))
-            tiled.set_tile(i, j, out, precision=p)
+            tiled.set_tile(i, j, Tile._on_grid(out, p))
         return body
 
     def make_writeback(i: int, j: int, storage: Precision):
         # Coordinator-side completion of a worker-executed store task:
-        # write the result tile straight back through the store (the
-        # same set_tile rounding the serial body applies; set_tile on
-        # an already-on-grid tile is exact, so this stays bitwise).
+        # write the result tile straight back through the store.  The
+        # worker's descriptor returned a Tile at ``storage`` — adopted
+        # or rounded exactly as the serial body does — so set_tile
+        # takes it over as it is.
         def on_complete(out):
-            tiled.set_tile(i, j, out.to_float64(), precision=storage)
+            tiled.set_tile(i, j, out, precision=storage)
         return on_complete
 
     for k in range(nt):

@@ -13,8 +13,13 @@ GEMM      General update of an off-diagonal tile.
 Each kernel quantizes its inputs to the requested *compute* precision,
 performs the operation with a wider accumulator where the hardware
 would (FP32 accumulation for FP16/FP8 tensor-core GEMM/SYRK), and
-returns the result in float64 so the caller decides the storage
-precision of the output tile.
+returns the result — rounded to the compute precision — in float64, so
+the caller decides the storage precision of the output tile: it may
+adopt the values as a tile of the compute precision without rounding
+again (``Tile._on_grid``), or construct a ``Tile`` at any other one.
+SYRK and GEMM take their destination as a :class:`Tile` too; one that
+is already at the compute precision is read as is, its payload being
+on that grid by the tile invariant.
 """
 
 from __future__ import annotations
@@ -30,22 +35,39 @@ from repro.precision.gemm import (
     variant_for_input,
 )
 from repro.precision.quantize import quantize
+from repro.tiles.tile import Tile
 
 
 def _as64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def panel_operand(tile: np.ndarray, precision: Precision | str) -> QuantizedOperand:
+def _destination64(c_tile: "np.ndarray | Tile", precision: Precision) -> np.ndarray:
+    """Float64 values of an update's destination at the compute precision."""
+    if isinstance(c_tile, Tile):
+        if c_tile.precision is precision:
+            return c_tile.float64_values()  # on the grid already
+        c_tile = c_tile.data
+    return _as64(quantize(_as64(c_tile), precision))
+
+
+def panel_operand(tile: "np.ndarray | Tile",
+                  precision: Precision | str) -> QuantizedOperand:
     """Pre-quantize a panel tile for reuse across trailing updates.
 
     The Cholesky trailing update reads each panel tile ``L[i,k]`` once
     per destination tile in its block row/column; wrapping it in a
     :class:`QuantizedOperand` at the update variant's input precision
-    makes the repeated quantization a cache hit.
+    makes the repeated quantization a cache hit.  A :class:`Tile`
+    stored at that input precision needs no quantization at all: its
+    payload is the operand.
     """
     precision = Precision.from_string(precision)
     variant = variant_for_input(precision if precision.is_float else Precision.FP32)
+    if isinstance(tile, Tile):
+        if tile.precision is variant.input_precision:
+            return QuantizedOperand._on_grid(tile.data, tile.precision)
+        tile = tile.data
     return QuantizedOperand(np.asarray(tile), variant.input_precision)
 
 
@@ -101,7 +123,7 @@ def tile_trsm(l_tile: np.ndarray, b_tile: np.ndarray,
     return _as64(quantize(x, precision))
 
 
-def tile_syrk(a_tile: np.ndarray, c_tile: np.ndarray,
+def tile_syrk(a_tile: np.ndarray, c_tile: "np.ndarray | Tile",
               precision: Precision | str = Precision.FP64,
               alpha: float = -1.0, beta: float = 1.0) -> np.ndarray:
     """Symmetric rank-k update ``C = alpha * A @ A.T + beta * C`` on one tile.
@@ -114,12 +136,13 @@ def tile_syrk(a_tile: np.ndarray, c_tile: np.ndarray,
     precision = Precision.from_string(precision)
     variant = variant_for_input(precision) if precision.is_float else variant_for_input(Precision.FP32)
     prod = _as64(syrk_mixed(a_tile, variant=variant))
-    c64 = _as64(quantize(_as64(c_tile), precision))
+    c64 = _destination64(c_tile, precision)
     out = alpha * prod + beta * c64
     return _as64(quantize(out, precision))
 
 
-def tile_gemm(a_tile: np.ndarray, b_tile: np.ndarray, c_tile: np.ndarray,
+def tile_gemm(a_tile: np.ndarray, b_tile: np.ndarray,
+              c_tile: "np.ndarray | Tile",
               precision: Precision | str = Precision.FP64,
               alpha: float = -1.0, beta: float = 1.0,
               transa: bool = False, transb: bool = True) -> np.ndarray:
@@ -132,7 +155,7 @@ def tile_gemm(a_tile: np.ndarray, b_tile: np.ndarray, c_tile: np.ndarray,
     variant = variant_for_input(precision) if precision.is_float else variant_for_input(Precision.FP32)
     prod = _as64(gemm_mixed(a_tile, b_tile, variant=variant,
                             transa=transa, transb=transb))
-    c64 = _as64(quantize(_as64(c_tile), precision))
+    c64 = _destination64(c_tile, precision)
     out = alpha * prod + beta * c64
     return _as64(quantize(out, precision))
 

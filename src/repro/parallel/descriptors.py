@@ -127,7 +127,7 @@ def cached_operand(key: int, precision: Precision, tile: Tile):
     cache_key = (key, precision)
     got = _OPERAND_CACHE.get(cache_key)
     if got is None:
-        got = panel_operand(tile.to_float64(), precision)
+        got = panel_operand(tile, precision)
         _OPERAND_CACHE[cache_key] = got
         if len(_OPERAND_CACHE) > _OPERAND_CACHE_MAX:
             _OPERAND_CACHE.popitem(last=False)
@@ -159,8 +159,8 @@ class PotrfSpec(BodySpec):
     def run(self, a: Tile) -> Tile:
         from repro.linalg.kernels import tile_potrf
 
-        return Tile(tile_potrf(a.to_float64(), precision=self.wp),
-                    precision=self.wp, coords=a.coords)
+        return Tile._on_grid(tile_potrf(a.float64_values(), precision=self.wp),
+                             self.wp, a.coords)
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,9 @@ class TrsmSpec(BodySpec):
     def run(self, lkk: Tile, aik: Tile) -> Tile:
         from repro.linalg.kernels import tile_trsm
 
-        lik = tile_trsm(lkk.to_float64(), aik.to_float64(),
+        lik = tile_trsm(lkk.float64_values(), aik.float64_values(),
                         precision=self.wp, side="right", trans=True)
+        # computed at wp, stored at ``storage``: a real rounding
         return Tile(lik, precision=self.storage, coords=aik.coords)
 
 
@@ -189,9 +190,8 @@ class SyrkSpec(BodySpec):
         from repro.linalg.kernels import tile_syrk
 
         out = tile_syrk(cached_operand(self.key_ik, self.p, lik),
-                        aii.to_float64(), precision=self.p,
-                        alpha=-1.0, beta=1.0)
-        return Tile(out, precision=self.p, coords=aii.coords)
+                        aii, precision=self.p, alpha=-1.0, beta=1.0)
+        return Tile._on_grid(out, self.p, aii.coords)
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,9 @@ class GemmTrailSpec(BodySpec):
 
         out = tile_gemm(cached_operand(self.key_ik, self.p, lik),
                         cached_operand(self.key_jk, self.p, ljk),
-                        aij.to_float64(), precision=self.p,
+                        aij, precision=self.p,
                         alpha=-1.0, beta=1.0, transb=True)
-        return Tile(out, precision=self.p, coords=aij.coords)
+        return Tile._on_grid(out, self.p, aij.coords)
 
 
 @dataclass(frozen=True)

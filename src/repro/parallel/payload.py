@@ -88,8 +88,9 @@ def decode_obj(kind: str, meta: dict, buf: bytes) -> object:
         raw = raw.reshape(meta["shape"])
         coords = meta["coords"]
         data = decode_payload(raw, precision)
-        return Tile(data, precision=precision,
-                    coords=tuple(coords) if coords is not None else None)
+        # decoded from the format's own bytes: on its grid by construction
+        return Tile._on_grid(data, precision,
+                             tuple(coords) if coords is not None else None)
     if kind == KIND_ARRAY:
         arr = np.frombuffer(buf, dtype=np.dtype(meta["dtype"]))
         # frombuffer views are read-only; consumers (e.g. the Build

@@ -147,34 +147,36 @@ class Precision(enum.Enum):
         """Parse a precision from common aliases (``"fp16"``, ``"half"``, ...)."""
         if isinstance(value, cls):
             return value
-        key = str(value).strip().lower()
-        aliases = {
-            "double": cls.FP64,
-            "float64": cls.FP64,
-            "fp64": cls.FP64,
-            "single": cls.FP32,
-            "float32": cls.FP32,
-            "fp32": cls.FP32,
-            "half": cls.FP16,
-            "float16": cls.FP16,
-            "fp16": cls.FP16,
-            "bfloat16": cls.BF16,
-            "bf16": cls.BF16,
-            "fp8": cls.FP8_E4M3,
-            "fp8_e4m3": cls.FP8_E4M3,
-            "e4m3": cls.FP8_E4M3,
-            "fp8_e5m2": cls.FP8_E5M2,
-            "e5m2": cls.FP8_E5M2,
-            "int8": cls.INT8,
-            "int32": cls.INT32,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown precision {value!r}")
-        return aliases[key]
+        try:
+            return _ALIASES[str(value).strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown precision {value!r}") from None
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
+
+#: Accepted spellings of each precision (see :meth:`Precision.from_string`).
+_ALIASES: dict[str, Precision] = {
+    "double": Precision.FP64,
+    "float64": Precision.FP64,
+    "fp64": Precision.FP64,
+    "single": Precision.FP32,
+    "float32": Precision.FP32,
+    "fp32": Precision.FP32,
+    "half": Precision.FP16,
+    "float16": Precision.FP16,
+    "fp16": Precision.FP16,
+    "bfloat16": Precision.BF16,
+    "bf16": Precision.BF16,
+    "fp8": Precision.FP8_E4M3,
+    "fp8_e4m3": Precision.FP8_E4M3,
+    "e4m3": Precision.FP8_E4M3,
+    "fp8_e5m2": Precision.FP8_E5M2,
+    "e5m2": Precision.FP8_E5M2,
+    "int8": Precision.INT8,
+    "int32": Precision.INT32,
+}
 
 _SPECS: dict[Precision, FormatSpec] = {
     Precision.FP64: FormatSpec(

@@ -16,9 +16,14 @@ E5M2 (bias 15) mirrors IEEE binary16 semantics with a max finite of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.precision.formats import Precision
+
+#: Exponent field of an IEEE binary64 bit pattern.
+_EXPONENT_FIELD = np.uint64(0x7FF0000000000000)
 
 # (mantissa_bits, exponent_bias, max_finite, min_normal_exponent)
 _FP8_PARAMS = {
@@ -31,35 +36,39 @@ def _round_to_grid(x: np.ndarray, mantissa_bits: int, min_normal_exp: int,
                    max_finite: float) -> np.ndarray:
     """Round ``x`` (float32/float64) to a low-precision binary grid.
 
-    Uses scale-by-power-of-two plus ``np.rint`` which implements
-    round-half-to-even, the rounding mode of tensor-core conversions.
+    Branch-free round-to-nearest-even on the float64 bit pattern: for
+    ``|x|`` with (clamped) exponent ``e`` the grid spacing is
+    ``2**(e - mantissa_bits)``, which is exactly the float64 spacing
+    just above ``magic = 2**(e + 52 - mantissa_bits)`` — so
+    ``(|x| + magic) - magic`` lets the FPU's own round-half-to-even do
+    the rounding, the rounding mode of tensor-core conversions.
+    Clamping ``e`` from below at ``min_normal_exp`` keeps the subnormal
+    spacing fixed (gradual underflow); clamping it from above keeps the
+    exponent arithmetic in range for huge inputs, which saturate anyway.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    finite = np.isfinite(x)
-    nonzero = finite & (x != 0.0)
-
-    if np.any(nonzero):
-        vals = x[nonzero]
-        # exponent of each value: floor(log2(|v|))
-        exp = np.floor(np.log2(np.abs(vals))).astype(np.int64)
-        # clamp to the subnormal range: below min_normal_exp the grid
-        # spacing stays 2**(min_normal_exp - mantissa_bits)
-        exp = np.maximum(exp, min_normal_exp)
-        scale = np.exp2(mantissa_bits - exp.astype(np.float64))
-        rounded = np.rint(vals * scale) / scale
-        # saturate to max finite (no infinities in E4M3)
-        rounded = np.clip(rounded, -max_finite, max_finite)
-        out[nonzero] = rounded
-
-    # propagate NaN, saturate +-inf
-    nan_mask = np.isnan(x)
-    out[nan_mask] = np.nan
-    posinf = np.isposinf(x)
-    neginf = np.isneginf(x)
-    out[posinf] = max_finite
-    out[neginf] = -max_finite
-    return out
+    flat = np.atleast_1d(x)  # ufuncs turn 0-d arrays into scalars
+    with np.errstate(invalid="ignore"):  # signalling NaNs stay silent
+        mag = np.abs(flat)
+        smallest = mag.min() if mag.size else 1.0
+        # per-element magic addend: keep only the exponent field of the
+        # clamped magnitude, then raise it by 52 - mantissa_bits binades
+        magic = np.clip(mag, 2.0 ** min_normal_exp,
+                        2.0 ** math.frexp(max_finite)[1])
+        field = magic.view(np.uint64)
+        field &= _EXPONENT_FIELD
+        field += np.uint64((52 - mantissa_bits) << 52)
+        mag += magic
+        mag -= magic
+        # saturate to max finite (no infinities in E4M3); NaN propagates
+        np.minimum(mag, max_finite, out=mag)
+        np.copysign(mag, flat, out=mag)
+    if not smallest > 0.0:
+        # an exact zero or a NaN somewhere: zeros come back as +0.0 and
+        # NaNs as the canonical quiet NaN, whatever their sign/payload
+        mag[flat == 0.0] = 0.0
+        mag[np.isnan(flat)] = np.nan
+    return mag.reshape(x.shape)
 
 
 def quantize_fp8(x: np.ndarray, variant: Precision = Precision.FP8_E4M3) -> np.ndarray:

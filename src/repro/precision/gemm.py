@@ -206,6 +206,19 @@ class QuantizedOperand:
 
     # ------------------------------------------------------------------
     @classmethod
+    def _on_grid(cls, array: np.ndarray, precision: Precision,
+                 floats: dict | None = None,
+                 max_abs: float | None = None) -> "QuantizedOperand":
+        """Operand over ``array``, already on ``precision``'s grid in its
+        storage dtype (a view of another operand, a tile payload)."""
+        op = cls.__new__(cls)
+        op.precision = precision
+        op.array = array
+        op._floats = {} if floats is None else floats
+        op._max_abs = max_abs
+        return op
+
+    @classmethod
     def wrap(cls, x: "np.ndarray | QuantizedOperand",
              precision: Precision | str) -> "QuantizedOperand":
         """Wrap ``x``, reusing it when already quantized to ``precision``."""
@@ -257,22 +270,16 @@ class QuantizedOperand:
         the slice — it only ever over-estimates, which is safe for both
         the overflow and the exactness checks.
         """
-        view = QuantizedOperand.__new__(QuantizedOperand)
-        view.precision = self.precision
-        view.array = self.array[idx]
-        view._floats = {dt: f[idx] for dt, f in self._floats.items()}
-        view._max_abs = self._max_abs
-        return view
+        return QuantizedOperand._on_grid(
+            self.array[idx], self.precision,
+            {dt: f[idx] for dt, f in self._floats.items()}, self._max_abs)
 
     @property
     def T(self) -> "QuantizedOperand":
         """Transposed view sharing the parent's caches."""
-        view = QuantizedOperand.__new__(QuantizedOperand)
-        view.precision = self.precision
-        view.array = self.array.T
-        view._floats = {dt: f.T for dt, f in self._floats.items()}
-        view._max_abs = self._max_abs
-        return view
+        return QuantizedOperand._on_grid(
+            self.array.T, self.precision,
+            {dt: f.T for dt, f in self._floats.items()}, self._max_abs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QuantizedOperand({self.shape}, {self.precision})"
@@ -383,13 +390,18 @@ def gemm_mixed(
         result = alpha * np.asarray(prod, dtype=np.float64)
     else:
         dtype = _float_accumulator_dtype(acc)
-        fa = np.asarray(qa.array, dtype=dtype)
-        fb = np.asarray(qb.array, dtype=dtype)
+        fa = qa.as_float(dtype)
+        fb = qb.as_float(dtype)
         if transa:
             fa = fa.T
         if transb:
             fb = fb.T
         prod = fa @ fb  # sgemm/dgemm at the accumulation precision
+        if (alpha == 1.0 and beta == 0.0
+                and variant.output_precision is acc):
+            # the accumulator already holds the output format: storing
+            # it is the identity, not a float64 round trip
+            return prod
         # round the accumulated product once, as the hardware does on store
         result = alpha * prod.astype(np.float64)
 
@@ -460,17 +472,21 @@ def syrk_mixed(
         full = _mirror_triangle(tri)
     else:
         dtype = _float_accumulator_dtype(acc)
-        op = np.asarray(q.array, dtype=dtype)
+        op = q.as_float(dtype)
         if trans:
             op = op.T
         if op.size:
             syrk_fn = _scipy_blas.dsyrk if dtype is np.float64 else _scipy_blas.ssyrk
-            tri = np.asarray(syrk_fn(1.0, op, lower=lower), dtype=np.float64)
+            tri = syrk_fn(1.0, op, lower=lower)
         else:
-            tri = np.zeros((op.shape[0], op.shape[0]), dtype=np.float64)
+            tri = np.zeros((op.shape[0], op.shape[0]), dtype=dtype)
+        # mirroring adds a zero to every entry, exact in any float dtype
         full = _mirror_triangle(tri)
+        if (alpha == 1.0 and beta == 0.0
+                and variant.output_precision is acc):
+            return full  # as in gemm_mixed: storing is the identity
 
-    result = alpha * full
+    result = alpha * np.asarray(full, dtype=np.float64)
     if beta != 0.0:
         if c is None:
             raise ValueError("beta != 0 requires C")

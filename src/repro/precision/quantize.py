@@ -24,13 +24,25 @@ from repro.precision.fp8 import quantize_fp8
 
 
 def _quantize_bf16(x: np.ndarray) -> np.ndarray:
-    """Round float data to the bfloat16 grid (truncate to round-nearest-even)."""
-    x32 = np.asarray(x, dtype=np.float32)
+    """Round float data to the bfloat16 grid (round-to-nearest-even).
+
+    Finite overflow and ``±inf`` saturate to ``±max_finite`` like the
+    FP16/FP8 quantizers; NaNs propagate as the canonical quiet NaN.
+    """
+    with np.errstate(over="ignore"):  # beyond float32 range: inf, then saturated
+        x32 = np.asarray(x, dtype=np.float32)
     bits = x32.view(np.uint32)
     # round-to-nearest-even on the upper 16 bits
     rounding_bias = ((bits >> 16) & 1) + np.uint32(0x7FFF)
-    rounded = (bits + rounding_bias) & np.uint32(0xFFFF0000)
-    return rounded.view(np.float32).copy()
+    rounded = ((bits + rounding_bias) & np.uint32(0xFFFF0000)).view(np.float32)
+    max_finite = np.float32(Precision.BF16.max_finite)
+    out = np.clip(rounded, -max_finite, max_finite)
+    # the bias carries out of an all-ones NaN mantissa into the
+    # exponent/sign bits, so NaNs are restored from the input
+    nan = np.isnan(x32)
+    if nan.any():
+        out = np.where(nan, np.float32(np.nan), out)
+    return out
 
 
 def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:

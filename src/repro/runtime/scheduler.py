@@ -59,6 +59,7 @@ attempt, when a :class:`~repro.resilience.faults.FaultPlan` is active.
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -466,6 +467,15 @@ class Scheduler:
         # everyone else exits promptly once the ready set is empty
         for t in threads:
             t.join(timeout=0.5 if had_timeouts else None)
+        # join() returns once a worker's Python state is gone; the OS
+        # thread still has to run its exit handlers, which is where the
+        # allocator takes its arena back.  Confined to one CPU, a caller
+        # that starts the next drain right away creates those workers
+        # first, and each then opens a fresh arena (~9 MB retained per
+        # drain on a tile-64 fit).  A yield per worker lets the exits finish.
+        if hasattr(os, "sched_yield"):
+            for _ in threads:
+                os.sched_yield()
         if watchdog is not None:
             watchdog.join(timeout=1.0)
 

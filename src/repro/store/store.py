@@ -55,7 +55,7 @@ from repro.resilience.faults import (
 )
 from repro.store.stats import ResidencyManager, StoreStats
 from repro.tiles.serialize import decode_payload, encode_payload
-from repro.tiles.tile import Tile
+from repro.tiles.tile import Tile, retile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tiles.matrix import TileMatrix
@@ -347,7 +347,7 @@ class StoreBinding:
                         coords=key)
         else:
             payload = self._decode_slot(slot, key)
-            tile = Tile(payload, precision=slot.precision, coords=key)
+            tile = Tile._on_grid(payload, slot.precision, key)
             stats.reloads += 1
             stats.bytes_reloaded += slot.length
         store._evict_to_fit(tile.nbytes, exclude=(self.bid, key))
@@ -361,7 +361,7 @@ class StoreBinding:
         return tile
 
     # -- writes ---------------------------------------------------------
-    def set(self, key: tuple[int, int], payload: np.ndarray,
+    def set(self, key: tuple[int, int], payload: "np.ndarray | Tile",
             precision: Precision | None) -> None:
         """Store-side ``set_tile``: replace the tile under the store lock."""
         store = self.store
@@ -378,7 +378,7 @@ class StoreBinding:
                     slot = self.index.get(key)
                     precision = (slot.precision if slot is not None
                                  else m.default_precision)
-            tile = Tile(payload, precision=precision, coords=key)
+            tile = retile(payload, precision, key)
             self.clean.discard(key)  # any existing slot is now stale
             store._evict_to_fit(tile.nbytes, exclude=(self.bid, key))
             with m._grid_lock:
@@ -492,9 +492,8 @@ class StoreBinding:
                         slot = self.index[key]
                         payload = self._decode_slot(slot, key)
                         with m._grid_lock:
-                            m._tiles[key] = Tile(payload,
-                                                 precision=slot.precision,
-                                                 coords=key)
+                            m._tiles[key] = Tile._on_grid(
+                                payload, slot.precision, key)
                 m._binding = None
             store._drop_binding(self.bid)
 
@@ -811,7 +810,7 @@ class TileStore:
                 return
         # I/O + decode with the lock released
         payload = binding._decode_slot(slot, key)
-        tile = Tile(payload, precision=slot.precision, coords=key)
+        tile = Tile._on_grid(payload, slot.precision, key)
         with self._lock:
             if self._closed or binding.bid not in self._bindings:
                 return

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.precision.formats import Precision
 from repro.tiles.layout import TileLayout
-from repro.tiles.tile import Tile
+from repro.tiles.tile import Tile, retile
 
 PrecisionMap = Mapping[tuple[int, int], Precision] | Callable[[int, int], Precision] | Precision
 
@@ -240,34 +240,42 @@ class TileMatrix:
             return Tile(tile.to_float64().T, precision=tile.precision, coords=(i, j))
         return tile
 
-    def set_tile(self, i: int, j: int, data: np.ndarray,
+    def set_tile(self, i: int, j: int, data: "np.ndarray | Tile",
                  precision: Precision | str | None = None) -> None:
-        """Overwrite tile ``(i, j)`` (writes to upper mirror the lower)."""
+        """Overwrite tile ``(i, j)`` (writes to upper mirror the lower).
+
+        An array is rounded to ``precision`` (default: the tile's
+        current one).  A :class:`Tile` is stored as it is — payload
+        shared, no rounding — when ``precision`` is its own or omitted,
+        its payload being on that grid already; at any other precision
+        it is rounded like an array.
+        """
         key, transpose = self._stored_key(i, j)
-        payload = np.asarray(data).T if transpose else np.asarray(data)
+        if precision is not None:
+            precision = Precision.from_string(precision)
+        if isinstance(data, Tile):
+            if precision is None:
+                precision = data.precision
+            if transpose:
+                data = Tile._on_grid(data.data.T, data.precision)
+        else:
+            data = np.asarray(data).T if transpose else np.asarray(data)
         expected = self.layout.tile_shape(*key)
-        if payload.shape != expected:
+        if data.shape != expected:
             raise ValueError(
-                f"tile {key} expects shape {expected}, got {payload.shape}"
+                f"tile {key} expects shape {expected}, got {data.shape}"
             )
         if self._binding is not None:
             # the store resolves the default precision (a spilled tile's
             # precision lives in its slot), enforces the budget and
             # mutates the grid under the store lock
-            self._binding.set(
-                key,
-                payload,
-                Precision.from_string(precision) if precision is not None
-                else None,
-            )
+            self._binding.set(key, data, precision)
             return
         with self._grid_lock:
-            p = Precision.from_string(precision) if precision is not None else (
-                self._tiles[key].precision if key in self._tiles
-                else self.default_precision
-            )
-            tile = Tile(payload, precision=p, coords=key)
-            self._tiles[key] = tile
+            if precision is None:
+                precision = (self._tiles[key].precision if key in self._tiles
+                             else self.default_precision)
+            self._tiles[key] = retile(data, precision, key)
 
     def tile_precision(self, i: int, j: int) -> Precision:
         key, _ = self._stored_key(i, j)
@@ -333,7 +341,9 @@ class TileMatrix:
                     continue  # unmaterialized tiles are implicit zeros
                 # get_tile faults spilled tiles in (and back out) under
                 # the budget; values are bitwise whatever residency says
-                sq = float(np.linalg.norm(self.get_tile(i, j).to_float64())) ** 2
+                # (summed in C order, so whatever the payload layout too)
+                sq = float(np.linalg.norm(np.ascontiguousarray(
+                    self.get_tile(i, j).float64_values()))) ** 2
                 total += sq if (not self.symmetric or i == j) else 2.0 * sq
             return float(np.sqrt(total))
         return float(np.linalg.norm(self.to_dense(), ord=ord))
@@ -413,8 +423,7 @@ class TileMatrix:
         for key in self._iter_stored():
             if not self.has_tile_data(*key):
                 continue
-            tile = self.get_tile(*key)
-            dup.set_tile(*key, tile.to_float64(), precision=tile.precision)
+            dup.set_tile(*key, self.get_tile(*key).copy())
         return dup
 
     def shallow_copy(self) -> "TileMatrix":
@@ -462,8 +471,7 @@ class TileMatrix:
         for key in self.layout.iter_lower_tiles():
             if not self.has_tile_data(*key):
                 continue
-            tile = self.get_tile(*key)
-            out.set_tile(*key, tile.to_float64(), precision=tile.precision)
+            out.set_tile(*key, self.get_tile(*key).copy())
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

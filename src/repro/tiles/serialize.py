@@ -340,7 +340,7 @@ def unpack_tile_matrix(arrays, prefix: str = "", store=None) -> TileMatrix:
             out._binding.adopt((i, j), raw, precision)
             continue
         payload = decode_payload(raw, precision)
-        out._tiles[(i, j)] = Tile(payload, precision=precision, coords=(i, j))
+        out._tiles[(i, j)] = Tile._on_grid(payload, precision, (i, j))
     return out
 
 

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from repro.linalg.kernels import (
     gemm_flops,
+    panel_operand,
     potrf_flops,
     syrk_flops,
     tile_gemm,
@@ -15,6 +16,8 @@ from repro.linalg.kernels import (
     trsm_flops,
 )
 from repro.precision.formats import Precision
+from repro.precision.quantize import quantize
+from repro.tiles.tile import Tile
 
 
 @pytest.fixture
@@ -113,3 +116,78 @@ class TestFlopFormulas:
         assert trsm_flops(10, 20) == 2000
         assert gemm_flops(4, 5, 6) == 240
         assert syrk_flops(10, 20) == 10 * 11 * 20
+
+
+class TestTileDestination:
+    """SYRK/GEMM read a ``Tile`` destination bit for bit like an array."""
+
+    PRECISIONS = [Precision.FP64, Precision.FP32, Precision.FP16,
+                  Precision.BF16, Precision.FP8_E4M3, Precision.FP8_E5M2]
+
+    @staticmethod
+    def _operands(rng):
+        a = rng.standard_normal((16, 12))
+        b = rng.standard_normal((16, 12))
+        c = 3.0 * rng.standard_normal((16, 16))
+        return a, b, c
+
+    @pytest.mark.parametrize("stored", PRECISIONS, ids=lambda p: p.value)
+    @pytest.mark.parametrize("compute", PRECISIONS, ids=lambda p: p.value)
+    def test_gemm_tile_equals_ndarray(self, rng, compute, stored):
+        a, b, c = self._operands(rng)
+        tile = Tile(c, precision=stored)
+        # same precision: read without rounding; another one: must
+        # still quantize to the compute precision, like the array call
+        got = tile_gemm(a, b, tile, precision=compute)
+        want = tile_gemm(a, b, tile.to_float64(), precision=compute)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("stored", PRECISIONS, ids=lambda p: p.value)
+    @pytest.mark.parametrize("compute", PRECISIONS, ids=lambda p: p.value)
+    def test_syrk_tile_equals_ndarray(self, rng, compute, stored):
+        a, _, c = self._operands(rng)
+        c = c + c.T
+        tile = Tile(c, precision=stored)
+        got = tile_syrk(a, tile, precision=compute)
+        want = tile_syrk(a, tile.to_float64(), precision=compute)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_mismatched_tile_is_quantized(self, rng):
+        """An FP64 tile handed to an FP8 update is rounded on read."""
+        a, b, c = self._operands(rng)
+        zeros = np.zeros_like(a)
+        got = tile_gemm(zeros, zeros, Tile(c, precision=Precision.FP64),
+                        precision=Precision.FP8_E4M3)
+        np.testing.assert_array_equal(
+            got, np.asarray(quantize(c, Precision.FP8_E4M3), dtype=np.float64))
+        assert not np.array_equal(got, c)
+
+    def test_result_is_adoptable_at_the_compute_precision(self, rng):
+        """What the kernels return is on the compute precision's grid, so
+        adopting it equals constructing a tile from it."""
+        a, b, c = self._operands(rng)
+        for p in self.PRECISIONS:
+            out = tile_gemm(a, b, c, precision=p)
+            adopted, built = Tile._on_grid(out, p), Tile(out, precision=p)
+            assert adopted.data.dtype == built.data.dtype == p.numpy_dtype
+            np.testing.assert_array_equal(adopted.data, built.data)
+
+
+class TestPanelOperandFromTile:
+    """A panel tile on the operand's input grid is the operand."""
+
+    @pytest.mark.parametrize("stored", TestTileDestination.PRECISIONS,
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("compute", TestTileDestination.PRECISIONS,
+                             ids=lambda p: p.value)
+    def test_tile_equals_ndarray(self, rng, compute, stored):
+        tile = Tile(3.0 * rng.standard_normal((16, 12)), precision=stored)
+        got = panel_operand(tile, compute)
+        want = panel_operand(tile.to_float64(), compute)
+        assert got.precision is want.precision
+        assert got.array.dtype == want.array.dtype
+        np.testing.assert_array_equal(got.array, want.array)
+        assert got.max_abs() == want.max_abs()
+        if stored is compute:
+            assert got.array is tile.data  # adopted, not re-quantized

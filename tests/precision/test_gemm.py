@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
     GemmVariant,
+    QuantizedOperand,
     gemm_flop_count,
     gemm_mixed,
     gemm_variant,
@@ -15,6 +16,7 @@ from repro.precision.gemm import (
     syrk_mixed,
     variant_for_input,
 )
+from repro.precision.quantize import quantize
 
 
 class TestVariantRegistry:
@@ -182,3 +184,61 @@ class TestGemmProperties:
         out = gemm_mixed(g1, g2, variant="AB8I_C32I_OP32I", transb=True)
         np.testing.assert_array_equal(np.asarray(out, dtype=np.int64),
                                       g1.astype(np.int64) @ g2.astype(np.int64).T)
+
+
+class TestAccumulatorIsTheOutput:
+    """``alpha=1, beta=0`` with accumulate == output precision returns
+    the accumulator as it is — the same bits as the float64 round trip."""
+
+    VARIANTS = ["FP64", "FP32", "FP16_FP32ACC", "BF16_FP32ACC",
+                "FP8_E4M3_FP32ACC", "FP8_E5M2_FP32ACC"]
+
+    @staticmethod
+    def _round_trip(prod, variant):
+        result = 1.0 * np.asarray(prod, dtype=np.float64)
+        return quantize(result, variant.output_precision)
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_gemm_matches_the_round_trip(self, name):
+        rng = np.random.default_rng(3)
+        variant = gemm_variant(name)
+        a, b = rng.standard_normal((9, 7)), rng.standard_normal((5, 7))
+        got = gemm_mixed(a, b, variant=variant, transb=True)
+        dtype = variant.accumulate_precision.numpy_dtype
+        fa = np.asarray(quantize(a, variant.input_precision), dtype=dtype)
+        fb = np.asarray(quantize(b, variant.input_precision), dtype=dtype)
+        want = self._round_trip(fa @ fb.T, variant)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        # the general path (beta != 0) rounds the same product
+        c = rng.standard_normal((9, 5))
+        general = gemm_mixed(a, b, c, variant=variant, transb=True, beta=1.0)
+        want = quantize(np.asarray(got, dtype=np.float64) + c,
+                        variant.output_precision)
+        np.testing.assert_array_equal(general, want)
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_syrk_matches_gemm_rounding(self, name):
+        rng = np.random.default_rng(4)
+        variant = gemm_variant(name)
+        a = rng.standard_normal((8, 6))
+        got = syrk_mixed(a, variant=variant)
+        assert got.dtype == variant.output_precision.numpy_dtype
+        np.testing.assert_array_equal(got, got.T)
+        scaled = syrk_mixed(a, variant=variant, alpha=2.0)
+        np.testing.assert_array_equal(
+            scaled, quantize(2.0 * np.asarray(got, dtype=np.float64),
+                             variant.output_precision))
+
+    def test_float_path_uses_the_operand_cast_cache(self):
+        rng = np.random.default_rng(5)
+        qa = QuantizedOperand(rng.standard_normal((6, 4)), Precision.FP16)
+        qb = QuantizedOperand(rng.standard_normal((6, 4)), Precision.FP16)
+        first = gemm_mixed(qa, qb, variant="FP16_FP32ACC", transb=True)
+        widened = qa.as_float(np.float32)
+        assert widened.dtype == np.float32
+        again = gemm_mixed(qa, qb, variant="FP16_FP32ACC", transb=True)
+        assert qa.as_float(np.float32) is widened  # one cast, reused
+        np.testing.assert_array_equal(first, again)
+        syrk_mixed(qa, variant="FP16_FP32ACC")
+        assert qa.as_float(np.float32) is widened

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.precision.formats import Precision
 from repro.tiles.matrix import TileMatrix
+from repro.tiles.tile import Tile
 
 
 @pytest.fixture
@@ -229,3 +230,55 @@ class TestUnpackedLower:
         unpacked = sym.unpacked_lower()
         assert unpacked.tile_precision(0, 0) is Precision.FP32
         assert unpacked.tile_precision(1, 0) is Precision.FP16
+
+
+class TestSetTileFromTile:
+    """``set_tile`` takes a ``Tile`` over without rounding it again."""
+
+    def test_same_precision_shares_the_payload(self, rng):
+        tm = TileMatrix.zeros(8, 8, 4, Precision.FP32)
+        src = Tile(rng.standard_normal((4, 4)), precision=Precision.FP8_E4M3)
+        tm.set_tile(1, 0, src)  # precision omitted: the tile's own
+        stored = tm.get_tile(1, 0)
+        assert stored.precision is Precision.FP8_E4M3
+        assert stored.coords == (1, 0) and stored.data is src.data
+        tm.set_tile(0, 1, src, precision=Precision.FP8_E4M3)
+        assert tm.get_tile(0, 1).data is src.data
+
+    def test_other_precision_rounds_like_an_array(self, rng):
+        values = rng.standard_normal((4, 4))
+        a = TileMatrix.zeros(8, 8, 4)
+        b = TileMatrix.zeros(8, 8, 4)
+        a.set_tile(1, 1, Tile(values, precision=Precision.FP32),
+                   precision=Precision.FP8_E4M3)
+        b.set_tile(1, 1, np.asarray(values, dtype=np.float32),
+                   precision=Precision.FP8_E4M3)
+        assert a.get_tile(1, 1).precision is Precision.FP8_E4M3
+        np.testing.assert_array_equal(a.get_tile(1, 1).data,
+                                      b.get_tile(1, 1).data)
+
+    def test_upper_write_on_symmetric_storage_transposes(self, rng):
+        tm = TileMatrix.zeros(8, 8, 4, symmetric=True)
+        src = Tile(rng.standard_normal((4, 4)), precision=Precision.FP16)
+        tm.set_tile(0, 1, src)
+        np.testing.assert_array_equal(tm.get_tile(1, 0).data, src.data.T)
+        assert tm.get_tile(1, 0).precision is Precision.FP16
+
+    def test_shape_is_still_checked(self):
+        tm = TileMatrix.zeros(8, 8, 4)
+        with pytest.raises(ValueError):
+            tm.set_tile(0, 0, Tile(np.zeros((3, 4))))
+
+    def test_store_backed_matrix_adopts_too(self, rng):
+        from repro.store import TileStore
+
+        src = Tile(rng.standard_normal((4, 4)), precision=Precision.FP8_E4M3)
+        with TileStore(budget_bytes=4 * 16 * 4) as store:
+            tm = TileMatrix.zeros(8, 8, 4, Precision.FP32).attach_store(store)
+            tm.set_tile(1, 0, src)
+            assert tm.get_tile(1, 0).precision is Precision.FP8_E4M3
+            np.testing.assert_array_equal(tm.get_tile(1, 0).data, src.data)
+            tm.set_tile(1, 1, src, precision=Precision.FP16)
+            np.testing.assert_array_equal(
+                tm.get_tile(1, 1).data,
+                Tile(src.data, precision=Precision.FP16).data)
