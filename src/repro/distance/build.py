@@ -49,14 +49,9 @@ from repro.precision.gemm import (
     integer_gemm_dtype,
     variant_for_input,
 )
-from repro.parallel.descriptors import (
-    BuildRowSpec,
-    ObjectInput,
-    ProcessTaskSpec,
-)
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime, resolve_execution, resolve_workers
-from repro.runtime.task import AccessMode
+from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
 from repro.tiles.adaptive import AdaptivePrecisionRule, decide_tile_precisions
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
@@ -156,12 +151,12 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     """Dense Gaussian-kernel block for rows ``rs`` × columns ``cs``.
 
     Module-level (rather than a :class:`KernelBuilder` method) so the
-    process backend's ``BuildRowSpec`` descriptor can name it with only
-    scalar parameters: a worker receives the pickled operand context
-    and recomputes the exact fused Gram/distance/exponentiation
-    pipeline the in-process path runs — the INT8 Gram is exact integer
-    arithmetic and the elementwise assembly is per-element, so results
-    are bitwise identical for any row batching and any executor.
+    :class:`BuildRowSpec` descriptor can name it with only scalar
+    parameters: a worker process receives the pickled operand context
+    and runs the same fused Gram/distance/exponentiation pipeline —
+    the INT8 Gram is exact integer arithmetic and the elementwise
+    assembly is per-element, so results are bitwise identical for any
+    row batching and any executor.
     """
     mb = rs.stop - rs.start
     nb = cs.stop - cs.start
@@ -195,6 +190,24 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     np.maximum(dist, 0.0, out=dist)
     # fused exponentiation before the row block is released
     return gaussian_kernel(dist, gamma)
+
+
+@dataclass(frozen=True)
+class BuildRowSpec(BodySpec):
+    """One kernel-matrix row band of the Build phase: columns
+    ``[0, col_end)`` of rows ``[row_start, row_stop)``, from the
+    prepared operand context (its single input)."""
+
+    gamma: float
+    snp_block: int
+    row_start: int
+    row_stop: int
+    col_end: int
+
+    def run(self, ctx: _OperandContext) -> np.ndarray:
+        return compute_kernel_rows(
+            ctx, self.gamma, self.snp_block,
+            slice(self.row_start, self.row_stop), slice(0, self.col_end))
 
 
 @dataclass
@@ -690,11 +703,6 @@ class KernelBuilder:
         # memory contract the historical windowed thread pool enforced).
         window = max(rt.workers * 4, 1)
 
-        def make_row_body(bi: int, rs: slice, col_end: int):
-            def body(_operands, _row, *_throttle):
-                return self._kernel_rows(ctx, rs, slice(0, col_end))
-            return body
-
         def make_consume_body(row_h, bi: int, rs: slice, col_tiles: int):
             mb = rs.stop - rs.start
 
@@ -728,10 +736,9 @@ class KernelBuilder:
                                                       col_end)
             rt.insert_task(
                 "build_row", *row_accesses,
-                body=make_row_body(bi, rs, col_end),
                 flops=row_flops, precision=self.snp_precision,
                 flops_detail=row_detail, tag=bi,
-                pspec=ProcessTaskSpec(
+                spec=TaskSpec(
                     BuildRowSpec(gamma=self.gamma, snp_block=self.snp_block,
                                  row_start=rs.start, row_stop=rs.stop,
                                  col_end=col_end),

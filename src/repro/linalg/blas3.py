@@ -10,6 +10,7 @@ operands.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.precision.formats import Precision
 from repro.precision.gemm import QuantizedOperand, gemm_mixed, variant_for_input
 from repro.precision.quantize import quantize
 from repro.resilience.errors import TaskGroupError
+from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
 from repro.tiles.layout import TileLayout
 
 
@@ -151,8 +153,6 @@ def gemm(
     """
     precision = Precision.from_string(precision)
     if runtime is not None:
-        from repro.runtime.task import AccessMode
-
         runtime.require_drained("gemm()")
         ashape, bshape = np.shape(a), np.shape(b)
         m = ashape[1] if transa else ashape[0]
@@ -160,23 +160,15 @@ def gemm(
         k = ashape[0] if transa else ashape[1]
         total = (float(sum(flops_detail.values())) if flops_detail
                  else 2.0 * m * n * k)
-        from repro.parallel.descriptors import (
-            DenseGemmSpec,
-            ObjectInput,
-            ProcessTaskSpec,
-        )
-
         ns = runtime.namespace("gemm")
         out_h = runtime.register_data(f"{ns}C", shape=(m, n),
                                       precision=precision)
         runtime.insert_task(
             "gemm",
             (out_h, AccessMode.WRITE),
-            body=lambda _out: gemm(a, b, tile_size, precision,
-                                   transa=transa, transb=transb),
             flops=total, precision=precision,
             flops_detail=flops_detail,
-            pspec=ProcessTaskSpec(
+            spec=TaskSpec(
                 DenseGemmSpec(tile_size, precision, transa, transb),
                 mode="aux",
                 aux=(ObjectInput(a, key=f"{ns}a"),
@@ -209,3 +201,17 @@ def gemm(
             gemm_mixed(qa[:, ks], qb[ks, :], variant=variant), dtype=np.float64
         )
     return np.asarray(quantize(out, precision), dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class DenseGemmSpec(BodySpec):
+    """:func:`gemm` of two dense operands as one task (its runtime path)."""
+
+    tile_size: int
+    precision: Precision
+    transa: bool
+    transb: bool
+
+    def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return gemm(a, b, tile_size=self.tile_size, precision=self.precision,
+                    transa=self.transa, transb=self.transb)

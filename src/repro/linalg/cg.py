@@ -21,10 +21,10 @@ CG converges in a handful of iterations for any alpha near the
 reference, each iteration costing O(n^2) instead of O(n^3).
 
 The kernel matvec runs entirely on the TileMatrix/Runtime stack: one
-task per tile *row* (``acc = alpha*v_i + sum_j K[i,j] @ v_j``), with
-picklable :class:`~repro.parallel.descriptors.CgMatvecSpec` descriptors
-so the serial, threaded and process backends all drive it bitwise
-identically, and ``tile_deps`` declared per stored tile so store-backed
+task per tile *row* (``acc = alpha*v_i + sum_j K[i,j] @ v_j``), each a
+:class:`CgMatvecSpec` descriptor that the serial, threaded and process
+backends (and the runtime-less inline loop) all run, so they agree
+bit for bit, with ``tile_deps`` declared per stored tile so store-backed
 kernels stay within their residency budget.  The per-row accumulation
 order is fixed (ascending ``j``), which makes the whole convergence
 history deterministic across execution modes, worker counts and store
@@ -41,12 +41,12 @@ import numpy as np
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.kernels import gemm_flops
 from repro.linalg.solve import solve_cholesky
-from repro.parallel.descriptors import CgMatvecSpec, ProcessTaskSpec, TileInput
 from repro.precision.formats import Precision
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
-from repro.runtime.task import AccessMode
+from repro.runtime.task import AccessMode, BodySpec, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
+from repro.tiles.tile import Tile
 
 __all__ = [
     "CGResult",
@@ -108,36 +108,40 @@ class CGResult:
 # ----------------------------------------------------------------------
 # the DAG matvec
 # ----------------------------------------------------------------------
-def _row_body(kernel: TileMatrix, i: int, alpha: float,
-              row: slice, nt: int):
-    """Closure computing ``alpha*v_i + sum_j K[i,j] @ v_j`` for row ``i``.
+@dataclass(frozen=True)
+class CgMatvecSpec(BodySpec):
+    """One tile row of the kernel matvec: ``alpha*v_i + sum_j K[i,j] @ v_j``.
 
-    The loop order (ascending ``j``) and operation order (``acc = acc +
-    tile @ block``) are the bitwise contract shared with
-    :class:`~repro.parallel.descriptors.CgMatvecSpec`.
+    Receives the full FP64 vector/panel (plus the unwritten output
+    handle's payload) and the row's *stored* kernel tiles, in ascending
+    column order.  The loop order (ascending ``j``) and operation order
+    (``acc = acc + tile @ block``) are the bitwise contract of the CG
+    convergence history.
 
-    Symmetric upper-triangle reads fetch the *stored* lower tile and
-    multiply through a transposed no-copy view — the same F-ordered
-    float64 layout ``get_tile``'s mirrored copy would expose, so the
-    BLAS call (and therefore the result) is bitwise unchanged while the
-    per-access tile copy disappears from the iteration critical path.
+    ``transposes[j]`` marks a symmetric upper-triangle column: its
+    stored lower tile is multiplied through a transposed no-copy view —
+    the same F-ordered float64 layout ``get_tile``'s mirrored copy would
+    expose, so the BLAS call (and therefore the result) is bitwise
+    unchanged while the per-access tile copy disappears from the
+    iteration critical path.
     """
-    layout = kernel.layout
-    # static per row: column slices and stored-key/transpose pairs
-    # (get_tile still runs per execution so spilled tiles fault in)
-    cols = [(layout.tile_slice(i, j)[1], *kernel._stored_key(i, j))
-            for j in range(nt)]
 
-    def body(v, _out=None):
-        acc = alpha * v[row]
-        for cs, key, transposed in cols:
-            t64 = kernel.get_tile(*key).float64_values()
-            if transposed:
+    alpha: float
+    row_start: int
+    row_stop: int
+    transposes: tuple = ()
+
+    def run(self, v: np.ndarray, _out, *tiles: Tile) -> np.ndarray:
+        acc = self.alpha * v[self.row_start:self.row_stop]
+        c0 = 0
+        for j, tile in enumerate(tiles):
+            t64 = tile.float64_values()
+            if j < len(self.transposes) and self.transposes[j]:
                 t64 = t64.T
-            acc = acc + t64 @ v[cs]
+            width = t64.shape[1]
+            acc = acc + t64 @ v[c0:c0 + width]
+            c0 += width
         return acc
-
-    return body
 
 
 def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
@@ -145,14 +149,13 @@ def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
                   phase: str = "solve") -> np.ndarray:
     """``(K + alpha*I) @ v`` on a tiled kernel, in FP64.
 
-    With ``runtime`` the product is inserted as one task per tile row —
-    each task reads the full FP64 vector handle and the row's kernel
-    tiles (declared via ``tile_deps`` so store-backed kernels pin and
-    fault tiles under their budget; carried as
-    :class:`~repro.parallel.descriptors.CgMatvecSpec` descriptors so
-    worker processes execute the identical arithmetic).  Without a
-    runtime the same loop runs inline on the caller's thread.  Both
-    paths are bitwise identical.
+    With ``runtime`` the product is inserted as one :class:`CgMatvecSpec`
+    task per tile row — each reads the full FP64 vector handle and the
+    row's stored kernel tiles (``TileInput``s read per execution, and
+    declared via ``tile_deps`` so store-backed kernels pin and fault
+    tiles under their budget).  Without a runtime the same descriptors
+    run inline on the caller's thread.  Both paths are bitwise
+    identical.
     """
     if kernel.shape[0] != kernel.shape[1]:
         raise ValueError("kernel_matvec requires a square kernel matrix")
@@ -164,15 +167,20 @@ def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
         raise ValueError("vector rows must match the kernel order")
     layout = kernel.layout
     nt = layout.tile_rows
-    alpha = float(alpha)
     nrhs = v.shape[1]
 
+    def row(i: int) -> tuple[CgMatvecSpec, list[tuple[int, int]]]:
+        """Row ``i``'s descriptor and the stored tiles it consumes."""
+        rs = layout.tile_slice(i, 0)[0]
+        keys = [kernel._stored_key(i, j) for j in range(nt)]
+        return (CgMatvecSpec(float(alpha), rs.start, rs.stop,
+                             transposes=tuple(t for _, t in keys)),
+                [key for key, _ in keys])
+
     if runtime is None:
-        rows = [
-            _row_body(kernel, i, alpha, layout.tile_slice(i, 0)[0], nt)(v)
-            for i in range(nt)
-        ]
-        out = np.vstack(rows)
+        out = np.vstack([
+            spec.run(v, None, *(kernel.get_tile(*key) for key in keys))
+            for spec, keys in map(row, range(nt))])
         return out[:, 0] if squeeze else out
 
     runtime.require_drained("kernel_matvec()")
@@ -187,31 +195,20 @@ def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
     v_handle = runtime.register_data(f"{ns}v", payload=v)
     out_handles = []
     for i in range(nt):
-        row = layout.tile_slice(i, 0)[0]
-        h = runtime.register_data(f"{ns}y({i})",
-                                  shape=(row.stop - row.start, nrhs))
+        spec, keys = row(i)
+        rows = spec.row_stop - spec.row_start
+        h = runtime.register_data(f"{ns}y({i})", shape=(rows, nrhs))
         out_handles.append(h)
-        keys = [kernel._stored_key(i, j) for j in range(nt)]
-        if binding is None:
-            deps = ()
-        else:
-            deps = tuple((binding, key) for key, _ in keys)
         runtime.insert_task(
             "cg_matvec",
             (v_handle, AccessMode.READ),
             (h, AccessMode.WRITE),
-            body=_row_body(kernel, i, alpha, row, nt),
-            flops=gemm_flops(row.stop - row.start, nrhs, layout.cols)
-            + (row.stop - row.start) * nrhs,
+            flops=gemm_flops(rows, nrhs, layout.cols) + rows * nrhs,
             precision=Precision.FP64, tag=(i,),
-            tile_deps=deps,
-            pspec=ProcessTaskSpec(
-                CgMatvecSpec(alpha, row.start, row.stop,
-                             transposes=tuple(t for _, t in keys)),
-                mode="both",
-                # ship the *stored* tiles; the spec's transpose mask
-                # mirrors the upper triangle exactly like the closure
-                aux=tuple(TileInput(kernel, key) for key, _ in keys)),
+            tile_deps=(() if binding is None
+                       else tuple((binding, key) for key in keys)),
+            spec=TaskSpec(spec, mode="both",
+                          aux=tuple(TileInput(kernel, key) for key in keys)),
         )
     try:
         runtime.run(phase=phase)

@@ -16,15 +16,17 @@ Structure of the algorithm per panel ``k`` (lower-triangular variant):
    ``A[i,j] <- A[i,j] - A[i,k] @ A[j,k]^T``; runs in the *destination
    tile's* precision, which is where FP16/FP8 enters.
 
-By default the factorization is expressed as a task DAG and executed
-by the runtime's threaded out-of-order scheduler — POTRF/TRSM/SYRK/GEMM
-tiles of independent panels run concurrently, and because every
-ordering constraint is an explicit dependency edge (including the
-serialized accumulation chain on each trailing tile) the result is
-bitwise identical to the serial elimination order
-(``execution="serial"``).  Passing a session-long ``runtime=`` reuses
-one scheduler across phases and feeds its trace accounting; passing
-``execution="simulated"`` retains the historical device-timing mode.
+Two implementations, on purpose.  :func:`_cholesky_runtime` is the one
+DAG Cholesky: a single insertion loop whose tasks carry the kernel
+descriptors of :mod:`repro.linalg.kernels`, run by whatever execution
+mode the runtime has (serial, threaded, process, simulated) over a
+resident *or* store-backed workspace — the two differ only in how a
+tile is declared to the task.  :func:`_cholesky_direct`
+(``execution="serial"`` without a runtime) is the host-ordered
+elimination with no task graph: the reference every DAG execution must
+match bit for bit, which holds because every ordering constraint of the
+DAG is an explicit dependency edge (including the serialized
+accumulation chain on each trailing tile).
 """
 
 from __future__ import annotations
@@ -34,8 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.precision.formats import Precision
-from repro.precision.gemm import QuantizedOperand
 from repro.linalg.kernels import (
+    OPERANDS,
+    GemmTrailSpec,
+    PotrfSpec,
+    SyrkSpec,
+    TrsmSpec,
     gemm_flops,
     panel_operand,
     potrf_flops,
@@ -46,17 +52,9 @@ from repro.linalg.kernels import (
     tile_trsm,
     trsm_flops,
 )
-from repro.parallel.descriptors import (
-    GemmTrailSpec,
-    PotrfSpec,
-    ProcessTaskSpec,
-    SyrkSpec,
-    TileInput,
-    TrsmSpec,
-)
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
-from repro.runtime.task import AccessMode
+from repro.runtime.task import AccessMode, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
@@ -282,152 +280,113 @@ def _cholesky_direct(tiled: TileMatrix, wp: Precision,
 def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                       tile_precision, result: CholeskyResult,
                       runtime: Runtime, phase: str = "cholesky") -> None:
-    if tiled.store is not None:
-        _cholesky_runtime_store(tiled, nt, wp, tile_precision, result,
-                                runtime, phase)
-        return
+    """Insert the factorization's task DAG and drain it.
 
+    A *resident* workspace registers every lower tile as a handle
+    payload (a ``Tile``, so the working set stays in the tiles' storage
+    precision) and the kernels' outputs become the new payloads.  A
+    *store-backed* workspace must not keep the whole mosaic alive in
+    handles: its handles are pure synchronization tokens, each task
+    names its tiles as ``TileInput``s — read from the matrix when the
+    task runs, faulting spilled tiles in — pins them through
+    ``tile_deps`` while it runs, and writes its result straight back
+    through ``set_tile`` (making it spillable at once).  The resident
+    working set is then the active panel plus the in-flight updates.
+    """
     layout = tiled.layout
+    binding = tiled._binding
+    stored = binding is not None
     runtime.require_drained("cholesky()")
+    if stored:
+        try:
+            runtime.attach_store(tiled.store)
+        except RuntimeError:
+            # the runtime is already hooked to a different store: pins
+            # and prefetch for this matrix are skipped, which only costs
+            # reload traffic — eviction/reload round-trips stay bitwise
+            pass
     ns = runtime.namespace("chol")
 
-    # Handle payloads are Tile objects, so the working set stays in the
-    # tiles' *storage* precision (fp16/fp8 mosaics keep their footprint
-    # advantage); task bodies read float64 values and adopt kernel
-    # results exactly like the serial path (see _cholesky_direct).
+    def stored_at(i: int, j: int) -> Precision:
+        return wp if i == j else tile_precision(i, j)
+
     handles: dict[tuple[int, int], object] = {}
     for i in range(nt):
         for j in range(i + 1):
-            tile = tiled.get_tile(i, j)
+            tile = None if stored else tiled.get_tile(i, j)
             handles[(i, j)] = runtime.register_data(
                 f"{ns}A({i},{j})", payload=tile,
-                precision=tile.precision, shape=tile.shape,
+                precision=stored_at(i, j) if stored else tile.precision,
+                shape=layout.tile_shape(i, j),
             )
 
-    # Panel tiles are consumed by one SYRK and up to nt-k-2 GEMMs per
-    # compute precision; caching the quantized operand per (handle,
-    # precision) mirrors the serial path's per-panel cache.  A panel
-    # payload never changes after its TRSM wrote it, so the cache is
-    # sound under concurrency.  Each entry is refcounted by its
-    # consumer tasks and evicted when the last one has used it, so the
-    # cache holds (roughly) the panels currently in flight rather than
-    # every panel of the factorization.
-    import threading
-
-    qcache: dict[tuple[int, Precision], QuantizedOperand] = {}
-    qcount: dict[tuple[int, Precision], int] = {}
-    qlock = threading.Lock()
-
-    def qexpect(uid: int, precision: Precision) -> None:
-        key = (uid, precision)
-        qcount[key] = qcount.get(key, 0) + 1
-
-    def qop(uid: int, tile: Tile, precision: Precision) -> QuantizedOperand:
-        key = (uid, precision)
-        got = qcache.get(key)
-        if got is None:
-            # benign race: a duplicate compute yields the same
-            # deterministic operand and one copy wins
-            got = qcache.setdefault(key, panel_operand(tile, precision))
-        return got
-
-    def qdone(*keys: tuple[int, Precision]) -> None:
-        with qlock:
-            for key in keys:
-                left = qcount.get(key, 0) - 1
-                if left <= 0:
-                    qcount.pop(key, None)
-                    qcache.pop(key, None)
-                else:
-                    qcount[key] = left
-
-    def potrf_body(a):
-        return Tile._on_grid(tile_potrf(a.float64_values(), precision=wp),
-                             wp, a.coords)
-
-    def make_trsm_body(storage: Precision):
-        def body(lkk, aik):
-            lik = tile_trsm(lkk.float64_values(), aik.float64_values(),
-                            precision=wp, side="right", trans=True)
-            # storing at the tile's storage precision is the same
-            # rounding the serial path applies before the trailing
-            # updates read the panel back
-            return Tile(lik, precision=storage, coords=aik.coords)
-        return body
-
-    def make_syrk_body(p, uid_ik):
-        def body(lik, aii):
-            out = tile_syrk(qop(uid_ik, lik, p), aii,
-                            precision=p, alpha=-1.0, beta=1.0)
-            qdone((uid_ik, p))
-            return Tile._on_grid(out, p, aii.coords)
-        return body
-
-    def make_gemm_body(p, uid_ik, uid_jk):
-        def body(lik, ljk, aij):
-            out = tile_gemm(qop(uid_ik, lik, p), qop(uid_jk, ljk, p),
-                            aij, precision=p,
-                            alpha=-1.0, beta=1.0, transb=True)
-            qdone((uid_ik, p), (uid_jk, p))
-            return Tile._on_grid(out, p, aij.coords)
-        return body
+    def declare(kernel, *coords):
+        """Accesses and descriptor of a task that reads the tiles at
+        ``coords`` and replaces the last of them."""
+        *reads, out = coords
+        accesses = [(handles[c], AccessMode.READ) for c in reads]
+        accesses.append((handles[out], AccessMode.READWRITE))
+        if not stored:
+            return accesses, {"spec": TaskSpec(kernel)}
+        return accesses, {
+            "spec": TaskSpec(
+                kernel, mode="aux",
+                aux=tuple(TileInput(tiled, c, writeback=c == out)
+                          for c in coords),
+                # the kernel returns a Tile at the destination's storage
+                # precision, so set_tile takes it over as it is
+                on_complete=lambda tile: tiled.set_tile(*out, tile)),
+            "tile_deps": tuple((binding, c) for c in coords),
+        }
 
     for k in range(nt):
-        hkk = handles[(k, k)]
-        nbk = layout.tile_shape(k, k)[0]
+        accesses, how = declare(PotrfSpec(wp), (k, k))
         runtime.insert_task(
-            "potrf", (hkk, AccessMode.READWRITE), body=potrf_body,
-            flops=potrf_flops(nbk), precision=wp, priority=nt - k + 10,
-            tag=(k, k, k),
-            pspec=ProcessTaskSpec(PotrfSpec(wp)),
-        )
-        _accumulate(result, "potrf", wp, potrf_flops(nbk))
-
+            "potrf", *accesses, **how, tag=(k, k, k), precision=wp,
+            flops=potrf_flops(layout.tile_shape(k, k)[0]),
+            priority=nt - k + 10)
         for i in range(k + 1, nt):
-            hik = handles[(i, k)]
             mb, nb = layout.tile_shape(i, k)
+            accesses, how = declare(TrsmSpec(wp, tile_precision(i, k)),
+                                    (k, k), (i, k))
             runtime.insert_task(
-                "trsm", (hkk, AccessMode.READ), (hik, AccessMode.READWRITE),
-                body=make_trsm_body(tile_precision(i, k)),
-                flops=trsm_flops(nb, mb),
-                precision=wp, priority=nt - k + 5, tag=(i, k, k),
-                pspec=ProcessTaskSpec(TrsmSpec(wp, tile_precision(i, k))),
-            )
-            _accumulate(result, "trsm", wp, trsm_flops(nb, mb))
+                "trsm", *accesses, **how, tag=(i, k, k), precision=wp,
+                flops=trsm_flops(nb, mb), priority=nt - k + 5)
 
+        # consumers of each panel operand, per compute precision: what
+        # the operand cache counts down from (see OperandCache)
+        uses: dict[tuple[int, Precision], int] = {}
         for i in range(k + 1, nt):
-            hik = handles[(i, k)]
-            hii = handles[(i, i)]
+            uses[(i, wp)] = uses.get((i, wp), 0) + 1
+            for j in range(k + 1, i):
+                p_ij = tile_precision(i, j)
+                uses[(i, p_ij)] = uses.get((i, p_ij), 0) + 1
+                uses[(j, p_ij)] = uses.get((j, p_ij), 0) + 1
+        for i in range(k + 1, nt):
+            uid_ik = handles[(i, k)].uid
             nbi = layout.tile_shape(i, i)[0]
             kbk = layout.tile_shape(i, k)[1]
-            qexpect(hik.uid, wp)
+            accesses, how = declare(SyrkSpec(wp, uid_ik, uses[(i, wp)]),
+                                    (i, k), (i, i))
             runtime.insert_task(
-                "syrk", (hik, AccessMode.READ), (hii, AccessMode.READWRITE),
-                body=make_syrk_body(wp, hik.uid), flops=syrk_flops(nbi, kbk),
-                precision=wp, tag=(i, i, k),
-                pspec=ProcessTaskSpec(SyrkSpec(wp, hik.uid)),
-            )
-            _accumulate(result, "syrk", wp, syrk_flops(nbi, kbk))
+                "syrk", *accesses, **how, tag=(i, i, k), precision=wp,
+                flops=syrk_flops(nbi, kbk))
             for j in range(k + 1, i):
-                hjk = handles[(j, k)]
-                hij = handles[(i, j)]
                 p_ij = tile_precision(i, j)
                 mb, nb = layout.tile_shape(i, j)
-                qexpect(hik.uid, p_ij)
-                qexpect(hjk.uid, p_ij)
+                accesses, how = declare(
+                    GemmTrailSpec(p_ij, uid_ik, handles[(j, k)].uid,
+                                  uses[(i, p_ij)], uses[(j, p_ij)]),
+                    (i, k), (j, k), (i, j))
                 runtime.insert_task(
-                    "gemm", (hik, AccessMode.READ), (hjk, AccessMode.READ),
-                    (hij, AccessMode.READWRITE),
-                    body=make_gemm_body(p_ij, hik.uid, hjk.uid),
-                    flops=gemm_flops(mb, nb, kbk),
-                    precision=p_ij, tag=(i, j, k),
-                    pspec=ProcessTaskSpec(
-                        GemmTrailSpec(p_ij, hik.uid, hjk.uid)),
-                )
-                _accumulate(result, "gemm", p_ij, gemm_flops(mb, nb, kbk))
+                    "gemm", *accesses, **how, tag=(i, j, k), precision=p_ij,
+                    flops=gemm_flops(mb, nb, kbk))
 
+    # require_drained: the pending graph is exactly this factorization
+    for task in runtime.graph.tasks:
+        _accumulate(result, task.name, task.precision, task.flops)
     try:
-        schedule = runtime.run(phase=phase)
+        result.schedule = runtime.run(phase=phase)
     except TaskGroupError as exc:
         # a failed factorization DAG is disposable: the session's
         # alpha-boost retry inserts a fresh one, so don't park the
@@ -440,222 +399,14 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
         raise
     finally:
         # failed attempts (indefinite matrix at too-small alpha) must
-        # not leak this invocation's handles into the session registry
+        # not leak this invocation's handles into the session registry,
+        # nor their panel operands into the process-wide cache
         runtime.release(ns)
-    result.schedule = schedule
+        OPERANDS.drop({handle.uid for handle in handles.values()})
 
-    # hand the results back to the tile matrix: every payload is a Tile
-    # at its target precision (the last task on it stored it there), so
-    # set_tile takes it over without rounding
-    for (i, j), handle in handles.items():
-        tiled.set_tile(i, j, handle.payload,
-                       precision=tile_precision(i, j) if i != j else wp)
-
-
-# ----------------------------------------------------------------------
-# store-backed (out-of-core) DAG execution — bitwise identical again
-# ----------------------------------------------------------------------
-def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
-                            tile_precision, result: CholeskyResult,
-                            runtime: Runtime, phase: str) -> None:
-    """Panel-by-panel DAG Cholesky over a store-backed workspace.
-
-    Unlike the resident path — which registers every tile as a handle
-    payload up front, keeping the whole mosaic alive for the duration —
-    this variant's handles are pure synchronization tokens: task bodies
-    read their tiles from the matrix on demand (faulting spilled tiles
-    in) and write results straight back through ``set_tile`` (making
-    them immediately spillable).  The resident working set is therefore
-    the active panel plus the in-flight trailing updates, each pinned
-    via ``tile_deps`` while its task runs.
-
-    Bitwise equivalence with the serial elimination holds for the same
-    reason as the resident DAG path: every read is ordered by an
-    explicit dependency edge, each result is adopted (POTRF/SYRK/GEMM)
-    or rounded to its storage precision (TRSM) exactly as on the serial
-    path, and spill/reload round-trips are exact.
-    """
-    import threading
-
-    layout = tiled.layout
-    binding = tiled._binding
-    runtime.require_drained("cholesky()")
-    try:
-        runtime.attach_store(tiled.store)
-    except RuntimeError:
-        # the runtime is already hooked to a different store: pins and
-        # prefetch for this matrix are skipped, which only costs reload
-        # traffic — eviction/reload round-trips stay bitwise
-        pass
-    ns = runtime.namespace("chol")
-
-    # Synchronization-only handles: one per lower tile, no payload.
-    handles: dict[tuple[int, int], object] = {}
-    for i in range(nt):
-        for j in range(i + 1):
-            handles[(i, j)] = runtime.register_data(
-                f"{ns}A({i},{j})", payload=None,
-                precision=tile_precision(i, j) if i != j else wp,
-                shape=layout.tile_shape(i, j),
-            )
-
-    def dep(i: int, j: int):
-        return (binding, (i, j))
-
-    # Quantized-operand cache, refcounted per (handle uid, precision)
-    # exactly like the resident path: a panel tile's payload is fixed
-    # once its TRSM ran, and reloads are bitwise, so a cached operand is
-    # valid no matter how often the tile spills in between.
-    qcache: dict[tuple[int, Precision], QuantizedOperand] = {}
-    qcount: dict[tuple[int, Precision], int] = {}
-    qlock = threading.Lock()
-
-    def qexpect(uid: int, precision: Precision) -> None:
-        key = (uid, precision)
-        qcount[key] = qcount.get(key, 0) + 1
-
-    def qop(uid: int, tile, precision: Precision) -> QuantizedOperand:
-        key = (uid, precision)
-        got = qcache.get(key)
-        if got is None:
-            got = qcache.setdefault(key, panel_operand(tile, precision))
-        return got
-
-    def qdone(*keys: tuple[int, Precision]) -> None:
-        with qlock:
-            for key in keys:
-                left = qcount.get(key, 0) - 1
-                if left <= 0:
-                    qcount.pop(key, None)
-                    qcache.pop(key, None)
-                else:
-                    qcount[key] = left
-
-    def make_potrf_body(k: int):
-        def body(_a):
-            lkk = tile_potrf(tiled.get_tile(k, k).float64_values(),
-                             precision=wp)
-            tiled.set_tile(k, k, Tile._on_grid(lkk, wp))
-        return body
-
-    def make_trsm_body(i: int, k: int, storage: Precision):
-        def body(_lkk, _aik):
-            lik = tile_trsm(tiled.get_tile(k, k).float64_values(),
-                            tiled.get_tile(i, k).float64_values(),
-                            precision=wp, side="right", trans=True)
-            tiled.set_tile(i, k, lik, precision=storage)
-        return body
-
-    def make_syrk_body(i: int, k: int, p: Precision, uid_ik: int):
-        def body(_lik, _aii):
-            out = tile_syrk(qop(uid_ik, tiled.get_tile(i, k), p),
-                            tiled.get_tile(i, i),
-                            precision=p, alpha=-1.0, beta=1.0)
-            qdone((uid_ik, p))
-            tiled.set_tile(i, i, Tile._on_grid(out, p))
-        return body
-
-    def make_gemm_body(i: int, j: int, k: int, p: Precision,
-                       uid_ik: int, uid_jk: int):
-        def body(_lik, _ljk, _aij):
-            out = tile_gemm(qop(uid_ik, tiled.get_tile(i, k), p),
-                            qop(uid_jk, tiled.get_tile(j, k), p),
-                            tiled.get_tile(i, j), precision=p,
-                            alpha=-1.0, beta=1.0, transb=True)
-            qdone((uid_ik, p), (uid_jk, p))
-            tiled.set_tile(i, j, Tile._on_grid(out, p))
-        return body
-
-    def make_writeback(i: int, j: int, storage: Precision):
-        # Coordinator-side completion of a worker-executed store task:
-        # write the result tile straight back through the store.  The
-        # worker's descriptor returned a Tile at ``storage`` — adopted
-        # or rounded exactly as the serial body does — so set_tile
-        # takes it over as it is.
-        def on_complete(out):
-            tiled.set_tile(i, j, out, precision=storage)
-        return on_complete
-
-    for k in range(nt):
-        hkk = handles[(k, k)]
-        nbk = layout.tile_shape(k, k)[0]
-        runtime.insert_task(
-            "potrf", (hkk, AccessMode.READWRITE), body=make_potrf_body(k),
-            flops=potrf_flops(nbk), precision=wp, priority=nt - k + 10,
-            tag=(k, k, k), tile_deps=(dep(k, k),),
-            pspec=ProcessTaskSpec(
-                PotrfSpec(wp), mode="aux",
-                aux=(TileInput(tiled, (k, k), writeback=True),),
-                on_complete=make_writeback(k, k, wp)),
-        )
-        _accumulate(result, "potrf", wp, potrf_flops(nbk))
-
-        for i in range(k + 1, nt):
-            hik = handles[(i, k)]
-            mb, nb = layout.tile_shape(i, k)
-            runtime.insert_task(
-                "trsm", (hkk, AccessMode.READ), (hik, AccessMode.READWRITE),
-                body=make_trsm_body(i, k, tile_precision(i, k)),
-                flops=trsm_flops(nb, mb),
-                precision=wp, priority=nt - k + 5, tag=(i, k, k),
-                tile_deps=(dep(k, k), dep(i, k)),
-                pspec=ProcessTaskSpec(
-                    TrsmSpec(wp, tile_precision(i, k)), mode="aux",
-                    aux=(TileInput(tiled, (k, k)),
-                         TileInput(tiled, (i, k), writeback=True)),
-                    on_complete=make_writeback(i, k, tile_precision(i, k))),
-            )
-            _accumulate(result, "trsm", wp, trsm_flops(nb, mb))
-
-        for i in range(k + 1, nt):
-            hik = handles[(i, k)]
-            hii = handles[(i, i)]
-            nbi = layout.tile_shape(i, i)[0]
-            kbk = layout.tile_shape(i, k)[1]
-            qexpect(hik.uid, wp)
-            runtime.insert_task(
-                "syrk", (hik, AccessMode.READ), (hii, AccessMode.READWRITE),
-                body=make_syrk_body(i, k, wp, hik.uid),
-                flops=syrk_flops(nbi, kbk),
-                precision=wp, tag=(i, i, k),
-                tile_deps=(dep(i, k), dep(i, i)),
-                pspec=ProcessTaskSpec(
-                    SyrkSpec(wp, hik.uid), mode="aux",
-                    aux=(TileInput(tiled, (i, k)),
-                         TileInput(tiled, (i, i), writeback=True)),
-                    on_complete=make_writeback(i, i, wp)),
-            )
-            _accumulate(result, "syrk", wp, syrk_flops(nbi, kbk))
-            for j in range(k + 1, i):
-                hjk = handles[(j, k)]
-                hij = handles[(i, j)]
-                p_ij = tile_precision(i, j)
-                mb, nb = layout.tile_shape(i, j)
-                qexpect(hik.uid, p_ij)
-                qexpect(hjk.uid, p_ij)
-                runtime.insert_task(
-                    "gemm", (hik, AccessMode.READ), (hjk, AccessMode.READ),
-                    (hij, AccessMode.READWRITE),
-                    body=make_gemm_body(i, j, k, p_ij, hik.uid, hjk.uid),
-                    flops=gemm_flops(mb, nb, kbk),
-                    precision=p_ij, tag=(i, j, k),
-                    tile_deps=(dep(i, k), dep(j, k), dep(i, j)),
-                    pspec=ProcessTaskSpec(
-                        GemmTrailSpec(p_ij, hik.uid, hjk.uid), mode="aux",
-                        aux=(TileInput(tiled, (i, k)),
-                             TileInput(tiled, (j, k)),
-                             TileInput(tiled, (i, j), writeback=True)),
-                        on_complete=make_writeback(i, j, p_ij)),
-                )
-                _accumulate(result, "gemm", p_ij, gemm_flops(mb, nb, kbk))
-
-    try:
-        schedule = runtime.run(phase=phase)
-    except TaskGroupError as exc:
-        runtime.reset_graph()
-        if exc.matches(np.linalg.LinAlgError):
-            raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
-        raise
-    finally:
-        runtime.release(ns)
-    result.schedule = schedule
+    if not stored:
+        # hand the results back to the tile matrix: every payload is a
+        # Tile at its target precision (the last task on it stored it
+        # there), so set_tile takes it over without rounding
+        for (i, j), handle in handles.items():
+            tiled.set_tile(i, j, handle.payload, precision=stored_at(i, j))

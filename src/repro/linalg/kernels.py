@@ -20,9 +20,19 @@ again (``Tile._on_grid``), or construct a ``Tile`` at any other one.
 SYRK and GEMM take their destination as a :class:`Tile` too; one that
 is already at the compute precision is read as is, its payload being
 on that grid by the tile invariant.
+
+The second half of the module wraps the four kernels as the tiled
+Cholesky's task descriptors (:class:`PotrfSpec`, :class:`TrsmSpec`,
+:class:`SyrkSpec`, :class:`GemmTrailSpec`): tile in, tile out, the one
+body every DAG execution of the factorization runs — inline under the
+serial/threaded drains, on a worker under the process drain.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +45,7 @@ from repro.precision.gemm import (
     variant_for_input,
 )
 from repro.precision.quantize import quantize
+from repro.runtime.task import BodySpec
 from repro.tiles.tile import Tile
 
 
@@ -178,3 +189,141 @@ def syrk_flops(nb: int, kb: int) -> float:
 def gemm_flops(mb: int, nb: int, kb: int) -> float:
     """Operation count of an ``mb×kb @ kb×nb`` GEMM."""
     return 2.0 * mb * nb * kb
+
+
+# ----------------------------------------------------------------------
+# the tiled Cholesky's task descriptors
+# ----------------------------------------------------------------------
+class OperandCache:
+    """Per-process memo of ``panel_operand(tile, precision)``.
+
+    A panel tile ``L[i,k]`` is consumed by one SYRK and up to ``nt-k-2``
+    GEMMs per compute precision, all of which would otherwise quantize
+    it from scratch.  ``key`` is the panel tile's handle uid — unique in
+    the coordinating process and never rebound to other data — and a
+    panel payload never changes once its TRSM wrote it, so an entry
+    cannot go stale; the operand is a deterministic function of the
+    tile, so a miss (or two threads missing at once) recomputes exactly
+    what any other worker holds.  Caching never changes results.
+
+    Every consumer names the total number of consumers (``uses``): the
+    entry counts down and is dropped with its last one, so the cache
+    holds the panels in flight rather than every panel of the
+    factorization.  A worker process sees only its share of a key's
+    consumers and never counts to zero; there the LRU ``cap`` and the
+    per-drain :meth:`clear` bound the cache instead.
+    """
+
+    def __init__(self, cap: int = 96) -> None:
+        self.cap = cap
+        self.released = 0  #: entries dropped with their last consumer
+        self.evicted = 0   #: entries dropped by the cap
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()  # key -> [operand, uses left]
+
+    def take(self, key: int, precision: Precision, tile: Tile,
+             uses: int = 1) -> QuantizedOperand:
+        """The operand of ``tile``, for one of its ``uses`` consumers."""
+        cache_key = (key, precision)
+        fresh = None
+        while True:
+            with self._lock:
+                entry = self._entries.get(cache_key)
+                if entry is not None:
+                    entry[1] -= 1
+                    if entry[1] <= 0:
+                        del self._entries[cache_key]
+                        self.released += 1
+                    else:
+                        self._entries.move_to_end(cache_key)
+                    return entry[0]
+                if fresh is not None:
+                    if uses > 1:
+                        self._entries[cache_key] = [fresh, uses - 1]
+                        if len(self._entries) > self.cap:
+                            self._entries.popitem(last=False)
+                            self.evicted += 1
+                    return fresh
+            # quantize outside the lock: other keys must not wait on it
+            fresh = panel_operand(tile, precision)
+
+    def drop(self, keys) -> None:
+        """Forget the entries of ``keys`` (a finished or failed drain's
+        handle uids): an evicted-and-recomputed entry restarts its
+        count, and a failed drain never finishes counting."""
+        with self._lock:
+            for cache_key in [ck for ck in self._entries if ck[0] in keys]:
+                del self._entries[cache_key]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+OPERANDS = OperandCache()
+clear_operand_cache = OPERANDS.clear
+
+
+@dataclass(frozen=True)
+class PotrfSpec(BodySpec):
+    """Diagonal Cholesky: ``A(k,k) -> chol(A(k,k))`` at ``wp``."""
+
+    wp: Precision
+
+    def run(self, a: Tile) -> Tile:
+        return Tile._on_grid(tile_potrf(a.float64_values(), precision=self.wp),
+                             self.wp, a.coords)
+
+
+@dataclass(frozen=True)
+class TrsmSpec(BodySpec):
+    """Panel solve ``L(i,k) = A(i,k) L(k,k)^-T`` stored at ``storage``."""
+
+    wp: Precision
+    storage: Precision
+
+    def run(self, lkk: Tile, aik: Tile) -> Tile:
+        lik = tile_trsm(lkk.float64_values(), aik.float64_values(),
+                        precision=self.wp, side="right", trans=True)
+        # computed at wp, stored at ``storage``: a real rounding, the
+        # one the host-ordered reference applies through set_tile
+        return Tile(lik, precision=self.storage, coords=aik.coords)
+
+
+@dataclass(frozen=True)
+class SyrkSpec(BodySpec):
+    """Trailing diagonal update ``A(i,i) -= L(i,k) L(i,k)^T`` at ``p``.
+
+    ``key_ik`` / ``uses_ik``: the panel tile's :class:`OperandCache` key
+    and how many tasks consume it at ``p``.
+    """
+
+    p: Precision
+    key_ik: int
+    uses_ik: int = 1
+
+    def run(self, lik: Tile, aii: Tile) -> Tile:
+        out = tile_syrk(OPERANDS.take(self.key_ik, self.p, lik, self.uses_ik),
+                        aii, precision=self.p, alpha=-1.0, beta=1.0)
+        return Tile._on_grid(out, self.p, aii.coords)
+
+
+@dataclass(frozen=True)
+class GemmTrailSpec(BodySpec):
+    """Trailing update ``A(i,j) -= L(i,k) L(j,k)^T`` at ``p``."""
+
+    p: Precision
+    key_ik: int
+    key_jk: int
+    uses_ik: int = 1
+    uses_jk: int = 1
+
+    def run(self, lik: Tile, ljk: Tile, aij: Tile) -> Tile:
+        out = tile_gemm(OPERANDS.take(self.key_ik, self.p, lik, self.uses_ik),
+                        OPERANDS.take(self.key_jk, self.p, ljk, self.uses_jk),
+                        aij, precision=self.p,
+                        alpha=-1.0, beta=1.0, transb=True)
+        return Tile._on_grid(out, self.p, aij.coords)

@@ -9,6 +9,8 @@ from tensor cores.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
@@ -16,34 +18,69 @@ from repro.precision.formats import Precision
 from repro.precision.quantize import quantize
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.kernels import gemm_flops, trsm_flops
-from repro.parallel.descriptors import (
-    ProcessTaskSpec,
-    SolveGemmSpec,
-    SolveTrsmSpec,
-    TileInput,
-)
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
-from repro.runtime.task import AccessMode
+from repro.runtime.task import AccessMode, BodySpec, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
+from repro.tiles.tile import Tile
 
 
-def _diag_trtrs(diag: np.ndarray, acc: np.ndarray, i: int,
-                lower_solve: bool) -> np.ndarray:
-    """Diagonal-tile triangular solve via LAPACK ``dtrtrs`` directly.
+@dataclass(frozen=True)
+class SolveGemmSpec(BodySpec):
+    """Solve block update ``acc -= op(L[coords]) @ xj`` + quantize.
 
-    This is the exact routine :func:`scipy.linalg.solve_triangular`
-    dispatches to for float64 operands, so the result is bitwise
-    identical — calling it without the scipy wrapper removes per-call
-    validation overhead from the blockwise solve's inner loop (which a
-    CG iteration enters once per tile row, per sweep).
+    The factor tile is only read: the no-copy float64 view is bitwise
+    identical to ``to_float64()`` and skips a tile-size defensive copy
+    per block on the CG critical path.
     """
-    out, info = scipy.linalg.lapack.dtrtrs(diag, acc,
-                                           lower=lower_solve, trans=0)
-    if info != 0:
-        raise scipy.linalg.LinAlgError(
-            f"triangular solve failed on diagonal tile {i} (info={info})")
-    return out
+
+    precision: Precision
+    transpose_tile: bool
+    transpose_op: bool
+
+    def run(self, xj: np.ndarray, acc: np.ndarray, lij: Tile) -> np.ndarray:
+        l64 = lij.float64_values()
+        if self.transpose_tile != self.transpose_op:  # two cancel out
+            l64 = l64.T
+        acc = acc - l64 @ xj
+        return np.asarray(quantize(acc, self.precision), dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class SolveTrsmSpec(BodySpec):
+    """Diagonal triangular solve of one right-hand-side row block.
+
+    Calls LAPACK ``dtrtrs`` directly — the exact routine
+    :func:`scipy.linalg.solve_triangular` dispatches to for float64
+    operands, so the result is bitwise identical, minus the wrapper's
+    per-call validation (a CG iteration gets here once per tile row,
+    per sweep).  ``dtrtrs`` wants an F-ordered diagonal and converts a
+    C-ordered one on every call; the transposed view is F-ordered as it
+    is, and ``keep_fortran`` caches the plain tile's F-ordered copy *on
+    the tile* — for a factor that is applied again and again (the CG
+    preconditioner).  A one-shot solve leaves it off: the copy would
+    outlive its only use by the factor's lifetime.
+    """
+
+    precision: Precision
+    transpose: bool
+    lower_solve: bool
+    keep_fortran: bool = False
+
+    def run(self, acc: np.ndarray, diag: Tile) -> np.ndarray:
+        if self.transpose:
+            d64 = diag.float64_values().T
+        elif self.keep_fortran:
+            d64 = diag.fortran64_values()
+        else:
+            d64 = diag.float64_values()
+        out, info = scipy.linalg.lapack.dtrtrs(d64, acc,
+                                               lower=self.lower_solve, trans=0)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(
+                f"triangular solve failed on diagonal tile {diag.coords} "
+                f"(info={info})")
+        return np.asarray(quantize(out, self.precision), dtype=np.float64)
 
 
 def _rhs_blocks(factor: TileMatrix, rhs: TileMatrix | np.ndarray,
@@ -75,7 +112,7 @@ def _rhs_blocks(factor: TileMatrix, rhs: TileMatrix | np.ndarray,
 
 
 def _solve_runtime(factor: TileMatrix, x: dict[int, np.ndarray],
-                   forward: bool, lower: bool, precision: Precision,
+                   update: SolveGemmSpec, diag_solve: SolveTrsmSpec, tile_of,
                    runtime: Runtime, phase: str) -> dict[int, np.ndarray]:
     """Per-tile-row TRSM/GEMM task insertion for the blockwise solve.
 
@@ -85,8 +122,15 @@ def _solve_runtime(factor: TileMatrix, x: dict[int, np.ndarray],
     row ``i``.  The derived RAW/WAW chains reproduce the sequential
     update order per row exactly (bitwise), while update tasks of
     *different* rows run out of order on the worker pool.
+
+    The factor tiles are ``TileInput``s, read per execution — without
+    staging the whole factor in FP64 and without keeping a store-backed
+    factor's tiles alive (spilled tiles fault in exactly when their
+    task runs, pinned by ``tile_deps``).
     """
     nt = factor.layout.tile_rows
+    forward = diag_solve.lower_solve
+    precision = update.precision
     runtime.require_drained("solve_triangular()")
     ns = runtime.namespace("trsm")
     handles = {
@@ -100,78 +144,32 @@ def _solve_runtime(factor: TileMatrix, x: dict[int, np.ndarray],
         except RuntimeError:
             pass  # foreign hooks: pinning skipped, reloads stay bitwise
 
-    def deps(*coords):
-        if binding is None:
-            return ()
-        return tuple((binding, key) for key in coords)
+    def deps(coords):
+        return () if binding is None else ((binding, coords),)
 
-    # Closures capture tile *coordinates* and read the factor per
-    # execution — the same per-access ``to_float64()`` the in-line loop
-    # performs, without staging the whole factor in FP64 and without
-    # keeping a store-backed factor's tiles alive in closures (spilled
-    # tiles fault in exactly when their task runs, pinned by tile_deps).
-    def make_update(coords, transpose_tile: bool, transpose_op: bool):
-        def body(xj, acc):
-            lij = factor.get_tile(*coords).to_float64()
-            if transpose_tile:
-                lij = lij.T
-            if transpose_op:
-                lij = lij.T
-            acc = acc - lij @ xj
-            return np.asarray(quantize(acc, precision), dtype=np.float64)
-        return body
-
-    def make_diag_solve(coords, transpose: bool, lower_solve: bool):
-        def body(acc):
-            diag = factor.get_tile(*coords).to_float64()
-            if transpose:
-                diag = diag.T
-            out = scipy.linalg.solve_triangular(diag, acc, lower=lower_solve)
-            return np.asarray(quantize(out, precision), dtype=np.float64)
-        return body
-
-    rows = range(nt) if forward else reversed(range(nt))
-    for i in rows:
+    for i in (range(nt) if forward else reversed(range(nt))):
         width = x[i].shape[1]
-        others = range(i) if forward else range(i + 1, nt)
-        for j in others:
-            if forward:
-                coords = (i, j) if lower else (j, i)
-                transpose_tile, transpose_op = (not lower), False
-            else:
-                coords = (j, i) if lower else (i, j)
-                transpose_tile, transpose_op = (not lower), True
-            tile_shape = factor.layout.tile_shape(*coords)
-            op_shape = tile_shape if not transpose_tile else tile_shape[::-1]
-            if transpose_op:
-                op_shape = op_shape[::-1]
+        for j in (range(i) if forward else range(i + 1, nt)):
+            coords = tile_of(i, j)
+            rows, cols = factor.layout.tile_shape(*coords)
             runtime.insert_task(
                 "solve_gemm",
                 (handles[j], AccessMode.READ),
                 (handles[i], AccessMode.READWRITE),
-                body=make_update(coords, transpose_tile, transpose_op),
-                flops=gemm_flops(op_shape[0], width, op_shape[1]),
+                flops=gemm_flops(rows, width, cols),
                 precision=precision, tag=(i, j),
                 tile_deps=deps(coords),
-                pspec=ProcessTaskSpec(
-                    SolveGemmSpec(precision, transpose_tile, transpose_op),
-                    mode="both", aux=(TileInput(factor, coords),)),
+                spec=TaskSpec(update, mode="both",
+                              aux=(TileInput(factor, coords),)),
             )
-        diag_shape = factor.layout.tile_shape(i, i)
-        if forward:
-            transpose, lower_solve = (not lower), True
-        else:
-            transpose, lower_solve = lower, False
         runtime.insert_task(
             "solve_trsm", (handles[i], AccessMode.READWRITE),
-            body=make_diag_solve((i, i), transpose, lower_solve),
-            flops=trsm_flops(diag_shape[0], width),
+            flops=trsm_flops(factor.layout.tile_shape(i, i)[0], width),
             precision=precision, priority=nt - i if forward else i + 1,
             tag=(i, i),
             tile_deps=deps((i, i)),
-            pspec=ProcessTaskSpec(
-                SolveTrsmSpec(precision, transpose, lower_solve),
-                mode="both", aux=(TileInput(factor, (i, i)),)),
+            spec=TaskSpec(diag_solve, mode="both",
+                          aux=(TileInput(factor, (i, i)),)),
         )
     try:
         runtime.run(phase=phase)
@@ -235,44 +233,31 @@ def solve_triangular(factor: TileMatrix | np.ndarray,
     nt = layout.tile_rows
     x = _rhs_blocks(factor, rhs64, precision)
 
-    forward = (lower and not trans) or (not lower and trans)
+    # op(L) is lower triangular (forward substitution over tile rows)
+    # or upper (backward); its block (i, j) is the stored tile
+    # ``tile_of(i, j)``, transposed when the storage is the other
+    # triangle.  Both sweeps, tasked or not, run the same two kernels.
+    forward = lower != trans
+    update = SolveGemmSpec(precision, transpose_tile=not lower,
+                           transpose_op=not forward)
+    # the runtime-less sweeps are the ones applied repeatedly (one pair
+    # per CG iteration), so only they keep F-ordered diagonals around
+    diag_solve = SolveTrsmSpec(precision, transpose=lower != forward,
+                               lower_solve=forward,
+                               keep_fortran=runtime is None)
+
+    def tile_of(i: int, j: int) -> tuple[int, int]:
+        return (i, j) if lower == forward else (j, i)
+
     if runtime is not None:
-        x = _solve_runtime(factor, x, forward, lower, precision, runtime,
-                           phase)
-    elif forward:
-        # forward substitution over tile rows
-        for i in range(nt):
-            acc = x[i].copy()
-            for j in range(i):
-                # read-only factor accesses: the no-copy float64 view is
-                # bitwise identical to to_float64() and skips a tile-size
-                # defensive copy per block on the CG critical path
-                lij = factor.get_tile(i, j).float64_values() if lower else \
-                    factor.get_tile(j, i).float64_values().T
-                acc -= lij @ x[j]
-                acc = np.asarray(quantize(acc, precision), dtype=np.float64)
-            # hand LAPACK an F-ordered diagonal (cached on the tile):
-            # dtrtrs converts C-ordered operands on every call otherwise
-            tile_ii = factor.get_tile(i, i)
-            diag = tile_ii.fortran64_values() if lower else \
-                tile_ii.float64_values().T
-            x[i] = _diag_trtrs(diag, acc, i, lower_solve=True)
-            x[i] = np.asarray(quantize(x[i], precision), dtype=np.float64)
+        x = _solve_runtime(factor, x, update, diag_solve, tile_of,
+                           runtime, phase)
     else:
-        # backward substitution over tile rows
-        for i in reversed(range(nt)):
-            acc = x[i].copy()
-            for j in range(i + 1, nt):
-                # op(L)[i, j] with op = transpose of a lower factor
-                lji = factor.get_tile(j, i).float64_values() if lower else \
-                    factor.get_tile(i, j).float64_values().T
-                acc -= lji.T @ x[j]
-                acc = np.asarray(quantize(acc, precision), dtype=np.float64)
-            tile_ii = factor.get_tile(i, i)
-            diag = tile_ii.float64_values().T if lower else \
-                tile_ii.fortran64_values()
-            x[i] = _diag_trtrs(diag, acc, i, lower_solve=False)
-            x[i] = np.asarray(quantize(x[i], precision), dtype=np.float64)
+        for i in (range(nt) if forward else reversed(range(nt))):
+            acc = x[i]
+            for j in (range(i) if forward else range(i + 1, nt)):
+                acc = update.run(x[j], acc, factor.get_tile(*tile_of(i, j)))
+            x[i] = diag_solve.run(acc, factor.get_tile(i, i))
 
     if tiled_rhs:
         out = TileMatrix(rhs64.layout, precision, symmetric=False)

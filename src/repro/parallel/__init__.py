@@ -33,10 +33,10 @@ from repro.parallel.descriptors import (
     GemmTrailSpec,
     ObjectInput,
     PotrfSpec,
-    ProcessTaskSpec,
     SolveGemmSpec,
     SolveTrsmSpec,
     SyrkSpec,
+    TaskSpec,
     TileInput,
     TrsmSpec,
 )
@@ -70,10 +70,10 @@ __all__ = [
     "PayloadRef",
     "PotrfSpec",
     "ProcessPool",
-    "ProcessTaskSpec",
     "SolveGemmSpec",
     "SolveTrsmSpec",
     "SyrkSpec",
+    "TaskSpec",
     "TileExchange",
     "TileInput",
     "TrsmSpec",

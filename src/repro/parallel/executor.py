@@ -3,9 +3,10 @@
 ``run_process`` is the fourth executor over the shared dependency
 engine (see :mod:`repro.runtime.scheduler`): the coordinator keeps the
 ready heap, indegrees, store pin/prefetch hooks, retry bookkeeping and
-trace accounting of the serial drain, but instead of calling a task's
-closure it ships the task's :class:`ProcessTaskSpec` descriptor plus
-:class:`PayloadRef` input locators to an idle worker process and reaps
+trace accounting of the serial drain, but instead of running a task's
+descriptor inline it resolves the :class:`~repro.runtime.task.TaskSpec`
+inputs to :class:`PayloadRef` locators, ships them with the kernel to
+an idle worker process and reaps
 ``("ok"| "err", uid, ...)`` replies via ``multiprocessing.connection
 .wait``.
 
@@ -13,8 +14,9 @@ Handle payloads are *lazy* on the coordinator: a worker-written handle
 holds only a ref until some coordinator-side consumer needs the bytes
 (an inline task, an ``on_complete`` writeback, or the end of the
 drain, when every still-referenced handle is materialized so callers
-see ordinary payloads).  Tasks whose ``pspec`` is ``None`` (e.g. the
-Build consume step, which mutates builder state) run inline on the
+see ordinary payloads).  Tasks that have a ``body`` instead of a
+descriptor (e.g. the Build consume step, which mutates builder state,
+or user tasks) run inline on the
 coordinator through the scheduler's own ``_execute_task`` — same
 injection sites, same retry policy.
 
@@ -40,9 +42,9 @@ from repro.resilience.errors import (
     WorkerCrashError,
 )
 from repro.resilience.faults import SITE_TASK_BODY, SITE_WORKER_STALL, active_plan
-from repro.parallel.descriptors import ObjectInput, TileInput
 from repro.parallel.pool import ProcessPool
 from repro.parallel.worker import load_exception
+from repro.runtime.task import ObjectInput, TileInput
 
 __all__ = ["ensure_pool", "run_process"]
 
@@ -136,7 +138,7 @@ def run_process(scheduler, graph):
         return ref
 
     def input_refs(task):
-        spec = task.pspec
+        spec = task.spec
         refs = []
         if spec.mode in ("handles", "both"):
             for handle, _ in task.accesses:
@@ -195,7 +197,7 @@ def run_process(scheduler, graph):
         fail(task, error)
 
     # ------------------------------------------------------------------
-    # inline execution (tasks without a pspec run on the coordinator)
+    # inline execution (tasks without a descriptor run on the coordinator)
     # ------------------------------------------------------------------
     def run_inline(task):
         if hooks is not None:
@@ -247,7 +249,7 @@ def run_process(scheduler, graph):
                 return False
         try:
             refs = input_refs(task)
-            pool.send(widx, ("task", task.uid, task.pspec.body, refs, key))
+            pool.send(widx, ("task", task.uid, task.spec.kernel, refs, key))
         except (OSError, ValueError) as exc:
             if hooks is not None:
                 hooks.task_complete(task)
@@ -264,7 +266,7 @@ def run_process(scheduler, graph):
         if hooks is not None:
             hooks.task_complete(task)
         end = time.perf_counter() - t0
-        spec = task.pspec
+        spec = task.spec
         try:
             if spec.on_complete is not None:
                 outs = tuple(exchange.get(ref) if ref is not None else None
@@ -311,7 +313,7 @@ def run_process(scheduler, graph):
         while ready or inflight:
             while ready:
                 _, _, task = ready[0]
-                if task.pspec is None:
+                if task.spec is None:
                     heapq.heappop(ready)
                     run_inline(task)
                     continue

@@ -5,7 +5,8 @@ Each worker owns one duplex pipe to the coordinator and one
 is deliberately tiny:
 
 coordinator → worker
-    ``("task", uid, body_spec, input_refs, fault_key)`` — run one task;
+    ``("task", uid, kernel, input_refs, fault_key)`` — run one task's
+    kernel descriptor (a :class:`~repro.runtime.task.BodySpec`);
     ``("reset", )`` — end of drain: truncate the segment, drop caches;
     ``("stop", )`` — clean shutdown.
 worker → coordinator
@@ -31,7 +32,7 @@ import os
 import pickle
 import traceback
 
-from repro.parallel.descriptors import clear_operand_cache
+from repro.linalg.kernels import clear_operand_cache
 from repro.parallel.exchange import ExchangeSpec, PayloadRef, TileExchange
 from repro.resilience import faults
 from repro.resilience.errors import RemoteTaskError
@@ -127,7 +128,7 @@ def worker_main(worker_id: int, tag: str, conn, spec: ExchangeSpec,
                 break
             op = message[0]
             if op == "task":
-                _, uid, body, refs, fault_key = message
+                _, uid, kernel, refs, fault_key = message
                 plan = faults.active_plan()
                 if (plan is not None and
                         plan.fire(faults.SITE_WORKER_KILL, fault_key)
@@ -136,7 +137,7 @@ def worker_main(worker_id: int, tag: str, conn, spec: ExchangeSpec,
                 try:
                     args = [exchange.get(r) if isinstance(r, PayloadRef)
                             else None for r in refs]
-                    out = body.run(*args)
+                    out = kernel.run(*args)
                     outs = out if isinstance(out, tuple) else (out,)
                     out_refs = tuple(
                         exchange.put(o) if o is not None else None

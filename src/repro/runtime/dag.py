@@ -8,13 +8,19 @@ dataflow runtime:
 * write-after-read  → anti dependency,
 * write-after-write → output dependency.
 
-The underlying graph is a :class:`networkx.DiGraph`, which gives us
-topological sorting, critical-path computation and cycle detection for
-free.
+The underlying graph is a :class:`networkx.DiGraph`.  Ordering and cycle
+detection are done here (:meth:`TaskGraph._kahn`) rather than by
+networkx's algorithms: those read ``DiGraph.in_degree``, a view networkx
+caches *on the graph*, and the graph then refers to itself.  A drained
+graph would stay alive until the cyclic collector runs, and with it every
+operand its tasks' descriptors hold - a serving session kept one
+cross-kernel block per request that way.  Without the view a graph is
+freed the moment the runtime lets go of it.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 
 import networkx as nx
@@ -63,7 +69,7 @@ class TaskGraph:
 
     def insert_task(self, name: str, *accesses, body=None, flops: float = 0.0,
                     precision=None, priority: int = 0, tag=None,
-                    flops_detail=None, tile_deps=(), pspec=None) -> Task:
+                    flops_detail=None, tile_deps=(), spec=None) -> Task:
         """PaRSEC-style convenience wrapper around :meth:`add_task`.
 
         ``accesses`` is a flat sequence of ``(handle, mode)`` pairs.
@@ -80,7 +86,7 @@ class TaskGraph:
             tag=tag,
             flops_detail=flops_detail,
             tile_deps=tuple(tile_deps),
-            pspec=pspec,
+            spec=spec,
         )
         return self.add_task(task)
 
@@ -105,15 +111,35 @@ class TaskGraph:
     def successors(self, task: Task) -> list[Task]:
         return list(self.graph.successors(task))
 
+    def _kahn(self) -> list[Task]:
+        """Tasks in dependency order, the earliest-inserted ready task first.
+
+        Shorter than :attr:`num_tasks` exactly when the graph has a cycle.
+        """
+        tasks = self._tasks
+        index = {t: i for i, t in enumerate(tasks)}
+        pred, succ = self.graph.pred, self.graph.succ
+        indegree = {t: len(pred[t]) for t in tasks}
+        ready = [i for t, i in index.items() if indegree[t] == 0]  # sorted
+        order: list[Task] = []
+        while ready:
+            task = tasks[heapq.heappop(ready)]
+            order.append(task)
+            for nxt in succ[task]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    heapq.heappush(ready, index[nxt])
+        return order
+
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.graph)
+        return len(self._kahn()) == len(self._tasks)
 
     def topological_order(self) -> list[Task]:
         """A valid execution order (insertion-order stable where possible)."""
-        order_index = {t: i for i, t in enumerate(self._tasks)}
-        return list(nx.lexicographical_topological_sort(
-            self.graph, key=lambda t: order_index[t]
-        ))
+        order = self._kahn()
+        if len(order) != len(self._tasks):
+            raise nx.NetworkXUnfeasible("task graph contains a cycle")
+        return order
 
     def total_flops(self) -> float:
         return float(sum(t.flops for t in self._tasks))

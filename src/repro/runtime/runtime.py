@@ -8,7 +8,8 @@ small interface the tiled algorithms use:
 
     rt = Runtime(workers=8)
     a = rt.register_data("A(0,0)", tile_array, precision=Precision.FP32)
-    rt.insert_task("potrf", (a, AccessMode.READWRITE), body=potrf_body,
+    rt.insert_task("potrf", (a, AccessMode.READWRITE),
+                   spec=TaskSpec(PotrfSpec(Precision.FP32)),
                    flops=n**3 / 3, precision=Precision.FP32)
     result = rt.run(phase="associate")
 
@@ -290,7 +291,7 @@ class Runtime:
         tag: Any = None,
         flops_detail: dict[Precision, float] | None = None,
         tile_deps: tuple = (),
-        pspec=None,
+        spec=None,
     ) -> Task:
         """Insert a task; dependencies derive from the access declarations.
 
@@ -303,10 +304,10 @@ class Runtime:
         (``(binding, (i, j))`` pairs) so the scheduler's store hooks can
         pin, unpin and prefetch them (see :mod:`repro.store`).
 
-        ``pspec`` attaches the task's picklable process-backend
-        descriptor (see :mod:`repro.parallel.descriptors`); tasks
-        without one run inline on the coordinator under
-        ``execution="process"``.
+        ``spec`` is the task's :class:`~repro.runtime.task.TaskSpec`
+        descriptor, which every execution mode runs; ``body`` is for
+        tasks that have none and always runs in this process.  Giving
+        both raises ``ValueError``.
         """
         for handle, _ in accesses:
             if handle.uid not in self._handle_uids:
@@ -324,7 +325,7 @@ class Runtime:
             tag=tag,
             flops_detail=flops_detail,
             tile_deps=tile_deps,
-            pspec=pspec,
+            spec=spec,
         )
 
     def run(self, phase: str | None = None) -> ScheduleResult:

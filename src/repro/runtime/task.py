@@ -8,6 +8,13 @@ like PaRSEC's / StarPU's task insertion interface.  Dependencies are
 * a READ after a WRITE on the same handle depends on that WRITE,
 * a WRITE after any previous access depends on all of them
   (write-after-read and write-after-write ordering).
+
+What a task *does* is either a :class:`TaskSpec` — a picklable kernel
+descriptor plus a description of where its inputs come from and where
+its outputs go, which every execution mode runs (inline here, shipped
+to a worker by the process backend) — or, for tasks that have no
+descriptor, a plain ``body`` callable that only ever runs in the
+inserting process.  Never both: one task, one definition.
 """
 
 from __future__ import annotations
@@ -71,6 +78,67 @@ class DataHandle:
         return f"DataHandle({self.name!r}, {self.shape}, {self.precision})"
 
 
+# ----------------------------------------------------------------------
+# descriptors: what a task runs, in every execution mode
+# ----------------------------------------------------------------------
+class BodySpec:
+    """Base class of picklable kernels (``run(*inputs)``).
+
+    A subclass is a frozen dataclass of scalar parameters; its ``run``
+    is the one place that kernel's arithmetic lives.
+    """
+
+    def run(self, *args):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class TileInput:
+    """One tile argument, faulted in via ``matrix.get_tile(*coords)``.
+
+    ``writeback=True`` marks the tile the task's ``on_complete``
+    rewrites; the process coordinator drops its published copy when the
+    task completes so later readers republish the fresh value.
+    """
+
+    matrix: object
+    coords: tuple
+    writeback: bool = False
+
+
+@dataclass(frozen=True)
+class ObjectInput:
+    """An arbitrary argument; the process backend publishes it once per
+    drain under ``key``."""
+
+    obj: object
+    key: str
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """A task's kernel plus where its inputs come from and outputs go.
+
+    ``mode`` selects the kernel's arguments: ``"handles"`` — the access
+    list's payloads in declaration order; ``"aux"`` — the ``aux``
+    entries only (store-backed Cholesky: the handles are empty sync
+    tokens, the tiles live in the out-of-core store); ``"both"`` —
+    payloads first, then the aux entries (triangular solve: row-block
+    payloads plus the factor tile).  Outputs go to ``on_complete`` when
+    given (store-backed paths write tiles back through the store),
+    otherwise to the written handles in declaration order.
+
+    Only ``kernel`` ever crosses a process boundary; the rest is
+    resolved where the task graph lives — by :meth:`Task.execute`
+    inline, by :mod:`repro.parallel.executor` across the pipe.
+    """
+
+    kernel: BodySpec
+    mode: str = "handles"  #: "handles" | "aux" | "both"
+    aux: tuple = ()
+    on_complete: Callable[..., None] | None = None
+
+
 _task_counter = itertools.count()
 
 
@@ -85,11 +153,12 @@ class Task:
     accesses:
         Sequence of ``(handle, mode)`` pairs.
     body:
-        Optional callable executed when the runtime runs the graph.  It
+        Callable of a task that has no descriptor (Build's consume
+        step, user tasks); it always runs in the inserting process.  It
         receives the handles' payloads in declaration order and should
         return either ``None`` (in-place mutation) or a tuple of new
         payloads for the written handles, in declaration order of the
-        writing accesses.
+        writing accesses.  Mutually exclusive with ``spec``.
     flops:
         Operation count attributed to the task (for the performance
         model / trace).
@@ -115,12 +184,10 @@ class Task:
         them on completion, and hand them to the prefetch reader when
         the task becomes ready.  Empty for tasks that only operate on
         handle payloads.
-    pspec:
-        Optional :class:`~repro.parallel.descriptors.ProcessTaskSpec`
-        re-expressing ``body`` as a picklable descriptor for the
-        process execution backend.  ``None`` means the task runs
-        inline on the coordinator under ``execution="process"`` (and
-        ``pspec`` is ignored entirely by the other modes).
+    spec:
+        The task's :class:`TaskSpec` descriptor.  The serial, threaded
+        and simulated drains run it inline (:meth:`execute`); the
+        process drain ships its kernel to a worker.
     """
 
     name: str
@@ -132,10 +199,14 @@ class Task:
     tag: Any = None
     flops_detail: dict[Precision, float] | None = None
     tile_deps: tuple = ()
-    pspec: Any = None
+    spec: TaskSpec | None = None
     uid: int = field(default_factory=lambda: next(_task_counter))
 
     def __post_init__(self) -> None:
+        if self.body is not None and self.spec is not None:
+            raise ValueError(
+                f"task {self.name!r} was given both body= and spec=; a task "
+                "has one definition (drop the body: every mode runs the spec)")
         self.accesses = tuple(
             (h, m if isinstance(m, AccessMode) else AccessMode(m))
             for h, m in self.accesses
@@ -157,15 +228,28 @@ class Task:
         return sum(h.nbytes() for h in self.writes)
 
     def execute(self) -> None:
-        """Run the task body against the handles' payloads."""
-        if self.body is None:
-            return
-        args = [h.payload for h, _ in self.accesses]
-        result = self.body(*args)
-        if result is None:
-            return
+        """Run the task in this process: its descriptor, else its body."""
+        spec = self.spec
+        if spec is None:
+            if self.body is None:
+                return
+            result = self.body(*[h.payload for h, _ in self.accesses])
+            if result is None:
+                return  # in-place mutation
+        else:
+            args = []
+            if spec.mode != "aux":
+                args += [h.payload for h, _ in self.accesses]
+            if spec.mode != "handles":
+                args += [entry.obj if isinstance(entry, ObjectInput)
+                         else entry.matrix.get_tile(*entry.coords)
+                         for entry in spec.aux]
+            result = spec.kernel.run(*args)
         if not isinstance(result, tuple):
             result = (result,)
+        if spec is not None and spec.on_complete is not None:
+            spec.on_complete(*result)
+            return
         written = [h for h, m in self.accesses if m.writes]
         if len(result) != len(written):
             raise RuntimeError(

@@ -16,10 +16,6 @@ package provides:
 ``band_precision_map``
     The hand-tuned band ("rainbow") precision assignment the paper uses
     as a baseline in Fig. 5.
-``TLRMatrix`` / ``LowRankTile``
-    The tile-low-rank extension sketched in the paper's outlook
-    (compressing smooth off-diagonal tiles on top of the precision
-    mosaic).
 """
 
 from repro.tiles.layout import BlockCyclicDistribution, TileLayout
@@ -31,7 +27,6 @@ from repro.tiles.adaptive import (
     precision_heatmap,
 )
 from repro.tiles.band import band_fraction_map, band_precision_map
-from repro.tiles.lowrank import LowRankTile, TLRMatrix, compress_tile
 from repro.tiles.serialize import (
     load_tile_matrix,
     pack_tile_matrix,
@@ -53,7 +48,4 @@ __all__ = [
     "precision_heatmap",
     "band_precision_map",
     "band_fraction_map",
-    "LowRankTile",
-    "TLRMatrix",
-    "compress_tile",
 ]

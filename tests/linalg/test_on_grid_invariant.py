@@ -6,8 +6,9 @@ the tile's own precision.  A wrong adoption site — one that adopts a
 value computed at another precision, as TRSM's would be — leaves a tile
 whose payload is off its format's grid or in the wrong dtype.  This
 module factors one kernel under the four precision plans through the
-five execution paths and checks every stored tile, then checks that the
-five factors are the same bits.
+six execution paths — the host-ordered reference, and the one DAG loop
+resident or store-backed under each drain — and checks every stored
+tile, then checks that the six factors are the same bits.
 """
 
 import numpy as np
@@ -30,7 +31,7 @@ PLANS = {
     "adaptive-fp8": PrecisionPlan.adaptive_fp8(),
 }
 EXECUTIONS = ("direct", "runtime-serial", "runtime-threaded", "store",
-              "process")
+              "process", "process+store")
 
 
 def regularized_kernel(seed: int = 3) -> np.ndarray:
@@ -73,14 +74,19 @@ def factor(plan: PrecisionPlan, execution: str, process_rt) -> dict:
         return lower_tiles(cholesky(kernel, execution="serial", **kwargs).factor)
     if execution == "process":
         return lower_tiles(cholesky(kernel, runtime=process_rt, **kwargs).factor)
-    if execution == "store":
-        rt = Runtime(execution="threaded", workers=8)
+    if execution in ("store", "process+store"):
+        # its own runtime: the store's scheduler hooks stay attached
+        rt = (Runtime(execution="threaded", workers=8) if execution == "store"
+              else Runtime(execution="process", workers=2))
         budget = 4 * TILE * TILE * storage.bytes_per_element
-        with TileStore(budget_bytes=budget) as store:
-            kernel.attach_store(store)
-            result = cholesky(kernel, runtime=rt, **kwargs)
-            assert store.stats.spills > 0, "a 4-tile budget must spill"
-            return lower_tiles(result.factor)
+        try:
+            with TileStore(budget_bytes=budget) as store:
+                kernel.attach_store(store)
+                result = cholesky(kernel, runtime=rt, **kwargs)
+                assert store.stats.spills > 0, "a 4-tile budget must spill"
+                return lower_tiles(result.factor)
+        finally:
+            rt.close()
     rt = (Runtime(execution="serial") if execution == "runtime-serial"
           else Runtime(execution="threaded", workers=8))
     return lower_tiles(cholesky(kernel, runtime=rt, **kwargs).factor)

@@ -15,6 +15,7 @@ import scipy.linalg
 from repro.distance.build import KernelBuilder, compute_kernel_rows
 from repro.linalg.blas3 import gemm
 from repro.linalg.kernels import (
+    OPERANDS,
     panel_operand,
     tile_gemm,
     tile_potrf,
@@ -179,6 +180,29 @@ class TestBehaviorEquality:
             scipy.linalg.solve_triangular(diag.to_float64().T, acc,
                                           lower=False), Precision.FP32)
         np.testing.assert_array_equal(out, np.asarray(expect, np.float64))
+
+    def test_solve_trsm_keep_fortran_changes_only_what_the_tile_keeps(self):
+        acc = _rng(11).standard_normal((T, 3))
+        outs = {}
+        for keep in (False, True):
+            diag = Tile(np.linalg.cholesky(_spd_tile(seed=12).to_float64()),
+                        precision=Precision.FP32, coords=(1, 1))
+            spec = _round_trip(SolveTrsmSpec(
+                Precision.FP32, transpose=False, lower_solve=True,
+                keep_fortran=keep))
+            outs[keep] = spec.run(acc, diag)
+            assert hasattr(diag, "_f64_fortran") is keep
+        np.testing.assert_array_equal(outs[False], outs[True])
+
+    def test_shared_operand_is_quantized_once(self):
+        lik = _tile(seed=3, coords=(2, 0))
+        aii = _spd_tile(seed=4, coords=(2, 2))
+        spec = _round_trip(SyrkSpec(Precision.FP16, key_ik=7, uses_ik=2))
+        first = spec.run(lik, aii).to_float64()
+        assert len(OPERANDS) == 1  # kept for the second consumer
+        second = spec.run(lik, aii).to_float64()
+        assert len(OPERANDS) == 0  # ... and dropped with it
+        np.testing.assert_array_equal(first, second)
 
     def test_build_row(self):
         g = _rng(13).integers(0, 3, size=(24, 96)).astype(np.int8)

@@ -1,8 +1,14 @@
 """Tests for dataflow dependency derivation and DAG queries."""
 
+import gc
+import weakref
+
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
+from repro.runtime import Runtime
 from repro.runtime.dag import TaskGraph
 from repro.runtime.task import AccessMode, DataHandle
 
@@ -109,3 +115,40 @@ class TestGraphQueries:
         g = TaskGraph()
         assert g.critical_path_flops() == 0.0
         assert g.topological_order() == []
+
+    def test_cycle_is_detected(self):
+        g, (t0, _, _, t3) = self._diamond()
+        g.graph.add_edge(t3, t0)
+        assert not g.is_acyclic()
+        with pytest.raises(nx.NetworkXUnfeasible):
+            g.topological_order()
+
+    def test_order_prefers_the_earliest_inserted_ready_task(self):
+        g, tasks = self._diamond()
+        assert g.topological_order() == list(tasks)
+
+
+def test_a_drained_graph_is_freed_without_the_cyclic_collector():
+    # the graph must not refer to itself: a serving session otherwise
+    # keeps every request's operands until the collector happens to run
+    rt = Runtime(execution="serial")
+    def holding(operand):
+        return lambda _payload: float(operand.sum())
+
+    operand = np.ones((4, 4))
+    freed = weakref.ref(operand)
+    h = rt.register_data("h", payload=0)
+    gc.collect()
+    gc.disable()
+    try:
+        rt.insert_task("hold", (h, AccessMode.WRITE),
+                       body=holding(operand))
+        del operand
+        graph = weakref.ref(rt.graph)
+        rt.run()
+        graph().critical_path_flops()
+        rt.insert_task("next", (h, AccessMode.WRITE), body=lambda _payload: 1)
+        rt.run()
+        assert graph() is None and freed() is None
+    finally:
+        gc.enable()
