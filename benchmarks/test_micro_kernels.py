@@ -18,7 +18,7 @@ from repro.data.genotypes import simulate_genotypes
 from repro.distance.euclidean import squared_euclidean_direct, squared_euclidean_gemm
 from repro.linalg.cholesky import cholesky
 from repro.precision.formats import Precision
-from repro.runtime import Runtime
+from repro.runtime import Runtime, replay
 from repro.tiles.adaptive import AdaptivePrecisionRule, decide_tile_precisions
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
@@ -106,13 +106,16 @@ def test_conversion_placement_ablation(benchmark):
     pmap = {t: (Precision.FP32 if t[0] == t[1] else Precision.FP16)
             for t in layout.iter_tiles()}
 
+    # conversion placement is a property of the replayed transfer
+    # ledger; the host lanes move no bytes
+    runtime = Runtime()
+    cholesky(a, tile_size=32, precision_map=pmap, runtime=runtime)
+    runtime.close()
+
     def run(adaptive: bool) -> int:
-        # conversion placement is a property of the simulated transfer
-        # ledger; the threaded host executor moves no bytes
-        runtime = Runtime(num_devices=4, adaptive_conversion=adaptive,
-                          execution="simulated")
-        cholesky(a, tile_size=32, precision_map=pmap, runtime=runtime)
-        return runtime.comm.total_bytes
+        schedule = replay(runtime.last_graph, num_devices=4,
+                          adaptive_conversion=adaptive)
+        return schedule.comm.total_bytes
 
     adaptive_bytes = benchmark.pedantic(run, args=(True,), rounds=1, iterations=1)
     baseline_bytes = run(False)

@@ -16,10 +16,11 @@ The package is organised around the paper's three-phase KRR workflow
     tile-centric adaptive precision rule, and band ("rainbow")
     precision assignments.
 ``repro.runtime``
-    A PaRSEC-like dynamic task runtime: task DAGs, a dataflow
-    scheduler over simulated devices, and a communication engine that
-    decides whether precision conversion happens at the sender or the
-    receiver.
+    A PaRSEC-like dynamic task runtime: task DAGs, one dataflow
+    drain with a serial, a threaded and a process lane, and a graph
+    replayer that times a DAG on modelled devices with a communication
+    engine deciding whether precision conversion happens at the sender
+    or the receiver.
 ``repro.linalg``
     Tiled mixed-precision Cholesky factorization, triangular solves,
     SYRK and GEMM drivers built on the tile kernels.

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.precision.formats import Precision
+from repro.runtime.scheduler import EXECUTION_MODES
 from repro.tiles.adaptive import AdaptivePrecisionRule, candidates_for_gpu
 from repro.tiles.band import band_precision_map
 from repro.tiles.layout import TileLayout
@@ -199,21 +200,16 @@ class PrecisionPlan(_WithOptionsMixin):
         return decide_tile_precisions(matrix, self.adaptive_rule())
 
 
-#: Execution modes accepted by the session configs (mirrors
-#: :data:`repro.runtime.scheduler.EXECUTION_MODES`, kept literal here so
-#: config validation does not import the runtime package).
-_EXECUTION_MODES = ("threaded", "serial", "simulated", "process")
-
 #: Solver routes accepted by ``KRRConfig.solver`` (mirrors
-#: :data:`repro.linalg.cg.SOLVER_MODES`, kept literal for the same
-#: reason as ``_EXECUTION_MODES``).
+#: :data:`repro.linalg.cg.SOLVER_MODES`, kept literal here so config
+#: validation does not import the solver package).
 _SOLVER_MODES = ("direct", "cg")
 
 
 def _validate_execution_knobs(cfg) -> None:
-    if cfg.execution is not None and cfg.execution not in _EXECUTION_MODES:
+    if cfg.execution is not None and cfg.execution not in EXECUTION_MODES:
         raise ValueError(
-            f"execution must be one of {_EXECUTION_MODES} (or None), got "
+            f"execution must be one of {EXECUTION_MODES} (or None), got "
             f"{cfg.execution!r}"
         )
     if cfg.workers is not None and cfg.workers <= 0:
@@ -247,9 +243,8 @@ class RRConfig(_WithOptionsMixin):
         through ``REPRO_WORKERS`` and then ``min(8, cpu_count)``).
     execution:
         Execution mode of the session's task runtime: ``"threaded"``
-        (default), ``"process"`` (GIL-free worker processes),
-        ``"serial"`` or ``"simulated"``; ``None`` resolves
-        ``REPRO_EXECUTION``.
+        (default), ``"process"`` (GIL-free worker processes) or
+        ``"serial"``; ``None`` resolves ``REPRO_EXECUTION``.
     task_retries:
         Transient-failure retries per task (capped exponential backoff
         with deterministic jitter).  ``None`` resolves the
@@ -309,10 +304,10 @@ class KRRConfig(_WithOptionsMixin):
     execution:
         Execution mode of the session's task runtime: ``"threaded"``
         (default — real out-of-order DAG execution), ``"process"``
-        (GIL-free worker OS processes with shared-memory tile
-        exchange), ``"serial"`` (the bitwise-identical reference
-        drain) or ``"simulated"`` (the device-timing model); ``None``
-        resolves ``REPRO_EXECUTION``.
+        (GIL-free worker OS processes exchanging tiles through mmap'd
+        segment files) or ``"serial"`` (the bitwise-identical
+        reference drain on the caller's thread); ``None`` resolves
+        ``REPRO_EXECUTION``.
     build_workers:
         **Deprecated** — the historical Build-only thread knob.  Still
         honoured (it seeds ``workers`` when that is unset) with a

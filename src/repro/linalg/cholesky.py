@@ -19,7 +19,7 @@ Structure of the algorithm per panel ``k`` (lower-triangular variant):
 Two implementations, on purpose.  :func:`_cholesky_runtime` is the one
 DAG Cholesky: a single insertion loop whose tasks carry the kernel
 descriptors of :mod:`repro.linalg.kernels`, run by whatever execution
-mode the runtime has (serial, threaded, process, simulated) over a
+mode the runtime has (serial, threaded, process) over a
 resident *or* store-backed workspace — the two differ only in how a
 tile is declared to the task.  :func:`_cholesky_direct`
 (``execution="serial"`` without a runtime) is the host-ordered
@@ -142,9 +142,9 @@ def cholesky(
         ``workers``.
     execution:
         ``"threaded"`` (default — out-of-order DAG execution),
+        ``"process"`` (the same DAG on worker processes) or
         ``"serial"`` (the host-ordered reference elimination, no task
-        graph) or ``"simulated"`` (DAG execution under the simulated
-        device-timing model).  Ignored when ``runtime`` is given.
+        graph).  Ignored when ``runtime`` is given.
     workers:
         Worker threads of an ephemeral threaded runtime (``None``
         resolves through ``REPRO_WORKERS`` / cpu count).

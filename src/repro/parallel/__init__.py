@@ -12,8 +12,7 @@ coordinator/worker architecture over OS processes, selected via
 * **workers** execute task bodies GIL-free and exchange tile payloads
   through mmap'd segment files — the same native-precision byte format
   the out-of-core store spills (bitwise-exact from FP64 down to the
-  1-byte FP8 codes) — with ``multiprocessing.shared_memory`` as the
-  store-less fallback arena (``REPRO_EXCHANGE=shm``).
+  1-byte FP8 codes).
 
 Execution is bitwise identical to ``execution="serial"`` for any
 worker count: every ordering constraint is an explicit dependency
@@ -40,14 +39,7 @@ from repro.parallel.descriptors import (
     TileInput,
     TrsmSpec,
 )
-from repro.parallel.exchange import (
-    EXCHANGE_ENV,
-    EXCHANGE_ARENAS,
-    ExchangeSpec,
-    PayloadRef,
-    TileExchange,
-    resolve_exchange_arena,
-)
+from repro.parallel.exchange import ExchangeSpec, PayloadRef, TileExchange
 from repro.parallel.pool import (
     BLAS_THREADS_ENV,
     MP_START_ENV,
@@ -61,8 +53,6 @@ __all__ = [
     "BodySpec",
     "BuildRowSpec",
     "DenseGemmSpec",
-    "EXCHANGE_ARENAS",
-    "EXCHANGE_ENV",
     "ExchangeSpec",
     "GemmTrailSpec",
     "MP_START_ENV",
@@ -78,5 +68,4 @@ __all__ = [
     "TileInput",
     "TrsmSpec",
     "effective_cpu_count",
-    "resolve_exchange_arena",
 ]

@@ -2,9 +2,9 @@
 
 A descriptor is a small frozen dataclass naming a kernel and its scalar
 parameters; its ``run`` is the only definition of that kernel's
-arithmetic, and every execution mode runs it — the serial, threaded and
-simulated drains inline (:meth:`repro.runtime.task.Task.execute`), the
-process drain on a worker.  Each descriptor lives next to the kernel it
+arithmetic, and every execution mode runs it — the serial and threaded
+lanes inline (:meth:`repro.runtime.task.Task.execute`), the process
+lane on a worker.  Each descriptor lives next to the kernel it
 wraps (it imports that kernel at module level); this module only
 gathers them for the process backend, whose wire format they are:
 :data:`ALL_SPEC_KINDS` is what the pickle round-trip test covers.

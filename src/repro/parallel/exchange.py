@@ -1,17 +1,14 @@
-"""Shared-memory tile exchange between the coordinator and workers.
+"""Tile exchange between the coordinator and workers.
 
 Only :class:`PayloadRef` descriptors travel over the control pipe; the
-payload bytes themselves land in one of two arenas:
-
-``seg`` (default)
-    Per-producer append-only *segment files* in a shared temporary
-    directory, mmap'd by readers.  This mirrors the out-of-core store's
-    spill segments: the bytes written are the exact native-precision
-    encoding of each tile (see :mod:`repro.parallel.payload`), so the
-    file contents double as the zero-copy wire format.
-``shm`` (``REPRO_EXCHANGE=shm``)
-    Chunked ``multiprocessing.shared_memory`` blocks for hosts where
-    the temp filesystem is unsuitable (e.g. a slow network mount).
+payload bytes themselves land in per-producer append-only *segment
+files* in a shared temporary directory, mmap'd by readers.  This
+mirrors the out-of-core store's spill segments: the bytes written are
+the exact native-precision encoding of each tile (see
+:mod:`repro.parallel.payload`), so the file contents double as the
+zero-copy wire format.  The directory comes from ``tempfile``, so
+``TMPDIR`` places it (``TMPDIR=/dev/shm`` keeps it in memory on hosts
+whose temp filesystem is a slow mount).
 
 Each producer (the coordinator and every worker) appends to its own
 segment, so no write ever races another; readers locate bytes by
@@ -19,8 +16,8 @@ segment, so no write ever races another; readers locate bytes by
 DAG ordering, that a ref is only read after its producer flushed it.
 
 Between drains the coordinator broadcasts a reset: writers truncate
-their segments and every reader drops its mmap/attach and decode
-caches, so exchange storage does not grow across phases.
+their segments and every reader drops its mmap and decode caches, so
+exchange storage does not grow across phases.
 """
 
 from __future__ import annotations
@@ -29,24 +26,10 @@ import mmap
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 from repro.parallel.payload import decode_obj, encode_obj
 
-__all__ = [
-    "EXCHANGE_ARENAS",
-    "EXCHANGE_ENV",
-    "ExchangeSpec",
-    "PayloadRef",
-    "TileExchange",
-    "resolve_exchange_arena",
-]
-
-EXCHANGE_ENV = "REPRO_EXCHANGE"
-EXCHANGE_ARENAS = ("seg", "shm")
-
-#: Shared-memory blocks are allocated in chunks of this size.
-_SHM_CHUNK = 4 << 20
+__all__ = ["ExchangeSpec", "PayloadRef", "TileExchange"]
 
 #: Decoded-payload LRU entries kept per reader.  Bounds memory while
 #: keeping hot panel tiles (read by every task in a trailing update)
@@ -54,41 +37,18 @@ _SHM_CHUNK = 4 << 20
 _DECODE_CACHE_MAX = 64
 
 
-def resolve_exchange_arena(arena: str | None = None) -> str:
-    """Resolve the exchange arena from the argument or ``REPRO_EXCHANGE``."""
-    if arena is None:
-        arena = os.environ.get(EXCHANGE_ENV) or "seg"
-    if arena not in EXCHANGE_ARENAS:
-        raise ValueError(
-            f"exchange arena must be one of {EXCHANGE_ARENAS}, got {arena!r}"
-            f" (set {EXCHANGE_ENV} or the arena argument accordingly)")
-    return arena
-
-
 @dataclass(frozen=True)
 class ExchangeSpec:
-    """Picklable description of an exchange, shipped to workers.
+    """Picklable description of an exchange, shipped to workers."""
 
-    ``untrack_attach`` controls the pre-3.13 ``shared_memory`` resource
-    tracker workaround.  Forked workers inherit the coordinator's
-    tracker (the pool pre-starts it), so register/unregister traffic
-    lands in one shared cache — attaches must then *not* be
-    unregistered, or they cancel the creator's entry and the creator's
-    later unlink trips a tracker KeyError.  Spawned workers own private
-    trackers, so there the attach-side registration is spurious and
-    must be dropped, or a worker exit unlinks blocks it merely read.
-    """
-
-    arena: str
-    directory: str | None = None
-    untrack_attach: bool = False
+    directory: str
 
 
 @dataclass(frozen=True)
 class PayloadRef:
-    """Locator of one encoded payload inside an arena."""
+    """Locator of one encoded payload inside the exchange."""
 
-    segment: str  #: segment file path ("seg") or shm block name ("shm")
+    segment: str  #: segment file path
     offset: int
     length: int
     kind: str  #: payload kind (see repro.parallel.payload)
@@ -99,7 +59,7 @@ class PayloadRef:
 
 
 # ----------------------------------------------------------------------
-# segment-file arena
+# segment files
 # ----------------------------------------------------------------------
 class _SegmentWriter:
     def __init__(self, path: str) -> None:
@@ -151,88 +111,6 @@ class _SegmentReader:
 
 
 # ----------------------------------------------------------------------
-# multiprocessing.shared_memory arena
-# ----------------------------------------------------------------------
-def _untrack_shm(shm: shared_memory.SharedMemory) -> None:
-    """Stop a *private* resource tracker from unlinking an attached block.
-
-    Before Python 3.13 every attach registers the block with the
-    resource tracker; a process-private tracker (spawned workers) then
-    unlinks it when its owner exits, destroying data the worker merely
-    read.  Ownership here is explicit — the creating process unlinks —
-    so drop the spurious registration.  Only called when
-    ``ExchangeSpec.untrack_attach`` is set: with a fork-shared tracker
-    the unregister would instead cancel the creator's entry.
-    """
-    try:  # pragma: no cover - tracker internals are version-dependent
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-class _ShmWriter:
-    def __init__(self, tag: str) -> None:
-        self.tag = tag
-        self._blocks: list[shared_memory.SharedMemory] = []
-        self._current: shared_memory.SharedMemory | None = None
-        self._offset = 0
-        self._sequence = 0
-
-    def append(self, data: bytes) -> tuple[str, int, int]:
-        need = len(data)
-        if (self._current is None
-                or self._offset + need > self._current.size):
-            self._sequence += 1
-            block = shared_memory.SharedMemory(
-                name=f"{self.tag}-{self._sequence}", create=True,
-                size=max(_SHM_CHUNK, need or 1))
-            self._blocks.append(block)
-            self._current = block
-            self._offset = 0
-        block, offset = self._current, self._offset
-        block.buf[offset:offset + need] = data
-        self._offset = offset + need
-        return block.name, offset, need
-
-    def reset(self) -> None:
-        for block in self._blocks:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._blocks.clear()
-        self._current = None
-        self._offset = 0
-
-    close = reset
-
-
-class _ShmReader:
-    def __init__(self, untrack_attach: bool = False) -> None:
-        self._blocks: dict[str, shared_memory.SharedMemory] = {}
-        self._untrack_attach = untrack_attach
-
-    def read(self, segment: str, offset: int, length: int) -> bytes:
-        if length == 0:
-            return b""
-        block = self._blocks.get(segment)
-        if block is None:
-            block = shared_memory.SharedMemory(name=segment, create=False)
-            if self._untrack_attach:
-                _untrack_shm(block)
-            self._blocks[segment] = block
-        return bytes(block.buf[offset:offset + length])
-
-    def clear(self) -> None:
-        for block in self._blocks.values():
-            block.close()
-        self._blocks.clear()
-
-
-# ----------------------------------------------------------------------
 # facade
 # ----------------------------------------------------------------------
 class TileExchange:
@@ -241,19 +119,9 @@ class TileExchange:
     def __init__(self, spec: ExchangeSpec, producer_tag: str) -> None:
         self.spec = spec
         self.producer_tag = producer_tag
-        if spec.arena == "seg":
-            if spec.directory is None:
-                raise ValueError("segment-file exchange needs a directory")
-            path = os.path.join(spec.directory, f"{producer_tag}.seg")
-            self._writer = _SegmentWriter(path)
-            self._reader = _SegmentReader()
-        elif spec.arena == "shm":
-            self._writer = _ShmWriter(f"rx-{producer_tag}-{os.getpid()}")
-            self._reader = _ShmReader(untrack_attach=spec.untrack_attach)
-        else:
-            raise ValueError(
-                f"exchange arena must be one of {EXCHANGE_ARENAS}, "
-                f"got {spec.arena!r}")
+        path = os.path.join(spec.directory, f"{producer_tag}.seg")
+        self._writer = _SegmentWriter(path)
+        self._reader = _SegmentReader()
         self._decoded: OrderedDict[tuple, object] = OrderedDict()
 
     # -- producer side -------------------------------------------------

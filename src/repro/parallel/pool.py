@@ -21,7 +21,7 @@ import os
 import shutil
 import tempfile
 
-from repro.parallel.exchange import ExchangeSpec, TileExchange, resolve_exchange_arena
+from repro.parallel.exchange import ExchangeSpec, TileExchange
 from repro.parallel.worker import _BLAS_ENV_VARS, worker_main
 
 __all__ = [
@@ -86,32 +86,15 @@ class _WorkerHandle:
 class ProcessPool:
     """A fixed-size pool of task workers plus the coordinator exchange."""
 
-    def __init__(self, workers: int, arena: str | None = None,
-                 start_method: str | None = None,
+    def __init__(self, workers: int, start_method: str | None = None,
                  blas_threads: int | None = None) -> None:
         self.workers = max(1, int(workers))
         self.blas_threads = (int(blas_threads) if blas_threads
                              else _resolve_blas_threads(self.workers))
         method = _resolve_start_method(start_method)
         self._ctx = mp.get_context(method)
-        arena = resolve_exchange_arena(arena)
-        directory = None
-        if arena == "seg":
-            directory = tempfile.mkdtemp(prefix="repro-xchg-")
-        if arena == "shm":
-            # Pre-start the resource tracker so every worker shares it
-            # (fork inherits the fd, spawn receives it in the
-            # preparation data): with one tracker, attach-registration
-            # is an idempotent set-add and the creator's single unlink
-            # unregisters cleanly (see ExchangeSpec.untrack_attach).
-            try:  # pragma: no cover - tracker availability varies
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:
-                pass
-        self.spec = ExchangeSpec(arena=arena, directory=directory,
-                                 untrack_attach=False)
+        self.spec = ExchangeSpec(
+            directory=tempfile.mkdtemp(prefix="repro-xchg-"))
         #: Coordinator endpoint: publishes task inputs, reads outputs.
         self.exchange = TileExchange(self.spec, producer_tag="c0")
         self._handles: list[_WorkerHandle | None] = [None] * self.workers
@@ -214,8 +197,7 @@ class ProcessPool:
                 pass
         self._handles = [None] * self.workers
         self.exchange.close()
-        if self.spec.directory is not None:
-            shutil.rmtree(self.spec.directory, ignore_errors=True)
+        shutil.rmtree(self.spec.directory, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # accessors the executor uses

@@ -12,22 +12,22 @@ This package reproduces those semantics:
 ``DataHandle`` / ``Task`` / ``TaskGraph``
     Dataflow description — tasks declare read/write accesses on named
     data handles; the graph derives dependencies from access order.
-``Device`` / ``DeviceModel``
-    A simulated execution resource with per-precision throughput and
-    link bandwidth, used to *time* the schedule (the numerics
-    themselves always execute exactly, in Python, on the host).
-``CommunicationEngine``
-    Byte accounting for tile transfers, including the
-    conversion-at-sender / conversion-at-receiver policy of Sec. VI-B1.
 ``Scheduler`` / ``Runtime``
-    The execution engine.  The scheduler drains the ready set as
-    dependencies resolve — for real, on a worker-thread pool
-    (``execution="threaded"``, the default), serially on the caller's
-    thread (``"serial"``), or under the historical simulated-device
-    timing model (``"simulated"``).  The runtime is session-long: each
-    ``run()`` drains the tasks inserted since the last one and
-    accumulates their events into per-phase traces that feed the
-    solver sessions' flop accounting.
+    The execution engine.  One drain per run owns the ready heap,
+    hooks, retries, trace and aggregate error; the execution mode only
+    picks the lane a task's kernel runs on — the caller's thread
+    (``"serial"``), a pool of host threads (``"threaded"``, the
+    default) or worker OS processes (``"process"``).  The runtime is
+    session-long: each ``run()`` drains the tasks inserted since the
+    last one and accumulates their events into per-phase traces that
+    feed the solver sessions' flop accounting.
+``replay`` with ``Device`` / ``DeviceModel`` / ``CommunicationEngine``
+    The accelerator side, as a model: :func:`replay` times any graph —
+    drained or never run — on devices with per-precision throughput
+    and link bandwidth, and keeps the byte ledger of tile transfers
+    under the conversion-at-sender / conversion-at-receiver policy of
+    Sec. VI-B1.  The numerics themselves always execute exactly, in
+    Python, on the host.
 """
 
 from repro.runtime.task import AccessMode, DataHandle, Task
@@ -42,6 +42,7 @@ from repro.runtime.scheduler import (
     SchedulerError,
 )
 from repro.runtime.runtime import Runtime, resolve_execution, resolve_workers
+from repro.runtime.replay import replay
 from repro.resilience.errors import (
     TaskFailure,
     TaskGroupError,
@@ -67,6 +68,7 @@ __all__ = [
     "ScheduleResult",
     "SchedulerError",
     "Runtime",
+    "replay",
     "resolve_execution",
     "resolve_workers",
     "TaskFailure",

@@ -111,16 +111,19 @@ class TaskGraph:
     def successors(self, task: Task) -> list[Task]:
         return list(self.graph.successors(task))
 
-    def _kahn(self) -> list[Task]:
-        """Tasks in dependency order, the earliest-inserted ready task first.
+    def _kahn(self, by_priority: bool = False) -> list[Task]:
+        """Tasks in dependency order, the earliest-inserted ready task first
+        (the highest-priority one with ``by_priority``, ties by insertion).
 
         Shorter than :attr:`num_tasks` exactly when the graph has a cycle.
         """
         tasks = self._tasks
-        index = {t: i for i, t in enumerate(tasks)}
+        if by_priority:  # a stable sort keeps insertion order within a priority
+            tasks = sorted(tasks, key=lambda t: -t.priority)
+        rank = {t: i for i, t in enumerate(tasks)}
         pred, succ = self.graph.pred, self.graph.succ
         indegree = {t: len(pred[t]) for t in tasks}
-        ready = [i for t, i in index.items() if indegree[t] == 0]  # sorted
+        ready = [i for t, i in rank.items() if indegree[t] == 0]  # sorted
         order: list[Task] = []
         while ready:
             task = tasks[heapq.heappop(ready)]
@@ -128,15 +131,19 @@ class TaskGraph:
             for nxt in succ[task]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
-                    heapq.heappush(ready, index[nxt])
+                    heapq.heappush(ready, rank[nxt])
         return order
 
     def is_acyclic(self) -> bool:
         return len(self._kahn()) == len(self._tasks)
 
-    def topological_order(self) -> list[Task]:
-        """A valid execution order (insertion-order stable where possible)."""
-        order = self._kahn()
+    def topological_order(self, by_priority: bool = False) -> list[Task]:
+        """A valid execution order (insertion-order stable where possible).
+
+        With ``by_priority`` it is the order a one-lane drain pops tasks
+        in: larger ``Task.priority`` first among the ready ones.
+        """
+        order = self._kahn(by_priority)
         if len(order) != len(self._tasks):
             raise nx.NetworkXUnfeasible("task graph contains a cycle")
         return order

@@ -1,8 +1,8 @@
-"""Simulated execution devices with per-precision throughput.
+"""Modelled execution devices with per-precision throughput.
 
-The scheduler times each task as ``flops / throughput(precision)`` on
-the device it maps to, plus any transfer time charged by the
-communication engine.  Device specs default to the GPUs used in the
+The replayer (:mod:`repro.runtime.replay`) times each task as
+``flops / throughput(precision)`` on the device it maps to, plus any
+transfer time charged by the communication engine.  Device specs default to the GPUs used in the
 paper (V100, A100, MI250X, GH200); exact peak numbers live in
 :mod:`repro.perfmodel.gpus`, this module only needs relative
 throughputs for scheduling.
@@ -10,7 +10,7 @@ throughputs for scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.precision.formats import Precision
 
@@ -82,7 +82,7 @@ GENERIC_GPU = DeviceModel(
 )
 
 
-#: Device model used for the threaded/serial executors' worker slots.
+#: Device model of a real drain's lanes (threads or worker processes).
 #: The throughput numbers are never used there (events carry measured
 #: wall-clock times); the model only names the resource in traces.
 HOST_WORKER = DeviceModel(
@@ -95,8 +95,8 @@ HOST_WORKER = DeviceModel(
 
 @dataclass
 class Device:
-    """One schedulable device instance (a GPU within a node, or one
-    worker thread of the host executor)."""
+    """One schedulable device instance (a modelled GPU within a node, or
+    one lane of a real drain)."""
 
     index: int
     model: DeviceModel = GENERIC_GPU
@@ -104,16 +104,6 @@ class Device:
     busy_time: float = 0.0
     tasks_executed: int = 0
     bytes_received: float = 0.0
-    bytes_sent: float = 0.0
-    events: list = field(default_factory=list)
-
-    def reset(self) -> None:
-        self.busy_until = 0.0
-        self.busy_time = 0.0
-        self.tasks_executed = 0
-        self.bytes_received = 0.0
-        self.bytes_sent = 0.0
-        self.events.clear()
 
     def utilization(self, makespan: float) -> float:
         """Busy fraction over the schedule's makespan."""

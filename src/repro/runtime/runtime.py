@@ -1,8 +1,8 @@
 """High-level runtime facade.
 
-``Runtime`` bundles a task graph, an executor (threaded / serial /
-simulated), a communication engine and a handle registry behind the
-small interface the tiled algorithms use:
+``Runtime`` bundles a task graph, the scheduler (one drain; a serial,
+threaded or process lane) and a handle registry behind the small
+interface the tiled algorithms use:
 
 .. code-block:: python
 
@@ -35,9 +35,7 @@ import numpy as np
 from repro.precision.formats import Precision
 from repro.resilience.errors import TaskGroupError
 from repro.resilience.retry import RetryPolicy, resolve_retry_policy
-from repro.runtime.comm import CommunicationEngine
 from repro.runtime.dag import TaskGraph
-from repro.runtime.device import DeviceModel, GENERIC_GPU, make_devices
 from repro.runtime.scheduler import (
     EXECUTION_MODES,
     ScheduleResult,
@@ -95,21 +93,14 @@ class Runtime:
 
     Parameters
     ----------
-    num_devices:
-        Number of simulated devices (``simulated`` mode only).
-    device_model:
-        Performance model shared by all simulated devices.
-    adaptive_conversion:
-        Enable the sender/receiver conversion placement of the paper
-        (True by default; simulated mode only).
-    execute_bodies:
-        When False, only the timing simulation runs (simulated mode).
     execution:
         ``"threaded"`` (default — out-of-order worker-pool execution on
-        host threads), ``"process"`` (GIL-free worker OS processes with
-        shared-memory tile exchange, see :mod:`repro.parallel`),
-        ``"serial"`` (same drain on the caller's thread) or
-        ``"simulated"`` (the historical device-timing mode).
+        host threads), ``"process"`` (GIL-free worker OS processes
+        exchanging tiles through mmap'd segment files, see
+        :mod:`repro.parallel`) or ``"serial"`` (the same drain on the
+        caller's thread).  How the drained graph would run on
+        accelerators is a separate question, answered without running
+        it by :func:`repro.runtime.replay.replay` on :attr:`last_graph`.
     workers:
         Worker threads/processes of the threaded/process modes;
         ``None`` resolves through :func:`resolve_workers`
@@ -129,10 +120,6 @@ class Runtime:
 
     def __init__(
         self,
-        num_devices: int = 1,
-        device_model: DeviceModel = GENERIC_GPU,
-        adaptive_conversion: bool = True,
-        execute_bodies: bool = True,
         execution: str | None = None,
         workers: int | None = None,
         task_retries: int | None = None,
@@ -141,27 +128,10 @@ class Runtime:
     ) -> None:
         self.execution = resolve_execution(execution)
         self.workers = resolve_workers(workers)
-        if self.execution != "simulated" and (
-                num_devices != 1 or device_model is not GENERIC_GPU
-                or not adaptive_conversion):
-            import warnings
-
-            warnings.warn(
-                "num_devices / device_model / adaptive_conversion only "
-                f"affect execution='simulated'; this runtime resolves to "
-                f"execution={self.execution!r} (the historical default was "
-                "simulated — pass execution='simulated' to keep the device "
-                "timing model)",
-                stacklevel=2,
-            )
         self.graph = TaskGraph()  # pending (not yet run) tasks
-        self.devices = make_devices(num_devices, device_model)
-        self.comm = CommunicationEngine(adaptive_conversion=adaptive_conversion)
         # the one and only scheduler of this runtime — reused by every
         # run() so repeated runs never silently rebuild executor state
         self.scheduler = Scheduler(
-            devices=self.devices, comm=self.comm,
-            execute_bodies=execute_bodies,
             execution=self.execution, workers=self.workers,
             retry_policy=(retry_policy if retry_policy is not None
                           else resolve_retry_policy(task_retries)),
@@ -220,8 +190,10 @@ class Runtime:
             shape=shape,
             precision=precision,
             payload=payload,
+            # round-robin by registration order; a replay resolves it
+            # modulo its device count
             home_device=(home_device if home_device is not None
-                         else len(self._handles) % len(self.devices)),
+                         else len(self._handles)),
         )
         self._handles[name] = handle
         self._handle_uids.add(handle.uid)

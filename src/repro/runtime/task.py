@@ -185,9 +185,9 @@ class Task:
         the task becomes ready.  Empty for tasks that only operate on
         handle payloads.
     spec:
-        The task's :class:`TaskSpec` descriptor.  The serial, threaded
-        and simulated drains run it inline (:meth:`execute`); the
-        process drain ships its kernel to a worker.
+        The task's :class:`TaskSpec` descriptor.  The serial and
+        threaded lanes run it inline (:meth:`execute`); the process
+        lane ships its kernel to a worker.
     """
 
     name: str

@@ -2,8 +2,9 @@
 
 The paper's measurements come from runtime timers and flop counters
 ("Measurement mechanism: Timers, Flops").  The trace collected by the
-scheduler records, for every task, the device it ran on, its simulated
-start/end times and its operation count, from which we derive the
+scheduler records, for every task, the lane it ran on, its wall-clock
+start/end times (modelled ones in a :func:`~repro.runtime.replay.replay`)
+and its operation count, from which we derive the
 throughput, per-device utilization, and Gantt-style summaries used by
 tests and benchmarks.
 """
@@ -17,7 +18,7 @@ from repro.precision.formats import Precision
 
 @dataclass(frozen=True)
 class TaskEvent:
-    """One task execution in a (simulated or wall-clock) schedule."""
+    """One task execution in a (wall-clock or replayed) schedule."""
 
     task_name: str
     task_uid: int
@@ -43,13 +44,20 @@ class ExecutionTrace:
 
     events: list[TaskEvent] = field(default_factory=list)
 
-    def add(self, event: TaskEvent) -> None:
-        self.events.append(event)
+    def record(self, task, device: int, start: float, end: float,
+               retries: int = 0) -> None:
+        """Append the event of ``task`` having run on ``device``."""
+        self.events.append(TaskEvent(
+            task_name=task.name, task_uid=task.uid, device=device,
+            start=start, end=end, flops=task.flops,
+            precision=task.precision, tag=task.tag,
+            flops_detail=task.flops_detail, retries=retries,
+        ))
 
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> float:
-        """End time of the last task (simulated seconds)."""
+        """End time of the last task (seconds)."""
         return max((e.end for e in self.events), default=0.0)
 
     @property

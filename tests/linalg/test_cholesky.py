@@ -5,6 +5,7 @@ import pytest
 
 from repro.linalg.cholesky import cholesky, cholesky_flops
 from repro.precision.formats import Precision
+from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
@@ -139,17 +140,20 @@ class TestRuntimePath:
 
     def test_runtime_schedule_attached(self):
         a = _spd(32)
-        runtime = Runtime(num_devices=2, execution="simulated")
+        runtime = Runtime(execution="serial")
         result = cholesky(a, tile_size=16, runtime=runtime)
         assert result.schedule is not None
         # run() drains the pending graph; the drained DAG is retained
         assert runtime.graph.num_tasks == 0
         assert result.schedule.trace.num_tasks == runtime.last_graph.num_tasks
         assert runtime.last_graph.is_acyclic()
+        # ... and replays on modelled devices, one event per task
+        replayed = replay(runtime.last_graph, num_devices=2)
+        assert replayed.trace.num_tasks == runtime.last_graph.num_tasks
 
     def test_runtime_task_count_matches_tile_algorithm(self):
         a = _spd(64)
-        runtime = Runtime(num_devices=2, execution="simulated")
+        runtime = Runtime(execution="serial")
         cholesky(a, tile_size=16, runtime=runtime)
         counts = runtime.last_graph.task_counts_by_name()
         assert counts["potrf"] == 4

@@ -1,15 +1,9 @@
-"""Payload codec and tile-exchange arenas: bitwise round trips."""
+"""Payload codec and the segment-file tile exchange: bitwise round trips."""
 
 import numpy as np
 import pytest
 
-from repro.parallel.exchange import (
-    EXCHANGE_ARENAS,
-    ExchangeSpec,
-    PayloadRef,
-    TileExchange,
-    resolve_exchange_arena,
-)
+from repro.parallel.exchange import ExchangeSpec, PayloadRef, TileExchange
 from repro.parallel.payload import decode_obj, encode_obj
 from repro.precision.formats import Precision
 from repro.tiles.tile import Tile
@@ -74,36 +68,13 @@ class TestPayloadCodec:
             decode_obj("bogus", {}, b"")
 
 
-class TestResolveArena:
-    def test_default_is_seg(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXCHANGE", raising=False)
-        assert resolve_exchange_arena() == "seg"
-
-    def test_env_selects_shm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXCHANGE", "shm")
-        assert resolve_exchange_arena() == "shm"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXCHANGE", "shm")
-        assert resolve_exchange_arena("seg") == "seg"
-
-    @pytest.mark.parametrize("bogus", ["files", "tcp", ""])
-    def test_bogus_arena_raises_naming_choices(self, bogus, monkeypatch):
-        monkeypatch.setenv("REPRO_EXCHANGE", bogus or "x")
-        with pytest.raises(ValueError, match="seg"):
-            resolve_exchange_arena(bogus or None)
+def _spec(tmp_path) -> ExchangeSpec:
+    return ExchangeSpec(directory=str(tmp_path))
 
 
-def _spec(arena: str, tmp_path) -> ExchangeSpec:
-    if arena == "seg":
-        return ExchangeSpec(arena="seg", directory=str(tmp_path))
-    return ExchangeSpec(arena="shm")
-
-
-@pytest.mark.parametrize("arena", EXCHANGE_ARENAS)
 class TestTileExchange:
-    def test_put_get_round_trip(self, arena, tmp_path):
-        xchg = TileExchange(_spec(arena, tmp_path), producer_tag="t0")
+    def test_put_get_round_trip(self, tmp_path):
+        xchg = TileExchange(_spec(tmp_path), producer_tag="t0")
         try:
             tile = _tile(Precision.FP16, seed=7)
             arr = np.linspace(0.0, 1.0, 10)
@@ -119,10 +90,10 @@ class TestTileExchange:
         finally:
             xchg.close()
 
-    def test_refs_are_picklable(self, arena, tmp_path):
+    def test_refs_are_picklable(self, tmp_path):
         import pickle
 
-        xchg = TileExchange(_spec(arena, tmp_path), producer_tag="t0")
+        xchg = TileExchange(_spec(tmp_path), producer_tag="t0")
         try:
             ref = xchg.put(_tile(Precision.FP32))
             clone = pickle.loads(pickle.dumps(ref))
@@ -132,10 +103,10 @@ class TestTileExchange:
         finally:
             xchg.close()
 
-    def test_cross_endpoint_read(self, arena, tmp_path):
+    def test_cross_endpoint_read(self, tmp_path):
         """A ref published by one endpoint is readable by another."""
-        producer = TileExchange(_spec(arena, tmp_path), producer_tag="p0")
-        consumer = TileExchange(_spec(arena, tmp_path), producer_tag="p1")
+        producer = TileExchange(_spec(tmp_path), producer_tag="p0")
+        consumer = TileExchange(_spec(tmp_path), producer_tag="p1")
         try:
             tile = _tile(Precision.FP8_E4M3, seed=3)
             ref = producer.put(tile)
@@ -145,8 +116,8 @@ class TestTileExchange:
             consumer.close()
             producer.close()
 
-    def test_reset_reclaims_storage(self, arena, tmp_path):
-        xchg = TileExchange(_spec(arena, tmp_path), producer_tag="t0")
+    def test_reset_reclaims_storage(self, tmp_path):
+        xchg = TileExchange(_spec(tmp_path), producer_tag="t0")
         try:
             for _ in range(4):
                 xchg.put(np.zeros(1000))
@@ -158,8 +129,8 @@ class TestTileExchange:
         finally:
             xchg.close()
 
-    def test_decode_cache_returns_same_object(self, arena, tmp_path):
-        xchg = TileExchange(_spec(arena, tmp_path), producer_tag="t0")
+    def test_decode_cache_returns_same_object(self, tmp_path):
+        xchg = TileExchange(_spec(tmp_path), producer_tag="t0")
         try:
             ref = xchg.put(_tile(Precision.FP32))
             assert xchg.get(ref) is xchg.get(ref)

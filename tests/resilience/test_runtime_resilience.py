@@ -127,7 +127,7 @@ class TestRetry:
 
 
 class TestAggregateFailures:
-    @pytest.mark.parametrize("execution", EXECUTIONS + ("simulated",))
+    @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_every_independent_failure_reported(self, execution):
         """The drain keeps going past a failure and reports all of them."""
         rt = Runtime(execution=execution, workers=4)

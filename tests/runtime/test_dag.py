@@ -128,21 +128,27 @@ class TestGraphQueries:
         assert g.topological_order() == list(tasks)
 
 
-def test_a_drained_graph_is_freed_without_the_cyclic_collector():
-    # the graph must not refer to itself: a serving session otherwise
-    # keeps every request's operands until the collector happens to run
-    rt = Runtime(execution="serial")
+@pytest.mark.parametrize("execution", ["serial", "threaded", "process"])
+def test_a_drained_graph_is_freed_without_the_cyclic_collector(execution):
+    # the graph must not refer to itself, nor any drain keep it: a serving
+    # session otherwise keeps every request's operands until the collector
+    # happens to run
+    rt = Runtime(execution=execution, workers=2)
     def holding(operand):
         return lambda _payload: float(operand.sum())
 
     operand = np.ones((4, 4))
     freed = weakref.ref(operand)
     h = rt.register_data("h", payload=0)
+    other = rt.register_data("other", payload=0)
     gc.collect()
     gc.disable()
     try:
         rt.insert_task("hold", (h, AccessMode.WRITE),
                        body=holding(operand))
+        # a second, independent task: two lanes really start
+        rt.insert_task("beside", (other, AccessMode.WRITE),
+                       body=lambda _payload: 2)
         del operand
         graph = weakref.ref(rt.graph)
         rt.run()
@@ -152,3 +158,4 @@ def test_a_drained_graph_is_freed_without_the_cyclic_collector():
         assert graph() is None and freed() is None
     finally:
         gc.enable()
+        rt.close()

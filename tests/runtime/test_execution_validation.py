@@ -18,11 +18,22 @@ from repro.runtime.runtime import (
 )
 from repro.runtime.scheduler import EXECUTION_MODES, Scheduler
 
-ALL_MODES = ("serial", "threaded", "simulated", "process")
+ALL_MODES = ("serial", "threaded", "process")
 
 
-def test_execution_modes_constant_names_all_four():
+def test_execution_modes_constant_names_all_three():
     assert sorted(EXECUTION_MODES) == sorted(ALL_MODES)
+
+
+@pytest.mark.parametrize("factory", [Runtime, KRRConfig, Scheduler],
+                         ids=lambda f: f.__name__)
+def test_simulated_is_not_an_execution_mode(factory, monkeypatch):
+    # the device-timing model is repro.runtime.replay.replay(graph, ...)
+    monkeypatch.delenv(EXECUTION_ENV, raising=False)
+    with pytest.raises(ValueError) as err:
+        factory(execution="simulated")
+    for mode in ALL_MODES:
+        assert mode in str(err.value)
 
 
 class TestResolveExecution:

@@ -1,10 +1,12 @@
-"""Tests for the list scheduler, devices, traces, and the Runtime facade."""
+"""Tests for the scheduler, the device model and graph replayer, traces,
+and the Runtime facade."""
 
 import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
 from repro.runtime.device import Device, DeviceModel, GENERIC_GPU, make_devices
+from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode
 
@@ -83,39 +85,45 @@ class TestRuntimeExecution:
 
     def test_makespan_respects_critical_path(self):
         model = DeviceModel("slow", {Precision.FP32: 1e9})
-        rt = Runtime(num_devices=8, device_model=model, execution="simulated")
+        rt = Runtime()
         a = rt.register_data("a", payload=1.0, precision=Precision.FP32)
         for _ in range(4):
             rt.insert_task("step", (a, AccessMode.READWRITE), flops=1e9,
                            precision=Precision.FP32)
-        result = rt.run()
+        # a pending graph replays without ever being executed
+        result = replay(rt.graph, num_devices=8, device_model=model)
+        assert rt.num_tasks() == 4 and rt.runs_completed == 0
         # 4 dependent tasks of 1 s each cannot finish faster than 4 s
         assert result.makespan >= 4.0
 
     def test_parallel_tasks_use_multiple_devices(self):
         model = DeviceModel("slow", {Precision.FP32: 1e9})
-        rt = Runtime(num_devices=4, device_model=model, execution="simulated")
+        rt = Runtime()
         handles = [rt.register_data(f"h{i}", payload=1.0, shape=(1,),
                                     home_device=i) for i in range(4)]
         for h in handles:
             rt.insert_task("work", (h, AccessMode.READWRITE), flops=1e9,
                            precision=Precision.FP32)
-        result = rt.run()
+        result = replay(rt.graph, num_devices=4, device_model=model)
         devices_used = {e.device for e in result.trace.events}
         assert len(devices_used) == 4
         assert result.makespan == pytest.approx(1.0, rel=0.1)
 
     def test_transfers_recorded_when_data_moves(self):
-        rt = Runtime(num_devices=2, execution="simulated")
+        rt = Runtime()
         a = rt.register_data("a", payload=np.ones((16, 16)),
                              precision=Precision.FP32, home_device=0)
         b = rt.register_data("b", payload=np.zeros((16, 16)),
                              precision=Precision.FP32, home_device=1)
         rt.insert_task("use", (a, AccessMode.READ), (b, AccessMode.READWRITE),
                        flops=1.0, precision=Precision.FP32)
-        result = rt.run()
+        drained = rt.run()
+        assert drained.comm.num_transfers == 0  # host lanes move no bytes
+        result = replay(rt.last_graph, num_devices=2)
         assert result.comm.num_transfers >= 1
         assert result.comm.total_bytes > 0
+        # homes resolve modulo the device count: on one device nothing moves
+        assert replay(rt.last_graph).comm.num_transfers == 0
 
     def test_priority_breaks_ties(self):
         rt = Runtime(workers=1)

@@ -24,6 +24,8 @@ from repro.gwas.config import PrecisionPlan
 from repro.linalg.cholesky import cholesky
 from repro.precision.formats import Precision
 from repro.runtime.dag import TaskGraph
+from repro.runtime.device import GENERIC_GPU
+from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime, resolve_workers
 from repro.runtime.task import AccessMode, DataHandle
 
@@ -98,6 +100,45 @@ class TestDependencyOrderingUnderConcurrency:
         assert result.trace.num_tasks == 4
         assert {e.device for e in result.trace.events} == {0, 1, 2, 3}
 
+    def test_drain_bookkeeping_survives_forced_interleavings(self):
+        """More lanes than cores, a tiny switch interval and transient
+        faults: every task is retired exactly once and every retry is
+        charged — a lost update on the drain's shared state breaks one
+        of the counts below."""
+        import sys
+
+        from repro.resilience.faults import (
+            SITE_TASK_BODY, FaultPlan, FaultSite, fault_plan)
+
+        chains, depth = 24, 12
+        rt = Runtime(execution="threaded", workers=8, task_retries=3)
+        handles = [rt.register_data(f"c{i}", payload=0) for i in range(chains)]
+        for _ in range(depth):
+            for i, h in enumerate(handles):
+                rt.insert_task("inc", (h, AccessMode.READWRITE),
+                               (handles[(i + 1) % chains], AccessMode.READ),
+                               body=lambda own, _other: own + 1)
+        plan = FaultPlan([FaultSite(site=SITE_TASK_BODY, every=7)], seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        done = []
+        try:
+            with fault_plan(plan):
+                drain = threading.Thread(
+                    target=lambda: done.append(rt.run()), daemon=True)
+                drain.start()
+                drain.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not drain.is_alive() and done, "the drain hung or failed"
+        (result,) = done
+        assert [h.payload for h in handles] == [depth] * chains
+        uids = [e.task_uid for e in result.trace.events]
+        assert len(uids) == len(set(uids)) == chains * depth
+        assert sum(d.tasks_executed for d in result.devices) == chains * depth
+        assert plan.fired > 0
+        assert result.trace.total_retries == plan.fired
+
     def test_exceptions_propagate_from_worker_threads(self):
         from repro.runtime import TaskGroupError
 
@@ -157,12 +198,16 @@ class TestCriticalPath:
         """Right-looking tiled Cholesky on an nt x nt grid has a
         POTRF -> TRSM -> (SYRK|GEMM) chain per panel: depth 3(nt-1)+1."""
         nt = 4
-        rt = Runtime(execution="simulated")
+        rt = Runtime(execution="threaded", workers=2)
         cholesky(_spd(16 * nt), tile_size=16, runtime=rt)
         graph = rt.last_graph
         assert graph.critical_path_length() == 3 * (nt - 1) + 1
-        # and the critical-path flops bound the simulated makespan
+        # and the critical-path flops bound the replayed makespan
         assert graph.critical_path_flops() <= graph.total_flops()
+        replayed = replay(graph, num_devices=nt)
+        assert replayed.trace.num_tasks == graph.num_tasks
+        fastest = max(GENERIC_GPU.throughput.values())
+        assert replayed.makespan >= graph.critical_path_flops() / fastest
 
     def test_empty_graph(self):
         assert TaskGraph().critical_path_length() == 0
