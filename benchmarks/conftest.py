@@ -14,7 +14,6 @@ factor) so a regression in the reproduction fails the harness.
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -26,20 +25,6 @@ if str(_SRC) not in sys.path:
 
 #: Scale preset used by the accuracy benchmarks (seconds-to-minutes).
 ACCURACY_SCALE = "small"
-
-
-def effective_cpu_count() -> int:
-    """CPUs actually available to the benchmark process.
-
-    ``os.cpu_count()`` reports the machine; a CI runner or batch
-    scheduler typically grants a smaller cgroup/affinity mask, and the
-    scaling benchmarks must gate their speedup assertions (and record
-    ``cpu_count`` rows in the BENCH JSONs) on what they can really use.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="session")

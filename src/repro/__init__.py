@@ -30,8 +30,11 @@ The package is organised around the paper's three-phase KRR workflow
 ``repro.gwas``
     The paper's contribution: ridge regression (RR) and kernel ridge
     regression (KRR) multivariate GWAS with mixed-precision plans,
-    metrics, and cross-validation, organised around the tile-native
-    solver sessions (``repro.api`` is the stable facade).
+    metrics, and cross-validation, behind the two tile-native solver
+    sessions (``repro.api`` is the stable facade).
+``repro.settings``
+    The one module that reads the environment: the six ``REPRO_*``
+    variables, parsed and validated into a frozen ``Settings``.
 ``repro.data``
     Synthetic genotype/phenotype generation (LD-block and coalescent
     simulators, UK-BioBank-like cohorts) replacing the restricted-access
@@ -49,9 +52,7 @@ The package is organised around the paper's three-phase KRR workflow
 from repro.precision import Precision
 from repro.data.dataset import GWASDataset, TrainTestSplit
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
-from repro.gwas.krr import KernelRidgeRegressionGWAS
 from repro.gwas.metrics import mspe, pearson_correlation
-from repro.gwas.ridge import RidgeRegressionGWAS
 from repro.gwas.session import KRRSession, RRSession
 
 __all__ = [
@@ -60,8 +61,6 @@ __all__ = [
     "TrainTestSplit",
     "KRRSession",
     "RRSession",
-    "RidgeRegressionGWAS",
-    "KernelRidgeRegressionGWAS",
     "KRRConfig",
     "RRConfig",
     "PrecisionPlan",

@@ -5,8 +5,7 @@ The solver API is organised around tile-native **sessions**
 :class:`~repro.gwas.session.RRSession`): one object owns the phase
 pipeline (Build → Associate → Predict) and keeps the kernel matrix
 tiled end to end, with zero dense n×n round-trips (see
-``docs/api.md`` for the memory contract and the migration guide from
-the legacy ``fit``/``predict`` estimators).
+``docs/api.md`` for the memory contract).
 
 Typical use::
 

@@ -50,7 +50,7 @@ from repro.precision.gemm import (
     variant_for_input,
 )
 from repro.resilience.errors import TaskGroupError
-from repro.runtime.runtime import Runtime, resolve_execution, resolve_workers
+from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
 from repro.tiles.adaptive import AdaptivePrecisionRule, decide_tile_precisions
 from repro.tiles.layout import TileLayout
@@ -304,13 +304,11 @@ class KernelBuilder:
         Column blocking of the SNP dimension inside each Gram tile.
     workers:
         Worker threads of the tile-row tasks (BLAS releases the GIL, so
-        tile GEMMs genuinely overlap).  ``None`` resolves through
-        ``REPRO_WORKERS`` and then ``min(8, cpu_count)``; 1 drains the
-        task DAG serially.  Ignored when an external ``runtime`` is
-        given (the runtime owns concurrency).
+        tile GEMMs genuinely overlap); 1 drains the task DAG serially.
+        Ignored when an external ``runtime`` is given (the runtime owns
+        concurrency).
     execution:
-        Execution mode of an internally created runtime (``"threaded"``
-        by default; ``None`` resolves ``REPRO_EXECUTION``).
+        Execution mode of an internally created runtime.
     runtime:
         Optional session-long :class:`~repro.runtime.runtime.Runtime`.
         When given, Build tasks are inserted there and the run is
@@ -686,8 +684,7 @@ class KernelBuilder:
 
         rt = self.runtime
         if rt is None:
-            rt = Runtime(execution=resolve_execution(self.execution),
-                         workers=resolve_workers(self.workers))
+            rt = Runtime(execution=self.execution, workers=self.workers)
         stats.workers = (rt.workers
                          if rt.execution in ("threaded", "process") else 1)
         stats.tile_tasks = layout.tile_rows

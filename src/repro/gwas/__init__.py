@@ -8,10 +8,7 @@
 * :class:`~repro.gwas.session.RRSession` — linear ridge regression on
   the genotype+confounder design matrix (Eq. 1–2 of the paper), solved
   with the mixed-precision SYRK + tiled Cholesky path, in the same
-  session shape.
-* :class:`~repro.gwas.krr.KernelRidgeRegressionGWAS` /
-  :class:`~repro.gwas.ridge.RidgeRegressionGWAS` — deprecated thin
-  wrappers over the sessions, kept for ``fit``/``predict`` callers.
+  session shape.  The two sessions are the only estimator classes.
 * :mod:`repro.gwas.metrics` — MSPE and Pearson correlation, the two
   accuracy metrics of Sec. VII.
 * :mod:`repro.gwas.cv` — cross-validation for the α / γ hyperparameters
@@ -21,14 +18,12 @@
 """
 
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
-from repro.gwas.krr import KernelRidgeRegressionGWAS, KRRModel
 from repro.gwas.metrics import (
     accuracy_report,
     mean_squared_prediction_error,
     mspe,
     pearson_correlation,
 )
-from repro.gwas.ridge import RidgeRegressionGWAS, RRModel
 from repro.gwas.session import KRRSession, RRSession
 from repro.gwas.cv import CrossValidationResult, grid_search_cv
 from repro.gwas.workflow import GWASWorkflow, WorkflowResult
@@ -39,10 +34,6 @@ __all__ = [
     "KRRConfig",
     "KRRSession",
     "RRSession",
-    "RidgeRegressionGWAS",
-    "RRModel",
-    "KernelRidgeRegressionGWAS",
-    "KRRModel",
     "mspe",
     "mean_squared_prediction_error",
     "pearson_correlation",

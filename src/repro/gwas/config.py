@@ -14,12 +14,11 @@ the paper's accuracy experiments sweep:
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro.precision.formats import Precision
-from repro.runtime.scheduler import EXECUTION_MODES
+from repro.settings import EXECUTION_MODES, SOLVER_MODES
 from repro.tiles.adaptive import AdaptivePrecisionRule, candidates_for_gpu
 from repro.tiles.band import band_precision_map
 from repro.tiles.layout import TileLayout
@@ -200,12 +199,6 @@ class PrecisionPlan(_WithOptionsMixin):
         return decide_tile_precisions(matrix, self.adaptive_rule())
 
 
-#: Solver routes accepted by ``KRRConfig.solver`` (mirrors
-#: :data:`repro.linalg.cg.SOLVER_MODES`, kept literal here so config
-#: validation does not import the solver package).
-_SOLVER_MODES = ("direct", "cg")
-
-
 def _validate_execution_knobs(cfg) -> None:
     if cfg.execution is not None and cfg.execution not in EXECUTION_MODES:
         raise ValueError(
@@ -227,6 +220,10 @@ def _validate_resilience_knobs(cfg) -> None:
 class RRConfig(_WithOptionsMixin):
     """Ridge-regression GWAS configuration (Eq. 1–2).
 
+    ``workers``, ``execution`` and ``task_retries`` left ``None`` take
+    the session's :class:`repro.settings.Settings` snapshot: the
+    environment's value, else the library default.
+
     Parameters
     ----------
     regularization:
@@ -239,17 +236,15 @@ class RRConfig(_WithOptionsMixin):
         Input precision of the SNP part of the SYRK (INT8 engages the
         emulated tensor-core path).
     workers:
-        Worker threads of the session's task runtime (``None`` resolves
-        through ``REPRO_WORKERS`` and then ``min(8, cpu_count)``).
+        Worker threads of the session's task runtime.
     execution:
         Execution mode of the session's task runtime: ``"threaded"``
         (default), ``"process"`` (GIL-free worker processes) or
-        ``"serial"``; ``None`` resolves ``REPRO_EXECUTION``.
+        ``"serial"``.
     task_retries:
         Transient-failure retries per task (capped exponential backoff
-        with deterministic jitter).  ``None`` resolves the
-        ``REPRO_TASK_RETRIES`` environment variable; unset, tasks fail
-        fast.  Retries are bitwise neutral: task bodies are pure, so a
+        with deterministic jitter); unset everywhere, tasks fail fast.
+        Retries are bitwise neutral: task bodies are pure, so a
         re-execution produces the identical tiles.
     task_timeout_s:
         Per-task wall-clock timeout.  An overdue task fails with
@@ -282,6 +277,11 @@ class RRConfig(_WithOptionsMixin):
 class KRRConfig(_WithOptionsMixin):
     """Kernel-ridge-regression GWAS configuration (Algorithms 1–5).
 
+    ``workers``, ``execution``, ``solver``, ``store_budget_bytes`` and
+    ``task_retries`` left ``None`` take the session's
+    :class:`repro.settings.Settings` snapshot: the environment's value,
+    else the library default.
+
     Parameters
     ----------
     gamma:
@@ -299,19 +299,13 @@ class KRRConfig(_WithOptionsMixin):
     workers:
         Worker threads of the session's task runtime — one knob for
         *every* phase (Build row tasks, Cholesky tiles, triangular
-        solves).  ``None`` resolves through the ``REPRO_WORKERS``
-        environment variable and then ``min(8, cpu_count)``.
+        solves).
     execution:
         Execution mode of the session's task runtime: ``"threaded"``
         (default — real out-of-order DAG execution), ``"process"``
         (GIL-free worker OS processes exchanging tiles through mmap'd
         segment files) or ``"serial"`` (the bitwise-identical
-        reference drain on the caller's thread); ``None`` resolves
-        ``REPRO_EXECUTION``.
-    build_workers:
-        **Deprecated** — the historical Build-only thread knob.  Still
-        honoured (it seeds ``workers`` when that is unset) with a
-        :class:`DeprecationWarning`; use ``workers`` instead.
+        reference drain on the caller's thread).
     solver:
         Associate-phase solve route.  ``"direct"`` (the historical
         path) factorizes ``K + alpha*I`` per associate; ``"cg"``
@@ -321,8 +315,7 @@ class KRRConfig(_WithOptionsMixin):
         see :mod:`repro.linalg.cg`), falling back to a direct
         factorization automatically when CG does not converge.  This
         is what makes ``grid_search_cv`` sweeps factor-once per
-        (fold, gamma).  ``None`` resolves the ``REPRO_SOLVER``
-        environment variable and finally ``"direct"``.
+        (fold, gamma).
     cg_tol:
         Convergence threshold of the CG route: per-column relative
         residual ``||b - A x|| / ||b||``.  The default 1e-8 sits well
@@ -358,15 +351,13 @@ class KRRConfig(_WithOptionsMixin):
         size.
     store_budget_bytes:
         Residency budget of the session's out-of-core tile store.  When
-        set (or when the ``REPRO_STORE_BUDGET`` environment variable
-        is), the session creates a :class:`~repro.store.TileStore`, the
+        set, the session creates a :class:`~repro.store.TileStore`, the
         streamed Build, the Cholesky workspace and the factor become
         store-backed — least-recently-used tiles spill to disk in their
         native storage precision and fault back in bitwise — and the
         scheduler pins each task's tiles while it runs.  Results are
         **bitwise identical** to the fully-resident run for any budget.
-        ``None`` (and no environment override) keeps everything
-        resident.
+        ``None`` keeps everything resident.
     store_dir:
         Spill directory of the session store.  ``None`` uses a private
         temporary directory removed when the store is closed or garbage
@@ -375,9 +366,8 @@ class KRRConfig(_WithOptionsMixin):
         loading.
     task_retries:
         Transient-failure retries per runtime task (capped exponential
-        backoff with deterministic seeded jitter).  ``None`` resolves
-        the ``REPRO_TASK_RETRIES`` environment variable; unset, tasks
-        fail fast.  Retries are bitwise neutral: task bodies are pure,
+        backoff with deterministic seeded jitter); unset everywhere,
+        tasks fail fast.  Retries are bitwise neutral: task bodies are pure,
         so a re-execution reproduces the identical tiles and the run's
         result matches the fault-free run exactly.
     task_timeout_s:
@@ -397,7 +387,6 @@ class KRRConfig(_WithOptionsMixin):
     snp_precision: Precision = Precision.INT8
     workers: int | None = None
     execution: str | None = None
-    build_workers: int | None = None
     solver: str | None = None
     cg_tol: float = 1e-8
     cg_max_iters: int = 200
@@ -422,9 +411,9 @@ class KRRConfig(_WithOptionsMixin):
             raise ValueError("tile_size must be positive")
         if self.store_budget_bytes is not None and self.store_budget_bytes <= 0:
             raise ValueError("store_budget_bytes must be positive (or None)")
-        if self.solver is not None and self.solver not in _SOLVER_MODES:
+        if self.solver is not None and self.solver not in SOLVER_MODES:
             raise ValueError(
-                f"solver must be one of {_SOLVER_MODES} (or None), got "
+                f"solver must be one of {SOLVER_MODES} (or None), got "
                 f"{self.solver!r}"
             )
         if not self.cg_tol > 0:
@@ -433,23 +422,6 @@ class KRRConfig(_WithOptionsMixin):
             raise ValueError("cg_max_iters must be at least 1")
         _validate_resilience_knobs(self)
         _validate_execution_knobs(self)
-        if self.build_workers is not None:
-            warnings.warn(
-                "KRRConfig.build_workers is deprecated; use the unified "
-                "'workers' knob (it drives every phase of the session's "
-                "task runtime, not just Build)",
-                DeprecationWarning, stacklevel=3,
-            )
-            if self.build_workers <= 0:
-                raise ValueError("build_workers must be positive (or None)")
-            if self.workers is None:
-                object.__setattr__(self, "workers", int(self.build_workers))
-            # Normalize the deprecated knob away once it has seeded
-            # ``workers``: derived configs (``with_options``) re-run this
-            # validator via ``dataclasses.replace``, and a lingering
-            # build_workers would re-warn *and* re-seed ``workers`` —
-            # silently clobbering an explicit ``with_options(workers=None)``.
-            object.__setattr__(self, "build_workers", None)
         object.__setattr__(self, "snp_precision",
                            Precision.from_string(self.snp_precision))
 

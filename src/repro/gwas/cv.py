@@ -16,7 +16,7 @@ import numpy as np
 from repro.gwas.config import KRRConfig
 from repro.gwas.metrics import mean_squared_prediction_error
 from repro.gwas.session import KRRSession
-from repro.linalg.cg import resolve_solver
+from repro.settings import Settings
 
 __all__ = ["CrossValidationResult", "grid_search_cv", "kfold_indices"]
 
@@ -145,9 +145,10 @@ def grid_search_cv(
         base = base.with_options(workers=workers)
     if execution is not None:
         base = base.with_options(execution=execution)
-    if solver is not None:
-        base = base.with_options(solver=solver)
-    solver_mode = resolve_solver(base.solver)
+    # one snapshot for the whole sweep: every fold's session gets the
+    # route spelled out instead of reading the environment again
+    solver_mode = solver or base.solver or Settings.from_env().solver
+    base = base.with_options(solver=solver_mode)
 
     # CG sweeps factor the sorted-middle alpha first: the reference
     # preconditioner then sits closest (in eigenvalue-shift distance)

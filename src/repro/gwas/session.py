@@ -37,10 +37,9 @@ per-phase traces are the source of the ``phase_flops`` /
 staged session shape (gram → associate → predict) so the two methods
 are driven identically by :class:`~repro.gwas.workflow.GWASWorkflow`.
 
-The legacy estimator classes
-(:class:`~repro.gwas.krr.KernelRidgeRegressionGWAS`,
-:class:`~repro.gwas.ridge.RidgeRegressionGWAS`) are thin wrappers over
-these sessions, kept for backwards compatibility.
+The sessions are the only estimator front door: every fit in the
+library, the workflow, the cross-validation sweep and the serving tier
+drives one of these two classes.
 """
 
 from __future__ import annotations
@@ -52,11 +51,12 @@ import numpy as np
 from repro.distance.build import BuildResult, KernelBuilder
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.linalg.blas3 import gemm, syrk
-from repro.linalg.cg import CGResult, cg_solve, resolve_solver
+from repro.linalg.cg import CGResult, cg_solve
 from repro.linalg.cholesky import CholeskyResult, cholesky
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
 from repro.runtime.runtime import Runtime
+from repro.settings import Settings
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
 
@@ -130,13 +130,22 @@ class KRRSession:
                                workers=config.workers,
                                task_retries=config.task_retries,
                                task_timeout_s=config.task_timeout_s)
+        # The environment is read here, once: what the config leaves
+        # open is fixed for the session's life, not per associate().
+        settings = Settings.from_env()
+        self.solver_ = config.solver or settings.solver
         # Out-of-core tile store (None = fully resident).  Created when
-        # the config sets a budget/directory or REPRO_STORE_BUDGET is
-        # in the environment; the streamed Build, the factorization
-        # workspace and the factor then all live under one residency
-        # budget, with the scheduler pinning each task's tiles.
-        self.store = self._make_store(config)
-        if self.store is not None:
+        # the config or the environment sets a budget, or the config a
+        # directory; the streamed Build, the factorization workspace
+        # and the factor then all live under one residency budget, with
+        # the scheduler pinning each task's tiles.
+        self.store = None
+        budget = config.store_budget_bytes or settings.store_budget_bytes
+        if budget is not None or config.store_dir is not None:
+            from repro.store import TileStore
+
+            self.store = TileStore(directory=config.store_dir,
+                                   budget_bytes=budget)
             self.runtime.attach_store(self.store)
         # Build state
         self.build_result_: BuildResult | None = None
@@ -150,7 +159,7 @@ class KRRSession:
         self.y_means_: np.ndarray | None = None
         self.alpha_: float | None = None
         self.regularization_boosts_: int = 0
-        # CG solver state (``config.solver="cg"`` / ``REPRO_SOLVER=cg``):
+        # CG solver state (the ``"cg"`` route):
         # the regularization of the *reference* factor held in
         # ``factorization_`` — CG preconditions every other alpha with
         # it; ``None`` means the factor (if any) cannot serve as a CG
@@ -175,15 +184,6 @@ class KRRSession:
     # ------------------------------------------------------------------
     # out-of-core store
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make_store(config: KRRConfig):
-        from repro.store import TileStore, resolve_store_budget
-
-        budget = resolve_store_budget(config.store_budget_bytes)
-        if budget is None and config.store_dir is None:
-            return None
-        return TileStore(directory=config.store_dir, budget_bytes=budget)
-
     def store_stats(self):
         """Snapshot of the session store's :class:`~repro.store.StoreStats`.
 
@@ -395,7 +395,8 @@ class KRRSession:
         the cross-validation grid sweeps the regularization axis over a
         single Build.
 
-        The solver route is ``config.solver`` (or ``REPRO_SOLVER``):
+        The solver route is ``config.solver``, else what the environment
+        said when the session was constructed, else ``"direct"``:
 
         * ``"direct"`` — one tiled mixed-precision Cholesky per alpha
           (see :meth:`_direct_factorize`) plus the tiled panel solve.
@@ -423,7 +424,6 @@ class KRRSession:
 
         base = cfg.alpha if alpha is None else float(alpha)
         requested = base if base > 0 else 1e-6
-        solver = resolve_solver(cfg.solver)
 
         y_means = phenotypes.mean(axis=0)
         y_centered = phenotypes - y_means[None, :]
@@ -433,7 +433,7 @@ class KRRSession:
         weights: np.ndarray | None = None
         current = requested
 
-        if (solver == "cg" and self.factorization_ is not None
+        if (self.solver_ == "cg" and self.factorization_ is not None
                 and self._cg_ref_alpha is not None):
             if requested == self._cg_ref_alpha:
                 # the reference factor *is* K + requested*I — the direct
@@ -520,30 +520,17 @@ class KRRSession:
         if (confounders is None) != (self.training_confounders_ is None):
             raise ValueError("confounders must match the training configuration")
 
-    def _effective_batch(self, batch_rows: int | None) -> int | None:
-        """Round the requested batch to a tile-size multiple (min one tile).
-
-        See :func:`effective_batch_rows` for the rationale.
-        """
+    def _batch(self, batch_rows: int | None) -> int | None:
+        if batch_rows is None:
+            batch_rows = self.config.predict_batch_rows
         return effective_batch_rows(self.config.tile_size, batch_rows)
 
     def predict(self, genotypes: np.ndarray,
                 confounders: np.ndarray | None = None,
                 batch_rows: int | None = None,
                 phase: str = "predict") -> np.ndarray:
-        """Predict phenotypes for a new cohort (Algorithm 4), streamed.
-
-        Alias of :meth:`predict_batched` — the streamed row-batch path
-        *is* the Predict phase.
-        """
-        return self.predict_batched(genotypes, confounders,
-                                    batch_rows=batch_rows, phase=phase)
-
-    def predict_batched(self, genotypes: np.ndarray,
-                        confounders: np.ndarray | None = None,
-                        batch_rows: int | None = None,
-                        phase: str = "predict") -> np.ndarray:
-        """Streamed Predict: ``K_test_block · W`` per row batch.
+        """Predict phenotypes for a new cohort (Algorithm 4), streamed:
+        ``K_test_block · W`` per row batch.
 
         ``batch_rows`` overrides ``config.predict_batch_rows``; the
         effective batch is rounded down to a tile-size multiple so the
@@ -556,12 +543,9 @@ class KRRSession:
         """
         genotypes = np.asarray(genotypes)
         self._check_test_cohort(genotypes, confounders)
-        batch = self._effective_batch(
-            self.config.predict_batch_rows if batch_rows is None
-            else batch_rows)
         builder = self._builder(self.gamma_, trace_phase=phase)
-        return self._stream_predict(builder, genotypes, confounders, batch,
-                                    phase)
+        return self._stream_predict(builder, genotypes, confounders,
+                                    self._batch(batch_rows), phase)
 
     def predict_many(self, genotype_list, confounder_list=None,
                      batch_rows: int | None = None,
@@ -591,9 +575,7 @@ class KRRSession:
             self._check_test_cohort(g, c)
         if not cohorts:
             return []
-        batch = self._effective_batch(
-            self.config.predict_batch_rows if batch_rows is None
-            else batch_rows)
+        batch = self._batch(batch_rows)
         builder = self._builder(self.gamma_, trace_phase=phase)
         cache = builder.train_operands(self.training_genotypes_,
                                        self.training_confounders_)

@@ -23,7 +23,7 @@ from repro.linalg.kernels import tile_gemm, tile_potrf, tile_syrk, tile_trsm
 from repro.linalg.cholesky import CholeskyResult, cholesky, cholesky_flops
 from repro.linalg.solve import solve_cholesky, solve_triangular
 from repro.linalg.blas3 import gemm, syrk
-from repro.linalg.cg import CGResult, cg_solve, kernel_matvec, resolve_solver
+from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
 from repro.linalg.refinement import RefinementResult, iterative_refinement_solve
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "cg_solve",
     "CGResult",
     "kernel_matvec",
-    "resolve_solver",
     "iterative_refinement_solve",
     "RefinementResult",
 ]

@@ -33,7 +33,6 @@ budgets.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,32 +47,7 @@ from repro.runtime.task import AccessMode, BodySpec, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
-__all__ = [
-    "CGResult",
-    "SOLVER_ENV",
-    "SOLVER_MODES",
-    "cg_solve",
-    "kernel_matvec",
-    "resolve_solver",
-]
-
-#: Environment override for the session solver, mirroring
-#: ``REPRO_WORKERS`` / ``REPRO_EXECUTION`` — CI re-runs the whole suite
-#: under ``REPRO_SOLVER=cg`` without touching call sites.
-SOLVER_ENV = "REPRO_SOLVER"
-
-#: Solver routes accepted by :func:`resolve_solver` and
-#: ``KRRConfig.solver``.
-SOLVER_MODES = ("direct", "cg")
-
-
-def resolve_solver(solver: str | None = None) -> str:
-    """Resolve a solver route (explicit > ``REPRO_SOLVER`` > direct)."""
-    mode = solver or os.environ.get(SOLVER_ENV) or "direct"
-    if mode not in SOLVER_MODES:
-        raise ValueError(
-            f"solver must be one of {SOLVER_MODES}, got {mode!r}")
-    return mode
+__all__ = ["CGResult", "cg_solve", "kernel_matvec"]
 
 
 @dataclass

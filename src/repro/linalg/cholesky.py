@@ -55,6 +55,7 @@ from repro.linalg.kernels import (
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, TaskSpec, TileInput
+from repro.settings import Settings
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
@@ -146,8 +147,7 @@ def cholesky(
         ``"serial"`` (the host-ordered reference elimination, no task
         graph).  Ignored when ``runtime`` is given.
     workers:
-        Worker threads of an ephemeral threaded runtime (``None``
-        resolves through ``REPRO_WORKERS`` / cpu count).
+        Worker threads of an ephemeral threaded runtime.
     phase:
         Trace-phase label of the runtime run (sessions pass
         ``"associate"`` so the factorization lands in the Associate
@@ -189,17 +189,12 @@ def cholesky(
 
     result = CholeskyResult(factor=tiled, flops=0.0)
 
-    if runtime is None:
-        from repro.runtime.runtime import resolve_execution
-
-        mode = resolve_execution(execution)
-        if mode == "serial":
-            _cholesky_direct(tiled, working_precision, tile_precision, result)
-        else:
-            ephemeral = Runtime(execution=mode, workers=workers)
-            _cholesky_runtime(tiled, nt, working_precision, tile_precision,
-                              result, ephemeral, phase)
+    if runtime is None and (
+            execution or Settings.from_env().execution) == "serial":
+        _cholesky_direct(tiled, working_precision, tile_precision, result)
     else:
+        if runtime is None:
+            runtime = Runtime(execution=execution, workers=workers)
         _cholesky_runtime(tiled, nt, working_precision, tile_precision, result,
                           runtime, phase)
 

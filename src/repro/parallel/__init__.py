@@ -40,22 +40,15 @@ from repro.parallel.descriptors import (
     TrsmSpec,
 )
 from repro.parallel.exchange import ExchangeSpec, PayloadRef, TileExchange
-from repro.parallel.pool import (
-    BLAS_THREADS_ENV,
-    MP_START_ENV,
-    ProcessPool,
-    effective_cpu_count,
-)
+from repro.parallel.pool import ProcessPool, effective_cpu_count
 
 __all__ = [
     "ALL_SPEC_KINDS",
-    "BLAS_THREADS_ENV",
     "BodySpec",
     "BuildRowSpec",
     "DenseGemmSpec",
     "ExchangeSpec",
     "GemmTrailSpec",
-    "MP_START_ENV",
     "ObjectInput",
     "PayloadRef",
     "PotrfSpec",

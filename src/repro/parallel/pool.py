@@ -1,17 +1,15 @@
 """Worker-process pool of the process backend.
 
-Owns worker lifecycles (spawn, respawn-after-crash, clean shutdown),
+Owns worker lifecycles (fork, respawn-after-crash, clean shutdown),
 the pipe per worker, the shared exchange directory, and the BLAS
 thread budget: each worker is capped to
-``max(1, effective_cpu_count() // workers)`` BLAS threads (override
-with ``REPRO_BLAS_THREADS``) so ``workers × blas_threads`` never
-oversubscribes the machine — the classic failure mode of nesting an
-OpenMP BLAS under a process pool.
+``max(1, effective_cpu_count() // workers)`` BLAS threads so
+``workers × blas_threads`` never oversubscribes the machine — the
+classic failure mode of nesting an OpenMP BLAS under a process pool.
 
-The multiprocessing start method defaults to ``fork`` (cheap, shares
-the parent's loaded BLAS and imported modules) and can be forced with
-``REPRO_MP_START=spawn|forkserver`` on platforms where fork is
-hazardous.
+Workers are forked (cheap, and they share the parent's loaded BLAS and
+imported modules); a platform without ``fork`` gets a
+``NotImplementedError`` when the pool is built.
 """
 
 from __future__ import annotations
@@ -22,17 +20,9 @@ import shutil
 import tempfile
 
 from repro.parallel.exchange import ExchangeSpec, TileExchange
-from repro.parallel.worker import _BLAS_ENV_VARS, worker_main
+from repro.parallel.worker import worker_main
 
-__all__ = [
-    "BLAS_THREADS_ENV",
-    "MP_START_ENV",
-    "ProcessPool",
-    "effective_cpu_count",
-]
-
-MP_START_ENV = "REPRO_MP_START"
-BLAS_THREADS_ENV = "REPRO_BLAS_THREADS"
+__all__ = ["ProcessPool", "effective_cpu_count"]
 
 
 def effective_cpu_count() -> int:
@@ -46,27 +36,6 @@ def effective_cpu_count() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def _resolve_blas_threads(workers: int) -> int:
-    env = os.environ.get(BLAS_THREADS_ENV)
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(
-                f"{BLAS_THREADS_ENV} must be an integer >= 1, got {env!r}")
-        return value
-    return max(1, effective_cpu_count() // max(1, workers))
-
-
-def _resolve_start_method(method: str | None) -> str:
-    if method is None:
-        method = os.environ.get(MP_START_ENV) or "fork"
-    if method not in mp.get_all_start_methods():
-        raise ValueError(
-            f"{MP_START_ENV} must be one of {mp.get_all_start_methods()}, "
-            f"got {method!r}")
-    return method
 
 
 class _WorkerHandle:
@@ -86,13 +55,15 @@ class _WorkerHandle:
 class ProcessPool:
     """A fixed-size pool of task workers plus the coordinator exchange."""
 
-    def __init__(self, workers: int, start_method: str | None = None,
-                 blas_threads: int | None = None) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = max(1, int(workers))
-        self.blas_threads = (int(blas_threads) if blas_threads
-                             else _resolve_blas_threads(self.workers))
-        method = _resolve_start_method(start_method)
-        self._ctx = mp.get_context(method)
+        self.blas_threads = max(1, effective_cpu_count() // self.workers)
+        try:
+            self._ctx = mp.get_context("fork")
+        except ValueError:
+            raise NotImplementedError(
+                'execution="process" forks its workers, and this platform '
+                "has no fork start method") from None
         self.spec = ExchangeSpec(
             directory=tempfile.mkdtemp(prefix="repro-xchg-"))
         #: Coordinator endpoint: publishes task inputs, reads outputs.
@@ -112,25 +83,14 @@ class ProcessPool:
     def _spawn(self, index: int, generation: int) -> _WorkerHandle:
         tag = f"w{index}g{generation}"
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Exported before the fork/spawn so a `spawn` child's BLAS
-        # (loaded after env inheritance) starts capped; restored so the
-        # coordinator's own BLAS budget is untouched.
-        saved = {var: os.environ.get(var) for var in _BLAS_ENV_VARS}
-        for var in _BLAS_ENV_VARS:
-            os.environ[var] = str(self.blas_threads)
-        try:
-            process = self._ctx.Process(
-                target=worker_main,
-                args=(index, tag, child_conn, self.spec, self.blas_threads),
-                name=f"repro-worker-{index}",
-                daemon=True)
-            process.start()
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
+        # the child caps its own BLAS in its bootstrap: a forked BLAS is
+        # already loaded, so nothing exported here would reach it
+        process = self._ctx.Process(
+            target=worker_main,
+            args=(index, tag, child_conn, self.spec, self.blas_threads),
+            name=f"repro-worker-{index}",
+            daemon=True)
+        process.start()
         child_conn.close()
         return _WorkerHandle(process, parent_conn, tag, generation)
 

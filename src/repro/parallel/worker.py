@@ -13,17 +13,16 @@ worker → coordinator
     ``("ok", uid, output_refs)`` or ``("err", uid, exc_blob)``.
 
 Workers re-resolve the ``REPRO_FAULTS`` plan from their own
-environment (fork/spawn inherits it) with fresh per-process counters —
+environment (the fork inherits it) with fresh per-process counters —
 the dedicated ``worker-kill`` site lets chaos tests hard-kill a worker
 mid-task via ``os._exit``, which the coordinator observes as a closed
 pipe and treats as a transient :class:`WorkerCrashError`.
 
-BLAS thread capping: the pool exports ``*_NUM_THREADS=<cap>`` before
-spawning (effective for ``spawn`` children, whose BLAS loads fresh),
-and the bootstrap additionally applies ``threadpoolctl`` when it is
-installed — the only way to re-limit an already-loaded BLAS under
-``fork``.  threadpoolctl is optional; without it a forked worker
-inherits the parent's BLAS thread count.
+BLAS thread capping: the bootstrap exports ``*_NUM_THREADS=<cap>``
+(for anything the worker itself launches) and applies ``threadpoolctl``
+when it is installed — the only way to re-limit the already-loaded BLAS
+a fork inherits.  threadpoolctl is optional; without it a worker keeps
+the parent's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -97,9 +96,8 @@ def _limit_blas_threads(limit: int) -> None:
 
         threadpool_limits(limits=int(limit))
     except Exception:
-        # threadpoolctl is optional; under `spawn` the env vars above
-        # already cap BLAS (it loads after them), under `fork` a loaded
-        # BLAS keeps the parent's setting.
+        # threadpoolctl is optional; without it the forked, already
+        # loaded BLAS keeps the parent's setting.
         pass
 
 

@@ -19,13 +19,13 @@ from repro.resilience.errors import (
     ServiceOverloadedError,
     StoreCorruptionError,
     TaskFailure,
+    TaskGraphCycleError,
     TaskGroupError,
     TaskTimeoutError,
     WorkerCrashError,
     is_transient,
 )
 from repro.resilience.faults import (
-    FAULTS_ENV,
     SITE_CORRUPT_READ,
     SITE_SEGMENT_READ,
     SITE_SEGMENT_WRITE,
@@ -46,7 +46,7 @@ from repro.resilience.faults import (
     parse_faults,
     reset_child_state,
 )
-from repro.resilience.retry import RETRIES_ENV, RetryPolicy, resolve_retry_policy
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "DeadlineExceededError",
@@ -56,12 +56,11 @@ __all__ = [
     "ServiceOverloadedError",
     "StoreCorruptionError",
     "TaskFailure",
+    "TaskGraphCycleError",
     "TaskGroupError",
     "TaskTimeoutError",
     "WorkerCrashError",
     "is_transient",
-    "FAULTS_ENV",
-    "RETRIES_ENV",
     "SITE_CORRUPT_READ",
     "SITE_SEGMENT_READ",
     "SITE_SEGMENT_WRITE",
@@ -82,5 +81,4 @@ __all__ = [
     "no_faults",
     "parse_faults",
     "reset_child_state",
-    "resolve_retry_policy",
 ]

@@ -12,6 +12,8 @@ mortem without re-running it:
     historical behaviour of re-raising an arbitrary first failure.
 ``TaskTimeoutError``
     A task exceeded the scheduler's per-task timeout (stalled worker).
+``TaskGraphCycleError``
+    A task graph has a dependency cycle, so no execution order exists.
 ``WorkerCrashError``
     A process-backend worker died mid-task (killed, OOM'd, crashed).
     *Transient*: the coordinator respawns the worker and retries the
@@ -43,6 +45,7 @@ __all__ = [
     "InjectedFault",
     "InjectedIOError",
     "TaskFailure",
+    "TaskGraphCycleError",
     "TaskGroupError",
     "TaskTimeoutError",
     "WorkerCrashError",
@@ -119,6 +122,10 @@ class TaskTimeoutError(RuntimeError):
         super().__init__(
             f"task {task_name!r}#{task_uid} (tag={tag!r}) exceeded the "
             f"per-task timeout: {elapsed_s:.3f}s > {timeout_s:.3f}s")
+
+
+class TaskGraphCycleError(RuntimeError):
+    """A task graph has a dependency cycle: it cannot be ordered or drained."""
 
 
 class WorkerCrashError(RuntimeError):

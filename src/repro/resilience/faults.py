@@ -29,8 +29,8 @@ Plans come from two places, checked in order:
 
 1. an explicitly installed plan (:func:`install_plan` or the
    :func:`fault_plan` context manager — tests use this), or
-2. the ``REPRO_FAULTS`` environment variable, parsed once per distinct
-   value, e.g.::
+2. the ``REPRO_FAULTS`` environment variable (read through
+   :mod:`repro.settings`), parsed once per distinct value, e.g.::
 
        REPRO_FAULTS="seed=42;task-body:raise:every=97;corrupt-read:corrupt:times=2"
 
@@ -39,7 +39,6 @@ Sites are zero-cost when no plan is active (one global read).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import zlib
@@ -47,9 +46,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.resilience.errors import InjectedFault, InjectedIOError
+from repro.settings import ENVIRONMENT, read
 
 __all__ = [
-    "FAULTS_ENV",
     "SITE_TASK_BODY",
     "SITE_WORKER_STALL",
     "SITE_SEGMENT_READ",
@@ -70,8 +69,6 @@ __all__ = [
     "corrupt_bytes",
     "reset_child_state",
 ]
-
-FAULTS_ENV = "REPRO_FAULTS"
 
 SITE_TASK_BODY = "task-body"
 SITE_WORKER_STALL = "worker-stall"
@@ -224,7 +221,8 @@ def parse_faults(text: str) -> FaultPlan:
     ``seed=42;site:kind:opt=val:...;site2:kind2`` — entries separated
     by ``;``, options by ``:``.  Options: ``every``, ``times``,
     ``after``, ``match``, ``rate``, ``delay`` (seconds) and
-    ``transient`` (0/1).
+    ``transient`` (0/1).  Any malformed or out-of-range entry is a
+    ``ValueError`` naming the variable and the entry.
     """
     seed = 0
     sites: list[FaultSite] = []
@@ -232,37 +230,33 @@ def parse_faults(text: str) -> FaultPlan:
         entry = entry.strip()
         if not entry:
             continue
-        if entry.startswith("seed="):
-            seed = int(entry[len("seed="):])
-            continue
-        parts = entry.split(":")
-        site = parts[0].strip()
-        kind = parts[1].strip() if len(parts) > 1 and parts[1].strip() else "raise"
-        kwargs: dict[str, object] = {}
-        for opt in parts[2:]:
-            opt = opt.strip()
-            if not opt:
+        try:
+            if entry.startswith("seed="):
+                seed = int(entry[len("seed="):])
                 continue
-            if "=" not in opt:
-                raise ValueError(
-                    f"malformed {FAULTS_ENV} option {opt!r} in {entry!r}")
-            name, _, value = opt.partition("=")
-            name = name.strip()
-            value = value.strip()
-            if name in ("every", "times", "after"):
-                kwargs[name] = int(value)
-            elif name == "rate":
-                kwargs[name] = float(value)
-            elif name == "delay":
-                kwargs["delay_s"] = float(value)
-            elif name == "transient":
-                kwargs["transient"] = value not in ("0", "false", "no")
-            elif name == "match":
-                kwargs["match"] = value
-            else:
-                raise ValueError(
-                    f"unknown {FAULTS_ENV} option {name!r} in {entry!r}")
-        sites.append(FaultSite(site=site, kind=kind, **kwargs))
+            parts = [part.strip() for part in entry.split(":")]
+            kwargs: dict[str, object] = {}
+            for opt in filter(None, parts[2:]):
+                name, eq, value = (s.strip() for s in opt.partition("="))
+                if not eq:
+                    raise ValueError(f"malformed option {opt!r}")
+                if name in ("every", "times", "after"):
+                    kwargs[name] = int(value)
+                elif name == "rate":
+                    kwargs[name] = float(value)
+                elif name == "delay":
+                    kwargs["delay_s"] = float(value)
+                elif name == "transient":
+                    kwargs["transient"] = value not in ("0", "false", "no")
+                elif name == "match":
+                    kwargs["match"] = value
+                else:
+                    raise ValueError(f"unknown option {name!r}")
+            kind = parts[1] if len(parts) > 1 and parts[1] else "raise"
+            sites.append(FaultSite(site=parts[0], kind=kind, **kwargs))
+        except ValueError as exc:
+            raise ValueError(
+                f"{ENVIRONMENT['faults']} entry {entry!r}: {exc}") from None
     return FaultPlan(sites, seed=seed)
 
 
@@ -281,11 +275,11 @@ def _plan_from_env() -> FaultPlan | None:
     still noticing monkeypatched env changes.
     """
     global _env_text, _env_plan
-    text = os.environ.get(FAULTS_ENV)
+    text = read("faults")
     with _env_lock:
         if text != _env_text:
-            _env_text = text
             _env_plan = parse_faults(text) if text else None
+            _env_text = text
         return _env_plan
 
 

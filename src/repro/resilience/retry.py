@@ -11,15 +11,12 @@ runs deterministic end to end.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 
 from repro.resilience.errors import is_transient
 
-__all__ = ["RETRIES_ENV", "RetryPolicy", "resolve_retry_policy"]
-
-RETRIES_ENV = "REPRO_TASK_RETRIES"
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -58,18 +55,3 @@ class RetryPolicy:
         h = zlib.crc32(f"{self.seed}:{key}:{attempt}".encode()) & 0xFFFFFFFF
         return raw * (1.0 - self.jitter * (h / 2.0 ** 32))
 
-
-def resolve_retry_policy(task_retries: int | None = None,
-                         env: str | None = None) -> RetryPolicy | None:
-    """Resolve the effective retry policy for a scheduler.
-
-    Explicit ``task_retries`` wins; otherwise ``REPRO_TASK_RETRIES``
-    applies (so a chaos CI job can switch retries on suite-wide);
-    otherwise ``None`` — fail-fast, the historical behaviour.
-    """
-    if task_retries is not None:
-        return RetryPolicy(max_retries=int(task_retries))
-    text = env if env is not None else os.environ.get(RETRIES_ENV)
-    if text:
-        return RetryPolicy(max_retries=max(0, int(text)))
-    return None

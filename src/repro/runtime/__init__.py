@@ -41,7 +41,7 @@ from repro.runtime.scheduler import (
     ScheduleResult,
     SchedulerError,
 )
-from repro.runtime.runtime import Runtime, resolve_execution, resolve_workers
+from repro.runtime.runtime import Runtime
 from repro.runtime.replay import replay
 from repro.resilience.errors import (
     TaskFailure,
@@ -69,8 +69,6 @@ __all__ = [
     "SchedulerError",
     "Runtime",
     "replay",
-    "resolve_execution",
-    "resolve_workers",
     "TaskFailure",
     "TaskGroupError",
     "TaskTimeoutError",

@@ -8,14 +8,12 @@ dataflow runtime:
 * write-after-read  → anti dependency,
 * write-after-write → output dependency.
 
-The underlying graph is a :class:`networkx.DiGraph`.  Ordering and cycle
-detection are done here (:meth:`TaskGraph._kahn`) rather than by
-networkx's algorithms: those read ``DiGraph.in_degree``, a view networkx
-caches *on the graph*, and the graph then refers to itself.  A drained
-graph would stay alive until the cyclic collector runs, and with it every
-operand its tasks' descriptors hold - a serving session kept one
-cross-kernel block per request that way.  Without the view a graph is
-freed the moment the runtime lets go of it.
+The adjacency is two plain dicts, ``pred`` and ``succ``, each mapping a
+task to ``{neighbour: edge kind}`` in insertion order.  Nothing in the
+graph refers back to the graph, so a drained one is freed the moment the
+runtime lets go of it, and with it every operand its tasks' descriptors
+hold - a serving session would otherwise keep one cross-kernel block per
+request until the cyclic collector runs.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 
-import networkx as nx
-
+from repro.resilience.errors import TaskGraphCycleError
 from repro.runtime.task import AccessMode, DataHandle, Task
 
 
@@ -32,7 +29,9 @@ class TaskGraph:
     """Directed acyclic graph of :class:`~repro.runtime.task.Task`."""
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
+        #: task -> {predecessor / successor: "RAW" | "WAR" | "WAW"}
+        self.pred: dict[Task, dict[Task, str]] = {}
+        self.succ: dict[Task, dict[Task, str]] = {}
         self._tasks: list[Task] = []
         # per-handle access history used to derive dependencies
         self._last_writer: dict[DataHandle, Task] = {}
@@ -41,23 +40,27 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def _add_edge(self, before: Task, after: Task, kind: str) -> None:
+        self.succ[before][after] = self.pred[after][before] = kind
+
     def add_task(self, task: Task) -> Task:
         """Insert a task, deriving dependency edges from its accesses."""
-        self.graph.add_node(task)
+        self.pred.setdefault(task, {})
+        self.succ.setdefault(task, {})
         self._tasks.append(task)
         for handle, mode in task.accesses:
             if mode.reads:
                 writer = self._last_writer.get(handle)
                 if writer is not None and writer is not task:
-                    self.graph.add_edge(writer, task, handle=handle, kind="RAW")
+                    self._add_edge(writer, task, "RAW")
             if mode.writes:
                 # order after previous readers (WAR) and the previous writer (WAW)
                 for reader in self._readers_since_write.get(handle, []):
                     if reader is not task:
-                        self.graph.add_edge(reader, task, handle=handle, kind="WAR")
+                        self._add_edge(reader, task, "WAR")
                 writer = self._last_writer.get(handle)
                 if writer is not None and writer is not task:
-                    self.graph.add_edge(writer, task, handle=handle, kind="WAW")
+                    self._add_edge(writer, task, "WAW")
         # update history after edges are derived
         for handle, mode in task.accesses:
             if mode.writes:
@@ -103,13 +106,13 @@ class TaskGraph:
 
     @property
     def num_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return sum(len(after) for after in self.succ.values())
 
     def predecessors(self, task: Task) -> list[Task]:
-        return list(self.graph.predecessors(task))
+        return list(self.pred[task])
 
     def successors(self, task: Task) -> list[Task]:
-        return list(self.graph.successors(task))
+        return list(self.succ[task])
 
     def _kahn(self, by_priority: bool = False) -> list[Task]:
         """Tasks in dependency order, the earliest-inserted ready task first
@@ -121,7 +124,7 @@ class TaskGraph:
         if by_priority:  # a stable sort keeps insertion order within a priority
             tasks = sorted(tasks, key=lambda t: -t.priority)
         rank = {t: i for i, t in enumerate(tasks)}
-        pred, succ = self.graph.pred, self.graph.succ
+        pred, succ = self.pred, self.succ
         indegree = {t: len(pred[t]) for t in tasks}
         ready = [i for t, i in rank.items() if indegree[t] == 0]  # sorted
         order: list[Task] = []
@@ -145,7 +148,7 @@ class TaskGraph:
         """
         order = self._kahn(by_priority)
         if len(order) != len(self._tasks):
-            raise nx.NetworkXUnfeasible("task graph contains a cycle")
+            raise TaskGraphCycleError("task graph contains a cycle")
         return order
 
     def total_flops(self) -> float:

@@ -27,65 +27,18 @@ state is silently rebuilt between runs.
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 import numpy as np
 
 from repro.precision.formats import Precision
 from repro.resilience.errors import TaskGroupError
-from repro.resilience.retry import RetryPolicy, resolve_retry_policy
+from repro.resilience.retry import RetryPolicy
 from repro.runtime.dag import TaskGraph
-from repro.runtime.scheduler import (
-    EXECUTION_MODES,
-    ScheduleResult,
-    Scheduler,
-)
+from repro.runtime.scheduler import ScheduleResult, Scheduler
 from repro.runtime.task import AccessMode, DataHandle, Task
 from repro.runtime.trace import ExecutionTrace
-
-#: Environment overrides, used by CI to re-run the whole test suite
-#: under a different concurrency level without touching call sites.
-WORKERS_ENV = "REPRO_WORKERS"
-EXECUTION_ENV = "REPRO_EXECUTION"
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Resolve a worker count (threads or processes).
-
-    Explicit values win; ``None`` consults the ``REPRO_WORKERS``
-    environment variable and finally defaults to ``min(8, cpu_count)``.
-    Invalid values — non-integers or anything below 1 — raise a typed
-    ``ValueError`` naming the offending knob instead of being silently
-    clamped.
-    """
-    if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1 (or None), got {workers}")
-        return workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer >= 1, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
-        return value
-    return min(8, os.cpu_count() or 1)
-
-
-def resolve_execution(execution: str | None = None) -> str:
-    """Resolve an execution mode (explicit > ``REPRO_EXECUTION`` > threaded)."""
-    mode = execution or os.environ.get(EXECUTION_ENV) or "threaded"
-    if mode not in EXECUTION_MODES:
-        raise ValueError(
-            f"execution must be one of {EXECUTION_MODES}, got {mode!r}")
-    return mode
+from repro.settings import Settings
 
 
 class Runtime:
@@ -102,13 +55,11 @@ class Runtime:
         accelerators is a separate question, answered without running
         it by :func:`repro.runtime.replay.replay` on :attr:`last_graph`.
     workers:
-        Worker threads/processes of the threaded/process modes;
-        ``None`` resolves through :func:`resolve_workers`
-        (``REPRO_WORKERS`` env var, then ``min(8, cpu_count)``).
+        Worker threads/processes of the threaded/process modes.
     task_retries:
         Transient-failure retry budget per task (see
-        :class:`~repro.resilience.retry.RetryPolicy`); ``None`` resolves
-        through ``REPRO_TASK_RETRIES`` and finally to fail-fast.
+        :class:`~repro.resilience.retry.RetryPolicy`); unset anywhere,
+        tasks fail fast.
     task_timeout_s:
         Per-task wall-clock budget; overruns become
         :class:`~repro.resilience.errors.TaskTimeoutError` failures
@@ -116,6 +67,10 @@ class Runtime:
     retry_policy:
         Full :class:`~repro.resilience.retry.RetryPolicy` override
         (backoff pacing, jitter seed); wins over ``task_retries``.
+
+    ``execution`` and ``workers`` left ``None`` take the field of
+    :meth:`repro.settings.Settings.from_env`, read here; the scheduler
+    does the same for ``task_retries``.
     """
 
     def __init__(
@@ -126,17 +81,23 @@ class Runtime:
         task_timeout_s: float | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        self.execution = resolve_execution(execution)
-        self.workers = resolve_workers(workers)
+        settings = Settings.from_env()
+        if workers is None:
+            workers = settings.workers
+        elif int(workers) < 1:
+            raise ValueError(f"workers must be >= 1 (or None), got {workers}")
+        if retry_policy is None and task_retries is not None:
+            retry_policy = RetryPolicy(max_retries=int(task_retries))
         self.graph = TaskGraph()  # pending (not yet run) tasks
         # the one and only scheduler of this runtime — reused by every
         # run() so repeated runs never silently rebuild executor state
         self.scheduler = Scheduler(
-            execution=self.execution, workers=self.workers,
-            retry_policy=(retry_policy if retry_policy is not None
-                          else resolve_retry_policy(task_retries)),
-            task_timeout_s=task_timeout_s,
+            execution=execution or settings.execution,
+            workers=workers,
+            retry_policy=retry_policy, task_timeout_s=task_timeout_s,
         )
+        self.execution = self.scheduler.execution
+        self.workers = self.scheduler.workers
         self._handles: dict[str, DataHandle] = {}
         self._handle_uids: set[int] = set()
         self._namespaces: dict[str, int] = {}

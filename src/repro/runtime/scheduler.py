@@ -58,16 +58,20 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.resilience.errors import TaskFailure, TaskGroupError, TaskTimeoutError
+from repro.resilience.errors import (
+    TaskFailure,
+    TaskGraphCycleError,
+    TaskGroupError,
+    TaskTimeoutError,
+)
 from repro.resilience.faults import SITE_TASK_BODY, SITE_WORKER_STALL, active_plan
-from repro.resilience.retry import RetryPolicy, resolve_retry_policy
+from repro.resilience.retry import RetryPolicy
 from repro.runtime.comm import CommunicationEngine
 from repro.runtime.dag import TaskGraph
 from repro.runtime.device import Device, HOST_WORKER, make_devices
 from repro.runtime.task import Task
 from repro.runtime.trace import ExecutionTrace
-
-EXECUTION_MODES = ("threaded", "serial", "process")
+from repro.settings import EXECUTION_MODES, Settings
 
 
 @dataclass
@@ -391,9 +395,9 @@ class Scheduler:
         mode.  Used by the out-of-core store to pin/prefetch task tiles.
     retry_policy:
         Pacing of per-task re-execution after *transient* failures
-        (``None`` resolves from ``REPRO_TASK_RETRIES``, else fail-fast;
-        pass ``RetryPolicy(max_retries=0)`` to force fail-fast even
-        when the env knob is set).
+        (``None`` takes ``Settings.from_env().task_retries``, else
+        fail-fast; pass ``RetryPolicy(max_retries=0)`` to force
+        fail-fast even when the environment sets retries).
     task_timeout_s:
         Per-task wall-clock budget; an overrun is a
         :class:`TaskTimeoutError` failure of that task.  Checked post
@@ -416,14 +420,16 @@ class Scheduler:
             )
         self.workers = max(1, int(self.workers))
         if self.retry_policy is None:
-            self.retry_policy = resolve_retry_policy()
+            retries = Settings.from_env().task_retries
+            if retries is not None:
+                self.retry_policy = RetryPolicy(max_retries=retries)
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive")
 
     def run(self, graph: TaskGraph) -> ScheduleResult:
         """Execute (and time) ``graph`` under the configured mode."""
         if not graph.is_acyclic():
-            raise RuntimeError("task graph contains a cycle")
+            raise TaskGraphCycleError("task graph contains a cycle")
         if self.execution == "process":
             from repro.parallel.executor import process_lane
 

@@ -20,9 +20,8 @@ cohort keeps solo tile-aligned block shapes — see
 Throughput contract: coalescing amortizes the per-predict fixed costs —
 quantization and BLAS float casts of the training panel, its squared
 norms, builder setup — across every request in the micro-batch;
-``benchmarks/test_bench_serve.py`` records the micro-batched vs
-per-request throughput on a 2048-cohort model under 8 concurrent
-clients.
+the ``serve_burst`` workload of ``BENCHMARK.json`` measures the
+resulting throughput and latency with 8 requests outstanding.
 """
 
 from __future__ import annotations

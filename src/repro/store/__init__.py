@@ -23,13 +23,9 @@ from repro.resilience.errors import StoreCorruptionError
 from repro.store.hooks import StoreSchedulerHooks
 from repro.store.stats import ResidencyManager, StoreStats
 from repro.store.store import (
-    STORE_BUDGET_ENV,
-    STORE_DIR_ENV,
     StoreBinding,
     StoreVerifyReport,
     TileStore,
-    parse_bytes,
-    resolve_store_budget,
 )
 
 __all__ = [
@@ -40,8 +36,4 @@ __all__ = [
     "ResidencyManager",
     "StoreStats",
     "StoreSchedulerHooks",
-    "STORE_BUDGET_ENV",
-    "STORE_DIR_ENV",
-    "parse_bytes",
-    "resolve_store_budget",
 ]

@@ -3,8 +3,8 @@
 ``StoreStats`` is the observable contract of :class:`~repro.store.TileStore`:
 the acceptance criterion of the out-of-core pipeline is *peak resident
 tile bytes under budget with bitwise-identical results*, and these
-counters are what tests, the ``BENCH_oocore`` harness and the examples
-assert that claim against.
+counters are what tests, the ``oocore_fit`` workload of ``bench/`` and
+the examples assert that claim against.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class StoreStats:
         return replace(self)
 
     def to_dict(self) -> dict:
-        """JSON-ready view for benchmark artifacts (``BENCH_oocore``)."""
+        """JSON-ready view (``bench/`` reads its ``store.*`` counters here)."""
         return {
             "budget_bytes": self.budget_bytes,
             "resident_bytes": self.resident_bytes,

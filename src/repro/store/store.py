@@ -66,47 +66,10 @@ __all__ = [
     "StoreCorruptionError",
     "StoreVerifyReport",
     "TileDep",
-    "STORE_BUDGET_ENV",
-    "STORE_DIR_ENV",
-    "resolve_store_budget",
 ]
-
-#: Environment override of the residency budget (bytes; ``k``/``m``/``g``
-#: suffixes accepted).  CI's tier-1 store variant sets this to force the
-#: whole suite through the spill/reload paths.
-STORE_BUDGET_ENV = "REPRO_STORE_BUDGET"
-#: Optional environment override of the spill directory.
-STORE_DIR_ENV = "REPRO_STORE_DIR"
-
-_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
 #: A task's declared tile dependency: ``(binding, (i, j))``.
 TileDep = tuple["StoreBinding", tuple[int, int]]
-
-
-def parse_bytes(text: str) -> int:
-    """Parse ``"1048576"`` / ``"64m"`` / ``"2G"`` into a byte count."""
-    text = text.strip().lower()
-    if not text:
-        raise ValueError("empty byte size")
-    scale = 1
-    if text[-1] in _SUFFIXES:
-        scale = _SUFFIXES[text[-1]]
-        text = text[:-1]
-    return int(float(text) * scale)
-
-
-def resolve_store_budget(budget: int | None = None) -> int | None:
-    """Resolve a store budget: explicit value, else ``REPRO_STORE_BUDGET``.
-
-    Returns ``None`` when neither is set (no store is created).
-    """
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(STORE_BUDGET_ENV)
-    if env:
-        return parse_bytes(env)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -507,28 +470,24 @@ class TileStore:
     Parameters
     ----------
     directory:
-        Where segment files live.  ``None`` creates a private temporary
-        directory that is removed when the store is closed or garbage
-        collected; an explicit directory is left in place (only the
-        ``seg-*.bin`` files are removed on close).
+        Where segment files live.  ``None`` creates a private directory
+        under ``TMPDIR`` that is removed when the store is closed or
+        garbage collected; an explicit directory is left in place (only
+        the ``seg-*.bin`` files are removed on close).
     budget_bytes:
         Residency budget over all bound matrices (storage-precision
         bytes).  ``None`` disables eviction — the store then only spills
         on request (``adopt``) and for artifact-backed loads.
-    prefetch:
-        Enable the background reader that fault-ins upcoming tiles
-        announced by the scheduler hooks (see
-        :class:`~repro.store.hooks.StoreSchedulerHooks`).  Prefetch is
-        strictly best-effort: it never evicts to make room.
+
+    A background reader faults in the upcoming tiles the scheduler
+    hooks announce (:class:`~repro.store.hooks.StoreSchedulerHooks`),
+    strictly best-effort: it never evicts to make room.
     """
 
     def __init__(self, directory: str | Path | None = None,
-                 budget_bytes: int | None = None,
-                 prefetch: bool = True) -> None:
+                 budget_bytes: int | None = None) -> None:
         self._lock = threading.RLock()
         self.residency = ResidencyManager(budget_bytes)
-        if directory is None:
-            directory = os.environ.get(STORE_DIR_ENV) or None
         self._owns_directory = directory is None
         self.directory = Path(tempfile.mkdtemp(prefix="repro-store-")
                               if directory is None else directory)
@@ -538,7 +497,6 @@ class TileStore:
         self._segments: list[_Segment] = []
         self._closed = False
 
-        self._prefetch_enabled = bool(prefetch)
         self._queue: deque[TileDep] = deque()
         self._queue_cv = threading.Condition()
         self._stop = threading.Event()
@@ -767,7 +725,7 @@ class TileStore:
 
     def prefetch(self, deps: Iterable[TileDep]) -> None:
         """Queue tiles for the background reader (best-effort)."""
-        if not self._prefetch_enabled or self._closed:
+        if self._closed:
             return
         deps = [d for d in deps if d[0].store is self]
         if not deps:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.distance.build import BuildStats, KernelBuilder
-from repro.distance.euclidean import squared_euclidean_gemm
+from repro.distance.euclidean import squared_euclidean_gemm, squared_norms
 from repro.distance.kernels import gaussian_kernel
 from repro.precision.formats import Precision
+from repro.runtime.runtime import Runtime
 from repro.tiles.adaptive import AdaptivePrecisionRule, candidates_for_gpu
 from repro.tiles.matrix import TileMatrix
 
@@ -69,6 +70,60 @@ class TestSeedPathRegression:
         streamed = builder.build_cross(test, train).to_dense()
         reference = gaussian_kernel(squared_euclidean_gemm(test, train), 0.03)
         np.testing.assert_array_equal(streamed, reference)
+
+
+def _int64_seed_training(genotypes, gamma, tile, snp_block):
+    """The seed Build, frozen: per tile and SNP block an int64 host
+    matmul of freshly quantized INT8 operands with an INT32 store, a
+    dense FP64 staging matrix, and a ``from_dense`` re-tiling copy."""
+    n, ns = genotypes.shape
+    int32 = np.iinfo(np.int32)
+
+    def gemm_int8(a, b):
+        qa = np.clip(np.rint(a.astype(np.float64)), -128, 127).astype(np.int8)
+        qb = np.clip(np.rint(b.astype(np.float64)), -128, 127).astype(np.int8)
+        prod = qa.astype(np.int64) @ qb.astype(np.int64).T
+        assert int32.min <= prod.min() and prod.max() <= int32.max
+        return prod.astype(np.int32)
+
+    d = squared_norms(genotypes, integer=True).astype(np.float64)
+    k = np.zeros((n, n), dtype=np.float64)
+    for r0 in range(0, n, tile):
+        rs = slice(r0, min(r0 + tile, n))
+        for c0 in range(r0, n, tile):
+            cs = slice(c0, min(c0 + tile, n))
+            gram = np.zeros((rs.stop - rs.start, cs.stop - cs.start))
+            for s0 in range(0, ns, snp_block):
+                gram += gemm_int8(genotypes[rs, s0:s0 + snp_block],
+                                  genotypes[cs, s0:s0 + snp_block])
+            dist = np.maximum(d[rs, None] + d[None, cs] - 2.0 * gram, 0.0)
+            k[rs, cs] = gaussian_kernel(dist, gamma)
+            k[cs, rs] = k[rs, cs].T
+    np.fill_diagonal(k, 1.0)
+    return TileMatrix.from_dense(k, tile, Precision.FP32, symmetric=True)
+
+
+class TestInt64SeedRegression:
+    """The BLAS-backed, SNP-blocked, streamed engine against the seed
+    path it replaced, under every drain: same bits, nothing staged."""
+
+    @pytest.mark.parametrize("execution, workers", [
+        ("serial", 1), ("threaded", 2), ("threaded", 8), ("process", 2)])
+    def test_bitwise_identical_and_streamed(self, genotypes, execution,
+                                            workers):
+        n = genotypes.shape[0]
+        seed = _int64_seed_training(genotypes, 0.03, 16, snp_block=16)
+        rt = Runtime(execution=execution, workers=workers)
+        try:
+            result = KernelBuilder(
+                gamma=0.03, tile_size=16, snp_block=16,
+                storage_precision=Precision.FP32,
+                runtime=rt).build_training(genotypes)
+        finally:
+            rt.close()
+        np.testing.assert_array_equal(result.to_dense(), seed.to_dense())
+        assert result.stats.dense_staging_elements == 0
+        assert result.stats.max_dense_temp_elements <= 16 * n
 
 
 class TestNoDenseMaterialization:

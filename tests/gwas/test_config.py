@@ -155,13 +155,12 @@ class TestPredictBatchRows:
 
 
 class TestExecutionKnobs:
-    """The unified workers/execution knob and the build_workers migration."""
+    """The unified workers/execution knob."""
 
     def test_defaults(self):
         cfg = KRRConfig()
         assert cfg.workers is None
         assert cfg.execution is None
-        assert cfg.build_workers is None
 
     def test_workers_and_execution_validate(self):
         assert KRRConfig(workers=4, execution="threaded").workers == 4
@@ -173,48 +172,6 @@ class TestExecutionKnobs:
         with pytest.raises(ValueError):
             RRConfig(execution="warp-speed")
 
-    def test_build_workers_deprecated_but_honoured(self):
-        with pytest.warns(DeprecationWarning, match="build_workers"):
-            cfg = KRRConfig(build_workers=4)
-        # the legacy knob seeds the unified one
-        assert cfg.workers == 4
-
-    def test_build_workers_does_not_override_explicit_workers(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = KRRConfig(build_workers=4, workers=2)
-        assert cfg.workers == 2
-
-    def test_build_workers_warns_through_with_options(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = KRRConfig().with_options(build_workers=3)
-        assert cfg.workers == 3
-
-    def test_build_workers_normalized_away_after_seeding(self):
-        """Once honoured, the deprecated knob must not survive on the
-        config: ``with_options`` re-runs validation via
-        ``dataclasses.replace``, and a lingering build_workers would
-        re-warn and clobber explicit worker overrides."""
-        import warnings
-
-        with pytest.warns(DeprecationWarning):
-            cfg = KRRConfig(build_workers=4)
-        assert cfg.workers == 4
-        assert cfg.build_workers is None
-        # deriving a config must not re-emit the deprecation warning ...
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            derived = cfg.with_options(alpha=2.0)
-            # ... and an explicit workers override must not be clobbered
-            cleared = cfg.with_options(workers=None)
-        assert derived.workers == 4
-        assert cleared.workers is None
-        assert cleared.build_workers is None
-
-    def test_build_workers_validation(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                KRRConfig(build_workers=0)
-
     def test_session_runtime_follows_config(self):
         from repro.gwas.session import KRRSession, RRSession
 
@@ -224,13 +181,6 @@ class TestExecutionKnobs:
         rr = RRSession(RRConfig(workers=3, execution="threaded"))
         assert rr.runtime.execution == "threaded"
         assert rr.runtime.workers == 3
-
-    def test_legacy_build_workers_drives_session_runtime(self):
-        from repro.gwas.session import KRRSession
-
-        with pytest.warns(DeprecationWarning):
-            session = KRRSession(KRRConfig(build_workers=2))
-        assert session.runtime.workers == 2
 
 
 class TestConfigSerialization:

@@ -9,10 +9,9 @@ wall-clock plus factorization/fallback counters on the result.
 import numpy as np
 import pytest
 
-from repro.gwas.config import KRRConfig
+from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.cv import CrossValidationResult, grid_search_cv
 from repro.gwas.session import KRRSession
-from repro.linalg.cg import SOLVER_ENV
 
 ALPHAS = (0.25, 1.0, 4.0)
 GAMMAS = (0.01, 0.05)
@@ -80,6 +79,25 @@ class TestFactorOnceSweep:
         assert cg_result.factorizations == sessions + cg_result.cg_fallbacks
         assert direct_result.cg_fallbacks == 0
 
+    def test_fp64_sweep_agrees_fold_by_fold_and_never_refactors(self, cohort):
+        """Both routes solve the same FP64 systems: same (alpha, gamma),
+        per-fold MSPEs to 1e-6, one factor per (fold, gamma), no fallback."""
+        alphas = (0.5, 0.7, 1.0, 1.4, 2.0, 2.8)
+        base = KRRConfig(tile_size=32, precision_plan=PrecisionPlan.fp64(),
+                         execution="serial", cg_tol=1e-7)
+        direct, cg = (
+            grid_search_cv(*cohort, alphas=alphas, gammas=GAMMAS[:1],
+                           n_folds=FOLDS, seed=0, base_config=base,
+                           solver=solver)
+            for solver in ("direct", "cg"))
+        assert (cg.best_alpha, cg.best_gamma) == \
+            (direct.best_alpha, direct.best_gamma)
+        for key, errs in direct.fold_scores.items():
+            np.testing.assert_allclose(cg.fold_scores[key], errs, rtol=1e-6)
+        assert direct.factorizations == FOLDS * len(alphas)
+        assert cg.factorizations == FOLDS
+        assert cg.cg_fallbacks == 0
+
     def test_solver_reported(self, direct_result, cg_result):
         assert direct_result.solver == "direct"
         assert cg_result.solver == "cg"
@@ -98,7 +116,7 @@ class TestFactorOnceSweep:
             assert len(errs) == FOLDS
 
     def test_env_opt_in(self, cohort, monkeypatch, cg_result):
-        monkeypatch.setenv(SOLVER_ENV, "cg")
+        monkeypatch.setenv("REPRO_SOLVER", "cg")
         x, y = cohort
         result = grid_search_cv(x, y, alphas=ALPHAS, gammas=GAMMAS[:1],
                                 n_folds=FOLDS, seed=0)

@@ -1,4 +1,4 @@
-"""Tests for the three-phase KRR GWAS solver."""
+"""Tests for the three-phase KRR GWAS solver (``KRRSession``)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.distance.euclidean import squared_euclidean_gemm
 from repro.distance.kernels import gaussian_kernel
 from repro.gwas.config import KRRConfig, PrecisionPlan
-from repro.gwas.krr import KernelRidgeRegressionGWAS
+from repro.gwas.session import KRRSession
 from repro.precision.formats import Precision
 from repro.tiles.matrix import TileMatrix
 
@@ -30,8 +30,7 @@ def cohort_arrays(small_cohort):
 class TestPhases:
     def test_build_returns_symmetric_kernel(self, cohort_arrays):
         train, _ = cohort_arrays
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=52))
-        build = model.build(train.genotypes)
+        build = KRRSession(KRRConfig(tile_size=52)).build(train.genotypes)
         assert isinstance(build.kernel, TileMatrix)
         k = build.to_dense()
         np.testing.assert_allclose(k, k.T)
@@ -41,9 +40,9 @@ class TestPhases:
         train, _ = cohort_arrays
         cfg = KRRConfig(tile_size=52, alpha=0.5,
                         precision_plan=PrecisionPlan.fp32())
-        model = KernelRidgeRegressionGWAS(cfg)
-        build = model.build(train.genotypes)
-        weights, fact = model.associate(build.kernel, train.phenotypes)
+        session = KRRSession(cfg)
+        build = session.build(train.genotypes)
+        weights = session.associate(train.phenotypes)
         k = build.to_dense()
         y_centered = train.phenotypes - train.phenotypes.mean(axis=0)
         residual = (k + 0.5 * np.eye(k.shape[0])) @ weights - y_centered
@@ -54,8 +53,7 @@ class TestPhases:
         cfg = KRRConfig(tile_size=52, alpha=0.5, gamma=0.02, normalize_gamma=False,
                         precision_plan=PrecisionPlan.fp64(),
                         snp_precision=Precision.INT8)
-        model = KernelRidgeRegressionGWAS(cfg)
-        pred = model.fit_predict(train.genotypes, train.phenotypes, test.genotypes)
+        pred = KRRSession(cfg).fit_predict(train.genotypes, train.phenotypes, test.genotypes)
         reference = _reference_krr(train.genotypes, train.phenotypes,
                                    test.genotypes, 0.02, 0.5)
         np.testing.assert_allclose(pred, reference, rtol=1e-4, atol=1e-4)
@@ -63,10 +61,10 @@ class TestPhases:
     def test_adaptive_fp16_close_to_fp32(self, cohort_arrays):
         train, test = cohort_arrays
         base = dict(tile_size=52, alpha=0.5)
-        pred32 = KernelRidgeRegressionGWAS(KRRConfig(
+        pred32 = KRRSession(KRRConfig(
             precision_plan=PrecisionPlan.fp32(), **base)).fit_predict(
             train.genotypes, train.phenotypes, test.genotypes)
-        pred16 = KernelRidgeRegressionGWAS(KRRConfig(
+        pred16 = KRRSession(KRRConfig(
             precision_plan=PrecisionPlan.adaptive_fp16(), **base)).fit_predict(
             train.genotypes, train.phenotypes, test.genotypes)
         assert np.corrcoef(pred32.ravel(), pred16.ravel())[0, 1] > 0.99
@@ -74,10 +72,10 @@ class TestPhases:
     def test_fp8_floor_degrades_but_correlates(self, cohort_arrays):
         train, test = cohort_arrays
         base = dict(tile_size=52, alpha=0.5)
-        pred32 = KernelRidgeRegressionGWAS(KRRConfig(
+        pred32 = KRRSession(KRRConfig(
             precision_plan=PrecisionPlan.fp32(), **base)).fit_predict(
             train.genotypes, train.phenotypes, test.genotypes)
-        pred8 = KernelRidgeRegressionGWAS(KRRConfig(
+        pred8 = KRRSession(KRRConfig(
             precision_plan=PrecisionPlan.adaptive_fp8(), **base)).fit_predict(
             train.genotypes, train.phenotypes, test.genotypes)
         err8 = np.linalg.norm(pred8 - pred32)
@@ -86,58 +84,54 @@ class TestPhases:
 
     def test_phase_flops_recorded(self, cohort_arrays):
         train, test = cohort_arrays
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=52))
-        model.fit(train.genotypes, train.phenotypes, train.confounders)
-        flops = model.model_.phase_flops
+        session = KRRSession(KRRConfig(tile_size=52))
+        session.fit(train.genotypes, train.phenotypes, train.confounders)
+        flops = session.phase_flops
         assert flops["build"] > 0 and flops["associate"] > 0
-        model.predict(test.genotypes, test.confounders)
-        assert model.model_.phase_flops["predict"] > 0
+        session.predict(test.genotypes, test.confounders)
+        assert session.phase_flops["predict"] > 0
 
     def test_precision_map_attached_for_adaptive_plans(self, cohort_arrays):
         train, _ = cohort_arrays
-        model = KernelRidgeRegressionGWAS(KRRConfig(
+        session = KRRSession(KRRConfig(
             tile_size=52, precision_plan=PrecisionPlan.adaptive_fp16()))
-        model.fit(train.genotypes, train.phenotypes)
-        assert model.model_.precision_map is not None
+        session.fit(train.genotypes, train.phenotypes)
+        assert session.build_result_.precision_map is not None
 
 
 class TestErrorsAndReuse:
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            KernelRidgeRegressionGWAS().predict(np.zeros((3, 4)))
-
     def test_snp_panel_mismatch(self, cohort_arrays):
         train, test = cohort_arrays
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=52))
-        model.fit(train.genotypes, train.phenotypes)
+        session = KRRSession(KRRConfig(tile_size=52))
+        session.fit(train.genotypes, train.phenotypes)
         with pytest.raises(ValueError):
-            model.predict(test.genotypes[:, :10])
+            session.predict(test.genotypes[:, :10])
 
     def test_confounder_configuration_mismatch(self, cohort_arrays):
         train, test = cohort_arrays
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=52))
-        model.fit(train.genotypes, train.phenotypes, train.confounders)
+        session = KRRSession(KRRConfig(tile_size=52))
+        session.fit(train.genotypes, train.phenotypes, train.confounders)
         with pytest.raises(ValueError):
-            model.predict(test.genotypes)  # confounders missing
+            session.predict(test.genotypes)  # confounders missing
 
     def test_row_mismatch(self, cohort_arrays):
         train, _ = cohort_arrays
         with pytest.raises(ValueError):
-            KernelRidgeRegressionGWAS(KRRConfig(tile_size=52)).fit(
+            KRRSession(KRRConfig(tile_size=52)).fit(
                 train.genotypes, train.phenotypes[:-3])
 
     def test_solve_additional_phenotypes_matches_full_fit(self, cohort_arrays, rng):
         train, _ = cohort_arrays
         cfg = KRRConfig(tile_size=52, precision_plan=PrecisionPlan.fp32())
-        model = KernelRidgeRegressionGWAS(cfg)
-        model.fit(train.genotypes, train.phenotypes[:, :1])
-        extra = model.solve_additional_phenotypes(train.phenotypes[:, 1:])
-        full = KernelRidgeRegressionGWAS(cfg)
+        session = KRRSession(cfg)
+        session.fit(train.genotypes, train.phenotypes[:, :1])
+        extra = session.solve_additional_phenotypes(train.phenotypes[:, 1:])
+        full = KRRSession(cfg)
         full.fit(train.genotypes, train.phenotypes)
-        np.testing.assert_allclose(extra, full.model_.weights[:, 1:],
+        np.testing.assert_allclose(extra, full.weights_[:, 1:],
                                    rtol=1e-5, atol=1e-6)
 
     def test_keyword_overrides(self):
-        model = KernelRidgeRegressionGWAS(alpha=2.0, gamma=0.5)
-        assert model.config.alpha == 2.0
-        assert model.config.gamma == 0.5
+        session = KRRSession(alpha=2.0, gamma=0.5)
+        assert session.config.alpha == 2.0
+        assert session.config.gamma == 0.5

@@ -1,10 +1,10 @@
-"""Tests for the ridge-regression GWAS solver."""
+"""Tests for the ridge-regression GWAS solver (``RRSession``)."""
 
 import numpy as np
 import pytest
 
 from repro.gwas.config import PrecisionPlan, RRConfig
-from repro.gwas.ridge import RidgeRegressionGWAS
+from repro.gwas.session import RRSession
 from repro.precision.formats import Precision
 
 
@@ -29,75 +29,75 @@ def linear_problem(rng):
 class TestFit:
     def test_matches_closed_form_fp64(self, linear_problem):
         x, y = linear_problem
-        model = RidgeRegressionGWAS(RRConfig(
+        model = RRSession(RRConfig(
             regularization=5.0, tile_size=8,
             precision_plan=PrecisionPlan.fp64(), snp_precision=Precision.INT8))
         fitted = model.fit(x, y)
         reference = _reference_ridge(x, y, 5.0)
-        np.testing.assert_allclose(fitted.beta, reference, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(fitted.beta_, reference, rtol=1e-4, atol=1e-5)
 
     def test_fp32_close_to_fp64(self, linear_problem):
         x, y = linear_problem
-        m64 = RidgeRegressionGWAS(RRConfig(regularization=5.0, tile_size=8,
+        m64 = RRSession(RRConfig(regularization=5.0, tile_size=8,
                                            precision_plan=PrecisionPlan.fp64()))
-        m32 = RidgeRegressionGWAS(RRConfig(regularization=5.0, tile_size=8,
+        m32 = RRSession(RRConfig(regularization=5.0, tile_size=8,
                                            precision_plan=PrecisionPlan.fp32()))
-        b64 = m64.fit(x, y).beta
-        b32 = m32.fit(x, y).beta
+        b64 = m64.fit(x, y).beta_
+        b32 = m32.fit(x, y).beta_
         np.testing.assert_allclose(b32, b64, rtol=1e-2, atol=1e-2)
 
     def test_recovers_strong_linear_signal(self, linear_problem):
         x, y = linear_problem
-        model = RidgeRegressionGWAS(RRConfig(regularization=1.0, tile_size=8))
+        model = RRSession(RRConfig(regularization=1.0, tile_size=8))
         pred = model.fit_predict(x[:250], y[:250], x[250:])
         corr = np.corrcoef(pred[:, 0], y[250:, 0])[0, 1]
         assert corr > 0.8
 
     def test_shrinkage_with_regularization(self, linear_problem):
         x, y = linear_problem
-        small = RidgeRegressionGWAS(RRConfig(regularization=0.1, tile_size=8))
-        large = RidgeRegressionGWAS(RRConfig(regularization=1000.0, tile_size=8))
-        beta_small = small.fit(x, y).beta
-        beta_large = large.fit(x, y).beta
+        small = RRSession(RRConfig(regularization=0.1, tile_size=8))
+        large = RRSession(RRConfig(regularization=1000.0, tile_size=8))
+        beta_small = small.fit(x, y).beta_
+        beta_large = large.fit(x, y).beta_
         assert np.linalg.norm(beta_large) < np.linalg.norm(beta_small)
 
     def test_multivariate_phenotypes(self, linear_problem, rng):
         x, y = linear_problem
         y2 = np.hstack([y, rng.normal(size=y.shape)])
-        model = RidgeRegressionGWAS(RRConfig(tile_size=8))
+        model = RRSession(RRConfig(tile_size=8))
         fitted = model.fit(x, y2)
-        assert fitted.beta.shape == (x.shape[1], 2)
+        assert fitted.beta_.shape == (x.shape[1], 2)
         pred = model.predict(x[:10])
         assert pred.shape == (10, 2)
 
     def test_flop_accounting_by_precision(self, linear_problem):
         x, y = linear_problem
-        model = RidgeRegressionGWAS(RRConfig(tile_size=8))
+        model = RRSession(RRConfig(tile_size=8))
         fitted = model.fit(x, y, integer_columns=np.ones(x.shape[1], dtype=bool))
-        assert fitted.flops > 0
+        assert fitted.flops_ > 0
         assert Precision.INT8 in fitted.flops_by_precision
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            RidgeRegressionGWAS().predict(np.zeros((2, 3)))
+            RRSession().predict(np.zeros((2, 3)))
 
     def test_row_mismatch_raises(self, linear_problem):
         x, y = linear_problem
         with pytest.raises(ValueError):
-            RidgeRegressionGWAS(RRConfig(tile_size=8)).fit(x, y[:-5])
+            RRSession(RRConfig(tile_size=8)).fit(x, y[:-5])
 
     def test_reuse_factorization_for_new_phenotypes(self, linear_problem, rng):
         x, y = linear_problem
-        model = RidgeRegressionGWAS(RRConfig(regularization=2.0, tile_size=8,
+        model = RRSession(RRConfig(regularization=2.0, tile_size=8,
                                              precision_plan=PrecisionPlan.fp64()))
         model.fit(x, y)
         y_new = rng.normal(size=(x.shape[0], 1))
         reused = model.solve_additional_phenotypes(x, y_new)
-        direct = RidgeRegressionGWAS(RRConfig(regularization=2.0, tile_size=8,
+        direct = RRSession(RRConfig(regularization=2.0, tile_size=8,
                                               precision_plan=PrecisionPlan.fp64()))
-        expected = direct.fit(x, y_new).beta
+        expected = direct.fit(x, y_new).beta_
         np.testing.assert_allclose(reused, expected, rtol=1e-6, atol=1e-8)
 
     def test_keyword_override_constructor(self):
-        model = RidgeRegressionGWAS(regularization=7.0)
+        model = RRSession(regularization=7.0)
         assert model.config.regularization == 7.0

@@ -14,9 +14,8 @@ import pytest
 from repro.distance.build import KernelBuilder
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.cv import grid_search_cv, kfold_indices
-from repro.gwas.krr import KernelRidgeRegressionGWAS
 from repro.gwas.metrics import mean_squared_prediction_error
-from repro.gwas.session import KRRSession
+from repro.gwas.session import KRRSession, effective_batch_rows
 from repro.linalg.blas3 import gemm
 from repro.linalg.cholesky import cholesky
 from repro.linalg.solve import solve_cholesky
@@ -92,6 +91,20 @@ class TestNoDenseRoundTrip:
             predictions = session.predict(g_test)
         assert predictions.shape == (g_test.shape[0], y.shape[1])
 
+    def test_peak_temporaries_at_most_half_the_dense_path(self, cohort_512):
+        """What the dense path had to hold — the kernel densified, one
+        regularized copy, the whole cross kernel — against the session's
+        factorization workspace plus one streamed Predict batch."""
+        g_train, y, g_test = cohort_512
+        n, n_test = g_train.shape[0], g_test.shape[0]
+        session = KRRSession(KRRConfig(tile_size=64))
+        session.fit(g_train, y)
+        batch = min(n_test, effective_batch_rows(
+            64, session.config.predict_batch_rows))
+        dense_peak = 2 * n * n * 8 + n_test * n * 8
+        tile_peak = session.kernel_.nbytes() + batch * n * 8
+        assert dense_peak >= 2 * tile_peak
+
     def test_associate_retry_does_not_densify(self):
         """The boost-retry loop must stay tile-native too."""
         rng = np.random.default_rng(0)
@@ -136,18 +149,11 @@ class TestSeedPathEquivalence:
         session = KRRSession(KRRConfig(tile_size=64))
         session.fit(g_train, y)
         monolithic = session.predict(g_test, batch_rows=g_test.shape[0])
-        batched = session.predict_batched(g_test, batch_rows=64)
+        batched = session.predict(g_test, batch_rows=64)
         # sub-tile requests are clamped up to one tile
-        clamped = session.predict_batched(g_test, batch_rows=1)
+        clamped = session.predict(g_test, batch_rows=1)
         np.testing.assert_array_equal(batched, monolithic)
         np.testing.assert_array_equal(clamped, monolithic)
-
-    def test_wrapper_estimator_delegates_to_session(self, cohort_512):
-        g_train, y, g_test = cohort_512
-        cfg = KRRConfig(tile_size=64)
-        wrapped = KernelRidgeRegressionGWAS(cfg).fit_predict(g_train, y, g_test)
-        direct = KRRSession(cfg).fit_predict(g_train, y, g_test)
-        np.testing.assert_array_equal(wrapped, direct)
 
 
 def _indefinite_kernel(n: int, min_eig: float, seed: int = 0) -> np.ndarray:
@@ -207,14 +213,6 @@ class TestRegularizationBoost:
         # applied, matching the historical estimator's accounting
         assert session.regularization_boosts_ == 3
 
-    def test_wrapper_exposes_boost_count(self):
-        n = 48
-        k = _indefinite_kernel(n, min_eig=-5.0)
-        model = KernelRidgeRegressionGWAS(KRRConfig(
-            tile_size=16, alpha=1.0, precision_plan=PrecisionPlan.fp64()))
-        model.associate(k, np.ones(n))
-        assert model.regularization_boosts_ == 1
-
 
 class TestFlopAccounting:
     def test_predict_folds_flops_into_both_views(self, cohort_512):
@@ -236,17 +234,6 @@ class TestFlopAccounting:
         # GEMM in the working precision
         assert session.flops_by_precision[Precision.INT8] > 0
         assert session.flops_by_precision[Precision.FP32] > 0
-
-    def test_model_views_are_live(self, cohort_512):
-        """The wrapper's KRRModel shares the session accounting dicts."""
-        g_train, y, g_test = cohort_512
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=64))
-        model.fit(g_train, y)
-        assert "predict" not in model.model_.phase_flops
-        model.predict(g_test)
-        assert model.model_.phase_flops["predict"] > 0
-        assert sum(model.model_.phase_flops.values()) == pytest.approx(
-            sum(model.model_.flops_by_precision.values()))
 
     def test_reassociate_resets_associate_and_predict_accounting(self, cohort_512):
         g_train, y, g_test = cohort_512
@@ -347,34 +334,6 @@ class TestGridSearchReuse:
                 np.testing.assert_allclose(
                     result.scores[(float(alpha), float(gamma))],
                     float(np.mean(errs)), rtol=1e-12)
-
-
-class TestWrapperStatelessness:
-    """The legacy estimator's build()/associate() were side-effect-free;
-    the wrapper must preserve that even though it delegates to a session."""
-
-    def test_build_does_not_disturb_fitted_model(self, cohort_512):
-        g_train, y, g_test = cohort_512
-        rng = np.random.default_rng(3)
-        other = rng.integers(0, 3, size=(128, g_train.shape[1])).astype(np.int8)
-
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=64))
-        model.fit(g_train, y)
-        expected = model.predict(g_test)
-
-        model.build(other)  # historical behaviour: pure, no state change
-        np.testing.assert_array_equal(model.predict(g_test), expected)
-
-    def test_associate_does_not_disturb_fitted_model(self, cohort_512):
-        g_train, y, g_test = cohort_512
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=64))
-        model.fit(g_train, y)
-        expected = model.predict(g_test)
-
-        k = _indefinite_kernel(64, min_eig=-5.0)
-        model.associate(k, np.ones(64))
-        assert model.regularization_boosts_ == 1  # reports the standalone run
-        np.testing.assert_array_equal(model.predict(g_test), expected)
 
 
 class TestShallowRegularizedCopy:

@@ -12,7 +12,6 @@ import pytest
 
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.session import KRRSession
-from repro.runtime.runtime import EXECUTION_ENV, WORKERS_ENV
 
 TILE = 64
 
@@ -84,8 +83,8 @@ def test_process_session_bitwise_under_tight_budget(cohort, plan_name):
 
 def test_env_driven_process_session(cohort, monkeypatch):
     """REPRO_EXECUTION/REPRO_WORKERS select the backend without code."""
-    monkeypatch.setenv(EXECUTION_ENV, "process")
-    monkeypatch.setenv(WORKERS_ENV, "2")
+    monkeypatch.setenv("REPRO_EXECUTION", "process")
+    monkeypatch.setenv("REPRO_WORKERS", "2")
     ref_pred, ref_weights, ref_alpha, _, _ = reference("fp32", cohort)
     session = KRRSession(KRRConfig(tile_size=TILE,
                                    precision_plan=PLANS["fp32"]))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.session import KRRSession
-from repro.store import STORE_BUDGET_ENV, TileStore
+from repro.store import TileStore
 
 
 @pytest.fixture(scope="module")
@@ -97,25 +97,25 @@ class TestBudgetedFitPredict:
 
 class TestStoreWiring:
     def test_no_store_by_default(self, monkeypatch):
-        monkeypatch.delenv(STORE_BUDGET_ENV, raising=False)
+        monkeypatch.delenv("REPRO_STORE_BUDGET", raising=False)
         session = KRRSession(KRRConfig(tile_size=64))
         assert session.store is None
         assert session.store_stats() is None
 
     def test_env_budget_creates_store(self, monkeypatch):
-        monkeypatch.setenv(STORE_BUDGET_ENV, "8m")
+        monkeypatch.setenv("REPRO_STORE_BUDGET", "8m")
         session = KRRSession(KRRConfig(tile_size=64))
         assert session.store is not None
         assert session.store.budget_bytes == 8 << 20
 
     def test_explicit_budget_beats_env(self, monkeypatch):
-        monkeypatch.setenv(STORE_BUDGET_ENV, "8m")
+        monkeypatch.setenv("REPRO_STORE_BUDGET", "8m")
         session = KRRSession(KRRConfig(tile_size=64,
                                        store_budget_bytes=1 << 20))
         assert session.store.budget_bytes == 1 << 20
 
     def test_store_dir_is_used(self, cohort, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_BUDGET_ENV, raising=False)
+        monkeypatch.delenv("REPRO_STORE_BUDGET", raising=False)
         g_train, y, _ = cohort
         spill_dir = tmp_path / "spill"
         session = KRRSession(KRRConfig(
@@ -137,7 +137,7 @@ class TestStoreWiring:
             KRRConfig(store_budget_bytes=0)
 
     def test_scheduler_hooks_installed(self, monkeypatch):
-        monkeypatch.delenv(STORE_BUDGET_ENV, raising=False)
+        monkeypatch.delenv("REPRO_STORE_BUDGET", raising=False)
         from repro.store import StoreSchedulerHooks
 
         session = KRRSession(KRRConfig(tile_size=64,
@@ -157,14 +157,14 @@ class TestStoreWiring:
 
 class TestGridSearchUnderBudget:
     def test_grid_search_matches_unbudgeted(self, cohort, monkeypatch):
-        monkeypatch.delenv(STORE_BUDGET_ENV, raising=False)
+        monkeypatch.delenv("REPRO_STORE_BUDGET", raising=False)
         from repro.gwas.cv import grid_search_cv
 
         g_train, y, _ = cohort
         kwargs = dict(alphas=(0.1, 1.0), gammas=(0.01,), n_folds=2)
         ref = grid_search_cv(g_train, y[:, 0],
                              base_config=KRRConfig(tile_size=64), **kwargs)
-        monkeypatch.setenv(STORE_BUDGET_ENV, "256k")
+        monkeypatch.setenv("REPRO_STORE_BUDGET", "256k")
         oo = grid_search_cv(g_train, y[:, 0],
                             base_config=KRRConfig(tile_size=64), **kwargs)
         assert oo.best_alpha == ref.best_alpha

@@ -19,7 +19,7 @@ import pytest
 from repro.baselines.lmm import GRMLinearMixedModel
 from repro.baselines.regenie import RegenieConfig, RegenieLikeRegression
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
-from repro.gwas.krr import KernelRidgeRegressionGWAS
+from repro.gwas.session import KRRSession
 from repro.gwas.metrics import pearson_correlation
 from repro.gwas.workflow import GWASWorkflow
 
@@ -88,10 +88,10 @@ class TestRuntimeConsistency:
         from repro.runtime import Runtime
 
         train = workflow.split.train
-        model = KernelRidgeRegressionGWAS(KRRConfig(tile_size=64,
-                                                    precision_plan=PrecisionPlan.fp32()))
-        build = model.build(train.genotypes, train.confounders)
-        a = build.to_dense() + model.config.alpha * np.eye(train.n_individuals)
+        session = KRRSession(KRRConfig(tile_size=64,
+                                       precision_plan=PrecisionPlan.fp32()))
+        build = session.build(train.genotypes, train.confounders)
+        a = build.to_dense() + session.config.alpha * np.eye(train.n_individuals)
 
         direct = cholesky(a, tile_size=64, working_precision="fp32",
                           execution="serial")

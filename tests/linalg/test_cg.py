@@ -17,12 +17,7 @@ import pytest
 
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.session import KRRSession
-from repro.linalg.cg import (
-    SOLVER_ENV,
-    cg_solve,
-    kernel_matvec,
-    resolve_solver,
-)
+from repro.linalg.cg import cg_solve, kernel_matvec
 from repro.linalg.cholesky import cholesky
 from repro.linalg.refinement import iterative_refinement_solve
 from repro.linalg.solve import solve_cholesky
@@ -126,23 +121,14 @@ class TestCgValidation:
             cg_solve(_tiled(_ill_kernel(decades=1)), np.ones(N - 1), alpha=1.0)
 
 
-class TestResolveSolver:
-    def test_default_is_direct(self, monkeypatch):
-        monkeypatch.delenv(SOLVER_ENV, raising=False)
-        assert resolve_solver() == "direct"
-
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_ENV, "cg")
-        assert resolve_solver() == "cg"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_ENV, "cg")
-        assert resolve_solver("direct") == "direct"
-
-    def test_bogus_rejected(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_ENV, "minres")
-        with pytest.raises(ValueError, match="solver"):
-            resolve_solver()
+class TestSolverKnob:
+    def test_session_snapshots_the_route_at_construction(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SOLVER", "cg")
+        from_env = KRRSession(KRRConfig(tile_size=TILE))
+        explicit = KRRSession(KRRConfig(tile_size=TILE, solver="direct"))
+        monkeypatch.setenv("REPRO_SOLVER", "direct")
+        assert from_env.solver_ == "cg"         # not re-read per associate()
+        assert explicit.solver_ == "direct"     # explicit beats env
 
     def test_config_knob_validated(self):
         with pytest.raises(ValueError, match="solver"):

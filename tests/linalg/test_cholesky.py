@@ -159,6 +159,16 @@ class TestRuntimePath:
         assert counts["potrf"] == 4
         assert counts["gemm"] == 4
 
+    def test_dag_keeps_its_out_of_order_parallelism(self):
+        # total work over the heaviest dependency chain bounds what an
+        # out-of-order drain can overlap: a property of the task graph
+        # (8 x 8 tiles here), not of the host running it
+        runtime = Runtime(execution="serial")
+        cholesky(_spd(128), tile_size=16, runtime=runtime)
+        graph = runtime.last_graph
+        assert graph.critical_path_length() == 22  # 3 * (nt - 1) + 1
+        assert graph.total_flops() / graph.critical_path_flops() >= 1.5
+
     def test_session_runtime_reused_across_factorizations(self):
         """One session-long runtime serves repeated factorizations, with
         a single scheduler and a collision-free handle registry."""

@@ -103,7 +103,8 @@ class TestBitwiseUnderTransientFaults:
         if budget is not None:
             assert plan.fired_for(SITE_SEGMENT_READ) >= 1, \
                 "a budgeted run must exercise faulted segment reads"
-            assert stats.io_retries >= 1  # absorbed, not surfaced
+            # every one absorbed by the store's retry, none surfaced
+            assert stats.io_retries >= plan.fired_for(SITE_SEGMENT_READ)
         np.testing.assert_array_equal(predictions, baselines[plan_name])
 
 

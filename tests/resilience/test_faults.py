@@ -21,10 +21,8 @@ from repro.resilience import (
     TaskGroupError,
     TaskTimeoutError,
     is_transient,
-    resolve_retry_policy,
 )
 from repro.resilience.faults import (
-    FAULTS_ENV,
     SITE_SEGMENT_READ,
     SITE_TASK_BODY,
     active_plan,
@@ -34,13 +32,13 @@ from repro.resilience.faults import (
     no_faults,
     parse_faults,
 )
-from repro.resilience.retry import RETRIES_ENV
+from repro.runtime.scheduler import Scheduler
 
 
 @pytest.fixture(autouse=True)
 def _clean_plan_state(monkeypatch):
     """Every test starts with no installed plan and no env plan."""
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     clear_plan()
     yield
     clear_plan()
@@ -165,7 +163,7 @@ class TestPlanResolution:
         assert active_plan() is None
 
     def test_env_plan_parsed_and_counters_persist(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "seed=1;task-body:raise:every=2")
+        monkeypatch.setenv("REPRO_FAULTS", "seed=1;task-body:raise:every=2")
         plan = active_plan()
         assert plan is not None and plan.seed == 1
         plan.fire(SITE_TASK_BODY)
@@ -173,12 +171,12 @@ class TestPlanResolution:
         assert active_plan() is plan
         assert active_plan().occurrences(SITE_TASK_BODY) == 1
         # a changed value re-parses
-        monkeypatch.setenv(FAULTS_ENV, "seed=2;task-body:raise")
+        monkeypatch.setenv("REPRO_FAULTS", "seed=2;task-body:raise")
         assert active_plan() is not plan
         assert active_plan().seed == 2
 
     def test_installed_plan_shadows_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "task-body:raise")
+        monkeypatch.setenv("REPRO_FAULTS", "task-body:raise")
         mine = FaultPlan([FaultSite(site=SITE_SEGMENT_READ)])
         install_plan(mine)
         assert active_plan() is mine
@@ -194,7 +192,7 @@ class TestPlanResolution:
         assert active_plan() is outer
 
     def test_no_faults_disables_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "task-body:raise")
+        monkeypatch.setenv("REPRO_FAULTS", "task-body:raise")
         with no_faults():
             assert active_plan() is None
         assert active_plan() is not None
@@ -227,13 +225,13 @@ class TestRetryPolicy:
             StoreCorruptionError("m", (0, 0), None, "p", "bad crc"))
         assert not policy.retryable(TaskTimeoutError("t", 1, None, 1.0, 2.0))
 
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        assert resolve_retry_policy(3).max_retries == 3   # explicit wins
-        assert resolve_retry_policy(None).max_retries == 5  # env
-        monkeypatch.delenv(RETRIES_ENV)
-        assert resolve_retry_policy(None) is None          # fail-fast
-        assert resolve_retry_policy(0).max_retries == 0
+    def test_scheduler_resolution_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
+        explicit = Scheduler(retry_policy=RetryPolicy(max_retries=0))
+        assert explicit.retry_policy.max_retries == 0     # explicit wins
+        assert Scheduler().retry_policy.max_retries == 5  # env
+        monkeypatch.delenv("REPRO_TASK_RETRIES")
+        assert Scheduler().retry_policy is None           # fail-fast
 
 
 def np_linalg_error():

@@ -3,11 +3,11 @@
 import gc
 import weakref
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
+from repro.resilience.errors import TaskGraphCycleError
 from repro.runtime import Runtime
 from repro.runtime.dag import TaskGraph
 from repro.runtime.task import AccessMode, DataHandle
@@ -25,7 +25,7 @@ class TestDependencies:
         w = g.insert_task("write", (a, AccessMode.WRITE))
         r = g.insert_task("read", (a, AccessMode.READ))
         assert w in g.predecessors(r)
-        assert g.graph.edges[w, r]["kind"] == "RAW"
+        assert g.succ[w][r] == g.pred[r][w] == "RAW"
 
     def test_write_after_read(self, handles):
         a, _, _ = handles
@@ -34,6 +34,7 @@ class TestDependencies:
         r = g.insert_task("read", (a, AccessMode.READ))
         w2 = g.insert_task("overwrite", (a, AccessMode.WRITE))
         assert r in g.predecessors(w2)
+        assert g.succ[r][w2] == "WAR"
 
     def test_write_after_write(self, handles):
         a, _, _ = handles
@@ -41,6 +42,7 @@ class TestDependencies:
         w1 = g.insert_task("w1", (a, AccessMode.WRITE))
         w2 = g.insert_task("w2", (a, AccessMode.WRITE))
         assert w1 in g.predecessors(w2)
+        assert g.succ[w1][w2] == "WAW"
 
     def test_independent_tasks_have_no_edge(self, handles):
         a, b, _ = handles
@@ -118,9 +120,9 @@ class TestGraphQueries:
 
     def test_cycle_is_detected(self):
         g, (t0, _, _, t3) = self._diamond()
-        g.graph.add_edge(t3, t0)
+        g._add_edge(t3, t0, "RAW")
         assert not g.is_acyclic()
-        with pytest.raises(nx.NetworkXUnfeasible):
+        with pytest.raises(TaskGraphCycleError):
             g.topological_order()
 
     def test_order_prefers_the_earliest_inserted_ready_task(self):

@@ -2,20 +2,15 @@
 
 Unknown execution modes and non-positive worker counts must raise a
 ``ValueError`` that names the allowed modes / the offending knob —
-both for explicit arguments and for the ``REPRO_EXECUTION`` /
-``REPRO_WORKERS`` environment paths.
+for explicit arguments.  The environment paths are rows of
+``tests/test_settings.py``; here each consumer shows once that an
+explicit argument beats the environment.
 """
 
 import pytest
 
 from repro.gwas.config import KRRConfig
-from repro.runtime.runtime import (
-    EXECUTION_ENV,
-    WORKERS_ENV,
-    Runtime,
-    resolve_execution,
-    resolve_workers,
-)
+from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import EXECUTION_MODES, Scheduler
 
 ALL_MODES = ("serial", "threaded", "process")
@@ -29,70 +24,11 @@ def test_execution_modes_constant_names_all_three():
                          ids=lambda f: f.__name__)
 def test_simulated_is_not_an_execution_mode(factory, monkeypatch):
     # the device-timing model is repro.runtime.replay.replay(graph, ...)
-    monkeypatch.delenv(EXECUTION_ENV, raising=False)
+    monkeypatch.delenv("REPRO_EXECUTION", raising=False)
     with pytest.raises(ValueError) as err:
         factory(execution="simulated")
     for mode in ALL_MODES:
         assert mode in str(err.value)
-
-
-class TestResolveExecution:
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_valid_modes_pass_through(self, mode, monkeypatch):
-        monkeypatch.delenv(EXECUTION_ENV, raising=False)
-        assert resolve_execution(mode) == mode
-
-    def test_default_is_threaded(self, monkeypatch):
-        monkeypatch.delenv(EXECUTION_ENV, raising=False)
-        assert resolve_execution() == "threaded"
-
-    def test_bogus_argument_names_allowed_modes(self, monkeypatch):
-        monkeypatch.delenv(EXECUTION_ENV, raising=False)
-        with pytest.raises(ValueError) as err:
-            resolve_execution("fork-join")
-        for mode in ALL_MODES:
-            assert mode in str(err.value)
-        assert "fork-join" in str(err.value)
-
-    def test_bogus_env_names_allowed_modes(self, monkeypatch):
-        monkeypatch.setenv(EXECUTION_ENV, "distributed")
-        with pytest.raises(ValueError) as err:
-            resolve_execution()
-        for mode in ALL_MODES:
-            assert mode in str(err.value)
-
-    def test_env_selects_process(self, monkeypatch):
-        monkeypatch.setenv(EXECUTION_ENV, "process")
-        assert resolve_execution() == "process"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTION_ENV, "process")
-        assert resolve_execution("serial") == "serial"
-
-
-class TestResolveWorkers:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_workers(3) == 3
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_non_positive_raises(self, bad):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            resolve_workers(bad)
-
-    def test_env_zero_raises_naming_knob(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            resolve_workers()
-
-    def test_env_garbage_raises_naming_knob(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "abc")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            resolve_workers()
-
-    def test_env_valid_value(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        assert resolve_workers() == 2
 
 
 class TestSchedulerAndRuntime:
@@ -103,24 +39,38 @@ class TestSchedulerAndRuntime:
             assert mode in str(err.value)
 
     def test_runtime_rejects_unknown_mode(self, monkeypatch):
-        monkeypatch.delenv(EXECUTION_ENV, raising=False)
+        monkeypatch.delenv("REPRO_EXECUTION", raising=False)
         with pytest.raises(ValueError) as err:
             Runtime(execution="bogus")
         for mode in ALL_MODES:
             assert mode in str(err.value)
 
     def test_runtime_env_driven_bogus_mode(self, monkeypatch):
-        monkeypatch.setenv(EXECUTION_ENV, "bogus")
+        monkeypatch.setenv("REPRO_EXECUTION", "bogus")
         with pytest.raises(ValueError):
             Runtime()
 
-    def test_runtime_rejects_zero_workers(self):
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_runtime_rejects_non_positive_workers(self, bad):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            Runtime(execution="threaded", workers=0)
+            Runtime(execution="threaded", workers=bad)
+
+    def test_runtime_arguments_beat_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTION", "process")
+        monkeypatch.setenv("REPRO_WORKERS", "5")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
+        rt = Runtime(execution="serial", workers=3, task_retries=1)
+        assert (rt.execution, rt.workers) == ("serial", 3)
+        assert rt.scheduler.retry_policy.max_retries == 1
+
+    def test_runtime_env_garbage_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            Runtime()
 
     def test_runtime_env_process_mode_runs(self, monkeypatch):
-        monkeypatch.setenv(EXECUTION_ENV, "process")
-        monkeypatch.setenv(WORKERS_ENV, "1")
+        monkeypatch.setenv("REPRO_EXECUTION", "process")
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         rt = Runtime()
         try:
             assert rt.execution == "process"

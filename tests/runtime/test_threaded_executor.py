@@ -26,7 +26,7 @@ from repro.precision.formats import Precision
 from repro.runtime.dag import TaskGraph
 from repro.runtime.device import GENERIC_GPU
 from repro.runtime.replay import replay
-from repro.runtime.runtime import Runtime, resolve_workers
+from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, DataHandle
 
 
@@ -328,9 +328,8 @@ class TestRuntimeReuse:
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(5) == 5  # explicit wins
         assert Runtime(execution="threaded").workers == 3
+        assert Runtime(execution="threaded", workers=5).workers == 5
 
     def test_invalid_execution_mode_rejected(self):
         with pytest.raises(ValueError, match="execution"):

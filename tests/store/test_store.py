@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
-from repro.store import (
-    STORE_BUDGET_ENV,
-    ResidencyManager,
-    StoreStats,
-    TileStore,
-    parse_bytes,
-    resolve_store_budget,
-)
+from repro.store import ResidencyManager, StoreStats, TileStore
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.serialize import encode_payload
 
@@ -27,31 +20,6 @@ def spd(rng, n=64):
 @pytest.fixture
 def matrix(rng):
     return TileMatrix.from_dense(spd(rng), TILE, Precision.FP64)
-
-
-class TestBudgetParsing:
-    def test_plain_and_suffixed(self):
-        assert parse_bytes("1048576") == 1 << 20
-        assert parse_bytes("64k") == 64 << 10
-        assert parse_bytes("2M") == 2 << 20
-        assert parse_bytes("1g") == 1 << 30
-        assert parse_bytes("1.5m") == int(1.5 * (1 << 20))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            parse_bytes("  ")
-
-    def test_resolve_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(STORE_BUDGET_ENV, "123")
-        assert resolve_store_budget(999) == 999
-
-    def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv(STORE_BUDGET_ENV, "4m")
-        assert resolve_store_budget(None) == 4 << 20
-
-    def test_resolve_unset(self, monkeypatch):
-        monkeypatch.delenv(STORE_BUDGET_ENV, raising=False)
-        assert resolve_store_budget(None) is None
 
 
 class TestSpillReload:
