@@ -29,8 +29,7 @@ pipeline, BLAS releases the GIL) and a *consume task* (streaming the
 finished row into tile storage).  Consume tasks read-write the shared
 output handle, so the derived dependency chain serializes all
 container mutation on one worker while row tasks of different rows
-execute out of order — the same separation the hand-rolled thread pool
-provided, now expressed as dataflow.
+execute out of order.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.distance.euclidean import distance_flop_count, squared_norms
+from repro.distance.euclidean import squared_norms
 from repro.distance.kernels import gaussian_kernel, ibs_kernel
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
@@ -51,6 +50,7 @@ from repro.precision.gemm import (
 )
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
+from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
 from repro.tiles.adaptive import AdaptivePrecisionRule, decide_tile_precisions
 from repro.tiles.layout import TileLayout
@@ -66,8 +66,7 @@ class BuildStats:
     max_dense_temp_elements:
         Largest dense float64 temporary allocated by any single tile
         task (gram/distance/kernel tile).  For the streamed symmetric
-        Build this stays at one tile (``tile_size**2``) instead of the
-        full ``n**2`` the historical dense staging required.
+        Build this stays at one tile row, never the full ``n**2``.
     dense_staging_elements:
         Elements of full dense staging arrays allocated (0 for the
         streamed training Build; ``n1*n2`` for the rectangular cross
@@ -144,11 +143,13 @@ class _OperandContext:
     snp_variant: object
     conf_variant: object
     fuse_snp_blocks: bool
+    #: tile-size blocking of the IBS L1 broadcast; 0 = Gaussian kernel
+    ibs_block: int = 0
 
 
 def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
                         rs: slice, cs: slice) -> np.ndarray:
-    """Dense Gaussian-kernel block for rows ``rs`` × columns ``cs``.
+    """Dense kernel block for rows ``rs`` × columns ``cs``.
 
     Module-level (rather than a :class:`KernelBuilder` method) so the
     :class:`BuildRowSpec` descriptor can name it with only scalar
@@ -156,10 +157,21 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     and runs the same fused Gram/distance/exponentiation pipeline —
     the INT8 Gram is exact integer arithmetic and the elementwise
     assembly is per-element, so results are bitwise identical for any
-    row batching and any executor.
+    row batching and any executor.  The IBS kernel (an exact integer
+    L1 sum per element) equals ``ibs_kernel`` under any blocking.
     """
     mb = rs.stop - rs.start
     nb = cs.stop - cs.start
+    if ctx.ibs_block:
+        # the L1 broadcast is blocked by column tile: its peak
+        # temporary is mb × tile × ns, never rows × cols × ns
+        block = np.empty((mb, nb), dtype=np.float64)
+        rows = ctx.q1.array[rs]
+        for c0 in range(cs.start, cs.stop, ctx.ibs_block):
+            c1 = min(c0 + ctx.ibs_block, cs.stop)
+            block[:, c0 - cs.start:c1 - cs.start] = ibs_kernel(
+                rows, ctx.q2.array[c0:c1])
+        return block
     # --- integer (SNP) Gram contribution, blocked over SNPs
     if ctx.fuse_snp_blocks:
         gram = np.asarray(
@@ -285,6 +297,9 @@ class KernelBuilder:
     ----------
     kernel_type:
         ``"gaussian"`` (default, the paper's kernel) or ``"ibs"``.
+        Both run the same row tasks, so IBS streams, spills to a
+        store and runs on every execution lane like the Gaussian
+        kernel.  IBS ignores confounders (genotypes alone define it).
     gamma:
         Gaussian bandwidth (paper uses 0.01).
     tile_size:
@@ -312,10 +327,10 @@ class KernelBuilder:
     runtime:
         Optional session-long :class:`~repro.runtime.runtime.Runtime`.
         When given, Build tasks are inserted there and the run is
-        tagged with ``trace_phase``, feeding the session's trace-based
-        flop accounting.
+        tallied in ``runtime.ledger[trace_phase]``, which the session's
+        flop accounting reads.
     trace_phase:
-        Phase label of the runtime runs (``"build"``; the solver
+        Ledger phase of the runtime runs (``"build"``; the solver
         sessions relabel their Predict-phase cross-kernel builds).
     store:
         Optional :class:`~repro.store.TileStore`.  The streamed
@@ -359,24 +374,6 @@ class KernelBuilder:
         """
         genotypes = np.asarray(genotypes)
         n = genotypes.shape[0]
-
-        if self.kernel_type.lower() == "ibs":
-            k_dense, flops, by_prec = self._ibs_dense(genotypes, genotypes, True)
-            stats = BuildStats(dense_staging_elements=k_dense.size)
-            precision_map: dict[tuple[int, int], Precision] | None = None
-            if self.adaptive_rule is not None:
-                tiled = TileMatrix.from_dense(k_dense, self.tile_size,
-                                              Precision.FP64, symmetric=True)
-                precision_map = decide_tile_precisions(tiled, self.adaptive_rule)
-                tiled.apply_precision_map(precision_map)
-            else:
-                tiled = TileMatrix.from_dense(k_dense, self.tile_size,
-                                              self.storage_precision,
-                                              symmetric=True)
-            return BuildResult(kernel=tiled, flops=flops,
-                               flops_by_precision=by_prec,
-                               precision_map=precision_map, stats=stats)
-
         stats = BuildStats()
         # Streaming target: tiles staged at FP64 when the adaptive rule
         # needs to see exact tile norms, otherwise quantized on arrival.
@@ -390,25 +387,22 @@ class KernelBuilder:
             # one at a time to read their norms)
             tiled.attach_store(self.store)
 
-        flops_box: list[float] = [0.0]
-        by_prec: dict[Precision, float] = {}
-
         def consume(coords: tuple[int, int], tile_k: np.ndarray) -> None:
             bi, bj = coords
             if bi == bj:
                 np.fill_diagonal(tile_k, 1.0)
             tiled.set_tile(bi, bj, tile_k, precision=staging)
 
-        self._stream_tiles(genotypes, genotypes, confounders, confounders,
-                           symmetric=True, consume=consume,
-                           flops_box=flops_box, by_prec=by_prec, stats=stats)
+        trace = self._stream_tiles(genotypes, genotypes, confounders,
+                                   confounders, symmetric=True,
+                                   consume=consume, stats=stats).trace
 
         precision_map: dict[tuple[int, int], Precision] | None = None
         if self.adaptive_rule is not None:
             precision_map = decide_tile_precisions(tiled, self.adaptive_rule)
             tiled.apply_precision_map(precision_map)
-        return BuildResult(kernel=tiled, flops=flops_box[0],
-                           flops_by_precision=by_prec,
+        return BuildResult(kernel=tiled, flops=trace.total_flops,
+                           flops_by_precision=trace.flops_by_precision(),
                            precision_map=precision_map, stats=stats)
 
     def build_cross(self, test_genotypes: np.ndarray, train_genotypes: np.ndarray,
@@ -417,43 +411,24 @@ class KernelBuilder:
         """Build the rectangular test-vs-train kernel (NP2 × NP1, Predict phase)."""
         test_genotypes = np.asarray(test_genotypes)
         train_genotypes = np.asarray(train_genotypes)
-
-        if self.kernel_type.lower() == "ibs":
-            k_dense, flops, by_prec = self._ibs_dense(
-                test_genotypes, train_genotypes, False)
-            stats = BuildStats(dense_staging_elements=k_dense.size)
-            return BuildResult(kernel=k_dense, flops=flops,
-                               flops_by_precision=by_prec, stats=stats)
-
         n1, n2 = test_genotypes.shape[0], train_genotypes.shape[0]
         stats = BuildStats(dense_staging_elements=n1 * n2)
         out = np.zeros((n1, n2), dtype=np.float64)
         layout = TileLayout(rows=n1, cols=n2, tile_size=self.tile_size)
 
-        flops_box = [0.0]
-        by_prec: dict[Precision, float] = {}
-
         def consume(coords: tuple[int, int], tile_k: np.ndarray) -> None:
             rs, cs = layout.tile_slice(*coords)
             out[rs, cs] = tile_k
 
-        self._stream_tiles(test_genotypes, train_genotypes,
-                           test_confounders, train_confounders,
-                           symmetric=False, consume=consume,
-                           flops_box=flops_box, by_prec=by_prec, stats=stats)
-        return BuildResult(kernel=out, flops=flops_box[0],
-                           flops_by_precision=by_prec, stats=stats)
+        trace = self._stream_tiles(test_genotypes, train_genotypes,
+                                   test_confounders, train_confounders,
+                                   symmetric=False, consume=consume,
+                                   stats=stats).trace
+        return BuildResult(kernel=out, flops=trace.total_flops,
+                           flops_by_precision=trace.flops_by_precision(),
+                           stats=stats)
 
     # ------------------------------------------------------------------
-    def _ibs_dense(self, g1: np.ndarray, g2: np.ndarray,
-                   symmetric: bool) -> tuple[np.ndarray, float, dict]:
-        if g1.shape[1] != g2.shape[1]:
-            raise ValueError("genotype matrices must share the SNP dimension")
-        k = ibs_kernel(g1, None if symmetric else g2)
-        flops = distance_flop_count(g1.shape[0], g2.shape[0], g1.shape[1],
-                                    symmetric)
-        return k, flops, {Precision.INT8: flops}
-
     def _snp_variant(self):
         return variant_for_input(
             self.snp_precision if self.snp_precision in (
@@ -479,21 +454,26 @@ class KernelBuilder:
         the uncached path.
         """
         g2 = np.asarray(train_genotypes)
-        snp_variant = self._snp_variant()
-        q2 = QuantizedOperand(g2, snp_variant.input_precision)
-        d2 = squared_norms(
-            g2, integer=self.snp_precision.is_integer).astype(np.float64)
-        qc2 = e2 = None
-        if train_confounders is not None:
-            c64 = np.asarray(train_confounders, dtype=np.float64)
-            qc2 = QuantizedOperand(c64, self._conf_variant().input_precision)
-            e2 = np.einsum("ij,ij->i", c64, c64)
+        q2, d2, qc2, e2 = self._side_operands(g2, train_confounders)
         return TrainOperands(
             genotypes=g2, confounders=train_confounders,
-            snp_precision=snp_variant.input_precision,
+            snp_precision=self._snp_variant().input_precision,
             confounder_precision=self._conf_variant().input_precision,
             q=q2, d=d2, qc=qc2, e=e2,
         )
+
+    def _side_operands(self, g: np.ndarray, c: np.ndarray | None):
+        """One operand side, prepared once: the quantized genotypes,
+        their squared norms and the confounder Gram inputs."""
+        q = QuantizedOperand(g, self._snp_variant().input_precision)
+        d = squared_norms(
+            g, integer=self.snp_precision.is_integer).astype(np.float64)
+        qc = e = None
+        if c is not None:
+            c64 = np.asarray(c, dtype=np.float64)
+            qc = QuantizedOperand(c64, self._conf_variant().input_precision)
+            e = np.einsum("ij,ij->i", c64, c64)
+        return q, d, qc, e
 
     def _prepare_operands(self, g1: np.ndarray, g2: np.ndarray,
                           c1: np.ndarray | None, c2: np.ndarray | None,
@@ -519,12 +499,20 @@ class KernelBuilder:
             train_cache.check_compatible(
                 g2, c2, snp_variant.input_precision,
                 conf_variant.input_precision)
+        ibs = self.kernel_type.lower() == "ibs"
+        if ibs:
+            c1 = c2 = None  # ignored by IBS, hence not counted either
 
-        # Quantize each operand side once; row blocks slice shared views.
-        q1 = QuantizedOperand(g1, snp_variant.input_precision)
-        q2 = q1 if symmetric else (
-            train_cache.q if train_cache is not None
-            else QuantizedOperand(g2, snp_variant.input_precision))
+        # Prepare each operand side once; row blocks slice shared views.
+        q1, d1, qc1, e1 = self._side_operands(g1, c1)
+        if symmetric:
+            q2, d2, qc2, e2 = q1, d1, qc1, e1
+        elif train_cache is not None:
+            q2, d2, qc2, e2 = (train_cache.q, train_cache.d,
+                               train_cache.qc, train_cache.e)
+        else:
+            q2, d2, qc2, e2 = self._side_operands(g2, c2)
+        n_conf = 0 if c1 is None else np.asarray(c1).shape[1]
         # materialize the float/max|.| caches before threading so the
         # worker tasks only ever read shared state; the integer path
         # picks the narrowest exact BLAS dtype (sgemm for genotypes)
@@ -538,35 +526,6 @@ class KernelBuilder:
             q1.max_abs()
             if q2 is not q1:
                 q2.max_abs()
-
-        d1 = squared_norms(g1, integer=self.snp_precision.is_integer).astype(np.float64)
-        if symmetric:
-            d2 = d1
-        elif train_cache is not None:
-            d2 = train_cache.d
-        else:
-            d2 = squared_norms(
-                g2, integer=self.snp_precision.is_integer).astype(np.float64)
-
-        if c1 is not None:
-            qc1 = QuantizedOperand(np.asarray(c1, dtype=np.float64),
-                                   conf_variant.input_precision)
-            e1 = np.einsum("ij,ij->i", np.asarray(c1, dtype=np.float64),
-                           np.asarray(c1, dtype=np.float64))
-            if symmetric:
-                qc2, e2 = qc1, e1
-            elif train_cache is not None:
-                qc2, e2 = train_cache.qc, train_cache.e
-            else:
-                qc2 = QuantizedOperand(np.asarray(c2, dtype=np.float64),
-                                       conf_variant.input_precision)
-                e2 = np.einsum("ij,ij->i", np.asarray(c2, dtype=np.float64),
-                               np.asarray(c2, dtype=np.float64))
-            n_conf = np.asarray(c1).shape[1]
-        else:
-            qc1 = qc2 = None
-            e1 = e2 = None
-            n_conf = 0
 
         # For the integer variant the SNP-block loop exists only to keep
         # the emulated INT32 accumulator in range; when the analytic
@@ -585,26 +544,14 @@ class KernelBuilder:
             qc1=qc1, qc2=qc2, e1=e1, e2=e2, n_conf=n_conf,
             snp_variant=snp_variant, conf_variant=conf_variant,
             fuse_snp_blocks=fuse_snp_blocks,
+            ibs_block=self.tile_size if ibs else 0,
         )
 
-    def _kernel_rows(self, ctx: _OperandContext, rs: slice,
-                     cs: slice) -> np.ndarray:
-        """Dense kernel block for rows ``rs`` × columns ``cs``.
-
-        Elementwise assembly (norm folding, clamp, exponentiation) is
-        identical per element regardless of the row partitioning, and
-        the INT8 Gram is exact integer arithmetic, so any batching of
-        rows produces the same values bit for bit.
-        """
-        return compute_kernel_rows(ctx, self.gamma, self.snp_block, rs, cs)
-
-    def _block_flops(self, ctx: _OperandContext, mb: int, nb: int,
-                     by_prec: dict[Precision, float] | None = None
+    def _block_flops(self, ctx: _OperandContext, mb: int, nb: int
                      ) -> tuple[float, dict[Precision, float]]:
         """Operation count of an ``mb × nb`` kernel block, split by precision."""
-        by_prec = {} if by_prec is None else by_prec
         flops = 2.0 * mb * nb * ctx.ns
-        by_prec[self.snp_precision] = by_prec.get(self.snp_precision, 0.0) + flops
+        by_prec = {self.snp_precision: flops}
         if ctx.n_conf > 0:
             cf = 2.0 * mb * nb * ctx.n_conf
             flops += cf
@@ -637,26 +584,14 @@ class KernelBuilder:
         train_genotypes = np.asarray(train_genotypes)
         n1, n2 = test_genotypes.shape[0], train_genotypes.shape[0]
         batch = n1 if batch_rows is None else max(1, int(batch_rows))
-
-        if self.kernel_type.lower() == "ibs":
-            if test_genotypes.shape[1] != train_genotypes.shape[1]:
-                raise ValueError("genotype matrices must share the SNP dimension")
-            ns = test_genotypes.shape[1]
-            for r0 in range(0, n1, batch):
-                rows = slice(r0, min(r0 + batch, n1))
-                block = ibs_kernel(test_genotypes[rows], train_genotypes)
-                flops = distance_flop_count(rows.stop - rows.start, n2, ns, False)
-                yield CrossRowBlock(rows=rows, kernel=block, flops=flops,
-                                    flops_by_precision={Precision.INT8: flops})
-            return
-
         ctx = self._prepare_operands(test_genotypes, train_genotypes,
                                      test_confounders, train_confounders,
                                      symmetric=False, train_cache=train_cache)
         cols = slice(0, n2)
         for r0 in range(0, n1, batch):
             rows = slice(r0, min(r0 + batch, n1))
-            block = self._kernel_rows(ctx, rows, cols)
+            block = compute_kernel_rows(ctx, self.gamma, self.snp_block,
+                                        rows, cols)
             flops, by_prec = self._block_flops(ctx, rows.stop - rows.start, n2)
             yield CrossRowBlock(rows=rows, kernel=block, flops=flops,
                                 flops_by_precision=by_prec)
@@ -665,8 +600,9 @@ class KernelBuilder:
                       c1: np.ndarray | None, c2: np.ndarray | None,
                       symmetric: bool,
                       consume: Callable[[tuple[int, int], np.ndarray], None],
-                      flops_box: list, by_prec: dict, stats: BuildStats) -> None:
-        """Insert the tile-row task DAG and run it through the runtime.
+                      stats: BuildStats) -> ScheduleResult:
+        """Insert the tile-row task DAG, run it through the runtime and
+        return the drain's result (its trace carries the operation count).
 
         One *row task* per block row of tiles: the Gram product runs as
         a (tile_size x ns) @ (ns x row_width) dgemm — large enough for
@@ -676,7 +612,7 @@ class KernelBuilder:
         context and write their own row handle, so the scheduler runs
         them out of order; the per-row *consume tasks* read-write the
         output handle, which derives a WAW/RAW chain serializing all
-        container mutation (and the flop accounting) in row order.
+        container mutation in row order.
         """
         ctx = self._prepare_operands(g1, g2, c1, c2, symmetric)
         n2 = ctx.n2
@@ -696,22 +632,16 @@ class KernelBuilder:
         row_handles = []
         # Bounded submission window, expressed as dataflow: row task bi
         # reads the handle that consume task bi-window read-writes, so
-        # at most `window` row payloads are ever in flight (the same
-        # memory contract the historical windowed thread pool enforced).
+        # at most `window` row payloads are ever in flight.
         window = max(rt.workers * 4, 1)
 
-        def make_consume_body(row_h, bi: int, rs: slice, col_tiles: int):
-            mb = rs.stop - rs.start
-
+        def make_consume_body(row_h, bi: int, col_tiles: int):
             def body(row_k, _sink):
                 # the consume chain is serialized by the scheduler, so
-                # stats/flops mutation needs no further synchronization
+                # stats mutation needs no further synchronization
                 stats.note_temp(row_k.size)
                 for bj in range(col_tiles):
                     cs = layout.tile_slice(bi, bj)[1]
-                    tile_flops, _ = self._block_flops(
-                        ctx, mb, cs.stop - cs.start, by_prec)
-                    flops_box[0] += tile_flops
                     consume((bi, bj), row_k[:, cs])
                 # the row block is dead once streamed into tile storage
                 row_h.payload = None
@@ -745,12 +675,12 @@ class KernelBuilder:
             rt.insert_task(
                 "consume_row",
                 (row_h, AccessMode.READWRITE), (out_h, AccessMode.READWRITE),
-                body=make_consume_body(row_h, bi, rs, col_tiles),
+                body=make_consume_body(row_h, bi, col_tiles),
                 flops=0.0, precision=self.storage_precision,
                 priority=layout.tile_rows - bi, tag=bi,
             )
         try:
-            rt.run(phase=self.trace_phase)
+            return rt.run(phase=self.trace_phase)
         except TaskGroupError:
             rt.reset_graph()
             raise

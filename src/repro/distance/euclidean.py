@@ -27,7 +27,6 @@ from repro.precision.formats import Precision
 from repro.precision.gemm import (
     QuantizedOperand,
     gemm_mixed,
-    syrk_flop_count,
     variant_for_input,
 )
 
@@ -150,15 +149,3 @@ def squared_euclidean_direct(g1: np.ndarray, g2: np.ndarray | None = None) -> np
     if g2 is None:
         np.fill_diagonal(out, 0.0)
     return out
-
-
-def distance_flop_count(n1: int, n2: int, ns: int, symmetric: bool = True) -> float:
-    """Operation count of the GEMM-form distance computation.
-
-    Dominated by the Gram product: a SYRK (``n*(n+1)*ns``) in the
-    symmetric case, a GEMM (``2*n1*n2*ns``) otherwise, plus the rank-1
-    norm updates.
-    """
-    if symmetric and n1 == n2:
-        return float(syrk_flop_count(n1, ns)) + 2.0 * n1 * n1
-    return 2.0 * n1 * n2 * ns + 2.0 * n1 * n2

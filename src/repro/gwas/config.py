@@ -507,13 +507,6 @@ class ServeConfig(_WithOptionsMixin):
         Transient-failure retries of one micro-batch dispatch (the
         streamed ``predict_many`` call).  Non-transient errors fail the
         batch immediately.
-    trace_reset_batches:
-        Every this many micro-batches per serving session, the
-        session runtime's cumulative traces are dropped
-        (:meth:`~repro.runtime.runtime.Runtime.reset_traces`) so a
-        long-running service's per-task event log stays bounded; the
-        service keeps its own cumulative counters.  ``None`` retains
-        every event.
     """
 
     max_batch_requests: int = 8
@@ -522,7 +515,6 @@ class ServeConfig(_WithOptionsMixin):
     max_queue_depth: int | None = None
     request_deadline_s: float | None = None
     dispatch_retries: int = 1
-    trace_reset_batches: int | None = 256
 
     def __post_init__(self) -> None:
         if self.max_batch_requests <= 0:
@@ -537,6 +529,3 @@ class ServeConfig(_WithOptionsMixin):
             raise ValueError("request_deadline_s must be positive (or None)")
         if self.dispatch_retries < 0:
             raise ValueError("dispatch_retries must be non-negative")
-        if (self.trace_reset_batches is not None
-                and self.trace_reset_batches <= 0):
-            raise ValueError("trace_reset_batches must be positive (or None)")

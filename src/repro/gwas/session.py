@@ -30,8 +30,9 @@ tasks, the Cholesky tile tasks, the per-tile-row triangular-solve
 tasks and the per-batch Predict GEMMs — inserts its task DAG there and
 executes under one out-of-order threaded scheduler
 (``KRRConfig.workers`` / ``KRRConfig.execution``).  The runtime's
-per-phase traces are the source of the ``phase_flops`` /
-``flops_by_precision`` accounting.
+per-phase ledger (``runtime.ledger``) is the only operation tally:
+``phase_flops`` / ``flops_by_precision`` are reads of it, and the
+sessions keep no flop state of their own.
 
 :class:`RRSession` gives the linear ridge-regression baseline the same
 staged session shape (gram → associate → predict) so the two methods
@@ -56,6 +57,7 @@ from repro.linalg.cholesky import CholeskyResult, cholesky
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
 from repro.runtime.runtime import Runtime
+from repro.runtime.trace import ledger_by_precision
 from repro.settings import Settings
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
@@ -93,8 +95,12 @@ class KRRSession:
 
     The session owns the phase pipeline and its state: the tiled kernel
     (``kernel_``), the tiled Cholesky factorization (``factorization_``),
-    the weight panel (``weights_``), and the per-phase / per-precision
-    operation accounting (``phase_flops`` / ``flops_by_precision``).
+    the weight panel (``weights_``).  The per-phase / per-precision
+    operation accounting (``phase_flops`` / ``flops_by_precision``) is
+    read off ``runtime.ledger`` — a fresh dict per read, covering every
+    phase the runtime drained since :meth:`build`: ``"build"``,
+    ``"associate"``, ``"predict"`` (or a custom predict label such as
+    ``"serve"``) and ``"solve"`` (:meth:`solve_additional_phenotypes`).
 
     Typical use::
 
@@ -125,7 +131,7 @@ class KRRSession:
         self.config = config
         # The session-long task runtime: one scheduler executes every
         # phase (Build row tasks, Cholesky tiles, triangular solves,
-        # Predict GEMMs) and its per-phase traces feed the accounting.
+        # Predict GEMMs) and its per-phase ledger is the accounting.
         self.runtime = Runtime(execution=config.execution,
                                workers=config.workers,
                                task_retries=config.task_retries,
@@ -172,9 +178,6 @@ class KRRSession:
         self.cg_result_: CGResult | None = None
         self.cg_fallbacks_: int = 0
         self.factorization_count_: int = 0
-        # accounting (mutated in place so external references stay live)
-        self.phase_flops: dict[str, float] = {}
-        self.flops_by_precision: dict[Precision, float] = {}
         #: Cumulative wall-clock seconds per phase —
         #: ``build`` / ``factor`` / ``solve`` / ``predict`` (plus any
         #: custom predict phase labels, e.g. ``"serve"``).  Reset by
@@ -193,6 +196,17 @@ class KRRSession:
         identical fit/predict results.
         """
         return self.store.stats.snapshot() if self.store is not None else None
+
+    @property
+    def phase_flops(self) -> dict[str, float]:
+        """Operation count per phase, from ``runtime.ledger``."""
+        return {phase: totals.flops
+                for phase, totals in self.runtime.ledger.items()}
+
+    @property
+    def flops_by_precision(self) -> dict[Precision, float]:
+        """Operation count per compute precision, summed over the phases."""
+        return ledger_by_precision(self.runtime.ledger)
 
     def _add_seconds(self, key: str, seconds: float) -> None:
         self.phase_seconds[key] = self.phase_seconds.get(key, 0.0) + seconds
@@ -229,7 +243,8 @@ class KRRSession:
         genotypes = np.asarray(genotypes)
         gamma = self.config.effective_gamma(genotypes.shape[1])
         builder = self._builder(gamma, adaptive=True)
-        self.runtime.clear_phase("build")
+        # a (re)build starts the session's accounting over
+        self.runtime.ledger.clear()
         started = time.perf_counter()
         result = builder.build_training(genotypes, confounders)
         self.phase_seconds.clear()
@@ -247,28 +262,7 @@ class KRRSession:
             None if confounders is None
             else np.asarray(confounders, dtype=np.float64))
         self.gamma_ = gamma
-        # the runtime trace is the accounting source when the Build ran
-        # through it (the streamed Gaussian path); the IBS dense path
-        # falls back to the result totals
-        trace = self.runtime.phase_trace("build")
-        self.phase_flops.clear()
-        self.flops_by_precision.clear()
-        if trace.num_tasks:
-            self.phase_flops["build"] = trace.total_flops
-            self.flops_by_precision.update(trace.flops_by_precision())
-        else:
-            self.phase_flops["build"] = result.flops
-            self.flops_by_precision.update(result.flops_by_precision)
         return result
-
-    def _build_by_precision(self) -> dict[Precision, float]:
-        """Build-phase per-precision flops (trace-sourced when available)."""
-        trace = self.runtime.phase_trace("build")
-        if trace.num_tasks:
-            return trace.flops_by_precision()
-        if self.build_result_ is not None:
-            return dict(self.build_result_.flops_by_precision)
-        return {}
 
     def adopt_kernel(self, kernel: TileMatrix | np.ndarray) -> TileMatrix:
         """Attach an externally built training kernel to the session.
@@ -292,19 +286,9 @@ class KRRSession:
         if tiled.shape[0] != tiled.shape[1]:
             raise ValueError("the training kernel matrix must be square")
         self.kernel_ = tiled
-        # an adopted kernel carries no Build cost in this session — drop
-        # the discarded build from the trace, the phase entry *and* the
-        # per-precision view (the build sums are exact, so subtraction
-        # removes exactly the dropped contribution)
-        for prec, fl in self._build_by_precision().items():
-            left = self.flops_by_precision.get(prec, 0.0) - fl
-            if left <= 0.0:
-                self.flops_by_precision.pop(prec, None)
-            else:
-                self.flops_by_precision[prec] = left
-        self.runtime.clear_phase("build")
+        # an adopted kernel carries no Build cost in this session
+        self.runtime.ledger.pop("build", None)
         self.build_result_ = None
-        self.phase_flops.pop("build", None)
         self.phase_seconds.pop("build", None)
         # any retained factor belongs to the replaced kernel — it must
         # not serve as the CG preconditioner for the adopted one
@@ -428,7 +412,11 @@ class KRRSession:
         y_means = phenotypes.mean(axis=0)
         y_centered = phenotypes - y_means[None, :]
 
-        self.runtime.clear_phase("associate")
+        # a (re-)associate resets the associate/predict accounting while
+        # keeping the Build contribution; a failed boost attempt's DAG
+        # is discarded by cholesky(), so it never reaches the ledger
+        self.runtime.ledger.pop("associate", None)
+        self.runtime.ledger.pop("predict", None)
         self.cg_result_ = None
         weights: np.ndarray | None = None
         current = requested
@@ -475,21 +463,6 @@ class KRRSession:
         self.y_means_ = y_means
         self.alpha_ = current
         self._cg_last_y = y_centered
-
-        # a (re-)associate resets the associate/predict accounting while
-        # keeping the Build contribution.  The Associate numbers come
-        # from the runtime's phase trace: the successful factorization's
-        # tasks plus the weight-panel solve tasks (failed boost attempts
-        # never merge their events).
-        trace = self.runtime.phase_trace("associate")
-        self.phase_flops.pop("predict", None)
-        self.runtime.clear_phase("predict")  # keep trace == accounting
-        self.phase_flops["associate"] = trace.total_flops
-        self.flops_by_precision.clear()
-        for source in (self._build_by_precision(), trace.flops_by_precision()):
-            for prec, fl in source.items():
-                self.flops_by_precision[prec] = (
-                    self.flops_by_precision.get(prec, 0.0) + fl)
         return weights
 
     # ------------------------------------------------------------------
@@ -537,9 +510,9 @@ class KRRSession:
         batched result is identical to the monolithic cross-kernel
         path.  Peak memory is one ``batch × n_train`` block.
 
-        ``phase`` labels the runtime tasks and the accounting entry —
-        the prediction service tags its micro-batches ``"serve"`` so
-        the serving load is traceable separately from ad-hoc predicts.
+        ``phase`` labels the runtime tasks and the ledger entry — the
+        prediction service tags its micro-batches ``"serve"`` so the
+        serving load is tallied separately from ad-hoc predicts.
         """
         genotypes = np.asarray(genotypes)
         self._check_test_cohort(genotypes, confounders)
@@ -594,39 +567,23 @@ class KRRSession:
         n_train = self.training_genotypes_.shape[0]
         nph = self.weights_.shape[1]
         predictions = np.empty((genotypes.shape[0], nph), dtype=np.float64)
-        flops = 0.0
-        by_prec: dict[Precision, float] = {}
         for block in builder.iter_cross_rows(
                 genotypes, self.training_genotypes_,
                 confounders, self.training_confounders_,
                 batch_rows=batch, train_cache=train_cache):
             gemm_fl = 2.0 * (block.rows.stop - block.rows.start) * n_train * nph
-            # per-batch task on the session runtime: the trace event
-            # carries the block's Gram flops plus the K_test_block @ W
-            # GEMM, split by compute precision
+            # per-batch task on the session runtime: it carries the
+            # block's Gram flops plus the K_test_block @ W GEMM, split
+            # by compute precision, into the ledger
             detail = dict(block.flops_by_precision)
             detail[wp] = detail.get(wp, 0.0) + gemm_fl
             predictions[block.rows] = gemm(
                 block.kernel, self.weights_, tile_size=cfg.tile_size,
                 precision=wp, runtime=self.runtime, phase=phase,
                 flops_detail=detail)
-            flops += block.flops + gemm_fl
-            for prec, fl in detail.items():
-                by_prec[prec] = by_prec.get(prec, 0.0) + fl
 
-        self._account_predict(flops, by_prec, phase=phase)
         self._add_seconds(phase, time.perf_counter() - started)
         return predictions + self.y_means_[None, :]
-
-    def _account_predict(self, flops: float,
-                         by_prec: dict[Precision, float],
-                         phase: str = "predict") -> None:
-        """Fold Predict-phase operations into *both* accounting views."""
-        self.phase_flops[phase] = (
-            self.phase_flops.get(phase, 0.0) + flops)
-        for prec, fl in by_prec.items():
-            self.flops_by_precision[prec] = (
-                self.flops_by_precision.get(prec, 0.0) + fl)
 
     # ------------------------------------------------------------------
     # cross-kernel reuse (hyperparameter sweeps)
@@ -638,7 +595,8 @@ class KRRSession:
         ``K_test`` depends on the kernel bandwidth but *not* on the
         regularization, so a hyperparameter sweep over alpha can build
         it once and re-apply :meth:`predict_with_kernel` per alpha.
-        The cross-kernel build cost is accounted here (once).
+        The cross-kernel build cost is tallied here (once), under
+        ``"predict"``.
         """
         genotypes = np.asarray(genotypes)
         self._check_test_cohort(genotypes, confounders)
@@ -648,7 +606,6 @@ class KRRSession:
             genotypes, self.training_genotypes_,
             confounders, self.training_confounders_,
         )
-        self._account_predict(result.flops, result.flops_by_precision)
         self._add_seconds("predict", time.perf_counter() - started)
         return result
 
@@ -665,7 +622,6 @@ class KRRSession:
                            tile_size=cfg.tile_size, precision=wp,
                            runtime=self.runtime, phase="predict",
                            flops_detail={wp: gemm_fl})
-        self._account_predict(gemm_fl, {wp: gemm_fl})
         self._add_seconds("predict", time.perf_counter() - started)
         return predictions + self.y_means_[None, :]
 
@@ -686,7 +642,7 @@ class KRRSession:
 
         Once ``K + alpha*I`` is factorized, each additional phenotype
         panel costs only two triangular solves against the tiled
-        factors (Sec. V-B3).
+        factors (Sec. V-B3), tallied under ``"solve"``.
 
         When the last :meth:`associate` solved by CG (``alpha_`` differs
         from the reference factor's regularization), the extra panels
@@ -803,6 +759,12 @@ class RRSession:
     mixed-precision SYRK + tiled Cholesky pipeline, a streamed
     ``predict``, and factor reuse for additional phenotypes — over the
     design matrix ``X`` instead of a kernel.
+
+    ``flops_`` / ``flops_by_precision`` are reads of ``runtime.ledger``
+    (reset by :meth:`fit`): the Gram SYRK under ``"build"``; the
+    factorization, the ``XᵀY`` GEMM and the two solve sweeps under
+    ``"associate"``; then whatever ``predict`` /
+    ``solve_additional_phenotypes`` ran since.
     """
 
     def __init__(self, config: RRConfig | None = None, **overrides) -> None:
@@ -822,8 +784,16 @@ class RRSession:
         self.column_means_: np.ndarray | None = None
         self.column_scales_: np.ndarray | None = None
         self.y_means_: np.ndarray | None = None
-        self.flops_: float = 0.0
-        self.flops_by_precision: dict[Precision, float] = {}
+
+    @property
+    def flops_by_precision(self) -> dict[Precision, float]:
+        """Operation count per compute precision since :meth:`fit` began."""
+        return ledger_by_precision(self.runtime.ledger)
+
+    @property
+    def flops_(self) -> float:
+        """Total operation count since :meth:`fit` began."""
+        return float(sum(t.flops for t in self.runtime.ledger.values()))
 
     # ------------------------------------------------------------------
     def _standardize(self, x: np.ndarray) -> np.ndarray:
@@ -839,7 +809,7 @@ class RRSession:
         The Gram matrix runs through the mixed INT8/FP32 SYRK, the
         factorization through the tiled mixed-precision Cholesky with
         the configured precision plan, and the solves in the working
-        precision — identical numerics to the historical estimator.
+        precision.
         """
         cfg = self.config
         design = np.asarray(design, dtype=np.float64)
@@ -850,17 +820,12 @@ class RRSession:
         if phenotypes.shape[0] != n:
             raise ValueError("design and phenotypes must have the same number of rows")
 
-        flops_by_precision: dict[Precision, float] = {}
-
-        def account(flops: int, precision: Precision) -> None:
-            flops_by_precision[precision] = (
-                flops_by_precision.get(precision, 0.0) + flops)
-
+        self.runtime.ledger.clear()
         # --- Gram matrix on raw columns via the mixed INT8/FP32 SYRK
         gram_raw = syrk(design, tile_size=cfg.tile_size,
                         integer_columns=integer_columns,
                         output_precision=Precision.FP64,
-                        accumulate_callback=account)
+                        runtime=self.runtime, phase="build")
 
         # Standardize the Gram matrix analytically:
         #   X_std = (X - 1 μᵀ) D⁻¹  ⇒  X_stdᵀ X_std = D⁻¹ (XᵀX − n μ μᵀ) D⁻¹
@@ -879,8 +844,6 @@ class RRSession:
                         working_precision=plan.working_precision,
                         precision_map=pmap,
                         runtime=self.runtime, phase="associate")
-        for prec, fl in fact.flops_by_precision.items():
-            flops_by_precision[prec] = flops_by_precision.get(prec, 0.0) + fl
 
         # --- XᵀY in FP32 and the triangular solves
         x_std = self._standardize(design)
@@ -894,8 +857,6 @@ class RRSession:
 
         self.beta_ = np.asarray(beta, dtype=np.float64)
         self.factorization_ = fact
-        self.flops_by_precision = flops_by_precision
-        self.flops_ = float(sum(flops_by_precision.values()))
         return self
 
     # ------------------------------------------------------------------

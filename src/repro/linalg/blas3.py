@@ -11,7 +11,6 @@ operands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,12 +36,55 @@ def _tile_precision_for_columns(col_types: np.ndarray, cols: slice) -> Precision
     return Precision.FP32
 
 
+def _column_tile_pairs(layout: TileLayout, col_types: np.ndarray):
+    """Upper-triangle pairs ``(cols_j, cols_k, precision)`` of column
+    tiles: a pair's product runs in INT8 only when both tiles do."""
+    tiles = [(cs, _tile_precision_for_columns(col_types, cs))
+             for cs in (layout.tile_slice(0, b)[1]
+                        for b in range(layout.tile_cols))]
+    for bj, (cs_j, pj) in enumerate(tiles):
+        for cs_k, pk in tiles[bj:]:
+            yield cs_j, cs_k, (pj if pj is pk else Precision.FP32)
+
+
+def _run_as_task(runtime, phase: str, name: str, kernel: BodySpec,
+                 operands: tuple, shape: tuple[int, int],
+                 precision: Precision, flops_detail: dict) -> np.ndarray:
+    """Run a dense kernel of ``operands`` as one task of ``runtime``.
+
+    The drain tallies ``flops_detail`` (operations by compute precision)
+    in ``runtime.ledger[phase]``; the task's output is returned.
+    """
+    runtime.require_drained(f"{name}()")
+    ns = runtime.namespace(name)
+    out_h = runtime.register_data(f"{ns}C", shape=shape, precision=precision)
+    runtime.insert_task(
+        name,
+        (out_h, AccessMode.WRITE),
+        flops=float(sum(flops_detail.values())), precision=precision,
+        flops_detail=flops_detail,
+        spec=TaskSpec(
+            kernel, mode="aux",
+            aux=tuple(ObjectInput(operand, key=f"{ns}{i}")
+                      for i, operand in enumerate(operands))),
+    )
+    try:
+        runtime.run(phase=phase)
+        return out_h.payload
+    except TaskGroupError:
+        runtime.reset_graph()
+        raise
+    finally:
+        runtime.release(ns)
+
+
 def syrk(
     x: np.ndarray,
     tile_size: int,
     integer_columns: np.ndarray | None = None,
     output_precision: Precision | str = Precision.FP32,
-    accumulate_callback: Callable[[int, Precision], None] | None = None,
+    runtime=None,
+    phase: str = "syrk",
 ) -> np.ndarray:
     """Mixed-precision ``X^T X`` via column-tile rank-k accumulation.
 
@@ -62,9 +104,11 @@ def syrk(
         within [-128, 127].
     output_precision:
         Precision of the accumulated result.
-    accumulate_callback:
-        Optional hook ``(flops, precision)`` called per panel, used by
-        the performance accounting.
+    runtime, phase:
+        With ``runtime`` the product runs as one inserted task (as
+        :func:`gemm` does), which lands its operation count — split
+        into the INT8 and FP32 panel products ``integer_columns``
+        implies — in ``runtime.ledger[phase]``.
 
     Returns
     -------
@@ -85,6 +129,17 @@ def syrk(
         raise ValueError("integer_columns must have one entry per column of X")
 
     layout = TileLayout(rows=n, cols=p, tile_size=tile_size)
+    pairs = list(_column_tile_pairs(layout, integer_columns))
+
+    if runtime is not None:
+        detail: dict[Precision, float] = {}
+        for cs_j, cs_k, prec in pairs:
+            detail[prec] = detail.get(prec, 0.0) + (
+                2.0 * n * (cs_j.stop - cs_j.start) * (cs_k.stop - cs_k.start))
+        return _run_as_task(
+            runtime, phase, "syrk", DenseSyrkSpec(tile_size, output_precision),
+            (x, integer_columns), (p, p), output_precision, detail)
+
     acc = np.zeros((p, p), dtype=np.float64)
 
     # accumulate over row panels of X^T X = sum_k X[k,:]^T X[k,:]
@@ -103,26 +158,15 @@ def syrk(
 
         # split this row panel by column tiles so integer and float
         # columns use different GEMM variants
-        for bj in range(layout.tile_cols):
-            cs_j = layout.tile_slice(0, bj)[1]
-            pj = _tile_precision_for_columns(integer_columns, cs_j)
-            for bk in range(bj, layout.tile_cols):
-                cs_k = layout.tile_slice(0, bk)[1]
-                pk = _tile_precision_for_columns(integer_columns, cs_k)
-                prec = Precision.INT8 if (pj is Precision.INT8 and pk is Precision.INT8) \
-                    else Precision.FP32
-                variant = variant_for_input(prec)
-                block = np.asarray(
-                    gemm_mixed(qcols(prec, cs_j), qcols(prec, cs_k),
-                               variant=variant, transa=True),
-                    dtype=np.float64,
-                )
-                acc[cs_j, cs_k] += block
-                if bj != bk:
-                    acc[cs_k, cs_j] += block.T
-                if accumulate_callback is not None:
-                    flops = 2.0 * panel.shape[0] * block.shape[0] * block.shape[1]
-                    accumulate_callback(int(flops), prec)
+        for cs_j, cs_k, prec in pairs:
+            block = np.asarray(
+                gemm_mixed(qcols(prec, cs_j), qcols(prec, cs_k),
+                           variant=variant_for_input(prec), transa=True),
+                dtype=np.float64,
+            )
+            acc[cs_j, cs_k] += block
+            if cs_j != cs_k:
+                acc[cs_k, cs_j] += block.T
 
     acc = (acc + acc.T) / 2.0  # exact symmetrization
     return np.asarray(quantize(acc, output_precision), dtype=np.float64)
@@ -149,39 +193,19 @@ def gemm(
     so it stays a single task rather than a chain), which lands its
     operation count — split by ``flops_detail`` when the caller folds
     in co-accounted work such as the streamed cross-kernel block — in
-    the ``phase`` trace the solver sessions read.
+    the ``runtime.ledger[phase]`` the solver sessions read.
     """
     precision = Precision.from_string(precision)
     if runtime is not None:
-        runtime.require_drained("gemm()")
         ashape, bshape = np.shape(a), np.shape(b)
         m = ashape[1] if transa else ashape[0]
         n = bshape[0] if transb else bshape[1]
         k = ashape[0] if transa else ashape[1]
-        total = (float(sum(flops_detail.values())) if flops_detail
-                 else 2.0 * m * n * k)
-        ns = runtime.namespace("gemm")
-        out_h = runtime.register_data(f"{ns}C", shape=(m, n),
-                                      precision=precision)
-        runtime.insert_task(
-            "gemm",
-            (out_h, AccessMode.WRITE),
-            flops=total, precision=precision,
-            flops_detail=flops_detail,
-            spec=TaskSpec(
-                DenseGemmSpec(tile_size, precision, transa, transb),
-                mode="aux",
-                aux=(ObjectInput(a, key=f"{ns}a"),
-                     ObjectInput(b, key=f"{ns}b"))),
-        )
-        try:
-            runtime.run(phase=phase)
-            return out_h.payload
-        except TaskGroupError:
-            runtime.reset_graph()
-            raise
-        finally:
-            runtime.release(ns)
+        return _run_as_task(
+            runtime, phase, "gemm",
+            DenseGemmSpec(tile_size, precision, transa, transb),
+            (a, b), (m, n), precision,
+            flops_detail or {precision: 2.0 * m * n * k})
     a = np.asarray(a, dtype=np.float64).T if transa else np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).T if transb else np.asarray(b, dtype=np.float64)
     m, k = a.shape
@@ -201,6 +225,19 @@ def gemm(
             gemm_mixed(qa[:, ks], qb[ks, :], variant=variant), dtype=np.float64
         )
     return np.asarray(quantize(out, precision), dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class DenseSyrkSpec(BodySpec):
+    """:func:`syrk` of a dense design matrix as one task (its runtime path)."""
+
+    tile_size: int
+    output_precision: Precision
+
+    def run(self, x: np.ndarray, integer_columns: np.ndarray) -> np.ndarray:
+        return syrk(x, tile_size=self.tile_size,
+                    integer_columns=integer_columns,
+                    output_precision=self.output_precision)
 
 
 @dataclass(frozen=True)

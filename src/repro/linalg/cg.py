@@ -238,7 +238,7 @@ def cg_solve(
         triangular solves); the CG recurrences themselves stay FP64.
     runtime:
         Session runtime: each matvec inserts a per-tile-row task DAG
-        whose FP64 flops land in ``phase``'s trace.  The preconditioner
+        whose FP64 flops land in ``runtime.ledger[phase]``.  The preconditioner
         sweeps run inline either way (see below).
     x0:
         Optional warm-start guess (same shape as ``rhs``).  For shifted
@@ -276,7 +276,7 @@ def cg_solve(
     # work — and the inline tiled solve is bitwise identical to the
     # tasked one (the solver test suite asserts exactly that), so the
     # convergence history does not depend on this choice.  Only the
-    # matvecs go through the runtime, carrying the traced CG flops.
+    # matvecs go through the runtime, carrying the tallied CG flops.
     def apply_preconditioner(r: np.ndarray) -> np.ndarray:
         if factor is None:
             return r

@@ -149,7 +149,7 @@ def cholesky(
     workers:
         Worker threads of an ephemeral threaded runtime.
     phase:
-        Trace-phase label of the runtime run (sessions pass
+        Ledger phase of the runtime run (sessions pass
         ``"associate"`` so the factorization lands in the Associate
         accounting).
 

@@ -18,9 +18,10 @@ This package reproduces those semantics:
     picks the lane a task's kernel runs on — the caller's thread
     (``"serial"``), a pool of host threads (``"threaded"``, the
     default) or worker OS processes (``"process"``).  The runtime is
-    session-long: each ``run()`` drains the tasks inserted since the
-    last one and accumulates their events into per-phase traces that
-    feed the solver sessions' flop accounting.
+    session-long: each ``run(phase=...)`` drains the tasks inserted
+    since the last one and folds what it executed into
+    ``Runtime.ledger[phase]`` (:class:`PhaseTotals`), the one operation
+    tally the solver sessions' flop accounting reads.
 ``replay`` with ``Device`` / ``DeviceModel`` / ``CommunicationEngine``
     The accelerator side, as a model: :func:`replay` times any graph —
     drained or never run — on devices with per-precision throughput
@@ -34,7 +35,7 @@ from repro.runtime.task import AccessMode, DataHandle, Task
 from repro.runtime.dag import TaskGraph
 from repro.runtime.device import Device, DeviceModel, HOST_WORKER
 from repro.runtime.comm import CommunicationEngine, ConversionPolicy, TransferRecord
-from repro.runtime.trace import ExecutionTrace, TaskEvent
+from repro.runtime.trace import ExecutionTrace, PhaseTotals, TaskEvent
 from repro.runtime.scheduler import (
     EXECUTION_MODES,
     Scheduler,
@@ -62,6 +63,7 @@ __all__ = [
     "ConversionPolicy",
     "TransferRecord",
     "ExecutionTrace",
+    "PhaseTotals",
     "TaskEvent",
     "EXECUTION_MODES",
     "Scheduler",

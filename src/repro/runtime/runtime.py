@@ -18,11 +18,17 @@ paper's GWAS code.
 
 A ``Runtime`` is **session-long and reusable**: every :meth:`run` call
 drains the tasks inserted since the previous run (the pending graph),
-appends the resulting events to the cumulative :attr:`session_trace`
-(and to the named phase trace when ``phase`` is given), and leaves the
-handle registry in place so later phases can keep inserting tasks
-against the same data.  The scheduler is constructed exactly once; no
-state is silently rebuilt between runs.
+folds what the drain executed into :attr:`Runtime.ledger` under the
+``phase`` it was given, and leaves the handle registry in place so
+later phases can keep inserting tasks against the same data.  The
+scheduler is constructed exactly once; no state is silently rebuilt
+between runs.
+
+:attr:`Runtime.ledger` is the library's one operation tally and
+:meth:`Runtime.run` its one writer.  Events are not kept: a drain's
+trace lives on the ``ScheduleResult`` that ``run`` returns
+(:attr:`Runtime.last_result` holds the latest), so a runtime's memory
+does not grow with the number of drains.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.runtime.dag import TaskGraph
 from repro.runtime.scheduler import ScheduleResult, Scheduler
 from repro.runtime.task import AccessMode, DataHandle, Task
-from repro.runtime.trace import ExecutionTrace
+from repro.runtime.trace import PhaseTotals, TaskEvent
 from repro.settings import Settings
 
 
@@ -101,12 +107,15 @@ class Runtime:
         self._handles: dict[str, DataHandle] = {}
         self._handle_uids: set[int] = set()
         self._namespaces: dict[str, int] = {}
-        self._last_result: ScheduleResult | None = None
+        #: outcome of the most recent successful :meth:`run`
+        self.last_result: ScheduleResult | None = None
         #: graph drained by the most recent :meth:`run`
         self.last_graph: TaskGraph | None = None
-        #: events of every run of this runtime, in completion order
-        self.session_trace = ExecutionTrace()
-        self._phase_traces: dict[str, ExecutionTrace] = {}
+        #: per-phase totals of what every ``run(phase=...)`` completed;
+        #: a plain dict: ``ledger.pop(phase)`` / ``ledger.clear()`` reset
+        self.ledger: dict[str, PhaseTotals] = {}
+        #: events of the pending graph's failed drains (see :meth:`run`)
+        self._uncounted: list[TaskEvent] = []
         self.runs_completed = 0
 
     # ------------------------------------------------------------------
@@ -264,18 +273,18 @@ class Runtime:
     def run(self, phase: str | None = None) -> ScheduleResult:
         """Drain the pending graph: schedule and execute its tasks.
 
-        On success the run's events are appended to
-        :attr:`session_trace` and, when ``phase`` is given, to that
-        phase's cumulative trace.
+        On success the drain's events are folded into
+        ``ledger[phase]`` (an unlabelled run is not tallied).
 
         Failed runs are **resumable**: when the scheduler raises
         :class:`~repro.resilience.errors.TaskGroupError`, the tasks
-        that completed stay done (their events are merged into the
-        traces), and the unfinished subgraph — failed tasks plus
-        everything blocked behind them — becomes the pending graph
-        again, so a follow-up :meth:`run` re-drains only what never
-        finished.  Callers that treat a failed DAG as disposable (the
-        library routines do) call :meth:`reset_graph` instead.
+        that completed stay done, and the unfinished subgraph — failed
+        tasks plus everything blocked behind them — becomes the pending
+        graph again, so a follow-up :meth:`run` re-drains only what
+        never finished.  The completed tasks enter the ledger when that
+        follow-up run succeeds, each counted once; callers that treat a
+        failed DAG as disposable (the library routines do) call
+        :meth:`reset_graph` instead, which drops them.
         """
         graph, self.graph = self.graph, TaskGraph()
         self.last_graph = graph
@@ -283,10 +292,7 @@ class Runtime:
             result = self.scheduler.run(graph)
         except TaskGroupError as exc:
             if exc.trace is not None:
-                self.session_trace.merge(exc.trace)
-                if phase is not None:
-                    self._phase_traces.setdefault(
-                        phase, ExecutionTrace()).merge(exc.trace)
+                self._uncounted.extend(exc.trace.events)
             # re-adding the unfinished tasks in insertion order
             # re-derives exactly the induced dependency subgraph
             resume = TaskGraph()
@@ -294,17 +300,14 @@ class Runtime:
                 resume.add_task(task)
             self.graph = resume
             raise
-        self.session_trace.merge(result.trace)
         if phase is not None:
-            self._phase_traces.setdefault(phase, ExecutionTrace()).merge(
-                result.trace)
-        self._last_result = result
+            totals = self.ledger.setdefault(phase, PhaseTotals())
+            totals.fold(self._uncounted)
+            totals.fold(result.trace.events)
+        self._uncounted = []
+        self.last_result = result
         self.runs_completed += 1
         return result
-
-    @property
-    def last_result(self) -> ScheduleResult | None:
-        return self._last_result
 
     # ------------------------------------------------------------------
     # out-of-core store integration
@@ -328,55 +331,21 @@ class Runtime:
         self.scheduler.hooks = StoreSchedulerHooks(store)
 
     # ------------------------------------------------------------------
-    # phase accounting
-    # ------------------------------------------------------------------
-    def phase_trace(self, phase: str) -> ExecutionTrace:
-        """Cumulative trace of every successful run tagged ``phase``."""
-        return self._phase_traces.setdefault(phase, ExecutionTrace())
-
-    def phases(self) -> tuple[str, ...]:
-        """Names of the phases this runtime has traced, first-run order.
-
-        Sessions tag fit-phase runs ``"build"``/``"associate"``/
-        ``"predict"``; the prediction service tags its micro-batches
-        ``"serve"`` — so a serving host's runtime exposes the service
-        load as its own phase trace.
-        """
-        return tuple(self._phase_traces)
-
-    def clear_phase(self, phase: str) -> None:
-        """Reset one phase's cumulative trace (e.g. on re-associate)."""
-        self._phase_traces.pop(phase, None)
-
-    def reset_traces(self) -> None:
-        """Drop the cumulative session and phase traces.
-
-        Long-lived runtimes (a serving session answering traffic
-        indefinitely) accumulate one event per executed task; callers
-        that account flops out-of-band — the prediction service keeps
-        its own counters — reset periodically to bound trace memory.
-        Pending tasks and registered data are untouched.
-        """
-        self.session_trace = ExecutionTrace()
-        self._phase_traces.clear()
-
-    # ------------------------------------------------------------------
     # convenience statistics
     # ------------------------------------------------------------------
     def num_tasks(self) -> int:
         """Pending (not yet run) task count."""
         return self.graph.num_tasks
 
-    def total_flops(self) -> float:
-        return self.graph.total_flops()
-
     def reset_graph(self) -> None:
         """Discard pending tasks while keeping registered data.
 
         The scheduler is *not* rebuilt — it is constructed once per
-        runtime and shared by every run.
+        runtime and shared by every run.  Tasks of the discarded graph
+        that a failed drain had completed never reach the ledger.
         """
         self.graph = TaskGraph()
+        self._uncounted = []
 
     def close(self) -> None:
         """Release executor resources.

@@ -1,4 +1,4 @@
-"""Execution traces and timers.
+"""Execution traces, timers and the per-phase operation ledger.
 
 The paper's measurements come from runtime timers and flop counters
 ("Measurement mechanism: Timers, Flops").  The trace collected by the
@@ -7,6 +7,11 @@ start/end times (modelled ones in a :func:`~repro.runtime.replay.replay`)
 and its operation count, from which we derive the
 throughput, per-device utilization, and Gantt-style summaries used by
 tests and benchmarks.
+
+A trace lives on the ``ScheduleResult`` of the drain that produced it.
+What outlives the drain is its fold into a :class:`PhaseTotals` of
+``Runtime.ledger`` — the library's only operation tally; every other
+count (``phase_flops``, ``RRSession.flops_``, ...) is a read of it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,43 @@ class TaskEvent:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+@dataclass
+class PhaseTotals:
+    """What the drains of one phase executed: one ``Runtime.ledger`` entry.
+
+    Constant-size however many drains are folded in — the counters a
+    long-lived runtime keeps instead of its events.
+    """
+
+    #: executed task count by task name
+    tasks: dict[str, int] = field(default_factory=dict)
+    flops: float = 0.0
+    #: ``flops`` split by compute precision (``flops_detail`` honoured)
+    flops_by_precision: dict[Precision, float] = field(default_factory=dict)
+    #: transient-fault re-executions spent
+    retries: int = 0
+
+    def fold(self, events) -> None:
+        """Add ``events`` (an iterable of :class:`TaskEvent`), in order."""
+        tasks = self.tasks
+        for e in events:
+            tasks[e.task_name] = tasks.get(e.task_name, 0) + 1
+            self.flops += e.flops
+            self.retries += e.retries
+            for prec, fl in (e.flops_detail or {e.precision: e.flops}).items():
+                self.flops_by_precision[prec] = (
+                    self.flops_by_precision.get(prec, 0.0) + fl)
+
+
+def ledger_by_precision(ledger: dict[str, PhaseTotals]) -> dict[Precision, float]:
+    """Per-precision operation count of a ledger, summed over its phases."""
+    out: dict[Precision, float] = {}
+    for totals in ledger.values():
+        for prec, fl in totals.flops_by_precision.items():
+            out[prec] = out.get(prec, 0.0) + fl
+    return out
 
 
 @dataclass
@@ -79,19 +121,9 @@ class ExecutionTrace:
         return self.total_flops / span if span > 0 else 0.0
 
     def flops_by_precision(self) -> dict[Precision, float]:
-        out: dict[Precision, float] = {}
-        for e in self.events:
-            if e.flops_detail:
-                for prec, fl in e.flops_detail.items():
-                    out[prec] = out.get(prec, 0.0) + fl
-            else:
-                out[e.precision] = out.get(e.precision, 0.0) + e.flops
-        return out
-
-    def merge(self, other: "ExecutionTrace") -> "ExecutionTrace":
-        """Append ``other``'s events (used to accumulate phase traces)."""
-        self.events.extend(other.events)
-        return self
+        totals = PhaseTotals()
+        totals.fold(self.events)
+        return totals.flops_by_precision
 
     def busy_time_by_device(self) -> dict[int, float]:
         out: dict[int, float] = {}
@@ -108,16 +140,6 @@ class ExecutionTrace:
     def mean_utilization(self) -> float:
         utils = self.utilization_by_device()
         return sum(utils.values()) / len(utils) if utils else 0.0
-
-    def events_by_name(self) -> dict[str, list[TaskEvent]]:
-        out: dict[str, list[TaskEvent]] = {}
-        for e in self.events:
-            out.setdefault(e.task_name, []).append(e)
-        return out
-
-    def time_by_name(self) -> dict[str, float]:
-        return {name: sum(e.duration for e in evts)
-                for name, evts in self.events_by_name().items()}
 
     def gantt_rows(self) -> dict[int, list[tuple[float, float, str]]]:
         """Per-device list of ``(start, end, task_name)`` sorted by start."""

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: Phase label of every serving run on the shared session runtimes —
-#: ``session.runtime.phase_trace("serve")`` is the service-side trace.
+#: ``session.runtime.ledger["serve"]`` is the service-side tally.
 SERVE_PHASE = "serve"
 
 #: Name a bare ``FittedModel`` is registered under.
@@ -185,7 +185,6 @@ class PredictionService:
         self._workers = workers
         self._execution = execution
         self._sessions: dict[ModelKey, KRRSession] = {}
-        self._session_batches: dict[ModelKey, int] = {}
         self._queue: deque[_PendingRequest] = deque()
         self._cond = threading.Condition()
         self._stats = ServiceStats()
@@ -482,14 +481,6 @@ class PredictionService:
                     with self._cond:
                         self._stats.dispatch_retries += 1
             compute_s = time.perf_counter() - t0
-            # bound the long-lived session's per-task event log: the
-            # service accounts its own counters, the trace is advisory
-            reset_every = self.config.trace_reset_batches
-            if reset_every is not None:
-                done_batches = self._session_batches.get(key, 0) + 1
-                self._session_batches[key] = done_batches
-                if done_batches % reset_every == 0:
-                    session.runtime.reset_traces()
         except BaseException as exc:  # noqa: BLE001 - forwarded to futures
             with self._cond:
                 self._stats.failures += len(batch)

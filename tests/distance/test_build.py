@@ -91,6 +91,29 @@ class TestCrossBuild:
         np.testing.assert_allclose(result.to_dense(), expected, rtol=1e-6, atol=1e-6)
         assert result.to_dense().shape == (20, 40)
 
+    @pytest.mark.parametrize("kernel_type", ["gaussian", "ibs"])
+    def test_row_batching_never_changes_a_bit(self, genotypes, kernel_type):
+        """``iter_cross_rows`` equals ``build_cross`` for any batching,
+        with or without the shared train-side operands."""
+        builder = KernelBuilder(kernel_type=kernel_type, gamma=0.03,
+                                tile_size=16)
+        test, train = genotypes[:27], genotypes[27:]
+        whole = builder.build_cross(test, train)
+        if kernel_type == "ibs":
+            np.testing.assert_array_equal(whole.kernel,
+                                          ibs_kernel(test, train))
+        assert whole.stats.dense_staging_elements == whole.kernel.size
+        assert whole.stats.max_dense_temp_elements <= 16 * train.shape[0]
+        cache = builder.train_operands(train)
+        for batch_rows in (None, 1, 7, 16, 100):
+            for train_cache in (None, cache):
+                blocks = list(builder.iter_cross_rows(
+                    test, train, batch_rows=batch_rows,
+                    train_cache=train_cache))
+                streamed = np.vstack([b.kernel for b in blocks])
+                np.testing.assert_array_equal(streamed, whole.kernel)
+                assert sum(b.flops for b in blocks) == whole.flops
+
     def test_cross_with_confounders_requires_both(self, genotypes, confounders):
         builder = KernelBuilder(gamma=0.03, tile_size=16)
         with pytest.raises(ValueError):

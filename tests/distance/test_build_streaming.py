@@ -12,7 +12,7 @@ import pytest
 
 from repro.distance.build import BuildStats, KernelBuilder
 from repro.distance.euclidean import squared_euclidean_gemm, squared_norms
-from repro.distance.kernels import gaussian_kernel
+from repro.distance.kernels import gaussian_kernel, ibs_kernel
 from repro.precision.formats import Precision
 from repro.runtime.runtime import Runtime
 from repro.tiles.adaptive import AdaptivePrecisionRule, candidates_for_gpu
@@ -209,6 +209,62 @@ class TestThreadParallelBuild:
         builder = KernelBuilder(gamma=0.03, tile_size=16)
         result = builder.build_training(genotypes)
         assert result.stats.workers >= 1
+
+
+KERNEL_TYPES = ["gaussian", "ibs"]
+
+
+@pytest.mark.parametrize("kernel_type", KERNEL_TYPES)
+class TestEveryKernelTypeStreams:
+    """IBS is a row kernel like the Gaussian one: same row tasks, so it
+    streams, spills to a store and runs on every lane for nothing."""
+
+    def _build(self, genotypes, kernel_type, execution="serial", workers=1,
+               store=None):
+        rt = Runtime(execution=execution, workers=workers)
+        try:
+            return KernelBuilder(
+                kernel_type=kernel_type, gamma=0.03, tile_size=16,
+                runtime=rt, store=store).build_training(genotypes), rt
+        finally:
+            rt.close()
+
+    def test_serial_threaded_process_identical(self, genotypes, kernel_type):
+        n = genotypes.shape[0]
+        reference, rt = self._build(genotypes, kernel_type)
+        dense = reference.to_dense()
+        if kernel_type == "ibs":
+            np.testing.assert_array_equal(
+                dense, np.float32(ibs_kernel(genotypes)))
+        for execution, workers in (("threaded", 2), ("process", 2)):
+            result, _ = self._build(genotypes, kernel_type, execution, workers)
+            np.testing.assert_array_equal(result.to_dense(), dense)
+            assert result.flops == reference.flops
+            assert result.flops_by_precision == reference.flops_by_precision
+        assert reference.stats.dense_staging_elements == 0
+        assert reference.stats.max_dense_temp_elements <= 16 * n
+        # the result's count is a read of the drain the ledger folded:
+        # each row task's rows x lower-triangle width x SNPs product
+        row_ends = [min(r0 + 16, n) for r0 in range(0, n, 16)]
+        expected = sum(2.0 * (end - r0) * end * genotypes.shape[1]
+                       for r0, end in zip(range(0, n, 16), row_ends))
+        assert rt.ledger["build"].flops == reference.flops == expected
+        assert rt.ledger["build"].flops_by_precision == (
+            reference.flops_by_precision)
+
+    def test_store_backed_identical_to_resident(self, genotypes, kernel_type):
+        from repro.store import TileStore
+
+        resident, _ = self._build(genotypes, kernel_type)
+        budget = resident.kernel.nbytes() // 4
+        with TileStore(budget_bytes=budget) as store:
+            spilled, _ = self._build(genotypes, kernel_type, "threaded", 2,
+                                     store=store)
+            np.testing.assert_array_equal(spilled.to_dense(),
+                                          resident.to_dense())
+            assert store.stats.spills > 0
+            assert store.stats.peak_resident_bytes <= budget
+        assert spilled.stats.dense_staging_elements == 0
 
 
 class TestStreamingContainer:

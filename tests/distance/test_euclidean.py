@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance.euclidean import (
-    distance_flop_count,
     squared_euclidean_direct,
     squared_euclidean_gemm,
     squared_norms,
@@ -74,16 +73,6 @@ class TestGemmTrick:
     def test_mismatched_snp_dimension_raises(self, small_genotypes):
         with pytest.raises(ValueError):
             squared_euclidean_gemm(small_genotypes[:5, :10], small_genotypes[:5, :20])
-
-
-class TestFlopCount:
-    def test_symmetric_cheaper_than_general(self):
-        sym = distance_flop_count(100, 100, 50, symmetric=True)
-        gen = distance_flop_count(100, 100, 50, symmetric=False)
-        assert sym < gen
-
-    def test_scales_with_snps(self):
-        assert distance_flop_count(10, 10, 200) > distance_flop_count(10, 10, 100)
 
 
 class TestDistanceProperties:

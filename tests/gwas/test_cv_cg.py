@@ -169,3 +169,38 @@ class TestCgSessionEnvironments:
         # associate runs entirely in the working precision)
         assert session.flops_by_precision.get(Precision.FP64, 0.0) > 0.0
         assert session.phase_flops["associate"] > 0.0
+
+
+class TestSweepMemory:
+    def test_fold_sessions_do_not_grow_with_the_alpha_axis(self, cohort,
+                                                           monkeypatch):
+        """A 3-fold x 6-alpha CG sweep drains each fold session's
+        runtime dozens of times; what stays reachable from it is the
+        last drain's events, exactly as after a one-alpha sweep."""
+        from repro.gwas import cv
+        from tests.runtime.test_ledger import reachable_task_events
+
+        sessions = []
+
+        class Recorded(KRRSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(cv, "KRRSession", Recorded)
+
+        def sweep(alphas):
+            sessions.clear()
+            grid_search_cv(*cohort, alphas=alphas, gammas=(0.01,),
+                           n_folds=3, seed=0, solver="cg")
+            assert len(sessions) == 3
+            return [(reachable_task_events(s.runtime),
+                     len(s.runtime.last_result.trace.events),
+                     s.runtime.runs_completed) for s in sessions]
+
+        one = sweep((1.0,))
+        six = sweep((0.125, 0.25, 0.5, 1.0, 2.0, 4.0))
+        for (held_1, last_1, runs_1), (held_6, last_6, runs_6) in zip(one, six):
+            assert runs_6 > runs_1
+            # the sweep ends on predict_with_kernel's one GEMM task
+            assert held_6 == held_1 == last_6 == last_1 == 1

@@ -5,6 +5,7 @@ import pytest
 
 from repro.gwas.config import PrecisionPlan, RRConfig
 from repro.gwas.session import RRSession
+from repro.linalg.kernels import gemm_flops, potrf_flops, syrk_flops, trsm_flops
 from repro.precision.formats import Precision
 
 
@@ -76,6 +77,52 @@ class TestFit:
         fitted = model.fit(x, y, integer_columns=np.ones(x.shape[1], dtype=bool))
         assert fitted.flops_ > 0
         assert Precision.INT8 in fitted.flops_by_precision
+
+    @pytest.mark.parametrize("execution", ["serial", "process"])
+    def test_flops_count_the_whole_fit(self, rng, execution):
+        """``flops_`` = SYRK + factorization + XᵀY GEMM + two sweeps —
+        the ledger of the session's runtime, against the closed forms
+        (the last two were traced but never reported before)."""
+        n, p, tile, nph = 60, 21, 8, 2
+        x = np.hstack([rng.integers(0, 3, size=(n, p - 1)).astype(np.float64),
+                       rng.normal(size=(n, 1))])  # one confounder column
+        y = rng.normal(size=(n, nph))
+        session = RRSession(RRConfig(tile_size=tile, execution=execution,
+                                     workers=2))
+        try:
+            session.fit(x, y)
+            ledger = session.runtime.ledger
+            assert list(ledger) == ["build", "associate"]
+            assert session.flops_ == pytest.approx(
+                sum(session.flops_by_precision.values()), rel=1e-12)
+        finally:
+            session.runtime.close()
+
+        widths = [8, 8, 5]  # the last column tile holds the confounder
+        pairs = [(j, k) for j in range(3) for k in range(j, 3)]
+        syrk_int8 = sum(2.0 * n * widths[j] * widths[k]
+                        for j, k in pairs if k < 2)
+        syrk_fp32 = sum(2.0 * n * widths[j] * widths[k]
+                        for j, k in pairs if k == 2)
+        assert ledger["build"].tasks == {"syrk": 1}
+        assert ledger["build"].flops_by_precision == {
+            Precision.INT8: syrk_int8, Precision.FP32: syrk_fp32}
+
+        factor = sum(potrf_flops(w) for w in widths)
+        for k in range(3):
+            for i in range(k + 1, 3):
+                factor += trsm_flops(widths[k], widths[i])
+                factor += syrk_flops(widths[i], widths[k])
+                factor += sum(gemm_flops(widths[i], widths[j], widths[k])
+                              for j in range(k + 1, i))
+        assert session.factorization_.flops == pytest.approx(factor, rel=1e-12)
+        xty = gemm_flops(p, nph, n)
+        sweeps = 2 * float(p * p * nph)
+        assert ledger["associate"].flops == pytest.approx(
+            factor + xty + sweeps, rel=1e-12)
+        assert session.flops_ == pytest.approx(
+            syrk_int8 + syrk_fp32 + factor + xty + sweeps, rel=1e-12)
+        assert not [k for k in vars(session) if "flops" in k]
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):

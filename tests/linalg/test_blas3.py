@@ -5,6 +5,7 @@ import pytest
 
 from repro.linalg.blas3 import gemm, syrk
 from repro.precision.formats import Precision
+from repro.runtime import Runtime
 
 
 class TestSyrk:
@@ -31,16 +32,23 @@ class TestSyrk:
         snps = rng.integers(0, 3, size=(30, 8)).astype(np.float64)
         conf = rng.normal(size=(30, 2))
         x = np.hstack([snps, conf])
-        calls = []
-        syrk(x, tile_size=4, accumulate_callback=lambda f, p: calls.append(p))
-        assert Precision.INT8 in calls
-        assert Precision.FP32 in calls
+        rt = Runtime(execution="serial")
+        out = syrk(x, tile_size=4, runtime=rt, phase="gram")
+        by_precision = rt.ledger["gram"].flops_by_precision
+        # column tiles 0-1 are all-integer, tile 2 holds the confounders
+        assert by_precision[Precision.INT8] == 2.0 * 30 * 3 * 16
+        assert by_precision[Precision.FP32] == 2.0 * 30 * (2 * 8 + 4)
+        np.testing.assert_array_equal(out, syrk(x, tile_size=4))
 
-    def test_callback_counts_flops(self, rng):
+    def test_runtime_task_counts_flops(self, rng):
         x = rng.integers(0, 3, size=(20, 8)).astype(np.float64)
-        total = []
-        syrk(x, tile_size=4, accumulate_callback=lambda f, p: total.append(f))
-        assert sum(total) > 0
+        rt = Runtime(execution="serial")
+        syrk(x, tile_size=4, runtime=rt)
+        totals = rt.ledger["syrk"]
+        assert totals.tasks == {"syrk": 1}
+        # upper-triangle pairs of the two 4-wide column tiles
+        assert totals.flops == 3 * 2.0 * 20 * 4 * 4
+        assert rt.handles == {}
 
     def test_wrong_mask_length_raises(self, rng):
         with pytest.raises(ValueError):

@@ -285,20 +285,6 @@ class TestRuntimeReuse:
         assert rt.scheduler is scheduler
         assert rt.runs_completed == 3
 
-    def test_session_trace_accumulates_across_runs(self):
-        rt = Runtime(execution="threaded", workers=2)
-        for i in range(3):
-            h = rt.register_data(f"x{i}", payload=1.0)
-            rt.insert_task("t", (h, AccessMode.READWRITE), flops=10.0,
-                           precision=Precision.FP32, body=lambda v: v)
-            rt.run(phase="build" if i == 0 else "associate")
-        assert rt.session_trace.num_tasks == 3
-        assert rt.phase_trace("build").num_tasks == 1
-        assert rt.phase_trace("associate").num_tasks == 2
-        rt.clear_phase("associate")
-        assert rt.phase_trace("associate").num_tasks == 0
-        assert rt.session_trace.num_tasks == 3
-
     def test_foreign_handle_rejected(self):
         rt = Runtime(execution="threaded")
         other = Runtime(execution="threaded")

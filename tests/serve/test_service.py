@@ -20,6 +20,7 @@ from repro.serve.service import (
     SERVE_PHASE,
     PredictionService,
 )
+from tests.runtime.test_ledger import reachable_task_events
 
 N_TRAIN, NS, NPH = 192, 48, 2
 #: awkward on purpose: sub-tile, non-tile-aligned and multi-tile cohorts
@@ -134,16 +135,6 @@ class TestRequestStats:
             model.predict_flops(c.shape[0]) for c in request_cohorts[:3]))
         assert stats.batches >= 1
         assert stats.mean_coalesced >= 1.0
-
-    def test_serving_runs_trace_the_serve_phase(self, model, request_cohorts):
-        with PredictionService(model) as service:
-            service.predict(request_cohorts[3], timeout=60)
-            session = next(iter(service._sessions.values()))
-        assert SERVE_PHASE in session.runtime.phases()
-        trace = session.runtime.phase_trace(SERVE_PHASE)
-        assert trace.num_tasks > 0
-        assert session.phase_flops[SERVE_PHASE] == pytest.approx(
-            trace.total_flops)
 
 
 class TestRegistryIntegration:
@@ -265,28 +256,34 @@ class TestValidationAndLifecycle:
             PredictionService(np.zeros(3))
 
 
-class TestTraceBounding:
-    def test_serve_traces_reset_periodically(self, model, request_cohorts):
-        """A long-running service must not accumulate task events
-        without bound: every trace_reset_batches micro-batches the
-        session runtime's traces are dropped (service counters stay)."""
-        from repro.gwas.config import ServeConfig
+class TestConstantMemory:
+    def test_fifty_batches_hold_no_more_events_than_one(self, model,
+                                                        request_cohorts):
+        """A long-running service must not accumulate task events: the
+        serving runtime keeps ``ledger["serve"]`` counters, and only
+        the latest drain's events (``last_result``) stay reachable."""
+        def serve(batches):
+            service = PredictionService(
+                model, config=ServeConfig(max_batch_requests=1),
+                autostart=False)
+            futures = [service.submit(request_cohorts[0])
+                       for _ in range(batches)]
+            service.start()
+            for f in futures:
+                f.result(timeout=60)
+            session = next(iter(service._sessions.values()))
+            service.close()
+            assert service.stats.batches == batches
+            return session.runtime
 
-        service = PredictionService(
-            model,
-            config=ServeConfig(max_batch_requests=1, trace_reset_batches=2),
-            autostart=False)
-        futures = [service.submit(request_cohorts[0]) for _ in range(5)]
-        service.start()
-        for f in futures:
-            f.result(timeout=60)
-        session = next(iter(service._sessions.values()))
-        service.close()
-        assert service.stats.batches == 5
-        # resets fired after batches 2 and 4: only batch 5's single
-        # predict task survives in the traces
-        assert session.runtime.phase_trace(SERVE_PHASE).num_tasks == 1
-        assert session.runtime.session_trace.num_tasks == 1
+        one, fifty = serve(1), serve(50)
+        assert (reachable_task_events(fifty) == reachable_task_events(one)
+                == len(one.last_result.trace.events) == 1)
+        # the tally kept counting where the events were let go
+        assert set(fifty.ledger) == {SERVE_PHASE}
+        assert fifty.ledger[SERVE_PHASE].tasks == {"gemm": 50}
+        assert fifty.ledger[SERVE_PHASE].flops == pytest.approx(
+            50 * one.ledger[SERVE_PHASE].flops)
 
 
 class TestReviewRegressions:

@@ -1,0 +1,80 @@
+"""One ledger: ``Runtime.run`` is the only writer of operation counts.
+
+``Runtime.ledger`` holds per-phase counters folded from each drain's
+trace; ``KRRSession.phase_flops`` / ``flops_by_precision``,
+``RRSession.flops_`` and ``BuildResult.flops`` are reads of what a
+drain recorded.  A hand-kept copy, an event log that outlives its
+drain, or a kernel type that bypasses the runtime cannot come back
+without editing one of the lists below.
+"""
+
+import ast
+import dataclasses
+
+from repro.gwas.config import ServeConfig
+from repro.gwas.session import KRRSession, RRSession
+from tests.runtime.test_one_drain import _sites
+from tests.test_one_front_door import _identifiers
+
+
+def test_the_hand_kept_tallies_and_event_logs_are_gone():
+    retired = {"session_trace", "_phase_traces", "phase_trace", "clear_phase",
+               "reset_traces", "trace_reset_batches", "_session_batches",
+               "accumulate_callback", "flops_box", "_account_predict",
+               "_build_by_precision", "_ibs_dense"}
+    assert _sites(lambda node: retired & set(_identifiers(node))) == []
+
+
+def test_a_drain_is_folded_into_the_ledger_from_run_only():
+    def folds(node):
+        return isinstance(node, ast.Call) \
+            and getattr(node.func, "attr", None) == "fold"
+    assert _sites(folds) == [
+        "runtime/runtime.py:run",  # a resumed graph's earlier completions
+        "runtime/runtime.py:run",  # this drain's events
+        "runtime/trace.py:flops_by_precision",  # one trace's own split
+    ]
+
+
+def test_per_precision_counts_are_added_up_in_two_functions():
+    def adds(node):
+        if isinstance(node, ast.AugAssign):
+            target = node.target
+        elif isinstance(node, ast.Assign) \
+                and isinstance(node.targets[0], ast.Subscript):
+            target = node.targets[0]
+        else:
+            return False
+        return any("flops_by_precision" in name
+                   for part in ast.walk(target) for name in _identifiers(part))
+    assert _sites(adds) == [
+        # CholeskyResult's own tally: _cholesky_direct has no runtime
+        "linalg/cholesky.py:_accumulate",
+        "runtime/trace.py:fold",
+    ]
+
+
+def test_ibs_is_dispatched_in_one_function_of_the_build():
+    def compares_to_ibs(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(part, ast.Constant) and part.value == "ibs"
+            for part in ast.walk(node))
+    sites = [s for s in _sites(compares_to_ibs)
+             if s.startswith("distance/build.py:")]
+    assert sites == ["distance/build.py:__post_init__",
+                     "distance/build.py:_prepare_operands"]
+
+
+def test_the_sessions_hold_no_flop_state():
+    for cls, views in ((KRRSession, ("phase_flops", "flops_by_precision")),
+                       (RRSession, ("flops_", "flops_by_precision"))):
+        for view in views:
+            assert isinstance(vars(cls)[view], property)
+            assert vars(cls)[view].fset is None
+        assert not [k for k in vars(cls()) if "flops" in k]
+
+
+def test_serve_config_has_six_knobs():
+    assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+        "max_batch_requests", "batch_window_s", "batch_rows",
+        "max_queue_depth", "request_deadline_s", "dispatch_retries"]
