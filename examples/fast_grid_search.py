@@ -56,7 +56,7 @@ def main() -> None:
         t0 = time.perf_counter()
         result = grid_search_cv(genotypes, phenotypes, alphas=ALPHAS,
                                 gammas=GAMMAS, n_folds=args.folds, seed=0,
-                                base_config=base, solver=solver)
+                                base_config=base.with_options(solver=solver))
         seconds = time.perf_counter() - t0
         results[solver] = (result, seconds)
         print(f"{solver:>6}: {seconds:6.2f} s  "

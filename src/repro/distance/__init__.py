@@ -9,8 +9,8 @@ Implements Sec. V-B1 and VI-B2 of the paper:
   compute-bound matrix product.
 * :func:`gaussian_kernel` / :func:`ibs_kernel` — the kernel functions of
   Algorithm 5.
-* :class:`KernelBuilder` / :func:`build_kernel_matrix` — the fused,
-  tile-wise Build phase producing the KRR matrix ``K`` (optionally as a
+* :class:`KernelBuilder` — the fused, tile-wise Build phase producing
+  the KRR matrix ``K`` (optionally as a
   :class:`~repro.tiles.matrix.TileMatrix` with adaptive per-tile
   precisions), with the integer SNP contribution and the floating-point
   confounder contribution accumulated separately.
@@ -22,12 +22,7 @@ from repro.distance.euclidean import (
     squared_norms,
 )
 from repro.distance.kernels import gaussian_kernel, ibs_kernel, kernel_from_distance
-from repro.distance.build import (
-    BuildResult,
-    BuildStats,
-    KernelBuilder,
-    build_kernel_matrix,
-)
+from repro.distance.build import BuildResult, BuildStats, KernelBuilder
 
 __all__ = [
     "squared_norms",
@@ -39,5 +34,4 @@ __all__ = [
     "KernelBuilder",
     "BuildResult",
     "BuildStats",
-    "build_kernel_matrix",
 ]

@@ -48,7 +48,6 @@ from repro.precision.gemm import (
     integer_gemm_dtype,
     variant_for_input,
 )
-from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
@@ -72,15 +71,13 @@ class BuildStats:
         streamed training Build; ``n1*n2`` for the rectangular cross
         kernel, whose dense array is the *output*, not a temporary).
     tile_tasks:
-        Number of tile tasks executed.
-    workers:
-        Worker threads used by the tile loop.
+        Number of tile tasks executed.  (How wide they ran is the
+        runtime's to say: ``runtime.workers``.)
     """
 
     max_dense_temp_elements: int = 0
     dense_staging_elements: int = 0
     tile_tasks: int = 0
-    workers: int = 1
 
     def note_temp(self, n_elements: int) -> None:
         if n_elements > self.max_dense_temp_elements:
@@ -317,18 +314,13 @@ class KernelBuilder:
         Uniform storage precision when no adaptive rule is given.
     snp_block:
         Column blocking of the SNP dimension inside each Gram tile.
-    workers:
-        Worker threads of the tile-row tasks (BLAS releases the GIL, so
-        tile GEMMs genuinely overlap); 1 drains the task DAG serially.
-        Ignored when an external ``runtime`` is given (the runtime owns
-        concurrency).
-    execution:
-        Execution mode of an internally created runtime.
     runtime:
-        Optional session-long :class:`~repro.runtime.runtime.Runtime`.
-        When given, Build tasks are inserted there and the run is
-        tallied in ``runtime.ledger[trace_phase]``, which the session's
-        flop accounting reads.
+        The :class:`~repro.runtime.runtime.Runtime` the tile-row tasks
+        are inserted into — it alone says where and how wide they run
+        (BLAS releases the GIL, so tile GEMMs genuinely overlap on its
+        lanes) — and whose ``ledger[trace_phase]`` tallies them, which
+        a session's flop accounting reads.  Left unset, the builder
+        makes its own ``Runtime()``, resolved like any other.
     trace_phase:
         Ledger phase of the runtime runs (``"build"``; the solver
         sessions relabel their Predict-phase cross-kernel builds).
@@ -349,8 +341,6 @@ class KernelBuilder:
     adaptive_rule: AdaptivePrecisionRule | None = None
     storage_precision: Precision | str = Precision.FP32
     snp_block: int = 4096
-    workers: int | None = None
-    execution: str | None = None
     runtime: Runtime | None = None
     trace_phase: str = "build"
     store: object | None = None
@@ -363,6 +353,8 @@ class KernelBuilder:
             raise ValueError("kernel_type must be 'gaussian' or 'ibs'")
         if self.tile_size <= 0:
             raise ValueError("tile_size must be positive")
+        if self.runtime is None:
+            self.runtime = Runtime()
 
     # ------------------------------------------------------------------
     def build_training(self, genotypes: np.ndarray,
@@ -619,17 +611,7 @@ class KernelBuilder:
         layout = TileLayout(rows=ctx.n1, cols=n2, tile_size=self.tile_size)
 
         rt = self.runtime
-        if rt is None:
-            rt = Runtime(execution=self.execution, workers=self.workers)
-        stats.workers = (rt.workers
-                         if rt.execution in ("threaded", "process") else 1)
         stats.tile_tasks = layout.tile_rows
-
-        rt.require_drained("KernelBuilder streaming")
-        ns = rt.namespace("build")
-        ctx_h = rt.register_data(f"{ns}operands", shape=())
-        out_h = rt.register_data(f"{ns}K", shape=())
-        row_handles = []
         # Bounded submission window, expressed as dataflow: row task bi
         # reads the handle that consume task bi-window read-writes, so
         # at most `window` row payloads are ever in flight.
@@ -647,62 +629,43 @@ class KernelBuilder:
                 row_h.payload = None
             return body
 
-        for bi in range(layout.tile_rows):
-            rs = layout.tile_slice(bi, 0)[0]
-            col_end = min((bi + 1) * layout.tile_size, n2) if symmetric else n2
-            col_tiles = (bi + 1) if symmetric else layout.tile_cols
-            row_h = rt.register_data(f"{ns}row({bi})",
-                                     shape=(rs.stop - rs.start, col_end))
-            row_handles.append(row_h)
-            row_accesses = [(ctx_h, AccessMode.READ),
-                            (row_h, AccessMode.WRITE)]
-            if bi >= window:
-                row_accesses.append(
-                    (row_handles[bi - window], AccessMode.READ))
-            row_flops, row_detail = self._block_flops(ctx, rs.stop - rs.start,
-                                                      col_end)
-            rt.insert_task(
-                "build_row", *row_accesses,
-                flops=row_flops, precision=self.snp_precision,
-                flops_detail=row_detail, tag=bi,
-                spec=TaskSpec(
-                    BuildRowSpec(gamma=self.gamma, snp_block=self.snp_block,
-                                 row_start=rs.start, row_stop=rs.stop,
-                                 col_end=col_end),
-                    mode="aux",
-                    aux=(ObjectInput(ctx, key=f"{ns}operands"),)),
-            )
-            rt.insert_task(
-                "consume_row",
-                (row_h, AccessMode.READWRITE), (out_h, AccessMode.READWRITE),
-                body=make_consume_body(row_h, bi, col_tiles),
-                flops=0.0, precision=self.storage_precision,
-                priority=layout.tile_rows - bi, tag=bi,
-            )
-        try:
+        with rt.dag("build") as ns:
+            ctx_h = rt.register_data(f"{ns}operands", shape=())
+            out_h = rt.register_data(f"{ns}K", shape=())
+            row_handles = []
+            for bi in range(layout.tile_rows):
+                rs = layout.tile_slice(bi, 0)[0]
+                col_end = (min((bi + 1) * layout.tile_size, n2) if symmetric
+                           else n2)
+                col_tiles = (bi + 1) if symmetric else layout.tile_cols
+                row_h = rt.register_data(f"{ns}row({bi})",
+                                         shape=(rs.stop - rs.start, col_end))
+                row_handles.append(row_h)
+                row_accesses = [(ctx_h, AccessMode.READ),
+                                (row_h, AccessMode.WRITE)]
+                if bi >= window:
+                    row_accesses.append(
+                        (row_handles[bi - window], AccessMode.READ))
+                row_flops, row_detail = self._block_flops(
+                    ctx, rs.stop - rs.start, col_end)
+                rt.insert_task(
+                    "build_row", *row_accesses,
+                    flops=row_flops, precision=self.snp_precision,
+                    flops_detail=row_detail, tag=bi,
+                    spec=TaskSpec(
+                        BuildRowSpec(gamma=self.gamma,
+                                     snp_block=self.snp_block,
+                                     row_start=rs.start, row_stop=rs.stop,
+                                     col_end=col_end),
+                        mode="aux",
+                        aux=(ObjectInput(ctx, key=f"{ns}operands"),)),
+                )
+                rt.insert_task(
+                    "consume_row",
+                    (row_h, AccessMode.READWRITE),
+                    (out_h, AccessMode.READWRITE),
+                    body=make_consume_body(row_h, bi, col_tiles),
+                    flops=0.0, precision=self.storage_precision,
+                    priority=layout.tile_rows - bi, tag=bi,
+                )
             return rt.run(phase=self.trace_phase)
-        except TaskGroupError:
-            rt.reset_graph()
-            raise
-        finally:
-            rt.release(ns)
-
-
-def build_kernel_matrix(genotypes: np.ndarray,
-                        confounders: np.ndarray | None = None,
-                        gamma: float = 0.01,
-                        tile_size: int = 64,
-                        kernel_type: str = "gaussian",
-                        adaptive_rule: AdaptivePrecisionRule | None = None,
-                        snp_precision: Precision | str = Precision.INT8,
-                        workers: int | None = None) -> BuildResult:
-    """One-call Build phase for the training kernel matrix."""
-    builder = KernelBuilder(
-        kernel_type=kernel_type,
-        gamma=gamma,
-        tile_size=tile_size,
-        snp_precision=snp_precision,
-        adaptive_rule=adaptive_rule,
-        workers=workers,
-    )
-    return builder.build_training(genotypes, confounders)

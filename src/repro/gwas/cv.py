@@ -94,20 +94,17 @@ def grid_search_cv(
     n_folds: int = 3,
     base_config: KRRConfig | None = None,
     seed: int | None = 0,
-    workers: int | None = None,
-    execution: str | None = None,
-    solver: str | None = None,
 ) -> CrossValidationResult:
     """K-fold grid search over (α, γ) for the KRR GWAS model.
 
     Returns the pair minimizing the mean validation MSPE; exact score
     ties break deterministically toward the smallest α, then the
-    smallest γ.  The kernel
-    type, tile size and precision plan are taken from ``base_config``;
-    ``workers`` / ``execution`` / ``solver`` override the base config's
-    task-runtime and solver knobs for every session the sweep spawns
-    (each (fold, γ) session owns one runtime that executes its Build,
-    the per-α solves and the validation predictions).
+    smallest γ.  Everything but (α, γ) — kernel type, tile size,
+    precision plan, the task-runtime pair and the solver route — is
+    ``base_config``'s (``cfg.with_options(solver="cg", workers=4)``),
+    applied to every session the sweep spawns: each (fold, γ) session
+    owns one runtime that executes its Build, the per-α solves and the
+    validation predictions.
 
     The kernel matrix ``K`` depends on γ but **not** on α, so each
     (fold, γ) pair builds ``K`` and the validation cross kernel exactly
@@ -117,10 +114,11 @@ def grid_search_cv(
     ``(A-1)/A`` of the Build work the per-grid-point refit performed.
 
     On the direct route the Associate phase still pays one
-    O(n³/3) factorization per α.  With ``solver="cg"`` (or
-    ``REPRO_SOLVER=cg``) the sweep goes *factor-once*: the sorted-middle
-    α is associated first, its factorization becomes the CG reference
-    preconditioner for the session, and every other α costs only a few
+    O(n³/3) factorization per α.  With ``base_config.solver == "cg"``
+    (or ``REPRO_SOLVER=cg``) the sweep goes *factor-once*: the
+    sorted-middle α is associated first, its factorization becomes the
+    CG reference preconditioner for the session, and every other α
+    costs only a few
     O(n²) preconditioned-CG iterations — one Build and **one
     factorization** per (fold, γ), one cheap CG solve per α.  Scores
     are keyed by (α, γ), so the reordered sweep reports identically.
@@ -141,13 +139,9 @@ def grid_search_cv(
     if phenotypes.ndim == 1:
         phenotypes = phenotypes[:, None]
     base = base_config or KRRConfig()
-    if workers is not None:
-        base = base.with_options(workers=workers)
-    if execution is not None:
-        base = base.with_options(execution=execution)
     # one snapshot for the whole sweep: every fold's session gets the
     # route spelled out instead of reading the environment again
-    solver_mode = solver or base.solver or Settings.from_env().solver
+    solver_mode = base.solver or Settings.from_env().solver
     base = base.with_options(solver=solver_mode)
 
     # CG sweeps factor the sorted-middle alpha first: the reference

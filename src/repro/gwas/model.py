@@ -177,21 +177,20 @@ class FittedModel:
     # ------------------------------------------------------------------
     # predict (delegating to a lazily-restored session)
     # ------------------------------------------------------------------
-    def session(self, workers: int | None = None,
-                execution: str | None = None):
+    def session(self):
         """The model's serving session (created on first use, cached).
 
         The cached session owns one task :class:`~repro.runtime.runtime.Runtime`
         and is **not** thread-safe; concurrent callers go through
         :class:`repro.serve.PredictionService`, which serializes
-        execution on one dispatcher.  Passing explicit ``workers`` /
-        ``execution`` builds a fresh, un-cached session.
+        execution on one dispatcher.  An artifact carries no
+        ``workers`` / ``execution``: the session resolves them on this
+        host, and a serving host that wants its own pair builds the
+        session itself, ``KRRSession.from_model(model, workers=...,
+        execution=...)``.
         """
         from repro.gwas.session import KRRSession
 
-        if workers is not None or execution is not None:
-            return KRRSession.from_model(self, workers=workers,
-                                         execution=execution)
         if self._session is None:
             self._session = KRRSession.from_model(self)
         return self._session

@@ -81,15 +81,6 @@ def effective_batch_rows(tile_size: int, batch_rows: int | None) -> int | None:
     return (batch // tile_size) * tile_size
 
 
-def _panel_rows(panel: TileMatrix) -> np.ndarray:
-    """Assemble a tall tiled panel into a dense float64 array tile-row-wise."""
-    rows = []
-    for i in range(panel.layout.tile_rows):
-        rows.append(np.hstack([panel.get_tile(i, j).to_float64()
-                               for j in range(panel.layout.tile_cols)]))
-    return np.vstack(rows)
-
-
 class KRRSession:
     """A tile-native KRR solving session over one training cohort.
 
@@ -355,19 +346,13 @@ class KRRSession:
 
     def _panel_solve(self, y_centered: np.ndarray,
                      phase: str = "associate") -> np.ndarray:
-        """Tiled POTRS of a phenotype panel against ``factorization_``.
-
-        The panel streams through per tile row, as per-row TRSM/GEMM
-        tasks on the session runtime.
-        """
-        fact = self.factorization_
+        """Tiled POTRS of a phenotype panel against ``factorization_``,
+        as per-tile-row TRSM/GEMM tasks on the session runtime."""
         started = time.perf_counter()
-        panel = TileMatrix.from_dense(y_centered, fact.factor.tile_size,
-                                      Precision.FP64)
-        solved = solve_cholesky(
-            fact, panel, precision=self.config.precision_plan.working_precision,
+        weights = solve_cholesky(
+            self.factorization_, y_centered,
+            precision=self.config.precision_plan.working_precision,
             runtime=self.runtime, phase=phase)
-        weights = _panel_rows(solved)
         self._add_seconds("solve", time.perf_counter() - started)
         return weights
 
@@ -671,12 +656,7 @@ class KRRSession:
                 return result.x
             self.cg_fallbacks_ += 1
             _, self.alpha_ = self._direct_factorize(self.alpha_, phase="solve")
-        started = time.perf_counter()
-        solved = solve_cholesky(self.factorization_, y_centered,
-                                precision=wp,
-                                runtime=self.runtime, phase="solve")
-        self._add_seconds("solve", time.perf_counter() - started)
-        return solved
+        return self._panel_solve(y_centered, phase="solve")
 
     # ------------------------------------------------------------------
     # fitted-model artifacts

@@ -17,7 +17,6 @@ import numpy as np
 from repro.precision.formats import Precision
 from repro.precision.gemm import QuantizedOperand, gemm_mixed, variant_for_input
 from repro.precision.quantize import quantize
-from repro.resilience.errors import TaskGroupError
 from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
 from repro.tiles.layout import TileLayout
 
@@ -55,27 +54,21 @@ def _run_as_task(runtime, phase: str, name: str, kernel: BodySpec,
     The drain tallies ``flops_detail`` (operations by compute precision)
     in ``runtime.ledger[phase]``; the task's output is returned.
     """
-    runtime.require_drained(f"{name}()")
-    ns = runtime.namespace(name)
-    out_h = runtime.register_data(f"{ns}C", shape=shape, precision=precision)
-    runtime.insert_task(
-        name,
-        (out_h, AccessMode.WRITE),
-        flops=float(sum(flops_detail.values())), precision=precision,
-        flops_detail=flops_detail,
-        spec=TaskSpec(
-            kernel, mode="aux",
-            aux=tuple(ObjectInput(operand, key=f"{ns}{i}")
-                      for i, operand in enumerate(operands))),
-    )
-    try:
+    with runtime.dag(name) as ns:
+        out_h = runtime.register_data(f"{ns}C", shape=shape,
+                                      precision=precision)
+        runtime.insert_task(
+            name,
+            (out_h, AccessMode.WRITE),
+            flops=float(sum(flops_detail.values())), precision=precision,
+            flops_detail=flops_detail,
+            spec=TaskSpec(
+                kernel, mode="aux",
+                aux=tuple(ObjectInput(operand, key=f"{ns}{i}")
+                          for i, operand in enumerate(operands))),
+        )
         runtime.run(phase=phase)
         return out_h.payload
-    except TaskGroupError:
-        runtime.reset_graph()
-        raise
-    finally:
-        runtime.release(ns)
 
 
 def syrk(

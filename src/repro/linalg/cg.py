@@ -41,7 +41,6 @@ from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.kernels import gemm_flops
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
-from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, BodySpec, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
@@ -157,43 +156,29 @@ def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
             for spec, keys in map(row, range(nt))])
         return out[:, 0] if squeeze else out
 
-    runtime.require_drained("kernel_matvec()")
-    ns = runtime.namespace("cgmv")
     binding = kernel._binding
-    if binding is not None:
-        try:
-            runtime.attach_store(kernel.store)
-        except RuntimeError:
-            pass  # foreign hooks: pinning skipped, reloads stay bitwise
-
-    v_handle = runtime.register_data(f"{ns}v", payload=v)
-    out_handles = []
-    for i in range(nt):
-        spec, keys = row(i)
-        rows = spec.row_stop - spec.row_start
-        h = runtime.register_data(f"{ns}y({i})", shape=(rows, nrhs))
-        out_handles.append(h)
-        runtime.insert_task(
-            "cg_matvec",
-            (v_handle, AccessMode.READ),
-            (h, AccessMode.WRITE),
-            flops=gemm_flops(rows, nrhs, layout.cols) + rows * nrhs,
-            precision=Precision.FP64, tag=(i,),
-            tile_deps=(() if binding is None
-                       else tuple((binding, key) for key in keys)),
-            spec=TaskSpec(spec, mode="both",
-                          aux=tuple(TileInput(kernel, key) for key in keys)),
-        )
-    try:
+    with runtime.dag("cgmv", store=kernel.store) as ns:
+        v_handle = runtime.register_data(f"{ns}v", payload=v)
+        out_handles = []
+        for i in range(nt):
+            spec, keys = row(i)
+            rows = spec.row_stop - spec.row_start
+            h = runtime.register_data(f"{ns}y({i})", shape=(rows, nrhs))
+            out_handles.append(h)
+            runtime.insert_task(
+                "cg_matvec",
+                (v_handle, AccessMode.READ),
+                (h, AccessMode.WRITE),
+                flops=gemm_flops(rows, nrhs, layout.cols) + rows * nrhs,
+                precision=Precision.FP64, tag=(i,),
+                tile_deps=(() if binding is None
+                           else tuple((binding, key) for key in keys)),
+                spec=TaskSpec(spec, mode="both",
+                              aux=tuple(TileInput(kernel, key)
+                                        for key in keys)),
+            )
         runtime.run(phase=phase)
         out = np.vstack([h.payload for h in out_handles])
-    except TaskGroupError:
-        # library DAGs are raise-and-discard: a retried matvec inserts
-        # a fresh graph, so don't leave the failed subgraph pending
-        runtime.reset_graph()
-        raise
-    finally:
-        runtime.release(ns)
     return out[:, 0] if squeeze else out
 
 

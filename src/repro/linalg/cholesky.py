@@ -16,17 +16,18 @@ Structure of the algorithm per panel ``k`` (lower-triangular variant):
    ``A[i,j] <- A[i,j] - A[i,k] @ A[j,k]^T``; runs in the *destination
    tile's* precision, which is where FP16/FP8 enters.
 
-Two implementations, on purpose.  :func:`_cholesky_runtime` is the one
-DAG Cholesky: a single insertion loop whose tasks carry the kernel
-descriptors of :mod:`repro.linalg.kernels`, run by whatever execution
-mode the runtime has (serial, threaded, process) over a
-resident *or* store-backed workspace — the two differ only in how a
-tile is declared to the task.  :func:`_cholesky_direct`
-(``execution="serial"`` without a runtime) is the host-ordered
-elimination with no task graph: the reference every DAG execution must
-match bit for bit, which holds because every ordering constraint of the
-DAG is an explicit dependency edge (including the serialized
-accumulation chain on each trailing tile).
+Two implementations, on purpose, selected the way every tiled routine
+selects: by whether the caller hands over a runtime.
+:func:`_cholesky_runtime` (``runtime=rt``) is the one DAG Cholesky: a
+single insertion loop whose tasks carry the kernel descriptors of
+:mod:`repro.linalg.kernels`, run by whatever execution mode the runtime
+has (serial, threaded, process) over a resident *or* store-backed
+workspace — the two differ only in how a tile is declared to the task.
+:func:`_cholesky_direct` (no runtime) is the host-ordered elimination
+with no task graph: the reference every DAG execution must match bit
+for bit, which holds because every ordering constraint of the DAG is an
+explicit dependency edge (including the serialized accumulation chain
+on each trailing tile).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro.linalg.kernels import (
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, TaskSpec, TileInput
-from repro.settings import Settings
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
@@ -77,8 +77,8 @@ class CholeskyResult:
     task_counts:
         Number of POTRF/TRSM/SYRK/GEMM tasks executed.
     schedule:
-        Optional :class:`~repro.runtime.scheduler.ScheduleResult` when a
-        runtime was used.
+        The drain's :class:`~repro.runtime.scheduler.ScheduleResult`
+        when a runtime was given; ``None`` for the reference.
     """
 
     factor: TileMatrix
@@ -112,8 +112,6 @@ def cholesky(
     working_precision: Precision | str = Precision.FP32,
     precision_map: dict[tuple[int, int], Precision] | None = None,
     runtime: Runtime | None = None,
-    execution: str | None = None,
-    workers: int | None = None,
     phase: str = "cholesky",
 ) -> CholeskyResult:
     """Tiled mixed-precision Cholesky factorization (lower triangular).
@@ -136,18 +134,13 @@ def cholesky(
         Optional per-tile compute precision overriding the tiles' stored
         precisions.
     runtime:
-        Optional session-long task runtime.  When given, the
-        factorization inserts its task DAG there (under a fresh handle
-        namespace) and runs under that runtime's execution mode; when
-        omitted, an ephemeral runtime is created from ``execution`` /
-        ``workers``.
-    execution:
-        ``"threaded"`` (default — out-of-order DAG execution),
-        ``"process"`` (the same DAG on worker processes) or
-        ``"serial"`` (the host-ordered reference elimination, no task
-        graph).  Ignored when ``runtime`` is given.
-    workers:
-        Worker threads of an ephemeral threaded runtime.
+        Where the factorization runs.  Given a
+        :class:`~repro.runtime.runtime.Runtime`, it inserts its task DAG
+        there (one :meth:`~repro.runtime.runtime.Runtime.dag` scope) and
+        drains it under that runtime's execution mode and worker count;
+        without one it is the host-ordered reference elimination on the
+        caller's thread — no task graph, ``schedule is None`` — which
+        every DAG execution equals bit for bit.
     phase:
         Ledger phase of the runtime run (sessions pass
         ``"associate"`` so the factorization lands in the Associate
@@ -189,13 +182,10 @@ def cholesky(
 
     result = CholeskyResult(factor=tiled, flops=0.0)
 
-    if runtime is None and (
-            execution or Settings.from_env().execution) == "serial":
+    if runtime is None:
         _cholesky_direct(tiled, working_precision, tile_precision, result)
     else:
-        if runtime is None:
-            runtime = Runtime(execution=execution, workers=workers)
-        _cholesky_runtime(tiled, nt, working_precision, tile_precision, result,
+        _cholesky_runtime(tiled, working_precision, tile_precision, result,
                           runtime, phase)
 
     # zero out the (now meaningless) upper-triangle tiles of the factor;
@@ -272,9 +262,9 @@ def _cholesky_direct(tiled: TileMatrix, wp: Precision,
 # ----------------------------------------------------------------------
 # runtime-driven (DAG) execution — bitwise identical to the serial path
 # ----------------------------------------------------------------------
-def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
+def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
                       tile_precision, result: CholeskyResult,
-                      runtime: Runtime, phase: str = "cholesky") -> None:
+                      runtime: Runtime, phase: str) -> None:
     """Insert the factorization's task DAG and drain it.
 
     A *resident* workspace registers every lower tile as a handle
@@ -288,30 +278,51 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
     through ``set_tile`` (making it spillable at once).  The resident
     working set is then the active panel plus the in-flight updates.
     """
+    with runtime.dag("chol", store=tiled.store) as ns:
+        handles = _insert_factorization(tiled, wp, tile_precision,
+                                        runtime, ns)
+        # dag() entered drained: the pending graph is exactly this
+        # factorization
+        for task in runtime.graph.tasks:
+            _accumulate(result, task.name, task.precision, task.flops)
+        try:
+            result.schedule = runtime.run(phase=phase)
+        except TaskGroupError as exc:
+            if exc.matches(np.linalg.LinAlgError):
+                # purely numerical failure (indefinite pivot) keeps its
+                # historical type so regularization retries can catch it
+                raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
+            raise
+        finally:
+            # a failed attempt (indefinite matrix at too-small alpha)
+            # must not leak its panel operands into the process-wide cache
+            OPERANDS.drop({handle.uid for handle in handles.values()})
+
+    if tiled._binding is None:
+        # hand the results back to the tile matrix: every payload is a
+        # Tile at its target precision (the last task on it stored it
+        # there), so set_tile takes it over without rounding
+        for (i, j), handle in handles.items():
+            tiled.set_tile(i, j, handle.payload,
+                           precision=tile_precision(i, j))
+
+
+def _insert_factorization(tiled: TileMatrix, wp: Precision, tile_precision,
+                          runtime: Runtime,
+                          ns: str) -> dict[tuple[int, int], object]:
+    """Register the lower tiles under ``ns`` and insert the right-looking
+    elimination's tasks; returns the tile handles."""
     layout = tiled.layout
+    nt = layout.tile_rows
     binding = tiled._binding
     stored = binding is not None
-    runtime.require_drained("cholesky()")
-    if stored:
-        try:
-            runtime.attach_store(tiled.store)
-        except RuntimeError:
-            # the runtime is already hooked to a different store: pins
-            # and prefetch for this matrix are skipped, which only costs
-            # reload traffic — eviction/reload round-trips stay bitwise
-            pass
-    ns = runtime.namespace("chol")
-
-    def stored_at(i: int, j: int) -> Precision:
-        return wp if i == j else tile_precision(i, j)
-
     handles: dict[tuple[int, int], object] = {}
     for i in range(nt):
         for j in range(i + 1):
             tile = None if stored else tiled.get_tile(i, j)
             handles[(i, j)] = runtime.register_data(
                 f"{ns}A({i},{j})", payload=tile,
-                precision=stored_at(i, j) if stored else tile.precision,
+                precision=tile_precision(i, j) if stored else tile.precision,
                 shape=layout.tile_shape(i, j),
             )
 
@@ -376,32 +387,4 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                 runtime.insert_task(
                     "gemm", *accesses, **how, tag=(i, j, k), precision=p_ij,
                     flops=gemm_flops(mb, nb, kbk))
-
-    # require_drained: the pending graph is exactly this factorization
-    for task in runtime.graph.tasks:
-        _accumulate(result, task.name, task.precision, task.flops)
-    try:
-        result.schedule = runtime.run(phase=phase)
-    except TaskGroupError as exc:
-        # a failed factorization DAG is disposable: the session's
-        # alpha-boost retry inserts a fresh one, so don't park the
-        # unfinished subgraph on the session runtime
-        runtime.reset_graph()
-        if exc.matches(np.linalg.LinAlgError):
-            # purely numerical failure (indefinite pivot) keeps its
-            # historical type so regularization retries can catch it
-            raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
-        raise
-    finally:
-        # failed attempts (indefinite matrix at too-small alpha) must
-        # not leak this invocation's handles into the session registry,
-        # nor their panel operands into the process-wide cache
-        runtime.release(ns)
-        OPERANDS.drop({handle.uid for handle in handles.values()})
-
-    if not stored:
-        # hand the results back to the tile matrix: every payload is a
-        # Tile at its target precision (the last task on it stored it
-        # there), so set_tile takes it over without rounding
-        for (i, j), handle in handles.items():
-            tiled.set_tile(i, j, handle.payload, precision=stored_at(i, j))
+    return handles

@@ -18,7 +18,6 @@ from repro.precision.formats import Precision
 from repro.precision.quantize import quantize
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.kernels import gemm_flops, trsm_flops
-from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, BodySpec, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
@@ -83,34 +82,6 @@ class SolveTrsmSpec(BodySpec):
         return np.asarray(quantize(out, self.precision), dtype=np.float64)
 
 
-def _rhs_blocks(factor: TileMatrix, rhs: TileMatrix | np.ndarray,
-                precision: Precision) -> dict[int, np.ndarray]:
-    """Split the right-hand side into per-tile-row blocks.
-
-    A dense panel is sliced by the factor's tile rows; a tiled panel
-    (``TileMatrix`` right-hand side) hands over its tile rows directly,
-    so the solve consumes the same tile granularity the factorization
-    produced — no dense staging of the panel is required.
-    """
-    layout = factor.layout
-    blocks: dict[int, np.ndarray] = {}
-    if isinstance(rhs, TileMatrix):
-        if rhs.layout.rows != layout.cols:
-            raise ValueError("right-hand side rows must match the factor order")
-        if rhs.layout.tile_size != layout.tile_size:
-            raise ValueError("tiled right-hand side must share the factor tile size")
-        for i in range(rhs.layout.tile_rows):
-            row = np.hstack([rhs.get_tile(i, j).to_float64()
-                             for j in range(rhs.layout.tile_cols)])
-            blocks[i] = np.asarray(quantize(row, precision), dtype=np.float64)
-        return blocks
-    rhs64 = np.asarray(rhs, dtype=np.float64)
-    for i in range(layout.tile_rows):
-        ri = layout.tile_slice(i, 0)[0]
-        blocks[i] = np.asarray(quantize(rhs64[ri], precision), dtype=np.float64)
-    return blocks
-
-
 def _solve_runtime(factor: TileMatrix, x: dict[int, np.ndarray],
                    update: SolveGemmSpec, diag_solve: SolveTrsmSpec, tile_of,
                    runtime: Runtime, phase: str) -> dict[int, np.ndarray]:
@@ -131,65 +102,51 @@ def _solve_runtime(factor: TileMatrix, x: dict[int, np.ndarray],
     nt = factor.layout.tile_rows
     forward = diag_solve.lower_solve
     precision = update.precision
-    runtime.require_drained("solve_triangular()")
-    ns = runtime.namespace("trsm")
-    handles = {
-        i: runtime.register_data(f"{ns}x({i})", payload=x[i])
-        for i in range(nt)
-    }
     binding = factor._binding
-    if binding is not None:
-        try:
-            runtime.attach_store(factor.store)
-        except RuntimeError:
-            pass  # foreign hooks: pinning skipped, reloads stay bitwise
 
     def deps(coords):
         return () if binding is None else ((binding, coords),)
 
-    for i in (range(nt) if forward else reversed(range(nt))):
-        width = x[i].shape[1]
-        for j in (range(i) if forward else range(i + 1, nt)):
-            coords = tile_of(i, j)
-            rows, cols = factor.layout.tile_shape(*coords)
+    with runtime.dag("trsm", store=factor.store) as ns:
+        handles = {
+            i: runtime.register_data(f"{ns}x({i})", payload=x[i])
+            for i in range(nt)
+        }
+        for i in (range(nt) if forward else reversed(range(nt))):
+            width = x[i].shape[1]
+            for j in (range(i) if forward else range(i + 1, nt)):
+                coords = tile_of(i, j)
+                rows, cols = factor.layout.tile_shape(*coords)
+                runtime.insert_task(
+                    "solve_gemm",
+                    (handles[j], AccessMode.READ),
+                    (handles[i], AccessMode.READWRITE),
+                    flops=gemm_flops(rows, width, cols),
+                    precision=precision, tag=(i, j),
+                    tile_deps=deps(coords),
+                    spec=TaskSpec(update, mode="both",
+                                  aux=(TileInput(factor, coords),)),
+                )
             runtime.insert_task(
-                "solve_gemm",
-                (handles[j], AccessMode.READ),
-                (handles[i], AccessMode.READWRITE),
-                flops=gemm_flops(rows, width, cols),
-                precision=precision, tag=(i, j),
-                tile_deps=deps(coords),
-                spec=TaskSpec(update, mode="both",
-                              aux=(TileInput(factor, coords),)),
+                "solve_trsm", (handles[i], AccessMode.READWRITE),
+                flops=trsm_flops(factor.layout.tile_shape(i, i)[0], width),
+                precision=precision, priority=nt - i if forward else i + 1,
+                tag=(i, i),
+                tile_deps=deps((i, i)),
+                spec=TaskSpec(diag_solve, mode="both",
+                              aux=(TileInput(factor, (i, i)),)),
             )
-        runtime.insert_task(
-            "solve_trsm", (handles[i], AccessMode.READWRITE),
-            flops=trsm_flops(factor.layout.tile_shape(i, i)[0], width),
-            precision=precision, priority=nt - i if forward else i + 1,
-            tag=(i, i),
-            tile_deps=deps((i, i)),
-            spec=TaskSpec(diag_solve, mode="both",
-                          aux=(TileInput(factor, (i, i)),)),
-        )
-    try:
         runtime.run(phase=phase)
         return {i: handles[i].payload for i in range(nt)}
-    except TaskGroupError:
-        # library DAGs are raise-and-discard: a retried solve inserts a
-        # fresh graph, so don't leave the failed subgraph pending
-        runtime.reset_graph()
-        raise
-    finally:
-        runtime.release(ns)
 
 
 def solve_triangular(factor: TileMatrix | np.ndarray,
-                     rhs: np.ndarray | TileMatrix,
+                     rhs: np.ndarray,
                      lower: bool = True, trans: bool = False,
                      precision: Precision | str = Precision.FP32,
                      runtime: Runtime | None = None,
                      phase: str = "solve",
-                     ) -> np.ndarray | TileMatrix:
+                     ) -> np.ndarray:
     """Solve ``op(L) X = B`` with a (tiled or dense) triangular factor.
 
     The solve is performed blockwise by tile columns (forward) or
@@ -197,10 +154,8 @@ def solve_triangular(factor: TileMatrix | np.ndarray,
     precision after each block update — the same rounding pattern as a
     tile-by-tile runtime execution.
 
-    ``rhs`` may be a dense panel or a :class:`TileMatrix` panel whose
-    row tiling matches the factor; a tiled right-hand side streams
-    through the solve per tile row and the solution is returned as a
-    :class:`TileMatrix` with the same layout.
+    ``rhs`` is a dense vector or panel (phenotype panels are a few
+    columns wide); a tiled factor consumes it per tile row.
 
     With ``runtime`` the blockwise solve is inserted as per-tile-row
     TRSM/GEMM tasks and executed under the runtime's scheduler
@@ -208,21 +163,12 @@ def solve_triangular(factor: TileMatrix | np.ndarray,
     directly on the caller's thread.
     """
     precision = Precision.from_string(precision)
-    tiled_rhs = isinstance(rhs, TileMatrix)
-    if not tiled_rhs:
-        rhs64 = np.asarray(rhs, dtype=np.float64)
-        if rhs64.ndim == 1:
-            rhs64 = rhs64[:, None]
-            squeeze = True
-        else:
-            squeeze = False
-    else:
-        rhs64 = rhs
-        squeeze = False
+    rhs64 = np.asarray(rhs, dtype=np.float64)
+    squeeze = rhs64.ndim == 1
+    if squeeze:
+        rhs64 = rhs64[:, None]
 
     if isinstance(factor, np.ndarray):
-        if tiled_rhs:
-            raise ValueError("a tiled right-hand side requires a tiled factor")
         l64 = np.asarray(factor, dtype=np.float64)
         op = l64.T if trans else l64
         x = scipy.linalg.solve_triangular(op, rhs64, lower=(lower != trans))
@@ -231,7 +177,9 @@ def solve_triangular(factor: TileMatrix | np.ndarray,
 
     layout = factor.layout
     nt = layout.tile_rows
-    x = _rhs_blocks(factor, rhs64, precision)
+    # the right-hand side, sliced by the factor's tile rows
+    x = {i: np.asarray(quantize(rhs64[layout.tile_slice(i, 0)[0]], precision),
+                       dtype=np.float64) for i in range(nt)}
 
     # op(L) is lower triangular (forward substitution over tile rows)
     # or upper (backward); its block (i, j) is the stored tile
@@ -259,15 +207,6 @@ def solve_triangular(factor: TileMatrix | np.ndarray,
                 acc = update.run(x[j], acc, factor.get_tile(*tile_of(i, j)))
             x[i] = diag_solve.run(acc, factor.get_tile(i, i))
 
-    if tiled_rhs:
-        out = TileMatrix(rhs64.layout, precision, symmetric=False)
-        for i in range(nt):
-            c0 = 0
-            for j in range(rhs64.layout.tile_cols):
-                w = rhs64.layout.tile_shape(i, j)[1]
-                out.set_tile(i, j, x[i][:, c0:c0 + w], precision=precision)
-                c0 += w
-        return out
     # C-ordered result, as the historical in-place dense solve returned
     # (downstream GEMMs are layout-sensitive at the last bit)
     dense = np.ascontiguousarray(np.vstack([x[i] for i in range(nt)]))
@@ -275,18 +214,16 @@ def solve_triangular(factor: TileMatrix | np.ndarray,
 
 
 def solve_cholesky(factorization: CholeskyResult | TileMatrix | np.ndarray,
-                   rhs: np.ndarray | TileMatrix,
+                   rhs: np.ndarray,
                    precision: Precision | str = Precision.FP32,
                    runtime: Runtime | None = None,
                    phase: str = "solve",
-                   ) -> np.ndarray | TileMatrix:
+                   ) -> np.ndarray:
     """POTRS: solve ``A X = B`` given the lower Cholesky factor of ``A``.
 
     Performs the forward solve ``L Y = B`` followed by the backward
-    solve ``L^T X = Y``, both in the given working precision.  A
-    :class:`TileMatrix` right-hand-side panel is solved per tile row
-    against the tiled factors and returned tiled.  With ``runtime``
-    each sweep runs as per-tile-row tasks under that runtime's
+    solve ``L^T X = Y``, both in the given working precision.  With
+    ``runtime`` each sweep runs as per-tile-row tasks under that runtime's
     scheduler (see :func:`solve_triangular`).
     """
     if isinstance(factorization, CholeskyResult):

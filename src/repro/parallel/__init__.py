@@ -29,6 +29,7 @@ from repro.parallel.descriptors import (
     BodySpec,
     BuildRowSpec,
     DenseGemmSpec,
+    DenseSyrkSpec,
     GemmTrailSpec,
     ObjectInput,
     PotrfSpec,
@@ -40,13 +41,15 @@ from repro.parallel.descriptors import (
     TrsmSpec,
 )
 from repro.parallel.exchange import ExchangeSpec, PayloadRef, TileExchange
-from repro.parallel.pool import ProcessPool, effective_cpu_count
+from repro.parallel.pool import ProcessPool
+from repro.settings import effective_cpu_count
 
 __all__ = [
     "ALL_SPEC_KINDS",
     "BodySpec",
     "BuildRowSpec",
     "DenseGemmSpec",
+    "DenseSyrkSpec",
     "ExchangeSpec",
     "GemmTrailSpec",
     "ObjectInput",

@@ -22,7 +22,7 @@ one per worker is deterministic, so caching is purely a perf matter.
 """
 
 from repro.distance.build import BuildRowSpec
-from repro.linalg.blas3 import DenseGemmSpec
+from repro.linalg.blas3 import DenseGemmSpec, DenseSyrkSpec
 from repro.linalg.cg import CgMatvecSpec
 from repro.linalg.kernels import (
     GemmTrailSpec,
@@ -40,6 +40,7 @@ __all__ = [
     "BuildRowSpec",
     "CgMatvecSpec",
     "DenseGemmSpec",
+    "DenseSyrkSpec",
     "GemmTrailSpec",
     "ObjectInput",
     "PotrfSpec",
@@ -64,4 +65,5 @@ ALL_SPEC_KINDS = (
     BuildRowSpec,
     CgMatvecSpec,
     DenseGemmSpec,
+    DenseSyrkSpec,
 )

@@ -3,7 +3,8 @@
 Owns worker lifecycles (fork, respawn-after-crash, clean shutdown),
 the pipe per worker, the shared exchange directory, and the BLAS
 thread budget: each worker is capped to
-``max(1, effective_cpu_count() // workers)`` BLAS threads so
+``max(1, effective_cpu_count() // workers)`` BLAS threads (the affinity
+mask, as :mod:`repro.settings` measures it for the worker default) so
 ``workers × blas_threads`` never oversubscribes the machine — the
 classic failure mode of nesting an OpenMP BLAS under a process pool.
 
@@ -15,27 +16,14 @@ imported modules); a platform without ``fork`` gets a
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import shutil
 import tempfile
 
 from repro.parallel.exchange import ExchangeSpec, TileExchange
 from repro.parallel.worker import worker_main
+from repro.settings import effective_cpu_count
 
-__all__ = ["ProcessPool", "effective_cpu_count"]
-
-
-def effective_cpu_count() -> int:
-    """CPUs actually available to this process.
-
-    ``os.cpu_count()`` reports the machine, not the cgroup/affinity
-    mask a CI runner or batch scheduler grants — ``sched_getaffinity``
-    is authoritative where it exists.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+__all__ = ["ProcessPool"]
 
 
 class _WorkerHandle:

@@ -33,7 +33,8 @@ does not grow with the number of drains.
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -189,6 +190,40 @@ class Runtime:
         self._namespaces[label] = idx + 1
         return f"{label}#{idx}:"
 
+    @contextmanager
+    def dag(self, label: str, store=None) -> Iterator[str]:
+        """The scope of one library DAG: insert, :meth:`run`, discard.
+
+        Every tiled routine (Build, Cholesky, the solves, the matvec,
+        the dense GEMM/SYRK tasks) inserts and drains its tasks inside
+        this ``with``.  Entering refuses a runtime that holds unrelated
+        pending tasks (:meth:`require_drained`), wires ``store`` — the
+        store behind a store-backed operand — into the scheduler, and
+        yields a fresh handle-name prefix (:meth:`namespace`).  Leaving
+        releases the prefix's handles, always; an exception passing
+        through — a failed drain or an error while inserting — also
+        drops the pending graph (:meth:`reset_graph`): a library DAG is
+        raise-and-discard, the caller's retry (the regularization
+        boost, a retried solve) inserts a fresh one.
+        """
+        self.require_drained(f"the {label!r} DAG")
+        if store is not None:
+            try:
+                self.attach_store(store)
+            except RuntimeError:
+                # the runtime is hooked to something else: pins and
+                # prefetch for this operand are skipped, which only
+                # costs reload traffic — the round-trips stay bitwise
+                pass
+        prefix = self.namespace(label)
+        try:
+            yield prefix
+        except BaseException:
+            self.reset_graph()
+            raise
+        finally:
+            self.release(prefix)
+
     def require_drained(self, operation: str) -> None:
         """Guard for library routines that insert-and-drain.
 
@@ -283,8 +318,8 @@ class Runtime:
         graph again, so a follow-up :meth:`run` re-drains only what
         never finished.  The completed tasks enter the ledger when that
         follow-up run succeeds, each counted once; callers that treat a
-        failed DAG as disposable (the library routines do) call
-        :meth:`reset_graph` instead, which drops them.
+        failed DAG as disposable (the library routines do, through
+        :meth:`dag`) call :meth:`reset_graph` instead, which drops them.
         """
         graph, self.graph = self.graph, TaskGraph()
         self.last_graph = graph

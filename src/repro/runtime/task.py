@@ -71,9 +71,6 @@ class DataHandle:
             n *= int(d)
         return n * p.bytes_per_element
 
-    def __hash__(self) -> int:
-        return hash(self.uid)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataHandle({self.name!r}, {self.shape}, {self.precision})"
 
@@ -258,9 +255,6 @@ class Task:
             )
         for handle, value in zip(written, result):
             handle.payload = value
-
-    def __hash__(self) -> int:
-        return hash(self.uid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Task({self.name!r}#{self.uid}, tag={self.tag})"

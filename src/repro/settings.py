@@ -10,6 +10,10 @@ argument, else the snapshot's field"; a field's default is the
 library's default.  Nothing is cached at import, so a variable set
 later is seen by the next object built.
 
+The worker default is measured: argument, else ``REPRO_WORKERS``, else
+the CPUs this process may run on (:func:`effective_cpu_count`, capped at
+8) — confined to one CPU, a drain runs on the caller's thread.
+
 A leaf module: it imports nothing from ``repro``.
 """
 
@@ -19,12 +23,26 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
-__all__ = ["ENVIRONMENT", "EXECUTION_MODES", "SOLVER_MODES", "Settings", "read"]
+__all__ = ["ENVIRONMENT", "EXECUTION_MODES", "SOLVER_MODES", "Settings",
+           "effective_cpu_count", "read"]
 
 EXECUTION_MODES = ("threaded", "serial", "process")
 SOLVER_MODES = ("direct", "cg")
 
 _SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
+
+
+def effective_cpu_count() -> int:
+    """CPUs actually available to this process.
+
+    ``os.cpu_count()`` reports the machine, not the cgroup/affinity
+    mask a CI runner or batch scheduler grants — ``sched_getaffinity``
+    is authoritative where it exists.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def _integer(lowest: int):
@@ -94,7 +112,7 @@ class Settings:
     """What the environment says, or the library default where it is silent."""
 
     #: worker threads/processes of a ``Runtime``
-    workers: int = field(default_factory=lambda: min(8, os.cpu_count() or 1))
+    workers: int = field(default_factory=lambda: min(8, effective_cpu_count()))
     #: execution mode of a ``Runtime``
     execution: str = "threaded"
     #: Associate solve route of a ``KRRSession`` / ``grid_search_cv``

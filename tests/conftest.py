@@ -20,6 +20,18 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def runtime():
+    """A default ``Runtime()`` — resolved from ``REPRO_*`` like any other,
+    so the CI variants drive the tests that mean *the DAG* through
+    their lanes — closed on teardown."""
+    from repro.runtime.runtime import Runtime
+
+    rt = Runtime()
+    yield rt
+    rt.close()
+
+
 @pytest.fixture(scope="session")
 def small_genotypes() -> np.ndarray:
     """A small LD-structured genotype matrix shared across tests."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distance.build import BuildResult, KernelBuilder, build_kernel_matrix
+from repro.distance.build import BuildResult, KernelBuilder
 from repro.distance.euclidean import squared_euclidean_gemm
 from repro.distance.kernels import gaussian_kernel, ibs_kernel
 from repro.precision.formats import Precision
@@ -29,7 +29,8 @@ class TestTrainingBuild:
         np.testing.assert_allclose(result.to_dense(), expected, rtol=1e-6, atol=1e-6)
 
     def test_returns_symmetric_tile_matrix(self, genotypes):
-        result = build_kernel_matrix(genotypes, gamma=0.02, tile_size=16)
+        result = KernelBuilder(gamma=0.02, tile_size=16).build_training(
+            genotypes)
         assert isinstance(result.kernel, TileMatrix)
         assert result.kernel.symmetric
         k = result.to_dense()
@@ -61,7 +62,8 @@ class TestTrainingBuild:
         assert Precision.FP32 in precisions  # diagonal tiles
 
     def test_flop_accounting(self, genotypes):
-        result = build_kernel_matrix(genotypes, gamma=0.02, tile_size=16)
+        result = KernelBuilder(gamma=0.02, tile_size=16).build_training(
+            genotypes)
         n, ns = genotypes.shape
         assert result.flops == pytest.approx(2.0 * n * n * ns, rel=0.6)
         assert Precision.INT8 in result.flops_by_precision

@@ -47,7 +47,8 @@ class TestSeedPathRegression:
     ])
     def test_training_bitwise_identical_to_seed_path(self, genotypes, storage):
         builder = KernelBuilder(gamma=0.03, tile_size=16,
-                                storage_precision=storage, workers=1)
+                                storage_precision=storage,
+                                runtime=Runtime(workers=1))
         streamed = builder.build_training(genotypes).to_dense()
         reference = _seed_path_training(genotypes, 0.03, 16, storage).to_dense()
         np.testing.assert_array_equal(streamed, reference)
@@ -55,7 +56,7 @@ class TestSeedPathRegression:
     def test_training_adaptive_matches_seed_path(self, genotypes):
         rule = AdaptivePrecisionRule(candidates=candidates_for_gpu("A100"))
         builder = KernelBuilder(gamma=0.2, tile_size=16, adaptive_rule=rule,
-                                workers=1)
+                                runtime=Runtime(workers=1))
         result = builder.build_training(genotypes)
         reference = _seed_path_training(genotypes, 0.2, 16, Precision.FP32,
                                         adaptive_rule=rule)
@@ -65,7 +66,8 @@ class TestSeedPathRegression:
             assert reference.tile_precision(i, j) is p
 
     def test_cross_bitwise_identical_to_reference(self, genotypes):
-        builder = KernelBuilder(gamma=0.03, tile_size=16, workers=1)
+        builder = KernelBuilder(gamma=0.03, tile_size=16,
+                                runtime=Runtime(workers=1))
         test, train = genotypes[:24], genotypes[24:]
         streamed = builder.build_cross(test, train).to_dense()
         reference = gaussian_kernel(squared_euclidean_gemm(test, train), 0.03)
@@ -132,7 +134,8 @@ class TestNoDenseMaterialization:
             raise AssertionError("streamed Build must not stage a dense matrix")
 
         monkeypatch.setattr(TileMatrix, "from_dense", classmethod(boom))
-        builder = KernelBuilder(gamma=0.03, tile_size=16, workers=1)
+        builder = KernelBuilder(gamma=0.03, tile_size=16,
+                                runtime=Runtime(workers=1))
         result = builder.build_training(genotypes)
         assert isinstance(result.kernel, TileMatrix)
 
@@ -144,14 +147,15 @@ class TestNoDenseMaterialization:
         monkeypatch.setattr(TileMatrix, "from_dense", classmethod(boom))
         rule = AdaptivePrecisionRule(candidates=candidates_for_gpu("A100"))
         builder = KernelBuilder(gamma=0.2, tile_size=16, adaptive_rule=rule,
-                                workers=1)
+                                runtime=Runtime(workers=1))
         result = builder.build_training(genotypes)
         assert result.precision_map is not None
 
     def test_allocation_accounting_peak_at_most_one_tile_row(self, genotypes):
         n = genotypes.shape[0]
         tile_size = 16
-        builder = KernelBuilder(gamma=0.03, tile_size=tile_size, workers=1)
+        builder = KernelBuilder(gamma=0.03, tile_size=tile_size,
+                                runtime=Runtime(workers=1))
         result = builder.build_training(genotypes)
         stats = result.stats
         assert isinstance(stats, BuildStats)
@@ -162,28 +166,31 @@ class TestNoDenseMaterialization:
         assert stats.dense_staging_elements == 0
 
     def test_cross_build_staging_is_the_output(self, genotypes):
-        builder = KernelBuilder(gamma=0.03, tile_size=16, workers=1)
+        builder = KernelBuilder(gamma=0.03, tile_size=16,
+                                runtime=Runtime(workers=1))
         result = builder.build_cross(genotypes[:24], genotypes[24:])
         assert result.stats.dense_staging_elements == 24 * (genotypes.shape[0] - 24)
 
 
 class TestThreadParallelBuild:
     def test_threaded_training_identical_to_sequential(self, genotypes):
-        sequential = KernelBuilder(gamma=0.03, tile_size=8, workers=1)
-        threaded = KernelBuilder(gamma=0.03, tile_size=8, workers=4)
+        sequential = KernelBuilder(gamma=0.03, tile_size=8,
+                                   runtime=Runtime(workers=1))
+        threaded = KernelBuilder(gamma=0.03, tile_size=8,
+                                 runtime=Runtime(workers=4))
         k1 = sequential.build_training(genotypes)
         k4 = threaded.build_training(genotypes)
         np.testing.assert_array_equal(k1.to_dense(), k4.to_dense())
-        assert k4.stats.workers == 4
+        assert threaded.runtime.workers == 4
         assert k1.flops == k4.flops
         assert k1.flops_by_precision == k4.flops_by_precision
 
     def test_threaded_adaptive_identical_to_sequential(self, genotypes):
         rule = AdaptivePrecisionRule(candidates=candidates_for_gpu("GH200"))
         sequential = KernelBuilder(gamma=0.2, tile_size=8, adaptive_rule=rule,
-                                   workers=1)
+                                   runtime=Runtime(workers=1))
         threaded = KernelBuilder(gamma=0.2, tile_size=8, adaptive_rule=rule,
-                                 workers=4)
+                                 runtime=Runtime(workers=4))
         r1 = sequential.build_training(genotypes)
         r4 = threaded.build_training(genotypes)
         np.testing.assert_array_equal(r1.to_dense(), r4.to_dense())
@@ -191,24 +198,31 @@ class TestThreadParallelBuild:
 
     def test_threaded_cross_identical_to_sequential(self, genotypes):
         test, train = genotypes[:24], genotypes[24:]
-        k1 = KernelBuilder(gamma=0.03, tile_size=8, workers=1).build_cross(
+        k1 = KernelBuilder(gamma=0.03, tile_size=8,
+                           runtime=Runtime(workers=1)).build_cross(
             test, train)
-        k4 = KernelBuilder(gamma=0.03, tile_size=8, workers=4).build_cross(
+        k4 = KernelBuilder(gamma=0.03, tile_size=8,
+                           runtime=Runtime(workers=4)).build_cross(
             test, train)
         np.testing.assert_array_equal(k1.to_dense(), k4.to_dense())
 
     def test_threaded_with_confounders(self, genotypes, rng):
         confounders = rng.normal(size=(genotypes.shape[0], 3))
-        k1 = KernelBuilder(gamma=0.03, tile_size=8, workers=1).build_training(
+        k1 = KernelBuilder(gamma=0.03, tile_size=8,
+                           runtime=Runtime(workers=1)).build_training(
             genotypes, confounders)
-        k4 = KernelBuilder(gamma=0.03, tile_size=8, workers=4).build_training(
+        k4 = KernelBuilder(gamma=0.03, tile_size=8,
+                           runtime=Runtime(workers=4)).build_training(
             genotypes, confounders)
         np.testing.assert_array_equal(k1.to_dense(), k4.to_dense())
 
     def test_default_worker_resolution(self, genotypes):
+        """An unset runtime is a ``Runtime()``, resolved like any other."""
         builder = KernelBuilder(gamma=0.03, tile_size=16)
-        result = builder.build_training(genotypes)
-        assert result.stats.workers >= 1
+        assert builder.runtime.workers == Runtime().workers
+        assert builder.runtime.execution == Runtime().execution
+        builder.build_training(genotypes)
+        assert builder.runtime.runs_completed == 1
 
 
 KERNEL_TYPES = ["gaussian", "ibs"]

@@ -18,7 +18,7 @@ from repro.gwas.metrics import mean_squared_prediction_error
 from repro.gwas.session import KRRSession, effective_batch_rows
 from repro.linalg.blas3 import gemm
 from repro.linalg.cholesky import cholesky
-from repro.linalg.solve import solve_cholesky
+from repro.linalg.solve import solve_cholesky, solve_triangular
 from repro.precision.formats import Precision
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
@@ -355,7 +355,8 @@ class TestGridSearchReuse:
         # route's (looser) agreement contract lives in test_cv_cg.py.
         result = grid_search_cv(genotypes, phenotypes[:, 0], alphas=alphas,
                                 gammas=gammas, n_folds=n_folds,
-                                base_config=base, seed=3, solver="direct")
+                                base_config=base.with_options(solver="direct"),
+                                seed=3)
 
         folds = kfold_indices(genotypes.shape[0], n_folds, seed=3)
         for alpha in alphas:
@@ -405,6 +406,45 @@ class TestShallowRegularizedCopy:
         w1 = session.associate(y, alpha=0.5)
         w2 = session.associate(y, alpha=0.5)
         np.testing.assert_array_equal(w1, w2)
+
+
+def _through_tiles(panel: np.ndarray, precision: Precision) -> np.ndarray:
+    """The hand-over the solve used to make between every step — tile the
+    panel, read it back tile row by tile row — frozen here."""
+    tiled = TileMatrix.from_dense(panel, 64, precision)
+    return np.vstack([
+        np.hstack([tiled.get_tile(i, j).to_float64()
+                   for j in range(tiled.layout.tile_cols)])
+        for i in range(tiled.layout.tile_rows)])
+
+
+class TestDensePanelSolve:
+    @pytest.mark.parametrize("plan", [PrecisionPlan.fp32(),
+                                      PrecisionPlan.adaptive_fp8()],
+                             ids=lambda p: p.label())
+    @pytest.mark.parametrize("n_phenotypes", [1, 3, 70])
+    def test_associate_weights_equal_the_tiled_panel_route(
+            self, cohort_512, plan, n_phenotypes):
+        """``associate`` hands the solve the dense centred panel.  The
+        route it replaced wrapped the panel in a ``TileMatrix`` (70
+        phenotypes make that two column tiles), un-tiled it per sweep and
+        re-tiled each answer; the weights are the same bits."""
+        g_train, y, _ = cohort_512
+        y = np.tile(y, (1, 24))[:, :n_phenotypes]
+        session = KRRSession(KRRConfig(tile_size=64, precision_plan=plan,
+                                       solver="direct"))
+        session.fit(g_train, y)
+        wp = plan.working_precision
+        factor = session.factorization_.factor
+        panel = _through_tiles(y - y.mean(axis=0)[None, :], Precision.FP64)
+        for trans in (False, True):
+            panel = _through_tiles(
+                solve_triangular(factor, panel, lower=True, trans=trans,
+                                 precision=wp), wp)
+        assert session.weights_.flags.c_contiguous
+        np.testing.assert_array_equal(session.weights_, panel)
+        np.testing.assert_array_equal(
+            session.solve_additional_phenotypes(y), session.weights_)
 
 
 class TestRuntimeLedgerAccounting:

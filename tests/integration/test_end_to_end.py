@@ -93,8 +93,7 @@ class TestRuntimeConsistency:
         build = session.build(train.genotypes, train.confounders)
         a = build.to_dense() + session.config.alpha * np.eye(train.n_individuals)
 
-        direct = cholesky(a, tile_size=64, working_precision="fp32",
-                          execution="serial")
+        direct = cholesky(a, tile_size=64, working_precision="fp32")
         runtime = Runtime(execution="threaded", workers=4)
         scheduled = cholesky(a, tile_size=64, working_precision="fp32",
                              runtime=runtime)

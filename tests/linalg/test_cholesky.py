@@ -1,5 +1,7 @@
 """Tests for the tiled mixed-precision Cholesky factorization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -21,33 +23,37 @@ def _spd(n, seed=0, diag=None):
 
 
 class TestCorrectness:
-    def test_fp64_matches_numpy(self):
+    def test_fp64_matches_numpy(self, runtime):
         a = _spd(64)
-        result = cholesky(a, tile_size=16, working_precision=Precision.FP64)
+        result = cholesky(a, tile_size=16, working_precision=Precision.FP64,
+                          runtime=runtime)
         np.testing.assert_allclose(result.to_dense(), np.linalg.cholesky(a),
                                    rtol=1e-10, atol=1e-10)
 
-    def test_fp32_reconstruction(self):
+    def test_fp32_reconstruction(self, runtime):
         a = _spd(60)
-        result = cholesky(a, tile_size=16, working_precision=Precision.FP32)
+        result = cholesky(a, tile_size=16, working_precision=Precision.FP32,
+                          runtime=runtime)
         l = result.to_dense()
         np.testing.assert_allclose(l @ l.T, a, rtol=1e-4, atol=1e-4)
 
-    def test_uneven_tiles(self):
+    def test_uneven_tiles(self, runtime):
         a = _spd(50)
-        result = cholesky(a, tile_size=16, working_precision=Precision.FP64)
+        result = cholesky(a, tile_size=16, working_precision=Precision.FP64,
+                          runtime=runtime)
         np.testing.assert_allclose(result.to_dense(), np.linalg.cholesky(a),
                                    rtol=1e-9, atol=1e-9)
 
-    def test_single_tile(self):
+    def test_single_tile(self, runtime):
         a = _spd(12)
-        result = cholesky(a, tile_size=16, working_precision=Precision.FP64)
+        result = cholesky(a, tile_size=16, working_precision=Precision.FP64,
+                          runtime=runtime)
         np.testing.assert_allclose(result.to_dense(), np.linalg.cholesky(a),
                                    rtol=1e-10)
 
-    def test_factor_is_lower_triangular(self):
+    def test_factor_is_lower_triangular(self, runtime):
         a = _spd(48)
-        result = cholesky(a, tile_size=16)
+        result = cholesky(a, tile_size=16, runtime=runtime)
         l = result.to_dense()
         assert np.allclose(l, np.tril(l))
 
@@ -59,25 +65,26 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             cholesky(_spd(8))
 
-    def test_not_positive_definite_raises(self):
+    @pytest.mark.parametrize("tasked", [False, True])
+    def test_not_positive_definite_raises(self, runtime, tasked):
         a = -np.eye(16)
         with pytest.raises(np.linalg.LinAlgError):
-            cholesky(a, tile_size=8)
+            cholesky(a, tile_size=8, runtime=runtime if tasked else None)
 
 
 class TestMixedPrecision:
-    def test_fp16_offdiag_still_accurate(self):
+    def test_fp16_offdiag_still_accurate(self, runtime):
         a = _spd(64, diag=4.0)
         layout = TileLayout.square(64, 16)
         pmap = band_precision_map(layout, 0.0, high=Precision.FP32,
                                   low=Precision.FP16)
         result = cholesky(a, tile_size=16, working_precision=Precision.FP32,
-                          precision_map=pmap)
+                          precision_map=pmap, runtime=runtime)
         l = result.to_dense()
         rel = np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
         assert rel < 5e-3
 
-    def test_lower_precision_increases_error_monotonically(self):
+    def test_lower_precision_increases_error_monotonically(self, runtime):
         a = _spd(64, diag=4.0)
         errors = {}
         for low in (Precision.FP32, Precision.FP16, Precision.FP8_E4M3):
@@ -85,36 +92,37 @@ class TestMixedPrecision:
             pmap = {t: (Precision.FP32 if t[0] == t[1] else low)
                     for t in layout.iter_tiles()}
             result = cholesky(a, tile_size=16, working_precision=Precision.FP32,
-                              precision_map=pmap)
+                              precision_map=pmap, runtime=runtime)
             l = result.to_dense()
             errors[low] = np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
         assert errors[Precision.FP32] <= errors[Precision.FP16] <= \
             errors[Precision.FP8_E4M3]
 
-    def test_flops_by_precision_partition(self):
+    def test_flops_by_precision_partition(self, runtime):
         a = _spd(80, diag=4.0)
         layout = TileLayout.square(80, 16)
         pmap = {t: (Precision.FP32 if t[0] == t[1] else Precision.FP16)
                 for t in layout.iter_tiles()}
-        result = cholesky(a, tile_size=16, precision_map=pmap)
+        result = cholesky(a, tile_size=16, precision_map=pmap, runtime=runtime)
         assert result.flops == pytest.approx(sum(result.flops_by_precision.values()))
         # GEMM (FP16) dominates for a 5x5 tile grid
         assert result.flops_by_precision[Precision.FP16] > 0
 
-    def test_task_counts(self):
+    @pytest.mark.parametrize("tasked", [False, True])
+    def test_task_counts(self, runtime, tasked):
         a = _spd(64)
-        result = cholesky(a, tile_size=16)
+        result = cholesky(a, tile_size=16, runtime=runtime if tasked else None)
         nt = 4
         assert result.task_counts["potrf"] == nt
         assert result.task_counts["trsm"] == nt * (nt - 1) // 2
         assert result.task_counts["syrk"] == nt * (nt - 1) // 2
         assert result.task_counts["gemm"] == nt * (nt - 1) * (nt - 2) // 6
 
-    def test_tile_matrix_input_with_mosaic(self):
+    def test_tile_matrix_input_with_mosaic(self, runtime):
         a = _spd(48, diag=4.0)
         tm = TileMatrix.from_dense(
             a, 16, precision=lambda i, j: Precision.FP32 if i == j else Precision.FP16)
-        result = cholesky(tm, working_precision=Precision.FP32)
+        result = cholesky(tm, working_precision=Precision.FP32, runtime=runtime)
         l = result.to_dense()
         rel = np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
         assert rel < 5e-3
@@ -122,21 +130,22 @@ class TestMixedPrecision:
 
 class TestRuntimePath:
     def test_runtime_bitwise_matches_serial(self):
-        """The DAG path (the default) equals the serial elimination bit
-        for bit — the acceptance contract of the threaded executor."""
+        """The DAG path equals the host-ordered reference bit for bit —
+        the acceptance contract of the threaded executor."""
         a = _spd(48)
-        serial = cholesky(a, tile_size=16, working_precision=Precision.FP32,
-                          execution="serial")
+        serial = cholesky(a, tile_size=16, working_precision=Precision.FP32)
         runtime = Runtime(execution="threaded", workers=3)
         via_runtime = cholesky(a, tile_size=16, working_precision=Precision.FP32,
                                runtime=runtime)
         np.testing.assert_array_equal(via_runtime.to_dense(), serial.to_dense())
 
-    def test_default_execution_is_dag(self):
-        a = _spd(32)
-        result = cholesky(a, tile_size=16)
-        assert result.schedule is not None
-        assert result.schedule.trace.num_tasks > 0
+    def test_without_a_runtime_it_is_the_reference(self, monkeypatch):
+        """No runtime means no task graph, whatever the environment
+        says — the rule every tiled routine follows."""
+        monkeypatch.setenv("REPRO_EXECUTION", "threaded")
+        with mock.patch.object(Runtime, "run", side_effect=AssertionError):
+            result = cholesky(_spd(32), tile_size=16)
+        assert result.schedule is None
 
     def test_runtime_schedule_attached(self):
         a = _spd(32)
@@ -176,7 +185,7 @@ class TestRuntimePath:
         scheduler = runtime.scheduler
         for seed in (0, 1, 2):
             a = _spd(48, seed=seed)
-            direct = cholesky(a, tile_size=16, execution="serial")
+            direct = cholesky(a, tile_size=16)
             again = cholesky(a, tile_size=16, runtime=runtime)
             np.testing.assert_array_equal(again.to_dense(), direct.to_dense())
         assert runtime.scheduler is scheduler  # never silently rebuilt
@@ -189,16 +198,14 @@ class TestFlopsFormula:
     def test_cholesky_flops_cubic(self):
         assert cholesky_flops(1000) == pytest.approx(1000 ** 3 / 3, rel=0.01)
 
-    def test_accumulated_flops_close_to_formula(self):
+    def test_accumulated_flops_close_to_formula(self, runtime):
         a = _spd(96)
-        result = cholesky(a, tile_size=16)
+        result = cholesky(a, tile_size=16, runtime=runtime)
         assert result.flops == pytest.approx(cholesky_flops(96), rel=0.25)
 
 
 class TestTileNativeInput:
-    def test_symmetric_tile_input_never_densifies(self):
-        from unittest import mock
-
+    def test_symmetric_tile_input_never_densifies(self, runtime):
         from repro.tiles.matrix import TileMatrix
 
         a = _spd(64)
@@ -208,18 +215,22 @@ class TestTileNativeInput:
             raise AssertionError("cholesky densified its TileMatrix input")
 
         with mock.patch.object(TileMatrix, "to_dense", forbidden):
-            result = cholesky(sym, working_precision=Precision.FP64)
+            result = cholesky(sym, working_precision=Precision.FP64,
+                              runtime=runtime)
         np.testing.assert_allclose(result.to_dense(), np.linalg.cholesky(a),
                                    rtol=1e-10, atol=1e-12)
 
-    def test_symmetric_tile_input_matches_dense_input(self):
+    def test_symmetric_tile_input_matches_dense_input(self, runtime):
         from repro.tiles.matrix import TileMatrix
 
         a = _spd(80)
-        dense_result = cholesky(a, tile_size=16, working_precision=Precision.FP32)
+        dense_result = cholesky(a, tile_size=16,
+                                working_precision=Precision.FP32,
+                                runtime=runtime)
         sym = TileMatrix.from_dense(a, tile_size=16, symmetric=True,
                                     precision=Precision.FP32)
-        tiled_result = cholesky(sym, working_precision=Precision.FP32)
+        tiled_result = cholesky(sym, working_precision=Precision.FP32,
+                                runtime=runtime)
         np.testing.assert_array_equal(tiled_result.to_dense(),
                                       dense_result.to_dense())
         assert tiled_result.flops == dense_result.flops

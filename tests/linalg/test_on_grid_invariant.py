@@ -71,7 +71,9 @@ def factor(plan: PrecisionPlan, execution: str, process_rt) -> dict:
     kwargs = dict(working_precision=plan.working_precision,
                   precision_map=pmap)
     if execution == "direct":
-        return lower_tiles(cholesky(kernel, execution="serial", **kwargs).factor)
+        result = cholesky(kernel, **kwargs)  # no runtime: the reference
+        assert result.schedule is None
+        return lower_tiles(result.factor)
     if execution == "process":
         return lower_tiles(cholesky(kernel, runtime=process_rt, **kwargs).factor)
     if execution in ("store", "process+store"):

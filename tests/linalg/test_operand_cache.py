@@ -82,7 +82,7 @@ def test_threaded_drain_shares_the_cache_and_matches_serial(monkeypatch):
     assert {Precision.FP8_E4M3, Precision.FP16} <= set(pmap.values())
     kwargs = dict(working_precision=plan.working_precision,
                   precision_map=pmap)
-    reference = cholesky(kernel, execution="serial", **kwargs).factor
+    reference = cholesky(kernel, **kwargs).factor
 
     monkeypatch.setattr(OPERANDS, "cap", CAP)
     released, evicted = OPERANDS.released, OPERANDS.evicted

@@ -1,7 +1,6 @@
 """Tests for triangular and Cholesky-based solves."""
 
 import numpy as np
-import pytest
 
 from repro.linalg.cholesky import cholesky
 from repro.linalg.solve import solve_cholesky, solve_spd, solve_triangular
@@ -52,19 +51,21 @@ class TestTriangularSolve:
 
 
 class TestCholeskySolve:
-    def test_solve_matches_numpy(self):
+    def test_solve_matches_numpy(self, runtime):
         a = _spd(48)
         rng = np.random.default_rng(1)
         b = rng.standard_normal((48, 4))
-        fact = cholesky(a, tile_size=16, working_precision=Precision.FP64)
+        fact = cholesky(a, tile_size=16, working_precision=Precision.FP64,
+                        runtime=runtime)
         x = solve_cholesky(fact, b, precision=Precision.FP64)
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-8, atol=1e-9)
 
-    def test_fp32_solve_accuracy(self):
+    def test_fp32_solve_accuracy(self, runtime):
         a = _spd(48)
         rng = np.random.default_rng(2)
         b = rng.standard_normal((48, 2))
-        fact = cholesky(a, tile_size=16, working_precision=Precision.FP32)
+        fact = cholesky(a, tile_size=16, working_precision=Precision.FP32,
+                        runtime=runtime)
         x = solve_cholesky(fact, b, precision=Precision.FP32)
         residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
         assert residual < 1e-4
@@ -81,39 +82,3 @@ class TestCholeskySolve:
         l = np.linalg.cholesky(a)
         x = solve_cholesky(l, b, precision=Precision.FP64)
         np.testing.assert_allclose(a @ x, b, rtol=1e-9)
-
-
-class TestTiledRightHandSide:
-    def test_tiled_rhs_matches_dense_rhs(self):
-        a = _spd(48)
-        rng = np.random.default_rng(9)
-        b = rng.standard_normal((48, 3))
-        fact = cholesky(a, tile_size=16, working_precision=Precision.FP32)
-        x_dense = solve_cholesky(fact, b, precision=Precision.FP32)
-        b_tiled = TileMatrix.from_dense(b, tile_size=16, precision=Precision.FP64)
-        x_tiled = solve_cholesky(fact, b_tiled, precision=Precision.FP32)
-        assert isinstance(x_tiled, TileMatrix)
-        np.testing.assert_array_equal(x_tiled.to_dense(), x_dense)
-
-    def test_tiled_rhs_solves_the_system(self):
-        a = _spd(40)
-        rng = np.random.default_rng(10)
-        b = rng.standard_normal((40, 2))
-        fact = cholesky(a, tile_size=8, working_precision=Precision.FP64)
-        x = solve_cholesky(fact, TileMatrix.from_dense(b, tile_size=8),
-                           precision=Precision.FP64)
-        np.testing.assert_allclose(a @ x.to_dense(), b, rtol=1e-8, atol=1e-9)
-
-    def test_tiled_rhs_requires_matching_tile_size(self):
-        a = _spd(32)
-        fact = cholesky(a, tile_size=16, working_precision=Precision.FP64)
-        rhs = TileMatrix.from_dense(np.ones((32, 1)), tile_size=8)
-        with pytest.raises(ValueError, match="tile size"):
-            solve_cholesky(fact, rhs)
-
-    def test_tiled_rhs_requires_tiled_factor(self):
-        a = _spd(16)
-        l = np.linalg.cholesky(a)
-        rhs = TileMatrix.from_dense(np.ones((16, 1)), tile_size=8)
-        with pytest.raises(ValueError, match="tiled factor"):
-            solve_triangular(l, rhs)

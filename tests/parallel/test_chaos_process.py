@@ -38,8 +38,8 @@ def _clean_fault_env(monkeypatch):
 
 def test_worker_kill_recovers_bitwise(monkeypatch):
     a = _spd()
-    serial = cholesky(a, tile_size=TILE, working_precision=Precision.FP32,
-                      execution="serial").to_dense()
+    serial = cholesky(a, tile_size=TILE,
+                      working_precision=Precision.FP32).to_dense()
 
     # every third worker-kill site occurrence kills that worker process
     # (counters are per process, so each respawned worker crashes again
@@ -82,8 +82,8 @@ def test_pool_usable_after_failed_drain(monkeypatch):
     """A crash-failed drain must leave the runtime able to factor again
     once the fault plan is gone."""
     a = _spd(seed=47)
-    serial = cholesky(a, tile_size=TILE, working_precision=Precision.FP32,
-                      execution="serial").to_dense()
+    serial = cholesky(a, tile_size=TILE,
+                      working_precision=Precision.FP32).to_dense()
 
     monkeypatch.setenv("REPRO_FAULTS", "worker-kill:raise:every=2:times=1")
     monkeypatch.setenv("REPRO_TASK_RETRIES", "0")

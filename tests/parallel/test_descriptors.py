@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from repro.distance.build import KernelBuilder, compute_kernel_rows
-from repro.linalg.blas3 import gemm
+from repro.linalg.blas3 import gemm, syrk
 from repro.linalg.kernels import (
     OPERANDS,
     panel_operand,
@@ -24,9 +24,11 @@ from repro.linalg.kernels import (
 )
 from repro.parallel.descriptors import (
     ALL_SPEC_KINDS,
+    BodySpec,
     BuildRowSpec,
     CgMatvecSpec,
     DenseGemmSpec,
+    DenseSyrkSpec,
     GemmTrailSpec,
     PotrfSpec,
     SolveGemmSpec,
@@ -87,11 +89,24 @@ def _specimens():
                                    transposes=(False, False, True)),
         DenseGemmSpec: DenseGemmSpec(tile_size=8, precision=Precision.FP32,
                                      transa=False, transb=True),
+        DenseSyrkSpec: DenseSyrkSpec(tile_size=8,
+                                     output_precision=Precision.FP64),
     }
 
 
-def test_every_spec_kind_has_a_specimen():
-    assert set(_specimens()) == set(ALL_SPEC_KINDS)
+def test_every_descriptor_is_listed_and_has_a_specimen():
+    """The list is checked against the code, not against a second list:
+    importing ``repro.parallel.descriptors`` has imported every module
+    that emits one, so a ``BodySpec`` defined under ``repro`` and left
+    out of ``ALL_SPEC_KINDS`` has no pickle round-trip below."""
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+    defined = {k for k in subclasses(BodySpec)
+               if k.__module__.split(".")[0] == "repro"}
+    assert defined == set(ALL_SPEC_KINDS) == set(_specimens())
+    assert len(ALL_SPEC_KINDS) == len(set(ALL_SPEC_KINDS))
 
 
 @pytest.mark.parametrize("kind", ALL_SPEC_KINDS,
@@ -244,3 +259,17 @@ class TestBehaviorEquality:
         expect = gemm(a, b, tile_size=8, precision=Precision.FP32,
                       transa=False, transb=True)
         np.testing.assert_array_equal(out, expect)
+
+    def test_dense_syrk(self):
+        """A mixed design — INT8 SNP panels and one whose confounder
+        column sends it (and every product with it) down the FP32 path."""
+        x = _rng(18).integers(0, 3, size=(40, 20)).astype(np.float64)
+        x[:, -1] = _rng(19).standard_normal(40)
+        integer_columns = np.arange(20) < 19
+        spec = _round_trip(DenseSyrkSpec(tile_size=8,
+                                         output_precision=Precision.FP64))
+        out = spec.run(x, integer_columns)
+        expect = syrk(x, tile_size=8, integer_columns=integer_columns,
+                      output_precision=Precision.FP64)
+        np.testing.assert_array_equal(out, expect)
+        np.testing.assert_allclose(out, x.T @ x, rtol=1e-6)

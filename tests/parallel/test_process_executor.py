@@ -41,8 +41,7 @@ class TestCholeskyProcess:
     @pytest.mark.parametrize("wp", [Precision.FP64, Precision.FP32])
     def test_resident_bitwise_vs_serial(self, process_rt, wp):
         a = _spd()
-        serial = cholesky(a, tile_size=TILE, working_precision=wp,
-                          execution="serial").to_dense()
+        serial = cholesky(a, tile_size=TILE, working_precision=wp).to_dense()
         proc = cholesky(a, tile_size=TILE, working_precision=wp,
                         runtime=process_rt).to_dense()
         np.testing.assert_array_equal(proc, serial)
@@ -51,8 +50,7 @@ class TestCholeskyProcess:
         a = _spd(seed=9)
         serial = cholesky(
             TileMatrix.from_dense(a, TILE, Precision.FP64, symmetric=True),
-            working_precision=Precision.FP32,
-            execution="serial").to_dense()
+            working_precision=Precision.FP32).to_dense()
 
         tiled = TileMatrix.from_dense(a, TILE, Precision.FP64, symmetric=True)
         tile_bytes = TILE * TILE * 8
@@ -66,8 +64,8 @@ class TestCholeskyProcess:
 
     def test_workers_one_matches_serial(self):
         a = _spd(seed=11)
-        serial = cholesky(a, tile_size=TILE, working_precision=Precision.FP32,
-                          execution="serial").to_dense()
+        serial = cholesky(a, tile_size=TILE,
+                          working_precision=Precision.FP32).to_dense()
         rt = Runtime(execution="process", workers=1)
         try:
             proc = cholesky(a, tile_size=TILE,
@@ -85,8 +83,8 @@ class TestCholeskyProcess:
                      runtime=process_rt)
         # the failed drain must not poison the pool for later drains
         a = _spd(seed=13)
-        serial = cholesky(a, tile_size=TILE, working_precision=Precision.FP32,
-                          execution="serial").to_dense()
+        serial = cholesky(a, tile_size=TILE,
+                          working_precision=Precision.FP32).to_dense()
         proc = cholesky(a, tile_size=TILE, working_precision=Precision.FP32,
                         runtime=process_rt).to_dense()
         np.testing.assert_array_equal(proc, serial)
@@ -97,8 +95,7 @@ class TestSolveProcess:
         a = _spd(seed=17)
         rhs = np.random.default_rng(18).standard_normal((N, 4))
         factor = cholesky(a, tile_size=TILE,
-                          working_precision=Precision.FP32,
-                          execution="serial")
+                          working_precision=Precision.FP32)
         serial = solve_cholesky(factor, rhs, precision=Precision.FP32)
         proc = solve_cholesky(factor, rhs, precision=Precision.FP32,
                               runtime=process_rt)
@@ -111,15 +108,17 @@ class TestBuildProcess:
         g = rng.integers(0, 3, size=(96, 256)).astype(np.int8)
         serial = KernelBuilder(gamma=0.01, tile_size=TILE, snp_block=128,
                                storage_precision=Precision.FP32,
-                               execution="serial").build_training(g)
+                               runtime=Runtime(execution="serial")
+                               ).build_training(g)
         proc_builder = KernelBuilder(gamma=0.01, tile_size=TILE,
                                      snp_block=128,
                                      storage_precision=Precision.FP32,
                                      runtime=process_rt)
         proc = proc_builder.build_training(g)
         np.testing.assert_array_equal(proc.to_dense(), serial.to_dense())
-        # inline consume_row tasks ran on the coordinator, workers > 1
-        assert proc.stats.workers == 2
+        # inline consume_row tasks ran on the coordinator, build rows on
+        # the pool's two workers
+        assert proc_builder.runtime is process_rt and process_rt.workers == 2
 
 
 class TestDenseGemmProcess:
@@ -141,8 +140,7 @@ class TestRuntimeReuse:
         a = _spd(seed=29)
         rhs = np.random.default_rng(30).standard_normal((N, 2))
         serial_factor = cholesky(a, tile_size=TILE,
-                                 working_precision=Precision.FP32,
-                                 execution="serial")
+                                 working_precision=Precision.FP32)
         serial_x = solve_cholesky(serial_factor, rhs,
                                   precision=Precision.FP32)
 

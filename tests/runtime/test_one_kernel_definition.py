@@ -43,7 +43,7 @@ def _cholesky_store_backed(rt):
 
 
 def _solve(rt):
-    factor = cholesky(_spd_kernel(), execution="serial").factor
+    factor = cholesky(_spd_kernel()).factor
     solve_cholesky(factor, np.ones((N, 2)), runtime=rt)
     return {"solve_gemm", "solve_trsm"}
 

@@ -143,7 +143,7 @@ class TestThreadedCholeskyUnderBudget:
 
         ref_tm, pmap = tiled_input()
         ref = cholesky(ref_tm, working_precision=plan.working_precision,
-                       precision_map=pmap, execution="serial")
+                       precision_map=pmap)
 
         oo_tm, pmap_oo = tiled_input()
         assert pmap_oo == pmap
@@ -204,5 +204,5 @@ class TestThreadedCholeskyUnderBudget:
             assert store.stats.peak_resident_bytes <= budget
             assert store.stats.budget_overflows == 0
             ref = cholesky(tm, working_precision=plan.working_precision,
-                           precision_map=pmap, execution="serial")
+                           precision_map=pmap)
             np.testing.assert_array_equal(res.to_dense(), ref.to_dense())

@@ -224,11 +224,12 @@ class TestBitwiseDeterminism:
         pmap = plan.precision_map(TileLayout.square(n, ts), matrix=a)
         serial = cholesky(a, tile_size=ts,
                           working_precision=plan.working_precision,
-                          precision_map=pmap, execution="serial")
+                          precision_map=pmap)
         threaded = cholesky(a, tile_size=ts,
                             working_precision=plan.working_precision,
                             precision_map=pmap,
-                            execution="threaded", workers=workers)
+                            runtime=Runtime(execution="threaded",
+                                            workers=workers))
         np.testing.assert_array_equal(threaded.to_dense(), serial.to_dense())
         assert threaded.flops == serial.flops
         assert threaded.flops_by_precision == serial.flops_by_precision
@@ -242,11 +243,13 @@ class TestBitwiseDeterminism:
         genotypes = small_genotypes[:72]
         serial = KernelBuilder(gamma=0.03, tile_size=16,
                                storage_precision=storage,
-                               execution="serial").build_training(genotypes)
+                               runtime=Runtime(execution="serial")
+                               ).build_training(genotypes)
         threaded = KernelBuilder(gamma=0.03, tile_size=16,
                                  storage_precision=storage,
-                                 execution="threaded",
-                                 workers=workers).build_training(genotypes)
+                                 runtime=Runtime(execution="threaded",
+                                                 workers=workers)
+                                 ).build_training(genotypes)
         np.testing.assert_array_equal(threaded.to_dense(), serial.to_dense())
         assert threaded.flops == serial.flops
         assert threaded.flops_by_precision == serial.flops_by_precision
@@ -254,10 +257,10 @@ class TestBitwiseDeterminism:
     def test_stress_repeated_threaded_runs_are_stable(self):
         """Same DAG, many threaded executions, one bit pattern."""
         a = _spd(64, seed=9)
-        reference = cholesky(a, tile_size=16, execution="serial").to_dense()
+        reference = cholesky(a, tile_size=16).to_dense()
+        rt = Runtime(execution="threaded", workers=8)
         for _ in range(10):
-            again = cholesky(a, tile_size=16, execution="threaded",
-                             workers=8).to_dense()
+            again = cholesky(a, tile_size=16, runtime=rt).to_dense()
             np.testing.assert_array_equal(again, reference)
 
 

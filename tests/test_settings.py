@@ -9,18 +9,22 @@ naming its variable.  ``REPRO_FAULTS`` carries a grammar that belongs to
 import dataclasses
 import os
 import re
+import threading
 from pathlib import Path
 
 import pytest
 
+from repro.distance.build import KernelBuilder
+from repro.gwas.session import KRRSession
 from repro.resilience import faults
+from repro.runtime.runtime import Runtime
 from repro.settings import ENVIRONMENT, Settings
 
 DEFAULTS = Settings()
 
 #: (variable, text or None for unset, field, expected value or ValueError)
 ROWS = [
-    ("REPRO_WORKERS", None, "workers", min(8, os.cpu_count() or 1)),
+    ("REPRO_WORKERS", None, "workers", min(8, len(os.sched_getaffinity(0)))),
     ("REPRO_WORKERS", "", "workers", DEFAULTS.workers),
     ("REPRO_WORKERS", "2", "workers", 2),
     ("REPRO_WORKERS", "abc", "workers", ValueError),
@@ -118,3 +122,59 @@ def test_nothing_is_cached_at_import(monkeypatch):
     assert Settings.from_env().workers == 3
     monkeypatch.setenv("REPRO_WORKERS", "4")
     assert Settings.from_env().workers == 4
+
+
+class TestWorkerDefault:
+    """Explicit argument, else ``REPRO_WORKERS``, else the CPUs this
+    process may run on — not the machine's — capped at 8."""
+
+    @pytest.fixture(autouse=True)
+    def _unset(self, monkeypatch):
+        for variable in ("REPRO_WORKERS", "REPRO_EXECUTION",
+                         "REPRO_STORE_BUDGET"):
+            monkeypatch.delenv(variable, raising=False)
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (3, 3), (64, 8)])
+    def test_the_affinity_mask_sets_it(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)  # not consulted
+        assert Settings.from_env({}).workers == expected
+        assert Runtime().workers == expected
+        assert KernelBuilder().runtime.workers == expected
+
+    def test_the_variable_and_the_argument_ignore_the_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert Runtime(workers=4).workers == 4
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert Settings.from_env().workers == 3
+        assert Runtime().workers == 3
+        assert KRRSession().runtime.workers == 3
+
+    def test_one_cpu_drains_on_the_callers_thread(self, monkeypatch,
+                                                  small_cohort):
+        """Confined to one CPU, a default session starts no lane thread:
+        every task of ``fit`` + ``predict`` runs where it was called."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        seen = set()
+
+        class Threads:
+            def task_ready(self, task):
+                pass
+
+            task_complete = task_ready
+
+            def task_dispatch(self, task):
+                seen.add(threading.current_thread().name)
+
+        session = KRRSession(tile_size=64)
+        assert session.runtime.execution == "threaded"
+        assert session.runtime.workers == 1
+        session.runtime.scheduler.hooks = Threads()
+        g, y = small_cohort.genotypes, small_cohort.phenotypes
+        session.fit(g[:200], y[:200])
+        session.predict(g[200:])
+        assert seen == {threading.current_thread().name}
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("repro-runtime-")]
