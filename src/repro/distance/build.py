@@ -561,11 +561,11 @@ class KernelBuilder:
         """Stream the rectangular test-vs-train kernel in row batches.
 
         This is the Predict-phase entry point of the tile-native solver
-        sessions: operands are quantized once, then ``batch_rows``
-        test individuals at a time flow through the Gram/distance/kernel
-        pipeline, so the peak cross-kernel temporary is one batch
-        instead of the full ``n_test × n_train`` panel.  The produced
-        values are identical to :meth:`build_cross` for any batching.
+        sessions: operands are quantized once, then ``batch_rows`` test
+        individuals at a time flow through the Gram/distance/kernel
+        pipeline, one tile-row band (the shape of Build's row tasks) at
+        a time: the peak temporary is the yielded batch plus band-sized
+        intermediates.  Values equal :meth:`build_cross` for any batching.
 
         ``train_cache`` (from :meth:`train_operands`) skips the
         train-side operand preparation — the fixed cost a serving
@@ -579,11 +579,13 @@ class KernelBuilder:
         ctx = self._prepare_operands(test_genotypes, train_genotypes,
                                      test_confounders, train_confounders,
                                      symmetric=False, train_cache=train_cache)
-        cols = slice(0, n2)
         for r0 in range(0, n1, batch):
             rows = slice(r0, min(r0 + batch, n1))
-            block = compute_kernel_rows(ctx, self.gamma, self.snp_block,
-                                        rows, cols)
+            block = np.empty((rows.stop - r0, n2), dtype=np.float64)
+            for b0 in range(r0, rows.stop, self.tile_size):
+                band = slice(b0, min(b0 + self.tile_size, rows.stop))
+                block[b0 - r0:band.stop - r0] = compute_kernel_rows(
+                    ctx, self.gamma, self.snp_block, band, slice(0, n2))
             flops, by_prec = self._block_flops(ctx, rows.stop - rows.start, n2)
             yield CrossRowBlock(rows=rows, kernel=block, flops=flops,
                                 flops_by_precision=by_prec)

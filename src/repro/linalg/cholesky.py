@@ -16,48 +16,46 @@ Structure of the algorithm per panel ``k`` (lower-triangular variant):
    ``A[i,j] <- A[i,j] - A[i,k] @ A[j,k]^T``; runs in the *destination
    tile's* precision, which is where FP16/FP8 enters.
 
-Two implementations, on purpose, selected the way every tiled routine
-selects: by whether the caller hands over a runtime.
-:func:`_cholesky_runtime` (``runtime=rt``) is the one DAG Cholesky: a
-single insertion loop whose tasks carry the kernel descriptors of
-:mod:`repro.linalg.kernels`, run by whatever execution mode the runtime
-has (serial, threaded, process) over a resident *or* store-backed
-workspace — the two differ only in how a tile is declared to the task.
-:func:`_cholesky_direct` (no runtime) is the host-ordered elimination
-with no task graph: the reference every DAG execution must match bit
-for bit, which holds because every ordering constraint of the DAG is an
-explicit dependency edge (including the serialized accumulation chain
-on each trailing tile).
+One elimination, two ways to run it, selected the way every tiled
+routine selects: by whether the caller hands over a runtime.
+:func:`_elimination` lists the right-looking factorization's tasks in
+host order, each with its kernel descriptor from
+:mod:`repro.linalg.kernels`.  :func:`_cholesky_runtime` (``runtime=rt``)
+inserts them as one task DAG, run by whatever execution mode the
+runtime has (serial, threaded, process) over a resident *or*
+store-backed workspace — the two differ only in how a tile is declared
+to the task.  :func:`_cholesky_direct` (no runtime) calls the same
+descriptors' ``run`` one after the other: the reference every DAG
+execution must match bit for bit, which holds because the arithmetic is
+the same code and every ordering constraint of the DAG is an explicit
+dependency edge (including the serialized accumulation chain on each
+trailing tile).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.precision.formats import Precision
 from repro.linalg.kernels import (
+    NATIVE,
     OPERANDS,
     GemmTrailSpec,
     PotrfSpec,
     SyrkSpec,
     TrsmSpec,
     gemm_flops,
-    panel_operand,
     potrf_flops,
     syrk_flops,
-    tile_gemm,
-    tile_potrf,
-    tile_syrk,
-    tile_trsm,
     trsm_flops,
 )
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
-from repro.runtime.task import AccessMode, TaskSpec, TileInput
+from repro.runtime.task import AccessMode, DataHandle, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
-from repro.tiles.tile import Tile
 
 
 @dataclass
@@ -201,62 +199,71 @@ def cholesky(
 
 
 # ----------------------------------------------------------------------
-# direct (host-ordered) execution
+# the elimination, and its direct (host-ordered) execution
 # ----------------------------------------------------------------------
+def _elimination(layout, wp: Precision, tile_precision, uid):
+    """The right-looking elimination's tasks in host order.
+
+    Yields ``(name, kernel, coords, attrs)``: the kernel reads the tiles
+    at ``coords`` and replaces the last of them; ``attrs`` are the
+    task's ``tag``/``precision``/``flops``/``priority``.  ``uid[(i, k)]``
+    is the :class:`~repro.linalg.kernels.OperandCache` key of panel tile
+    ``(i, k)``.
+    """
+    nt, shape = layout.tile_rows, layout.tile_shape
+
+    def task(name, kernel, coords, precision, flops, priority=0):
+        tag = (*coords[-1], coords[0][1])  # destination, panel index
+        return name, kernel, coords, dict(tag=tag, precision=precision,
+                                          flops=flops, priority=priority)
+
+    for k in range(nt):
+        yield task("potrf", PotrfSpec(wp), [(k, k)], wp,
+                   potrf_flops(shape(k, k)[0]), nt - k + 10)
+        for i in range(k + 1, nt):
+            mb, nb = shape(i, k)
+            yield task("trsm", TrsmSpec(wp, tile_precision(i, k)),
+                       [(k, k), (i, k)], wp, trsm_flops(nb, mb), nt - k + 5)
+
+        # consumers of each panel operand per *emulated* compute
+        # precision — what the operand cache counts down from; native
+        # kernels read the panel tile itself and never consult it
+        uses: Counter = Counter()
+        for i in range(k + 1, nt):
+            # the SYRK on (i, i), both operands of the GEMM on each (i, j)
+            consumers = [(i, wp)] + [(t, tile_precision(i, j))
+                                     for j in range(k + 1, i) for t in (i, j)]
+            uses.update(c for c in consumers if c[1] not in NATIVE)
+        for i in range(k + 1, nt):
+            kbk = shape(i, k)[1]
+            yield task("syrk", SyrkSpec(wp, uid[(i, k)], uses[(i, wp)]),
+                       [(i, k), (i, i)], wp, syrk_flops(shape(i, i)[0], kbk))
+            for j in range(k + 1, i):
+                p_ij = tile_precision(i, j)
+                yield task("gemm", GemmTrailSpec(p_ij, uid[(i, k)], uid[(j, k)],
+                                                 uses[(i, p_ij)], uses[(j, p_ij)]),
+                           [(i, k), (j, k), (i, j)], p_ij,
+                           gemm_flops(*shape(i, j), kbk))
+
+
 def _cholesky_direct(tiled: TileMatrix, wp: Precision,
                      tile_precision, result: CholeskyResult) -> None:
-    # Kernel results come back rounded to their compute precision, so
-    # tiles stored at that same precision adopt them (Tile._on_grid);
-    # TRSM computes at wp but stores at the mosaic's precision, so its
-    # result is rounded by set_tile.
-    nt = tiled.layout.tile_rows
-    for k in range(nt):
-        akk = tiled.get_tile(k, k).float64_values()
-        lkk = tile_potrf(akk, precision=wp)
-        tiled.set_tile(k, k, Tile._on_grid(lkk, wp))
-        _accumulate(result, "potrf", wp, potrf_flops(akk.shape[0]))
+    """Run the elimination's kernels one after the other: no task graph.
 
-        # stored panel tiles, read back once per panel instead of once
-        # per trailing update they participate in
-        panel: dict[int, Tile] = {}
-        for i in range(k + 1, nt):
-            aik = tiled.get_tile(i, k).float64_values()
-            lik = tile_trsm(lkk, aik, precision=wp, side="right", trans=True)
-            tiled.set_tile(i, k, lik, precision=tile_precision(i, k))
-            panel[i] = tiled.get_tile(i, k)
-            _accumulate(result, "trsm", wp, trsm_flops(aik.shape[1], aik.shape[0]))
-
-        # per-(tile, precision) quantization cache for the trailing update:
-        # L[i,k] is consumed by one SYRK and up to nt-k-2 GEMMs, all of
-        # which would otherwise re-quantize it from scratch
-        qpanel: dict[tuple[int, Precision], object] = {}
-
-        def qtile(idx: int, precision: Precision):
-            key = (idx, precision)
-            if key not in qpanel:
-                qpanel[key] = panel_operand(panel[idx], precision)
-            return qpanel[key]
-
-        for i in range(k + 1, nt):
-            lik = panel[i]
-            # SYRK on the diagonal of the trailing matrix
-            aii = tiled.get_tile(i, i)
-            p_ii = wp
-            new_aii = tile_syrk(qtile(i, p_ii), aii, precision=p_ii,
-                                alpha=-1.0, beta=1.0)
-            tiled.set_tile(i, i, Tile._on_grid(new_aii, p_ii))
-            _accumulate(result, "syrk", p_ii, syrk_flops(aii.shape[0], lik.shape[1]))
-
-            # GEMM on the off-diagonal trailing tiles of this block column
-            for j in range(k + 1, i):
-                aij = tiled.get_tile(i, j)
-                p_ij = tile_precision(i, j)
-                new_aij = tile_gemm(qtile(i, p_ij), qtile(j, p_ij), aij,
-                                    precision=p_ij,
-                                    alpha=-1.0, beta=1.0, transb=True)
-                tiled.set_tile(i, j, Tile._on_grid(new_aij, p_ij))
-                _accumulate(result, "gemm", p_ij,
-                            gemm_flops(aij.shape[0], aij.shape[1], lik.shape[1]))
+    Every kernel returns a ``Tile`` at its destination's storage
+    precision, which ``set_tile`` takes over as it is.
+    """
+    # panel operands are keyed like the DAG's, by a handle uid
+    uid = {c: DataHandle(f"A{c}").uid
+           for c in tiled.layout.iter_lower_tiles(include_diagonal=False)}
+    try:
+        for name, kernel, coords, attrs in _elimination(
+                tiled.layout, wp, tile_precision, uid):
+            tiled.set_tile(*coords[-1],
+                           kernel.run(*(tiled.get_tile(*c) for c in coords)))
+            _accumulate(result, name, attrs["precision"], attrs["flops"])
+    finally:
+        OPERANDS.drop(set(uid.values()))  # an indefinite pivot stops the count
 
 
 # ----------------------------------------------------------------------
@@ -278,13 +285,43 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
     through ``set_tile`` (making it spillable at once).  The resident
     working set is then the active panel plus the in-flight updates.
     """
+    layout, binding = tiled.layout, tiled._binding
+    stored = binding is not None
     with runtime.dag("chol", store=tiled.store) as ns:
-        handles = _insert_factorization(tiled, wp, tile_precision,
-                                        runtime, ns)
-        # dag() entered drained: the pending graph is exactly this
-        # factorization
-        for task in runtime.graph.tasks:
-            _accumulate(result, task.name, task.precision, task.flops)
+        handles: dict[tuple[int, int], object] = {}
+        for i, j in layout.iter_lower_tiles():
+            tile = None if stored else tiled.get_tile(i, j)
+            handles[(i, j)] = runtime.register_data(
+                f"{ns}A({i},{j})", payload=tile,
+                precision=tile_precision(i, j) if stored else tile.precision,
+                shape=layout.tile_shape(i, j),
+            )
+
+        def declare(kernel, *coords):
+            """Accesses and descriptor of a task that reads the tiles at
+            ``coords`` and replaces the last of them."""
+            *reads, out = coords
+            accesses = [(handles[c], AccessMode.READ) for c in reads]
+            accesses.append((handles[out], AccessMode.READWRITE))
+            if not stored:
+                return accesses, {"spec": TaskSpec(kernel)}
+            return accesses, {
+                "spec": TaskSpec(
+                    kernel, mode="aux",
+                    aux=tuple(TileInput(tiled, c, writeback=c == out)
+                              for c in coords),
+                    # the kernel returns a Tile at the destination's
+                    # storage precision: set_tile takes it over as it is
+                    on_complete=lambda tile: tiled.set_tile(*out, tile)),
+                "tile_deps": tuple((binding, c) for c in coords),
+            }
+
+        uid = {coords: handle.uid for coords, handle in handles.items()}
+        for name, kernel, coords, attrs in _elimination(
+                layout, wp, tile_precision, uid):
+            accesses, how = declare(kernel, *coords)
+            runtime.insert_task(name, *accesses, **how, **attrs)
+            _accumulate(result, name, attrs["precision"], attrs["flops"])
         try:
             result.schedule = runtime.run(phase=phase)
         except TaskGroupError as exc:
@@ -296,95 +333,12 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
         finally:
             # a failed attempt (indefinite matrix at too-small alpha)
             # must not leak its panel operands into the process-wide cache
-            OPERANDS.drop({handle.uid for handle in handles.values()})
+            OPERANDS.drop(set(uid.values()))
 
-    if tiled._binding is None:
+    if not stored:
         # hand the results back to the tile matrix: every payload is a
         # Tile at its target precision (the last task on it stored it
         # there), so set_tile takes it over without rounding
         for (i, j), handle in handles.items():
             tiled.set_tile(i, j, handle.payload,
                            precision=tile_precision(i, j))
-
-
-def _insert_factorization(tiled: TileMatrix, wp: Precision, tile_precision,
-                          runtime: Runtime,
-                          ns: str) -> dict[tuple[int, int], object]:
-    """Register the lower tiles under ``ns`` and insert the right-looking
-    elimination's tasks; returns the tile handles."""
-    layout = tiled.layout
-    nt = layout.tile_rows
-    binding = tiled._binding
-    stored = binding is not None
-    handles: dict[tuple[int, int], object] = {}
-    for i in range(nt):
-        for j in range(i + 1):
-            tile = None if stored else tiled.get_tile(i, j)
-            handles[(i, j)] = runtime.register_data(
-                f"{ns}A({i},{j})", payload=tile,
-                precision=tile_precision(i, j) if stored else tile.precision,
-                shape=layout.tile_shape(i, j),
-            )
-
-    def declare(kernel, *coords):
-        """Accesses and descriptor of a task that reads the tiles at
-        ``coords`` and replaces the last of them."""
-        *reads, out = coords
-        accesses = [(handles[c], AccessMode.READ) for c in reads]
-        accesses.append((handles[out], AccessMode.READWRITE))
-        if not stored:
-            return accesses, {"spec": TaskSpec(kernel)}
-        return accesses, {
-            "spec": TaskSpec(
-                kernel, mode="aux",
-                aux=tuple(TileInput(tiled, c, writeback=c == out)
-                          for c in coords),
-                # the kernel returns a Tile at the destination's storage
-                # precision, so set_tile takes it over as it is
-                on_complete=lambda tile: tiled.set_tile(*out, tile)),
-            "tile_deps": tuple((binding, c) for c in coords),
-        }
-
-    for k in range(nt):
-        accesses, how = declare(PotrfSpec(wp), (k, k))
-        runtime.insert_task(
-            "potrf", *accesses, **how, tag=(k, k, k), precision=wp,
-            flops=potrf_flops(layout.tile_shape(k, k)[0]),
-            priority=nt - k + 10)
-        for i in range(k + 1, nt):
-            mb, nb = layout.tile_shape(i, k)
-            accesses, how = declare(TrsmSpec(wp, tile_precision(i, k)),
-                                    (k, k), (i, k))
-            runtime.insert_task(
-                "trsm", *accesses, **how, tag=(i, k, k), precision=wp,
-                flops=trsm_flops(nb, mb), priority=nt - k + 5)
-
-        # consumers of each panel operand, per compute precision: what
-        # the operand cache counts down from (see OperandCache)
-        uses: dict[tuple[int, Precision], int] = {}
-        for i in range(k + 1, nt):
-            uses[(i, wp)] = uses.get((i, wp), 0) + 1
-            for j in range(k + 1, i):
-                p_ij = tile_precision(i, j)
-                uses[(i, p_ij)] = uses.get((i, p_ij), 0) + 1
-                uses[(j, p_ij)] = uses.get((j, p_ij), 0) + 1
-        for i in range(k + 1, nt):
-            uid_ik = handles[(i, k)].uid
-            nbi = layout.tile_shape(i, i)[0]
-            kbk = layout.tile_shape(i, k)[1]
-            accesses, how = declare(SyrkSpec(wp, uid_ik, uses[(i, wp)]),
-                                    (i, k), (i, i))
-            runtime.insert_task(
-                "syrk", *accesses, **how, tag=(i, i, k), precision=wp,
-                flops=syrk_flops(nbi, kbk))
-            for j in range(k + 1, i):
-                p_ij = tile_precision(i, j)
-                mb, nb = layout.tile_shape(i, j)
-                accesses, how = declare(
-                    GemmTrailSpec(p_ij, uid_ik, handles[(j, k)].uid,
-                                  uses[(i, p_ij)], uses[(j, p_ij)]),
-                    (i, k), (j, k), (i, j))
-                runtime.insert_task(
-                    "gemm", *accesses, **how, tag=(i, j, k), precision=p_ij,
-                    flops=gemm_flops(mb, nb, kbk))
-    return handles

@@ -10,22 +10,33 @@ SYRK      Symmetric rank-k update of a diagonal tile.
 GEMM      General update of an off-diagonal tile.
 ========  =============================================================
 
-Each kernel quantizes its inputs to the requested *compute* precision,
-performs the operation with a wider accumulator where the hardware
-would (FP32 accumulation for FP16/FP8 tensor-core GEMM/SYRK), and
-returns the result — rounded to the compute precision — in float64, so
-the caller decides the storage precision of the output tile: it may
-adopt the values as a tile of the compute precision without rounding
-again (``Tile._on_grid``), or construct a ``Tile`` at any other one.
-SYRK and GEMM take their destination as a :class:`Tile` too; one that
-is already at the compute precision is read as is, its payload being
-on that grid by the tile invariant.
+Which arithmetic runs is decided by the *compute* precision alone.  A
+hardware float format (FP32, FP64) is handed to LAPACK/BLAS in its own
+dtype, the way the paper's solver hands a tile to cuSOLVER/cuBLAS:
+``?potrf``/``?trsm``/``?syrk``/``?gemm`` on the zero-copy transposed
+(Fortran-ordered) views of the C-ordered payloads, in place in a *copy*
+of the destination — an input payload is never written, it may be a
+read-only map of a store segment or of another process's arena.  An
+operand is read as ``np.asarray(data, dtype)``: for these two formats
+the cast *is* the rounding, and it is the payload itself when the dtype
+already matches (an FP8-grid tile in its float32 container feeds
+``sgemm`` as is).  An emulated format (FP16, BF16, FP8) quantizes its
+inputs onto the format's grid, multiplies with the FP32 accumulator a
+tensor core would use, subtracts in float64 and rounds once.
+
+Either way the result is on the compute precision's grid *in that
+format's storage dtype*: the caller adopts it as a tile of the compute
+precision without rounding or casting (``Tile._on_grid``), or
+constructs a ``Tile`` at any other one.  A destination :class:`Tile`
+already at the compute precision is read as is, its payload being on
+that grid by the tile invariant.
 
 The second half of the module wraps the four kernels as the tiled
 Cholesky's task descriptors (:class:`PotrfSpec`, :class:`TrsmSpec`,
 :class:`SyrkSpec`, :class:`GemmTrailSpec`): tile in, tile out, the one
-body every DAG execution of the factorization runs — inline under the
-serial/threaded drains, on a worker under the process drain.
+body every execution of the factorization runs — in host order for the
+graph-free reference, inline under the serial/threaded drains, on a
+worker under the process drain.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
@@ -46,25 +58,45 @@ from repro.precision.gemm import (
 )
 from repro.precision.quantize import quantize
 from repro.runtime.task import BodySpec
-from repro.tiles.tile import Tile
+from repro.tiles.tile import Tile, retile
+
+#: LAPACK/BLAS routine prefix of the compute precisions that *are* a
+#: hardware dtype; every other format is emulated.  Membership is the
+#: one selector between the two arithmetics.
+NATIVE = {Precision.FP32: "s", Precision.FP64: "d"}
 
 
 def _as64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _destination64(c_tile: "np.ndarray | Tile", precision: Precision) -> np.ndarray:
-    """Float64 values of an update's destination at the compute precision."""
-    if isinstance(c_tile, Tile):
-        if c_tile.precision is precision:
-            return c_tile.float64_values()  # on the grid already
-        c_tile = c_tile.data
-    return _as64(quantize(_as64(c_tile), precision))
+def _payload(x: "np.ndarray | Tile") -> np.ndarray:
+    return x.data if isinstance(x, Tile) else np.asarray(x)
 
 
-def panel_operand(tile: "np.ndarray | Tile",
+def _native_arrays(precision: Precision, *inputs) -> list[np.ndarray]:
+    """``inputs`` in ``precision``'s dtype: the operands as they are
+    when the dtype matches, the last one — the destination BLAS
+    overwrites — always as a fresh C-ordered copy."""
+    dtype = precision.numpy_dtype
+    arrays = [np.asarray(_payload(x), dtype=dtype) for x in inputs[:-1]]
+    return arrays + [np.array(_payload(inputs[-1]), dtype=dtype, order="C")]
+
+
+def _variant(precision: Precision):
+    return variant_for_input(precision if precision.is_float else Precision.FP32)
+
+
+def _destination(c_tile: "np.ndarray | Tile", precision: Precision) -> np.ndarray:
+    """An emulated update's destination on the compute grid, as float64."""
+    if isinstance(c_tile, Tile) and c_tile.precision is precision:
+        return c_tile.float64_values()  # on the grid already
+    return _as64(quantize(_payload(c_tile), precision))
+
+
+def panel_operand(tile: "np.ndarray | Tile | QuantizedOperand",
                   precision: Precision | str) -> QuantizedOperand:
-    """Pre-quantize a panel tile for reuse across trailing updates.
+    """Pre-quantize a panel tile for reuse across emulated trailing updates.
 
     The Cholesky trailing update reads each panel tile ``L[i,k]`` once
     per destination tile in its block row/column; wrapping it in a
@@ -73,102 +105,112 @@ def panel_operand(tile: "np.ndarray | Tile",
     stored at that input precision needs no quantization at all: its
     payload is the operand.
     """
-    precision = Precision.from_string(precision)
-    variant = variant_for_input(precision if precision.is_float else Precision.FP32)
-    if isinstance(tile, Tile):
-        if tile.precision is variant.input_precision:
-            return QuantizedOperand._on_grid(tile.data, tile.precision)
-        tile = tile.data
-    return QuantizedOperand(np.asarray(tile), variant.input_precision)
+    if isinstance(tile, QuantizedOperand):
+        return tile
+    variant = _variant(Precision.from_string(precision))
+    if isinstance(tile, Tile) and tile.precision is variant.input_precision:
+        return QuantizedOperand._on_grid(tile.data, tile.precision)
+    return QuantizedOperand(_payload(tile), variant.input_precision)
 
 
-def tile_potrf(a: np.ndarray, precision: Precision | str = Precision.FP64,
-               lower: bool = True) -> np.ndarray:
-    """Cholesky factorization of one (symmetric positive definite) tile.
+def tile_potrf(a: "np.ndarray | Tile",
+               precision: Precision | str = Precision.FP64) -> np.ndarray:
+    """Lower Cholesky factor of one (symmetric positive definite) tile.
 
-    The factorization itself runs in the requested precision's value
-    grid: the input is quantized, the factorization is done in float64
-    host arithmetic and the factor is re-quantized, which models a
-    hardware POTRF whose dominant error is the storage rounding.
-    Raises ``numpy.linalg.LinAlgError`` if the tile is not positive
-    definite at the chosen precision — the same failure low-precision
-    hardware hits when regularization is too small, which is why the
-    paper keeps diagonal tiles in the working precision.
+    Only the lower triangle of ``a`` is read; the factor's strict upper
+    triangle is zero.  FP32/FP64 are ``?potrf`` in that dtype; an
+    emulated precision quantizes the input, factors in float64 host
+    arithmetic and rounds the factor, which models a hardware POTRF
+    whose dominant error is the storage rounding.  Raises
+    ``numpy.linalg.LinAlgError`` if the tile is not positive definite at
+    the chosen precision — the same failure low-precision hardware hits
+    when regularization is too small, which is why the paper keeps
+    diagonal tiles in the working precision.
     """
     precision = Precision.from_string(precision)
-    aq = _as64(quantize(_as64(a), precision))
-    factor = np.linalg.cholesky(aq)  # raises LinAlgError if not SPD
-    if not lower:
-        factor = factor.T
-    return _as64(quantize(factor, precision))
+    if precision not in NATIVE:
+        factor = np.linalg.cholesky(_as64(quantize(_payload(a), precision)))
+        return quantize(factor, precision)
+    work, = _native_arrays(precision, a)
+    # the C-ordered lower triangle is the transposed view's upper one
+    potrf = getattr(lapack, NATIVE[precision] + "potrf")
+    factor, info = potrf(work.T, lower=0, clean=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"tile is not positive definite at {precision.value}: "
+            f"leading minor of order {info}")
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} in {potrf.__name__}")
+    return factor.T
 
 
-def tile_trsm(l_tile: np.ndarray, b_tile: np.ndarray,
-              precision: Precision | str = Precision.FP64,
-              side: str = "right", lower: bool = True,
-              trans: bool = True) -> np.ndarray:
-    """Triangular solve kernel.
-
-    Default mode (``side="right"``, ``trans=True``) computes
-    ``X = B @ L^{-T}``, the update applied to panel tiles below the
-    diagonal in the right-looking tiled Cholesky.
-    """
+def tile_trsm(l_tile: "np.ndarray | Tile", b_tile: "np.ndarray | Tile",
+              precision: Precision | str = Precision.FP64) -> np.ndarray:
+    """Panel solve ``X = B @ L^{-T}`` against a lower-triangular tile (only
+    its lower triangle is read): the update applied to the tiles below the
+    diagonal in the right-looking tiled Cholesky."""
     precision = Precision.from_string(precision)
-    t64 = _as64(quantize(_as64(l_tile), precision))
-    b64 = _as64(quantize(_as64(b_tile), precision))
-
-    if side == "left" and not trans:
-        # T X = B
-        x = scipy.linalg.solve_triangular(t64, b64, lower=lower)
-    elif side == "left" and trans:
-        # T^T X = B
-        x = scipy.linalg.solve_triangular(t64.T, b64, lower=not lower)
-    elif side == "right" and not trans:
-        # X T = B  ->  T^T X^T = B^T
-        x = scipy.linalg.solve_triangular(t64.T, b64.T, lower=not lower).T
-    elif side == "right" and trans:
-        # X T^T = B  ->  T X^T = B^T
-        x = scipy.linalg.solve_triangular(t64, b64.T, lower=lower).T
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return _as64(quantize(x, precision))
+    if precision not in NATIVE:
+        t64 = _as64(quantize(_payload(l_tile), precision))
+        b64 = _as64(quantize(_payload(b_tile), precision))
+        # X L^T = B  ->  L X^T = B^T
+        x = scipy.linalg.solve_triangular(t64, b64.T, lower=True).T
+        return quantize(x, precision)
+    lower, work = _native_arrays(precision, l_tile, b_tile)
+    if not work.size:
+        return work
+    # L X^T = B^T on the transposed views: L.T is upper, so solve with
+    # its transpose from the left, in place in the copy of B
+    trsm = getattr(blas, NATIVE[precision] + "trsm")
+    return trsm(1.0, lower.T, work.T, side=0, lower=0, trans_a=1,
+                overwrite_b=1).T
 
 
-def tile_syrk(a_tile: np.ndarray, c_tile: "np.ndarray | Tile",
-              precision: Precision | str = Precision.FP64,
-              alpha: float = -1.0, beta: float = 1.0) -> np.ndarray:
-    """Symmetric rank-k update ``C = alpha * A @ A.T + beta * C`` on one tile.
-
-    For FP16/FP8 compute precisions the product accumulates in FP32
-    (tensor-core behaviour).  The Gram product runs through the BLAS
-    ``?syrk`` triangular update of :func:`repro.precision.gemm.syrk_mixed`
-    (half the flops of the full GEMM the historical path used).
-    """
-    precision = Precision.from_string(precision)
-    variant = variant_for_input(precision) if precision.is_float else variant_for_input(Precision.FP32)
-    prod = _as64(syrk_mixed(a_tile, variant=variant))
-    c64 = _destination64(c_tile, precision)
-    out = alpha * prod + beta * c64
-    return _as64(quantize(out, precision))
-
-
-def tile_gemm(a_tile: np.ndarray, b_tile: np.ndarray,
+def tile_syrk(a_tile: "np.ndarray | Tile | QuantizedOperand",
               c_tile: "np.ndarray | Tile",
-              precision: Precision | str = Precision.FP64,
-              alpha: float = -1.0, beta: float = 1.0,
-              transa: bool = False, transb: bool = True) -> np.ndarray:
-    """General tile update ``C = alpha * op(A) @ op(B) + beta * C``.
+              precision: Precision | str = Precision.FP64) -> np.ndarray:
+    """Symmetric rank-k update ``C - A @ A.T`` of one diagonal tile.
+
+    FP32/FP64 are one fused ``?syrk`` on the lower triangle (the strict
+    upper one keeps the destination's values; nothing reads it).  For
+    FP16/FP8 the product accumulates in FP32 (tensor-core behaviour)
+    through :func:`repro.precision.gemm.syrk_mixed`.
+    """
+    precision = Precision.from_string(precision)
+    if precision not in NATIVE:
+        prod = syrk_mixed(panel_operand(a_tile, precision),
+                          variant=_variant(precision))
+        return quantize(_destination(c_tile, precision) - prod, precision)
+    a, work = _native_arrays(precision, a_tile, c_tile)
+    if not a.size:
+        return work
+    syrk = getattr(blas, NATIVE[precision] + "syrk")
+    return syrk(-1.0, a.T, beta=1.0, c=work.T, trans=1, lower=0,
+                overwrite_c=1).T
+
+
+def tile_gemm(a_tile: "np.ndarray | Tile | QuantizedOperand",
+              b_tile: "np.ndarray | Tile | QuantizedOperand",
+              c_tile: "np.ndarray | Tile",
+              precision: Precision | str = Precision.FP64) -> np.ndarray:
+    """General tile update ``C - A @ B.T``.
 
     This is the kernel that dominates the Associate phase; its compute
     precision is what the adaptive mosaic lowers to FP16/FP8.
     """
     precision = Precision.from_string(precision)
-    variant = variant_for_input(precision) if precision.is_float else variant_for_input(Precision.FP32)
-    prod = _as64(gemm_mixed(a_tile, b_tile, variant=variant,
-                            transa=transa, transb=transb))
-    c64 = _destination64(c_tile, precision)
-    out = alpha * prod + beta * c64
-    return _as64(quantize(out, precision))
+    if precision not in NATIVE:
+        prod = gemm_mixed(panel_operand(a_tile, precision),
+                          panel_operand(b_tile, precision),
+                          variant=_variant(precision), transb=True)
+        return quantize(_destination(c_tile, precision) - prod, precision)
+    a, b, work = _native_arrays(precision, a_tile, b_tile, c_tile)
+    if not (work.size and a.size):
+        return work
+    # C^T - B A^T on the transposed views, in place in the copy of C
+    gemm = getattr(blas, NATIVE[precision] + "gemm")
+    return gemm(-1.0, b.T, a.T, beta=1.0, c=work.T, trans_a=1,
+                overwrite_c=1).T
 
 
 def potrf_flops(nb: int) -> float:
@@ -198,13 +240,15 @@ class OperandCache:
     """Per-process memo of ``panel_operand(tile, precision)``.
 
     A panel tile ``L[i,k]`` is consumed by one SYRK and up to ``nt-k-2``
-    GEMMs per compute precision, all of which would otherwise quantize
-    it from scratch.  ``key`` is the panel tile's handle uid — unique in
-    the coordinating process and never rebound to other data — and a
-    panel payload never changes once its TRSM wrote it, so an entry
-    cannot go stale; the operand is a deterministic function of the
-    tile, so a miss (or two threads missing at once) recomputes exactly
-    what any other worker holds.  Caching never changes results.
+    GEMMs per *emulated* compute precision, all of which would otherwise
+    quantize it from scratch (a native kernel reads the tile's payload
+    itself: there is nothing to share).  ``key`` is the panel tile's
+    handle uid — unique in the coordinating process and never rebound to
+    other data — and a panel payload never changes once its TRSM wrote
+    it, so an entry cannot go stale; the operand is a deterministic
+    function of the tile, so a miss (or two threads missing at once)
+    recomputes exactly what any other worker holds.  Caching never
+    changes results.
 
     Every consumer names the total number of consumers (``uses``): the
     entry counts down and is dropped with its last one, so the cache
@@ -222,8 +266,11 @@ class OperandCache:
         self._entries: OrderedDict = OrderedDict()  # key -> [operand, uses left]
 
     def take(self, key: int, precision: Precision, tile: Tile,
-             uses: int = 1) -> QuantizedOperand:
-        """The operand of ``tile``, for one of its ``uses`` consumers."""
+             uses: int = 1) -> "QuantizedOperand | Tile":
+        """The operand of ``tile`` for one of its ``uses`` consumers at
+        ``precision``; a native format multiplies the tile itself."""
+        if precision in NATIVE:
+            return tile
         cache_key = (key, precision)
         fresh = None
         while True:
@@ -274,8 +321,7 @@ class PotrfSpec(BodySpec):
     wp: Precision
 
     def run(self, a: Tile) -> Tile:
-        return Tile._on_grid(tile_potrf(a.float64_values(), precision=self.wp),
-                             self.wp, a.coords)
+        return Tile._on_grid(tile_potrf(a, self.wp), self.wp, a.coords)
 
 
 @dataclass(frozen=True)
@@ -286,11 +332,10 @@ class TrsmSpec(BodySpec):
     storage: Precision
 
     def run(self, lkk: Tile, aik: Tile) -> Tile:
-        lik = tile_trsm(lkk.float64_values(), aik.float64_values(),
-                        precision=self.wp, side="right", trans=True)
-        # computed at wp, stored at ``storage``: a real rounding, the
-        # one the host-ordered reference applies through set_tile
-        return Tile(lik, precision=self.storage, coords=aik.coords)
+        lik = Tile._on_grid(tile_trsm(lkk, aik, self.wp), self.wp)
+        # computed at wp, stored at the mosaic's precision: where the
+        # two differ, the one real rounding of the factorization
+        return retile(lik, self.storage, aik.coords)
 
 
 @dataclass(frozen=True)
@@ -298,7 +343,7 @@ class SyrkSpec(BodySpec):
     """Trailing diagonal update ``A(i,i) -= L(i,k) L(i,k)^T`` at ``p``.
 
     ``key_ik`` / ``uses_ik``: the panel tile's :class:`OperandCache` key
-    and how many tasks consume it at ``p``.
+    and how many tasks consume it at ``p`` (emulated ``p`` only).
     """
 
     p: Precision
@@ -307,7 +352,7 @@ class SyrkSpec(BodySpec):
 
     def run(self, lik: Tile, aii: Tile) -> Tile:
         out = tile_syrk(OPERANDS.take(self.key_ik, self.p, lik, self.uses_ik),
-                        aii, precision=self.p, alpha=-1.0, beta=1.0)
+                        aii, self.p)
         return Tile._on_grid(out, self.p, aii.coords)
 
 
@@ -324,6 +369,5 @@ class GemmTrailSpec(BodySpec):
     def run(self, lik: Tile, ljk: Tile, aij: Tile) -> Tile:
         out = tile_gemm(OPERANDS.take(self.key_ik, self.p, lik, self.uses_ik),
                         OPERANDS.take(self.key_jk, self.p, ljk, self.uses_jk),
-                        aij, precision=self.p,
-                        alpha=-1.0, beta=1.0, transb=True)
+                        aij, self.p)
         return Tile._on_grid(out, self.p, aij.coords)

@@ -116,6 +116,31 @@ class TestCrossBuild:
                 np.testing.assert_array_equal(streamed, whole.kernel)
                 assert sum(b.flops for b in blocks) == whole.flops
 
+    def test_a_batch_runs_the_pipeline_one_tile_row_band_at_a_time(
+            self, genotypes, monkeypatch):
+        """The Gram/distance/exponent intermediates of a streamed batch
+        are band-sized (Build's row-task shape) however large the batch:
+        batch-sized ones made ``peak_rss_mb`` of a default fit depend on
+        where the allocator happened to put them."""
+        from repro.distance import build
+
+        bands = []
+        pipeline = build.compute_kernel_rows
+
+        def recording(ctx, gamma, snp_block, rs, cs):
+            bands.append((rs.start, rs.stop))
+            return pipeline(ctx, gamma, snp_block, rs, cs)
+
+        monkeypatch.setattr(build, "compute_kernel_rows", recording)
+        builder = KernelBuilder(gamma=0.03, tile_size=16)
+        test, train = genotypes[:27], genotypes[27:]
+        block, = builder.iter_cross_rows(test, train)
+        assert block.kernel.shape == (27, train.shape[0])
+        assert bands == [(0, 16), (16, 27)]
+        bands.clear()
+        list(builder.iter_cross_rows(test, train, batch_rows=20))
+        assert bands == [(0, 16), (16, 20), (20, 27)]
+
     def test_cross_with_confounders_requires_both(self, genotypes, confounders):
         builder = KernelBuilder(gamma=0.03, tile_size=16)
         with pytest.raises(ValueError):

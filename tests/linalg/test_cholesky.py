@@ -234,3 +234,40 @@ class TestTileNativeInput:
         np.testing.assert_array_equal(tiled_result.to_dense(),
                                       dense_result.to_dense())
         assert tiled_result.flops == dense_result.flops
+
+
+class TestNativeAccuracy:
+    """The FP32/FP64 factor is LAPACK/BLAS in that dtype, tile by tile:
+    its backward error obeys the uniform-precision bound of
+    ``repro.precision.error_model`` and, for FP32, stays within a small
+    factor of LAPACK's own single-precision factorization."""
+
+    @staticmethod
+    def _kernel(n):
+        rng = np.random.default_rng(n)
+        g = rng.integers(0, 3, size=(n, 64)).astype(np.float64)
+        sq = (g * g).sum(axis=1)
+        return np.exp(-0.02 * (sq[:, None] + sq[None, :] - 2.0 * g @ g.T)) \
+            + 0.5 * np.eye(n)
+
+    @staticmethod
+    def _backward_error(l, a):
+        l = np.asarray(l, dtype=np.float64)
+        return np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
+
+    @pytest.mark.parametrize("n", [256, 640, 1000])
+    @pytest.mark.parametrize("p", [Precision.FP32, Precision.FP64],
+                             ids=lambda p: p.value)
+    def test_backward_error_within_the_model_bound(self, runtime, p, n):
+        import scipy.linalg
+        from repro.precision.error_model import cholesky_error_bound
+
+        a = np.asarray(self._kernel(n), dtype=p.numpy_dtype)  # the input, at p
+        result = cholesky(a, tile_size=128, working_precision=p,
+                          runtime=runtime)
+        error = self._backward_error(result.to_dense(), a)
+        assert 0.0 < error <= cholesky_error_bound(n, p)
+        if p is Precision.FP32:
+            lapack = scipy.linalg.cholesky(a, lower=True)
+            assert lapack.dtype == np.float32
+            assert error <= 4.0 * self._backward_error(lapack, a)

@@ -6,6 +6,7 @@ corresponding serial closure computes — the process backend's bitwise
 contract rests on both.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -16,7 +17,6 @@ from repro.distance.build import KernelBuilder, compute_kernel_rows
 from repro.linalg.blas3 import gemm, syrk
 from repro.linalg.kernels import (
     OPERANDS,
-    panel_operand,
     tile_gemm,
     tile_potrf,
     tile_syrk,
@@ -118,53 +118,129 @@ def test_pickle_round_trip(kind):
     assert clone.__dict__ == spec.__dict__
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    return a.view({2: np.uint16, 4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+
+
+#: Compute precisions of the Cholesky kernels under test — the two
+#: native ones and one emulated — each with a storage precision equal
+#: to, narrower than and wider than it.
+STORAGE = {
+    Precision.FP32: (Precision.FP32, Precision.FP8_E4M3, Precision.FP64),
+    Precision.FP64: (Precision.FP64, Precision.FP16, Precision.FP64),
+    Precision.FP16: (Precision.FP16, Precision.FP8_E4M3, Precision.FP32),
+}
+CASES = [pytest.param(size, compute, stored,
+                      id=f"{size}-{compute.value}-{stored.value}")
+         for size in (16, 256) for compute, storages in STORAGE.items()
+         for stored in dict.fromkeys(storages)]
+
+
+def _panel_tile(size, stored, seed, coords):
+    return Tile(0.25 * _rng(seed).standard_normal((size, size)),
+                precision=stored, coords=coords)
+
+
+def _spd(size, stored, seed, coords):
+    a = _rng(seed).standard_normal((size, size))
+    return Tile(a @ a.T / size + 4.0 * np.eye(size), precision=stored,
+                coords=coords)
+
+
+def _assert_tile(out: Tile, expect: np.ndarray, precision, coords):
+    assert out.precision is precision and out.coords == coords
+    assert out.data.dtype == expect.dtype == precision.numpy_dtype
+    np.testing.assert_array_equal(bits(out.data), bits(expect))
+
+
+def _lattice(shape, mult: int, scale: float) -> np.ndarray:
+    """Multiples ``-7..7`` of ``scale``, from integer arithmetic alone.
+
+    Exact in every float format down to FP8, and every partial sum of a
+    product of two such arrays is exact in float32 — so the goldens
+    below depend neither on the BLAS's summation order nor on a random
+    stream, only on the kernels' rounding.
+    """
+    idx = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+    return ((idx * mult) % 15 - 7) * scale
+
+
+#: sha256 (first 16 hex digits) of the output payload of the emulated
+#: updates on `_lattice` specimens, recorded from commit 4e7d7b2 — the
+#: last one whose kernels went through float64 and ``_destination64``.
+GOLDEN = {
+    ("gemm", 16, Precision.FP8_E4M3, Precision.FP8_E4M3): "aad05807a517a3d7",
+    ("gemm", 16, Precision.FP16, Precision.FP32): "0177093e939ef645",
+    ("gemm", 16, Precision.FP16, Precision.FP8_E4M3): "314146305e3fbbfc",
+    ("gemm", 16, Precision.BF16, Precision.FP64): "c2a064882eb834f4",
+    ("gemm", 256, Precision.FP8_E4M3, Precision.FP8_E4M3): "28f810d669e33142",
+    ("gemm", 256, Precision.FP16, Precision.FP32): "cd1623bae729a233",
+    ("gemm", 256, Precision.FP16, Precision.FP8_E4M3): "b3e22df142ccd223",
+    ("gemm", 256, Precision.BF16, Precision.FP64): "ddbfe0514f16c26d",
+    ("syrk", 16, Precision.FP16, Precision.FP16): "85e0955d2522225f",
+    ("syrk", 16, Precision.FP8_E4M3, Precision.FP32): "47f939461ee4e52e",
+    ("syrk", 256, Precision.FP16, Precision.FP16): "8bfdd1ce513a9e37",
+    ("syrk", 256, Precision.FP8_E4M3, Precision.FP32): "ceffb44cba7836c8",
+}
+
+
+def _golden_case(kernel, size, compute, stored) -> Tile:
+    lik = Tile(_lattice((size, size), 7, 0.125), precision=stored, coords=(2, 0))
+    ljk = Tile(_lattice((size, size), 11, 0.25), precision=stored, coords=(1, 0))
+    c = _lattice((size, size), 4, 1.0 / 64) * np.arange(1, size + 1)
+    if kernel == "gemm":
+        return GemmTrailSpec(compute, 1, 2).run(
+            lik, ljk, Tile(c, precision=stored, coords=(2, 1)))
+    return SyrkSpec(compute, 1).run(
+        lik, Tile(c + c.T, precision=stored, coords=(2, 2)))
+
+
 class TestBehaviorEquality:
-    """Descriptor.run == the serial closure's arithmetic, bit for bit."""
+    """Descriptor.run == the array-level kernel's arithmetic, bit for
+    bit, whatever precision the tiles are stored at."""
 
-    def test_potrf(self):
-        a = _spd_tile()
-        spec = _round_trip(PotrfSpec(Precision.FP32))
-        out = spec.run(a)
-        expect = tile_potrf(a.to_float64(), precision=Precision.FP32)
-        np.testing.assert_array_equal(out.to_float64(), expect)
-        assert out.precision is Precision.FP32
-        assert out.coords == a.coords
+    @pytest.mark.parametrize("size,compute,stored", CASES)
+    def test_potrf(self, size, compute, stored):
+        a = _spd(size, stored, 0, (0, 0))
+        out = _round_trip(PotrfSpec(compute)).run(a)
+        _assert_tile(out, tile_potrf(a.to_float64(), compute), compute, (0, 0))
+        assert not np.triu(out.data, 1).any()
 
-    def test_trsm(self):
-        lkk = Tile(np.linalg.cholesky(_spd_tile().to_float64()),
-                   precision=Precision.FP32, coords=(0, 0))
-        aik = _tile(seed=2, coords=(1, 0))
-        spec = _round_trip(TrsmSpec(Precision.FP32, Precision.FP16))
-        out = spec.run(lkk, aik)
-        expect = tile_trsm(lkk.to_float64(), aik.to_float64(),
-                           precision=Precision.FP32, side="right", trans=True)
-        np.testing.assert_array_equal(
-            out.to_float64(),
-            Tile(expect, precision=Precision.FP16).to_float64())
-        assert out.precision is Precision.FP16
-        assert out.coords == aik.coords
+    @pytest.mark.parametrize("size,compute,stored", CASES)
+    def test_trsm(self, size, compute, stored):
+        lkk = Tile(np.linalg.cholesky(_spd(size, stored, 0, None).to_float64()),
+                   precision=stored, coords=(0, 0))
+        aik = _panel_tile(size, stored, 2, (1, 0))
+        out = _round_trip(TrsmSpec(compute, stored)).run(lkk, aik)
+        expect = tile_trsm(lkk.to_float64(), aik.to_float64(), compute)
+        # computed at ``compute``, stored at ``stored``: a real rounding
+        _assert_tile(out, Tile(expect, precision=stored).data, stored, (1, 0))
 
-    def test_syrk(self):
-        lik = _tile(seed=3, coords=(2, 0))
-        aii = _spd_tile(seed=4, coords=(2, 2))
-        spec = _round_trip(SyrkSpec(Precision.FP32, key_ik=7))
-        out = spec.run(lik, aii)
-        expect = tile_syrk(panel_operand(lik.to_float64(), Precision.FP32),
-                           aii.to_float64(), precision=Precision.FP32,
-                           alpha=-1.0, beta=1.0)
-        np.testing.assert_array_equal(out.to_float64(), expect)
+    @pytest.mark.parametrize("size,compute,stored", CASES)
+    def test_syrk(self, size, compute, stored):
+        lik = _panel_tile(size, stored, 3, (2, 0))
+        aii = _spd(size, stored, 4, (2, 2))
+        out = _round_trip(SyrkSpec(compute, key_ik=7)).run(lik, aii)
+        expect = tile_syrk(lik.to_float64(), aii.to_float64(), compute)
+        _assert_tile(out, expect, compute, (2, 2))
 
-    def test_gemm_trail(self):
-        lik = _tile(seed=5, coords=(2, 0))
-        ljk = _tile(seed=6, coords=(1, 0))
-        aij = _tile(seed=7, coords=(2, 1), precision=Precision.FP64)
-        spec = _round_trip(GemmTrailSpec(Precision.FP32, key_ik=8, key_jk=9))
-        out = spec.run(lik, ljk, aij)
-        expect = tile_gemm(panel_operand(lik.to_float64(), Precision.FP32),
-                           panel_operand(ljk.to_float64(), Precision.FP32),
-                           aij.to_float64(), precision=Precision.FP32,
-                           alpha=-1.0, beta=1.0, transb=True)
-        np.testing.assert_array_equal(out.to_float64(), expect)
+    @pytest.mark.parametrize("size,compute,stored", CASES)
+    def test_gemm_trail(self, size, compute, stored):
+        lik = _panel_tile(size, stored, 5, (2, 0))
+        ljk = _panel_tile(size, stored, 6, (1, 0))
+        aij = _panel_tile(size, stored, 7, (2, 1))
+        out = _round_trip(GemmTrailSpec(compute, key_ik=8, key_jk=9)).run(
+            lik, ljk, aij)
+        expect = tile_gemm(lik.to_float64(), ljk.to_float64(),
+                           aij.to_float64(), compute)
+        _assert_tile(out, expect, compute, (2, 1))
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN, key=str), ids=str)
+    def test_emulated_updates_keep_their_bits(self, case):
+        out = _golden_case(*case)
+        digest = hashlib.sha256(bits(out.data).tobytes()).hexdigest()[:16]
+        assert digest == GOLDEN[case]
 
     def test_operand_cache_hit_is_bitwise_stable(self):
         lik = _tile(seed=3, coords=(2, 0))
