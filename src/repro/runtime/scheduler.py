@@ -30,10 +30,12 @@ kernel runs and how a stalled lane is pre-empted:
     descriptor take the inline step on the coordinator.  A wedged
     worker is killed and respawned; a dead one is a transient fault.
 
-Lifecycle **hooks** (``Scheduler.hooks``): ``task_ready`` when a task
-enters the ready heap, ``task_dispatch`` before an attempt, and
+Lifecycle **hooks** (``Scheduler.hooks``): ``drain_begin`` (optional)
+with the graph before anything is ready, then ``task_ready`` when a
+task enters the ready heap, ``task_dispatch`` before an attempt, and
 ``task_complete`` after it, whatever its outcome.  The out-of-core tile
-store uses these to prefetch, pin and release a task's tiles
+store uses these to plan its evictions from the drain's order and to
+prefetch, pin and release a task's tiles
 (:class:`repro.store.StoreSchedulerHooks`).  A hook that raises fails
 *that task*, typed, like a body that raises; the drain goes on.
 
@@ -141,6 +143,9 @@ class _Drain:
         self.trace = ExecutionTrace()
         self.lanes = make_devices(lanes, HOST_WORKER)
         self.t0 = time.perf_counter()
+        begin = getattr(self.hooks, "drain_begin", None)
+        if begin is not None:
+            begin(graph)  # the store plans its evictions from the order
         for task, degree in self.indegree.items():
             if degree == 0:
                 self._release(task)
@@ -391,8 +396,9 @@ class Scheduler:
         stays bitwise identical to serial).
     hooks:
         Optional task-lifecycle observer with ``task_ready`` /
-        ``task_dispatch`` / ``task_complete`` methods, called in every
-        mode.  Used by the out-of-core store to pin/prefetch task tiles.
+        ``task_dispatch`` / ``task_complete`` methods (and, optionally,
+        ``drain_begin(graph)``), called in every mode.  Used by the
+        out-of-core store to plan evictions and pin/prefetch task tiles.
     retry_policy:
         Pacing of per-task re-execution after *transient* failures
         (``None`` takes ``Settings.from_env().task_retries``, else

@@ -7,10 +7,11 @@ no longer fits in memory.  This package breaks that ceiling:
 * :class:`TileStore` backs any :class:`~repro.tiles.matrix.TileMatrix`
   with native-precision spill segments on disk (bitwise round-trips);
 * :class:`~repro.store.stats.ResidencyManager` enforces a byte budget
-  with precision-aware LRU eviction and pin/unpin refcounts;
-* :class:`StoreSchedulerHooks` wires the task runtime in: input tiles
-  are prefetched when a task becomes ready, pinned while it runs, and
-  released on completion;
+  with pin/unpin refcounts, evicting by farthest next use inside a
+  drain (the drain's own order is the plan) and by LRU outside one;
+* :class:`StoreSchedulerHooks` wires the task runtime in: the drain's
+  order becomes the eviction plan, input tiles are prefetched when a
+  task becomes ready, pinned while it runs, and released on completion;
 * :class:`~repro.store.stats.StoreStats` reports spills/reloads and the
   peak resident bytes the out-of-core contract is asserted against.
 

@@ -1,8 +1,17 @@
 """Scheduler ↔ store integration: pinning and prefetch.
 
 The out-of-order executors (:class:`~repro.runtime.scheduler.Scheduler`)
-expose three lifecycle hooks per task; ``StoreSchedulerHooks`` maps them
-onto the store's residency protocol:
+expose one hook per drain and three lifecycle hooks per task;
+``StoreSchedulerHooks`` maps them onto the store's residency protocol:
+
+``drain_begin``
+    A drain starts.  ``TaskGraph.topological_order(by_priority=True)``
+    is the order a one-lane drain pops its tasks in, so the tiles each
+    task declares give every tile its **use positions** in that order:
+    the store's eviction plan.  Until the drain's last dispatch the
+    victim is the unpinned tile whose next use is farthest (Belady's
+    choice, exact on one lane, an approximation on several) instead of
+    the least recently used one.
 
 ``task_ready``
     The task's dependencies have resolved and it entered the ready
@@ -12,7 +21,8 @@ onto the store's residency protocol:
     evicting anything (prefetch never steals the working set).
 
 ``task_dispatch``
-    A worker picked the task.  Its tiles are **pinned**: eviction will
+    A worker picked the task: the plan's "now" moves to the first
+    position not dispatched yet.  Its tiles are **pinned**: eviction will
     not select them while the task runs, so an in-flight task can never
     have a tile evicted under it.  Pinning at dispatch (rather than at
     ready) keeps the pinned set bounded by the worker count — with a
@@ -21,7 +31,7 @@ onto the store's residency protocol:
 
 ``task_complete``
     The pins are released (also on task failure); the tiles become
-    ordinary LRU citizens again.
+    ordinary eviction candidates again.
 
 Correctness never depends on these hooks: a task that reads an evicted
 tile faults it back in bitwise.  The hooks exist to keep the working
@@ -40,6 +50,20 @@ class StoreSchedulerHooks:
 
     def __init__(self, store: TileStore) -> None:
         self.store = store
+        #: task uid -> position in the running drain's order
+        self._position: dict[int, int] = {}
+
+    def drain_begin(self, graph) -> None:
+        order = graph.topological_order(by_priority=True)
+        uses: dict = {}
+        for at, task in enumerate(order):
+            for binding, key in getattr(task, "tile_deps", ()):
+                if binding.store is self.store:
+                    uses.setdefault((binding.bid, key), []).append(at)
+        # a drain that declares no tile of this store keeps plain LRU
+        self._position = ({task.uid: at for at, task in enumerate(order)}
+                          if uses else {})
+        self.store.set_plan(uses, len(order))
 
     def task_ready(self, task) -> None:
         deps = getattr(task, "tile_deps", ())
@@ -48,8 +72,9 @@ class StoreSchedulerHooks:
 
     def task_dispatch(self, task) -> None:
         deps = getattr(task, "tile_deps", ())
-        if deps:
-            self.store.pin(deps)
+        position = self._position.get(task.uid)
+        if deps or position is not None:
+            self.store.pin(deps, position)
 
     def task_complete(self, task) -> None:
         deps = getattr(task, "tile_deps", ())

@@ -9,8 +9,9 @@ the examples assert that claim against.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from math import inf
 
 
 @dataclass
@@ -103,7 +104,7 @@ class _Entry:
 
 
 class ResidencyManager:
-    """Budgeted LRU residency accounting with pin/unpin refcounts.
+    """Budgeted residency accounting with pin/unpin refcounts.
 
     The manager owns *which* tiles may stay resident; the
     :class:`~repro.store.TileStore` owns *how* they move (encode/decode,
@@ -111,12 +112,19 @@ class ResidencyManager:
     store's lock — the manager itself is deliberately lock-free so the
     store can compose residency decisions with grid mutation atomically.
 
-    Eviction order is least-recently-*used*, where "use" is a fault-in,
-    a write, or any tile read (:meth:`note_use` — cheap enough for the
-    lock-free read fast path, so a hot panel tile consumed by many
-    trailing updates keeps its recency); pinned entries (tiles an
-    in-flight task declared as inputs/outputs) are never selected, so a
-    running task can never have a tile evicted under it.
+    While a drain's **plan** is set (:meth:`set_plan`: for every tile
+    the drain's tasks declare, the positions in the drain's order that
+    touch it) the victim is the tile whose next use is farthest — a
+    tile no remaining task touches first, a clean one (a free drop)
+    before a dirty one — which is the offline-optimal choice on a
+    one-lane drain and an approximation on several lanes.  Without a
+    plan, and as the tie-break within one, eviction order is
+    least-recently-*used*, where "use" is a fault-in, a write, or any
+    tile read (:meth:`note_use` — cheap enough for the lock-free read
+    fast path, so a hot panel tile consumed by many trailing updates
+    keeps its recency).  Pinned entries (tiles an in-flight task
+    declared as inputs/outputs) are never selected, so a running task
+    can never have a tile evicted under it.
     """
 
     def __init__(self, budget_bytes: int | None = None) -> None:
@@ -132,6 +140,10 @@ class ResidencyManager:
         # pins may arrive before the tile is resident (a task is
         # dispatched, then faults its inputs in) — track them separately
         self._pending_pins: dict[tuple[int, tuple[int, int]], int] = {}
+        # the running drain's order (see set_plan); None = plain LRU
+        self._plan: dict[tuple[int, tuple[int, int]], list[int]] | None = None
+        self._dispatched = bytearray()
+        self._now = 0
 
     # ------------------------------------------------------------------
     # residency accounting
@@ -226,6 +238,33 @@ class ResidencyManager:
         return self._pending_pins.get(key, 0) > 0
 
     # ------------------------------------------------------------------
+    # the drain's plan
+    # ------------------------------------------------------------------
+    def set_plan(self, uses: dict[tuple[int, tuple[int, int]], list[int]],
+                 length: int) -> None:
+        """Adopt a drain's order: ``uses[tile]`` is the ascending
+        positions, out of ``length``, of the tasks touching that tile.
+        An empty ``uses`` clears the plan."""
+        self._plan = uses or None
+        self._dispatched = bytearray(length)
+        self._now = 0
+
+    def advance(self, position: int) -> None:
+        """The task at ``position`` was dispatched.  "Now" is the first
+        position not dispatched yet, so tasks several lanes take out of
+        order never hide an earlier one's tiles; the plan ends with its
+        last dispatch.  A position past the plan (a second runtime on
+        the same store replaced it mid-drain) is ignored."""
+        if self._plan is None or position >= len(self._dispatched):
+            return
+        done = self._dispatched
+        done[position] = 1
+        while self._now < len(done) and done[self._now]:
+            self._now += 1
+        if self._now == len(done):
+            self._plan = None
+
+    # ------------------------------------------------------------------
     # eviction planning
     # ------------------------------------------------------------------
     def would_fit(self, incoming: int) -> bool:
@@ -237,8 +276,11 @@ class ResidencyManager:
     def victims_to_fit(
         self, incoming: int,
         exclude: tuple[int, tuple[int, int]] | None = None,
+        dirty=None,
     ) -> list[tuple[int, tuple[int, int]]] | None:
-        """LRU victims whose eviction makes ``incoming`` bytes fit.
+        """Victims whose eviction makes ``incoming`` bytes fit: farthest
+        next use first under a plan (``dirty(key)`` says whose eviction
+        costs a write), least recently used first otherwise.
 
         Returns ``None`` when the budget cannot be met even after
         evicting every unpinned candidate (the caller then proceeds
@@ -250,11 +292,20 @@ class ResidencyManager:
         if need <= 0:
             return []
         victims: list[tuple[int, tuple[int, int]]] = []
-        by_recency = sorted(self._entries.items(),
-                            key=lambda kv: kv[1].last_used)  # LRU -> MRU
-        for key, entry in by_recency:
-            if entry.pins > 0 or key == exclude:
-                continue
+        plan, now = self._plan, self._now
+        if plan is None:
+            def rank(kv):
+                return kv[1].last_used  # LRU -> MRU
+        else:
+            def rank(kv):
+                uses = plan.get(kv[0], ())
+                at = bisect_left(uses, now)  # first use from "now" on
+                # a tile no remaining task touches is the farthest of all
+                return (-(uses[at] if at < len(uses) else inf),
+                        dirty is not None and dirty(kv[0]), kv[1].last_used)
+        candidates = [kv for kv in self._entries.items()
+                      if kv[1].pins == 0 and kv[0] != exclude]
+        for key, entry in sorted(candidates, key=rank):
             victims.append(key)
             need -= entry.nbytes
             if need <= 0:

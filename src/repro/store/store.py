@@ -2,20 +2,25 @@
 
 ``TileStore`` backs :class:`~repro.tiles.matrix.TileMatrix` objects with
 **spill segments** on disk: when the resident tile bytes of all bound
-matrices exceed ``budget_bytes``, least-recently-used unpinned tiles are
-encoded to their *native storage precision* bytes (the same fp64/32/16,
-bf16 and 1-byte FP8 codecs the fitted-model artifacts use, see
-:mod:`repro.tiles.serialize`) and written to a memory-mapped segment
-file; a later access faults the tile back in bit for bit.  Because tile
-payloads are always quantized to their precision's value grid, the
-spill round-trip is **exact** — an out-of-core run produces bitwise the
-same results as a fully-resident one, for any budget.
+matrices exceed ``budget_bytes``, unpinned tiles — during a drain the
+one whose next use in the drain's own order is farthest, otherwise the
+least recently used — are encoded to their *native storage precision*
+bytes (the same fp64/32/16, bf16 and 1-byte FP8 codecs the fitted-model
+artifacts use, see :mod:`repro.tiles.serialize`), checksummed and
+written to a segment file in one positional write from the encoded
+array's buffer; a later access reads the slot back in one positional
+read, verifies it and adopts the bytes as the tile, bit for bit.
+Because tile payloads are always quantized to their precision's value
+grid, the spill round-trip is **exact** — an out-of-core run produces
+bitwise the same results as a fully-resident one, for any budget.
 
 Layout on disk: one append-mostly segment file per bound matrix plus an
 in-memory offset index ``{(i, j): slot}``.  A re-spill of a tile whose
 encoded size is unchanged overwrites its slot in place (the common
 spill/reload/spill cycle does not grow the file); slots shared between
-matrices (``shallow_copy``) are immutable and superseded by appends.
+matrices (``shallow_copy``, the factorization workspace of
+``unpacked_lower``) are immutable and superseded by appends to the
+writer's own segment — copy-on-write at tile granularity.
 
 Concurrency contract (the part that makes threaded DAG execution safe):
 
@@ -76,60 +81,61 @@ TileDep = tuple["StoreBinding", tuple[int, int]]
 # segment files
 # ----------------------------------------------------------------------
 class _Segment:
-    """One spill file: append-mostly writes, memory-mapped reads."""
+    """One spill file: positional writes and reads on one unbuffered file.
+
+    ``pwrite``/``pread`` carry their own offset, so the background
+    reader (which reads with the store lock released) never races a
+    writer over a shared file position, and nothing of the file stays
+    mapped into the process.
+    """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self._file = None
-        self._mmap: np.memmap | None = None
         self.size = 0
 
-    def _ensure_file(self):
+    def _fd(self, create: bool) -> int:
         if self._file is None:
-            self._file = open(self.path, "w+b")
-        return self._file
+            # only a write creates the file: reading a segment that is
+            # gone from disk must fail, not see a fresh empty one
+            self._file = open(self.path, "w+b" if create else "r+b",
+                              buffering=0)
+        return self._file.fileno()
 
-    def write(self, data: bytes, offset: int | None = None) -> int:
-        """Write ``data`` (at ``offset``, or appended); returns its offset."""
+    def write(self, data, offset: int | None = None) -> int:
+        """Write buffer ``data`` (at ``offset``, or appended); returns
+        its offset."""
         plan = active_plan()
         if plan is not None:
             # fires before any state mutation so a retried write is clean
             plan.inject(SITE_SEGMENT_WRITE, str(self.path))
-        f = self._ensure_file()
         if offset is None:
             offset = self.size
-            self.size += len(data)
-        f.seek(offset)
-        f.write(data)
-        f.flush()
+        view = memoryview(data).cast("B")
+        done = 0
+        while done < len(view):  # a short write is legal; finish it
+            done += os.pwrite(self._fd(create=True), view[done:],
+                              offset + done)
+        self.size = max(self.size, offset + done)
         return offset
 
     def read(self, offset: int, length: int) -> bytes:
-        """Read a slot through the (lazily refreshed) memory map.
+        """Read a slot in one positional read.
 
-        May return *short* bytes when the file is truncated on disk —
-        the caller's integrity check turns that into a typed corruption
-        error (mapping past EOF would be a SIGBUS instead).  Missing or
-        unreadable files surface as ``OSError``.
+        Returns *short* bytes when the file is truncated on disk — the
+        caller's integrity check turns that into a typed corruption
+        error.  Missing or unreadable files surface as ``OSError``.
         """
         plan = active_plan()
         if plan is not None:
             plan.inject(SITE_SLOW_READ, str(self.path))
             plan.inject(SITE_SEGMENT_READ, str(self.path))
-        if self._file is not None:
-            self._file.flush()
-        size = os.path.getsize(self.path)
-        if size < offset + length:
-            return b""  # truncated segment: short read, caller verifies
-        if self._mmap is None or self._mmap.shape[0] < offset + length:
-            self._mmap = np.memmap(self.path, dtype=np.uint8, mode="r")
-        buf = bytes(self._mmap[offset:offset + length])
+        buf = os.pread(self._fd(create=False), length, offset)
         if plan is not None:
             buf = plan.corrupt(SITE_CORRUPT_READ, buf, str(self.path))
         return buf
 
     def close(self) -> None:
-        self._mmap = None
         if self._file is not None:
             self._file.close()
             self._file = None
@@ -195,24 +201,27 @@ class StoreBinding:
 
     def _write_slot(self, key: tuple[int, int], raw: np.ndarray,
                     precision: Precision) -> _Slot:
-        data = raw.tobytes()
-        crc = zlib.crc32(data)
+        # checksummed and written from the encoded array's own buffer
+        # (C order on disk; kernel outputs and codecs are C-ordered, so
+        # this is a copy only for a transposed payload)
+        raw = np.ascontiguousarray(raw)
+        crc = zlib.crc32(raw)
         old = self.index.get(key)
-        offset = None
         segment = self._own_segment()
-        if (old is not None and old.owners == 1
-                and old.segment is segment and old.length == len(data)):
-            offset = old.offset  # in-place reuse: no file growth
-        elif old is not None:
-            old.owners -= 1
+        # in-place reuse (no file growth) only of a slot nobody shares
+        reuse = (old is not None and old.owners == 1
+                 and old.segment is segment and old.length == raw.nbytes)
+        offset = old.offset if reuse else None
         try:
-            offset = segment.write(data, offset)
+            offset = segment.write(raw, offset)
         except OSError:
             # one immediate retry absorbs transient I/O hiccups; a
             # second failure is a real storage problem and propagates
             self.store.residency.stats.io_retries += 1
-            offset = segment.write(data, offset)
-        slot = _Slot(segment=segment, offset=offset, length=len(data),
+            offset = segment.write(raw, offset)
+        if old is not None and not reuse:
+            old.owners -= 1  # superseded here; other owners keep reading it
+        slot = _Slot(segment=segment, offset=offset, length=raw.nbytes,
                      dtype=raw.dtype.str, shape=tuple(raw.shape),
                      precision=precision, crc=crc)
         self.index[key] = slot
@@ -366,7 +375,7 @@ class StoreBinding:
                     raise RuntimeError(
                         f"tile {key} is already resident; adopt() is for "
                         "spill-only registration")
-            self._write_slot(key, np.ascontiguousarray(raw), precision)
+            self._write_slot(key, raw, precision)
             self.clean.discard(key)
 
     # -- introspection --------------------------------------------------
@@ -546,16 +555,18 @@ class TileStore:
             self._evict_to_fit(0)
             return binding
 
-    def clone_binding(self, source: "TileMatrix",
-                      target: "TileMatrix") -> StoreBinding:
+    def clone_binding(self, source: "TileMatrix", target: "TileMatrix",
+                      keys=None) -> StoreBinding:
         """Bind ``target`` as a shallow copy of ``source``'s binding.
 
         The resident tile grid is copied atomically (sharing the tile
         objects — copy-on-write at tile granularity, exactly like
         :meth:`TileMatrix.shallow_copy`), and spill slots are shared
         read-only; a later re-spill from either matrix appends a fresh
-        slot.  Shared tiles are accounted once per binding, so the
-        budget view is conservative.
+        slot to its own segment.  ``keys`` restricts the copy to those
+        tiles (the lower triangle of a factorization workspace).
+        Shared tiles are accounted once per binding, so the budget view
+        is conservative.
         """
         src_binding = source._binding
         if src_binding is None or src_binding.store is not self:
@@ -567,17 +578,19 @@ class TileStore:
             self._next_bid += 1
             binding = StoreBinding(self, bid, target)
             with source._grid_lock:
-                tiles = dict(source._tiles)
+                tiles = {k: t for k, t in source._tiles.items()
+                         if keys is None or k in keys}
             target._tiles = dict(tiles)
-            for slot in src_binding.index.values():
+            binding.index = {k: slot for k, slot in src_binding.index.items()
+                             if keys is None or k in keys}
+            for slot in binding.index.values():
                 slot.owners += 1
-            binding.index = dict(src_binding.index)
-            binding.clean = set(src_binding.clean)
+            binding.clean = src_binding.clean & binding.index.keys()
             self._bindings[bid] = binding
             # Account shared tiles one at a time, evicting to fit before
             # each: a shallow copy allocates no new payloads, so the
             # accounted peak must not spike by the duplicated bytes —
-            # instead the LRU (typically the source's copies) spills
+            # instead the oldest (typically the source's copies) spills
             # until the duplicated residency fits the budget.
             for key, tile in tiles.items():
                 self._evict_to_fit(tile.nbytes, exclude=(bid, key))
@@ -609,17 +622,25 @@ class TileStore:
     def _evict_to_fit(self, incoming: int,
                       exclude: tuple[int, tuple[int, int]] | None = None
                       ) -> None:
-        """Evict LRU unpinned tiles until ``incoming`` bytes fit.
+        """Evict unpinned tiles (the residency manager's choice: farthest
+        next use under a drain's plan, else LRU) until ``incoming``
+        bytes fit.
 
         Called under the store lock, *before* the incoming tile enters
         the grid — which is what keeps the accounted peak residency
         under the budget whenever the pinned working set fits.
         """
-        victims = self.residency.victims_to_fit(incoming, exclude)
+        victims = self.residency.victims_to_fit(incoming, exclude,
+                                                self._dirty)
         if victims is None:
             return
         for victim in victims:
             self._evict_one(victim)
+
+    def _dirty(self, entry: tuple[int, tuple[int, int]]) -> bool:
+        """Evicting ``entry`` costs a segment write (it is not a drop)."""
+        binding = self._bindings.get(entry[0])
+        return binding is not None and entry[1] not in binding.clean
 
     def _evict_one(self, entry: tuple[int, tuple[int, int]]) -> None:
         bid, key = entry
@@ -696,8 +717,7 @@ class TileStore:
                             tile = m._tiles.get(key)
                     if repair and tile is not None:
                         raw = encode_payload(tile.data, tile.precision)
-                        binding._write_slot(key, np.ascontiguousarray(raw),
-                                            tile.precision)
+                        binding._write_slot(key, raw, tile.precision)
                         binding.clean.add(key)
                         recovered += 1
                         self.residency.stats.recovered_spills += 1
@@ -710,9 +730,19 @@ class TileStore:
     # ------------------------------------------------------------------
     # scheduler integration: pins and prefetch
     # ------------------------------------------------------------------
-    def pin(self, deps: Iterable[TileDep]) -> None:
-        """Pin tiles against eviction while a task is in flight."""
+    def set_plan(self, uses: dict, length: int) -> None:
+        """Adopt a drain's order for eviction (see
+        :meth:`ResidencyManager.set_plan`); empty ``uses`` is plain LRU."""
         with self._lock:
+            self.residency.set_plan(uses, length)
+
+    def pin(self, deps: Iterable[TileDep],
+            position: int | None = None) -> None:
+        """Pin tiles against eviction while a task is in flight;
+        ``position`` is the task's place in the drain's plan."""
+        with self._lock:
+            if position is not None:
+                self.residency.advance(position)
             for binding, key in deps:
                 if binding.store is self:
                     self.residency.pin((binding.bid, key))
@@ -724,14 +754,28 @@ class TileStore:
                     self.residency.unpin((binding.bid, key))
 
     def prefetch(self, deps: Iterable[TileDep]) -> None:
-        """Queue tiles for the background reader (best-effort)."""
+        """Queue tiles for the background reader (best-effort).
+
+        Tiles that are resident already, have no slot, or whose slot
+        does not fit the current headroom are dropped here, without the
+        store lock (dict and int reads; :meth:`_prefetch_one` decides
+        again under it) and before the reader is woken: at a tight
+        budget that is nearly every tile of every ready task.
+        """
         if self._closed:
             return
-        deps = [d for d in deps if d[0].store is self]
-        if not deps:
+        residency = self.residency
+        wanted = []
+        for binding, key in deps:
+            if binding.store is self and not residency.resident(
+                    (binding.bid, key)):
+                slot = binding.index.get(key)
+                if slot is not None and residency.would_fit(slot.length):
+                    wanted.append((binding, key))
+        if not wanted:
             return
         with self._queue_cv:
-            self._queue.extend(deps)
+            self._queue.extend(wanted)
             if self._reader is None:
                 self._reader = threading.Thread(
                     target=_reader_loop,

@@ -10,8 +10,9 @@ panels are all held as tile grids.  The container supports
 * memory-footprint accounting per precision,
 * per-tile access used by the tiled algorithms in ``repro.linalg``, and
 * optional out-of-core backing (:meth:`TileMatrix.attach_store`): a
-  :class:`~repro.store.TileStore` spills least-recently-used tiles to
-  native-precision segment files under a residency budget, and tile
+  :class:`~repro.store.TileStore` spills tiles (farthest next use
+  inside a drain, least recently used outside) to native-precision
+  segment files under a residency budget, and tile
   access transparently faults spilled tiles back in — bit for bit, so
   a budgeted run computes exactly what a fully-resident run computes.
 """
@@ -88,11 +89,11 @@ class TileMatrix:
     def attach_store(self, store) -> "TileMatrix":
         """Back this matrix with an out-of-core tile store.
 
-        Tiles become budget-managed: the store may spill
-        least-recently-used tiles to disk in their native storage
-        precision and :meth:`get_tile` faults them back in on access
-        (bitwise — spilled payloads are exact).  Attaching a matrix
-        that is already over the store's budget spills immediately.
+        Tiles become budget-managed: the store may spill tiles to disk
+        in their native storage precision and :meth:`get_tile` faults
+        them back in on access (bitwise — spilled payloads are exact).
+        Attaching a matrix that is already over the store's budget
+        spills immediately.
         """
         if self._binding is not None:
             if self._binding.store is store:
@@ -457,8 +458,13 @@ class TileMatrix:
         kernels hand over per-tile copies (keeping each tile's storage
         precision) without ever materializing a dense array.  Upper
         tiles are left unmaterialized (they read as zeros).  The
-        workspace of a store-backed kernel is store-backed too, tiles
-        streaming through one at a time under the budget.
+        workspace of a store-backed kernel is a copy-on-write clone on
+        the same store (:meth:`shallow_copy` of the lower triangle): no
+        tile moves, resident tiles and spill slots are shared read-only,
+        and the first write of a tile goes to the workspace's own
+        segment.  That is sound for what a workspace is for — every
+        Cholesky kernel replaces its destination tile and never writes
+        an input.
         """
         out = TileMatrix(self.layout, self.default_precision, symmetric=False)
         if self._binding is None:
@@ -467,11 +473,8 @@ class TileMatrix:
                 if tile is not None:
                     out._tiles[key] = tile.copy()
             return out
-        out.attach_store(self.store)
-        for key in self.layout.iter_lower_tiles():
-            if not self.has_tile_data(*key):
-                continue
-            out.set_tile(*key, self.get_tile(*key).copy())
+        out._binding = self.store.clone_binding(
+            self, out, keys=set(self.layout.iter_lower_tiles()))
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

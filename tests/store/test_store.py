@@ -1,9 +1,22 @@
 """Unit tests of the out-of-core tile store (repro.store)."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.store
+from repro.linalg.cholesky import cholesky
 from repro.precision.formats import Precision
+from repro.resilience.errors import TaskGroupError
+from repro.resilience.faults import (
+    SITE_SEGMENT_WRITE,
+    FaultPlan,
+    FaultSite,
+    fault_plan,
+)
+from repro.runtime.runtime import Runtime
 from repro.store import ResidencyManager, StoreStats, TileStore
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.serialize import encode_payload
@@ -215,6 +228,155 @@ class TestSharingAndAdoption:
             store.spill_all()
             assert matrix.resident_nbytes() == 0
             np.testing.assert_array_equal(matrix.to_dense(), ref)
+
+
+class TestCopyOnWriteWorkspace:
+    """A store-backed ``unpacked_lower()`` moves no tile: the workspace
+    shares the kernel's resident tiles and slots read-only and its
+    first write of a tile goes to its own segment — so whatever becomes
+    of the factorization, the kernel is what it was."""
+
+    N = 6 * TILE
+    LOWER = 21
+    TILE_BYTES = TILE * TILE * 4
+
+    @pytest.fixture
+    def stored(self, rng):
+        """``(kernel, store, check)``: a symmetric FP32 kernel with every
+        tile in its slot, and the after-the-factorization assertions."""
+        with TileStore(budget_bytes=4 * self.TILE_BYTES) as store:
+            kernel = TileMatrix.from_dense(spd(rng, self.N), TILE,
+                                           Precision.FP32, symmetric=True)
+            kernel.attach_store(store)
+            store.spill_all()  # nothing of the kernel is left to write
+            tiles = list(kernel.layout.iter_lower_tiles())
+            assert len(tiles) == self.LOWER
+            before = {k: kernel.get_tile(*k).data.copy() for k in tiles}
+            own = kernel._binding._segment
+            size = own.path.stat().st_size
+
+            def check():
+                for k in tiles:
+                    now = kernel.get_tile(*k).data
+                    assert now.dtype == before[k].dtype
+                    assert now.tobytes() == before[k].tobytes()
+                assert store.verify().clean
+                assert own.path.stat().st_size == size == own.size
+                for segment in store._segments:
+                    if segment is not own:
+                        # at most one slot per lower tile, re-spilled in place
+                        assert segment.size <= self.LOWER * self.TILE_BYTES
+                        assert segment.path.stat().st_size == segment.size
+
+            yield kernel, store, check
+
+    @pytest.mark.parametrize("how", ["reference", "serial", "threaded"])
+    def test_kernel_untouched_by_a_factorization(self, stored, how):
+        kernel, store, check = stored
+        ref = np.linalg.cholesky(kernel.to_dense().astype(np.float32))
+        rt = None if how == "reference" else Runtime(execution=how, workers=2)
+        result = cholesky(kernel, runtime=rt)
+        assert result.factor.store is store
+        assert store.stats.spills > 0  # the workspace did go through disk
+        check()  # before to_dense() materializes the factor's upper zeros
+        np.testing.assert_allclose(result.to_dense(), ref, rtol=1e-3,
+                                   atol=1e-3)
+
+    def test_workspace_shares_tiles_and_slots_until_written(self, stored):
+        kernel, store, _ = stored
+        moved = (store.stats.spills, store.stats.reloads)
+        work = kernel.unpacked_lower()
+        assert (store.stats.spills, store.stats.reloads) == moved
+        assert not work.symmetric and work.store is store
+        assert work._binding.index == kernel._binding.index
+        work.set_tile(1, 0, np.zeros((TILE, TILE)))
+        assert np.any(kernel.get_tile(1, 0).data != 0.0)
+
+    def test_resident_tiles_are_shared_not_copied(self, rng):
+        with TileStore() as store:  # no budget: everything stays resident
+            kernel = TileMatrix.from_dense(spd(rng, self.N), TILE,
+                                           Precision.FP32, symmetric=True)
+            kernel.attach_store(store)
+            work = kernel.unpacked_lower()
+            assert len(work._tiles) == self.LOWER
+            for key, tile in work._tiles.items():
+                assert tile is kernel._tiles[key]
+
+    def test_lower_triangle_only_of_a_full_source(self, rng):
+        with TileStore(budget_bytes=4 * self.TILE_BYTES) as store:
+            full = TileMatrix.from_dense(spd(rng, self.N), TILE,
+                                         Precision.FP32)
+            full.attach_store(store)
+            work = full.unpacked_lower()
+            lower = set(full.layout.iter_lower_tiles())
+            assert work._binding.data_keys() == lower
+            dense = full.to_dense()
+            for i, j in full.layout.iter_tiles():
+                rs, cs = full.layout.tile_slice(i, j)
+                expect = dense[rs, cs] if (i, j) in lower else 0.0
+                assert np.all(work.get_tile(i, j).to_float64() == expect)
+
+    @pytest.mark.parametrize("how", ["reference", "serial"])
+    def test_kernel_untouched_by_an_indefinite_attempt(self, rng, how):
+        with TileStore(budget_bytes=4 * self.TILE_BYTES) as store:
+            a = spd(rng, self.N)
+            a[-3, -3] = -1.0e6  # a late pivot: most of the factor is written
+            kernel = TileMatrix.from_dense(a, TILE, Precision.FP32,
+                                           symmetric=True)
+            kernel.attach_store(store)
+            store.spill_all()
+            before = kernel.to_dense()
+            size = kernel._binding._segment.path.stat().st_size
+            rt = None if how == "reference" else Runtime(execution=how)
+            with pytest.raises(np.linalg.LinAlgError):
+                cholesky(kernel, runtime=rt)
+            assert np.array_equal(kernel.to_dense(), before)
+            assert store.verify().clean
+            assert kernel._binding._segment.path.stat().st_size == size
+
+    def test_kernel_untouched_by_a_failed_segment_write(self, stored):
+        kernel, store, check = stored
+        # the 12th write of the factorization and its one retry both fail
+        plan = FaultPlan([FaultSite(site=SITE_SEGMENT_WRITE, kind="oserror",
+                                    after=11, times=2)])
+        with fault_plan(plan):
+            with pytest.raises(TaskGroupError) as err:
+                # fail-fast whatever REPRO_TASK_RETRIES says: a retried
+                # task would find the fault spent and succeed
+                cholesky(kernel, runtime=Runtime(execution="serial",
+                                                 task_retries=0))
+        assert plan.fired == 2
+        assert err.value.matches(OSError)
+        assert store.stats.io_retries >= 1
+        check()
+
+
+class TestNoMapping:
+    def test_store_sources_do_not_map_files(self):
+        for path in Path(repro.store.__file__).parent.glob("*.py"):
+            assert "mmap" not in path.read_text(), path.name
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="/proc/self/maps")
+    def test_no_segment_is_mapped_after_a_store_backed_fit(self, rng):
+        from repro.gwas import KRRConfig, KRRSession
+        from repro.gwas.config import PrecisionPlan
+
+        g = rng.integers(0, 3, size=(192, 64)).astype(np.int8)
+        y = rng.standard_normal((192, 2))
+        session = KRRSession(KRRConfig(
+            tile_size=32, execution="serial", store_budget_bytes=4 * 32 * 32 * 4,
+            precision_plan=PrecisionPlan.fp32()))
+        try:
+            session.fit(g, y)
+            session.predict(g[:16])
+            stats = session.store_stats()
+            assert stats.spills > 0 and stats.reloads > 0
+            assert any(session.store.directory.glob("seg-*.bin"))
+            assert "seg-" not in Path("/proc/self/maps").read_text()
+        finally:
+            session.runtime.close()
+            session.store.close()
 
 
 class TestResidencyManager:
