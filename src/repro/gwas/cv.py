@@ -115,13 +115,17 @@ def grid_search_cv(
 
     On the direct route the Associate phase still pays one
     O(n³/3) factorization per α.  With ``base_config.solver == "cg"``
-    (or ``REPRO_SOLVER=cg``) the sweep goes *factor-once*: the
-    sorted-middle α is associated first, its factorization becomes the
-    CG reference preconditioner for the session, and every other α
-    costs only a few
-    O(n²) preconditioned-CG iterations — one Build and **one
-    factorization** per (fold, γ), one cheap CG solve per α.  Scores
-    are keyed by (α, γ), so the reordered sweep reports identically.
+    (or ``REPRO_SOLVER=cg``) the sweep goes *factor-once*
+    (:meth:`KRRSession.associate_path`): the sorted-middle α is
+    factorized, and every other α is a column block of one lockstep
+    preconditioned CG against that factor — one Build, **one
+    factorization** and a few O(n²) panel sweeps per (fold, γ), shared
+    by the whole α axis — then all α are scored from one cross-kernel
+    GEMM over the stacked weights.  Scores are keyed by (α, γ), so both
+    routes report identically.
+
+    Each (fold, γ) session's runtime and store are closed before the
+    next one is built.
     """
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
@@ -144,16 +148,6 @@ def grid_search_cv(
     solver_mode = base.solver or Settings.from_env().solver
     base = base.with_options(solver=solver_mode)
 
-    # CG sweeps factor the sorted-middle alpha first: the reference
-    # preconditioner then sits closest (in eigenvalue-shift distance)
-    # to the rest of the grid, minimizing iteration counts at the
-    # extremes.  Scores are keyed by value, so the order is invisible
-    # to the caller.
-    order = list(range(len(alphas)))
-    if solver_mode == "cg" and len(alphas) > 1:
-        mid = sorted(order, key=lambda i: alphas[i])[(len(alphas) - 1) // 2]
-        order = [mid] + [i for i in order if i != mid]
-
     folds = kfold_indices(genotypes.shape[0], n_folds, seed=seed)
     scores: dict[tuple[float, float], float] = {}
     fold_scores: dict[tuple[float, float], list[float]] = {
@@ -169,21 +163,38 @@ def grid_search_cv(
         c_valid = None if confounders is None else confounders[valid_idx]
         for gamma in gammas:
             session = KRRSession(base.with_options(gamma=gamma))
-            session.build(g_train, c_train)
-            cross = None
-            for i in order:
-                alpha = alphas[i]
-                session.associate(y_train, alpha=alpha)
-                if cross is None:
-                    # K_test depends only on gamma — build once per fold
+            try:
+                session.build(g_train, c_train)
+                if solver_mode == "cg":
+                    stack = np.hstack(session.associate_path(y_train, alphas))
+                    # K_test depends only on gamma — built once per fold
                     cross = session.cross_kernel(g_valid, c_valid)
-                pred = session.predict_with_kernel(cross)
-                fold_scores[(alpha, gamma)].append(
-                    mean_squared_prediction_error(y_valid, pred))
-            for key, secs in session.phase_seconds.items():
-                phase_seconds[key] = phase_seconds.get(key, 0.0) + secs
-            factorizations += session.factorization_count_
-            cg_fallbacks += session.cg_fallbacks_
+                    preds = np.hsplit(
+                        session.predict_with_kernel(cross, weights=stack),
+                        len(alphas))
+                else:
+                    cross, preds = None, []
+                    for alpha in alphas:
+                        session.associate(y_train, alpha=alpha)
+                        if cross is None:
+                            cross = session.cross_kernel(g_valid, c_valid)
+                        preds.append(session.predict_with_kernel(cross))
+                for alpha, pred in zip(alphas, preds):
+                    fold_scores[(alpha, gamma)].append(
+                        mean_squared_prediction_error(y_valid, pred))
+                for key, secs in session.phase_seconds.items():
+                    phase_seconds[key] = phase_seconds.get(key, 0.0) + secs
+                factorizations += session.factorization_count_
+                cg_fallbacks += session.cg_fallbacks_
+            finally:
+                # a worker pool (process execution) or segment files
+                # (store budget) must not wait for the collector, nor
+                # this fold's cross kernel and weight stack for the
+                # next fold's to be built beside them
+                session.runtime.close()
+                if session.store is not None:
+                    session.store.close()
+                cross = preds = stack = None
 
     for key, errs in fold_scores.items():
         scores[key] = float(np.mean(errs))

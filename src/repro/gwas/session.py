@@ -52,7 +52,7 @@ import numpy as np
 from repro.distance.build import BuildResult, KernelBuilder
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.linalg.blas3 import gemm, syrk
-from repro.linalg.cg import CGResult, cg_solve
+from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
 from repro.linalg.cholesky import CholeskyResult, cholesky
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
@@ -356,6 +356,40 @@ class KRRSession:
         self._add_seconds("solve", time.perf_counter() - started)
         return weights
 
+    def _cg_solve(self, y_centered: np.ndarray, alphas: list[float],
+                  x0: np.ndarray | None = None,
+                  phase: str = "associate") -> list[np.ndarray | None]:
+        """One lockstep PCG for ``y_centered`` at every shift in ``alphas``.
+
+        The panel is the phenotypes repeated once per shift, all
+        preconditioned by the reference factor ``factorization_``; a
+        warm start ``x0`` (one panel, shared by every shift) costs a
+        single ``K @ x0`` matvec whatever the number of shifts.  Returns
+        one weight panel per shift — ``None`` where a column of that
+        shift missed ``config.cg_tol`` (the caller's cue to fall back).
+        """
+        cfg = self.config
+        nph = y_centered.shape[1]
+        started = time.perf_counter()
+        r0 = None
+        if x0 is not None:
+            unshifted = y_centered - kernel_matvec(
+                self.kernel_, x0, runtime=self.runtime, phase=phase)
+            r0 = np.hstack([unshifted - a * x0 for a in alphas])
+            x0 = np.tile(x0, (1, len(alphas)))
+        result = cg_solve(
+            self.kernel_, np.tile(y_centered, (1, len(alphas))),
+            alpha=np.repeat(alphas, nph),
+            preconditioner=self.factorization_,
+            tol=cfg.cg_tol, max_iterations=cfg.cg_max_iters,
+            precision=cfg.precision_plan.working_precision,
+            runtime=self.runtime, phase=phase, x0=x0, r0=r0)
+        self._add_seconds("solve", time.perf_counter() - started)
+        self.cg_result_ = result
+        blocks = (slice(k * nph, (k + 1) * nph) for k in range(len(alphas)))
+        return [result.x[:, cols] if result.column_converged[cols].all()
+                else None for cols in blocks]
+
     def associate(self, phenotypes: np.ndarray,
                   alpha: float | None = None) -> np.ndarray:
         """Factorize/solve ``(K + alpha*I) W = Y_c`` (Algorithm 3).
@@ -379,11 +413,12 @@ class KRRSession:
           ``config.cg_tol`` within ``config.cg_max_iters`` falls back
           to a fresh direct factorization (counted in
           ``cg_fallbacks_``), which becomes the new reference.
+          A whole regularization grid is one call to
+          :meth:`associate_path`, not a loop over this one.
         """
         if self.kernel_ is None:
             raise RuntimeError("build() must be called before associate()")
         cfg = self.config
-        plan = cfg.precision_plan
         phenotypes = np.asarray(phenotypes, dtype=np.float64)
         if phenotypes.ndim == 1:
             phenotypes = phenotypes[:, None]
@@ -417,25 +452,14 @@ class KRRSession:
                 # warm start from the previous solution when this is a
                 # re-solve of the *same* centered phenotypes at a new
                 # shift: the leftover residual is (alpha_prev-alpha)*w,
-                # typically far below 1, saving several iterations of a
-                # regularization sweep
+                # typically far below 1, saving several iterations
                 x0 = None
                 if (self._cg_last_y is not None and self.weights_ is not None
                         and self.weights_.shape == y_centered.shape
                         and np.array_equal(self._cg_last_y, y_centered)):
                     x0 = self.weights_
-                started = time.perf_counter()
-                result = cg_solve(
-                    self.kernel_, y_centered, alpha=requested,
-                    preconditioner=self.factorization_,
-                    tol=cfg.cg_tol, max_iterations=cfg.cg_max_iters,
-                    precision=plan.working_precision,
-                    runtime=self.runtime, phase="associate", x0=x0)
-                self._add_seconds("solve", time.perf_counter() - started)
-                self.cg_result_ = result
-                if result.converged:
-                    weights = result.x
-                else:
+                [weights] = self._cg_solve(y_centered, [requested], x0)
+                if weights is None:
                     # automatic fallback: refactorize at the requested
                     # alpha (the fresh factor becomes the new reference)
                     self.cg_fallbacks_ += 1
@@ -449,6 +473,43 @@ class KRRSession:
         self.alpha_ = current
         self._cg_last_y = y_centered
         return weights
+
+    def associate_path(self, phenotypes: np.ndarray,
+                       alphas) -> list[np.ndarray]:
+        """Solve ``(K + alpha*I) W = Y_c`` for a whole grid, factoring once.
+
+        The sorted-middle alpha — the reference closest, in
+        eigenvalue-shift distance, to the rest of the grid — goes
+        through :meth:`associate`; every other alpha is a column block
+        of **one** preconditioned CG (:func:`~repro.linalg.cg.cg_solve`
+        with one shift per column) against that factor, warm-started
+        from the reference weights, so each iteration streams the kernel
+        and the factor once for the whole grid.  A shift whose columns
+        miss ``config.cg_tol`` falls back to its own direct
+        factorization (counted in ``cg_fallbacks_``).
+
+        Returns one weight panel per entry of ``alphas``, in the
+        caller's order (``np.hstack`` of them is the weight stack
+        :meth:`predict_with_kernel` scores in one GEMM).  The session is
+        left in the reference alpha's state: ``weights_``, ``alpha_``
+        and the exported model are the reference solve's.
+        """
+        requested = [float(a) if a > 0 else 1e-6 for a in alphas]
+        if not requested:
+            raise ValueError("alphas must be non-empty")
+        ref = sorted(requested)[(len(requested) - 1) // 2]
+        w_ref = self.associate(phenotypes, alpha=ref)
+        path = {ref: w_ref}
+        others = sorted(set(requested) - {ref})
+        if others:
+            y_centered = self._cg_last_y
+            for a, w in zip(others, self._cg_solve(y_centered, others, w_ref)):
+                if w is None:
+                    self.cg_fallbacks_ += 1
+                    self._direct_factorize(a)
+                    w = self._panel_solve(y_centered)
+                path[a] = w
+        return [path[a] for a in requested]
 
     # ------------------------------------------------------------------
     # fit = BUILD + ASSOCIATE
@@ -594,21 +655,34 @@ class KRRSession:
         self._add_seconds("predict", time.perf_counter() - started)
         return result
 
-    def predict_with_kernel(self, cross: BuildResult | np.ndarray) -> np.ndarray:
-        """Predict from a pre-built cross kernel (see :meth:`cross_kernel`)."""
+    def predict_with_kernel(self, cross: BuildResult | np.ndarray,
+                            weights: np.ndarray | None = None) -> np.ndarray:
+        """Predict from a pre-built cross kernel (see :meth:`cross_kernel`).
+
+        ``weights`` replaces ``weights_`` for this call: a stack of
+        weight panels side by side (``np.hstack`` of
+        :meth:`associate_path`'s) is scored in one GEMM, one block of
+        prediction columns per panel.
+        """
         if self.weights_ is None:
             raise RuntimeError("fit() must be called before predict()")
+        if weights is None:
+            weights = self.weights_
+        nph = self.y_means_.shape[0]
+        if weights.shape[1] % nph:
+            raise ValueError(
+                "weights must stack whole phenotype panels side by side")
         cfg = self.config
         started = time.perf_counter()
         wp = cfg.precision_plan.working_precision
         k_test = cross.kernel if isinstance(cross, BuildResult) else np.asarray(cross)
-        gemm_fl = 2.0 * k_test.shape[0] * k_test.shape[1] * self.weights_.shape[1]
-        predictions = gemm(np.asarray(k_test), self.weights_,
+        gemm_fl = 2.0 * k_test.shape[0] * k_test.shape[1] * weights.shape[1]
+        predictions = gemm(np.asarray(k_test), weights,
                            tile_size=cfg.tile_size, precision=wp,
                            runtime=self.runtime, phase="predict",
                            flops_detail={wp: gemm_fl})
         self._add_seconds("predict", time.perf_counter() - started)
-        return predictions + self.y_means_[None, :]
+        return predictions + np.tile(self.y_means_, weights.shape[1] // nph)[None, :]
 
     def fit_predict(self, train_genotypes: np.ndarray,
                     train_phenotypes: np.ndarray,
@@ -636,8 +710,6 @@ class KRRSession:
         """
         if self.factorization_ is None:
             raise RuntimeError("fit() must be called before reusing the factors")
-        cfg = self.config
-        wp = cfg.precision_plan.working_precision
         phenotypes = np.asarray(phenotypes, dtype=np.float64)
         if phenotypes.ndim == 1:
             phenotypes = phenotypes[:, None]
@@ -645,15 +717,10 @@ class KRRSession:
         if (self.kernel_ is not None and self.alpha_ is not None
                 and self._cg_ref_alpha is not None
                 and self.alpha_ != self._cg_ref_alpha):
-            started = time.perf_counter()
-            result = cg_solve(self.kernel_, y_centered, alpha=self.alpha_,
-                              preconditioner=self.factorization_,
-                              tol=cfg.cg_tol, max_iterations=cfg.cg_max_iters,
-                              precision=wp, runtime=self.runtime,
-                              phase="solve")
-            self._add_seconds("solve", time.perf_counter() - started)
-            if result.converged:
-                return result.x
+            [weights] = self._cg_solve(y_centered, [self.alpha_],
+                                       phase="solve")
+            if weights is not None:
+                return weights
             self.cg_fallbacks_ += 1
             _, self.alpha_ = self._direct_factorize(self.alpha_, phase="solve")
         return self._panel_solve(y_centered, phase="solve")

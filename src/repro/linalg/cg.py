@@ -5,7 +5,7 @@ The hyperparameter sweeps of the paper's GWAS workflow solve
 *one* kernel matrix.  The direct path pays one tiled Cholesky
 factorization per alpha — O(n^3/3) each — even though the operator
 changes only on its diagonal.  This module implements the factor-once
-alternative of ROADMAP item 4b:
+alternative:
 
 * factorize ``K + alpha_ref*I`` **once** in the session's low-precision
   tile mosaic (the existing :func:`~repro.linalg.cholesky.cholesky`),
@@ -14,6 +14,14 @@ alternative of ROADMAP item 4b:
   :func:`~repro.linalg.solve.solve_cholesky` in the working precision)
   while the residuals and search directions iterate in FP64.
 
+The shifted systems differ only in a per-column scalar, so the whole
+alpha axis rides **one** PCG: ``alpha`` may carry one shift per
+right-hand-side column, every column runs its own recurrence in
+lockstep, and each iteration streams the kernel and the factor once for
+the whole panel instead of once per alpha.  A column that has met the
+tolerance takes no further update and leaves the panel, so late
+iterations get narrower.
+
 Because ``M = L L^T ~= K + alpha_ref*I``, the preconditioned operator
 ``M^{-1}(K + alpha*I)`` has eigenvalues ``(lam + alpha)/(lam +
 alpha_ref)`` clustered within ``[min(1, a/a_ref), max(1, a/a_ref)]`` —
@@ -21,14 +29,14 @@ CG converges in a handful of iterations for any alpha near the
 reference, each iteration costing O(n^2) instead of O(n^3).
 
 The kernel matvec runs entirely on the TileMatrix/Runtime stack: one
-task per tile *row* (``acc = alpha*v_i + sum_j K[i,j] @ v_j``), each a
+task per tile *row* (``acc = v_i*shifts + sum_j K[i,j] @ v_j``), each a
 :class:`CgMatvecSpec` descriptor that the serial, threaded and process
 backends (and the runtime-less inline loop) all run, so they agree
 bit for bit, with ``tile_deps`` declared per stored tile so store-backed
 kernels stay within their residency budget.  The per-row accumulation
-order is fixed (ascending ``j``), which makes the whole convergence
-history deterministic across execution modes, worker counts and store
-budgets.
+order is fixed (ascending ``j``) and a column retires on its own
+residual alone, which makes the whole convergence history deterministic
+across execution modes, worker counts and store budgets.
 """
 
 from __future__ import annotations
@@ -58,20 +66,29 @@ class CGResult:
     x:
         FP64 solution panel (one column per right-hand side).
     iterations:
-        Matvec count actually performed.
+        Matvec count actually performed — the maximum of
+        ``column_iterations``.
     converged:
         True when every column's relative residual reached ``tol``.
     residual_norms:
         Per-iteration maximum (over columns) of the relative residual
         ``||b_j - A x_j|| / ||b_j||`` — recorded *before* the
         iteration's update, so ``residual_norms[0]`` is 1.0 for a zero
-        initial guess.  Deterministic across execution modes.
+        initial guess; a retired column counts with the residual it
+        retired at.  Deterministic across execution modes.
+    column_iterations:
+        Updates each column took before it met ``tol`` (or the iteration
+        limit) and left the panel.
+    column_converged:
+        Which columns reached ``tol``.
     """
 
     x: np.ndarray
     iterations: int
     converged: bool
     residual_norms: list[float] = field(default_factory=list)
+    column_iterations: np.ndarray | None = None
+    column_converged: np.ndarray | None = None
 
     @property
     def final_residual(self) -> float:
@@ -83,8 +100,10 @@ class CGResult:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CgMatvecSpec(BodySpec):
-    """One tile row of the kernel matvec: ``alpha*v_i + sum_j K[i,j] @ v_j``.
+    """One tile row of the kernel matvec: ``v_i*shifts + sum_j K[i,j] @ v_j``.
 
+    ``shifts`` holds one diagonal shift per panel column, or a single
+    one for them all (a tuple, so the descriptor hashes and pickles).
     Receives the full FP64 vector/panel (plus the unwritten output
     handle's payload) and the row's *stored* kernel tiles, in ascending
     column order.  The loop order (ascending ``j``) and operation order
@@ -99,13 +118,13 @@ class CgMatvecSpec(BodySpec):
     iteration critical path.
     """
 
-    alpha: float
+    shifts: tuple
     row_start: int
     row_stop: int
     transposes: tuple = ()
 
     def run(self, v: np.ndarray, _out, *tiles: Tile) -> np.ndarray:
-        acc = self.alpha * v[self.row_start:self.row_stop]
+        acc = v[self.row_start:self.row_stop] * np.array(self.shifts)[None, :]
         c0 = 0
         for j, tile in enumerate(tiles):
             t64 = tile.float64_values()
@@ -117,18 +136,32 @@ class CgMatvecSpec(BodySpec):
         return acc
 
 
-def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
+def _shifts(alpha, columns: int) -> tuple:
+    """``alpha`` as validated per-column shifts: one, or one per column."""
+    shifts = np.asarray(alpha, dtype=np.float64)
+    if shifts.ndim > 1 or (shifts.ndim == 1 and shifts.size != columns):
+        raise ValueError(
+            f"alpha must be a scalar or one shift per right-hand-side column "
+            f"({columns}), got shape {shifts.shape}")
+    if not np.all(np.isfinite(shifts) & (shifts >= 0)):
+        raise ValueError("alpha must be finite and non-negative")
+    return tuple(shifts.ravel().tolist())
+
+
+def kernel_matvec(kernel: TileMatrix, v: np.ndarray,
+                  alpha: float | np.ndarray = 0.0,
                   runtime: Runtime | None = None,
                   phase: str = "solve") -> np.ndarray:
-    """``(K + alpha*I) @ v`` on a tiled kernel, in FP64.
+    """``K @ v + v * alpha`` on a tiled kernel, in FP64.
 
-    With ``runtime`` the product is inserted as one :class:`CgMatvecSpec`
-    task per tile row — each reads the full FP64 vector handle and the
-    row's stored kernel tiles (``TileInput``s read per execution, and
-    declared via ``tile_deps`` so store-backed kernels pin and fault
-    tiles under their budget).  Without a runtime the same descriptors
-    run inline on the caller's thread.  Both paths are bitwise
-    identical.
+    ``alpha`` is a scalar — ``(K + alpha*I) @ v`` — or one shift per
+    column of ``v``.  With ``runtime`` the product is inserted as one
+    :class:`CgMatvecSpec` task per tile row — each reads the full FP64
+    vector handle and the row's stored kernel tiles (``TileInput``s read
+    per execution, and declared via ``tile_deps`` so store-backed
+    kernels pin and fault tiles under their budget).  Without a runtime
+    the same descriptors run inline on the caller's thread.  Both paths
+    are bitwise identical.
     """
     if kernel.shape[0] != kernel.shape[1]:
         raise ValueError("kernel_matvec requires a square kernel matrix")
@@ -141,12 +174,13 @@ def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
     layout = kernel.layout
     nt = layout.tile_rows
     nrhs = v.shape[1]
+    shifts = _shifts(alpha, nrhs)
 
     def row(i: int) -> tuple[CgMatvecSpec, list[tuple[int, int]]]:
         """Row ``i``'s descriptor and the stored tiles it consumes."""
         rs = layout.tile_slice(i, 0)[0]
         keys = [kernel._stored_key(i, j) for j in range(nt)]
-        return (CgMatvecSpec(float(alpha), rs.start, rs.stop,
+        return (CgMatvecSpec(shifts, rs.start, rs.stop,
                              transposes=tuple(t for _, t in keys)),
                 [key for key, _ in keys])
 
@@ -188,7 +222,7 @@ def kernel_matvec(kernel: TileMatrix, v: np.ndarray, alpha: float = 0.0,
 def cg_solve(
     kernel: TileMatrix,
     rhs: np.ndarray,
-    alpha: float,
+    alpha: float | np.ndarray,
     preconditioner: CholeskyResult | TileMatrix | None = None,
     tol: float = 1e-8,
     max_iterations: int = 200,
@@ -196,8 +230,9 @@ def cg_solve(
     runtime: Runtime | None = None,
     phase: str = "solve",
     x0: np.ndarray | None = None,
+    r0: np.ndarray | None = None,
 ) -> CGResult:
-    """Solve ``(K + alpha*I) X = B`` by tiled preconditioned CG.
+    """Solve ``(K + alpha_j*I) x_j = b_j`` by tiled preconditioned CG.
 
     Parameters
     ----------
@@ -208,6 +243,10 @@ def cg_solve(
         whole regularization grid.
     rhs:
         Right-hand side vector or panel (FP64).
+    alpha:
+        The diagonal shift: a scalar, or one shift per right-hand-side
+        column — a regularization path is the phenotype panel repeated
+        once per alpha, solved as one panel.
     preconditioner:
         Tiled Cholesky factor of ``K + alpha_ref*I`` (any storage
         precision — the session passes its low-precision mosaic
@@ -227,16 +266,22 @@ def cg_solve(
         sweeps run inline either way (see below).
     x0:
         Optional warm-start guess (same shape as ``rhs``).  For shifted
-        systems the previous shift's solution leaves only the residual
-        ``(alpha_prev - alpha)·x_prev``, typically cutting several
+        systems a neighbouring shift's solution leaves only the residual
+        ``(alpha_ref - alpha)·x_ref``, typically cutting several
         iterations off a regularization sweep; costs one extra matvec
         to form the initial residual.  ``None`` starts from zero.
+    r0:
+        The residual ``b - A x0`` when the caller already holds it
+        (same shape as ``rhs``; needs ``x0``): a path warm-started from
+        one reference solution shares a single ``K @ x_ref`` among all
+        its shifts instead of paying the full-width matvec here.
 
-    Multiple right-hand sides run as simultaneous independent
-    recurrences (per-column scalars, one shared matvec per iteration).
+    Every column runs its own recurrence (per-column scalars) in
+    lockstep over one shared matvec and one preconditioner sweep per
+    iteration.  A column that has met ``tol`` takes no further update
+    and leaves the panel, so its solution is what it was at the
+    iteration it converged and later iterations get narrower.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iterations < 1:
@@ -248,6 +293,8 @@ def cg_solve(
         b = b[:, None]
     if b.shape[0] != kernel.shape[0]:
         raise ValueError("right-hand side rows must match the kernel order")
+    ncols = b.shape[1]
+    shifts = np.broadcast_to(_shifts(alpha, ncols), (ncols,))
 
     factor: TileMatrix | None
     if isinstance(preconditioner, CholeskyResult):
@@ -269,33 +316,50 @@ def cg_solve(
             solve_cholesky(factor, r, precision=precision),
             dtype=np.float64)
 
+    def panel(name: str, value: np.ndarray) -> np.ndarray:
+        value = np.asarray(value, dtype=np.float64)
+        if value.ndim == 1:
+            value = value[:, None]
+        if value.shape != b.shape:
+            raise ValueError(f"{name} must match the right-hand side shape")
+        return value.copy()
+
     norm_b = np.linalg.norm(b, axis=0)
     scale = np.where(norm_b > 0, norm_b, 1.0)
 
+    if r0 is not None and x0 is None:
+        raise ValueError("r0 is the residual of x0: pass both or neither")
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()  # b - A @ 0
     else:
-        x = np.asarray(x0, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.shape != b.shape:
-            raise ValueError("x0 must match the right-hand side shape")
-        x = x.copy()
-        r = b - kernel_matvec(kernel, x, alpha=alpha, runtime=runtime,
-                              phase=phase)
+        x = panel("x0", x0)
+        r = panel("r0", r0) if r0 is not None else b - kernel_matvec(
+            kernel, x, alpha=shifts, runtime=runtime, phase=phase)
+
+    # ``x``, ``r``, ``p`` and ``rho_prev`` hold the *active* columns
+    # only — ``cols`` names them; a retired column's solution moves to
+    # ``solution`` and is never touched again
+    solution = np.empty_like(b)
+    cols = np.arange(ncols)
+    rel = np.empty(ncols)
+    column_iterations = np.zeros(ncols, dtype=np.intp)
     p = None
     rho_prev = None
     residual_norms: list[float] = []
-    converged = False
-    iterations = 0
 
-    for _ in range(max_iterations):
-        rel = np.linalg.norm(r, axis=0) / scale
+    for iteration in range(max_iterations + 1):
+        rel[cols] = np.linalg.norm(r, axis=0) / scale[cols]
         residual_norms.append(float(rel.max()))
-        if bool(np.all(rel <= tol)):
-            converged = True
-            break
+        # out of iterations, everything retires as it stands
+        active = (rel[cols] > tol) & (iteration < max_iterations)
+        if not active.all():
+            solution[:, cols[~active]] = x[:, ~active]
+            cols, x, r = cols[active], x[:, active], r[:, active]
+            if p is not None:
+                p, rho_prev = p[:, active], rho_prev[active]
+            if cols.size == 0:
+                break
         z = apply_preconditioner(r)
         rho = np.einsum("ij,ij->j", r, z)
         if p is None:
@@ -303,22 +367,21 @@ def cg_solve(
         else:
             beta = np.where(rho_prev != 0.0, rho / rho_prev, 0.0)
             p = z + beta[None, :] * p
-        q = kernel_matvec(kernel, p, alpha=alpha, runtime=runtime,
+        q = kernel_matvec(kernel, p, alpha=shifts[cols], runtime=runtime,
                           phase=phase)
         pq = np.einsum("ij,ij->j", p, q)
         gamma = np.where(pq != 0.0, rho / pq, 0.0)
         x = x + gamma[None, :] * p
         r = r - gamma[None, :] * q
         rho_prev = rho
-        iterations += 1
-    else:
-        rel = np.linalg.norm(r, axis=0) / scale
-        residual_norms.append(float(rel.max()))
-        converged = bool(np.all(rel <= tol))
+        column_iterations[cols] += 1
 
+    column_converged = rel <= tol
     return CGResult(
-        x=x[:, 0] if squeeze else x,
-        iterations=iterations,
-        converged=converged,
+        x=solution[:, 0] if squeeze else solution,
+        iterations=int(column_iterations.max(initial=0)),
+        converged=bool(column_converged.all()),
         residual_norms=residual_norms,
+        column_iterations=column_iterations,
+        column_converged=column_converged,
     )

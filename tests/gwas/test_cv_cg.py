@@ -201,3 +201,153 @@ class TestSweepMemory:
             assert runs_6 > runs_1
             # the sweep ends on predict_with_kernel's one GEMM task
             assert held_6 == held_1 == last_6 == last_1 == 1
+
+
+class TestAssociatePath:
+    """The whole alpha axis as one lockstep PCG behind one factor."""
+
+    PATH = (0.5, 0.7, 1.0, 1.4, 2.0, 2.8)
+
+    def _session(self, cohort, **options):
+        x, y = cohort
+        session = KRRSession(KRRConfig(
+            tile_size=32, precision_plan=PrecisionPlan.fp64(),
+            execution="serial", cg_tol=1e-9, **options))
+        session.build(x)
+        return session, np.column_stack([y, y[::-1]])
+
+    def test_matches_per_alpha_direct_associates(self, cohort):
+        cg, y = self._session(cohort, solver="cg")
+        path = cg.associate_path(y, self.PATH)
+        assert cg.factorization_count_ == 1 and cg.cg_fallbacks_ == 0
+        assert cg.cg_result_.converged
+        # one panel: a (n, 2) block per non-reference alpha, each column
+        # with its own iteration count
+        assert cg.cg_result_.column_iterations.shape == (2 * 5,)
+        direct, _ = self._session(cohort, solver="direct")
+        for alpha, weights in zip(self.PATH, path):
+            expect = direct.associate(y, alpha=alpha)
+            assert np.linalg.norm(weights - expect) <= \
+                1e-6 * np.linalg.norm(expect)
+        # left in the reference (sorted-middle) alpha's state
+        assert cg.alpha_ == 1.0
+        np.testing.assert_array_equal(cg.weights_, path[2])
+        np.testing.assert_array_equal(cg.weights_,
+                                      direct.associate(y, alpha=1.0))
+        assert cg.export_model().alpha == 1.0
+
+    def test_caller_order_and_duplicates(self, cohort):
+        session, y = self._session(cohort, solver="cg")
+        ordered = session.associate_path(y, (0.5, 1.0, 2.0))
+        shuffled = session.associate_path(y, (2.0, 0.5, 2.0, 1.0))
+        assert session.factorization_count_ == 1
+        for i, j in ((0, 1), (1, 3), (2, 0), (2, 2)):
+            np.testing.assert_array_equal(ordered[i], shuffled[j])
+        with pytest.raises(ValueError, match="alphas"):
+            session.associate_path(y, ())
+
+    def test_missed_shifts_fall_back_one_by_one(self, cohort):
+        """One iteration: the shift a hair off the reference is within
+        tolerance before it starts, the far ones cannot be."""
+        near = 1.0 - 1e-12
+        grid = (0.25, near, 1.0, 4.0, 16.0)
+        session, y = self._session(cohort, solver="cg", cg_max_iters=1)
+        path = session.associate_path(y, grid)
+        result = session.cg_result_
+        assert not result.converged
+        # blocks in ascending-alpha order: 0.25, near, 4.0, 16.0
+        np.testing.assert_array_equal(
+            result.column_converged,
+            [False, False, True, True, False, False, False, False])
+        assert session.cg_fallbacks_ == 3
+        assert session.factorization_count_ == 1 + 3
+        direct, _ = self._session(cohort, solver="direct")
+        for alpha, weights in zip(grid, path):
+            expect = direct.associate(y, alpha=alpha)
+            if alpha in (0.25, 4.0, 16.0):      # refactorized: the direct bits
+                np.testing.assert_array_equal(weights, expect)
+            else:
+                np.testing.assert_allclose(weights, expect, rtol=1e-6)
+        # the fallbacks moved the factor, not the session's solution
+        assert session.alpha_ == 1.0
+        np.testing.assert_array_equal(session.weights_, path[2])
+
+    def test_stacked_predict_is_the_per_alpha_predict(self, cohort):
+        session, y = self._session(cohort, solver="cg")
+        x = cohort[0]
+        path = session.associate_path(y, (0.5, 1.0, 2.0))
+        cross = session.cross_kernel(x[:17])
+        stacked = session.predict_with_kernel(cross, weights=np.hstack(path))
+        assert stacked.shape == (17, 6)
+        np.testing.assert_array_equal(
+            session.predict_with_kernel(cross, weights=session.weights_),
+            session.predict_with_kernel(cross))
+        # a wider GEMM may block differently: same numbers, not same bits
+        for i, weights in enumerate(path):
+            np.testing.assert_allclose(
+                stacked[:, 2 * i:2 * i + 2],
+                session.predict_with_kernel(cross, weights=weights),
+                rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="weights"):
+            session.predict_with_kernel(cross, weights=path[0][:, :1])
+
+
+class TestSweepReleasesItsSessions:
+    """grid_search_cv closes each (fold, gamma) session's runtime and
+    store itself — the sessions are held here, so nothing is left to the
+    collector."""
+
+    def _sweep(self, cohort, monkeypatch, **options):
+        from repro.gwas import cv
+
+        sessions = []
+
+        class Recorded(KRRSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(cv, "KRRSession", Recorded)
+        grid_search_cv(*cohort, alphas=ALPHAS, gammas=GAMMAS[:1],
+                       n_folds=FOLDS, seed=0,
+                       base_config=KRRConfig(tile_size=32, solver="cg",
+                                             **options))
+        assert len(sessions) == FOLDS
+        return sessions
+
+    def test_no_worker_process_outlives_the_sweep(self, cohort, monkeypatch):
+        import multiprocessing
+
+        def workers():
+            return {p.pid for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-worker")}
+
+        before = workers()
+        sessions = self._sweep(cohort, monkeypatch, execution="process",
+                               workers=2)
+        assert workers() <= before
+        assert all(s.runtime.last_result is not None for s in sessions)
+
+    def test_no_segment_file_outlives_the_sweep(self, cohort, monkeypatch,
+                                                tmp_path):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        sessions = self._sweep(cohort, monkeypatch,
+                               store_budget_bytes=16 * 1024)
+        assert all(s.store_stats().spills > 0 for s in sessions)
+        assert not list(tmp_path.rglob("seg-*.bin"))
+
+    def test_a_failing_fold_still_closes_its_session(self, cohort,
+                                                     monkeypatch, tmp_path):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("associate failed")
+
+        monkeypatch.setattr(KRRSession, "associate_path", boom)
+        with pytest.raises(RuntimeError, match="associate failed"):
+            self._sweep(cohort, monkeypatch, store_budget_bytes=16 * 1024)
+        assert not list(tmp_path.rglob("seg-*.bin"))

@@ -85,7 +85,7 @@ def _specimens():
                                      lower_solve=True),
         BuildRowSpec: BuildRowSpec(gamma=0.01, snp_block=64, row_start=0,
                                    row_stop=8, col_end=24),
-        CgMatvecSpec: CgMatvecSpec(alpha=0.5, row_start=16, row_stop=32,
+        CgMatvecSpec: CgMatvecSpec(shifts=(0.5,), row_start=16, row_stop=32,
                                    transposes=(False, False, True)),
         DenseGemmSpec: DenseGemmSpec(tile_size=8, precision=Precision.FP32,
                                      transa=False, transb=True),
@@ -317,13 +317,14 @@ class TestBehaviorEquality:
         # the insertion site ships *stored* tiles plus a transpose mask
         # for the symmetric upper triangle
         keys = [kernel._stored_key(1, j) for j in range(3)]
-        spec = _round_trip(CgMatvecSpec(alpha=0.5, row_start=T, row_stop=2 * T,
+        spec = _round_trip(CgMatvecSpec(shifts=(0.5, 0.25), row_start=T,
+                                        row_stop=2 * T,
                                         transposes=tuple(t for _, t in keys)))
         tiles = tuple(kernel.get_tile(*key) for key, _ in keys)
         out = spec.run(v, None, *tiles)
         # the closure path (kernel_matvec without a runtime) computes the
         # same row band — bit for bit
-        expect = kernel_matvec(kernel, v, alpha=0.5)[T:2 * T]
+        expect = kernel_matvec(kernel, v, alpha=np.array([0.5, 0.25]))[T:2 * T]
         np.testing.assert_array_equal(out, expect)
 
     def test_dense_gemm(self):
