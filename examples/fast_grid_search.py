@@ -7,7 +7,8 @@ O(n³/3) tiled Cholesky.  With ``KRRConfig(solver="cg")`` the sweep goes
 factor-once: each (fold, γ) session factors the sorted-middle α
 exactly once, keeps that factor as the CG preconditioner, and solves
 every other α with a handful of O(n²) preconditioned-CG iterations —
-warm-started from the previous α's weights.
+one lockstep panel for the whole grid, warm-started from the factor's
+own panel solve.
 
 This example runs the same sweep on both routes and reports wall
 clock, factorization counts, and the agreement of the selected

@@ -34,7 +34,6 @@ against registered models through tile-aligned micro-batches::
 """
 
 from repro.data.dataset import GWASDataset, TrainTestSplit
-from repro.data.io import load_model, save_model
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig, ServeConfig
 from repro.gwas.cv import CrossValidationResult, grid_search_cv
 from repro.gwas.metrics import (
@@ -64,8 +63,6 @@ __all__ = [
     "PrecisionPlan",
     "Precision",
     "FittedModel",
-    "save_model",
-    "load_model",
     "ModelRegistry",
     "ModelKey",
     "PredictionService",

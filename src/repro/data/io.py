@@ -1,14 +1,10 @@
-"""Dataset and fitted-model (de)serialization.
+"""Dataset (de)serialization.
 
 Datasets are stored as a single compressed ``.npz`` archive so that the
 expensive cohort generation (coalescent simulation in particular) can
-be cached between benchmark runs.
-
-Fitted-model artifacts (:class:`~repro.gwas.model.FittedModel`) get
-thin :func:`save_model` / :func:`load_model` wrappers here so every
-persistent object of the pipeline — cohorts in, models out — is
-reachable from one I/O module; the artifact format itself (native
-mixed-precision tile bytes) lives in :mod:`repro.tiles.serialize`.
+be cached between benchmark runs.  Fitted-model artifacts save and load
+themselves (:meth:`~repro.gwas.model.FittedModel.save` /
+:meth:`~repro.gwas.model.FittedModel.load`).
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import numpy as np
 
 from repro.data.dataset import GWASDataset
 
-__all__ = ["save_dataset", "load_dataset", "save_model", "load_model"]
+__all__ = ["save_dataset", "load_dataset"]
 
 
 def save_dataset(dataset: GWASDataset, path: str | Path) -> Path:
@@ -63,23 +59,3 @@ def load_dataset(path: str | Path) -> GWASDataset:
         name=meta.get("name", "loaded"),
     )
 
-
-def save_model(model, path: str | Path, compress: bool | None = None) -> Path:
-    """Write a :class:`~repro.gwas.model.FittedModel` artifact to ``path``.
-
-    Delegates to :meth:`FittedModel.save` — each factor tile is stored
-    in its native precision bytes, and the loaded model predicts
-    bitwise identically to the exporting session.
-    """
-    from repro.gwas.model import FittedModel
-
-    if not isinstance(model, FittedModel):
-        raise TypeError("save_model() expects a FittedModel artifact")
-    return model.save(path, compress=compress)
-
-
-def load_model(path: str | Path):
-    """Load a :class:`~repro.gwas.model.FittedModel` artifact."""
-    from repro.gwas.model import FittedModel
-
-    return FittedModel.load(path)

@@ -307,15 +307,15 @@ class KRRConfig(_WithOptionsMixin):
         segment files) or ``"serial"`` (the bitwise-identical
         reference drain on the caller's thread).
     solver:
-        Associate-phase solve route.  ``"direct"`` (the historical
-        path) factorizes ``K + alpha*I`` per associate; ``"cg"``
-        factorizes **once** per kernel and solves subsequent alphas
-        with tile-native preconditioned conjugate gradients against
-        that factor (FP64 iterations, low-precision preconditioner —
-        see :mod:`repro.linalg.cg`), falling back to a direct
-        factorization automatically when CG does not converge.  This
-        is what makes ``grid_search_cv`` sweeps factor-once per
-        (fold, gamma).
+        Associate-phase solve route, for an alpha the held factor was
+        not made for (an alpha it was made for is always a panel solve
+        against it).  ``"direct"`` (the historical path) factorizes
+        ``K + alpha*I`` afresh; ``"cg"`` solves it with tile-native
+        preconditioned conjugate gradients against the held factor
+        (FP64 iterations, low-precision preconditioner — see
+        :mod:`repro.linalg.cg`), falling back to a fresh factorization
+        automatically when CG does not converge.  This is what makes
+        ``grid_search_cv`` sweeps factor-once per (fold, gamma).
     cg_tol:
         Convergence threshold of the CG route: per-column relative
         residual ``||b - A x|| / ||b||``.  The default 1e-8 sits well

@@ -108,21 +108,19 @@ def grid_search_cv(
 
     The kernel matrix ``K`` depends on γ but **not** on α, so each
     (fold, γ) pair builds ``K`` and the validation cross kernel exactly
-    once; the α axis then re-runs only the Associate phase against the
-    retained tiled kernel and the Predict GEMM against the retained
-    cross kernel.  For a grid with ``A`` alphas this removes
-    ``(A-1)/A`` of the Build work the per-grid-point refit performed.
+    once; the whole α axis is then one
+    :meth:`KRRSession.associate_path` against the retained tiled kernel,
+    each α scored against the retained cross kernel.  For a
+    grid with ``A`` alphas this removes ``(A-1)/A`` of the Build work
+    the per-grid-point refit performed.
 
-    On the direct route the Associate phase still pays one
-    O(n³/3) factorization per α.  With ``base_config.solver == "cg"``
-    (or ``REPRO_SOLVER=cg``) the sweep goes *factor-once*
-    (:meth:`KRRSession.associate_path`): the sorted-middle α is
-    factorized, and every other α is a column block of one lockstep
-    preconditioned CG against that factor — one Build, **one
-    factorization** and a few O(n²) panel sweeps per (fold, γ), shared
-    by the whole α axis — then all α are scored from one cross-kernel
-    GEMM over the stacked weights.  Scores are keyed by (α, γ), so both
-    routes report identically.
+    The route decides what the path costs.  On the direct route each α
+    pays one O(n³/3) factorization.  With ``base_config.solver == "cg"``
+    (or ``REPRO_SOLVER=cg``) the sweep goes *factor-once*: the
+    sorted-middle α is factorized, and every other α is a column block
+    of one lockstep preconditioned CG against that factor — one Build,
+    **one factorization** and a few O(n²) panel sweeps per (fold, γ),
+    shared by the whole α axis.
 
     Each (fold, γ) session's runtime and store are closed before the
     next one is built.
@@ -165,21 +163,14 @@ def grid_search_cv(
             session = KRRSession(base.with_options(gamma=gamma))
             try:
                 session.build(g_train, c_train)
-                if solver_mode == "cg":
-                    stack = np.hstack(session.associate_path(y_train, alphas))
-                    # K_test depends only on gamma — built once per fold
-                    cross = session.cross_kernel(g_valid, c_valid)
-                    preds = np.hsplit(
-                        session.predict_with_kernel(cross, weights=stack),
-                        len(alphas))
-                else:
-                    cross, preds = None, []
-                    for alpha in alphas:
-                        session.associate(y_train, alpha=alpha)
-                        if cross is None:
-                            cross = session.cross_kernel(g_valid, c_valid)
-                        preds.append(session.predict_with_kernel(cross))
-                for alpha, pred in zip(alphas, preds):
+                path = session.associate_path(y_train, alphas)
+                # K_test depends only on gamma — built once per fold
+                cross = session.cross_kernel(g_valid, c_valid)
+                # one predict per alpha: a one-phenotype panel is then the
+                # same GEMV as a refit's predict, so each score is bitwise
+                # the per-point refit's on the direct route
+                for alpha, weights in zip(alphas, path):
+                    pred = session.predict_with_kernel(cross, weights=weights)
                     fold_scores[(alpha, gamma)].append(
                         mean_squared_prediction_error(y_valid, pred))
                 for key, secs in session.phase_seconds.items():
@@ -189,12 +180,12 @@ def grid_search_cv(
             finally:
                 # a worker pool (process execution) or segment files
                 # (store budget) must not wait for the collector, nor
-                # this fold's cross kernel and weight stack for the
-                # next fold's to be built beside them
+                # this fold's cross kernel and weights for the next
+                # fold's to be built beside them
                 session.runtime.close()
                 if session.store is not None:
                     session.store.close()
-                cross = preds = stack = None
+                cross = pred = path = None
 
     for key, errs in fold_scores.items():
         scores[key] = float(np.mean(errs))

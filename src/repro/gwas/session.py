@@ -103,9 +103,7 @@ class KRRSession:
     Build)::
 
         session.build(train_genotypes)
-        for alpha in alphas:
-            session.associate(train_phenotypes, alpha=alpha)
-            ...
+        path = session.associate_path(train_phenotypes, alphas)
 
     Parameters
     ----------
@@ -156,16 +154,11 @@ class KRRSession:
         self.y_means_: np.ndarray | None = None
         self.alpha_: float | None = None
         self.regularization_boosts_: int = 0
-        # CG solver state (the ``"cg"`` route):
-        # the regularization of the *reference* factor held in
-        # ``factorization_`` — CG preconditions every other alpha with
-        # it; ``None`` means the factor (if any) cannot serve as a CG
-        # reference (fresh session, rebuilt kernel, adopted kernel).
-        self._cg_ref_alpha: float | None = None
-        # centered phenotypes of the last associate on this kernel —
-        # re-solves of the same panel at a new alpha warm-start CG from
-        # the retained ``weights_``
-        self._cg_last_y: np.ndarray | None = None
+        # the alpha the held ``factorization_`` was made for and the
+        # shift it was factorized at (they differ after a boost); empty
+        # when no factor of the current kernel is held (fresh session,
+        # rebuilt kernel, adopted kernel)
+        self._factor_alphas: tuple[float, ...] = ()
         self.cg_result_: CGResult | None = None
         self.cg_fallbacks_: int = 0
         self.factorization_count_: int = 0
@@ -240,11 +233,9 @@ class KRRSession:
         result = builder.build_training(genotypes, confounders)
         self.phase_seconds.clear()
         self.phase_seconds["build"] = time.perf_counter() - started
-        # a rebuilt kernel invalidates the CG reference factor: the
-        # retained factorization (if any) no longer preconditions it
-        self._cg_ref_alpha = None
+        # the retained factorization (if any) is of the old kernel
+        self._factor_alphas = ()
         self.cg_result_ = None
-        self._cg_last_y = None
 
         self.build_result_ = result
         self.kernel_ = result.kernel
@@ -281,11 +272,9 @@ class KRRSession:
         self.runtime.ledger.pop("build", None)
         self.build_result_ = None
         self.phase_seconds.pop("build", None)
-        # any retained factor belongs to the replaced kernel — it must
-        # not serve as the CG preconditioner for the adopted one
-        self._cg_ref_alpha = None
+        # any retained factor belongs to the replaced kernel
+        self._factor_alphas = ()
         self.cg_result_ = None
-        self._cg_last_y = None
         return tiled
 
     # ------------------------------------------------------------------
@@ -304,10 +293,11 @@ class KRRSession:
         the boost count is recorded in ``regularization_boosts_``.
 
         Returns the factorization and the effective (possibly boosted)
-        alpha; the factor is retained as both ``factorization_`` and
-        the CG reference.
+        alpha; the factor is retained as ``factorization_``, the held
+        factor of :meth:`_solve`.
         """
         plan = self.config.precision_plan
+        requested = current
         started = time.perf_counter()
         # tile-grid copy sharing the off-diagonal tile objects with the
         # kernel: regularization only allocates new diagonal tiles, and
@@ -340,7 +330,7 @@ class KRRSession:
             ) from last_error
         self.factorization_ = fact
         self.factorization_count_ += 1
-        self._cg_ref_alpha = current
+        self._factor_alphas = (requested, current)
         self._add_seconds("factor", time.perf_counter() - started)
         return fact, current
 
@@ -357,80 +347,137 @@ class KRRSession:
         return weights
 
     def _cg_solve(self, y_centered: np.ndarray, alphas: list[float],
-                  x0: np.ndarray | None = None,
-                  phase: str = "associate") -> list[np.ndarray | None]:
+                  x0: np.ndarray, phase: str) -> list[np.ndarray | None]:
         """One lockstep PCG for ``y_centered`` at every shift in ``alphas``.
 
         The panel is the phenotypes repeated once per shift, all
-        preconditioned by the reference factor ``factorization_``; a
-        warm start ``x0`` (one panel, shared by every shift) costs a
-        single ``K @ x0`` matvec whatever the number of shifts.  Returns
-        one weight panel per shift — ``None`` where a column of that
-        shift missed ``config.cg_tol`` (the caller's cue to fall back).
+        preconditioned by the held factor ``factorization_``; the warm
+        start ``x0`` (one panel, shared by every shift) costs a single
+        ``K @ x0`` matvec whatever the number of shifts.  Returns one
+        weight panel per shift — ``None`` where a column of that shift
+        missed ``config.cg_tol`` (the caller's cue to fall back).
         """
         cfg = self.config
         nph = y_centered.shape[1]
         started = time.perf_counter()
-        r0 = None
-        if x0 is not None:
-            unshifted = y_centered - kernel_matvec(
-                self.kernel_, x0, runtime=self.runtime, phase=phase)
-            r0 = np.hstack([unshifted - a * x0 for a in alphas])
-            x0 = np.tile(x0, (1, len(alphas)))
+        unshifted = y_centered - kernel_matvec(
+            self.kernel_, x0, runtime=self.runtime, phase=phase)
         result = cg_solve(
             self.kernel_, np.tile(y_centered, (1, len(alphas))),
             alpha=np.repeat(alphas, nph),
             preconditioner=self.factorization_,
             tol=cfg.cg_tol, max_iterations=cfg.cg_max_iters,
             precision=cfg.precision_plan.working_precision,
-            runtime=self.runtime, phase=phase, x0=x0, r0=r0)
+            runtime=self.runtime, phase=phase,
+            x0=np.tile(x0, (1, len(alphas))),
+            r0=np.hstack([unshifted - a * x0 for a in alphas]))
         self._add_seconds("solve", time.perf_counter() - started)
         self.cg_result_ = result
         blocks = (slice(k * nph, (k + 1) * nph) for k in range(len(alphas)))
         return [result.x[:, cols] if result.column_converged[cols].all()
                 else None for cols in blocks]
 
+    def _solve(self, y_centered: np.ndarray, alphas,
+               phase: str = "associate") -> dict[float, tuple[np.ndarray, float]]:
+        """Solve ``(K + a*I) W = Y_c`` for every ``a`` in ``alphas`` by
+        the one rule :meth:`associate_path` documents — the only solve
+        path of :meth:`associate`, :meth:`associate_path` and
+        :meth:`solve_additional_phenotypes`.
+
+        Returns ``{a: (weights, shift)}``, ``shift`` being the
+        regularization actually solved (a boost raises it).  The factor
+        left held is the sorted-middle alpha's unless CG reached that
+        alpha: it is factorized last, or kept aside while the other
+        alphas' fresh factorizations run.
+        """
+        wanted = sorted(set(alphas))
+        ref = wanted[(len(wanted) - 1) // 2]
+        if not self._factor_alphas and self.solver_ == "cg":
+            self._direct_factorize(ref, phase)
+        held = [a for a in wanted if a in self._factor_alphas]
+        others = [a for a in wanted if a not in self._factor_alphas]
+        by_cg = bool(others) and self.solver_ == "cg"
+        solved = {}
+        if held or by_cg:
+            w_held = self._panel_solve(y_centered, phase)
+            solved.update((a, (w_held, self._factor_alphas[-1])) for a in held)
+        if by_cg:
+            blocks = self._cg_solve(y_centered, others, w_held, phase)
+            for a, w in zip(others, blocks):
+                if w is None:
+                    self.cg_fallbacks_ += 1
+                else:
+                    solved[a] = (w, a)
+        kept = ((self.factorization_, self._factor_alphas,
+                 self.regularization_boosts_) if ref in held else None)
+        for a in sorted((a for a in others if a not in solved),
+                        key=lambda a: a == ref):
+            _, shift = self._direct_factorize(a, phase)
+            solved[a] = (self._panel_solve(y_centered, phase), shift)
+        if kept is not None:
+            (self.factorization_, self._factor_alphas,
+             self.regularization_boosts_) = kept
+        return solved
+
     def associate(self, phenotypes: np.ndarray,
                   alpha: float | None = None) -> np.ndarray:
         """Factorize/solve ``(K + alpha*I) W = Y_c`` (Algorithm 3).
 
-        ``alpha`` overrides ``config.alpha`` for this call, which is how
-        the cross-validation grid sweeps the regularization axis over a
-        single Build.
+        ``alpha`` overrides ``config.alpha`` for this call.  This is
+        :meth:`associate_path` for one alpha and follows its solve rule:
+        the first associate on a kernel factorizes (bitwise the same on
+        both routes), a re-associate at the held factor's alpha is a
+        panel solve, and any other alpha is a fresh factorization
+        (``"direct"``) or a PCG against the held factor (``"cg"``).  A
+        whole regularization grid is one call to :meth:`associate_path`,
+        not a loop over this one.
+        """
+        base = self.config.alpha if alpha is None else alpha
+        return self.associate_path(phenotypes, [base])[0]
+
+    def associate_path(self, phenotypes: np.ndarray,
+                       alphas) -> list[np.ndarray]:
+        """Solve ``(K + alpha*I) W = Y_c`` for a whole regularization grid.
 
         The solver route is ``config.solver``, else what the environment
-        said when the session was constructed, else ``"direct"``:
+        said when the session was constructed, else ``"direct"``.  Every
+        alpha is solved by one rule (a non-positive alpha is taken as
+        ``1e-6``):
 
-        * ``"direct"`` — one tiled mixed-precision Cholesky per alpha
-          (see :meth:`_direct_factorize`) plus the tiled panel solve.
-        * ``"cg"`` — factor **once**: the first associate takes the
-          direct route (bitwise identical to ``"direct"``) and retains
-          its factor as the CG reference; every later alpha is solved
-          by :func:`~repro.linalg.cg.cg_solve` preconditioned with that
-          factor — O(n^2) per iteration instead of O(n^3/3) per alpha.
-          A re-associate at exactly the reference alpha reuses the
-          factor with a direct solve; a CG solve that fails to reach
-          ``config.cg_tol`` within ``config.cg_max_iters`` falls back
-          to a fresh direct factorization (counted in
-          ``cg_fallbacks_``), which becomes the new reference.
-          A whole regularization grid is one call to
-          :meth:`associate_path`, not a loop over this one.
+        * an alpha the held factor was made for — including a boosted
+          factor — is a panel solve against that factor;
+        * on the direct route, any other alpha is a fresh factorization;
+        * on the CG route, every other alpha is a column block of **one**
+          preconditioned CG (:func:`~repro.linalg.cg.cg_solve` with one
+          shift per column) against the held factor, warm-started from
+          that factor's own panel solve, so each iteration streams the
+          kernel and the factor once for the whole grid.  An alpha whose
+          columns miss ``config.cg_tol`` falls back to its own
+          factorization (counted in ``cg_fallbacks_``).
+
+        With no factor of this kernel held yet, the CG route factorizes
+        the sorted-middle alpha first; it is the reference closest, in
+        eigenvalue-shift distance, to the rest of the grid.  The direct
+        route factorizes it last.
+
+        Returns one weight panel per entry of ``alphas``, in the
+        caller's order (``np.hstack`` of them is the weight stack
+        :meth:`predict_with_kernel` scores in one GEMM).  The session is
+        left in the sorted-middle alpha's state: ``weights_``,
+        ``alpha_`` and the exported model are that solve's, and so is
+        the held factor unless that alpha was reached by CG.
         """
         if self.kernel_ is None:
             raise RuntimeError("build() must be called before associate()")
-        cfg = self.config
+        requested = [float(a) if a > 0 else 1e-6 for a in alphas]
+        if not requested:
+            raise ValueError("alphas must be non-empty")
         phenotypes = np.asarray(phenotypes, dtype=np.float64)
         if phenotypes.ndim == 1:
             phenotypes = phenotypes[:, None]
-        n = self.kernel_.shape[0]
-        if phenotypes.shape[0] != n:
+        if phenotypes.shape[0] != self.kernel_.shape[0]:
             raise ValueError("phenotypes must have one row per training individual")
-
-        base = cfg.alpha if alpha is None else float(alpha)
-        requested = base if base > 0 else 1e-6
-
         y_means = phenotypes.mean(axis=0)
-        y_centered = phenotypes - y_means[None, :]
 
         # a (re-)associate resets the associate/predict accounting while
         # keeping the Build contribution; a failed boost attempt's DAG
@@ -438,78 +485,11 @@ class KRRSession:
         self.runtime.ledger.pop("associate", None)
         self.runtime.ledger.pop("predict", None)
         self.cg_result_ = None
-        weights: np.ndarray | None = None
-        current = requested
-
-        if (self.solver_ == "cg" and self.factorization_ is not None
-                and self._cg_ref_alpha is not None):
-            if requested == self._cg_ref_alpha:
-                # the reference factor *is* K + requested*I — the direct
-                # tiled solve is cheaper than any CG iteration and
-                # bitwise identical to the direct route
-                weights = self._panel_solve(y_centered)
-            else:
-                # warm start from the previous solution when this is a
-                # re-solve of the *same* centered phenotypes at a new
-                # shift: the leftover residual is (alpha_prev-alpha)*w,
-                # typically far below 1, saving several iterations
-                x0 = None
-                if (self._cg_last_y is not None and self.weights_ is not None
-                        and self.weights_.shape == y_centered.shape
-                        and np.array_equal(self._cg_last_y, y_centered)):
-                    x0 = self.weights_
-                [weights] = self._cg_solve(y_centered, [requested], x0)
-                if weights is None:
-                    # automatic fallback: refactorize at the requested
-                    # alpha (the fresh factor becomes the new reference)
-                    self.cg_fallbacks_ += 1
-
-        if weights is None:
-            _, current = self._direct_factorize(requested)
-            weights = self._panel_solve(y_centered)
-
-        self.weights_ = weights
+        solved = self._solve(phenotypes - y_means[None, :], requested)
+        ref = sorted(solved)[(len(solved) - 1) // 2]
+        self.weights_, self.alpha_ = solved[ref]
         self.y_means_ = y_means
-        self.alpha_ = current
-        self._cg_last_y = y_centered
-        return weights
-
-    def associate_path(self, phenotypes: np.ndarray,
-                       alphas) -> list[np.ndarray]:
-        """Solve ``(K + alpha*I) W = Y_c`` for a whole grid, factoring once.
-
-        The sorted-middle alpha — the reference closest, in
-        eigenvalue-shift distance, to the rest of the grid — goes
-        through :meth:`associate`; every other alpha is a column block
-        of **one** preconditioned CG (:func:`~repro.linalg.cg.cg_solve`
-        with one shift per column) against that factor, warm-started
-        from the reference weights, so each iteration streams the kernel
-        and the factor once for the whole grid.  A shift whose columns
-        miss ``config.cg_tol`` falls back to its own direct
-        factorization (counted in ``cg_fallbacks_``).
-
-        Returns one weight panel per entry of ``alphas``, in the
-        caller's order (``np.hstack`` of them is the weight stack
-        :meth:`predict_with_kernel` scores in one GEMM).  The session is
-        left in the reference alpha's state: ``weights_``, ``alpha_``
-        and the exported model are the reference solve's.
-        """
-        requested = [float(a) if a > 0 else 1e-6 for a in alphas]
-        if not requested:
-            raise ValueError("alphas must be non-empty")
-        ref = sorted(requested)[(len(requested) - 1) // 2]
-        w_ref = self.associate(phenotypes, alpha=ref)
-        path = {ref: w_ref}
-        others = sorted(set(requested) - {ref})
-        if others:
-            y_centered = self._cg_last_y
-            for a, w in zip(others, self._cg_solve(y_centered, others, w_ref)):
-                if w is None:
-                    self.cg_fallbacks_ += 1
-                    self._direct_factorize(a)
-                    w = self._panel_solve(y_centered)
-                path[a] = w
-        return [path[a] for a in requested]
+        return [solved[a][0] for a in requested]
 
     # ------------------------------------------------------------------
     # fit = BUILD + ASSOCIATE
@@ -703,10 +683,10 @@ class KRRSession:
         panel costs only two triangular solves against the tiled
         factors (Sec. V-B3), tallied under ``"solve"``.
 
-        When the last :meth:`associate` solved by CG (``alpha_`` differs
-        from the reference factor's regularization), the extra panels
-        go the same way: a preconditioned CG solve at ``alpha_``, with
-        the same direct-refactorization fallback on non-convergence.
+        The panels are solved at ``alpha_`` by the rule of
+        :meth:`associate_path`: when ``alpha_`` was reached by CG (the
+        held factor was made for another alpha), that is a PCG against
+        the held factor, with the same fallback.
         """
         if self.factorization_ is None:
             raise RuntimeError("fit() must be called before reusing the factors")
@@ -714,16 +694,8 @@ class KRRSession:
         if phenotypes.ndim == 1:
             phenotypes = phenotypes[:, None]
         y_centered = phenotypes - phenotypes.mean(axis=0, keepdims=True)
-        if (self.kernel_ is not None and self.alpha_ is not None
-                and self._cg_ref_alpha is not None
-                and self.alpha_ != self._cg_ref_alpha):
-            [weights] = self._cg_solve(y_centered, [self.alpha_],
-                                       phase="solve")
-            if weights is not None:
-                return weights
-            self.cg_fallbacks_ += 1
-            _, self.alpha_ = self._direct_factorize(self.alpha_, phase="solve")
-        return self._panel_solve(y_centered, phase="solve")
+        [(weights, _)] = self._solve(y_centered, [self.alpha_], "solve").values()
+        return weights
 
     # ------------------------------------------------------------------
     # fitted-model artifacts
@@ -740,12 +712,12 @@ class KRRSession:
         :class:`~repro.gwas.model.FittedModel` for the save/load
         contract.
 
-        Note: when the last associate solved by CG, the exported factor
-        is the *reference* factor ``K + alpha_ref*I`` (the CG
-        preconditioner), not ``K + alpha*I`` — the weight panel is the
-        converged CG solution either way, so restored sessions predict
-        identically; only ``from_model(...).solve_additional_phenotypes``
-        reverts to solving against the stored factor's regularization.
+        Note: the exported factor is the *held* factor.  When ``alpha_``
+        was reached by CG, that factor is ``K + a*I`` for another
+        ``a``, not ``K + alpha_*I``.  The weight panel is ``alpha_``'s
+        either way, so restored sessions predict identically; only
+        ``from_model(...).solve_additional_phenotypes`` solves against
+        the stored factor's regularization.
         """
         from repro.gwas.model import FittedModel
 
@@ -796,6 +768,9 @@ class KRRSession:
         session.y_means_ = model.y_means
         session.factorization_ = CholeskyResult(factor=model.factor,
                                                 flops=0.0)
+        # there is no kernel to iterate against: extra phenotype panels
+        # are panel solves against the stored factor
+        session._factor_alphas = (model.alpha,)
         return session
 
 

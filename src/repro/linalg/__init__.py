@@ -15,8 +15,6 @@ objects with a per-tile precision mosaic:
 * :func:`cg_solve`, :func:`kernel_matvec` — the tile-native
   preconditioned conjugate-gradient solver behind factor-once
   hyperparameter sweeps (``KRRConfig.solver="cg"``).
-* :func:`iterative_refinement_solve` — the classic mixed-precision
-  iterative-refinement solver used as a reference comparison.
 """
 
 from repro.linalg.kernels import tile_gemm, tile_potrf, tile_syrk, tile_trsm
@@ -24,7 +22,6 @@ from repro.linalg.cholesky import CholeskyResult, cholesky, cholesky_flops
 from repro.linalg.solve import solve_cholesky, solve_triangular
 from repro.linalg.blas3 import gemm, syrk
 from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
-from repro.linalg.refinement import RefinementResult, iterative_refinement_solve
 
 __all__ = [
     "tile_potrf",
@@ -41,6 +38,4 @@ __all__ = [
     "cg_solve",
     "CGResult",
     "kernel_matvec",
-    "iterative_refinement_solve",
-    "RefinementResult",
 ]

@@ -33,7 +33,7 @@ This package reproduces those semantics:
 
 from repro.runtime.task import AccessMode, DataHandle, Task
 from repro.runtime.dag import TaskGraph
-from repro.runtime.device import Device, DeviceModel, HOST_WORKER
+from repro.runtime.device import Device, DeviceModel
 from repro.runtime.comm import CommunicationEngine, ConversionPolicy, TransferRecord
 from repro.runtime.trace import ExecutionTrace, PhaseTotals, TaskEvent
 from repro.runtime.scheduler import (
@@ -58,7 +58,6 @@ __all__ = [
     "TaskGraph",
     "Device",
     "DeviceModel",
-    "HOST_WORKER",
     "CommunicationEngine",
     "ConversionPolicy",
     "TransferRecord",

@@ -82,21 +82,9 @@ GENERIC_GPU = DeviceModel(
 )
 
 
-#: Device model of a real drain's lanes (threads or worker processes).
-#: The throughput numbers are never used there (events carry measured
-#: wall-clock times); the model only names the resource in traces.
-HOST_WORKER = DeviceModel(
-    name="host-thread",
-    throughput={Precision.FP64: 1.0e11, Precision.FP32: 2.0e11},
-    link_bandwidth=1.0e11,  # shared host memory: transfers are free-ish
-    link_latency=0.0,
-)
-
-
 @dataclass
 class Device:
-    """One schedulable device instance (a modelled GPU within a node, or
-    one lane of a real drain)."""
+    """One modelled device instance (a GPU within a node) of a replay."""
 
     index: int
     model: DeviceModel = GENERIC_GPU

@@ -18,19 +18,36 @@ are moved first, through the Sec. VI-B1 conversion ledger of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.runtime.comm import CommunicationEngine
 from repro.runtime.dag import TaskGraph
-from repro.runtime.device import DeviceModel, GENERIC_GPU, make_devices
+from repro.runtime.device import Device, DeviceModel, GENERIC_GPU, make_devices
 from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import DataHandle, Task
 from repro.runtime.trace import ExecutionTrace
 
-__all__ = ["replay"]
+__all__ = ["ReplayResult", "replay"]
+
+
+@dataclass
+class ReplayResult(ScheduleResult):
+    """A replay's modelled trace plus its devices (busy time, bytes
+    received) and transfer ledger."""
+
+    comm: CommunicationEngine
+    devices: list[Device]
+
+    def summary(self) -> dict[str, float]:
+        out = super().summary()
+        out["bytes_moved"] = float(self.comm.total_bytes)
+        out["num_transfers"] = float(self.comm.num_transfers)
+        return out
 
 
 def replay(graph: TaskGraph, num_devices: int = 1,
            device_model: DeviceModel = GENERIC_GPU,
-           adaptive_conversion: bool = True) -> ScheduleResult:
+           adaptive_conversion: bool = True) -> ReplayResult:
     """Time ``graph`` on ``num_devices`` devices of ``device_model``.
 
     ``adaptive_conversion`` enables the paper's sender/receiver
@@ -81,4 +98,4 @@ def replay(graph: TaskGraph, num_devices: int = 1,
             location[handle] = device.index
 
         trace.record(task, device.index, start, end)
-    return ScheduleResult(trace=trace, comm=comm, devices=devices)
+    return ReplayResult(trace=trace, comm=comm, devices=devices)

@@ -75,9 +75,10 @@ class Runtime:
         Full :class:`~repro.resilience.retry.RetryPolicy` override
         (backoff pacing, jitter seed); wins over ``task_retries``.
 
-    ``execution`` and ``workers`` left ``None`` take the field of
-    :meth:`repro.settings.Settings.from_env`, read here; the scheduler
-    does the same for ``task_retries``.
+    ``execution``, ``workers`` and ``task_retries`` left ``None`` take
+    the field of :meth:`repro.settings.Settings.from_env`, read here
+    and nowhere below: the scheduler is handed the resolved
+    :class:`~repro.resilience.retry.RetryPolicy`.
     """
 
     def __init__(
@@ -93,6 +94,8 @@ class Runtime:
             workers = settings.workers
         elif int(workers) < 1:
             raise ValueError(f"workers must be >= 1 (or None), got {workers}")
+        if task_retries is None:
+            task_retries = settings.task_retries
         if retry_policy is None and task_retries is not None:
             retry_policy = RetryPolicy(max_retries=int(task_retries))
         self.graph = TaskGraph()  # pending (not yet run) tasks

@@ -68,23 +68,21 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import SITE_TASK_BODY, SITE_WORKER_STALL, active_plan
 from repro.resilience.retry import RetryPolicy
-from repro.runtime.comm import CommunicationEngine
 from repro.runtime.dag import TaskGraph
-from repro.runtime.device import Device, HOST_WORKER, make_devices
 from repro.runtime.task import Task
 from repro.runtime.trace import ExecutionTrace
-from repro.settings import EXECUTION_MODES, Settings
+from repro.settings import EXECUTION_MODES
 
 
 @dataclass
 class ScheduleResult:
-    """Outcome of scheduling a task graph: a real drain's wall-clock
-    trace, or a :func:`~repro.runtime.replay.replay`'s device timing
-    and transfer ledger."""
+    """Outcome of a drain: its wall-clock trace, one event per task with
+    the lane it ran on (per-lane busy time is
+    ``trace.busy_time_by_device()``).  A
+    :func:`~repro.runtime.replay.replay` returns the subclass that adds
+    modelled devices and a transfer ledger."""
 
     trace: ExecutionTrace
-    comm: CommunicationEngine
-    devices: list[Device]
 
     @property
     def makespan(self) -> float:
@@ -95,10 +93,7 @@ class ScheduleResult:
         return self.trace.throughput()
 
     def summary(self) -> dict[str, float]:
-        out = self.trace.summary()
-        out["bytes_moved"] = float(self.comm.total_bytes)
-        out["num_transfers"] = float(self.comm.num_transfers)
-        return out
+        return self.trace.summary()
 
 
 class SchedulerError(RuntimeError):
@@ -141,7 +136,7 @@ class _Drain:
         self.completed: list[Task] = []
         self.failures: list[TaskFailure] = []
         self.trace = ExecutionTrace()
-        self.lanes = make_devices(lanes, HOST_WORKER)
+        self.lanes = lanes
         self.t0 = time.perf_counter()
         begin = getattr(self.hooks, "drain_begin", None)
         if begin is not None:
@@ -247,9 +242,6 @@ class _Drain:
                     self.completed.append(task)
                     self.trace.record(task, lane, start, end,
                                       self.attempts.get(task, 0))
-                    device = self.lanes[lane]
-                    device.busy_time += end - start
-                    device.tasks_executed += 1
                     for succ in self.graph.successors(task):
                         self.indegree[succ] -= 1
                         if self.indegree[succ] == 0:
@@ -314,7 +306,7 @@ class _Drain:
 
     def run_lanes(self) -> None:
         """Drain on this drain's inline lanes."""
-        if len(self.lanes) == 1:
+        if self.lanes == 1:
             self.lane_loop(0)
             return
         cond = self.cond
@@ -322,7 +314,7 @@ class _Drain:
         threads = [
             threading.Thread(target=self.lane_loop, args=(i,),
                              name=f"repro-runtime-{i}", daemon=True)
-            for i in range(len(self.lanes))
+            for i in range(self.lanes)
         ]
         for t in threads:
             t.start()
@@ -376,8 +368,7 @@ class _Drain:
             raise SchedulerError(
                 f"schedule executed {len(self.completed)} of "
                 f"{len(self.order)} tasks (dependency deadlock)")
-        return ScheduleResult(trace=self.trace, comm=CommunicationEngine(),
-                              devices=self.lanes)
+        return ScheduleResult(trace=self.trace)
 
 
 @dataclass
@@ -400,10 +391,10 @@ class Scheduler:
         ``drain_begin(graph)``), called in every mode.  Used by the
         out-of-core store to plan evictions and pin/prefetch task tiles.
     retry_policy:
-        Pacing of per-task re-execution after *transient* failures
-        (``None`` takes ``Settings.from_env().task_retries``, else
-        fail-fast; pass ``RetryPolicy(max_retries=0)`` to force
-        fail-fast even when the environment sets retries).
+        Pacing of per-task re-execution after *transient* failures;
+        ``None`` fails fast.  The environment's ``task_retries`` is
+        resolved by the owning :class:`~repro.runtime.runtime.Runtime`,
+        not here.
     task_timeout_s:
         Per-task wall-clock budget; an overrun is a
         :class:`TaskTimeoutError` failure of that task.  Checked post
@@ -425,10 +416,6 @@ class Scheduler:
                 f"{self.execution!r}"
             )
         self.workers = max(1, int(self.workers))
-        if self.retry_policy is None:
-            retries = Settings.from_env().task_retries
-            if retries is not None:
-                self.retry_policy = RetryPolicy(max_retries=retries)
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive")
 

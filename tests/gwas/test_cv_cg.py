@@ -351,3 +351,150 @@ class TestSweepReleasesItsSessions:
         with pytest.raises(RuntimeError, match="associate failed"):
             self._sweep(cohort, monkeypatch, store_budget_bytes=16 * 1024)
         assert not list(tmp_path.rglob("seg-*.bin"))
+
+
+class TestOneSolveRule:
+    """associate, associate_path and solve_additional_phenotypes solve
+    by one rule: an alpha the held factor was made for is a panel solve
+    against it, any other is a fresh factorization (direct) or a PCG
+    column block against it (CG)."""
+
+    def test_successive_associates_are_the_path(self, cohort):
+        """Each later associate is warm-started from the held factor's
+        own panel solve, whatever was solved in between."""
+        x, y = cohort
+        y = np.column_stack([y, y[::-1]])
+
+        def session():
+            s = KRRSession(KRRConfig(tile_size=32, solver="cg",
+                                     execution="serial"))
+            s.build(x)
+            return s
+
+        one_by_one = session()
+        one_by_one.associate(y, alpha=0.5)
+        for alpha in (2.0, 4.0):
+            np.testing.assert_array_equal(
+                one_by_one.associate(y, alpha=alpha),
+                session().associate_path(y, [0.5, alpha])[1])
+        assert one_by_one.factorization_count_ == 1
+
+    def test_the_held_alpha_is_a_panel_solve_even_boosted(self):
+        """K + I is indefinite, so the first associate boosts to 10 on
+        both routes, bitwise alike; re-associating at alpha = 1 is then
+        a panel solve against that boosted factor."""
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((48, 48)))
+        eigs = np.linspace(1.0, 2.0, 48)
+        eigs[0] = -5.0
+        k = (q * eigs) @ q.T
+        y = rng.standard_normal(48)
+        first = {}
+        for solver in ("direct", "cg"):
+            s = KRRSession(KRRConfig(tile_size=16, alpha=1.0, solver=solver,
+                                     precision_plan=PrecisionPlan.fp64()))
+            s.adopt_kernel((k + k.T) / 2.0)
+            first[solver] = w = s.associate(y)
+            assert s.regularization_boosts_ == 1 and s.alpha_ == 10.0
+            np.testing.assert_array_equal(s.associate(y), w)
+            assert s.factorization_count_ == 1 and s.cg_result_ is None
+        np.testing.assert_array_equal(first["cg"], first["direct"])
+
+    def test_cg_columns_solve_the_stored_mosaic(self, cohort):
+        """Under an adaptive plan the Build stores the kernel as the
+        mosaic, so the PCG columns converge to the stored-mosaic system.
+        The reference alpha is a solve against the mosaic *factor*, a
+        different system, so it is left out."""
+        x, y = cohort
+        y = np.column_stack([y, y[::-1]])
+        session = KRRSession(KRRConfig(
+            tile_size=32, precision_plan=PrecisionPlan.adaptive_fp8(),
+            solver="cg", execution="serial"))
+        session.build(x)
+        alphas = (0.5, 0.7, 1.0, 1.4, 2.0)
+        path = session.associate_path(y, alphas)
+        assert session.factorization_count_ == 1
+        stored = session.kernel_.to_dense()
+        y_c = y - y.mean(axis=0)
+        for alpha, weights in zip(alphas, path):
+            if alpha == session.alpha_:
+                continue
+            truth = np.linalg.solve(stored + alpha * np.eye(len(y)), y_c)
+            err = np.linalg.norm(weights - truth) / np.linalg.norm(truth)
+            assert err <= 1e-6
+
+    @staticmethod
+    def _session(cohort, solver):
+        session = KRRSession(KRRConfig(tile_size=32, solver=solver,
+                                       execution="serial"))
+        session.build(cohort[0])
+        return session
+
+    def test_a_direct_reassociate_at_the_held_alpha_keeps_the_factor(
+            self, cohort):
+        session = self._session(cohort, "direct")
+        y = cohort[1]
+        weights = session.associate(y, alpha=0.5)
+        np.testing.assert_array_equal(session.associate(y, alpha=0.5),
+                                      weights)
+        assert session.factorization_count_ == 1
+        session.associate(y, alpha=2.0)     # any other alpha refactorizes
+        assert session.factorization_count_ == 2
+
+    def test_the_direct_path_factorizes_each_alpha_once(self, cohort):
+        """Every distinct alpha once, the sorted-middle one last; each
+        column is bitwise that alpha's own associate."""
+        y = cohort[1]
+        grid = (2.0, 0.5, 1.0, 0.5)
+        session = self._session(cohort, "direct")
+        path = session.associate_path(y, grid)
+        assert session.factorization_count_ == 3
+        assert session.cg_result_ is None
+        one_by_one = self._session(cohort, "direct")
+        for alpha, weights in zip(grid, path):
+            np.testing.assert_array_equal(
+                weights, one_by_one.associate(y, alpha=alpha))
+        assert session.alpha_ == 1.0
+        np.testing.assert_array_equal(session.weights_, path[2])
+
+    @pytest.mark.parametrize("solver, held, options", [
+        ("direct", None, {}),
+        ("direct", 1.0, {}),                     # the held factor is kept
+        ("cg", None, {"cg_max_iters": 1}),       # so is it past fallbacks
+    ])
+    def test_the_exported_factor_is_alpha_s(self, cohort, solver, held,
+                                            options):
+        """After associate_path the held factor is ``alpha_``'s, so the
+        exported model solves extra phenotypes at ``alpha_``."""
+        x, y = cohort
+        extra = np.column_stack([y[::-1], y ** 2])
+        session = KRRSession(KRRConfig(tile_size=32, solver=solver,
+                                       execution="serial", **options))
+        session.build(x)
+        if held is not None:
+            session.associate(y, alpha=held)
+        session.associate_path(y, (4.0, 0.25, 1.0))
+        assert session.alpha_ == 1.0
+        if solver == "cg":
+            assert session.cg_fallbacks_ == 2
+        np.testing.assert_array_equal(
+            session.export_model().solve_additional_phenotypes(extra),
+            self._session(cohort, "direct").associate(extra, alpha=1.0))
+
+    @pytest.mark.parametrize("solver", ["direct", "cg"])
+    def test_extra_phenotypes_are_the_path_column_of_alpha(self, cohort,
+                                                           solver):
+        """solve_additional_phenotypes at ``alpha_`` is the column
+        associate_path gives that alpha, and never refactorizes: a panel
+        solve against the held factor (direct), a PCG block warm-started
+        from it (CG)."""
+        y = cohort[1]
+        extra = np.column_stack([y[::-1], y ** 2])
+        fitted = self._session(cohort, solver)
+        fitted.associate(y, alpha=0.5)
+        fitted.associate(y, alpha=2.0)
+        count = fitted.factorization_count_
+        np.testing.assert_array_equal(
+            fitted.solve_additional_phenotypes(extra),
+            self._session(cohort, solver).associate_path(extra, [0.5, 2.0])[1])
+        assert fitted.factorization_count_ == count

@@ -9,7 +9,6 @@ adaptive-fp8 artifact is measurably smaller than the fp32 one.
 import numpy as np
 import pytest
 
-from repro.data.io import load_model, save_model
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.model import FittedModel
 from repro.gwas.session import KRRSession
@@ -193,17 +192,6 @@ class TestArtifactFootprint:
 
 
 class TestIOWiring:
-    def test_save_model_load_model(self, cohort, tmp_path):
-        _, _, g_test = cohort
-        model = _fitted(cohort, PrecisionPlan.fp32()).export_model()
-        path = save_model(model, tmp_path / "via_io")
-        loaded = load_model(path)
-        assert np.array_equal(loaded.predict(g_test), model.predict(g_test))
-
-    def test_save_model_rejects_non_models(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_model(np.zeros(3), tmp_path / "nope")
-
     def test_load_rejects_foreign_archives(self, tmp_path):
         path = tmp_path / "foreign.npz"
         np.savez(path, meta_json=np.frombuffer(b'{"format": "other"}',

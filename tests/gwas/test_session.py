@@ -514,8 +514,9 @@ class TestRuntimeLedgerAccounting:
     @pytest.mark.parametrize("solver", ["direct", "cg"])
     def test_reused_factors_are_counted_under_solve(self, cohort_512, solver):
         """``solve_additional_phenotypes`` lands in the ``"solve"``
-        entry: two triangular sweeps on the direct route, the CG
-        matvecs when ``alpha_`` was reached by CG."""
+        entry: two triangular sweeps on the direct route; when
+        ``alpha_`` was reached by CG, the same sweeps (the warm start
+        against the held factor) plus the CG matvecs."""
         g_train, y, _ = cohort_512
         n, tile_rows, extra = g_train.shape[0], 8, y[:, :2]
         session = KRRSession(KRRConfig(tile_size=64, solver=solver))
@@ -533,11 +534,16 @@ class TestRuntimeLedgerAccounting:
                                     "solve_gemm": tile_rows * (tile_rows - 1)}
             assert totals.flops == 2.0 * n * n * extra.shape[1]
         else:
-            assert set(totals.tasks) == {"cg_matvec"}
-            matvecs, rest = divmod(totals.tasks["cg_matvec"], tile_rows)
+            tasks = dict(totals.tasks)
+            matvecs, rest = divmod(tasks.pop("cg_matvec"), tile_rows)
             assert matvecs >= 1 and rest == 0
-            assert totals.flops == matvecs * (
-                2.0 * n * n * extra.shape[1] + n * extra.shape[1])
+            # the warm start is the direct route's two sweeps
+            assert tasks == {"solve_trsm": 2 * tile_rows,
+                             "solve_gemm": tile_rows * (tile_rows - 1)}
+            assert totals.flops == pytest.approx(
+                2.0 * n * n * extra.shape[1] + matvecs * (
+                    2.0 * n * n * extra.shape[1] + n * extra.shape[1]),
+                rel=1e-12)
         after = session.phase_flops
         assert after.pop("solve") == totals.flops
         assert after == before

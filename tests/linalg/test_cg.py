@@ -5,7 +5,7 @@ The contract under test:
 * CG with the session's low-precision tiled Cholesky factor as the
   preconditioner solves ``(K + alpha*I) x = b`` to the requested
   tolerance on ill-conditioned kernels, matching the direct tiled
-  Cholesky solve and the iterative-refinement reference.
+  Cholesky solve and the FP64 dense solve.
 * ``alpha`` may carry one shift per right-hand-side column: the panel
   iterates in lockstep, each column block agrees with its own
   single-shift solve, and a column that met the tolerance is frozen.
@@ -23,7 +23,6 @@ from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.session import KRRSession
 from repro.linalg.cg import cg_solve, kernel_matvec
 from repro.linalg.cholesky import cholesky
-from repro.linalg.refinement import iterative_refinement_solve
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
 from repro.runtime.runtime import Runtime
@@ -165,10 +164,10 @@ class TestSolverKnob:
 
 
 class TestCgAccuracy:
-    """CG vs direct Cholesky vs iterative refinement, ill-conditioned K."""
+    """CG vs direct Cholesky vs the FP64 dense solve, ill-conditioned K."""
 
     @pytest.mark.parametrize("plan_name", list(PLANS), ids=list(PLANS))
-    def test_matches_direct_and_refinement(self, rng, plan_name):
+    def test_matches_direct_and_dense(self, rng, plan_name):
         plan = PLANS[plan_name]
         k = _ill_kernel(seed=1)
         # FP8 tile storage perturbs K by ~6% of the tile scale: the
@@ -191,16 +190,10 @@ class TestCgAccuracy:
         # tracks the true solution regardless of preconditioner quality
         np.testing.assert_allclose(res.x, truth, rtol=1e-6, atol=1e-8)
 
-        # the direct tiled solve *of the same alpha* and the classic
-        # iterative-refinement reference agree with it
+        # and so does the direct tiled solve *of the same alpha*
         direct_fact = _preconditioner(k, alpha, PrecisionPlan.fp64())
         direct = solve_cholesky(direct_fact, b, precision=Precision.FP64)
         np.testing.assert_allclose(res.x, direct, rtol=1e-6, atol=1e-8)
-
-        ir = iterative_refinement_solve(k + alpha * np.eye(N), b,
-                                        factor_precision=Precision.FP32,
-                                        tol=1e-12, max_iterations=100)
-        np.testing.assert_allclose(res.x, ir.x, rtol=1e-5, atol=1e-7)
 
     def test_preconditioner_pays(self, rng):
         """The factor-preconditioned solve beats unpreconditioned CG."""

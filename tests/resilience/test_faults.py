@@ -32,6 +32,7 @@ from repro.resilience.faults import (
     no_faults,
     parse_faults,
 )
+from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import Scheduler
 
 
@@ -225,13 +226,18 @@ class TestRetryPolicy:
             StoreCorruptionError("m", (0, 0), None, "p", "bad crc"))
         assert not policy.retryable(TaskTimeoutError("t", 1, None, 1.0, 2.0))
 
-    def test_scheduler_resolution_order(self, monkeypatch):
+    def test_runtime_resolution_order(self, monkeypatch):
+        def policy(**kwargs):
+            return Runtime(**kwargs).scheduler.retry_policy
+
         monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
-        explicit = Scheduler(retry_policy=RetryPolicy(max_retries=0))
-        assert explicit.retry_policy.max_retries == 0     # explicit wins
-        assert Scheduler().retry_policy.max_retries == 5  # env
+        assert policy(retry_policy=RetryPolicy(max_retries=0)).max_retries == 0
+        assert policy(task_retries=2).max_retries == 2    # explicit wins
+        assert policy().max_retries == 5                  # env
+        # the scheduler itself never reads the environment
+        assert Scheduler().retry_policy is None
         monkeypatch.delenv("REPRO_TASK_RETRIES")
-        assert Scheduler().retry_policy is None           # fail-fast
+        assert policy() is None                           # fail-fast
 
 
 def np_linalg_error():

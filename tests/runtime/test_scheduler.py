@@ -117,13 +117,32 @@ class TestRuntimeExecution:
                              precision=Precision.FP32, home_device=1)
         rt.insert_task("use", (a, AccessMode.READ), (b, AccessMode.READWRITE),
                        flops=1.0, precision=Precision.FP32)
-        drained = rt.run()
-        assert drained.comm.num_transfers == 0  # host lanes move no bytes
+        rt.run()
         result = replay(rt.last_graph, num_devices=2)
         assert result.comm.num_transfers >= 1
         assert result.comm.total_bytes > 0
         # homes resolve modulo the device count: on one device nothing moves
         assert replay(rt.last_graph).comm.num_transfers == 0
+
+    def test_a_real_drain_reports_its_lanes_through_the_trace(self):
+        """A drain's lanes are plain ints and its per-lane busy time is
+        the trace's; modelled devices and transfers belong to replay."""
+        rt = Runtime(execution="threaded", workers=3)
+        handles = [rt.register_data(f"h{i}", payload=np.ones(4))
+                   for i in range(6)]
+        for h in handles:
+            rt.insert_task("work", (h, AccessMode.READWRITE),
+                           body=lambda x: x + 1, flops=1.0)
+        drained = rt.run()
+        lanes = {e.device for e in drained.trace.events}
+        assert lanes <= {0, 1, 2}
+        busy = drained.trace.busy_time_by_device()
+        assert set(busy) == lanes
+        assert sum(busy.values()) == pytest.approx(
+            sum(e.duration for e in drained.trace.events))
+        assert not hasattr(drained, "devices")
+        assert not hasattr(drained, "comm")
+        assert len(replay(rt.last_graph, num_devices=3).devices) == 3
 
     def test_priority_breaks_ties(self):
         rt = Runtime(workers=1)

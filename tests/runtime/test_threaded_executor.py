@@ -135,7 +135,6 @@ class TestDependencyOrderingUnderConcurrency:
         assert [h.payload for h in handles] == [depth] * chains
         uids = [e.task_uid for e in result.trace.events]
         assert len(uids) == len(set(uids)) == chains * depth
-        assert sum(d.tasks_executed for d in result.devices) == chains * depth
         assert plan.fired > 0
         assert result.trace.total_retries == plan.fired
 

@@ -73,13 +73,21 @@ def test_a_runtime_is_constructed_at_three_sites():
     ]
 
 
-def test_the_environment_snapshot_is_taken_at_four_sites():
+def test_the_environment_snapshot_is_taken_at_three_sites():
     assert _sites(_calls_method("from_env")) == [
         "gwas/cv.py:grid_search_cv",
         "gwas/session.py:__init__",
         "runtime/runtime.py:__init__",
-        "runtime/scheduler.py:__post_init__",
     ]
+
+
+def test_a_real_drain_keeps_no_modelled_devices():
+    """Devices and the transfer ledger belong to ``replay``; the
+    scheduler's lanes are plain ints and its busy time is the trace's."""
+    tree = ast.parse((SRC / "runtime/scheduler.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"repro.runtime.device", "repro.runtime.comm"}
 
 
 def test_the_library_dag_protocol_is_written_once():
