@@ -10,8 +10,10 @@
    :class:`~repro.precision.gemm.QuantizedOperand`, not once per tile),
 3. confounder (real-valued) columns contribute a separate FP32 Gram
    accumulation,
-4. the squared distance tile is assembled, the Gaussian exponentiation
-   is fused in before the tile is released, and
+4. the squared distance tile is assembled in place in the output
+   block — exact integer terms first, then the confounder term — and
+   the Gaussian exponentiation is fused in before the tile is
+   released, and
 5. the finished tile is **streamed** straight into the output
    :class:`~repro.tiles.matrix.TileMatrix` (or the dense cross-kernel
    array) at the requested storage precision.
@@ -144,9 +146,37 @@ class _OperandContext:
     ibs_block: int = 0
 
 
+def _snp_gram(ctx: _OperandContext, snp_block: int, rs: slice,
+              cs: slice) -> np.ndarray:
+    """The SNP Gram ``G[rs] · G[cs]ᵀ`` of one block.
+
+    One product when the SNP blocks fuse (or there is only one block):
+    INT32 for the integer variant, the accumulator's own dtype for a
+    float one.  Otherwise the per-block products are summed in float64.
+    The integer variant's values are exact integers either way, so they
+    do not depend on the rows the product ran over; a float variant's
+    rounding does.
+    """
+    if ctx.fuse_snp_blocks or ctx.ns <= snp_block:
+        return gemm_mixed(ctx.q1[rs, :], ctx.q2[cs, :],
+                          variant=ctx.snp_variant, transb=True)
+    gram = np.zeros((rs.stop - rs.start, cs.stop - cs.start))
+    for s0 in range(0, ctx.ns, snp_block):
+        s1 = min(s0 + snp_block, ctx.ns)
+        gram += gemm_mixed(ctx.q1[rs, s0:s1], ctx.q2[cs, s0:s1],
+                           variant=ctx.snp_variant, transb=True)
+    return gram
+
+
 def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
-                        rs: slice, cs: slice) -> np.ndarray:
-    """Dense kernel block for rows ``rs`` × columns ``cs``.
+                        rs: slice, cs: slice, out: np.ndarray | None = None,
+                        gram: np.ndarray | None = None) -> np.ndarray:
+    """Dense kernel block for rows ``rs`` × columns ``cs``, assembled in
+    place in ``out`` (a fresh float64 array when not given).
+
+    ``gram`` is the block's integer SNP Gram when the caller computed it
+    over a larger row group (:meth:`KernelBuilder.iter_cross_rows`);
+    otherwise the block computes its own.
 
     Module-level (rather than a :class:`KernelBuilder` method) so the
     :class:`BuildRowSpec` descriptor can name it with only scalar
@@ -157,48 +187,66 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     row batching and any executor.  The IBS kernel (an exact integer
     L1 sum per element) equals ``ibs_kernel`` under any blocking.
     """
-    mb = rs.stop - rs.start
-    nb = cs.stop - cs.start
+    if out is None:
+        out = np.empty((rs.stop - rs.start, cs.stop - cs.start))
     if ctx.ibs_block:
         # the L1 broadcast is blocked by column tile: its peak
         # temporary is mb × tile × ns, never rows × cols × ns
-        block = np.empty((mb, nb), dtype=np.float64)
         rows = ctx.q1.array[rs]
         for c0 in range(cs.start, cs.stop, ctx.ibs_block):
             c1 = min(c0 + ctx.ibs_block, cs.stop)
-            block[:, c0 - cs.start:c1 - cs.start] = ibs_kernel(
+            out[:, c0 - cs.start:c1 - cs.start] = ibs_kernel(
                 rows, ctx.q2.array[c0:c1])
-        return block
-    # --- integer (SNP) Gram contribution, blocked over SNPs
-    if ctx.fuse_snp_blocks:
-        gram = np.asarray(
-            gemm_mixed(ctx.q1[rs, :], ctx.q2[cs, :],
-                       variant=ctx.snp_variant, transb=True),
-            dtype=np.float64,
-        )
+        return out
+    if gram is None:
+        gram = _snp_gram(ctx, snp_block, rs, cs)
+    if ctx.snp_variant.accumulate_precision.is_integer:
+        # −2·G, +d₁, +d₂ are exact integers in float64: any order
+        # gives the same bits
+        np.multiply(gram, -2.0, out=out)
+        out += ctx.d1[rs, None]
+        out += ctx.d2[None, cs]
     else:
-        gram = np.zeros((mb, nb), dtype=np.float64)
-        for s0 in range(0, ctx.ns, snp_block):
-            s1 = min(s0 + snp_block, ctx.ns)
-            gram += np.asarray(
-                gemm_mixed(ctx.q1[rs, s0:s1], ctx.q2[cs, s0:s1],
-                           variant=ctx.snp_variant, transb=True),
-                dtype=np.float64,
-            )
-    dist = ctx.d1[rs, None] + ctx.d2[None, cs] - 2.0 * gram
+        # a float Gram is rounded: keep the order (d₁ + d₂) − 2·G
+        np.add(ctx.d1[rs, None], ctx.d2[None, cs], out=out)
+        out -= np.multiply(gram, 2.0, out=gram)
 
     # --- confounder FP32 contribution accumulated separately
-    if ctx.qc1 is not None and ctx.n_conf > 0:
-        gram_c = np.asarray(
-            gemm_mixed(ctx.qc1[rs, :], ctx.qc2[cs, :],
-                       variant=ctx.conf_variant, transb=True),
-            dtype=np.float64,
-        )
-        dist += ctx.e1[rs, None] + ctx.e2[None, cs] - 2.0 * gram_c
+    if ctx.n_conf:
+        gram_c = gemm_mixed(ctx.qc1[rs, :], ctx.qc2[cs, :],
+                            variant=ctx.conf_variant, transb=True)
+        term = np.add(ctx.e1[rs, None], ctx.e2[None, cs])
+        term -= np.multiply(gram_c, 2.0, out=gram_c)
+        out += term
 
-    np.maximum(dist, 0.0, out=dist)
+    np.maximum(out, 0.0, out=out)
     # fused exponentiation before the row block is released
-    return gaussian_kernel(dist, gamma)
+    return gaussian_kernel(out, gamma, out=out)
+
+
+def _row_groups(sizes: list[int], batch_rows: int | None) -> list[list[slice]]:
+    """The predict batches of row-stacked cohorts, in row groups.
+
+    Each cohort of ``sizes`` is cut into batches of ``batch_rows`` rows
+    (whole when ``None``); consecutive batches then join one group while
+    it holds at most ``batch_rows`` rows (the largest cohort when
+    ``None``).  An empty cohort has no batch.
+    """
+    limit = max(1, max(sizes, default=0) if batch_rows is None
+                else int(batch_rows))
+    groups: list[list[slice]] = []
+    filled = limit
+    start = 0
+    for m in sizes:
+        for r0 in range(start, start + m, limit):
+            rows = slice(r0, min(r0 + limit, start + m))
+            if filled + rows.stop - r0 > limit:
+                groups.append([])
+                filled = 0
+            groups[-1].append(rows)
+            filled += rows.stop - r0
+        start += m
+    return groups
 
 
 @dataclass(frozen=True)
@@ -223,12 +271,13 @@ class BuildRowSpec(BodySpec):
 class TrainOperands:
     """Cached train-side GEMM operand state for cross-kernel builds.
 
-    A serving session predicts many test cohorts against one fixed
-    training panel; quantizing that panel, materializing its float
-    casts and folding its squared norms is the dominant *fixed* cost of
-    each predict call.  :meth:`KernelBuilder.train_operands` prepares
+    Quantizing a training panel, materializing its float casts and
+    folding its squared norms is the dominant *fixed* cost of a
+    cross-kernel build.  :meth:`KernelBuilder.train_operands` prepares
     this state once and :meth:`KernelBuilder.iter_cross_rows` accepts
-    it back, so a micro-batch of requests pays the preparation once.
+    it back, so several calls against one panel pay it once.  (A
+    serving micro-batch needs no cache: it row-stacks its cohorts into
+    one call.)
 
     Reuse is bitwise-safe: the cached values are produced by exactly
     the code the uncached path runs, on the same arrays.
@@ -440,8 +489,7 @@ class KernelBuilder:
 
         The returned :class:`TrainOperands` can be passed to any number
         of :meth:`iter_cross_rows` calls against the same training
-        panel (the prediction service shares one per micro-batch),
-        skipping the per-call quantization, float casts and squared
+        panel, skipping the per-call quantization, float casts and squared
         norms of the training matrix.  Values are bitwise identical to
         the uncached path.
         """
@@ -556,39 +604,71 @@ class KernelBuilder:
                         test_confounders: np.ndarray | None = None,
                         train_confounders: np.ndarray | None = None,
                         batch_rows: int | None = None,
-                        train_cache: TrainOperands | None = None
+                        train_cache: TrainOperands | None = None,
+                        cohort_rows: list[int] | None = None
                         ) -> Iterator[CrossRowBlock]:
         """Stream the rectangular test-vs-train kernel in row batches.
 
         This is the Predict-phase entry point of the tile-native solver
         sessions: operands are quantized once, then ``batch_rows`` test
-        individuals at a time flow through the Gram/distance/kernel
-        pipeline, one tile-row band (the shape of Build's row tasks) at
-        a time: the peak temporary is the yielded batch plus band-sized
-        intermediates.  Values equal :meth:`build_cross` for any batching.
+        individuals at a time (the whole cohort when ``None``) flow
+        through the Gram/distance/kernel pipeline.  Values equal
+        :meth:`build_cross` for any batching.
+
+        ``cohort_rows`` says the test rows are several cohorts stacked
+        in that order (the serving micro-batch); a batch never straddles
+        two of them.  The exact part is row-stacked, the float part
+        keeps solo shapes:
+
+        * the integer SNP Gram runs once per *row group* — consecutive
+          batches, possibly from several cohorts, of at most
+          ``batch_rows`` rows (the largest cohort when ``None``).  It is
+          exact integer arithmetic, so its bits do not depend on the
+          rows it ran over;
+        * everything that rounds — the FP32 confounder Gram, a float
+          ``snp_precision`` Gram, and the caller's ``K·W`` — runs per
+          tile-row band or per batch, with the block shapes a cohort
+          streamed on its own would use.
+
+        Each band is assembled in place in the yielded block, so the
+        peak is the block plus one 4-byte Gram for the group.
 
         ``train_cache`` (from :meth:`train_operands`) skips the
-        train-side operand preparation — the fixed cost a serving
-        micro-batch amortizes across its requests — without changing a
-        single produced bit.
+        train-side operand preparation without changing a single
+        produced bit.
         """
         test_genotypes = np.asarray(test_genotypes)
         train_genotypes = np.asarray(train_genotypes)
         n1, n2 = test_genotypes.shape[0], train_genotypes.shape[0]
-        batch = n1 if batch_rows is None else max(1, int(batch_rows))
+        sizes = [n1] if cohort_rows is None else [int(m) for m in cohort_rows]
+        if sum(sizes) != n1 or min(sizes, default=0) < 0:
+            raise ValueError("cohort_rows must partition the test rows")
         ctx = self._prepare_operands(test_genotypes, train_genotypes,
                                      test_confounders, train_confounders,
                                      symmetric=False, train_cache=train_cache)
-        for r0 in range(0, n1, batch):
-            rows = slice(r0, min(r0 + batch, n1))
-            block = np.empty((rows.stop - r0, n2), dtype=np.float64)
-            for b0 in range(r0, rows.stop, self.tile_size):
-                band = slice(b0, min(b0 + self.tile_size, rows.stop))
-                block[b0 - r0:band.stop - r0] = compute_kernel_rows(
-                    ctx, self.gamma, self.snp_block, band, slice(0, n2))
-            flops, by_prec = self._block_flops(ctx, rows.stop - rows.start, n2)
-            yield CrossRowBlock(rows=rows, kernel=block, flops=flops,
-                                flops_by_precision=by_prec)
+        cols = slice(0, n2)
+        stacked = (ctx.snp_variant.accumulate_precision.is_integer
+                   and not ctx.ibs_block)
+        for group in _row_groups(sizes, batch_rows):
+            g0 = group[0].start
+            gram = (_snp_gram(ctx, self.snp_block,
+                              slice(g0, group[-1].stop), cols)
+                    if stacked else None)
+            for rows in group:
+                block = np.empty((rows.stop - rows.start, n2))
+                for b0 in range(rows.start, rows.stop, self.tile_size):
+                    band = slice(b0, min(b0 + self.tile_size, rows.stop))
+                    compute_kernel_rows(
+                        ctx, self.gamma, self.snp_block, band, cols,
+                        out=block[b0 - rows.start:band.stop - rows.start],
+                        gram=None if gram is None
+                        else gram[b0 - g0:band.stop - g0])
+                flops, by_prec = self._block_flops(
+                    ctx, rows.stop - rows.start, n2)
+                yield CrossRowBlock(rows=rows, kernel=block, flops=flops,
+                                    flops_by_precision=by_prec)
+            # the next group's Gram must not overlap this one's
+            gram = None
 
     def _stream_tiles(self, g1: np.ndarray, g2: np.ndarray,
                       c1: np.ndarray | None, c2: np.ndarray | None,

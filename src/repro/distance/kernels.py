@@ -16,16 +16,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def gaussian_kernel(sq_distances: np.ndarray, gamma: float) -> np.ndarray:
+def gaussian_kernel(sq_distances: np.ndarray, gamma: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian kernel from precomputed squared distances.
 
     ``K = exp(-gamma * D)`` applied element-wise; this is the
     exponentiation fused into the Build phase tile release in the paper.
+    ``out`` (which may be ``sq_distances`` itself) receives the result.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     d = np.asarray(sq_distances, dtype=np.float64)
-    return np.exp(-gamma * d)
+    out = np.multiply(d, -gamma, out=out)
+    return np.exp(out, out=out)
 
 
 def gaussian_kernel_pairwise(g1: np.ndarray, g2: np.ndarray | None, gamma: float,

@@ -328,12 +328,16 @@ class KRRConfig(_WithOptionsMixin):
     predict_batch_rows:
         Row-batch size of the streamed Predict phase: the test cohort
         is processed ``predict_batch_rows`` individuals at a time, so
-        the peak cross-kernel temporary is one batch instead of the
-        full ``n_test × n_train`` panel.  Rounded to a multiple of
+        the peak cross-kernel temporary is one batch (float64) plus
+        one 4-byte INT8 SNP Gram for its row group, instead of the
+        full ``n_test × n_train`` panel.  A row group is up to this
+        many rows of consecutive batches; a serving micro-batch fills
+        it from several cohorts.  Rounded to a multiple of
         ``tile_size`` at run time, minimum one tile (keeping batch
-        boundaries on tile boundaries makes the batched predictions
-        bitwise identical to the monolithic path).  ``None`` processes
-        the cohort in one batch.
+        boundaries on tile boundaries keeps the FP32 confounder Gram
+        and ``K·W`` on their monolithic block shapes, so the batched
+        predictions are bitwise identical to the monolithic path).
+        ``None`` processes each cohort in one batch.
     normalize_gamma:
         When True (default), γ is rescaled with the SNP count so that
         ``γ_eff · E[||g_i - g_j||²]`` stays constant across cohorts of

@@ -22,7 +22,8 @@ The memory contract per phase:
   :meth:`~repro.distance.build.KernelBuilder.iter_cross_rows` in row
   batches (``KRRConfig.predict_batch_rows``), computing
   ``K_test_block · W`` per block; the peak cross-kernel temporary is
-  one batch instead of the full ``n_test × n_train`` panel.
+  one batch plus one 4-byte INT8 Gram for its row group, instead of
+  the full ``n_test × n_train`` panel.
 
 Each session owns a single session-long
 :class:`~repro.runtime.runtime.Runtime`: every phase — the Build row
@@ -68,10 +69,13 @@ __all__ = ["KRRSession", "RRSession", "effective_batch_rows"]
 def effective_batch_rows(tile_size: int, batch_rows: int | None) -> int | None:
     """Round a Predict row-batch request to a tile-size multiple.
 
-    Tile-aligned batches keep every Gram product on the same BLAS
-    kernel dispatch as the monolithic path, which is what makes the
-    batched predictions bitwise identical to it; sub-tile batches
-    would drop the FP32 confounder contribution into a GEMV with a
+    The exact INT8 SNP Gram does not care: it runs once per row group
+    of up to one batch, whatever the shape.  Tile alignment protects
+    the products that round — the FP32 confounder Gram, run per
+    tile-row band, and ``K·W``, run per batch — which keep the same
+    BLAS kernel dispatch as the monolithic path; that is what makes
+    the batched predictions bitwise identical to it.  Sub-tile batches
+    would drop the confounder contribution into a GEMV with a
     different accumulation order.  ``None`` (one monolithic batch)
     passes through.
     """
@@ -542,26 +546,26 @@ class KRRSession:
         """
         genotypes = np.asarray(genotypes)
         self._check_test_cohort(genotypes, confounders)
-        builder = self._builder(self.gamma_, trace_phase=phase)
-        return self._stream_predict(builder, genotypes, confounders,
-                                    self._batch(batch_rows), phase)
+        return self._predict_rows(genotypes, confounders,
+                                  [genotypes.shape[0]], batch_rows, phase)
 
     def predict_many(self, genotype_list, confounder_list=None,
                      batch_rows: int | None = None,
                      phase: str = "predict") -> list[np.ndarray]:
         """Predict several cohorts as one micro-batch (Serve phase).
 
-        The train-side GEMM operand state — quantization of the
-        training panel, its BLAS float casts, the squared norms — is
-        prepared **once** and shared by every cohort
-        (:meth:`~repro.distance.build.KernelBuilder.train_operands`);
-        each cohort then streams through exactly the tile-aligned
-        row-batch path of :meth:`predict`, with identical block shapes.
+        The cohorts are row-stacked into one Predict: the train-side
+        operand state — quantization of the training panel, its BLAS
+        float casts, the squared norms — is prepared **once**, and the
+        exact integer SNP Gram runs once per row group of up to one
+        batch of rows, whichever cohorts those rows belong to.
+        Everything that rounds (the confounder Gram, a float SNP Gram,
+        ``K_test_block · W``) keeps the block shapes of each cohort's
+        solo :meth:`predict`
+        (:meth:`~repro.distance.build.KernelBuilder.iter_cross_rows`).
         Per-cohort results are therefore **bitwise identical** to
-        calling :meth:`predict` per cohort, while the fixed per-predict
-        cost is paid once per micro-batch instead of once per request.
-        This is the execution primitive of
-        :class:`repro.serve.PredictionService`.
+        calling :meth:`predict` per cohort.  This is the execution
+        primitive of :class:`repro.serve.PredictionService`.
         """
         cohorts = [np.asarray(g) for g in genotype_list]
         if confounder_list is None:
@@ -574,21 +578,21 @@ class KRRSession:
             self._check_test_cohort(g, c)
         if not cohorts:
             return []
-        batch = self._batch(batch_rows)
-        builder = self._builder(self.gamma_, trace_phase=phase)
-        cache = builder.train_operands(self.training_genotypes_,
-                                       self.training_confounders_)
-        return [self._stream_predict(builder, g, c, batch, phase,
-                                     train_cache=cache)
-                for g, c in zip(cohorts, confounder_list)]
+        sizes = [g.shape[0] for g in cohorts]
+        confounders = (None if confounder_list[0] is None
+                       else np.vstack(confounder_list))
+        predictions = self._predict_rows(np.vstack(cohorts), confounders,
+                                         sizes, batch_rows, phase)
+        return np.split(predictions, np.cumsum(sizes)[:-1])
 
-    def _stream_predict(self, builder: KernelBuilder, genotypes: np.ndarray,
-                        confounders: np.ndarray | None,
-                        batch: int | None, phase: str,
-                        train_cache=None) -> np.ndarray:
-        """The streamed Predict loop shared by solo and micro-batched paths."""
+    def _predict_rows(self, genotypes: np.ndarray,
+                      confounders: np.ndarray | None, cohort_rows: list[int],
+                      batch_rows: int | None, phase: str) -> np.ndarray:
+        """The one Predict loop: ``K_test_block · W`` per streamed batch
+        of the row-stacked cohorts ``cohort_rows``."""
         cfg = self.config
         started = time.perf_counter()
+        builder = self._builder(self.gamma_, trace_phase=phase)
         wp = cfg.precision_plan.working_precision
         n_train = self.training_genotypes_.shape[0]
         nph = self.weights_.shape[1]
@@ -596,7 +600,7 @@ class KRRSession:
         for block in builder.iter_cross_rows(
                 genotypes, self.training_genotypes_,
                 confounders, self.training_confounders_,
-                batch_rows=batch, train_cache=train_cache):
+                batch_rows=self._batch(batch_rows), cohort_rows=cohort_rows):
             gemm_fl = 2.0 * (block.rows.stop - block.rows.start) * n_train * nph
             # per-batch task on the session runtime: it carries the
             # block's Gram flops plus the K_test_block @ W GEMM, split
@@ -608,8 +612,9 @@ class KRRSession:
                 precision=wp, runtime=self.runtime, phase=phase,
                 flops_detail=detail)
 
+        predictions += self.y_means_[None, :]
         self._add_seconds(phase, time.perf_counter() - started)
-        return predictions + self.y_means_[None, :]
+        return predictions
 
     # ------------------------------------------------------------------
     # cross-kernel reuse (hyperparameter sweeps)

@@ -9,8 +9,9 @@ prediction API:
     precision-aware resident tile bytes.
 ``PredictionService``
     Accepts concurrent per-cohort predict requests, coalesces them
-    into micro-batches (shared train-side operand context, solo
-    tile-aligned block shapes), executes on one shared session runtime
+    into micro-batches (one row-stacked INT8 SNP Gram per row group,
+    solo tile-aligned shapes for every float product), executes on one
+    shared session runtime
     per model, and returns per-request latency/flops stats.
 ``plan_micro_batch`` / ``micro_batch_slices``
     Request-group validation and streaming geometry underneath the

@@ -1,25 +1,27 @@
 """Micro-batch planning for the prediction service.
 
 A *micro-batch* is a group of queued predict requests against the same
-fitted model that execute as one unit: the session prepares the
-train-side GEMM operand state once
-(:meth:`~repro.distance.build.KernelBuilder.train_operands`) and each
-request's cohort then streams through the tile-aligned row-batch
-Predict path with exactly the block shapes a solo ``predict`` would
-use (:meth:`~repro.gwas.session.KRRSession.predict_many`).
+fitted model that execute as one unit: the session row-stacks the
+cohorts into one streamed Predict
+(:meth:`~repro.gwas.session.KRRSession.predict_many`), so the
+train-side operand state is prepared once.
 
-Why not row-stack the cohorts into one big matrix?  BLAS level-3
-kernels are *row-shape-sensitive* in the last bits: an sgemm over an
-``m=33`` panel and the same 33 rows inside an ``m=233`` panel can
-round differently (small-``m`` dispatches use different accumulation
-kernels), so stacked predictions would not be bitwise equal to solo
-predictions for sub-tile or non-tile-aligned request sizes.  Sharing
-the operand context while keeping solo block shapes gives the
-amortization *and* the bitwise per-request contract.
+The exact part is row-stacked; the float part keeps solo shapes.  The
+INT8 SNP Gram is exact integer arithmetic, so its bits do not depend on
+the rows it runs over, and it runs once per *row group*: consecutive
+row batches, possibly from several cohorts, of at most one effective
+batch of rows.  Float BLAS products are *row-shape-sensitive* in the
+last bits: an sgemm over an ``m=33`` panel and the same 33 rows inside
+an ``m=233`` panel can round differently.  So the FP32 confounder
+Gram, a float ``snp_precision`` Gram and ``K·W`` run per cohort, with
+the tile-aligned block shapes a solo ``predict`` would use; batches
+and tile-row bands never straddle two cohorts.  That gives the shared
+Gram *and* the bitwise per-request contract.
 
 This module holds the model-independent parts: request-group
 validation and the tile-aligned row-slice plan (used for stats and
-tests; the slices mirror what ``iter_cross_rows`` executes).
+tests; the slices mirror the batches ``iter_cross_rows`` cuts each
+cohort into).
 """
 
 from __future__ import annotations

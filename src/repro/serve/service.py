@@ -12,14 +12,15 @@ with its predictions plus per-request latency/flops stats.
 Correctness contract: a request's predictions are **bitwise identical**
 to calling ``session.predict`` on that request's cohort alone,
 regardless of which other requests it was coalesced with (the
-micro-batch shares the quantized train-side operand context while each
-cohort keeps solo tile-aligned block shapes — see
-:meth:`~repro.gwas.session.KRRSession.predict_many` and
+micro-batch row-stacks its cohorts for the exact INT8 SNP Gram while
+every float product keeps each cohort's solo tile-aligned block shapes
+— see :meth:`~repro.gwas.session.KRRSession.predict_many` and
 ``docs/api.md``).
 
 Throughput contract: coalescing amortizes the per-predict fixed costs —
 quantization and BLAS float casts of the training panel, its squared
-norms, builder setup — across every request in the micro-batch;
+norms, builder setup — across every request in the micro-batch, and
+its cohorts share one SNP Gram product per row group;
 the ``serve_burst`` workload of ``BENCHMARK.json`` measures the
 resulting throughput and latency with 8 requests outstanding.
 """

@@ -116,30 +116,76 @@ class TestCrossBuild:
                 np.testing.assert_array_equal(streamed, whole.kernel)
                 assert sum(b.flops for b in blocks) == whole.flops
 
-    def test_a_batch_runs_the_pipeline_one_tile_row_band_at_a_time(
+    def test_one_int8_gram_per_row_group_assembled_band_by_band(
             self, genotypes, monkeypatch):
-        """The Gram/distance/exponent intermediates of a streamed batch
-        are band-sized (Build's row-task shape) however large the batch:
-        batch-sized ones made ``peak_rss_mb`` of a default fit depend on
-        where the allocator happened to put them."""
+        """The exact SNP Gram runs once per row group — consecutive
+        batches, across cohorts, of at most ``batch_rows`` rows — and
+        each tile-row band is assembled in place in the yielded block;
+        batches and bands never straddle a cohort."""
         from repro.distance import build
 
-        bands = []
-        pipeline = build.compute_kernel_rows
+        grams, bands = [], []
+        real_gemm, real_rows = build.gemm_mixed, build.compute_kernel_rows
 
-        def recording(ctx, gamma, snp_block, rs, cs):
-            bands.append((rs.start, rs.stop))
-            return pipeline(ctx, gamma, snp_block, rs, cs)
+        def gemm(a, b, **kw):
+            grams.append((a.shape[0], kw["variant"].name))
+            return real_gemm(a, b, **kw)
 
-        monkeypatch.setattr(build, "compute_kernel_rows", recording)
+        def rows(ctx, gamma, snp_block, rs, cs, out=None, gram=None):
+            bands.append(((rs.start, rs.stop), out))
+            return real_rows(ctx, gamma, snp_block, rs, cs, out=out, gram=gram)
+
+        monkeypatch.setattr(build, "gemm_mixed", gemm)
+        monkeypatch.setattr(build, "compute_kernel_rows", rows)
         builder = KernelBuilder(gamma=0.03, tile_size=16)
-        test, train = genotypes[:27], genotypes[27:]
-        block, = builder.iter_cross_rows(test, train)
-        assert block.kernel.shape == (27, train.shape[0])
-        assert bands == [(0, 16), (16, 27)]
-        bands.clear()
-        list(builder.iter_cross_rows(test, train, batch_rows=20))
-        assert bands == [(0, 16), (16, 20), (20, 27)]
+        test, train = genotypes[:50], genotypes[50:]
+        blocks = list(builder.iter_cross_rows(
+            test, train, batch_rows=32, cohort_rows=[5, 0, 20, 25]))
+        assert [(b.rows.start, b.rows.stop) for b in blocks] == [
+            (0, 5), (5, 25), (25, 50)]
+        # [5] + [20] fill one group of ≤ 32 rows; [25] opens the next
+        assert grams == [(25, "AB8I_C32I_OP32I"), (25, "AB8I_C32I_OP32I")]
+        assert [rs for rs, _ in bands] == [
+            (0, 5), (5, 21), (21, 25), (25, 41), (41, 50)]
+        owner = [0, 1, 1, 2, 2]
+        for (rs, out), b in zip(bands, owner):
+            assert np.shares_memory(out, blocks[b].kernel)
+        whole = builder.build_cross(test, train).kernel
+        np.testing.assert_array_equal(
+            np.vstack([b.kernel for b in blocks]), whole)
+
+    def test_no_float64_temporary_of_batch_size(self, genotypes):
+        """Producing a batch allocates its block, the group's 4-byte Gram
+        (briefly twice: the sgemm output and its INT32 store) and
+        nothing batch-sized in float64: the assembly writes in place."""
+        import tracemalloc
+
+        builder = KernelBuilder(gamma=0.03, tile_size=16)
+        train = np.tile(genotypes, (8, 1))
+        test = train[:128]
+        cache = builder.train_operands(train)
+        stream = builder.iter_cross_rows(test, train, batch_rows=64,
+                                         train_cache=cache)
+        next(stream)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            block = next(stream).kernel
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (64, train.shape[0])
+        band = 16 * train.shape[0] * 8
+        assert peak <= block.nbytes + block.nbytes // 2 * 2 + band
+
+    def test_an_empty_cohort_yields_no_batch(self, genotypes):
+        builder = KernelBuilder(gamma=0.03, tile_size=16)
+        train = genotypes[20:]
+        assert list(builder.iter_cross_rows(genotypes[:0], train)) == []
+        with pytest.raises(ValueError, match="partition"):
+            next(builder.iter_cross_rows(genotypes[:10], train,
+                                         cohort_rows=[4, 4]))
 
     def test_cross_with_confounders_requires_both(self, genotypes, confounders):
         builder = KernelBuilder(gamma=0.03, tile_size=16)

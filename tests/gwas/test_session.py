@@ -585,20 +585,74 @@ class TestGridSearchTieBreaking:
 class TestPredictMany:
     """The micro-batch primitive underneath repro.serve."""
 
-    def test_bitwise_equal_to_solo_predicts(self, cohort_512):
+    @pytest.mark.parametrize("options, n_conf", [
+        ({}, 0),
+        ({}, 3),
+        ({"kernel_type": "ibs"}, 0),
+        ({"snp_precision": "fp32"}, 0),   # a float Gram: no stacking
+        ({"snp_precision": "fp32"}, 3),
+    ])
+    def test_bitwise_equal_to_solo_predicts(self, cohort_512, options,
+                                            n_conf):
         g_train, y, _ = cohort_512
-        session = KRRSession(KRRConfig(tile_size=64))
-        session.fit(g_train, y)
         rng = np.random.default_rng(13)
-        # sub-tile, non-aligned and multi-batch cohorts
+        c_train = rng.normal(size=(g_train.shape[0], n_conf)) if n_conf else None
+        session = KRRSession(KRRConfig(tile_size=64, **options))
+        session.fit(g_train, y, c_train)
+        # empty, sub-tile, non-aligned, one-tile and multi-tile cohorts
+        sizes = (0, 1, 33, 64, 128, 130)
         cohorts = [rng.integers(0, 3, size=(m, g_train.shape[1])).astype(np.int8)
-                   for m in (1, 33, 64, 130)]
+                   for m in sizes]
+        confs = ([rng.normal(size=(m, n_conf)) for m in sizes] if n_conf
+                 else [None] * len(sizes))
+        refs = [session.predict(g, c) for g, c in zip(cohorts, confs)]
+        for batch_rows in (None, 64, 128):
+            outs = session.predict_many(cohorts, confs, batch_rows=batch_rows)
+            for out, ref, g, c in zip(outs, refs, cohorts, confs):
+                assert out.shape == (g.shape[0], y.shape[1])
+                assert np.array_equal(out, ref)
+                assert np.array_equal(
+                    out, session.predict(g, c, batch_rows=batch_rows))
+
+    @pytest.mark.parametrize("snp_precision, gram_rows", [
+        ("int8", [8 * 64]),      # one exact Gram for the micro-batch
+        ("fp32", [64] * 8),      # a float Gram keeps solo band shapes
+    ])
+    def test_eight_tile_cohorts_issue_one_snp_gram(
+            self, cohort_512, monkeypatch, snp_precision, gram_rows):
+        from repro.distance import build
+
+        g_train, y, _ = cohort_512
+        session = KRRSession(KRRConfig(tile_size=64,
+                                       snp_precision=snp_precision))
+        session.fit(g_train, y)
+        rng = np.random.default_rng(15)
+        cohorts = [rng.integers(0, 3, size=(64, g_train.shape[1])).astype(np.int8)
+                   for _ in range(8)]
         refs = [session.predict(c) for c in cohorts]
-        outs = session.predict_many(cohorts, batch_rows=64)
-        refs_batched = [session.predict(c, batch_rows=64) for c in cohorts]
-        for out, ref, ref_b in zip(outs, refs, refs_batched):
-            assert np.array_equal(out, ref)
-            assert np.array_equal(out, ref_b)
+        rows = []
+        real = build.gemm_mixed
+
+        def counting(a, b, **kw):
+            rows.append(a.shape[0])
+            return real(a, b, **kw)
+
+        monkeypatch.setattr(build, "gemm_mixed", counting)
+        outs = session.predict_many(cohorts)
+        assert rows == gram_rows
+        assert all(np.array_equal(o, r) for o, r in zip(outs, refs))
+
+    def test_an_empty_cohort_predicts_nothing(self, cohort_512):
+        g_train, y, _ = cohort_512
+        session = KRRSession(KRRConfig(tile_size=64, predict_batch_rows=None))
+        session.fit(g_train, y)
+        empty = g_train[:0]
+        assert session.predict(empty).shape == (0, y.shape[1])
+        cohorts = [g_train[:40], empty, g_train[40:100]]
+        outs = session.predict_many(cohorts)
+        assert outs[1].shape == (0, y.shape[1])
+        assert np.array_equal(outs[0], session.predict(cohorts[0]))
+        assert np.array_equal(outs[2], session.predict(cohorts[2]))
 
     def test_accounting_matches_solo_predicts(self, cohort_512):
         g_train, y, _ = cohort_512

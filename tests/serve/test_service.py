@@ -92,6 +92,29 @@ class TestBitwiseServing:
         assert service.stats.batches == 1
         assert service.stats.requests == len(request_cohorts)
 
+    def test_an_empty_request_leaves_its_micro_batch_bitwise(
+            self, fitted_session, request_cohorts):
+        """Monolithic batches (``predict_batch_rows=None``) with a 0-row
+        request coalesced among others: every request is answered."""
+        session = KRRSession(fitted_session.config.with_options(
+            predict_batch_rows=None))
+        session.fit(fitted_session.training_genotypes_,
+                    np.random.default_rng(41).standard_normal((N_TRAIN, NPH)))
+        cohorts = [request_cohorts[2], request_cohorts[0][:0],
+                   request_cohorts[6]]
+        service = PredictionService(
+            session.export_model(),
+            config=ServeConfig(batch_rows=None, batch_window_s=0.2),
+            autostart=False)
+        futures = [service.submit(c) for c in cohorts]
+        service.start()
+        results = [f.result(timeout=60) for f in futures]
+        service.close()
+        assert service.stats.batches == 1
+        assert results[1].predictions.shape == (0, NPH)
+        for result, cohort in zip(results, cohorts):
+            assert np.array_equal(result.predictions, session.predict(cohort))
+
     def test_per_request_mode_disables_coalescing(self, model,
                                                   request_cohorts):
         service = PredictionService(
