@@ -168,7 +168,10 @@ def main() -> None:
         # reload from the artifact and serve again: still bitwise exact
         budgeted.register("height", FittedModel.load(path, store=store))
         g, c = requests[0]
-        after_reload = budgeted.get("height").predict(g, c)
+        # the artifact is data: a session restored from it predicts
+        restored = KRRSession.from_model(budgeted.get("height"))
+        after_reload = restored.predict(g, c)
+        restored.close()
         reload_bitwise = np.array_equal(after_reload,
                                         sessions["fp32"].predict(g, c))
         print(f"  evicted under registry pressure: {evicted}; predict after "

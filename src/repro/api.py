@@ -20,12 +20,19 @@ Fitting and serving are decoupled by the immutable
 :class:`~repro.gwas.model.FittedModel` artifact: ``export_model()``
 extracts the predict-side state (weights, γ/α, SNP-panel contract and
 the storage-precision tiled factorization), ``save``/``load``
-round-trip it bitwise with each tile in its native precision bytes,
-and the :mod:`repro.serve` tier answers concurrent predict requests
-against registered models through tile-aligned micro-batches::
+round-trip it bitwise with each tile in its native precision bytes.
+The artifact is data only: ``KRRSession.from_model`` restores a
+session that predicts from it (close it when done), and the
+:mod:`repro.serve` tier answers concurrent predict requests against
+registered models through micro-batches at the model's
+``predict_batch_rows``::
 
     model = session.export_model()
     model.save("height.npz")
+
+    restored = KRRSession.from_model(FittedModel.load("height.npz"))
+    predictions = restored.predict(cohort)
+    restored.close()
 
     registry = ModelRegistry(max_resident_bytes=2 << 30)
     registry.register("height", FittedModel.load("height.npz"))

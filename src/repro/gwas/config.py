@@ -332,7 +332,9 @@ class KRRConfig(_WithOptionsMixin):
         one 4-byte INT8 SNP Gram for its row group, instead of the
         full ``n_test × n_train`` panel.  A row group is up to this
         many rows of consecutive batches; a serving micro-batch fills
-        it from several cohorts.  Rounded to a multiple of
+        it from several cohorts.  This is the only Predict batch size:
+        it travels with an exported model, so a serving host streams
+        at the size the model was fitted with.  Rounded to a multiple of
         ``tile_size`` at run time, minimum one tile (keeping batch
         boundaries on tile boundaries keeps the FP32 confounder Gram
         and ``K·W`` on their monolithic block shapes, so the batched
@@ -482,6 +484,9 @@ class KRRConfig(_WithOptionsMixin):
 class ServeConfig(_WithOptionsMixin):
     """Knobs of the :mod:`repro.serve` prediction service.
 
+    The service has no row-batch size of its own: a micro-batch streams
+    at the served model's ``KRRConfig.predict_batch_rows``.
+
     Parameters
     ----------
     max_batch_requests:
@@ -492,10 +497,6 @@ class ServeConfig(_WithOptionsMixin):
         How long the dispatcher keeps a partially-filled micro-batch
         open waiting for more requests before executing it.  The window
         bounds the queueing latency a request can pay to batching.
-    batch_rows:
-        Row-batch size of the streamed Predict inside a micro-batch
-        (rounded to a tile multiple, like
-        ``KRRConfig.predict_batch_rows`` which it overrides when set).
     max_queue_depth:
         Backpressure bound: ``submit`` sheds the request with a
         :class:`~repro.resilience.ServiceOverloadedError` when this
@@ -504,7 +505,7 @@ class ServeConfig(_WithOptionsMixin):
         Default per-request deadline, measured from submission.  A
         request still queued past its deadline fails fast with
         :class:`~repro.resilience.DeadlineExceededError` and is
-        excluded from micro-batch planning (no wasted kernel work).
+        dropped before its micro-batch executes (no wasted kernel work).
         ``None`` means no default deadline; ``submit``/``predict`` can
         override per request.
     dispatch_retries:
@@ -515,7 +516,6 @@ class ServeConfig(_WithOptionsMixin):
 
     max_batch_requests: int = 8
     batch_window_s: float = 0.002
-    batch_rows: int | None = None
     max_queue_depth: int | None = None
     request_deadline_s: float | None = None
     dispatch_retries: int = 1
@@ -525,8 +525,6 @@ class ServeConfig(_WithOptionsMixin):
             raise ValueError("max_batch_requests must be positive")
         if self.batch_window_s < 0:
             raise ValueError("batch_window_s must be non-negative")
-        if self.batch_rows is not None and self.batch_rows <= 0:
-            raise ValueError("batch_rows must be positive (or None)")
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive (or None)")
         if self.request_deadline_s is not None and self.request_deadline_s <= 0:

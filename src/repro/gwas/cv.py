@@ -182,9 +182,7 @@ def grid_search_cv(
                 # (store budget) must not wait for the collector, nor
                 # this fold's cross kernel and weights for the next
                 # fold's to be built beside them
-                session.runtime.close()
-                if session.store is not None:
-                    session.store.close()
+                session.close()
                 cross = pred = path = None
 
     for key, errs in fold_scores.items():

@@ -16,13 +16,15 @@ solves) needs, and nothing else:
   enough to keep resident (and what the artifact's on-disk footprint
   reflects, via :mod:`repro.tiles.serialize`).
 
-``KRRSession.export_model()`` produces the artifact;
-``KRRSession.from_model()`` reconstitutes a serving session — so
-associate-sweeps and the serving path share one model shape.
-``save``/``load`` round-trip the artifact through a single ``.npz``
-archive with each tile in its native precision bytes, and a loaded
-model predicts **bitwise identically** to the in-memory session that
-exported it.
+The artifact is data only: it predicts nothing itself and holds no
+runtime.  ``KRRSession.export_model()`` produces it;
+``KRRSession.from_model()`` reconstitutes a session that predicts and
+solves from it, owned (and closed) by its caller — so associate-sweeps
+and the serving path share one model shape.  ``save``/``load``
+round-trip the artifact through a single ``.npz`` archive with each
+tile in its native precision bytes, and a session restored from a
+loaded model predicts **bitwise identically** to the in-memory session
+that exported it.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class FittedModel:
         Per-phenotype training means added back onto predictions.
     factor:
         Lower-triangular tiled Cholesky factor of ``K + alpha*I`` in
-        its storage-precision mosaic (used by
-        :meth:`solve_additional_phenotypes` via a restored session).
+        its storage-precision mosaic (used by a restored session's
+        ``solve_additional_phenotypes``).
     training_genotypes, training_confounders:
         The training cohort the cross kernel is computed against.
     """
@@ -119,7 +121,6 @@ class FittedModel:
         if self.weights.shape[0] != self.training_genotypes.shape[0]:
             raise ValueError(
                 "weights must have one row per training individual")
-        self._session = None  # lazily-built serving session
 
     # ------------------------------------------------------------------
     # shape / footprint introspection
@@ -173,38 +174,6 @@ class FittedModel:
             fl += 2.0 * rows * self.n_train * self.training_confounders.shape[1]
         fl += 2.0 * rows * self.n_train * self.n_phenotypes
         return fl
-
-    # ------------------------------------------------------------------
-    # predict (delegating to a lazily-restored session)
-    # ------------------------------------------------------------------
-    def session(self):
-        """The model's serving session (created on first use, cached).
-
-        The cached session owns one task :class:`~repro.runtime.runtime.Runtime`
-        and is **not** thread-safe; concurrent callers go through
-        :class:`repro.serve.PredictionService`, which serializes
-        execution on one dispatcher.  An artifact carries no
-        ``workers`` / ``execution``: the session resolves them on this
-        host, and a serving host that wants its own pair builds the
-        session itself, ``KRRSession.from_model(model, workers=...,
-        execution=...)``.
-        """
-        from repro.gwas.session import KRRSession
-
-        if self._session is None:
-            self._session = KRRSession.from_model(self)
-        return self._session
-
-    def predict(self, genotypes: np.ndarray,
-                confounders: np.ndarray | None = None,
-                batch_rows: int | None = None) -> np.ndarray:
-        """Predict a cohort — bitwise equal to the exporting session."""
-        return self.session().predict(genotypes, confounders,
-                                      batch_rows=batch_rows)
-
-    def solve_additional_phenotypes(self, phenotypes: np.ndarray) -> np.ndarray:
-        """Solve extra phenotype panels against the persisted factors."""
-        return self.session().solve_additional_phenotypes(phenotypes)
 
     # ------------------------------------------------------------------
     # (de)serialization

@@ -20,18 +20,20 @@ The memory contract per phase:
   solve runs blockwise against the tiled factors.
 * **Predict** — the test cohort streams through
   :meth:`~repro.distance.build.KernelBuilder.iter_cross_rows` in row
-  batches (``KRRConfig.predict_batch_rows``), computing
-  ``K_test_block · W`` per block; the peak cross-kernel temporary is
-  one batch plus one 4-byte INT8 Gram for its row group, instead of
-  the full ``n_test × n_train`` panel.
+  batches (``KRRConfig.predict_batch_rows``, the one batch size),
+  computing ``K_test_block · W`` per block; the peak cross-kernel
+  temporary is one batch plus one 4-byte INT8 Gram for its row group,
+  instead of the full ``n_test × n_train`` panel.
 
 Each session owns a single session-long
 :class:`~repro.runtime.runtime.Runtime`: every phase — the Build row
 tasks, the Cholesky tile tasks, the per-tile-row triangular-solve
 tasks and the per-batch Predict GEMMs — inserts its task DAG there and
 executes under one out-of-order threaded scheduler
-(``KRRConfig.workers`` / ``KRRConfig.execution``).  The runtime's
-per-phase ledger (``runtime.ledger``) is the only operation tally:
+(``KRRConfig.workers`` / ``KRRConfig.execution``);
+:meth:`KRRSession.close` releases its worker pool and the session
+store's spill files.  The runtime's per-phase ledger
+(``runtime.ledger``) is the only operation tally:
 ``phase_flops`` / ``flops_by_precision`` are reads of it, and the
 sessions keep no flop state of their own.
 
@@ -63,26 +65,7 @@ from repro.settings import Settings
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
 
-__all__ = ["KRRSession", "RRSession", "effective_batch_rows"]
-
-
-def effective_batch_rows(tile_size: int, batch_rows: int | None) -> int | None:
-    """Round a Predict row-batch request to a tile-size multiple.
-
-    The exact INT8 SNP Gram does not care: it runs once per row group
-    of up to one batch, whatever the shape.  Tile alignment protects
-    the products that round — the FP32 confounder Gram, run per
-    tile-row band, and ``K·W``, run per batch — which keep the same
-    BLAS kernel dispatch as the monolithic path; that is what makes
-    the batched predictions bitwise identical to it.  Sub-tile batches
-    would drop the confounder contribution into a GEMV with a
-    different accumulation order.  ``None`` (one monolithic batch)
-    passes through.
-    """
-    if batch_rows is None:
-        return None
-    batch = max(tile_size, int(batch_rows))
-    return (batch // tile_size) * tile_size
+__all__ = ["KRRSession", "RRSession"]
 
 
 class KRRSession:
@@ -184,6 +167,17 @@ class KRRSession:
         identical fit/predict results.
         """
         return self.store.stats.snapshot() if self.store is not None else None
+
+    def close(self) -> None:
+        """Release the runtime's worker pool, then the store's spill files.
+
+        Idempotent.  Without it both wait for the garbage collector;
+        whoever holds a session for a while (a sweep fold, a serving
+        host) closes it when done.  Spilled tiles are unreadable after.
+        """
+        self.runtime.close()
+        if self.store is not None:
+            self.store.close()
 
     @property
     def phase_flops(self) -> dict[str, float]:
@@ -523,22 +517,13 @@ class KRRSession:
         if (confounders is None) != (self.training_confounders_ is None):
             raise ValueError("confounders must match the training configuration")
 
-    def _batch(self, batch_rows: int | None) -> int | None:
-        if batch_rows is None:
-            batch_rows = self.config.predict_batch_rows
-        return effective_batch_rows(self.config.tile_size, batch_rows)
-
     def predict(self, genotypes: np.ndarray,
                 confounders: np.ndarray | None = None,
-                batch_rows: int | None = None,
                 phase: str = "predict") -> np.ndarray:
         """Predict phenotypes for a new cohort (Algorithm 4), streamed:
-        ``K_test_block · W`` per row batch.
-
-        ``batch_rows`` overrides ``config.predict_batch_rows``; the
-        effective batch is rounded down to a tile-size multiple so the
-        batched result is identical to the monolithic cross-kernel
-        path.  Peak memory is one ``batch × n_train`` block.
+        ``K_test_block · W`` per row batch of
+        ``config.predict_batch_rows``.  Peak memory is one
+        ``batch × n_train`` block.
 
         ``phase`` labels the runtime tasks and the ledger entry — the
         prediction service tags its micro-batches ``"serve"`` so the
@@ -547,10 +532,9 @@ class KRRSession:
         genotypes = np.asarray(genotypes)
         self._check_test_cohort(genotypes, confounders)
         return self._predict_rows(genotypes, confounders,
-                                  [genotypes.shape[0]], batch_rows, phase)
+                                  [genotypes.shape[0]], phase)
 
     def predict_many(self, genotype_list, confounder_list=None,
-                     batch_rows: int | None = None,
                      phase: str = "predict") -> list[np.ndarray]:
         """Predict several cohorts as one micro-batch (Serve phase).
 
@@ -582,15 +566,28 @@ class KRRSession:
         confounders = (None if confounder_list[0] is None
                        else np.vstack(confounder_list))
         predictions = self._predict_rows(np.vstack(cohorts), confounders,
-                                         sizes, batch_rows, phase)
+                                         sizes, phase)
         return np.split(predictions, np.cumsum(sizes)[:-1])
 
     def _predict_rows(self, genotypes: np.ndarray,
                       confounders: np.ndarray | None, cohort_rows: list[int],
-                      batch_rows: int | None, phase: str) -> np.ndarray:
+                      phase: str) -> np.ndarray:
         """The one Predict loop: ``K_test_block · W`` per streamed batch
-        of the row-stacked cohorts ``cohort_rows``."""
+        of the row-stacked cohorts ``cohort_rows``.
+
+        The batch is ``config.predict_batch_rows`` rounded down to a
+        tile multiple, minimum one tile (``None``: one batch per
+        cohort).  The exact INT8 SNP Gram does not care; the products
+        that round — the FP32 confounder Gram, run per tile-row band,
+        and ``K·W``, run per batch — keep the monolithic path's BLAS
+        block shapes, so batched predictions are bitwise the monolithic
+        ones.  A sub-tile batch would turn the confounder term into a
+        GEMV with another accumulation order.
+        """
         cfg = self.config
+        batch = cfg.predict_batch_rows
+        if batch is not None:
+            batch = max(1, batch // cfg.tile_size) * cfg.tile_size
         started = time.perf_counter()
         builder = self._builder(self.gamma_, trace_phase=phase)
         wp = cfg.precision_plan.working_precision
@@ -600,7 +597,7 @@ class KRRSession:
         for block in builder.iter_cross_rows(
                 genotypes, self.training_genotypes_,
                 confounders, self.training_confounders_,
-                batch_rows=self._batch(batch_rows), cohort_rows=cohort_rows):
+                batch_rows=batch, cohort_rows=cohort_rows):
             gemm_fl = 2.0 * (block.rows.stop - block.rows.start) * n_train * nph
             # per-batch task on the session runtime: it carries the
             # block's Gram flops plus the K_test_block @ W GEMM, split
@@ -753,9 +750,10 @@ class KRRSession:
         The restored session predicts (and factor-reuses) bitwise
         identically to the exporting session; it owns a fresh
         :class:`~repro.runtime.runtime.Runtime` whose concurrency
-        resolves on *this* host (``workers``/``execution`` override).
-        ``build``/``associate`` remain available but start from scratch
-        — the artifact does not carry the training kernel.
+        resolves on *this* host (``workers``/``execution`` override), and
+        its caller closes it (:meth:`close`).  ``build``/``associate``
+        remain available but start from scratch — the artifact does not
+        carry the training kernel.
         """
         overrides = {}
         if workers is not None:

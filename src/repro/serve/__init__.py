@@ -1,4 +1,4 @@
-"""Model serving: registry, micro-batching, concurrent prediction.
+"""Model serving: registry and concurrent, micro-batched prediction.
 
 The serving tier turns fitted-model artifacts
 (:class:`~repro.gwas.model.FittedModel`) into a request/response
@@ -9,32 +9,21 @@ prediction API:
     precision-aware resident tile bytes.
 ``PredictionService``
     Accepts concurrent per-cohort predict requests, coalesces them
-    into micro-batches (one row-stacked INT8 SNP Gram per row group,
-    solo tile-aligned shapes for every float product), executes on one
-    shared session runtime
-    per model, and returns per-request latency/flops stats.
-``plan_micro_batch`` / ``micro_batch_slices``
-    Request-group validation and streaming geometry underneath the
-    micro-batcher.
+    into micro-batches — each one
+    :meth:`~repro.gwas.session.KRRSession.predict_many` at the model's
+    ``predict_batch_rows`` (one row-stacked INT8 SNP Gram per row
+    group, solo tile-aligned shapes for every float product) — on one
+    serving session per model, which it closes on ``close()``, and
+    returns per-request latency/flops stats.
 
 See the "Model artifacts & serving" section of ``docs/api.md`` for the
 correctness (bitwise per-request) and batching guarantees.
 """
 
-from repro.serve.batching import (
-    MicroBatchPlan,
-    effective_batch_rows,
-    micro_batch_slices,
-    plan_micro_batch,
-)
 from repro.serve.registry import ModelKey, ModelRegistry, RegisteredModel
 from repro.serve.service import PredictionService, PredictResult, ServiceStats
 
 __all__ = [
-    "MicroBatchPlan",
-    "plan_micro_batch",
-    "micro_batch_slices",
-    "effective_batch_rows",
     "ModelKey",
     "ModelRegistry",
     "RegisteredModel",

@@ -3,11 +3,17 @@
 ``PredictionService`` is the serving front end of the reproduction:
 clients submit per-cohort predict requests concurrently; a single
 dispatcher thread coalesces queued requests for the same model into
-**micro-batches** (:mod:`repro.serve.batching`), executes them through
-the model's serving session — one shared task
+**micro-batches**, executes each as one
+:meth:`~repro.gwas.session.KRRSession.predict_many` on the model's
+serving session — one shared task
 :class:`~repro.runtime.runtime.Runtime`, the same threaded out-of-order
 scheduler that runs the fit phases — and resolves each request's future
-with its predictions plus per-request latency/flops stats.
+with its predictions plus per-request latency/flops stats.  A request
+is validated at :meth:`PredictionService.submit` and again at the
+session boundary; the row batch is the model's
+``KRRConfig.predict_batch_rows``.  :meth:`PredictionService.close`
+closes the serving sessions, as does retiring the session of a model
+the registry evicted.
 
 Correctness contract: a request's predictions are **bitwise identical**
 to calling ``session.predict`` on that request's cohort alone,
@@ -45,7 +51,6 @@ from repro.resilience.errors import (
     is_transient,
 )
 from repro.resilience.faults import SITE_SERVE_DISPATCH, inject
-from repro.serve.batching import plan_micro_batch
 from repro.serve.registry import ModelKey, ModelRegistry
 
 __all__ = [
@@ -89,9 +94,6 @@ class PredictResult:
         (shared across its ``coalesced_requests``).
     coalesced_requests:
         How many requests the micro-batch merged (1 = no coalescing).
-    micro_batches:
-        Tile-aligned row batches this request's cohort streamed
-        through inside the micro-batch.
     """
 
     predictions: np.ndarray
@@ -102,7 +104,6 @@ class PredictResult:
     queue_s: float
     compute_s: float
     coalesced_requests: int
-    micro_batches: int
 
 
 @dataclass
@@ -210,11 +211,14 @@ class PredictionService:
         return self
 
     def close(self) -> None:
-        """Drain queued requests, then stop the dispatcher.
+        """Drain queued requests, stop the dispatcher, close the sessions.
 
         Requests enqueued before :meth:`start` are drained too: if no
         dispatcher thread ever ran, the dispatch loop executes once on
         the closing thread so no submitted future is left unresolved.
+        Then every serving session is closed
+        (:meth:`~repro.gwas.session.KRRSession.close`): no worker
+        process or spill file outlives the service.
         """
         with self._cond:
             if self._closed:
@@ -229,6 +233,9 @@ class PredictionService:
             # autostart=False and never started: serve the backlog
             # inline (the loop exits once the queue is empty)
             self._dispatch_loop()
+        for session in self._sessions.values():
+            session.close()
+        self._sessions.clear()
 
     def __enter__(self) -> "PredictionService":
         return self.start()
@@ -257,7 +264,7 @@ class PredictionService:
         ``ServeConfig.request_deadline_s``) bounds how long the request
         may wait — an expired request fails fast with
         :class:`~repro.resilience.errors.DeadlineExceededError` and is
-        excluded from micro-batch planning, so the dispatcher never
+        dropped before its micro-batch executes, so the dispatcher never
         burns flops on a caller that has already given up.
         """
         return self._enqueue(self._make_request(
@@ -416,12 +423,13 @@ class PredictionService:
                                             execution=self._execution)
             self._sessions[key] = session
             # retire serving sessions of models the registry evicted
-            self._sessions = {k: s for k, s in self._sessions.items()
-                              if k == key or k in self.registry}
+            for k in [k for k in self._sessions
+                      if k != key and k not in self.registry]:
+                self._sessions.pop(k).close()
         return session
 
     def _cull(self, batch: list[_PendingRequest]) -> list[_PendingRequest]:
-        """Drop expired and abandoned requests before planning the batch.
+        """Drop expired and abandoned requests before the batch executes.
 
         Expired requests fail fast with a typed
         :class:`DeadlineExceededError`; cancelled futures (a caller's
@@ -454,13 +462,8 @@ class PredictionService:
         try:
             key, model = batch[0].key, batch[0].model
             session = self._session_for(key, model)
-            batch_rows = (self.config.batch_rows
-                          if self.config.batch_rows is not None
-                          else session.config.predict_batch_rows)
             genotypes = [r.genotypes for r in batch]
             confounders = [r.confounders for r in batch]
-            plan = plan_micro_batch(genotypes, confounders,
-                                    session.config.tile_size, batch_rows)
             retries = 0
             while True:
                 try:
@@ -469,7 +472,7 @@ class PredictionService:
                     parts = session.predict_many(
                         genotypes,
                         None if batch[0].confounders is None else confounders,
-                        batch_rows=batch_rows, phase=SERVE_PHASE)
+                        phase=SERVE_PHASE)
                     break
                 except Exception as exc:
                     # transient faults (injected or I/O) re-dispatch the
@@ -494,10 +497,12 @@ class PredictionService:
 
         done = time.perf_counter()
         total_flops = 0.0
-        for req, preds, row_batches in zip(batch, parts, plan.row_batches):
+        total_rows = 0
+        for req, preds in zip(batch, parts):
             rows = preds.shape[0]
             flops = req.model.predict_flops(rows)
             total_flops += flops
+            total_rows += rows
             req.future.set_result(PredictResult(
                 predictions=preds,
                 model_key=req.key,
@@ -507,13 +512,12 @@ class PredictionService:
                 queue_s=t0 - req.submitted_at,
                 compute_s=compute_s,
                 coalesced_requests=len(batch),
-                micro_batches=row_batches,
             ))
         with self._cond:
             s = self._stats
             s.requests += len(batch)
             s.batches += 1
-            s.rows += plan.total_rows
+            s.rows += total_rows
             s.flops += total_flops
             s.compute_s += compute_s
             s.max_coalesced = max(s.max_coalesced, len(batch))

@@ -220,7 +220,6 @@ class TestServeConfig:
         cfg = ServeConfig()
         assert cfg.max_batch_requests == 8
         assert cfg.batch_window_s > 0
-        assert cfg.batch_rows is None
         assert cfg.max_queue_depth is None
 
     def test_validation(self):
@@ -230,8 +229,6 @@ class TestServeConfig:
             ServeConfig(max_batch_requests=0)
         with pytest.raises(ValueError):
             ServeConfig(batch_window_s=-1.0)
-        with pytest.raises(ValueError):
-            ServeConfig(batch_rows=0)
         with pytest.raises(ValueError):
             ServeConfig(max_queue_depth=0)
 

@@ -12,6 +12,7 @@ import pytest
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.cv import CrossValidationResult, grid_search_cv
 from repro.gwas.session import KRRSession
+from tests.gwas.test_model import _restored
 
 ALPHAS = (0.25, 1.0, 4.0)
 GAMMAS = (0.01, 0.05)
@@ -478,7 +479,8 @@ class TestOneSolveRule:
         if solver == "cg":
             assert session.cg_fallbacks_ == 2
         np.testing.assert_array_equal(
-            session.export_model().solve_additional_phenotypes(extra),
+            _restored(session.export_model(), "solve_additional_phenotypes",
+                      extra),
             self._session(cohort, "direct").associate(extra, alpha=1.0))
 
     @pytest.mark.parametrize("solver", ["direct", "cg"])

@@ -1,7 +1,8 @@
 """Tests for the FittedModel artifact: export, save/load, bitwise predict.
 
-The headline acceptance contract: ``FittedModel.load(p).predict(X)``
-equals the originating session's ``predict(X)`` **exactly** across
+The headline acceptance contract: a session restored from
+``FittedModel.load(p)`` predicts ``X`` **exactly** like the
+originating session's ``predict(X)``, across
 fp64, fp32, adaptive-fp16 and adaptive-fp8 plans, and the serialized
 adaptive-fp8 artifact is measurably smaller than the fp32 one.
 """
@@ -13,6 +14,7 @@ from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.model import FittedModel
 from repro.gwas.session import KRRSession
 from repro.precision.formats import Precision
+from repro.runtime.runtime import Runtime
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,15 @@ def _fitted(cohort, plan) -> KRRSession:
     session = KRRSession(KRRConfig(tile_size=64, precision_plan=plan))
     session.fit(g_train, y)
     return session
+
+
+def _restored(model, call, *args):
+    """``call`` on a session restored from ``model``, closed after."""
+    session = KRRSession.from_model(model)
+    try:
+        return getattr(session, call)(*args)
+    finally:
+        session.close()
 
 
 class TestExport:
@@ -76,15 +87,25 @@ class TestExport:
         g_train, y, g_test = cohort
         session = _fitted(cohort, PrecisionPlan.fp32())
         model = session.export_model()
-        ref = model.predict(g_test)
+        ref = _restored(model, "predict", g_test)
         session.associate(y, alpha=50.0)  # mutates the session, not the model
-        assert np.array_equal(model.predict(g_test), ref)
+        assert np.array_equal(_restored(model, "predict", g_test), ref)
 
     def test_factor_keeps_the_storage_mosaic(self, cohort):
         model = _fitted(cohort, PrecisionPlan.adaptive_fp8()).export_model()
         by_prec = model.footprint_by_precision()
         assert Precision.FP8_E4M3 in by_prec, (
             "the adaptive-fp8 factor should store FP8 tiles")
+
+    def test_the_artifact_is_data_only(self, cohort):
+        """No predict entry point and no runtime: a session restored by
+        ``KRRSession.from_model`` is what predicts, and its caller
+        closes it."""
+        model = _fitted(cohort, PrecisionPlan.fp32()).export_model()
+        for name in ("session", "predict", "solve_additional_phenotypes"):
+            assert not hasattr(model, name)
+        assert not any(isinstance(v, (KRRSession, Runtime))
+                       for v in vars(model).values())
 
     def test_predict_flops_linear_in_rows(self, cohort):
         model = _fitted(cohort, PrecisionPlan.fp32()).export_model()
@@ -100,10 +121,7 @@ class TestBitwiseRoundTrip:
         ref = session.predict(g_test)
         path = session.export_model().save(tmp_path / "model")
         loaded = FittedModel.load(path)
-        assert np.array_equal(loaded.predict(g_test), ref)
-        # and a full serving session restored from the artifact agrees
-        restored = KRRSession.from_model(loaded)
-        assert np.array_equal(restored.predict(g_test), ref)
+        assert np.array_equal(_restored(loaded, "predict", g_test), ref)
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_factor_round_trips_bitwise(self, cohort, plan, tmp_path):
@@ -129,8 +147,8 @@ class TestBitwiseRoundTrip:
         ref = np.asarray(session.solve_additional_phenotypes(extra))
         loaded = FittedModel.load(
             session.export_model().save(tmp_path / "model"))
-        assert np.array_equal(
-            np.asarray(loaded.solve_additional_phenotypes(extra)), ref)
+        assert np.array_equal(np.asarray(_restored(
+            loaded, "solve_additional_phenotypes", extra)), ref)
 
     def test_confounders_round_trip(self, cohort, tmp_path):
         g_train, y, g_test = cohort
@@ -143,9 +161,10 @@ class TestBitwiseRoundTrip:
         loaded = FittedModel.load(
             session.export_model().save(tmp_path / "model"))
         assert loaded.training_confounders is not None
-        assert np.array_equal(loaded.predict(g_test, conf_test), ref)
+        assert np.array_equal(
+            _restored(loaded, "predict", g_test, conf_test), ref)
         with pytest.raises(ValueError):
-            loaded.predict(g_test)  # confounder contract enforced
+            _restored(loaded, "predict", g_test)  # confounder contract
 
     def test_resident_bytes_survive_the_round_trip(self, cohort, tmp_path):
         model = _fitted(cohort, PrecisionPlan.adaptive_fp8()).export_model()

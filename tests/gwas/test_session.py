@@ -15,7 +15,7 @@ from repro.distance.build import KernelBuilder
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.cv import grid_search_cv, kfold_indices
 from repro.gwas.metrics import mean_squared_prediction_error
-from repro.gwas.session import KRRSession, effective_batch_rows
+from repro.gwas.session import KRRSession
 from repro.linalg.blas3 import gemm
 from repro.linalg.cholesky import cholesky
 from repro.linalg.solve import solve_cholesky, solve_triangular
@@ -99,8 +99,7 @@ class TestNoDenseRoundTrip:
         n, n_test = g_train.shape[0], g_test.shape[0]
         session = KRRSession(KRRConfig(tile_size=64))
         session.fit(g_train, y)
-        batch = min(n_test, effective_batch_rows(
-            64, session.config.predict_batch_rows))
+        batch = min(n_test, session.config.predict_batch_rows)
         dense_peak = 2 * n * n * 8 + n_test * n * 8
         tile_peak = session.kernel_.nbytes() + batch * n * 8
         assert dense_peak >= 2 * tile_peak
@@ -146,14 +145,37 @@ class TestSeedPathEquivalence:
 
     def test_batched_predict_matches_monolithic(self, cohort_512):
         g_train, y, g_test = cohort_512
-        session = KRRSession(KRRConfig(tile_size=64))
-        session.fit(g_train, y)
-        monolithic = session.predict(g_test, batch_rows=g_test.shape[0])
-        batched = session.predict(g_test, batch_rows=64)
-        # sub-tile requests are clamped up to one tile
-        clamped = session.predict(g_test, batch_rows=1)
+
+        def predict(batch_rows):
+            session = KRRSession(KRRConfig(tile_size=64,
+                                           predict_batch_rows=batch_rows))
+            session.fit(g_train, y)
+            predictions = session.predict(g_test)
+            return predictions, session.runtime.ledger["predict"].tasks
+
+        monolithic, tasks = predict(None)
+        assert tasks == {"gemm": 1}
+        batched, tasks = predict(64)
+        assert tasks == {"gemm": 4}    # 64 + 64 + 64 + 8 rows
         np.testing.assert_array_equal(batched, monolithic)
+        # a sub-tile batch is clamped up to one tile
+        clamped, tasks = predict(1)
+        assert tasks == {"gemm": 4}
         np.testing.assert_array_equal(clamped, monolithic)
+
+    @pytest.mark.parametrize("batch_rows, batches", [
+        (100, 4), (128, 2), (190, 2), (1, 4), (None, 1)])
+    def test_the_batch_is_rounded_down_to_whole_tiles(self, batch_rows,
+                                                      batches):
+        """``predict_batch_rows`` rounds down to a tile multiple, at
+        least one tile: a 200-row cohort streams in ``batches`` GEMMs."""
+        rng = np.random.default_rng(3)
+        g = rng.integers(0, 3, size=(128, 32)).astype(np.int8)
+        session = KRRSession(KRRConfig(tile_size=64,
+                                       predict_batch_rows=batch_rows))
+        session.fit(g, rng.standard_normal(128))
+        session.predict(rng.integers(0, 3, size=(200, 32)).astype(np.int8))
+        assert session.runtime.ledger["predict"].tasks == {"gemm": batches}
 
 
 def _indefinite_kernel(n: int, min_eig: float, seed: int = 0) -> np.ndarray:
@@ -607,12 +629,15 @@ class TestPredictMany:
                  else [None] * len(sizes))
         refs = [session.predict(g, c) for g, c in zip(cohorts, confs)]
         for batch_rows in (None, 64, 128):
-            outs = session.predict_many(cohorts, confs, batch_rows=batch_rows)
+            batched = KRRSession(KRRConfig(tile_size=64,
+                                           predict_batch_rows=batch_rows,
+                                           **options))
+            batched.fit(g_train, y, c_train)
+            outs = batched.predict_many(cohorts, confs)
             for out, ref, g, c in zip(outs, refs, cohorts, confs):
                 assert out.shape == (g.shape[0], y.shape[1])
                 assert np.array_equal(out, ref)
-                assert np.array_equal(
-                    out, session.predict(g, c, batch_rows=batch_rows))
+                assert np.array_equal(out, batched.predict(g, c))
 
     @pytest.mark.parametrize("snp_precision, gram_rows", [
         ("int8", [8 * 64]),      # one exact Gram for the micro-batch

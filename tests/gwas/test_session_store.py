@@ -90,9 +90,10 @@ class TestBudgetedFitPredict:
         path = model.save(tmp_path / "model.npz")
         from repro.gwas.model import FittedModel
 
-        loaded = FittedModel.load(path)
-        np.testing.assert_array_equal(loaded.predict(g_test),
+        restored = KRRSession.from_model(FittedModel.load(path))
+        np.testing.assert_array_equal(restored.predict(g_test),
                                       ref.predict(g_test))
+        restored.close()
 
 
 class TestStoreWiring:

@@ -25,6 +25,7 @@ from repro.resilience.faults import (
     fault_plan,
 )
 from repro.serve.service import PredictionService
+from tests.gwas.test_model import _restored
 
 N_TRAIN, NS = 128, 32
 
@@ -118,7 +119,7 @@ class TestDeadlines:
 
     def test_survivors_unharmed_by_expired_batchmates(self, model, cohort):
         """An expired request is culled; the rest of its batch answers."""
-        solo = KRRSession.from_model(model).predict(cohort)
+        solo = _restored(model, "predict", cohort)
         config = ServeConfig(max_batch_requests=4, batch_window_s=0.15)
         with PredictionService(model, config=config) as service:
             doomed = service.submit(cohort, deadline_s=0.02)
@@ -149,7 +150,7 @@ class TestAbandonment:
 
 class TestDispatchRetry:
     def test_transient_dispatch_fault_retried_bitwise(self, model, cohort):
-        solo = KRRSession.from_model(model).predict(cohort)
+        solo = _restored(model, "predict", cohort)
         plan = FaultPlan([FaultSite(site=SITE_SERVE_DISPATCH, kind="raise",
                                     times=1)])
         with fault_plan(plan):

@@ -104,7 +104,7 @@ class TestBitwiseServing:
                    request_cohorts[6]]
         service = PredictionService(
             session.export_model(),
-            config=ServeConfig(batch_rows=None, batch_window_s=0.2),
+            config=ServeConfig(batch_window_s=0.2),
             autostart=False)
         futures = [service.submit(c) for c in cohorts]
         service.start()
@@ -139,13 +139,26 @@ class TestRequestStats:
         assert result.compute_s > 0
         assert result.model_key == ModelKey(DEFAULT_MODEL_NAME, 1)
 
-    def test_micro_batch_count_reflects_streaming(self, model):
+    @pytest.mark.parametrize("batch_rows, batches", [
+        (64, 3),     # 64 + 64 + 22
+        (1, 3),      # clamped up to one tile
+        (None, 1),   # the cohort in one batch
+    ])
+    def test_the_models_batch_rows_govern_streaming(self, fitted_session,
+                                                    batch_rows, batches):
+        """The service has no batch size: a micro-batch streams at the
+        model's ``predict_batch_rows``, bitwise the solo predict."""
         rng = np.random.default_rng(5)
         cohort = rng.integers(0, 3, size=(150, NS)).astype(np.int8)
-        with PredictionService(
-                model, config=ServeConfig(batch_rows=64)) as service:
+        session = KRRSession(fitted_session.config.with_options(
+            predict_batch_rows=batch_rows))
+        session.fit(fitted_session.training_genotypes_,
+                    rng.standard_normal((N_TRAIN, NPH)))
+        with PredictionService(session.export_model()) as service:
             result = service.predict(cohort, timeout=60)
-        assert result.micro_batches == 3  # 64 + 64 + 22
+            serving = next(iter(service._sessions.values()))
+        assert serving.runtime.ledger[SERVE_PHASE].tasks == {"gemm": batches}
+        assert np.array_equal(result.predictions, session.predict(cohort))
 
     def test_stats_accumulate(self, model, request_cohorts):
         with PredictionService(model) as service:
@@ -221,6 +234,18 @@ class TestValidationAndLifecycle:
         with PredictionService(model, autostart=False) as service:
             with pytest.raises(ValueError, match="SNP"):
                 service.submit(np.zeros((4, NS + 1), dtype=np.int8))
+
+    def test_non_2d_cohort_rejected_at_submit(self, model):
+        with PredictionService(model, autostart=False) as service:
+            with pytest.raises(ValueError, match="2D"):
+                service.submit(np.zeros(NS, dtype=np.int8))
+
+    def test_confounder_list_of_the_wrong_length_rejected(self,
+                                                          fitted_session,
+                                                          request_cohorts):
+        cohorts = request_cohorts[:2]
+        with pytest.raises(ValueError, match="one entry per cohort"):
+            fitted_session.predict_many(cohorts, confounder_list=[None])
 
     def test_confounder_contract_rejected_at_submit(self, model):
         with PredictionService(model, autostart=False) as service:
@@ -342,3 +367,64 @@ class TestReviewRegressions:
         for f, ref in zip(futures, solo_predictions[:3]):
             assert np.array_equal(f.result(timeout=1).predictions, ref)
         assert service.stats.requests == 3
+
+
+class TestServiceReleasesItsSessions:
+    """``close()`` closes every serving session's runtime and store, and
+    so does retiring the session of a model the registry evicted —
+    nothing is left to the collector."""
+
+    def _serve(self, model, request_cohorts, **options):
+        service = PredictionService(model, autostart=False, **options)
+        futures = [service.submit(c) for c in request_cohorts[:3]]
+        service.start()
+        for f in futures:
+            f.result(timeout=60)
+        sessions = list(service._sessions.values())
+        service.close()
+        return sessions
+
+    def test_no_worker_process_outlives_the_service(self, model,
+                                                    request_cohorts):
+        import multiprocessing
+
+        def workers():
+            return {p.pid for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-worker")}
+
+        before = workers()
+        sessions = self._serve(model, request_cohorts, workers=2,
+                               execution="process")
+        assert workers() <= before
+        assert all(s.runtime.last_result is not None for s in sessions)
+
+    def test_no_segment_file_outlives_the_service(self, model,
+                                                  request_cohorts,
+                                                  monkeypatch, tmp_path):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_BUDGET", "1m")
+        sessions = self._serve(model, request_cohorts)
+        assert all(s.store is not None for s in sessions)
+        assert not list(tmp_path.rglob("seg-*.bin"))
+        assert not list(tmp_path.glob("repro-store-*"))
+
+    def test_an_evicted_models_session_is_closed(self, model,
+                                                 request_cohorts,
+                                                 monkeypatch, tmp_path):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_BUDGET", "1m")
+        registry = ModelRegistry(
+            max_resident_bytes=int(1.5 * model.resident_bytes()))
+        registry.register("first", model)
+        with PredictionService(registry) as service:
+            service.predict(request_cohorts[0], model="first", timeout=60)
+            registry.register("second", model)  # evicts "first"
+            service.predict(request_cohorts[0], model="second", timeout=60)
+            # the evicted model's session went with it
+            assert list(service._sessions) == [ModelKey("second", 1)]
+            assert len(list(tmp_path.glob("repro-store-*"))) == 1
+        assert not list(tmp_path.glob("repro-store-*"))

@@ -15,6 +15,7 @@ from repro.gwas.session import KRRSession
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import PredictionService
 from repro.store import TileStore
+from tests.gwas.test_model import _restored
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ class TestStoreBackedLoad:
         session, g_test = fitted
         with TileStore() as store:
             lazy = FittedModel.load(artifact, store=store)
-            np.testing.assert_array_equal(lazy.predict(g_test),
+            np.testing.assert_array_equal(_restored(lazy, "predict", g_test),
                                           session.predict(g_test))
 
     def test_factor_reuse_faults_in_and_matches(self, fitted, artifact):
@@ -61,7 +62,7 @@ class TestStoreBackedLoad:
         with TileStore(budget_bytes=64 << 10) as store:
             lazy = FittedModel.load(artifact, store=store)
             np.testing.assert_array_equal(
-                lazy.solve_additional_phenotypes(extra),
+                _restored(lazy, "solve_additional_phenotypes", extra),
                 session.solve_additional_phenotypes(extra))
             assert store.stats.reloads > 0  # the factor came off disk
 
@@ -89,7 +90,7 @@ class TestRegistryPressure:
             reloaded = FittedModel.load(artifact, store=store)
             registry.register("m", reloaded)
             np.testing.assert_array_equal(
-                registry.get("m").predict(g_test), solo)
+                _restored(registry.get("m"), "predict", g_test), solo)
 
     def test_store_backed_via_prediction_service(self, fitted, artifact):
         session, g_test = fitted
@@ -116,7 +117,7 @@ class TestResidencyRefresh:
             registered_at = reg.resident_bytes()
             # serving faults the whole factor in (unbounded store)
             extra = np.ones(session.weights_.shape[0])
-            lazy.solve_additional_phenotypes(extra)
+            _restored(lazy, "solve_additional_phenotypes", extra)
             # the next registration re-polls: the total now includes
             # the faulted-in factor tiles
             reg.register("other", FittedModel.load(artifact, store=store))

@@ -74,7 +74,9 @@ def test_the_sessions_hold_no_flop_state():
         assert not [k for k in vars(cls()) if "flops" in k]
 
 
-def test_serve_config_has_six_knobs():
+def test_serve_config_has_five_knobs():
+    # no batch size: a micro-batch streams at the model's
+    # KRRConfig.predict_batch_rows
     assert [f.name for f in dataclasses.fields(ServeConfig)] == [
-        "max_batch_requests", "batch_window_s", "batch_rows",
+        "max_batch_requests", "batch_window_s",
         "max_queue_depth", "request_deadline_s", "dispatch_retries"]

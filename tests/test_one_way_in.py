@@ -65,6 +65,18 @@ def test_workers_and_execution_are_declared_by_their_owners_only():
     ]
 
 
+def test_the_predict_batch_size_is_one_knob():
+    """``KRRConfig.predict_batch_rows`` is the only batch size; the
+    builder's streaming geometry is what consumes it, and no session,
+    artifact or service takes a batch of its own."""
+    assert _declarations({"predict_batch_rows"}) == [
+        "gwas/config.py:KRRConfig"]
+    assert _declarations({"batch_rows"}) == [
+        "distance/build.py:_row_groups",
+        "distance/build.py:KernelBuilder.iter_cross_rows",
+    ]
+
+
 def test_a_runtime_is_constructed_at_three_sites():
     assert _sites(_constructs("Runtime")) == [
         "distance/build.py:__post_init__",  # a builder handed none
