@@ -275,9 +275,8 @@ class TrainOperands:
     folding its squared norms is the dominant *fixed* cost of a
     cross-kernel build.  :meth:`KernelBuilder.train_operands` prepares
     this state once and :meth:`KernelBuilder.iter_cross_rows` accepts
-    it back, so several calls against one panel pay it once.  (A
-    serving micro-batch needs no cache: it row-stacks its cohorts into
-    one call.)
+    it back, so several calls against one panel pay it once (a
+    ``KRRSession`` holds one from its first Predict).
 
     Reuse is bitwise-safe: the cached values are produced by exactly
     the code the uncached path runs, on the same arrays.
@@ -505,9 +504,17 @@ class KernelBuilder:
     def _side_operands(self, g: np.ndarray, c: np.ndarray | None):
         """One operand side, prepared once: the quantized genotypes,
         their squared norms and the confounder Gram inputs."""
-        q = QuantizedOperand(g, self._snp_variant().input_precision)
-        d = squared_norms(
-            g, integer=self.snp_precision.is_integer).astype(np.float64)
+        variant = self._snp_variant()
+        q = QuantizedOperand(g, variant.input_precision)
+        if (variant.accumulate_precision.is_integer and integer_gemm_dtype(
+                q.max_abs(), q.max_abs(), g.shape[1]) is np.float32):
+            # the Gram's own bound max|g|²·ns < 2²⁴ makes every partial
+            # sum exact in float32, and the Gram needs this cast anyway
+            f = q.as_float(np.float32)
+            d = np.einsum("ij,ij->i", f, f).astype(np.float64)
+        else:
+            d = squared_norms(
+                g, integer=self.snp_precision.is_integer).astype(np.float64)
         qc = e = None
         if c is not None:
             c64 = np.asarray(c, dtype=np.float64)

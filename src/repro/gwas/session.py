@@ -52,7 +52,7 @@ import time
 
 import numpy as np
 
-from repro.distance.build import BuildResult, KernelBuilder
+from repro.distance.build import BuildResult, KernelBuilder, TrainOperands
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.linalg.blas3 import gemm, syrk
 from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
@@ -135,6 +135,10 @@ class KRRSession:
         self.training_genotypes_: np.ndarray | None = None
         self.training_confounders_: np.ndarray | None = None
         self.gamma_: float | None = None
+        # the training panel's Predict-side operands (quantized, BLAS
+        # float cast, squared norms): made by the first Predict after a
+        # build()/from_model(), dropped by build() and close()
+        self._train_operands: TrainOperands | None = None
         # Associate state
         self.factorization_: CholeskyResult | None = None
         self.weights_: np.ndarray | None = None
@@ -175,6 +179,7 @@ class KRRSession:
         whoever holds a session for a while (a sweep fold, a serving
         host) closes it when done.  Spilled tiles are unreadable after.
         """
+        self._train_operands = None
         self.runtime.close()
         if self.store is not None:
             self.store.close()
@@ -241,6 +246,7 @@ class KRRSession:
         self.training_confounders_ = (
             None if confounders is None
             else np.asarray(confounders, dtype=np.float64))
+        self._train_operands = None
         self.gamma_ = gamma
         return result
 
@@ -512,6 +518,9 @@ class KRRSession:
                            confounders: np.ndarray | None) -> None:
         if self.weights_ is None or self.training_genotypes_ is None:
             raise RuntimeError("fit() must be called before predict()")
+        if genotypes.ndim != 2:
+            raise ValueError("a test cohort must be a 2-D individuals × SNPs "
+                             "matrix")
         if genotypes.shape[1] != self.training_genotypes_.shape[1]:
             raise ValueError("test cohort must have the same SNP panel as training")
         if (confounders is None) != (self.training_confounders_ is None):
@@ -538,11 +547,12 @@ class KRRSession:
                      phase: str = "predict") -> list[np.ndarray]:
         """Predict several cohorts as one micro-batch (Serve phase).
 
-        The cohorts are row-stacked into one Predict: the train-side
-        operand state — quantization of the training panel, its BLAS
-        float casts, the squared norms — is prepared **once**, and the
-        exact integer SNP Gram runs once per row group of up to one
-        batch of rows, whichever cohorts those rows belong to.
+        The cohorts are row-stacked into one Predict against the
+        session's train-side operand state — quantization of the
+        training panel, its BLAS float casts, the squared norms —
+        prepared once, at the session's first Predict; the exact
+        integer SNP Gram runs once per row group of up to one batch of
+        rows, whichever cohorts those rows belong to.
         Everything that rounds (the confounder Gram, a float SNP Gram,
         ``K_test_block · W``) keeps the block shapes of each cohort's
         solo :meth:`predict`
@@ -590,6 +600,9 @@ class KRRSession:
             batch = max(1, batch // cfg.tile_size) * cfg.tile_size
         started = time.perf_counter()
         builder = self._builder(self.gamma_, trace_phase=phase)
+        if self._train_operands is None:
+            self._train_operands = builder.train_operands(
+                self.training_genotypes_, self.training_confounders_)
         wp = cfg.precision_plan.working_precision
         n_train = self.training_genotypes_.shape[0]
         nph = self.weights_.shape[1]
@@ -597,7 +610,8 @@ class KRRSession:
         for block in builder.iter_cross_rows(
                 genotypes, self.training_genotypes_,
                 confounders, self.training_confounders_,
-                batch_rows=batch, cohort_rows=cohort_rows):
+                batch_rows=batch, train_cache=self._train_operands,
+                cohort_rows=cohort_rows):
             gemm_fl = 2.0 * (block.rows.stop - block.rows.start) * n_train * nph
             # per-batch task on the session runtime: it carries the
             # block's Gram flops plus the K_test_block @ W GEMM, split
@@ -605,9 +619,8 @@ class KRRSession:
             detail = dict(block.flops_by_precision)
             detail[wp] = detail.get(wp, 0.0) + gemm_fl
             predictions[block.rows] = gemm(
-                block.kernel, self.weights_, tile_size=cfg.tile_size,
-                precision=wp, runtime=self.runtime, phase=phase,
-                flops_detail=detail)
+                block.kernel, self.weights_, precision=wp,
+                runtime=self.runtime, phase=phase, flops_detail=detail)
 
         predictions += self.y_means_[None, :]
         self._add_seconds(phase, time.perf_counter() - started)
@@ -659,8 +672,7 @@ class KRRSession:
         wp = cfg.precision_plan.working_precision
         k_test = cross.kernel if isinstance(cross, BuildResult) else np.asarray(cross)
         gemm_fl = 2.0 * k_test.shape[0] * k_test.shape[1] * weights.shape[1]
-        predictions = gemm(np.asarray(k_test), weights,
-                           tile_size=cfg.tile_size, precision=wp,
+        predictions = gemm(np.asarray(k_test), weights, precision=wp,
                            runtime=self.runtime, phase="predict",
                            flops_detail={wp: gemm_fl})
         self._add_seconds("predict", time.perf_counter() - started)
@@ -874,8 +886,7 @@ class RRSession:
         x_std = self._standardize(design)
         y_centered = phenotypes - phenotypes.mean(axis=0, keepdims=True)
         self.y_means_ = phenotypes.mean(axis=0)
-        xty = gemm(x_std, y_centered, tile_size=cfg.tile_size,
-                   precision=Precision.FP32, transa=True,
+        xty = gemm(x_std, y_centered, precision=Precision.FP32, transa=True,
                    runtime=self.runtime, phase="associate")
         beta = solve_cholesky(fact, xty, precision=plan.working_precision,
                               runtime=self.runtime, phase="associate")
@@ -890,8 +901,7 @@ class RRSession:
         if self.beta_ is None:
             raise RuntimeError("fit() must be called before predict()")
         x_std = self._standardize(design)
-        pred = gemm(x_std, self.beta_, tile_size=self.config.tile_size,
-                    precision=Precision.FP32,
+        pred = gemm(x_std, self.beta_, precision=Precision.FP32,
                     runtime=self.runtime, phase="predict")
         return pred + self.y_means_[None, :]
 
@@ -913,8 +923,7 @@ class RRSession:
             phenotypes = phenotypes[:, None]
         x_std = self._standardize(design)
         y_centered = phenotypes - phenotypes.mean(axis=0, keepdims=True)
-        xty = gemm(x_std, y_centered, tile_size=self.config.tile_size,
-                   precision=Precision.FP32, transa=True,
+        xty = gemm(x_std, y_centered, precision=Precision.FP32, transa=True,
                    runtime=self.runtime, phase="solve")
         return solve_cholesky(self.factorization_, xty,
                               precision=self.config.precision_plan.working_precision,

@@ -1,11 +1,11 @@
-"""Tiled Level-3 BLAS drivers (SYRK and GEMM).
+"""Level-3 BLAS drivers: a tiled SYRK and a one-call GEMM.
 
 The ridge-regression path of the paper (Sec. V-A) computes
 ``X^T X`` with a mixed-precision SYRK whose tiles dispatch to the
 INT8 integer GEMM when they contain only SNP data and to FP32 when
 they contain confounders (Fig. 2), and ``X^T Y`` with a plain FP32
-GEMM.  These drivers reproduce that fine-grained dispatch on tiled
-operands.
+GEMM.  The SYRK reproduces that fine-grained dispatch on tiled
+operands; the GEMM is one product in its input precision.
 """
 
 from __future__ import annotations
@@ -168,7 +168,6 @@ def syrk(
 def gemm(
     a: np.ndarray,
     b: np.ndarray,
-    tile_size: int,
     precision: Precision | str = Precision.FP32,
     transa: bool = False,
     transb: bool = False,
@@ -176,17 +175,18 @@ def gemm(
     phase: str = "gemm",
     flops_detail=None,
 ) -> np.ndarray:
-    """Tiled mixed-precision GEMM ``op(A) @ op(B)``.
+    """Mixed-precision GEMM ``op(A) @ op(B)`` as one ``gemm_mixed`` call.
 
     Used for ``X^T Y`` in the RR path and ``K_test @ W`` in the Predict
-    phase, both of which the paper keeps in FP32.
+    phase, both of which the paper keeps in FP32: the whole inner
+    dimension accumulates in the variant's precision, as one cuBLAS
+    ``sgemm`` does.
 
     With ``runtime`` the product runs as one inserted task under the
-    runtime's scheduler (the k-block accumulation is order-sensitive,
-    so it stays a single task rather than a chain), which lands its
-    operation count — split by ``flops_detail`` when the caller folds
-    in co-accounted work such as the streamed cross-kernel block — in
-    the ``runtime.ledger[phase]`` the solver sessions read.
+    runtime's scheduler, which lands its operation count — split by
+    ``flops_detail`` when the caller folds in co-accounted work such as
+    the streamed cross-kernel block — in the ``runtime.ledger[phase]``
+    the solver sessions read.
     """
     precision = Precision.from_string(precision)
     if runtime is not None:
@@ -195,28 +195,11 @@ def gemm(
         n = bshape[0] if transb else bshape[1]
         k = ashape[0] if transa else ashape[1]
         return _run_as_task(
-            runtime, phase, "gemm",
-            DenseGemmSpec(tile_size, precision, transa, transb),
+            runtime, phase, "gemm", DenseGemmSpec(precision, transa, transb),
             (a, b), (m, n), precision,
             flops_detail or {precision: 2.0 * m * n * k})
-    a = np.asarray(a, dtype=np.float64).T if transa else np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).T if transb else np.asarray(b, dtype=np.float64)
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dimensions do not match: {a.shape} @ {b.shape}")
-
-    variant = variant_for_input(precision)
-    # quantize both operands once; the k-block loop slices shared views
-    qa = QuantizedOperand(a, variant.input_precision)
-    qb = QuantizedOperand(b, variant.input_precision)
-    out = np.zeros((m, n), dtype=np.float64)
-    layout_k = TileLayout(rows=k, cols=1, tile_size=tile_size)
-    for bk in range(layout_k.tile_rows):
-        ks = layout_k.tile_slice(bk, 0)[0]
-        out += np.asarray(
-            gemm_mixed(qa[:, ks], qb[ks, :], variant=variant), dtype=np.float64
-        )
+    out = gemm_mixed(a, b, variant=variant_for_input(precision),
+                     transa=transa, transb=transb)
     return np.asarray(quantize(out, precision), dtype=np.float64)
 
 
@@ -237,11 +220,10 @@ class DenseSyrkSpec(BodySpec):
 class DenseGemmSpec(BodySpec):
     """:func:`gemm` of two dense operands as one task (its runtime path)."""
 
-    tile_size: int
     precision: Precision
     transa: bool
     transb: bool
 
     def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return gemm(a, b, tile_size=self.tile_size, precision=self.precision,
+        return gemm(a, b, precision=self.precision,
                     transa=self.transa, transb=self.transb)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distance.build import BuildResult, KernelBuilder
-from repro.distance.euclidean import squared_euclidean_gemm
+from repro.distance.euclidean import squared_euclidean_gemm, squared_norms
 from repro.distance.kernels import gaussian_kernel, ibs_kernel
 from repro.precision.formats import Precision
 from repro.tiles.adaptive import AdaptivePrecisionRule, candidates_for_gpu
@@ -203,3 +203,45 @@ class TestCrossBuild:
         result = builder.build_cross(genotypes[:10], genotypes[10:])
         assert isinstance(result, BuildResult)
         assert result.precision_map is None
+
+
+class TestSquaredNormsFromFloat32:
+    """The folded ``d`` vector comes from the Gram's float32 cast when the
+    Gram's own bound ``max|g|²·ns < 2²⁴`` admits sgemm: every partial sum
+    is then an integer below 2²⁴, exact in float32 in any order."""
+
+    def _norms(self, g, monkeypatch):
+        from repro.distance import build
+
+        fallback = []
+
+        def spy(*args, **kwargs):
+            fallback.append(args[0].shape)
+            return squared_norms(*args, **kwargs)
+
+        monkeypatch.setattr(build, "squared_norms", spy)
+        return KernelBuilder().train_operands(g).d, fallback
+
+    def test_genotype_panel(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        g = rng.integers(0, 3, size=(70, 513)).astype(np.int8)
+        d, fallback = self._norms(g, monkeypatch)
+        assert fallback == []
+        assert d.dtype == np.float64
+        assert np.array_equal(d, squared_norms(g).astype(np.float64))
+
+    @pytest.mark.parametrize("ns, float32_path", [(1023, True),
+                                                  (1024, False)])
+    def test_int8_extremes_at_the_bound(self, monkeypatch, ns,
+                                        float32_path):
+        """128²·1023 < 2²⁴ is the widest panel the bound admits; one
+        more SNP column reaches 2²⁴ and the int64 norms take over."""
+        rng = np.random.default_rng(31)
+        g = rng.integers(-128, 128, size=(6, ns)).astype(np.int8)
+        g[0] = -128
+        g[1] = 127
+        g[2, ::2] = -128
+        d, fallback = self._norms(g, monkeypatch)
+        assert (fallback == []) is float32_path
+        assert d[0] == 128 * 128 * ns
+        assert np.array_equal(d, squared_norms(g).astype(np.float64))

@@ -71,8 +71,7 @@ def _seed_dense_fit_predict(cfg: KRRConfig, g_train, y, g_test):
         storage_precision=plan.working_precision)
     cross = pbuilder.build_cross(g_test, g_train, None, None)
     k_test = cross.to_dense()
-    preds = gemm(k_test, w, tile_size=cfg.tile_size,
-                 precision=plan.working_precision)
+    preds = gemm(k_test, w, precision=plan.working_precision)
     return preds + y_means[None, :]
 
 
@@ -666,6 +665,71 @@ class TestPredictMany:
         outs = session.predict_many(cohorts)
         assert rows == gram_rows
         assert all(np.array_equal(o, r) for o, r in zip(outs, refs))
+
+    def test_one_gemm_per_row_group_and_one_per_cohort(self, cohort_512,
+                                                       monkeypatch):
+        """C cohorts in G row groups cost G exact SNP Grams plus C
+        ``K·W`` products — each ``K·W`` one ``gemm_mixed`` call over the
+        whole training axis, not one per k-block of it."""
+        from repro.distance import build
+        from repro.linalg import blas3
+
+        g_train, y, _ = cohort_512
+        session = KRRSession(KRRConfig(tile_size=64, predict_batch_rows=128,
+                                       execution="serial"))
+        session.fit(g_train, y)
+        rng = np.random.default_rng(16)
+        cohorts = [rng.integers(0, 3, size=(64, g_train.shape[1])).astype(np.int8)
+                   for _ in range(5)]
+        refs = [session.predict(c) for c in cohorts]
+        calls = []
+        for module in (build, blas3):
+            def counting(a, b, real=module.gemm_mixed, site=module, **kw):
+                calls.append(site)
+                return real(a, b, **kw)
+            monkeypatch.setattr(module, "gemm_mixed", counting)
+        outs = session.predict_many(cohorts)
+        # five 64-row cohorts in groups of at most 128 rows: G = 3, C = 5
+        assert calls.count(build) == 3 and calls.count(blas3) == 5
+        assert len(calls) == 3 + 5
+        assert all(np.array_equal(o, r) for o, r in zip(outs, refs))
+
+    def test_train_operands_prepared_once_per_build(self, cohort_512,
+                                                    monkeypatch):
+        import weakref
+
+        g_train, y, g_test = cohort_512
+        made = []
+        real = KernelBuilder.train_operands
+
+        def spy(self, *args):
+            operands = real(self, *args)
+            made.append(weakref.ref(operands))
+            return operands
+
+        monkeypatch.setattr(KernelBuilder, "train_operands", spy)
+        session = KRRSession(KRRConfig(tile_size=64))
+        session.fit(g_train, y)
+        first = session.predict(g_test[:70])
+        session.predict_many([g_test[:40], g_test[40:]])
+        assert np.array_equal(session.predict(g_test[:70]), first)
+        assert len(made) == 1
+        session.fit(g_train[:256], y[:256])
+        assert made[0]() is None          # a rebuild drops the old panel's
+        session.predict(g_test[:70])
+        assert len(made) == 2 and made[1]() is not None
+        session.close()
+        assert made[1]() is None
+
+    def test_a_1d_cohort_is_a_value_error(self, cohort_512):
+        g_train, y, g_test = cohort_512
+        session = KRRSession(KRRConfig(tile_size=64))
+        session.fit(g_train, y)
+        for entry in (session.predict, session.cross_kernel,
+                      lambda g: session.predict_many([g])):
+            with pytest.raises(ValueError, match="2-D"):
+                entry(g_test[0])
+        session.close()
 
     def test_an_empty_cohort_predicts_nothing(self, cohort_512):
         g_train, y, _ = cohort_512

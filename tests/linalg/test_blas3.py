@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.linalg import blas3
 from repro.linalg.blas3 import gemm, syrk
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_mixed, variant_for_input
+from repro.precision.quantize import quantize
 from repro.runtime import Runtime
 
 
@@ -60,22 +63,55 @@ class TestGemm:
     def test_matches_numpy(self, rng):
         a = rng.normal(size=(30, 20))
         b = rng.normal(size=(20, 5))
-        out = gemm(a, b, tile_size=8, precision=Precision.FP32)
+        out = gemm(a, b, precision=Precision.FP32)
         np.testing.assert_allclose(out, a @ b, rtol=1e-4, atol=1e-4)
 
     def test_transpose_options(self, rng):
         a = rng.normal(size=(20, 30))
         b = rng.normal(size=(20, 5))
-        out = gemm(a, b, tile_size=8, precision=Precision.FP64, transa=True)
+        out = gemm(a, b, precision=Precision.FP64, transa=True)
         np.testing.assert_allclose(out, a.T @ b, rtol=1e-10)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            gemm(rng.normal(size=(4, 5)), rng.normal(size=(4, 5)), tile_size=2)
+            gemm(rng.normal(size=(4, 5)), rng.normal(size=(4, 5)))
 
-    def test_blocking_independent_of_tile_size(self, rng):
+    def test_one_gemm_mixed_call_on_every_lane(self, rng, monkeypatch):
+        """The whole inner dimension is one product in the variant's
+        accumulator — no k-blocks summed in float64 — and the serial,
+        threaded and process drains of its task return those bits."""
         a = rng.normal(size=(25, 33))
         b = rng.normal(size=(33, 7))
-        out1 = gemm(a, b, tile_size=5, precision=Precision.FP64)
-        out2 = gemm(a, b, tile_size=64, precision=Precision.FP64)
-        np.testing.assert_allclose(out1, out2, rtol=1e-12)
+        calls = []
+
+        def spy(x, y, **kw):
+            calls.append(kw)
+            return gemm_mixed(x, y, **kw)
+
+        monkeypatch.setattr(blas3, "gemm_mixed", spy)
+        out = gemm(a, b, precision=Precision.FP32)
+        assert calls == [dict(variant=variant_for_input(Precision.FP32),
+                              transa=False, transb=False)]
+        assert np.array_equal(out, gemm_mixed(a, b, variant="FP32"))
+        for execution in ("serial", "threaded", "process"):
+            rt = Runtime(execution=execution, workers=2)
+            try:
+                assert np.array_equal(
+                    gemm(a, b, precision=Precision.FP32, runtime=rt), out)
+            finally:
+                rt.close()
+        assert len(calls) == 1 + 2    # the in-process lanes, through the spy
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64,
+                                           Precision.FP16])
+    @pytest.mark.parametrize("transa, transb", [(False, False), (True, True)])
+    def test_bitwise_one_gemm_mixed_call(self, precision, transa, transb):
+        rng = np.random.default_rng(29)
+        a = rng.normal(size=(300, 250) if transa else (250, 300))
+        b = rng.normal(size=(7, 300) if transb else (300, 7))
+        out = gemm(a, b, precision=precision, transa=transa, transb=transb)
+        one = gemm_mixed(a, b, variant=variant_for_input(precision),
+                         transa=transa, transb=transb)
+        assert out.dtype == np.float64 and out.shape == (250, 7)
+        assert np.array_equal(
+            out, np.asarray(quantize(one, precision), dtype=np.float64))

@@ -87,8 +87,8 @@ def _specimens():
                                    row_stop=8, col_end=24),
         CgMatvecSpec: CgMatvecSpec(shifts=(0.5,), row_start=16, row_stop=32,
                                    transposes=(False, False, True)),
-        DenseGemmSpec: DenseGemmSpec(tile_size=8, precision=Precision.FP32,
-                                     transa=False, transb=True),
+        DenseGemmSpec: DenseGemmSpec(precision=Precision.FP32, transa=False,
+                                     transb=True),
         DenseSyrkSpec: DenseSyrkSpec(tile_size=8,
                                      output_precision=Precision.FP64),
     }
@@ -330,11 +330,11 @@ class TestBehaviorEquality:
     def test_dense_gemm(self):
         a = _rng(14).standard_normal((24, 16))
         b = _rng(15).standard_normal((24, 16))
-        spec = _round_trip(DenseGemmSpec(tile_size=8, precision=Precision.FP32,
+        spec = _round_trip(DenseGemmSpec(precision=Precision.FP32,
                                          transa=False, transb=True))
         out = spec.run(a, b)
-        expect = gemm(a, b, tile_size=8, precision=Precision.FP32,
-                      transa=False, transb=True)
+        expect = gemm(a, b, precision=Precision.FP32, transa=False,
+                      transb=True)
         np.testing.assert_array_equal(out, expect)
 
     def test_dense_syrk(self):

@@ -126,9 +126,9 @@ class TestDenseGemmProcess:
         rng = np.random.default_rng(23)
         a = rng.standard_normal((96, 64))
         b = rng.standard_normal((96, 64))
-        direct = gemm(a, b, tile_size=TILE, precision=Precision.FP32,
+        direct = gemm(a, b, precision=Precision.FP32,
                       transa=True, transb=False)
-        proc = gemm(a, b, tile_size=TILE, precision=Precision.FP32,
+        proc = gemm(a, b, precision=Precision.FP32,
                     transa=True, transb=False, runtime=process_rt)
         np.testing.assert_array_equal(proc, direct)
 

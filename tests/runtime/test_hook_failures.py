@@ -70,7 +70,7 @@ def _graph(rt):
                          ("right", 2)):
         rt.insert_task(
             name, (handles[handle], AccessMode.WRITE), flops=1.0,
-            spec=TaskSpec(DenseGemmSpec(4, Precision.FP64, False, False),
+            spec=TaskSpec(DenseGemmSpec(Precision.FP64, False, False),
                           mode="aux",
                           aux=(ObjectInput(A, key="a"), ObjectInput(B, key="b"))))
     return handles

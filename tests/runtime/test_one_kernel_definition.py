@@ -60,7 +60,7 @@ def _build(rt):
 
 
 def _blas3_gemm(rt):
-    gemm(np.ones((N, 8)), np.ones((8, 4)), tile_size=TILE, runtime=rt)
+    gemm(np.ones((N, 8)), np.ones((8, 4)), runtime=rt)
     return {"gemm"}
 
 
