@@ -21,8 +21,11 @@ operand is read as ``np.asarray(data, dtype)``: for these two formats
 the cast *is* the rounding, and it is the payload itself when the dtype
 already matches (an FP8-grid tile in its float32 container feeds
 ``sgemm`` as is).  An emulated format (FP16, BF16, FP8) quantizes its
-inputs onto the format's grid, multiplies with the FP32 accumulator a
-tensor core would use, subtracts in float64 and rounds once.
+inputs onto the format's grid.  Its SYRK/GEMM update is the tensor
+core's ``C = C − A·Bᵀ``: ``ssyrk``/``sgemm`` with ``beta=1`` in place
+in a float32 copy of the on-grid destination — the FP32 accumulator —
+rounded once on store.  Its POTRF/TRSM factor and solve in float64 and
+round once.
 
 Either way the result is on the compute precision's grid *in that
 format's storage dtype*: the caller adopts it as a tile of the compute
@@ -50,12 +53,7 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from repro.precision.formats import Precision
-from repro.precision.gemm import (
-    QuantizedOperand,
-    gemm_mixed,
-    syrk_mixed,
-    variant_for_input,
-)
+from repro.precision.gemm import QuantizedOperand
 from repro.precision.quantize import quantize
 from repro.runtime.task import BodySpec
 from repro.tiles.tile import Tile, retile
@@ -74,24 +72,24 @@ def _payload(x: "np.ndarray | Tile") -> np.ndarray:
     return x.data if isinstance(x, Tile) else np.asarray(x)
 
 
-def _native_arrays(precision: Precision, *inputs) -> list[np.ndarray]:
-    """``inputs`` in ``precision``'s dtype: the operands as they are
-    when the dtype matches, the last one — the destination BLAS
-    overwrites — always as a fresh C-ordered copy."""
-    dtype = precision.numpy_dtype
-    arrays = [np.asarray(_payload(x), dtype=dtype) for x in inputs[:-1]]
-    return arrays + [np.array(_payload(inputs[-1]), dtype=dtype, order="C")]
-
-
-def _variant(precision: Precision):
-    return variant_for_input(precision if precision.is_float else Precision.FP32)
-
-
-def _destination(c_tile: "np.ndarray | Tile", precision: Precision) -> np.ndarray:
-    """An emulated update's destination on the compute grid, as float64."""
-    if isinstance(c_tile, Tile) and c_tile.precision is precision:
-        return c_tile.float64_values()  # on the grid already
-    return _as64(quantize(_payload(c_tile), precision))
+def _blas_arrays(precision: Precision, *inputs) -> list[np.ndarray]:
+    """``inputs`` in the dtype of the BLAS that computes at ``precision``:
+    the operands as they are when the dtype matches, the last one — the
+    destination BLAS overwrites — always as a fresh C-ordered copy.  An
+    emulated update runs in float32, the FP32 accumulator: its operands
+    are the cached casts of their :func:`panel_operand`, its destination
+    is first put on the compute grid (read as is from a tile there)."""
+    dest = inputs[-1]
+    if precision in NATIVE:
+        dtype = precision.numpy_dtype
+        arrays = [np.asarray(_payload(x), dtype=dtype) for x in inputs[:-1]]
+    else:
+        dtype = np.float32
+        arrays = [panel_operand(x, precision).as_float(dtype)
+                  for x in inputs[:-1]]
+        if not (isinstance(dest, Tile) and dest.precision is precision):
+            dest = quantize(_payload(dest), precision)
+    return arrays + [np.array(_payload(dest), dtype=dtype, order="C")]
 
 
 def panel_operand(tile: "np.ndarray | Tile | QuantizedOperand",
@@ -100,17 +98,17 @@ def panel_operand(tile: "np.ndarray | Tile | QuantizedOperand",
 
     The Cholesky trailing update reads each panel tile ``L[i,k]`` once
     per destination tile in its block row/column; wrapping it in a
-    :class:`QuantizedOperand` at the update variant's input precision
-    makes the repeated quantization a cache hit.  A :class:`Tile`
-    stored at that input precision needs no quantization at all: its
-    payload is the operand.
+    :class:`QuantizedOperand` on the update's grid makes the repeated
+    quantization — and the float32 cast ``sgemm`` reads — a cache hit.
+    A :class:`Tile` stored at that precision needs no quantization at
+    all: its payload is the operand.
     """
     if isinstance(tile, QuantizedOperand):
         return tile
-    variant = _variant(Precision.from_string(precision))
-    if isinstance(tile, Tile) and tile.precision is variant.input_precision:
-        return QuantizedOperand._on_grid(tile.data, tile.precision)
-    return QuantizedOperand(_payload(tile), variant.input_precision)
+    precision = Precision.from_string(precision)
+    if isinstance(tile, Tile) and tile.precision is precision:
+        return QuantizedOperand._on_grid(tile.data, precision)
+    return QuantizedOperand(_payload(tile), precision)
 
 
 def tile_potrf(a: "np.ndarray | Tile",
@@ -131,7 +129,7 @@ def tile_potrf(a: "np.ndarray | Tile",
     if precision not in NATIVE:
         factor = np.linalg.cholesky(_as64(quantize(_payload(a), precision)))
         return quantize(factor, precision)
-    work, = _native_arrays(precision, a)
+    work, = _blas_arrays(precision, a)
     # the C-ordered lower triangle is the transposed view's upper one
     potrf = getattr(lapack, NATIVE[precision] + "potrf")
     factor, info = potrf(work.T, lower=0, clean=1, overwrite_a=1)
@@ -156,7 +154,7 @@ def tile_trsm(l_tile: "np.ndarray | Tile", b_tile: "np.ndarray | Tile",
         # X L^T = B  ->  L X^T = B^T
         x = scipy.linalg.solve_triangular(t64, b64.T, lower=True).T
         return quantize(x, precision)
-    lower, work = _native_arrays(precision, l_tile, b_tile)
+    lower, work = _blas_arrays(precision, l_tile, b_tile)
     if not work.size:
         return work
     # L X^T = B^T on the transposed views: L.T is upper, so solve with
@@ -171,46 +169,38 @@ def tile_syrk(a_tile: "np.ndarray | Tile | QuantizedOperand",
               precision: Precision | str = Precision.FP64) -> np.ndarray:
     """Symmetric rank-k update ``C - A @ A.T`` of one diagonal tile.
 
-    FP32/FP64 are one fused ``?syrk`` on the lower triangle (the strict
-    upper one keeps the destination's values; nothing reads it).  For
-    FP16/FP8 the product accumulates in FP32 (tensor-core behaviour)
-    through :func:`repro.precision.gemm.syrk_mixed`.
+    One fused ``?syrk`` on the lower triangle (the strict upper one
+    keeps the destination's values; nothing reads it): in the native
+    dtype for FP32/FP64, in the FP32 accumulator (tensor-core
+    behaviour) for FP16/FP8, then rounded once on store.
     """
     precision = Precision.from_string(precision)
-    if precision not in NATIVE:
-        prod = syrk_mixed(panel_operand(a_tile, precision),
-                          variant=_variant(precision))
-        return quantize(_destination(c_tile, precision) - prod, precision)
-    a, work = _native_arrays(precision, a_tile, c_tile)
-    if not a.size:
-        return work
-    syrk = getattr(blas, NATIVE[precision] + "syrk")
-    return syrk(-1.0, a.T, beta=1.0, c=work.T, trans=1, lower=0,
-                overwrite_c=1).T
+    a, work = _blas_arrays(precision, a_tile, c_tile)
+    if a.size:
+        syrk = getattr(blas, NATIVE.get(precision, "s") + "syrk")
+        work = syrk(-1.0, a.T, beta=1.0, c=work.T, trans=1, lower=0,
+                    overwrite_c=1).T
+    return work if precision in NATIVE else quantize(work, precision)
 
 
 def tile_gemm(a_tile: "np.ndarray | Tile | QuantizedOperand",
               b_tile: "np.ndarray | Tile | QuantizedOperand",
               c_tile: "np.ndarray | Tile",
               precision: Precision | str = Precision.FP64) -> np.ndarray:
-    """General tile update ``C - A @ B.T``.
+    """General tile update ``C - A @ B.T``, one ``?gemm`` with ``beta=1``
+    in the same dtype and accumulator as :func:`tile_syrk`.
 
     This is the kernel that dominates the Associate phase; its compute
     precision is what the adaptive mosaic lowers to FP16/FP8.
     """
     precision = Precision.from_string(precision)
-    if precision not in NATIVE:
-        prod = gemm_mixed(panel_operand(a_tile, precision),
-                          panel_operand(b_tile, precision),
-                          variant=_variant(precision), transb=True)
-        return quantize(_destination(c_tile, precision) - prod, precision)
-    a, b, work = _native_arrays(precision, a_tile, b_tile, c_tile)
-    if not (work.size and a.size):
-        return work
-    # C^T - B A^T on the transposed views, in place in the copy of C
-    gemm = getattr(blas, NATIVE[precision] + "gemm")
-    return gemm(-1.0, b.T, a.T, beta=1.0, c=work.T, trans_a=1,
-                overwrite_c=1).T
+    a, b, work = _blas_arrays(precision, a_tile, b_tile, c_tile)
+    if work.size and a.size:
+        # C^T - B A^T on the transposed views, in place in the copy of C
+        gemm = getattr(blas, NATIVE.get(precision, "s") + "gemm")
+        work = gemm(-1.0, b.T, a.T, beta=1.0, c=work.T, trans_a=1,
+                    overwrite_c=1).T
+    return work if precision in NATIVE else quantize(work, precision)
 
 
 def potrf_flops(nb: int) -> float:

@@ -16,14 +16,15 @@ E5M2 (bias 15) mirrors IEEE binary16 semantics with a max finite of
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.precision.formats import Precision
 
-#: Exponent field of an IEEE binary64 bit pattern.
-_EXPONENT_FIELD = np.uint64(0x7FF0000000000000)
+#: Unsigned view, sign bit, exponent field and mantissa width of the
+#: float dtypes the rounding runs in: float32 inputs round in float32,
+#: any other input in float64.
+_LAYOUT = {np.dtype(np.float64): (np.uint64, 1 << 63, 0x7FF0000000000000, 52),
+           np.dtype(np.float32): (np.uint32, 1 << 31, 0x7F800000, 23)}
 
 # (mantissa_bits, exponent_bias, max_finite, min_normal_exponent)
 _FP8_PARAMS = {
@@ -34,40 +35,45 @@ _FP8_PARAMS = {
 
 def _round_to_grid(x: np.ndarray, mantissa_bits: int, min_normal_exp: int,
                    max_finite: float) -> np.ndarray:
-    """Round ``x`` (float32/float64) to a low-precision binary grid.
+    """Round ``x`` to a low-precision binary grid (in float32 for a
+    float32/float16 input, else in float64: the value is exact in either
+    and rounded once, so both give the same bits).
 
-    Branch-free round-to-nearest-even on the float64 bit pattern: for
-    ``|x|`` with (clamped) exponent ``e`` the grid spacing is
-    ``2**(e - mantissa_bits)``, which is exactly the float64 spacing
-    just above ``magic = 2**(e + 52 - mantissa_bits)`` — so
-    ``(|x| + magic) - magic`` lets the FPU's own round-half-to-even do
-    the rounding, the rounding mode of tensor-core conversions.
-    Clamping ``e`` from below at ``min_normal_exp`` keeps the subnormal
-    spacing fixed (gradual underflow); clamping it from above keeps the
-    exponent arithmetic in range for huge inputs, which saturate anyway.
+    Branch-free round-to-nearest-even on the bit pattern: for ``|x|``
+    with (clamped) exponent ``e`` the grid spacing is
+    ``2**(e - mantissa_bits)``, exactly the spacing of the rounding dtype
+    (``t`` mantissa bits) just above ``magic = 2**(e + t - mantissa_bits)``
+    — so ``(|x| + magic) - magic`` lets the FPU's own round-half-to-even
+    do it, the rounding mode of tensor-core conversions.  Clamping ``e``
+    below at ``min_normal_exp`` keeps the subnormal spacing (gradual
+    underflow).  ``|x|`` saturates before rounding, which is monotone
+    with ``max_finite`` on the grid: the same as saturating after.
     """
-    x = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(x)  # ufuncs turn 0-d arrays into scalars
+    x = np.asarray(x)
+    x = x.astype(np.float32 if x.dtype in (np.float32, np.float16)
+                 else np.float64, copy=False)
+    uint, sign, exponent_field, t = _LAYOUT[x.dtype]
+    bits = np.atleast_1d(x).view(uint)  # ufuncs turn 0-d arrays into scalars
+    mag_bits = bits & uint(sign - 1)  # |x|
+    mag = mag_bits.view(x.dtype)
     with np.errstate(invalid="ignore"):  # signalling NaNs stay silent
-        mag = np.abs(flat)
         smallest = mag.min() if mag.size else 1.0
+        # two-sided clips: numpy's fastest clamp against a scalar
+        np.clip(mag, 0.0, max_finite, out=mag)  # NaN propagates
         # per-element magic addend: keep only the exponent field of the
-        # clamped magnitude, then raise it by 52 - mantissa_bits binades
-        magic = np.clip(mag, 2.0 ** min_normal_exp,
-                        2.0 ** math.frexp(max_finite)[1])
-        field = magic.view(np.uint64)
-        field &= _EXPONENT_FIELD
-        field += np.uint64((52 - mantissa_bits) << 52)
+        # clamped magnitude, then raise it by t - mantissa_bits binades
+        magic = np.clip(mag, 2.0 ** min_normal_exp, max_finite)
+        magic_bits = magic.view(uint)
+        magic_bits &= uint(exponent_field)
+        magic_bits += uint((t - mantissa_bits) << t)
         mag += magic
         mag -= magic
-        # saturate to max finite (no infinities in E4M3); NaN propagates
-        np.minimum(mag, max_finite, out=mag)
-        np.copysign(mag, flat, out=mag)
+    mag_bits |= np.bitwise_and(bits, uint(sign), out=magic_bits)  # sign, in magic
     if not smallest > 0.0:
         # an exact zero or a NaN somewhere: zeros come back as +0.0 and
         # NaNs as the canonical quiet NaN, whatever their sign/payload
-        mag[flat == 0.0] = 0.0
-        mag[np.isnan(flat)] = np.nan
+        mag[bits.view(x.dtype) == 0.0] = 0.0
+        mag[np.isnan(bits.view(x.dtype))] = np.nan
     return mag.reshape(x.shape)
 
 
@@ -93,7 +99,7 @@ def quantize_fp8(x: np.ndarray, variant: Precision = Precision.FP8_E4M3) -> np.n
         raise ValueError(f"{variant} is not an FP8 format")
     mantissa_bits, _bias, max_finite, min_normal_exp = _FP8_PARAMS[variant]
     rounded = _round_to_grid(x, mantissa_bits, min_normal_exp, max_finite)
-    return rounded.astype(np.float32)
+    return rounded.astype(np.float32, copy=False)
 
 
 def fp8_grid(variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
@@ -122,7 +128,7 @@ def is_representable_fp8(x: np.ndarray, variant: Precision = Precision.FP8_E4M3,
                          rtol: float = 0.0) -> np.ndarray:
     """Element-wise check that values already lie on the FP8 grid."""
     q = quantize_fp8(x, variant)
-    x = np.asarray(x, dtype=np.float32)
+    x = np.asarray(x, dtype=np.float64)  # float32 would round x onto the grid
     if rtol == 0.0:
         return q == x
     return np.abs(q - x) <= rtol * np.abs(x)

@@ -68,9 +68,12 @@ def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:
     if precision is Precision.FP32:
         return np.asarray(x, dtype=np.float32)
     if precision is Precision.FP16:
-        x64 = np.asarray(x, dtype=np.float64)
-        clipped = np.clip(x64, -precision.max_finite, precision.max_finite)
-        return clipped.astype(np.float16)
+        # float32/float16 clip in their own dtype: the cast rounds once
+        x = np.asarray(x)
+        if x.dtype not in (np.float32, np.float16):
+            x = np.asarray(x, dtype=np.float64)
+        clipped = np.clip(x, -precision.max_finite, precision.max_finite)
+        return clipped.astype(np.float16, copy=False)
     if precision is Precision.BF16:
         return _quantize_bf16(x)
     if precision in (Precision.FP8_E4M3, Precision.FP8_E5M2):

@@ -211,9 +211,10 @@ class TileMatrix:
         """Return tile ``(i, j)``.
 
         For symmetric matrices, upper-triangle reads return a transposed
-        *copy* of the stored lower tile.  On a store-backed matrix a
-        spilled tile faults back in from its segment file (evicting
-        other tiles as the budget requires) before being returned.
+        *copy* of the stored lower tile, adopted (no rounding).  On a
+        store-backed matrix a spilled tile faults back in from its
+        segment file (evicting other tiles as the budget requires)
+        before being returned.
         """
         key, transpose = self._stored_key(i, j)
         tile = self._tiles.get(key)
@@ -238,7 +239,7 @@ class TileMatrix:
                                     coords=key)
                         self._tiles[key] = tile
         if transpose:
-            return Tile(tile.to_float64().T, precision=tile.precision, coords=(i, j))
+            return Tile._on_grid(tile.data.copy().T, tile.precision, (i, j))
         return tile
 
     def set_tile(self, i: int, j: int, data: "np.ndarray | Tile",
@@ -292,11 +293,10 @@ class TileMatrix:
     def set_tile_precision(self, i: int, j: int, precision: Precision | str) -> None:
         """Re-quantize one tile to a new storage precision."""
         key, _ = self._stored_key(i, j)
-        tile = self.get_tile(*key)
-        # route through set_tile: identical to the historical
-        # ``tile.convert`` (both re-quantize the float64 view), and the
-        # store accounting sees the re-quantized footprint
-        self.set_tile(*key, tile.to_float64(), precision=precision)
+        # set_tile, so the store accounting sees the new footprint: a
+        # tile at ``precision`` is re-wrapped, any other is rounded from
+        # its own payload (``tile.convert``'s bits, no float64 copy)
+        self.set_tile(*key, self.get_tile(*key), precision=precision)
 
     def apply_precision_map(self, pmap: PrecisionMap) -> None:
         """Re-quantize every stored tile according to a precision map."""

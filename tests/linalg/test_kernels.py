@@ -119,6 +119,25 @@ class TestSyrkGemm:
         out = tile_gemm(a, b, c, precision=Precision.FP64)
         np.testing.assert_allclose(out, c - a @ b.T, rtol=1e-10)
 
+    @pytest.mark.parametrize("p,c,a,exact,stored", [
+        # 1 - (2**-12 + 2**-30): float32 rounds it onto the FP16 midpoint
+        # 1 - 2**-12, which ties to 1.0; rounded once it is 1 - 2**-11
+        (Precision.FP16, 1.0, (2.0 ** -6, 2.0 ** -15), 1 - 2.0 ** -11, 1.0),
+        # 128 - (4 + 2**-18): float32 gives the E4M3 midpoint 124, which
+        # ties to 128; rounded once it is 120
+        (Precision.FP8_E4M3, 128.0, (2.0, 2.0 ** -9), 120.0, 128.0),
+    ], ids=["fp16", "fp8"])
+    @pytest.mark.parametrize("kernel", ["syrk", "gemm"])
+    def test_emulated_update_subtracts_in_the_fp32_accumulator(
+            self, kernel, p, c, a, exact, stored):
+        """``C - A·Aᵀ`` is rounded to float32 before the one rounding to
+        the compute grid, as a tensor core's FP32 accumulator does."""
+        row, dest = np.array([a]), np.array([[c]])
+        out = (tile_syrk(row, dest, p) if kernel == "syrk"
+               else tile_gemm(row, row, dest, p))
+        assert float(quantize(np.array([c - a[0] ** 2 - a[1] ** 2]), p)[0]) == exact
+        assert out.dtype == p.numpy_dtype and float(out[0, 0]) == stored
+
     def test_fp16_gemm_less_accurate_than_fp32(self, rng):
         a = rng.standard_normal((20, 40))
         b = rng.standard_normal((20, 40))

@@ -89,6 +89,17 @@ class TestGridConsistency:
         assert np.all(is_representable_fp8(grid[:50]))
         assert not is_representable_fp8(np.array([1.01]))[0]
 
+    def test_float64_values_off_the_grid_are_not_representable(self):
+        # each rounds onto the grid in float32 (1, 1, 448, 0), so a
+        # comparison in float32 would call every one representable
+        x = np.array([1 + 1e-12, 1 + 2.0 ** -30, 448.0000001, 1e-300])
+        assert not is_representable_fp8(x).any()
+        assert is_representable_fp8(x.astype(np.float32)).all()
+        for variant in (Precision.FP8_E4M3, Precision.FP8_E5M2):
+            grid = fp8_grid(variant)
+            assert is_representable_fp8(np.concatenate([grid, -grid]),
+                                        variant).all()
+
     def test_invalid_variant_raises(self):
         with pytest.raises(ValueError):
             quantize_fp8(np.ones(2), Precision.FP16)

@@ -127,3 +127,45 @@ class TestHeatmap:
         hm = PrecisionHeatmap.from_decisions(decisions, (2, 2))
         assert hm.counts[Precision.FP16] == 2
         assert hm.grid[1, 1] is Precision.FP32
+
+
+def _structured_cohort(seed=2024):
+    """Ten tile rows of 16 genotypes, each row drawn at its own allele
+    frequency (0.05 to 0.95): the kernel's tiles between distant rows are
+    small, so the adaptive map mixes formats."""
+    freq = np.repeat(np.linspace(0.05, 0.95, 10), 16)[:, None]
+    rng = np.random.default_rng(seed)
+    return rng.binomial(2, freq * np.ones(200)).astype(np.int8)
+
+
+#: The maps of `_structured_cohort`'s Gaussian kernel (γ = 0.005, tile
+#: 16), rendered one character per tile, as the Build decided them
+#: before tile reads and precision conversions stopped rounding
+#: float64 copies.
+SEEDED_MOSAICS = {
+    "GH200": (1e-2, "Shhhhhhhqq/hShhhhhhhq/hhShhhhhhh/hhhShhhhhh/hhhhShhhhh/"
+                    "hhhhhShhhh/hhhhhhShhh/hhhhhhhShh/qhhhhhhhSh/qqhhhhhhhS"),
+    "A100": (1e-4, "SSSSSSSShh/SSSSSSSSSh/SSSSSSSSSS/SSSSSSSSSS/SSSSSSSSSS/"
+                   "SSSSSSSSSS/SSSSSSSSSS/SSSSSSSSSS/hSSSSSSSSS/hhSSSSSSSS"),
+}
+
+
+@pytest.mark.parametrize("gpu", sorted(SEEDED_MOSAICS))
+def test_seeded_kernel_keeps_its_map(gpu):
+    """The Build's map, decided on the FP64 staging tiles, and the map
+    decided again on the stored FP8/FP16 mosaic, whose upper-triangle
+    reads are mirrored low-precision tiles."""
+    from repro.distance.build import KernelBuilder
+
+    accuracy, want = SEEDED_MOSAICS[gpu]
+    rule = AdaptivePrecisionRule(accuracy=accuracy,
+                                 candidates=candidates_for_gpu(gpu))
+    built = KernelBuilder(gamma=0.005, tile_size=16,
+                          adaptive_rule=rule).build_training(_structured_cohort())
+
+    def render(decisions):
+        hm = PrecisionHeatmap.from_decisions(decisions, (10, 10))
+        return hm.render().replace("\n", "/")
+
+    assert render(built.precision_map) == want
+    assert render(decide_tile_precisions(built.kernel, rule)) == want

@@ -282,3 +282,95 @@ class TestSetTileFromTile:
             np.testing.assert_array_equal(
                 tm.get_tile(1, 1).data,
                 Tile(src.data, precision=Precision.FP16).data)
+
+
+FORMATS = (Precision.FP64, Precision.FP32, Precision.FP16, Precision.BF16,
+           Precision.FP8_E4M3, Precision.FP8_E5M2)
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view({2: np.uint16, 4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+
+
+def _assert_same_payload(got, want):
+    """Same values bit for bit, same dtype and same memory order."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+        (want.flags.c_contiguous, want.flags.f_contiguous)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+class TestNoNeedlessRounding:
+    """Mirrored reads and precision conversions round nothing that is on
+    its grid already: a patched ``quantize`` counts every rounding, and
+    the payloads equal what rounding a float64 copy gave, bit for bit
+    and in memory order."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.tiles.tile as tile_module
+
+        seen, real = [], tile_module.quantize
+
+        def counting(x, precision):
+            seen.append(Precision.from_string(precision))
+            return real(x, precision)
+
+        monkeypatch.setattr(tile_module, "quantize", counting)
+        return seen
+
+    @staticmethod
+    def _mosaic(rng):
+        """A symmetric 4×4 tile grid, the stored tiles cycling through
+        every float format, C-ordered payloads."""
+        tm = TileMatrix.zeros(32, 32, 8, symmetric=True)
+        for n, (i, j) in enumerate(tm.layout.iter_lower_tiles()):
+            tm.set_tile(i, j, 4.0 * rng.standard_normal((8, 8)),
+                        precision=FORMATS[n % len(FORMATS)])
+        return tm
+
+    def test_mirrored_read_adopts_a_transposed_copy(self, rng, calls):
+        tm = self._mosaic(rng)
+        for i, j in tm.layout.iter_lower_tiles():
+            if i == j:
+                continue
+            stored = tm.get_tile(i, j)
+            want = Tile(stored.to_float64().T, precision=stored.precision)
+            calls.clear()
+            got = tm.get_tile(j, i)
+            assert calls == []
+            assert got.precision is stored.precision and got.coords == (j, i)
+            _assert_same_payload(got.data, want.data)
+            assert not np.shares_memory(got.data, stored.data)
+
+    def test_conversion_to_its_own_precision_rewraps(self, rng, calls):
+        tm = self._mosaic(rng)
+        for i, j in tm.layout.iter_lower_tiles():
+            stored = tm.get_tile(i, j)
+            want = Tile(stored.to_float64(), precision=stored.precision)
+            calls.clear()
+            tm.set_tile_precision(i, j, stored.precision)
+            assert calls == []
+            got = tm.get_tile(i, j)
+            assert got.precision is stored.precision and got.data is stored.data
+            _assert_same_payload(got.data, want.data)
+
+    def test_precision_map_rounds_only_the_tiles_it_changes(self, rng, calls):
+        tm = self._mosaic(rng)
+        keys = list(tm.layout.iter_lower_tiles())
+        pmap = {key: FORMATS[(3 * n) % len(FORMATS)]
+                for n, key in enumerate(keys)}
+        before = {key: tm.get_tile(*key) for key in keys}
+        want = {key: Tile(before[key].to_float64(), precision=pmap[key])
+                for key in keys}
+        calls.clear()
+        tm.apply_precision_map(pmap)
+        changed = [pmap[key] for key in keys
+                   if before[key].precision is not pmap[key]]
+        assert 0 < len(changed) < len(keys)
+        assert calls == changed
+        for key in keys:
+            got = tm.get_tile(*key)
+            assert got.precision is pmap[key]
+            _assert_same_payload(got.data, want[key].data)
