@@ -51,13 +51,6 @@ class PearsonTable:
             })
         return out
 
-    def krr_advantage(self, phenotype: str) -> float:
-        """Ratio KRR-FP16 / RR-FP16 (the "up to four times" of the paper)."""
-        rr = self.rr_fp16[phenotype]
-        if rr == 0:
-            return float("inf")
-        return self.krr_fp16[phenotype] / rr
-
 
 def run_pearson_table(scale: str | ScalePreset = "small",
                       seed: int = 42) -> PearsonTable:

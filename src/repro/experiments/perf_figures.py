@@ -55,10 +55,6 @@ class FigureSeries:
     y: list[float] = field(default_factory=list)
     meta: dict[str, object] = field(default_factory=dict)
 
-    def as_rows(self, x_label: str = "x", y_label: str = "y") -> list[dict[str, object]]:
-        return [{x_label: xi, y_label: yi, "series": self.name}
-                for xi, yi in zip(self.x, self.y)]
-
 
 # ----------------------------------------------------------------------
 # Fig. 7 — Build phase weak scaling on Alps

@@ -707,6 +707,8 @@ class KRRSession:
         phenotypes = np.asarray(phenotypes, dtype=np.float64)
         if phenotypes.ndim == 1:
             phenotypes = phenotypes[:, None]
+        if phenotypes.shape[0] != self.factorization_.factor.shape[0]:
+            raise ValueError("phenotypes must have one row per training individual")
         y_centered = phenotypes - phenotypes.mean(axis=0, keepdims=True)
         [(weights, _)] = self._solve(y_centered, [self.alpha_], "solve").values()
         return weights
@@ -922,6 +924,8 @@ class RRSession:
         if phenotypes.ndim == 1:
             phenotypes = phenotypes[:, None]
         x_std = self._standardize(design)
+        if phenotypes.shape[0] != x_std.shape[0]:
+            raise ValueError("design and phenotypes must have the same number of rows")
         y_centered = phenotypes - phenotypes.mean(axis=0, keepdims=True)
         xty = gemm(x_std, y_centered, precision=Precision.FP32, transa=True,
                    runtime=self.runtime, phase="solve")

@@ -312,9 +312,7 @@ def cg_solve(
     def apply_preconditioner(r: np.ndarray) -> np.ndarray:
         if factor is None:
             return r
-        return np.asarray(
-            solve_cholesky(factor, r, precision=precision),
-            dtype=np.float64)
+        return solve_cholesky(factor, r, precision=precision)
 
     def panel(name: str, value: np.ndarray) -> np.ndarray:
         value = np.asarray(value, dtype=np.float64)

@@ -5,9 +5,11 @@ equivalents of the cuSOLVER/cuBLAS kernels PaRSEC dispatches per tile:
 
 ========  =============================================================
 POTRF     Cholesky factorization of a diagonal tile.
-TRSM      Triangular solve updating a panel tile.
+TRSM      Triangular solve updating a panel tile (or, transposed, a
+          block of a triangular solve's right-hand side).
 SYRK      Symmetric rank-k update of a diagonal tile.
-GEMM      General update of an off-diagonal tile.
+GEMM      General update of an off-diagonal tile, and the block update
+          of a triangular solve's right-hand side.
 ========  =============================================================
 
 Which arithmetic runs is decided by the *compute* precision alone.  A
@@ -72,10 +74,11 @@ def _payload(x: "np.ndarray | Tile") -> np.ndarray:
     return x.data if isinstance(x, Tile) else np.asarray(x)
 
 
-def _blas_arrays(precision: Precision, *inputs) -> list[np.ndarray]:
+def _blas_arrays(precision: Precision, *inputs,
+                 order: str = "C") -> list[np.ndarray]:
     """``inputs`` in the dtype of the BLAS that computes at ``precision``:
     the operands as they are when the dtype matches, the last one — the
-    destination BLAS overwrites — always as a fresh C-ordered copy.  An
+    destination BLAS overwrites — always as a fresh copy in ``order``.  An
     emulated update runs in float32, the FP32 accumulator: its operands
     are the cached casts of their :func:`panel_operand`, its destination
     is first put on the compute grid (read as is from a tile there)."""
@@ -89,7 +92,7 @@ def _blas_arrays(precision: Precision, *inputs) -> list[np.ndarray]:
                   for x in inputs[:-1]]
         if not (isinstance(dest, Tile) and dest.precision is precision):
             dest = quantize(_payload(dest), precision)
-    return arrays + [np.array(_payload(dest), dtype=dtype, order="C")]
+    return arrays + [np.array(_payload(dest), dtype=dtype, order=order)]
 
 
 def panel_operand(tile: "np.ndarray | Tile | QuantizedOperand",
@@ -143,24 +146,29 @@ def tile_potrf(a: "np.ndarray | Tile",
 
 
 def tile_trsm(l_tile: "np.ndarray | Tile", b_tile: "np.ndarray | Tile",
-              precision: Precision | str = Precision.FP64) -> np.ndarray:
+              precision: Precision | str = Precision.FP64,
+              trans: bool = False) -> np.ndarray:
     """Panel solve ``X = B @ L^{-T}`` against a lower-triangular tile (only
     its lower triangle is read): the update applied to the tiles below the
-    diagonal in the right-looking tiled Cholesky."""
+    diagonal in the right-looking tiled Cholesky.  ``trans`` solves
+    ``X = B @ L^{-1}`` instead; on a transposed right-hand-side block,
+    ``trans=False``/``True`` are the diagonal steps of the forward
+    (``L``) and backward (``L^T``) triangular sweeps."""
     precision = Precision.from_string(precision)
     if precision not in NATIVE:
         t64 = _as64(quantize(_payload(l_tile), precision))
         b64 = _as64(quantize(_payload(b_tile), precision))
-        # X L^T = B  ->  L X^T = B^T
-        x = scipy.linalg.solve_triangular(t64, b64.T, lower=True).T
+        # X op(L)^T = B  ->  op(L) X^T = B^T
+        x = scipy.linalg.solve_triangular(t64, b64.T, lower=True,
+                                          trans=int(trans)).T
         return quantize(x, precision)
     lower, work = _blas_arrays(precision, l_tile, b_tile)
     if not work.size:
         return work
-    # L X^T = B^T on the transposed views: L.T is upper, so solve with
-    # its transpose from the left, in place in the copy of B
+    # op(L) X^T = B^T on the transposed views, in place in the copy of B:
+    # L.T is upper, and trans_a=1 applies its transpose L
     trsm = getattr(blas, NATIVE[precision] + "trsm")
-    return trsm(1.0, lower.T, work.T, side=0, lower=0, trans_a=1,
+    return trsm(1.0, lower.T, work.T, side=0, lower=0, trans_a=int(not trans),
                 overwrite_b=1).T
 
 
@@ -200,6 +208,26 @@ def tile_gemm(a_tile: "np.ndarray | Tile | QuantizedOperand",
         gemm = getattr(blas, NATIVE.get(precision, "s") + "gemm")
         work = gemm(-1.0, b.T, a.T, beta=1.0, c=work.T, trans_a=1,
                     overwrite_c=1).T
+    return work if precision in NATIVE else quantize(work, precision)
+
+
+def tile_solve_gemm(l_tile: "np.ndarray | Tile", x: np.ndarray,
+                    acc: np.ndarray,
+                    precision: Precision | str = Precision.FP64,
+                    trans: bool = False) -> np.ndarray:
+    """Right-hand-side block update ``acc - L @ x`` (``acc - L^T @ x``
+    with ``trans``) of a triangular sweep: one ``?gemm`` with ``beta=1``
+    in an F-ordered copy of ``acc``, in the same dtype and accumulator as
+    :func:`tile_gemm`.  Not :func:`tile_gemm` itself: its ``C^T - B A^T``
+    would make the panel's few columns BLAS's M dimension, here they are
+    its N one."""
+    precision = Precision.from_string(precision)
+    lower, b, work = _blas_arrays(precision, l_tile, x, acc, order="F")
+    if work.size:
+        # L's C-ordered payload is L^T to Fortran: trans_a=1 applies L
+        gemm = getattr(blas, NATIVE.get(precision, "s") + "gemm")
+        work = gemm(-1.0, lower.T, b, beta=1.0, c=work,
+                    trans_a=int(not trans), overwrite_c=1)
     return work if precision in NATIVE else quantize(work, precision)
 
 

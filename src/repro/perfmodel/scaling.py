@@ -64,11 +64,6 @@ class PhaseEstimate:
         """Sustained op/s (the paper's "mixed-precision flop/s")."""
         return self.flops / self.time if self.time > 0 else 0.0
 
-    @property
-    def parallel_fraction(self) -> float:
-        """Compute share of the total time (1.0 = perfectly hidden comm)."""
-        return self.compute_time / self.time if self.time > 0 else 1.0
-
 
 @dataclass(frozen=True)
 class ScalingPoint:

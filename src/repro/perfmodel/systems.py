@@ -62,10 +62,6 @@ class SystemSpec:
     link_bandwidth: float
     link_latency: float = 5.0e-6
 
-    @property
-    def total_nodes(self) -> int:
-        return self.total_gpus // self.gpus_per_node
-
     def nodes_for_gpus(self, n_gpus: int) -> int:
         return max(1, -(-n_gpus // self.gpus_per_node))
 

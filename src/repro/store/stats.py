@@ -151,10 +151,6 @@ class ResidencyManager:
     def resident(self, key: tuple[int, tuple[int, int]]) -> bool:
         return key in self._entries
 
-    def entry_bytes(self, key: tuple[int, tuple[int, int]]) -> int:
-        entry = self._entries.get(key)
-        return entry.nbytes if entry is not None else 0
-
     def add(self, key: tuple[int, tuple[int, int]], nbytes: int) -> None:
         """Record a tile becoming resident (fault-in or fresh write)."""
         old = self._entries.pop(key, None)

@@ -6,8 +6,7 @@ target (the "tile-centric adaptive precision" of Higham & Mary).  This
 package provides:
 
 ``TileLayout``
-    Geometry of a tile grid plus the block-cyclic process distribution
-    used to map tiles to devices/ranks.
+    Geometry of a tile grid.
 ``Tile`` and ``TileMatrix``
     Storage objects.  A ``TileMatrix`` can be constructed from a dense
     array, carries one precision per tile, and converts back to dense.
@@ -18,7 +17,7 @@ package provides:
     as a baseline in Fig. 5.
 """
 
-from repro.tiles.layout import BlockCyclicDistribution, TileLayout
+from repro.tiles.layout import TileLayout
 from repro.tiles.tile import Tile
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.adaptive import (
@@ -40,7 +39,6 @@ __all__ = [
     "pack_tile_matrix",
     "unpack_tile_matrix",
     "TileLayout",
-    "BlockCyclicDistribution",
     "Tile",
     "TileMatrix",
     "AdaptivePrecisionRule",

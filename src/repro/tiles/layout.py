@@ -1,10 +1,7 @@
-"""Tile-grid geometry and block-cyclic distribution.
+"""Tile-grid geometry.
 
 A :class:`TileLayout` describes how an ``m × n`` matrix is cut into
-``tile_size × tile_size`` tiles (edge tiles may be smaller).  The
-:class:`BlockCyclicDistribution` maps tile coordinates to owning ranks
-in a 2D block-cyclic fashion, the standard distribution of ScaLAPACK /
-DPLASMA / PaRSEC used by the paper's distributed Cholesky.
+``tile_size × tile_size`` tiles (edge tiles may be smaller).
 """
 
 from __future__ import annotations
@@ -111,53 +108,3 @@ class TileLayout:
     @classmethod
     def square(cls, n: int, tile_size: int) -> "TileLayout":
         return cls(rows=n, cols=n, tile_size=tile_size)
-
-
-@dataclass(frozen=True)
-class BlockCyclicDistribution:
-    """2D block-cyclic mapping of tiles onto a ``p × q`` process grid.
-
-    Tile ``(i, j)`` is owned by rank ``(i mod p) * q + (j mod q)``.
-    This is how PaRSEC's two-dimensional block-cyclic data collection
-    distributes the kernel matrix across nodes in the paper's runs.
-    """
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("process grid dimensions must be positive")
-
-    @property
-    def num_ranks(self) -> int:
-        return self.p * self.q
-
-    def owner(self, i: int, j: int) -> int:
-        """Rank owning tile ``(i, j)``."""
-        if i < 0 or j < 0:
-            raise IndexError("tile coordinates must be non-negative")
-        return (i % self.p) * self.q + (j % self.q)
-
-    def tiles_of_rank(self, rank: int, layout: TileLayout) -> list[tuple[int, int]]:
-        """All tiles of ``layout`` owned by ``rank``."""
-        if not (0 <= rank < self.num_ranks):
-            raise ValueError(f"rank {rank} outside grid of {self.num_ranks} ranks")
-        return [t for t in layout.iter_tiles() if self.owner(*t) == rank]
-
-    def load_per_rank(self, layout: TileLayout) -> dict[int, int]:
-        """Number of tiles owned by each rank (load-balance diagnostics)."""
-        counts = {r: 0 for r in range(self.num_ranks)}
-        for i, j in layout.iter_tiles():
-            counts[self.owner(i, j)] += 1
-        return counts
-
-    @classmethod
-    def for_ranks(cls, num_ranks: int) -> "BlockCyclicDistribution":
-        """Near-square process grid for ``num_ranks`` ranks."""
-        if num_ranks <= 0:
-            raise ValueError("num_ranks must be positive")
-        p = int(num_ranks ** 0.5)
-        while p > 1 and num_ranks % p:
-            p -= 1
-        return cls(p=p, q=num_ranks // p)

@@ -116,27 +116,6 @@ class Tile:
             return view
         return np.asarray(self.data, dtype=np.float64)
 
-    def fortran64_values(self) -> np.ndarray:
-        """Read-only Fortran-ordered float64 copy of the tile, cached.
-
-        LAPACK wrappers (``dtrtrs`` & co.) silently convert C-ordered
-        operands to Fortran order on *every* call; a solver that hits
-        the same diagonal tile once per iteration pays that conversion
-        repeatedly.  This caches the converted array on the tile (keyed
-        to :attr:`version`, so writes invalidate it).  Values are
-        bitwise identical to :meth:`float64_values` — only the memory
-        layout differs, which LAPACK would have imposed anyway.
-        """
-        cached = getattr(self, "_f64_fortran", None)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        arr = np.asfortranarray(np.asarray(self.data, dtype=np.float64))
-        if arr is self.data:  # already float64 F-contiguous: don't
-            arr = arr.view()  # freeze the payload itself
-        arr.flags.writeable = False
-        self._f64_fortran = (self._version, arr)
-        return arr
-
     def convert(self, precision: Precision | str) -> "Tile":
         """Return a new tile re-quantized to ``precision``.
 

@@ -131,6 +131,16 @@ class TestErrorsAndReuse:
         np.testing.assert_allclose(extra, full.weights_[:, 1:],
                                    rtol=1e-5, atol=1e-6)
 
+    def test_additional_phenotypes_need_one_row_per_individual(
+            self, cohort_arrays):
+        """A longer panel used to be solved on its first rows."""
+        train, _ = cohort_arrays
+        session = KRRSession(KRRConfig(tile_size=52))
+        session.fit(train.genotypes, train.phenotypes[:, :1])
+        extra = np.vstack([train.phenotypes, train.phenotypes[:30]])
+        with pytest.raises(ValueError, match="one row per training"):
+            session.solve_additional_phenotypes(extra)
+
     def test_keyword_overrides(self):
         session = KRRSession(alpha=2.0, gamma=0.5)
         assert session.config.alpha == 2.0

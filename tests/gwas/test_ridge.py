@@ -145,6 +145,16 @@ class TestFit:
         expected = direct.fit(x, y_new).beta_
         np.testing.assert_allclose(reused, expected, rtol=1e-6, atol=1e-8)
 
+    def test_reuse_rejects_mismatched_rows_before_any_task(
+            self, linear_problem, rng):
+        """Mismatched rows used to surface as a task failure wrapping a
+        BLAS shape error."""
+        x, y = linear_problem
+        model = RRSession(RRConfig(tile_size=8)).fit(x, y)
+        with pytest.raises(ValueError, match="same number of rows"):
+            model.solve_additional_phenotypes(x, y[:-5])
+        assert "solve" not in model.runtime.ledger
+
     def test_keyword_override_constructor(self):
         model = RRSession(regularization=7.0)
         assert model.config.regularization == 7.0

@@ -460,8 +460,8 @@ class TestDensePanelSolve:
         panel = _through_tiles(y - y.mean(axis=0)[None, :], Precision.FP64)
         for trans in (False, True):
             panel = _through_tiles(
-                solve_triangular(factor, panel, lower=True, trans=trans,
-                                 precision=wp), wp)
+                solve_triangular(factor, panel, trans=trans, precision=wp),
+                wp)
         assert session.weights_.flags.c_contiguous
         np.testing.assert_array_equal(session.weights_, panel)
         np.testing.assert_array_equal(

@@ -18,6 +18,7 @@ from repro.linalg.kernels import (
     tile_trsm,
     trsm_flops,
 )
+from repro.linalg.solve import SolveGemmSpec, SolveTrsmSpec
 from repro.precision.formats import Precision
 from repro.precision.gemm import QuantizedOperand, gemm_mixed, syrk_mixed
 from repro.precision.quantize import quantize
@@ -91,6 +92,19 @@ class TestTrsm:
         x = tile_trsm(l, b, precision=p)
         assert x.dtype == p.numpy_dtype and x.shape == b.shape
         np.testing.assert_allclose(x.astype(np.float64) @ l.T, b,
+                                   rtol=rtol, atol=rtol)
+
+    @pytest.mark.parametrize("p,rtol", [(Precision.FP64, 1e-10),
+                                        (Precision.FP32, 1e-4),
+                                        (Precision.FP16, 0.05)],
+                             ids=lambda v: getattr(v, "value", None))
+    def test_trans_solves_against_the_lower_factor(self, spd_tile, rng, p,
+                                                   rtol):
+        l = np.linalg.cholesky(spd_tile)
+        b = rng.standard_normal((10, 16))
+        x = tile_trsm(l, b, precision=p, trans=True)
+        assert x.dtype == p.numpy_dtype and x.shape == b.shape
+        np.testing.assert_allclose(x.astype(np.float64) @ l, b,
                                    rtol=rtol, atol=rtol)
 
     @pytest.mark.parametrize("p", NATIVE + [Precision.FP16],
@@ -375,6 +389,23 @@ def test_native_factorization_never_quantizes(monkeypatch, p):
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
     assert len(OPERANDS) == 0
+
+
+@pytest.mark.parametrize("p", NATIVE, ids=lambda p: p.value)
+@pytest.mark.parametrize("transpose", [False, True])
+def test_native_solve_steps_never_quantize(monkeypatch, rng, p, transpose):
+    """The triangular solve's block update and diagonal solve at FP32 /
+    FP64 are that dtype's BLAS: no ``quantize`` and no float64 read of a
+    tile (the emulation they replaced did both on every call)."""
+    diag = Tile(np.linalg.cholesky(spd(rng, 16)), precision=p)
+    lij = Tile(rng.standard_normal((16, 16)), precision=p)
+    panel = np.asfortranarray(rng.standard_normal((16, 3)), p.numpy_dtype)
+    _forbid(monkeypatch, quantize)
+    monkeypatch.setattr(Tile, "float64_values",
+                        lambda self: pytest.fail("float64_values"))
+    acc = SolveGemmSpec(p, transpose).run(panel, panel, lij)
+    out = SolveTrsmSpec(p, transpose).run(acc, diag)
+    assert acc.dtype == out.dtype == p.numpy_dtype
 
 
 @pytest.mark.parametrize("execution", ["direct", "serial", "threaded", "process"])

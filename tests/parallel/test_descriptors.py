@@ -42,6 +42,7 @@ from repro.precision.quantize import quantize
 from repro.tiles.tile import Tile
 
 T = 16
+_PREFIX = {Precision.FP32: "s", Precision.FP64: "d"}  # BLAS routine prefix
 
 
 def _rng(seed=0):
@@ -79,10 +80,8 @@ def _specimens():
         TrsmSpec: TrsmSpec(Precision.FP32, Precision.FP16),
         SyrkSpec: SyrkSpec(Precision.FP32, key_ik=11),
         GemmTrailSpec: GemmTrailSpec(Precision.FP16, key_ik=11, key_jk=12),
-        SolveGemmSpec: SolveGemmSpec(Precision.FP32, transpose_tile=True,
-                                     transpose_op=False),
-        SolveTrsmSpec: SolveTrsmSpec(Precision.FP32, transpose=False,
-                                     lower_solve=True),
+        SolveGemmSpec: SolveGemmSpec(Precision.FP32, transpose=True),
+        SolveTrsmSpec: SolveTrsmSpec(Precision.FP32, transpose=False),
         BuildRowSpec: BuildRowSpec(gamma=0.01, snp_block=64, row_start=0,
                                    row_stop=8, col_end=24),
         CgMatvecSpec: CgMatvecSpec(shifts=(0.5,), row_start=16, row_stop=32,
@@ -284,40 +283,45 @@ class TestBehaviorEquality:
         second = spec.run(lik, aii).to_float64()  # cache hit path
         np.testing.assert_array_equal(first, second)
 
-    def test_solve_gemm(self):
-        xj = _rng(8).standard_normal((T, 3))
-        acc = _rng(9).standard_normal((T, 3))
-        lij = _tile(seed=10, coords=(2, 1))
-        spec = _round_trip(SolveGemmSpec(Precision.FP32, transpose_tile=True,
-                                         transpose_op=False))
+    @pytest.mark.parametrize("p", [Precision.FP32, Precision.FP64],
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_solve_gemm(self, p, transpose):
+        """``acc - op(L) x`` is one ``?gemm`` in the working dtype on the
+        tile's F-ordered view, into a copy of ``acc``."""
+        dtype = p.numpy_dtype
+        xj = np.asfortranarray(_rng(8).standard_normal((T, 3)), dtype)
+        acc = np.asfortranarray(_rng(9).standard_normal((T, 3)), dtype)
+        before = acc.copy()
+        lij = _tile(seed=10, coords=(2, 1), precision=p)
+        spec = _round_trip(SolveGemmSpec(p, transpose=transpose))
         out = spec.run(xj, acc, lij)
-        expect = quantize(acc - lij.to_float64().T @ xj, Precision.FP32)
-        np.testing.assert_array_equal(out, np.asarray(expect, np.float64))
+        gemm = getattr(scipy.linalg.blas, _PREFIX[p] + "gemm")
+        expect = gemm(-1.0, lij.data.T, xj, beta=1.0, c=acc.copy(order="F"),
+                      trans_a=int(not transpose))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, expect)
+        np.testing.assert_array_equal(acc, before)
 
-    def test_solve_trsm(self):
-        acc = _rng(11).standard_normal((T, 3))
+    @pytest.mark.parametrize("p", [Precision.FP32, Precision.FP64],
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_solve_trsm(self, p, transpose):
+        """``op(L) X = acc`` is one ``?trsm`` in the working dtype on the
+        diagonal tile's F-ordered view, into a copy of ``acc``."""
+        dtype = p.numpy_dtype
+        acc = np.asfortranarray(_rng(11).standard_normal((T, 3)), dtype)
+        before = acc.copy()
         diag = Tile(np.linalg.cholesky(_spd_tile(seed=12).to_float64()),
-                    precision=Precision.FP64, coords=(1, 1))
-        spec = _round_trip(SolveTrsmSpec(Precision.FP32, transpose=True,
-                                         lower_solve=False))
+                    precision=p, coords=(1, 1))
+        spec = _round_trip(SolveTrsmSpec(p, transpose=transpose))
         out = spec.run(acc, diag)
-        expect = quantize(
-            scipy.linalg.solve_triangular(diag.to_float64().T, acc,
-                                          lower=False), Precision.FP32)
-        np.testing.assert_array_equal(out, np.asarray(expect, np.float64))
-
-    def test_solve_trsm_keep_fortran_changes_only_what_the_tile_keeps(self):
-        acc = _rng(11).standard_normal((T, 3))
-        outs = {}
-        for keep in (False, True):
-            diag = Tile(np.linalg.cholesky(_spd_tile(seed=12).to_float64()),
-                        precision=Precision.FP32, coords=(1, 1))
-            spec = _round_trip(SolveTrsmSpec(
-                Precision.FP32, transpose=False, lower_solve=True,
-                keep_fortran=keep))
-            outs[keep] = spec.run(acc, diag)
-            assert hasattr(diag, "_f64_fortran") is keep
-        np.testing.assert_array_equal(outs[False], outs[True])
+        trsm = getattr(scipy.linalg.blas, _PREFIX[p] + "trsm")
+        expect = trsm(1.0, diag.data.T, acc.copy(order="F"), lower=0,
+                      trans_a=int(not transpose))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, expect)
+        np.testing.assert_array_equal(acc, before)
 
     def test_shared_operand_is_quantized_once(self):
         lik = _tile(seed=3, coords=(2, 0))

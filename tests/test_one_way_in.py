@@ -125,7 +125,7 @@ def test_every_tiled_routine_enters_the_one_scope():
         "linalg/blas3.py:_run_as_task",
         "linalg/cg.py:kernel_matvec",
         "linalg/cholesky.py:_cholesky_runtime",
-        "linalg/solve.py:_solve_runtime",
+        "linalg/solve.py:_sweep",
     ]
 
 

@@ -1,10 +1,10 @@
-"""Tests for tile-grid geometry and block-cyclic distribution."""
+"""Tests for tile-grid geometry."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tiles.layout import BlockCyclicDistribution, TileLayout
+from repro.tiles.layout import TileLayout
 
 
 class TestTileLayout:
@@ -83,53 +83,3 @@ class TestTileLayout:
         total = sum(layout.tile_shape(i, j)[0] * layout.tile_shape(i, j)[1]
                     for i, j in layout.iter_tiles())
         assert total == rows * cols
-
-
-class TestBlockCyclic:
-    def test_owner_deterministic(self):
-        dist = BlockCyclicDistribution(p=2, q=3)
-        assert dist.num_ranks == 6
-        assert dist.owner(0, 0) == 0
-        assert dist.owner(1, 0) == 3
-        assert dist.owner(0, 1) == 1
-        assert dist.owner(2, 3) == dist.owner(0, 0)  # cyclic wrap
-
-    def test_tiles_of_rank_partition(self):
-        layout = TileLayout.square(40, 5)
-        dist = BlockCyclicDistribution(p=2, q=2)
-        all_tiles = set()
-        for rank in range(dist.num_ranks):
-            tiles = dist.tiles_of_rank(rank, layout)
-            assert all_tiles.isdisjoint(tiles)
-            all_tiles.update(tiles)
-        assert all_tiles == set(layout.iter_tiles())
-
-    def test_load_balance(self):
-        layout = TileLayout.square(64, 8)
-        dist = BlockCyclicDistribution(p=2, q=4)
-        loads = dist.load_per_rank(layout)
-        assert sum(loads.values()) == layout.num_tiles
-        assert max(loads.values()) - min(loads.values()) <= 1
-
-    def test_for_ranks_near_square(self):
-        dist = BlockCyclicDistribution.for_ranks(12)
-        assert dist.num_ranks == 12
-        assert abs(dist.p - dist.q) <= dist.q  # reasonably balanced
-
-    def test_for_ranks_prime(self):
-        dist = BlockCyclicDistribution.for_ranks(7)
-        assert dist.num_ranks == 7
-
-    def test_invalid_rank(self):
-        dist = BlockCyclicDistribution(p=2, q=2)
-        with pytest.raises(ValueError):
-            dist.tiles_of_rank(4, TileLayout.square(8, 4))
-
-    def test_invalid_grid(self):
-        with pytest.raises(ValueError):
-            BlockCyclicDistribution(p=0, q=1)
-
-    def test_negative_tile_raises(self):
-        dist = BlockCyclicDistribution(p=2, q=2)
-        with pytest.raises(IndexError):
-            dist.owner(-1, 0)
