@@ -48,8 +48,7 @@ def main() -> None:
                                   precision_plan=PrecisionPlan.adaptive_fp16()))
 
     print("Running mixed-precision Kernel Ridge Regression (KRR) GWAS ...")
-    krr = workflow.run_krr(KRRConfig(tile_size=64,
-                                     precision_plan=PrecisionPlan.adaptive_fp16()))
+    krr = workflow.run_krr(KRRConfig(precision_plan=PrecisionPlan.adaptive_fp16()))
 
     rows = []
     for name in names:

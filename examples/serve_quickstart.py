@@ -72,7 +72,7 @@ def main() -> None:
     tmp = Path(tempfile.mkdtemp(prefix="repro-serve-"))
     print("\nFitting and exporting model artifacts:")
     for name, plan in plans.items():
-        session = KRRSession(KRRConfig(tile_size=64, precision_plan=plan))
+        session = KRRSession(KRRConfig(precision_plan=plan))
         session.fit(split.train.genotypes, split.train.phenotypes,
                     split.train.confounders)
         sessions[name] = session

@@ -12,7 +12,7 @@ Typical use::
     from repro.api import KRRSession, KRRConfig, PrecisionPlan
 
     session = KRRSession(KRRConfig(
-        tile_size=64, precision_plan=PrecisionPlan.adaptive_fp16()))
+        precision_plan=PrecisionPlan.adaptive_fp16()))
     session.fit(train_genotypes, train_phenotypes)
     predictions = session.predict(test_genotypes)
 

@@ -348,7 +348,8 @@ class KernelBuilder:
     gamma:
         Gaussian bandwidth (paper uses 0.01).
     tile_size:
-        Tile edge of the produced kernel matrix.
+        Tile edge of the produced kernel matrix (default 256, the
+        sessions' default).
     snp_precision:
         Input precision of the SNP Gram product (INT8 reproduces the
         tensor-core path; FP32/FP64 give reference results).
@@ -383,7 +384,7 @@ class KernelBuilder:
 
     kernel_type: str = "gaussian"
     gamma: float = 0.01
-    tile_size: int = 64
+    tile_size: int = 256
     snp_precision: Precision | str = Precision.INT8
     confounder_precision: Precision | str = Precision.FP32
     adaptive_rule: AdaptivePrecisionRule | None = None

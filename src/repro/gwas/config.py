@@ -229,7 +229,8 @@ class RRConfig(_WithOptionsMixin):
     regularization:
         The λ penalty added to ``X^T X``.
     tile_size:
-        Tile edge for the SYRK and Cholesky.
+        Tile edge for the SYRK and Cholesky (default 256: large tiles
+        keep the BLAS busy and the task count small).
     precision_plan:
         Mixed-precision plan of the Cholesky factorization.
     snp_precision:
@@ -254,7 +255,7 @@ class RRConfig(_WithOptionsMixin):
     """
 
     regularization: float = 1.0
-    tile_size: int = 64
+    tile_size: int = 256
     precision_plan: PrecisionPlan = field(default_factory=PrecisionPlan.fp32)
     snp_precision: Precision = Precision.INT8
     workers: int | None = None
@@ -291,7 +292,9 @@ class KRRConfig(_WithOptionsMixin):
     kernel_type:
         ``"gaussian"`` or ``"ibs"``.
     tile_size:
-        Tile edge of the kernel matrix.
+        Tile edge of the kernel matrix (default 256: large tiles keep
+        the BLAS busy and the task count small, at the price of a
+        coarser precision mosaic).
     precision_plan:
         Mixed-precision plan of the Associate phase.
     snp_precision:
@@ -388,7 +391,7 @@ class KRRConfig(_WithOptionsMixin):
     gamma: float = 0.01
     alpha: float = 0.5
     kernel_type: str = "gaussian"
-    tile_size: int = 64
+    tile_size: int = 256
     precision_plan: PrecisionPlan = field(default_factory=PrecisionPlan.adaptive_fp16)
     snp_precision: Precision = Precision.INT8
     workers: int | None = None

@@ -82,7 +82,7 @@ class KRRSession:
 
     Typical use::
 
-        session = KRRSession(KRRConfig(tile_size=64))
+        session = KRRSession(KRRConfig())
         session.fit(train_genotypes, train_phenotypes, train_confounders)
         predictions = session.predict(test_genotypes, test_confounders)
 

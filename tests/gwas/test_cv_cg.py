@@ -31,14 +31,16 @@ def cohort():
 def direct_result(cohort):
     x, y = cohort
     return grid_search_cv(x, y, alphas=ALPHAS, gammas=GAMMAS, n_folds=FOLDS,
-                          seed=0, base_config=KRRConfig(solver="direct"))
+                          seed=0,
+                          base_config=KRRConfig(tile_size=64, solver="direct"))
 
 
 @pytest.fixture(scope="module")
 def cg_result(cohort):
     x, y = cohort
     return grid_search_cv(x, y, alphas=ALPHAS, gammas=GAMMAS, n_folds=FOLDS,
-                          seed=0, base_config=KRRConfig(solver="cg"))
+                          seed=0,
+                          base_config=KRRConfig(tile_size=64, solver="cg"))
 
 
 class TestValidation:
@@ -116,7 +118,8 @@ class TestFactorOnceSweep:
         monkeypatch.setenv("REPRO_SOLVER", "cg")
         x, y = cohort
         result = grid_search_cv(x, y, alphas=ALPHAS, gammas=GAMMAS[:1],
-                                n_folds=FOLDS, seed=0)
+                                n_folds=FOLDS, seed=0,
+                                base_config=KRRConfig(tile_size=64))
         assert result.solver == "cg"
         assert result.factorizations == FOLDS + result.cg_fallbacks
 
@@ -190,7 +193,7 @@ class TestSweepMemory:
             sessions.clear()
             grid_search_cv(*cohort, alphas=alphas, gammas=(0.01,),
                            n_folds=3, seed=0,
-                           base_config=KRRConfig(solver="cg"))
+                           base_config=KRRConfig(tile_size=64, solver="cg"))
             assert len(sessions) == 3
             return [(reachable_task_events(s.runtime),
                      len(s.runtime.last_result.trace.events),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.distance.build import KernelBuilder
 from repro.distance.euclidean import squared_euclidean_gemm
 from repro.distance.kernels import gaussian_kernel
-from repro.gwas.config import KRRConfig, PrecisionPlan
+from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.gwas.session import KRRSession
 from repro.precision.formats import Precision
 from repro.tiles.matrix import TileMatrix
@@ -145,3 +146,35 @@ class TestErrorsAndReuse:
         session = KRRSession(alpha=2.0, gamma=0.5)
         assert session.config.alpha == 2.0
         assert session.config.gamma == 0.5
+
+
+class TestLibraryDefaultTile:
+    """``KRRConfig()`` tiles at 256, so small cohorts end in a ragged tile."""
+
+    def test_one_default_tile_edge(self):
+        assert KRRConfig().tile_size == RRConfig().tile_size \
+            == KernelBuilder().tile_size == 256
+
+    @pytest.mark.parametrize("execution", ["serial", "threaded"])
+    @pytest.mark.parametrize("n", [100, 255, 256, 257])
+    def test_fp64_fit_at_the_default_tile_is_the_dense_solve(self, n, execution):
+        rng = np.random.default_rng(n)
+        g = rng.integers(0, 3, size=(n, 40)).astype(np.int8)
+        y = rng.standard_normal((n, 2))
+        cfg = KRRConfig(precision_plan=PrecisionPlan.fp64(),
+                        execution=execution,
+                        workers=2 if execution == "threaded" else None)
+        session = KRRSession(cfg)
+        try:
+            session.fit(g, y)
+            edge = -(-n // 256)
+            assert session.kernel_.layout.grid_shape == (edge, edge)
+            k = gaussian_kernel(squared_euclidean_gemm(g, precision="fp64"),
+                                cfg.effective_gamma(g.shape[1]))
+            expected = np.linalg.solve(k + cfg.alpha * np.eye(n),
+                                       y - y.mean(axis=0))
+            err = (np.linalg.norm(session.weights_ - expected)
+                   / np.linalg.norm(expected))
+            assert err <= 1e-12
+        finally:
+            session.close()

@@ -123,6 +123,18 @@ class TestBitwiseRoundTrip:
         loaded = FittedModel.load(path)
         assert np.array_equal(_restored(loaded, "predict", g_test), ref)
 
+    def test_artifact_keeps_its_tile_size(self, cohort, tmp_path):
+        """A tile-64 artifact loads and predicts at 64, not the default."""
+        _, _, g_test = cohort
+        session = _fitted(cohort, PrecisionPlan.adaptive_fp16())
+        ref = session.predict(g_test)
+        loaded = FittedModel.load(
+            session.export_model().save(tmp_path / "model"))
+        assert KRRConfig().tile_size != 64
+        assert loaded.config.tile_size == 64
+        assert loaded.factor.layout.tile_size == 64
+        assert np.array_equal(_restored(loaded, "predict", g_test), ref)
+
     @pytest.mark.parametrize("plan", PLANS)
     def test_factor_round_trips_bitwise(self, cohort, plan, tmp_path):
         session = _fitted(cohort, plan)
