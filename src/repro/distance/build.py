@@ -41,7 +41,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.distance.euclidean import squared_norms
+from repro.distance.euclidean import snp_gram_variant, squared_norms
 from repro.distance.kernels import gaussian_kernel, ibs_kernel
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
@@ -470,13 +470,6 @@ class KernelBuilder:
                            stats=stats)
 
     # ------------------------------------------------------------------
-    def _snp_variant(self):
-        return variant_for_input(
-            self.snp_precision if self.snp_precision in (
-                Precision.INT8, Precision.FP64, Precision.FP32,
-                Precision.FP16, Precision.FP8_E4M3,
-            ) else Precision.FP32)
-
     def _conf_variant(self):
         return variant_for_input(
             Precision.FP32 if self.confounder_precision is Precision.FP32
@@ -497,7 +490,8 @@ class KernelBuilder:
         q2, d2, qc2, e2 = self._side_operands(g2, train_confounders)
         return TrainOperands(
             genotypes=g2, confounders=train_confounders,
-            snp_precision=self._snp_variant().input_precision,
+            snp_precision=snp_gram_variant(
+                self.snp_precision).input_precision,
             confounder_precision=self._conf_variant().input_precision,
             q=q2, d=d2, qc=qc2, e=e2,
         )
@@ -505,7 +499,7 @@ class KernelBuilder:
     def _side_operands(self, g: np.ndarray, c: np.ndarray | None):
         """One operand side, prepared once: the quantized genotypes,
         their squared norms and the confounder Gram inputs."""
-        variant = self._snp_variant()
+        variant = snp_gram_variant(self.snp_precision)
         q = QuantizedOperand(g, variant.input_precision)
         if (variant.accumulate_precision.is_integer and integer_gemm_dtype(
                 q.max_abs(), q.max_abs(), g.shape[1]) is np.float32):
@@ -537,7 +531,7 @@ class KernelBuilder:
         n1, n2 = g1.shape[0], g2.shape[0]
         ns = g1.shape[1]
 
-        snp_variant = self._snp_variant()
+        snp_variant = snp_gram_variant(self.snp_precision)
         conf_variant = self._conf_variant()
         if train_cache is not None:
             if symmetric:

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
+    GemmVariant,
     QuantizedOperand,
     gemm_mixed,
     variant_for_input,
@@ -49,6 +50,14 @@ def squared_norms(g: np.ndarray, integer: bool = True) -> np.ndarray:
     return np.einsum("ij,ij->i", gf, gf)
 
 
+def snp_gram_variant(precision: Precision) -> GemmVariant:
+    """The SNP Gram's GEMM variant at input ``precision`` (FP32 for a
+    format other than INT8, FP64, FP32, FP16 and FP8 E4M3)."""
+    return variant_for_input(precision if precision in (
+        Precision.INT8, Precision.FP64, Precision.FP32, Precision.FP16,
+        Precision.FP8_E4M3) else Precision.FP32)
+
+
 def _gram(g1: np.ndarray, g2: np.ndarray, precision: Precision,
           snp_block: int) -> np.ndarray:
     """Blocked ``G1 @ G2.T`` in the requested input precision.
@@ -64,11 +73,7 @@ def _gram(g1: np.ndarray, g2: np.ndarray, precision: Precision,
     ns = g1.shape[1]
     if g2.shape[1] != ns:
         raise ValueError("G1 and G2 must have the same number of columns")
-    variant = variant_for_input(
-        precision if precision in (
-            Precision.INT8, Precision.FP64, Precision.FP32,
-            Precision.FP16, Precision.FP8_E4M3,
-        ) else Precision.FP32)
+    variant = snp_gram_variant(precision)
 
     # quantize each side once; the block loop slices shared views
     q1 = QuantizedOperand(g1, variant.input_precision)

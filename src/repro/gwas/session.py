@@ -15,8 +15,8 @@ The memory contract per phase:
 * **Associate** — the regularization ``K + alpha*I`` touches only the
   *diagonal tiles* (:meth:`TileMatrix.add_diagonal`), the boost-retry
   loop moves the shift with :meth:`TileMatrix.shift_diagonal` instead
-  of re-copying the matrix, and the Cholesky factorizes a tile-level
-  workspace copy (:meth:`TileMatrix.unpacked_lower`).  The weight-panel
+  of re-copying the matrix, and the Cholesky factorizes a copy-on-write
+  tile workspace (:meth:`TileMatrix.unpacked_lower`).  The weight-panel
   solve runs blockwise against the tiled factors.
 * **Predict** — the test cohort streams through
   :meth:`~repro.distance.build.KernelBuilder.iter_cross_rows` in row
@@ -742,9 +742,9 @@ class KRRSession:
             raise RuntimeError(
                 "export_model() requires a fitted session: run fit() (or "
                 "build() + associate()) first")
-        # unpacked_lower: per-tile copies of the lower triangle only —
-        # the factorization workspace may hold materialized zero upper
-        # tiles, which would inflate the artifact's resident footprint
+        # unpacked_lower: the lower triangle's tiles only (shared, not
+        # copied) — the factorization workspace may hold materialized
+        # zero upper tiles, which would inflate the artifact's footprint
         return FittedModel(
             config=self.config,
             gamma=self.gamma_,

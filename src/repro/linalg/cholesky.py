@@ -156,10 +156,11 @@ def cholesky(
         tiled = TileMatrix.from_dense(matrix, tile_size, working_precision,
                                       symmetric=False)
     else:
-        # Tile-level workspace copy: the factorization only ever reads
-        # lower-triangle tiles, so symmetric storage unpacks tile by
-        # tile (per-tile precisions preserved) and dense n x n arrays
-        # never exist on this path.
+        # Tile-level workspace: the factorization only ever reads
+        # lower-triangle tiles and replaces them, never writes them, so
+        # symmetric storage hands them over copy-on-write (per-tile
+        # precisions preserved) and dense n x n arrays never exist on
+        # this path.
         tiled = matrix.unpacked_lower() if matrix.symmetric else matrix.copy()
 
     layout = tiled.layout

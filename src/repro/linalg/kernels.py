@@ -23,7 +23,7 @@ operand is read as ``np.asarray(data, dtype)``: for these two formats
 the cast *is* the rounding, and it is the payload itself when the dtype
 already matches (an FP8-grid tile in its float32 container feeds
 ``sgemm`` as is).  An emulated format (FP16, BF16, FP8) quantizes its
-inputs onto the format's grid.  Its SYRK/GEMM update is the tensor
+inputs onto its grid, in float32.  Its SYRK/GEMM update is the tensor
 core's ``C = C − A·Bᵀ``: ``ssyrk``/``sgemm`` with ``beta=1`` in place
 in a float32 copy of the on-grid destination — the FP32 accumulator —
 rounded once on store.  Its POTRF/TRSM factor and solve in float64 and
@@ -80,16 +80,14 @@ def _blas_arrays(precision: Precision, *inputs,
     the operands as they are when the dtype matches, the last one — the
     destination BLAS overwrites — always as a fresh copy in ``order``.  An
     emulated update runs in float32, the FP32 accumulator: its operands
-    are the cached casts of their :func:`panel_operand`, its destination
-    is first put on the compute grid (read as is from a tile there)."""
+    are the payloads of their :func:`panel_operand`, its destination is
+    first put on the compute grid (read as is from a tile there)."""
     dest = inputs[-1]
+    dtype = precision.numpy_dtype
     if precision in NATIVE:
-        dtype = precision.numpy_dtype
         arrays = [np.asarray(_payload(x), dtype=dtype) for x in inputs[:-1]]
     else:
-        dtype = np.float32
-        arrays = [panel_operand(x, precision).as_float(dtype)
-                  for x in inputs[:-1]]
+        arrays = [panel_operand(x, precision).array for x in inputs[:-1]]
         if not (isinstance(dest, Tile) and dest.precision is precision):
             dest = quantize(_payload(dest), precision)
     return arrays + [np.array(_payload(dest), dtype=dtype, order=order)]
@@ -102,7 +100,7 @@ def panel_operand(tile: "np.ndarray | Tile | QuantizedOperand",
     The Cholesky trailing update reads each panel tile ``L[i,k]`` once
     per destination tile in its block row/column; wrapping it in a
     :class:`QuantizedOperand` on the update's grid makes the repeated
-    quantization — and the float32 cast ``sgemm`` reads — a cache hit.
+    quantization a cache hit; its float32 payload is what ``sgemm`` reads.
     A :class:`Tile` stored at that precision needs no quantization at
     all: its payload is the operand.
     """

@@ -13,7 +13,7 @@ Three payload kinds plus a pickle escape hatch:
 
 ``tile``
     :class:`~repro.tiles.tile.Tile` — encoded payload bytes + small
-    (precision, shape, coords) metadata.
+    (precision, encoded dtype, shape, coords) metadata.
 ``array``
     ``numpy.ndarray`` — contiguous raw bytes + (dtype, shape).
 ``none``
@@ -46,19 +46,6 @@ KIND_TILE = "tile"
 KIND_ARRAY = "array"
 KIND_PICKLE = "pickle"
 
-#: On-the-wire dtype of ``encode_payload`` for each storage precision.
-_ENCODED_DTYPE = {
-    Precision.FP64: np.dtype(np.float64),
-    Precision.FP32: np.dtype(np.float32),
-    Precision.FP16: np.dtype(np.float16),
-    Precision.BF16: np.dtype(np.uint16),
-    Precision.FP8_E4M3: np.dtype(np.uint8),
-    Precision.FP8_E5M2: np.dtype(np.uint8),
-    Precision.INT8: np.dtype(np.int8),
-    Precision.INT32: np.dtype(np.int32),
-}
-
-
 def encode_obj(obj: object) -> tuple[str, dict, bytes]:
     """Encode one task input/output as ``(kind, meta, raw bytes)``."""
     if obj is None:
@@ -67,6 +54,7 @@ def encode_obj(obj: object) -> tuple[str, dict, bytes]:
         raw = np.ascontiguousarray(encode_payload(obj.data, obj.precision))
         meta = {
             "precision": obj.precision.value,
+            "dtype": raw.dtype.str,
             "shape": tuple(obj.data.shape),
             "coords": obj.coords,
         }
@@ -84,7 +72,7 @@ def decode_obj(kind: str, meta: dict, buf: bytes) -> object:
         return None
     if kind == KIND_TILE:
         precision = Precision(meta["precision"])
-        raw = np.frombuffer(buf, dtype=_ENCODED_DTYPE[precision])
+        raw = np.frombuffer(buf, dtype=np.dtype(meta["dtype"]))
         raw = raw.reshape(meta["shape"])
         coords = meta["coords"]
         data = decode_payload(raw, precision)

@@ -8,7 +8,7 @@ tensor-core throughput class it maps to).
 The formats follow the hardware the paper targets:
 
 * ``FP64``, ``FP32`` — IEEE binary64/binary32.
-* ``FP16`` — IEEE binary16 (native NumPy ``float16``).
+* ``FP16`` — IEEE binary16, emulated like BF16/FP8 (see ``numpy_dtype``).
 * ``BF16`` — bfloat16, included for completeness of the adaptive rule.
 * ``FP8_E4M3`` — the OCP/IEEE-style 8-bit float used by Hopper tensor
   cores (4 exponent bits, 3 mantissa bits, max finite 448).  This is
@@ -56,9 +56,9 @@ class FormatSpec:
         for integer formats this is 0 (integer arithmetic is exact
         within range).
     numpy_dtype:
-        The dtype values of this format are *stored* in.  Formats
-        without native NumPy support (FP8, BF16) are stored in
-        ``float32`` after quantization to the format's value grid.
+        The dtype values of this format are *stored* in: ``float32`` on
+        the format's value grid for the emulated formats (FP16, BF16,
+        FP8), which only the codecs write in ``bytes_per_element``.
     """
 
     name: str
@@ -205,9 +205,9 @@ _SPECS: dict[Precision, FormatSpec] = {
         is_integer=False,
         mantissa_bits=10,
         exponent_bits=5,
-        max_finite=float(np.finfo(np.float16).max),
+        max_finite=65504.0,
         unit_roundoff=2.0 ** -11,
-        numpy_dtype=np.dtype(np.float16),
+        numpy_dtype=np.dtype(np.float32),
     ),
     Precision.BF16: FormatSpec(
         name="bf16",
@@ -217,8 +217,6 @@ _SPECS: dict[Precision, FormatSpec] = {
         exponent_bits=8,
         max_finite=3.3895313892515355e38,
         unit_roundoff=2.0 ** -8,
-        # bfloat16 has no native NumPy dtype: values are stored in
-        # float32 after rounding to the bf16 grid.
         numpy_dtype=np.dtype(np.float32),
     ),
     Precision.FP8_E4M3: FormatSpec(

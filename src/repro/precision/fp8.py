@@ -1,11 +1,12 @@
-"""Bit-faithful FP8 quantization (E4M3 and E5M2).
+"""Bit-faithful FP8 quantization (E4M3 and E5M2), and FP16's.
 
 NumPy has no 8-bit float dtype, so FP8 values are represented as
 ``float32`` arrays whose values lie exactly on the FP8 grid.  The
 quantizer implements round-to-nearest-even on the target grid with
 gradual underflow (subnormals) and saturation to the largest finite
 value, matching the saturating behaviour of ``cublasLtMatmul`` with
-``CUDA_R_8F_E4M3`` operands that the paper relies on.
+``CUDA_R_8F_E4M3`` operands that the paper relies on.  FP16 (IEEE
+binary16) is emulated by the same routine, in the same container.
 
 The E4M3 format (1 sign, 4 exponent, 3 mantissa bits, bias 7) follows
 the OCP FP8 specification: exponent field 0b1111 is *not* reserved for
@@ -26,11 +27,14 @@ from repro.precision.formats import Precision
 _LAYOUT = {np.dtype(np.float64): (np.uint64, 1 << 63, 0x7FF0000000000000, 52),
            np.dtype(np.float32): (np.uint32, 1 << 31, 0x7F800000, 23)}
 
-# (mantissa_bits, exponent_bias, max_finite, min_normal_exponent)
-_FP8_PARAMS = {
+# (mantissa_bits, exponent_bias, max_finite, min_normal_exponent) of the
+# formats emulated as float32 on their binary grid
+_GRID_PARAMS = {
     Precision.FP8_E4M3: (3, 7, 448.0, -6),
     Precision.FP8_E5M2: (2, 15, 57344.0, -14),
+    Precision.FP16: (10, 15, 65504.0, -14),
 }
+_FP8_VARIANTS = (Precision.FP8_E4M3, Precision.FP8_E5M2)
 
 
 def _round_to_grid(x: np.ndarray, mantissa_bits: int, min_normal_exp: int,
@@ -77,6 +81,14 @@ def _round_to_grid(x: np.ndarray, mantissa_bits: int, min_normal_exp: int,
     return mag.reshape(x.shape)
 
 
+def quantize_grid(x: np.ndarray, precision: Precision) -> np.ndarray:
+    """Round ``x`` onto the grid of FP16 or an FP8 format, as ``float32``
+    (exact zeros come back ``+0.0``, NaNs as the canonical quiet NaN)."""
+    mantissa_bits, _bias, max_finite, min_normal_exp = _GRID_PARAMS[precision]
+    rounded = _round_to_grid(x, mantissa_bits, min_normal_exp, max_finite)
+    return rounded.astype(np.float32, copy=False)
+
+
 def quantize_fp8(x: np.ndarray, variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
     """Quantize an array to the FP8 value grid, returned as ``float32``.
 
@@ -95,11 +107,9 @@ def quantize_fp8(x: np.ndarray, variant: Precision = Precision.FP8_E4M3) -> np.n
         Values beyond the format's range saturate to ``±max_finite``;
         NaNs propagate.
     """
-    if variant not in _FP8_PARAMS:
+    if variant not in _FP8_VARIANTS:
         raise ValueError(f"{variant} is not an FP8 format")
-    mantissa_bits, _bias, max_finite, min_normal_exp = _FP8_PARAMS[variant]
-    rounded = _round_to_grid(x, mantissa_bits, min_normal_exp, max_finite)
-    return rounded.astype(np.float32, copy=False)
+    return quantize_grid(x, variant)
 
 
 def fp8_grid(variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
@@ -107,9 +117,9 @@ def fp8_grid(variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
 
     Useful for tests and for illustrating the format's dynamic range.
     """
-    if variant not in _FP8_PARAMS:
+    if variant not in _FP8_VARIANTS:
         raise ValueError(f"{variant} is not an FP8 format")
-    mantissa_bits, bias, max_finite, min_normal_exp = _FP8_PARAMS[variant]
+    mantissa_bits, _bias, max_finite, min_normal_exp = _GRID_PARAMS[variant]
     values = [0.0]
     # subnormals: fraction/2**m * 2**min_normal_exp
     for frac in range(1, 2 ** mantissa_bits):

@@ -3,7 +3,7 @@
 ``quantize`` is the single entry point used by the tile layer: given an
 array and a :class:`~repro.precision.formats.Precision` it returns the
 array rounded to that format's representable values.  For formats with
-a native NumPy dtype (FP64/FP32/FP16/INT8/INT32) this is a cast; for
+a native NumPy dtype (FP64/FP32/INT8/INT32) this is a cast; for FP16,
 BF16 and FP8 it is a software round-to-nearest-even onto the format's
 grid, stored back in float32.
 
@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.precision.formats import Precision
-from repro.precision.fp8 import quantize_fp8
+from repro.precision.fp8 import quantize_grid
 
 
 def _quantize_bf16(x: np.ndarray) -> np.ndarray:
     """Round float data to the bfloat16 grid (round-to-nearest-even).
 
     Finite overflow and ``±inf`` saturate to ``±max_finite`` like the
-    FP16/FP8 quantizers; NaNs propagate as the canonical quiet NaN.
+    FP16/FP8 quantizer; NaNs propagate as the canonical quiet NaN.
     """
     with np.errstate(over="ignore"):  # beyond float32 range: inf, then saturated
         x32 = np.asarray(x, dtype=np.float32)
@@ -49,10 +49,10 @@ def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:
     """Round ``x`` onto the value grid of ``precision``.
 
     The returned array's dtype is the format's storage dtype
-    (``float16`` for FP16, ``float32`` for BF16/FP8 grids, ``int8``
-    for INT8, ...).  Quantization is value-faithful: converting the
-    result back to float64 yields exactly the values low-precision
-    hardware would have stored.
+    (``float32`` for the FP16/BF16/FP8 grids, ``int8`` for INT8, ...).
+    Quantization is value-faithful: converting the result back to
+    float64 yields exactly the values low-precision hardware would have
+    stored.
 
     When the input is already on the target grid in the target dtype
     (float64 input for FP64, int8 input for INT8, ...), the input array
@@ -67,17 +67,10 @@ def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)
     if precision is Precision.FP32:
         return np.asarray(x, dtype=np.float32)
-    if precision is Precision.FP16:
-        # float32/float16 clip in their own dtype: the cast rounds once
-        x = np.asarray(x)
-        if x.dtype not in (np.float32, np.float16):
-            x = np.asarray(x, dtype=np.float64)
-        clipped = np.clip(x, -precision.max_finite, precision.max_finite)
-        return clipped.astype(np.float16, copy=False)
     if precision is Precision.BF16:
         return _quantize_bf16(x)
-    if precision in (Precision.FP8_E4M3, Precision.FP8_E5M2):
-        return quantize_fp8(x, precision)
+    if precision in (Precision.FP16, Precision.FP8_E4M3, Precision.FP8_E5M2):
+        return quantize_grid(x, precision)
     if precision is Precision.INT8:
         x = np.asarray(x)
         if x.dtype == np.int8:

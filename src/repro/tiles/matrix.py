@@ -451,30 +451,26 @@ class TileMatrix:
         return dup
 
     def unpacked_lower(self) -> "TileMatrix":
-        """Tile-level copy with non-symmetric storage, lower triangle only.
+        """Copy-on-write clone with non-symmetric storage, lower triangle
+        only.
 
         This is the factorization workspace constructor: the tiled
-        Cholesky consumes only the lower-triangle tiles, so symmetric
-        kernels hand over per-tile copies (keeping each tile's storage
-        precision) without ever materializing a dense array.  Upper
-        tiles are left unmaterialized (they read as zeros).  The
-        workspace of a store-backed kernel is a copy-on-write clone on
-        the same store (:meth:`shallow_copy` of the lower triangle): no
-        tile moves, resident tiles and spill slots are shared read-only,
-        and the first write of a tile goes to the workspace's own
-        segment.  That is sound for what a workspace is for — every
-        Cholesky kernel replaces its destination tile and never writes
-        an input.
+        Cholesky consumes only the lower-triangle tiles, so a symmetric
+        kernel hands them over (keeping each tile's storage precision)
+        without ever materializing a dense array.  Upper tiles are left
+        unmaterialized (they read as zeros).  As in :meth:`shallow_copy`
+        no tile moves: resident tile objects (and a store-backed
+        kernel's spill slots) are shared read-only, and a write replaces
+        the workspace's own tile (into its own segment).  That is sound
+        for what a workspace is for — every Cholesky kernel replaces its
+        destination tile and never writes an input.
         """
         out = TileMatrix(self.layout, self.default_precision, symmetric=False)
+        keys = set(self.layout.iter_lower_tiles())
         if self._binding is None:
-            for key in self.layout.iter_lower_tiles():
-                tile = self._tiles.get(key)
-                if tile is not None:
-                    out._tiles[key] = tile.copy()
+            out._tiles = {k: t for k, t in self._tiles.items() if k in keys}
             return out
-        out._binding = self.store.clone_binding(
-            self, out, keys=set(self.layout.iter_lower_tiles()))
+        out._binding = self.store.clone_binding(self, out, keys=keys)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -6,8 +6,9 @@ whose tiles each carry their own storage precision.  Two properties
 drive the on-disk format:
 
 * **Native bytes per tile.**  Each tile is written in the byte width of
-  its declared precision — 8/4/2 bytes per element for FP64/FP32/FP16,
-  2 bytes for BF16 (the upper half of the float32 bit pattern) and
+  its declared precision — 8/4/2 bytes per element for FP64/FP32/FP16
+  (IEEE ``float16``; in memory FP16 is float32 on its grid), 2 bytes
+  for BF16 (the upper half of the float32 bit pattern) and
   **1 byte** for the FP8 formats, which NumPy cannot represent natively
   and which are therefore encoded to their E4M3/E5M2 bit codes.  An
   adaptive-FP8 model's artifact is consequently about 4x smaller than
@@ -189,7 +190,7 @@ def encode_payload(data: np.ndarray, precision: Precision | str) -> np.ndarray:
     if precision is Precision.FP32:
         return np.asarray(data, dtype=np.float32)
     if precision is Precision.FP16:
-        return np.asarray(data, dtype=np.float16)
+        return np.asarray(data, dtype=np.float16)  # exact: on FP16's grid
     if precision is Precision.BF16:
         # bf16 payloads live in float32 with a zero lower half: keep the
         # upper 16 bits of the bit pattern
@@ -212,7 +213,7 @@ def decode_payload(raw: np.ndarray, precision: Precision | str) -> np.ndarray:
     if precision is Precision.FP32:
         return np.asarray(raw, dtype=np.float32)
     if precision is Precision.FP16:
-        return np.asarray(raw, dtype=np.float16)
+        return np.asarray(raw, dtype=np.float16).astype(np.float32)
     if precision is Precision.BF16:
         u32 = np.ascontiguousarray(raw, dtype=np.uint16).astype(np.uint32)
         return (u32 << np.uint32(16)).view(np.float32)

@@ -43,7 +43,7 @@ class Tile:
     data:
         Tile payload.  Stored quantized to ``precision`` (the array's
         values lie on that format's grid even when the dtype is a wider
-        container, as for FP8/BF16) — the on-grid invariant of the
+        container, as for FP16/BF16/FP8) — the on-grid invariant of the
         module docstring.
     precision:
         Storage precision of the tile.

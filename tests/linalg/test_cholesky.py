@@ -235,6 +235,30 @@ class TestTileNativeInput:
                                       dense_result.to_dense())
         assert tiled_result.flops == dense_result.flops
 
+    @pytest.mark.parametrize("tasked", [False, True])
+    @pytest.mark.parametrize("low", [Precision.FP16, Precision.FP8_E4M3],
+                             ids=lambda p: p.value)
+    def test_the_input_tiles_are_shared_and_never_written(self, runtime,
+                                                          tasked, low):
+        """The workspace shares the kernel's tile objects until it
+        replaces them; read-only payloads prove no kernel writes one."""
+        a = _spd(80)
+        sym = TileMatrix.from_dense(
+            a, tile_size=16, symmetric=True,
+            precision=lambda i, j: Precision.FP32 if i == j else low)
+        before = {k: (t, t.data.copy()) for k, t in sym._tiles.items()}
+        for tile, _ in before.values():
+            tile.data.flags.writeable = False
+        reference = cholesky(sym.unpacked_lower().copy(),
+                             working_precision=Precision.FP32)
+        result = cholesky(sym, working_precision=Precision.FP32,
+                          runtime=runtime if tasked else None)
+        np.testing.assert_array_equal(result.to_dense(),
+                                      reference.to_dense())
+        for key, (tile, bits) in before.items():
+            assert sym._tiles[key] is tile
+            np.testing.assert_array_equal(tile.data, bits)
+
 
 class TestNativeAccuracy:
     """The FP32/FP64 factor is LAPACK/BLAS in that dtype, tile by tile:

@@ -37,6 +37,14 @@ class TestPayloadCodec:
         assert out.data.dtype == tile.data.dtype
         np.testing.assert_array_equal(out.data, tile.data)
 
+    @pytest.mark.parametrize("precision", TILE_PRECISIONS)
+    def test_tile_crosses_in_its_format_bytes(self, precision):
+        # an FP16 tile is float32 in memory and 2 bytes a value on the wire
+        tile = _tile(precision)
+        kind, meta, raw = encode_obj(tile)
+        assert len(raw) == tile.data.size * precision.bytes_per_element
+        assert np.dtype(meta["dtype"]).itemsize == precision.bytes_per_element
+
     def test_array_round_trip_is_bitwise_and_writable(self):
         arr = np.arange(24, dtype=np.float64).reshape(4, 6)
         kind, meta, raw = encode_obj(arr)

@@ -37,8 +37,8 @@ class TestPrecisionMetadata:
 
     def test_numpy_dtypes(self):
         assert Precision.FP64.numpy_dtype == np.dtype(np.float64)
-        assert Precision.FP16.numpy_dtype == np.dtype(np.float16)
-        # FP8/BF16 have no native dtype: stored as float32 on the grid
+        # FP16/FP8/BF16 are emulated: stored as float32 on the grid
+        assert Precision.FP16.numpy_dtype == np.dtype(np.float32)
         assert Precision.FP8_E4M3.numpy_dtype == np.dtype(np.float32)
         assert Precision.BF16.numpy_dtype == np.dtype(np.float32)
         assert Precision.INT8.numpy_dtype == np.dtype(np.int8)

@@ -3,14 +3,16 @@
 The FP8 quantizer in ``repro.precision.fp8`` rounds on the float64 bit
 pattern; the routine it replaced (``log2``/``floor``/``exp2`` over a
 masked gather, then ``rint``) is kept here, verbatim, as the oracle.
-Results are compared as *integer views*, so ``-0.0`` vs ``+0.0`` and the
-NaN bit pattern count — ``==`` would wave both through.
+FP16 rounds through the same routine with its own format parameters and
+is held to the same oracle.  Results are compared as *integer views*, so
+``-0.0`` vs ``+0.0`` and the NaN bit pattern count — ``==`` would wave
+both through.
 
-FP16 and BF16 have no retained implementation to compare against; they
-are held to their specified semantics (round-to-nearest-even, gradual
-underflow, saturation of overflow and ``±inf`` to ``±max_finite``, NaN
-propagation, the sign of zero kept), expressed through the same oracle
-run with their format parameters.
+BF16 has no retained implementation to compare against; it is held to
+its specified semantics (round-to-nearest-even, gradual underflow,
+saturation of overflow and ``±inf`` to ``±max_finite``, NaN propagation,
+the sign of zero kept), expressed through the same oracle run with its
+format parameters.
 """
 
 import warnings
@@ -32,6 +34,8 @@ _PARAMS = {
     Precision.BF16: (7, -126, Precision.BF16.max_finite),
 }
 FP8_VARIANTS = (Precision.FP8_E4M3, Precision.FP8_E5M2)
+#: The formats ``quantize`` rounds with the FP8 routine.
+GRID_FORMATS = FP8_VARIANTS + (Precision.FP16,)
 
 
 def reference_round_to_grid(x, mantissa_bits, min_normal_exp, max_finite):
@@ -133,13 +137,13 @@ MATRIX = {
 # ----------------------------------------------------------------------
 # FP8: bit-identical to the retained reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
+@pytest.mark.parametrize("variant", GRID_FORMATS, ids=lambda p: p.value)
 @pytest.mark.parametrize("case", sorted(MATRIX))
 def test_fp8_bit_identical_to_reference(variant, case):
     x = MATRIX[case](variant)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the quantizer itself stays silent
-        got = quantize_fp8(x, variant)
+        got = quantize(x, variant)
     want = reference(x, variant).astype(np.float32)
     assert got.dtype == np.float32 and got.shape == x.shape
     np.testing.assert_array_equal(bits(got), bits(want))
@@ -234,17 +238,6 @@ def expected_ieee_like(x, precision):
     with np.errstate(invalid="ignore"):  # widening a signalling NaN
         x = np.asarray(x, dtype=np.float64)
     return np.copysign(reference(x, precision), x)
-
-
-@pytest.mark.parametrize("case", sorted(MATRIX))
-def test_fp16_matches_specified_semantics(case):
-    x = MATRIX[case](Precision.FP16)
-    got = quantize(x, Precision.FP16)
-    want = expected_ieee_like(x, Precision.FP16).astype(np.float16)
-    assert got.dtype == np.float16
-    nan = np.isnan(x)
-    assert np.isnan(got[nan]).all()
-    np.testing.assert_array_equal(bits(got)[~nan], bits(want)[~nan])
 
 
 def test_fp16_saturates_and_ties_to_even():

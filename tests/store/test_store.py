@@ -59,6 +59,22 @@ class TestSpillReload:
             tm.attach_store(store)
             np.testing.assert_array_equal(tm.to_dense(), ref)
 
+    @pytest.mark.parametrize("precision", [
+        Precision.FP16, Precision.BF16, Precision.FP8_E4M3,
+    ])
+    def test_spill_and_residency_count_format_bytes(self, rng, precision):
+        """An emulated tile is float32 in memory; the segment holds its
+        format's bytes, and the residency count is in the same unit."""
+        tm = TileMatrix.from_dense(spd(rng, 32), TILE, precision)
+        tiles = len(tm._tiles)
+        format_bytes = 32 * 32 * precision.bytes_per_element
+        with TileStore(budget_bytes=1) as store:  # evict everything
+            tm.attach_store(store)
+            assert store.stats.spills == tiles == 4
+            assert store.stats.bytes_spilled == format_bytes
+            assert store.stats.peak_resident_bytes == format_bytes
+            tm.detach_store()
+
     def test_clean_eviction_skips_rewrite(self, matrix):
         with TileStore(budget_bytes=TILE_BYTES_FP64) as store:
             matrix.attach_store(store)

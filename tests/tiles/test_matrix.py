@@ -222,6 +222,16 @@ class TestUnpackedLower:
         unpacked.set_tile(1, 0, np.zeros((16, 16)))
         assert not np.allclose(sym.get_tile(1, 0).to_float64(), 0.0)
 
+    def test_shares_the_lower_tiles(self, rng):
+        # copy-on-write at tile granularity, like shallow_copy: the
+        # factorization workspace costs no copy of the mosaic
+        a = rng.normal(size=(32, 32))
+        sym = TileMatrix.from_dense(a + a.T, tile_size=16, symmetric=True)
+        unpacked = sym.unpacked_lower()
+        for key in ((0, 0), (1, 0), (1, 1)):
+            assert unpacked.get_tile(*key) is sym.get_tile(*key)
+        assert not unpacked.has_tile_data(0, 1)
+
     def test_preserves_tile_precisions(self, rng):
         a = rng.normal(size=(32, 32))
         sym = TileMatrix.from_dense(

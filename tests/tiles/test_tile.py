@@ -10,7 +10,7 @@ from repro.tiles.tile import Tile, retile
 class TestTile:
     def test_payload_quantized_on_construction(self):
         tile = Tile(np.array([[1.0 + 1e-8, 2.0]]), precision=Precision.FP16)
-        assert tile.data.dtype == np.float16
+        assert tile.data.dtype == np.float32
         assert float(tile.data[0, 0]) == np.float16(1.0)
 
     def test_fp8_tile_values_on_grid(self):
@@ -22,6 +22,9 @@ class TestTile:
         assert Tile(data, Precision.FP64).nbytes == 8 * 64
         assert Tile(data, Precision.FP16).nbytes == 2 * 64
         assert Tile(data, Precision.FP8_E4M3).nbytes == 64
+        # format bytes: an emulated payload is float32 in memory
+        for p in (Precision.FP16, Precision.BF16, Precision.FP8_E4M3):
+            assert Tile(data, p).data.nbytes == 4 * 64
 
     def test_convert_roundtrip_loses_information(self):
         rng = np.random.default_rng(0)
@@ -82,7 +85,7 @@ class TestOnGridInvariant:
         assert float(off.data[0]) == np.float32(1.01)
 
     def test_on_grid_keeps_storage_dtype_payload(self):
-        payload = np.ones((2, 2), dtype=np.float16)
+        payload = np.ones((2, 2), dtype=np.float32)
         tile = Tile._on_grid(payload, Precision.FP16)
         assert tile.data is payload  # no copy when already in storage dtype
 
