@@ -5,9 +5,11 @@ The paper fits 305k-patient cohorts only because the kernel matrix is a
 precision-adapted tile mosaic — and past a point the mosaic itself no
 longer fits one node.  This example runs the full Build → Factor →
 Solve → Predict pipeline with the session's tile store capped at ~25%
-of the mosaic footprint: least-recently-used tiles spill to disk in
-their native storage precision, the scheduler pins each task's working
-set, and the background reader prefetches upcoming tiles.
+of the mosaic footprint: the tile whose next use is farthest in the
+drain's own order spills to disk in its native storage precision (a
+budgeted factorization runs its updates column by column, so that is
+mostly a finished tile), the scheduler pins each task's working set,
+and the background reader prefetches upcoming tiles.
 
 The contract being demonstrated (and asserted): the budgeted run's
 predictions are **bitwise identical** to the fully-resident run, and

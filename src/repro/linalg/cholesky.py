@@ -19,17 +19,17 @@ Structure of the algorithm per panel ``k`` (lower-triangular variant):
 One elimination, two ways to run it, selected the way every tiled
 routine selects: by whether the caller hands over a runtime.
 :func:`_elimination` lists the right-looking factorization's tasks in
-host order, each with its kernel descriptor from
-:mod:`repro.linalg.kernels`.  :func:`_cholesky_runtime` (``runtime=rt``)
-inserts them as one task DAG, run by whatever execution mode the
-runtime has (serial, threaded, process) over a resident *or*
-store-backed workspace — the two differ only in how a tile is declared
-to the task.  :func:`_cholesky_direct` (no runtime) calls the same
-descriptors' ``run`` one after the other: the reference every DAG
-execution must match bit for bit, which holds because the arithmetic is
-the same code and every ordering constraint of the DAG is an explicit
-dependency edge (including the serialized accumulation chain on each
-trailing tile).
+host order with their kernel descriptors (:mod:`repro.linalg.kernels`).
+:func:`_cholesky_runtime` (``runtime=rt``) inserts them as one task
+DAG, run by whatever execution mode the runtime has (serial, threaded,
+process) over a resident *or* store-backed workspace; the two differ in
+how a tile is declared to the task and in the updates' order (a store
+is drained column by column, so no tile spills half-updated).
+:func:`_cholesky_direct` (no runtime) calls the same descriptors' ``run``
+one after the other: the reference every DAG execution must match bit
+for bit, which holds because the arithmetic is the same code and every
+ordering constraint of the DAG is an explicit dependency edge
+(including the serialized accumulation chain on each trailing tile).
 """
 
 from __future__ import annotations
@@ -202,19 +202,22 @@ def cholesky(
 # ----------------------------------------------------------------------
 # the elimination, and its direct (host-ordered) execution
 # ----------------------------------------------------------------------
-def _elimination(layout, wp: Precision, tile_precision, uid):
+def _elimination(layout, wp: Precision, tile_precision, uid, by_column=False):
     """The right-looking elimination's tasks in host order.
 
     Yields ``(name, kernel, coords, attrs)``: the kernel reads the tiles
     at ``coords`` and replaces the last of them; ``attrs`` are the
     task's ``tag``/``precision``/``flops``/``priority``.  ``uid[(i, k)]``
     is the :class:`~repro.linalg.kernels.OperandCache` key of panel tile
-    ``(i, k)``.
+    ``(i, k)``.  Panel tasks outrank every update (the lookahead); updates
+    tie at 0, or ``by_column`` go leftmost destination column first.
     """
     nt, shape = layout.tile_rows, layout.tile_shape
 
     def task(name, kernel, coords, precision, flops, priority=0):
         tag = (*coords[-1], coords[0][1])  # destination, panel index
+        if by_column and name in ("syrk", "gemm"):
+            priority = -coords[-1][1]
         return name, kernel, coords, dict(tag=tag, precision=precision,
                                           flops=flops, priority=priority)
 
@@ -319,7 +322,7 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
 
         uid = {coords: handle.uid for coords, handle in handles.items()}
         for name, kernel, coords, attrs in _elimination(
-                layout, wp, tile_precision, uid):
+                layout, wp, tile_precision, uid, by_column=stored):
             accesses, how = declare(kernel, *coords)
             runtime.insert_task(name, *accesses, **how, **attrs)
             _accumulate(result, name, attrs["precision"], attrs["flops"])

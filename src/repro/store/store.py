@@ -244,19 +244,23 @@ class StoreBinding:
             matrix=self._describe(), coords=key, precision=slot.precision,
             path=slot.segment.path, reason=reason)
 
-    def _read_slot(self, slot: _Slot,
-                   key: tuple[int, int] = (-1, -1)) -> np.ndarray:
+    def _read_slot(self, slot: _Slot, key: tuple[int, int] = (-1, -1),
+                   superseded=lambda: False) -> np.ndarray | None:
         """Read and *verify* a slot's bytes (one transient-fault retry).
 
         Every reload path — demand fault-in, prefetch, detach, verify —
         funnels through here, so no corrupted byte ever reaches a tile
         payload: length and CRC32 are checked against the offset index
         and a mismatch raises a typed :class:`StoreCorruptionError`
-        naming the tile instead of an opaque reshape crash.
+        naming the tile instead of an opaque reshape crash.  ``superseded``
+        (a lock-free reader's check) is asked before anything is counted:
+        a slot re-spilled in place mid-read returns None, uncounted.
         """
         last_reason = "unreadable slot"
         for attempt in range(2):
             if attempt:
+                if superseded():
+                    return None
                 self.store.residency.stats.io_retries += 1
             try:
                 buf = slot.segment.read(slot.offset, slot.length)
@@ -271,10 +275,14 @@ class StoreBinding:
                 last_reason = "checksum mismatch (corrupted bytes)"
                 continue
             return np.frombuffer(buf, dtype=slot.dtype).reshape(slot.shape)
-        raise self._corruption(key, slot, last_reason)
+        if not superseded():
+            raise self._corruption(key, slot, last_reason)
 
-    def _decode_slot(self, slot: _Slot, key: tuple[int, int]) -> np.ndarray:
-        raw = self._read_slot(slot, key)
+    def _decode_slot(self, slot: _Slot, key: tuple[int, int],
+                     superseded=lambda: False) -> np.ndarray | None:
+        raw = self._read_slot(slot, key, superseded)
+        if raw is None:
+            return None
         try:
             return decode_payload(raw, slot.precision)
         except Exception as exc:
@@ -794,8 +802,8 @@ class TileStore:
         duration.  The result is installed only after re-validating
         under the lock that the slot is still current (same ``_Slot``
         object: an in-place re-spill replaces it, so a torn concurrent
-        read can never be installed), the tile is still absent, and it
-        fits the budget without evicting anything.
+        read is never installed nor counted), the tile is still absent,
+        and it fits the budget without evicting anything.
         """
         binding, key = dep
         with self._lock:
@@ -810,23 +818,27 @@ class TileStore:
             slot = binding.index.get(key)
             if slot is None or not self.residency.would_fit(slot.length):
                 return
+
+        def superseded() -> bool:
+            with self._lock:
+                return binding.index.get(key) is not slot
         # I/O + decode with the lock released
-        payload = binding._decode_slot(slot, key)
+        payload = binding._decode_slot(slot, key, superseded)
+        if payload is None:
+            return  # superseded while we read: discard
         tile = Tile._on_grid(payload, slot.precision, key)
         with self._lock:
-            if self._closed or binding.bid not in self._bindings:
+            if (self._closed or binding.bid not in self._bindings
+                    or superseded()):
                 return
-            if binding.index.get(key) is not slot:
-                return  # superseded while we read: discard
             m = binding.matrix()
             if m is None:
                 return
             with m._grid_lock:
-                if key in m._tiles:
+                # prefetch never evicts the working set
+                if key in m._tiles or not self.residency.would_fit(
+                        tile.nbytes):
                     return
-            if not self.residency.would_fit(tile.nbytes):
-                return  # prefetch never evicts the working set
-            with m._grid_lock:
                 m._tiles[key] = tile
             self.residency.add((binding.bid, key), tile.nbytes)
             binding.clean.add(key)

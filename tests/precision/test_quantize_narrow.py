@@ -1,18 +1,17 @@
 """Narrow inputs round in their own dtype, to the float64 path's bits.
 
-``quantize`` rounds a float32 (or float16) input to FP8 with the
-bit-pattern trick in float32, and clips a float32 or float16 input to
-FP16 in its own dtype before the cast.  The input's value is exact in
-float64 too, and either way it is rounded once, so the result must be
-bit for bit the one of the float64 path — compared as integer views.
-The inputs are the cases of the bit-identity suite that are exactly
+``quantize`` rounds a float32 (or float16) input to FP8 or FP16 with
+the same table-driven grid routine (``fp8.quantize_grid``), by the
+bit-pattern trick in float32.  The input's value is exact in float64
+too, and either way it is rounded once, so the result must be bit for
+bit the one of the float64 path — compared as integer views.  The
+inputs are the cases of the bit-identity suite that are exactly
 representable in the narrow dtype, 2**20 random float32 bit patterns
 and all 65 536 float16 patterns.
 
-NaNs: FP8 returns the canonical quiet NaN on both paths, so its NaN bits
-are compared too; an FP16 NaN is only required to stay a NaN (a
-signalling float32 NaN is quieted when widened to float64, not when cast
-to float16 directly), as in the bit-identity suite.
+NaNs: the grid routine returns the canonical quiet NaN on both paths.
+FP8's NaN bits are compared; an FP16 NaN is only required to stay a
+NaN, a looser check kept from when FP16 was a clip-and-cast to float16.
 """
 
 import warnings

@@ -6,9 +6,11 @@ into per-tile use positions and ``ResidencyManager.victims_to_fit``
 evicts the unpinned tile whose next use is farthest.  Pinned: the
 victims are Belady's on any pinned trace and never cost more misses
 than LRU; a serial store-backed factorization moves fewer tiles than
-the same drain without the plan, the same number every run; several
-lanes stay bitwise and inside the budget; hooks that know nothing of
-``drain_begin`` still drain.
+the same drain without the plan, the same number every run; a
+store-backed factorization's updates go column by column while a
+resident one keeps the lookahead order; several lanes stay bitwise and
+inside the budget; hooks that know nothing of ``drain_begin`` still
+drain.
 """
 
 import sys
@@ -196,6 +198,14 @@ class TestFactorUnderThePlan:
         for stats in (s0, s1, s2):
             assert stats.budget_overflows == 0
 
+    def test_serial_traffic_is_pinned(self):
+        """The drain's counts (plus the dense read-back's) depend on its
+        order and the tile sizes, not on the values.  Before the updates
+        went column by column they were 254 spills and 223 reloads."""
+        a = spd(np.random.default_rng(0), N)
+        _, stats = factor(a, hooks=Planned, execution="serial")
+        assert (stats.spills, stats.reloads) == (166, 208)
+
     @pytest.mark.parametrize("workers", [2, 4])
     def test_threaded_lanes_stay_bitwise_and_in_budget(self, rng, workers):
         """Lanes dispatch out of the plan's order (the plan is then an
@@ -214,7 +224,42 @@ class TestFactorUnderThePlan:
 
 
 # ----------------------------------------------------------------------
-# (d) drain_begin is optional
+# (d) a store-backed drain goes column by column
+# ----------------------------------------------------------------------
+UPDATES = ("syrk", "gemm")
+
+
+def drained_graph(a, store=None):
+    """The task graph a serial factorization of ``a`` drained."""
+    kernel = TileMatrix.from_dense(a, TILE, Precision.FP32, symmetric=True)
+    if store is not None:
+        kernel.attach_store(store)
+    rt = Runtime(execution="serial")
+    cholesky(kernel, runtime=rt)
+    return rt.last_graph
+
+
+class TestColumnOrder:
+    def test_store_backed_updates_go_leftmost_column_first(self, rng):
+        with TileStore(budget_bytes=BUDGET) as store:
+            graph = drained_graph(spd(rng, N), store)
+        order = graph.topological_order(by_priority=True)
+        # a task's tag is (destination row, destination column, panel)
+        columns = [t.tag[1] for t in order if t.name in UPDATES]
+        assert columns == sorted(columns)
+        assert len(set(columns)) == N // TILE - 1
+        panel = [t.priority for t in graph.tasks if t.name not in UPDATES]
+        update = [t.priority for t in graph.tasks if t.name in UPDATES]
+        assert min(panel) > max(update)
+
+    def test_resident_updates_keep_priority_zero(self, rng):
+        graph = drained_graph(spd(rng, N))
+        assert {t.priority for t in graph.tasks
+                if t.name in UPDATES} == {0}
+
+
+# ----------------------------------------------------------------------
+# (e) drain_begin is optional
 # ----------------------------------------------------------------------
 def test_foreign_hooks_without_drain_begin_still_drain():
     class Foreign:
