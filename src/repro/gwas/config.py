@@ -14,6 +14,7 @@ the paper's accuracy experiments sweep:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -41,6 +42,14 @@ class _WithOptionsMixin:
                 f"valid fields are {sorted(names)}"
             )
         return dataclasses.replace(self, **overrides)
+
+
+def _require_finite(cfg, *names) -> None:
+    """NaN and ±inf pass every ``< 0`` check: reject them first."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,9 @@ class PrecisionPlan(_WithOptionsMixin):
             raise ValueError("mode must be 'uniform', 'band' or 'adaptive'")
         if not 0.0 <= self.band_high_fraction <= 1.0:
             raise ValueError("band_high_fraction must be in [0, 1]")
+        _require_finite(self, "accuracy")
+        if self.accuracy <= 0:
+            raise ValueError("accuracy must be positive")
         object.__setattr__(self, "working_precision",
                            Precision.from_string(self.working_precision))
         object.__setattr__(self, "low_precision",
@@ -210,6 +222,7 @@ def _validate_execution_knobs(cfg) -> None:
 
 
 def _validate_resilience_knobs(cfg) -> None:
+    _require_finite(cfg, "task_timeout_s")
     if cfg.task_retries is not None and cfg.task_retries < 0:
         raise ValueError("task_retries must be non-negative (or None)")
     if cfg.task_timeout_s is not None and cfg.task_timeout_s <= 0:
@@ -264,6 +277,7 @@ class RRConfig(_WithOptionsMixin):
     task_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "regularization")
         if self.regularization < 0:
             raise ValueError("regularization must be non-negative")
         if self.tile_size <= 0:
@@ -408,6 +422,7 @@ class KRRConfig(_WithOptionsMixin):
     task_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "gamma", "alpha", "cg_tol")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.alpha < 0:
@@ -524,6 +539,7 @@ class ServeConfig(_WithOptionsMixin):
     dispatch_retries: int = 1
 
     def __post_init__(self) -> None:
+        _require_finite(self, "batch_window_s", "request_deadline_s")
         if self.max_batch_requests <= 0:
             raise ValueError("max_batch_requests must be positive")
         if self.batch_window_s < 0:

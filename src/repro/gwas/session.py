@@ -48,6 +48,7 @@ drives one of these two classes.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -473,7 +474,11 @@ class KRRSession:
         """
         if self.kernel_ is None:
             raise RuntimeError("build() must be called before associate()")
-        requested = [float(a) if a > 0 else 1e-6 for a in alphas]
+        requested = [float(a) for a in alphas]
+        for a in requested:
+            if not math.isfinite(a):
+                raise ValueError(f"alpha must be finite, got {a!r}")
+        requested = [a if a > 0 else 1e-6 for a in requested]
         if not requested:
             raise ValueError("alphas must be non-empty")
         phenotypes = np.asarray(phenotypes, dtype=np.float64)

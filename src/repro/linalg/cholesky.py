@@ -34,15 +34,12 @@ ordering constraint of the DAG is an explicit dependency edge
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.precision.formats import Precision
 from repro.linalg.kernels import (
-    NATIVE,
-    OPERANDS,
     GemmTrailSpec,
     PotrfSpec,
     SyrkSpec,
@@ -54,7 +51,7 @@ from repro.linalg.kernels import (
 )
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
-from repro.runtime.task import AccessMode, DataHandle, TaskSpec, TileInput
+from repro.runtime.task import AccessMode, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
 
 
@@ -202,15 +199,15 @@ def cholesky(
 # ----------------------------------------------------------------------
 # the elimination, and its direct (host-ordered) execution
 # ----------------------------------------------------------------------
-def _elimination(layout, wp: Precision, tile_precision, uid, by_column=False):
+def _elimination(layout, wp: Precision, tile_precision, by_column=False):
     """The right-looking elimination's tasks in host order.
 
     Yields ``(name, kernel, coords, attrs)``: the kernel reads the tiles
-    at ``coords`` and replaces the last of them; ``attrs`` are the
-    task's ``tag``/``precision``/``flops``/``priority``.  ``uid[(i, k)]``
-    is the :class:`~repro.linalg.kernels.OperandCache` key of panel tile
-    ``(i, k)``.  Panel tasks outrank every update (the lookahead); updates
-    tie at 0, or ``by_column`` go leftmost destination column first.
+    at ``coords`` and replaces the last of them, and depends on nothing
+    else (a descriptor holds only precisions); ``attrs`` are the task's
+    ``tag``/``precision``/``flops``/``priority``.  Panel tasks outrank
+    every update (the lookahead); updates tie at 0, or ``by_column`` go
+    leftmost destination column first.
     """
     nt, shape = layout.tile_rows, layout.tile_shape
 
@@ -228,24 +225,13 @@ def _elimination(layout, wp: Precision, tile_precision, uid, by_column=False):
             mb, nb = shape(i, k)
             yield task("trsm", TrsmSpec(wp, tile_precision(i, k)),
                        [(k, k), (i, k)], wp, trsm_flops(nb, mb), nt - k + 5)
-
-        # consumers of each panel operand per *emulated* compute
-        # precision — what the operand cache counts down from; native
-        # kernels read the panel tile itself and never consult it
-        uses: Counter = Counter()
-        for i in range(k + 1, nt):
-            # the SYRK on (i, i), both operands of the GEMM on each (i, j)
-            consumers = [(i, wp)] + [(t, tile_precision(i, j))
-                                     for j in range(k + 1, i) for t in (i, j)]
-            uses.update(c for c in consumers if c[1] not in NATIVE)
         for i in range(k + 1, nt):
             kbk = shape(i, k)[1]
-            yield task("syrk", SyrkSpec(wp, uid[(i, k)], uses[(i, wp)]),
-                       [(i, k), (i, i)], wp, syrk_flops(shape(i, i)[0], kbk))
+            yield task("syrk", SyrkSpec(wp), [(i, k), (i, i)], wp,
+                       syrk_flops(shape(i, i)[0], kbk))
             for j in range(k + 1, i):
                 p_ij = tile_precision(i, j)
-                yield task("gemm", GemmTrailSpec(p_ij, uid[(i, k)], uid[(j, k)],
-                                                 uses[(i, p_ij)], uses[(j, p_ij)]),
+                yield task("gemm", GemmTrailSpec(p_ij),
                            [(i, k), (j, k), (i, j)], p_ij,
                            gemm_flops(*shape(i, j), kbk))
 
@@ -257,17 +243,11 @@ def _cholesky_direct(tiled: TileMatrix, wp: Precision,
     Every kernel returns a ``Tile`` at its destination's storage
     precision, which ``set_tile`` takes over as it is.
     """
-    # panel operands are keyed like the DAG's, by a handle uid
-    uid = {c: DataHandle(f"A{c}").uid
-           for c in tiled.layout.iter_lower_tiles(include_diagonal=False)}
-    try:
-        for name, kernel, coords, attrs in _elimination(
-                tiled.layout, wp, tile_precision, uid):
-            tiled.set_tile(*coords[-1],
-                           kernel.run(*(tiled.get_tile(*c) for c in coords)))
-            _accumulate(result, name, attrs["precision"], attrs["flops"])
-    finally:
-        OPERANDS.drop(set(uid.values()))  # an indefinite pivot stops the count
+    for name, kernel, coords, attrs in _elimination(
+            tiled.layout, wp, tile_precision):
+        tiled.set_tile(*coords[-1],
+                       kernel.run(*(tiled.get_tile(*c) for c in coords)))
+        _accumulate(result, name, attrs["precision"], attrs["flops"])
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +300,8 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
                 "tile_deps": tuple((binding, c) for c in coords),
             }
 
-        uid = {coords: handle.uid for coords, handle in handles.items()}
         for name, kernel, coords, attrs in _elimination(
-                layout, wp, tile_precision, uid, by_column=stored):
+                layout, wp, tile_precision, by_column=stored):
             accesses, how = declare(kernel, *coords)
             runtime.insert_task(name, *accesses, **how, **attrs)
             _accumulate(result, name, attrs["precision"], attrs["flops"])
@@ -334,10 +313,6 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
                 # historical type so regularization retries can catch it
                 raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
             raise
-        finally:
-            # a failed attempt (indefinite matrix at too-small alpha)
-            # must not leak its panel operands into the process-wide cache
-            OPERANDS.drop(set(uid.values()))
 
     if not stored:
         # hand the results back to the tile matrix: every payload is a

@@ -41,13 +41,12 @@ Cholesky's task descriptors (:class:`PotrfSpec`, :class:`TrsmSpec`,
 :class:`SyrkSpec`, :class:`GemmTrailSpec`): tile in, tile out, the one
 body every execution of the factorization runs — in host order for the
 graph-free reference, inline under the serial/threaded drains, on a
-worker under the process drain.
+worker under the process drain.  A descriptor is a pure function of its
+tiles and scalar parameters: no state outlives a task.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,19 +92,15 @@ def _blas_arrays(precision: Precision, *inputs,
     return arrays + [np.array(_payload(dest), dtype=dtype, order=order)]
 
 
-def panel_operand(tile: "np.ndarray | Tile | QuantizedOperand",
+def panel_operand(tile: "np.ndarray | Tile",
                   precision: Precision | str) -> QuantizedOperand:
-    """Pre-quantize a panel tile for reuse across emulated trailing updates.
-
-    The Cholesky trailing update reads each panel tile ``L[i,k]`` once
-    per destination tile in its block row/column; wrapping it in a
-    :class:`QuantizedOperand` on the update's grid makes the repeated
-    quantization a cache hit; its float32 payload is what ``sgemm`` reads.
-    A :class:`Tile` stored at that precision needs no quantization at
-    all: its payload is the operand.
+    """A panel tile as the operand of an emulated update at ``precision``:
+    quantized onto that grid, its float32 payload is what ``sgemm``
+    reads.  A :class:`Tile` stored at that precision needs no
+    quantization at all: its payload is the operand, wrapped without a
+    copy: the common case, an update at its panel tile's storage
+    precision.
     """
-    if isinstance(tile, QuantizedOperand):
-        return tile
     precision = Precision.from_string(precision)
     if isinstance(tile, Tile) and tile.precision is precision:
         return QuantizedOperand._on_grid(tile.data, precision)
@@ -170,7 +165,7 @@ def tile_trsm(l_tile: "np.ndarray | Tile", b_tile: "np.ndarray | Tile",
                 overwrite_b=1).T
 
 
-def tile_syrk(a_tile: "np.ndarray | Tile | QuantizedOperand",
+def tile_syrk(a_tile: "np.ndarray | Tile",
               c_tile: "np.ndarray | Tile",
               precision: Precision | str = Precision.FP64) -> np.ndarray:
     """Symmetric rank-k update ``C - A @ A.T`` of one diagonal tile.
@@ -189,8 +184,7 @@ def tile_syrk(a_tile: "np.ndarray | Tile | QuantizedOperand",
     return work if precision in NATIVE else quantize(work, precision)
 
 
-def tile_gemm(a_tile: "np.ndarray | Tile | QuantizedOperand",
-              b_tile: "np.ndarray | Tile | QuantizedOperand",
+def tile_gemm(a_tile: "np.ndarray | Tile", b_tile: "np.ndarray | Tile",
               c_tile: "np.ndarray | Tile",
               precision: Precision | str = Precision.FP64) -> np.ndarray:
     """General tile update ``C - A @ B.T``, one ``?gemm`` with ``beta=1``
@@ -252,84 +246,6 @@ def gemm_flops(mb: int, nb: int, kb: int) -> float:
 # ----------------------------------------------------------------------
 # the tiled Cholesky's task descriptors
 # ----------------------------------------------------------------------
-class OperandCache:
-    """Per-process memo of ``panel_operand(tile, precision)``.
-
-    A panel tile ``L[i,k]`` is consumed by one SYRK and up to ``nt-k-2``
-    GEMMs per *emulated* compute precision, all of which would otherwise
-    quantize it from scratch (a native kernel reads the tile's payload
-    itself: there is nothing to share).  ``key`` is the panel tile's
-    handle uid — unique in the coordinating process and never rebound to
-    other data — and a panel payload never changes once its TRSM wrote
-    it, so an entry cannot go stale; the operand is a deterministic
-    function of the tile, so a miss (or two threads missing at once)
-    recomputes exactly what any other worker holds.  Caching never
-    changes results.
-
-    Every consumer names the total number of consumers (``uses``): the
-    entry counts down and is dropped with its last one, so the cache
-    holds the panels in flight rather than every panel of the
-    factorization.  A worker process sees only its share of a key's
-    consumers and never counts to zero; there the LRU ``cap`` and the
-    per-drain :meth:`clear` bound the cache instead.
-    """
-
-    def __init__(self, cap: int = 96) -> None:
-        self.cap = cap
-        self.released = 0  #: entries dropped with their last consumer
-        self.evicted = 0   #: entries dropped by the cap
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()  # key -> [operand, uses left]
-
-    def take(self, key: int, precision: Precision, tile: Tile,
-             uses: int = 1) -> "QuantizedOperand | Tile":
-        """The operand of ``tile`` for one of its ``uses`` consumers at
-        ``precision``; a native format multiplies the tile itself."""
-        if precision in NATIVE:
-            return tile
-        cache_key = (key, precision)
-        fresh = None
-        while True:
-            with self._lock:
-                entry = self._entries.get(cache_key)
-                if entry is not None:
-                    entry[1] -= 1
-                    if entry[1] <= 0:
-                        del self._entries[cache_key]
-                        self.released += 1
-                    else:
-                        self._entries.move_to_end(cache_key)
-                    return entry[0]
-                if fresh is not None:
-                    if uses > 1:
-                        self._entries[cache_key] = [fresh, uses - 1]
-                        if len(self._entries) > self.cap:
-                            self._entries.popitem(last=False)
-                            self.evicted += 1
-                    return fresh
-            # quantize outside the lock: other keys must not wait on it
-            fresh = panel_operand(tile, precision)
-
-    def drop(self, keys) -> None:
-        """Forget the entries of ``keys`` (a finished or failed drain's
-        handle uids): an evicted-and-recomputed entry restarts its
-        count, and a failed drain never finishes counting."""
-        with self._lock:
-            for cache_key in [ck for ck in self._entries if ck[0] in keys]:
-                del self._entries[cache_key]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-OPERANDS = OperandCache()
-clear_operand_cache = OPERANDS.clear
-
-
 @dataclass(frozen=True)
 class PotrfSpec(BodySpec):
     """Diagonal Cholesky: ``A(k,k) -> chol(A(k,k))`` at ``wp``."""
@@ -356,20 +272,12 @@ class TrsmSpec(BodySpec):
 
 @dataclass(frozen=True)
 class SyrkSpec(BodySpec):
-    """Trailing diagonal update ``A(i,i) -= L(i,k) L(i,k)^T`` at ``p``.
-
-    ``key_ik`` / ``uses_ik``: the panel tile's :class:`OperandCache` key
-    and how many tasks consume it at ``p`` (emulated ``p`` only).
-    """
+    """Trailing diagonal update ``A(i,i) -= L(i,k) L(i,k)^T`` at ``p``."""
 
     p: Precision
-    key_ik: int
-    uses_ik: int = 1
 
     def run(self, lik: Tile, aii: Tile) -> Tile:
-        out = tile_syrk(OPERANDS.take(self.key_ik, self.p, lik, self.uses_ik),
-                        aii, self.p)
-        return Tile._on_grid(out, self.p, aii.coords)
+        return Tile._on_grid(tile_syrk(lik, aii, self.p), self.p, aii.coords)
 
 
 @dataclass(frozen=True)
@@ -377,13 +285,7 @@ class GemmTrailSpec(BodySpec):
     """Trailing update ``A(i,j) -= L(i,k) L(j,k)^T`` at ``p``."""
 
     p: Precision
-    key_ik: int
-    key_jk: int
-    uses_ik: int = 1
-    uses_jk: int = 1
 
     def run(self, lik: Tile, ljk: Tile, aij: Tile) -> Tile:
-        out = tile_gemm(OPERANDS.take(self.key_ik, self.p, lik, self.uses_ik),
-                        OPERANDS.take(self.key_jk, self.p, ljk, self.uses_jk),
-                        aij, self.p)
+        out = tile_gemm(lik, ljk, aij, self.p)
         return Tile._on_grid(out, self.p, aij.coords)

@@ -15,10 +15,9 @@ How a task's inputs reach its kernel is described by
 handle payloads and :class:`TileInput` tiles (faulted in through the
 store after the dispatch hook pinned them) are published to the
 exchange, a tile cached per ``(matrix, coords)`` until a writeback
-invalidates it, an :class:`ObjectInput` once per drain.  Workers keep
-the quantized panel operands of :class:`repro.linalg.kernels
-.OperandCache` keyed by coordinator-unique handle uids — recomputing
-one per worker is deterministic, so caching is purely a perf matter.
+invalidates it, an :class:`ObjectInput` once per drain.  A worker
+keeps no state between tasks beyond its exchange: a descriptor's
+result depends only on its inputs and its scalar parameters.
 """
 
 from repro.distance.build import BuildRowSpec
@@ -29,7 +28,6 @@ from repro.linalg.kernels import (
     PotrfSpec,
     SyrkSpec,
     TrsmSpec,
-    clear_operand_cache,
 )
 from repro.linalg.solve import SolveGemmSpec, SolveTrsmSpec
 from repro.runtime.task import BodySpec, ObjectInput, TaskSpec, TileInput
@@ -50,7 +48,6 @@ __all__ = [
     "TaskSpec",
     "TileInput",
     "TrsmSpec",
-    "clear_operand_cache",
 ]
 
 #: Every descriptor kind the insertion sites emit — the pickle

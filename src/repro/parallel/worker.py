@@ -31,7 +31,6 @@ import os
 import pickle
 import traceback
 
-from repro.linalg.kernels import clear_operand_cache
 from repro.parallel.exchange import ExchangeSpec, PayloadRef, TileExchange
 from repro.resilience import faults
 from repro.resilience.errors import RemoteTaskError
@@ -108,7 +107,6 @@ def _bootstrap(blas_threads: int) -> None:
     # rebuild the module state so this process starts clean, with its
     # own injection counters.
     faults.reset_child_state()
-    clear_operand_cache()
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +146,6 @@ def worker_main(worker_id: int, tag: str, conn, spec: ExchangeSpec,
                         break
             elif op == "reset":
                 exchange.reset()
-                clear_operand_cache()
             elif op == "stop":
                 break
     finally:

@@ -190,11 +190,6 @@ class TaskGraph:
             counts[t.name] = counts.get(t.name, 0) + 1
         return counts
 
-    def execute_sequential(self) -> None:
-        """Execute all task bodies in a valid topological order."""
-        for task in self.topological_order():
-            task.execute()
-
     def __len__(self) -> int:
         return self.num_tasks
 

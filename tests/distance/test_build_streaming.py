@@ -343,7 +343,7 @@ class TestBoundedInFlightRows:
                 assert consumes[bi - 4] in graph.predecessors(row_task)
 
 
-class TestTrainOperandCache:
+class TestTrainOperands:
     """Shared train-side operand state of the serving micro-batches."""
 
     def test_cached_cross_rows_bitwise_identical(self, small_genotypes):

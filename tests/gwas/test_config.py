@@ -65,6 +65,11 @@ class TestPrecisionPlan:
         with pytest.raises(ValueError):
             PrecisionPlan(mode="band", band_high_fraction=2.0)
 
+    @pytest.mark.parametrize("accuracy", [np.nan, np.inf, 0.0, -1e-3])
+    def test_invalid_accuracy(self, accuracy):
+        with pytest.raises(ValueError, match="accuracy"):
+            PrecisionPlan.adaptive_fp16(accuracy=accuracy)
+
     def test_string_precisions_coerced(self):
         plan = PrecisionPlan(mode="uniform", working_precision="fp64",
                              low_precision="fp8")
@@ -83,6 +88,11 @@ class TestRRConfig:
             RRConfig(regularization=-1.0)
         with pytest.raises(ValueError):
             RRConfig(tile_size=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="regularization"):
+                RRConfig(regularization=bad)
+        with pytest.raises(ValueError, match="task_timeout_s"):
+            RRConfig(task_timeout_s=np.nan)
 
 
 class TestKRRConfig:
@@ -112,6 +122,10 @@ class TestKRRConfig:
             KRRConfig(kernel_type="linear")
         with pytest.raises(ValueError):
             KRRConfig(tile_size=-2)
+        for field in ("gamma", "alpha", "cg_tol", "task_timeout_s"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=field):
+                    KRRConfig(**{field: bad})
 
 
 class TestWithOptions:
@@ -229,6 +243,10 @@ class TestServeConfig:
             ServeConfig(max_batch_requests=0)
         with pytest.raises(ValueError):
             ServeConfig(batch_window_s=-1.0)
+        for field in ("batch_window_s", "request_deadline_s"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=field):
+                    ServeConfig(**{field: bad})
         with pytest.raises(ValueError):
             ServeConfig(max_queue_depth=0)
 

@@ -221,6 +221,17 @@ class TestRegularizationBoost:
         assert session.regularization_boosts_ == 2
         assert session.alpha_ == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_is_rejected(self, alpha):
+        """A NaN alpha is not a non-positive one: it must not be solved
+        at ``1e-6``."""
+        session = KRRSession(KRRConfig(
+            tile_size=16, alpha=1.0, precision_plan=PrecisionPlan.fp64()))
+        session.adopt_kernel(_indefinite_kernel(48, min_eig=0.5))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            session.associate(np.ones(48), alpha=alpha)
+        assert session.alpha_ is None
+
     def test_terminal_linalg_error_after_exhausted_boosts(self):
         n = 48
         k = _indefinite_kernel(n, min_eig=-500.0)  # not PD even at alpha=100

@@ -1,10 +1,13 @@
 """Tests for the tiled mixed-precision Cholesky factorization."""
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.gwas.config import PrecisionPlan
 from repro.linalg.cholesky import cholesky, cholesky_flops
 from repro.precision.formats import Precision
 from repro.runtime.replay import replay
@@ -192,6 +195,107 @@ class TestRuntimePath:
         assert runtime.runs_completed == 3
         # per-invocation namespaces were released after the copy-back
         assert not [n for n in runtime.handles if n.startswith("chol")]
+
+
+# 28 tile rows under a two-precision mosaic: 3.6k tasks keep 8 threads
+# contending while every update reads its panel tiles as they are
+N, TILE = 224, 8
+
+
+def _mixed_mosaic(n=N, seed=5):
+    """A kernel whose adaptive map mixes FP32, FP16 and FP8 tiles."""
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, 3, size=(n, 64)).astype(np.float64)
+    sq = (g * g).sum(axis=1)
+    dense = np.exp(-0.05 * (sq[:, None] + sq[None, :] - 2.0 * g @ g.T))
+    # tile rows on different scales (a congruence, so still SPD): the
+    # adaptive rule then mixes FP8 and FP16 within every block column
+    scale = np.repeat(10.0 ** rng.uniform(-1.0, 0.0, n // TILE), TILE)
+    dense = (dense + 0.5 * np.eye(n)) * scale[:, None] * scale[None, :]
+    kernel = TileMatrix.from_dense(dense, TILE, Precision.FP32, symmetric=True)
+    plan = PrecisionPlan.adaptive_fp8(accuracy=3e-3)
+    pmap = plan.precision_map(kernel.layout, matrix=kernel)
+    assert {Precision.FP8_E4M3, Precision.FP16} <= set(pmap.values())
+    return kernel, dict(working_precision=plan.working_precision,
+                        precision_map=pmap)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    return a.view({2: np.uint16, 4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+
+
+@pytest.mark.parametrize("execution,workers", [("serial", 1), ("threaded", 8),
+                                               ("process", 2)])
+def test_mixed_mosaic_drain_matches_the_reference(execution, workers):
+    """An FP8/FP16 mosaic drained under forced thread interleavings is
+    the host-ordered reference bit for bit, tile precisions included."""
+    kernel, kwargs = _mixed_mosaic()
+    reference = cholesky(kernel, **kwargs).factor
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    rt = Runtime(execution=execution, workers=workers)
+    try:
+        factor = cholesky(kernel, runtime=rt, **kwargs).factor
+    finally:
+        sys.setswitchinterval(interval)
+        rt.close()
+
+    _assert_same_factor(factor, reference)
+
+
+def _assert_same_factor(factor, reference):
+    for i in range(reference.layout.tile_rows):
+        for j in range(i + 1):
+            want, got = reference.get_tile(i, j), factor.get_tile(i, j)
+            assert got.precision is want.precision, (i, j)
+            np.testing.assert_array_equal(_bits(got.data), _bits(want.data),
+                                          err_msg=f"{(i, j)}")
+
+
+@pytest.mark.parametrize("execution", ["serial", "threaded"])
+def test_concurrent_factorizations_share_no_state(execution):
+    """Two mosaics factored at once, each on its own runtime in its own
+    thread, are each their reference bit for bit: no operand, count or
+    reset is shared between drains in one process.  Each reference is
+    drained in a worker process of its own, so no state of this one can
+    reach it."""
+    cases = [_mixed_mosaic(96, seed) for seed in (6, 7)]
+    references = []
+    for kernel, kwargs in cases:
+        rt = Runtime(execution="process", workers=1)
+        try:
+            references.append(cholesky(kernel, runtime=rt, **kwargs).factor)
+        finally:
+            rt.close()
+    factors, errors = [None, None], []
+
+    def factor(slot):
+        kernel, kwargs = cases[slot]
+        rt = Runtime(execution=execution, workers=2)
+        try:
+            factors[slot] = cholesky(kernel, runtime=rt, **kwargs).factor
+        except BaseException as exc:  # reported on the main thread
+            errors.append(exc)
+        finally:
+            rt.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=factor, args=(slot,))
+                   for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(factors, references):
+        _assert_same_factor(got, want)
 
 
 class TestFlopsFormula:

@@ -16,7 +16,6 @@ import scipy.linalg
 from repro.distance.build import KernelBuilder, compute_kernel_rows
 from repro.linalg.blas3 import gemm, syrk
 from repro.linalg.kernels import (
-    OPERANDS,
     tile_gemm,
     tile_potrf,
     tile_syrk,
@@ -35,7 +34,6 @@ from repro.parallel.descriptors import (
     SolveTrsmSpec,
     SyrkSpec,
     TrsmSpec,
-    clear_operand_cache,
 )
 from repro.precision.formats import Precision
 from repro.precision.quantize import quantize
@@ -67,20 +65,13 @@ def _round_trip(spec):
     return clone
 
 
-@pytest.fixture(autouse=True)
-def _fresh_operand_cache():
-    clear_operand_cache()
-    yield
-    clear_operand_cache()
-
-
 def _specimens():
     """One representative instance of every descriptor kind."""
     return {
         PotrfSpec: PotrfSpec(Precision.FP32),
         TrsmSpec: TrsmSpec(Precision.FP32, Precision.FP16),
-        SyrkSpec: SyrkSpec(Precision.FP32, key_ik=11),
-        GemmTrailSpec: GemmTrailSpec(Precision.FP16, key_ik=11, key_jk=12),
+        SyrkSpec: SyrkSpec(Precision.FP32),
+        GemmTrailSpec: GemmTrailSpec(Precision.FP16),
         SolveGemmSpec: SolveGemmSpec(Precision.FP32, transpose=True),
         SolveTrsmSpec: SolveTrsmSpec(Precision.FP32, transpose=False),
         BuildRowSpec: BuildRowSpec(gamma=0.01, snp_block=64, row_start=0,
@@ -226,9 +217,9 @@ def _golden_case(kernel, size, compute, stored) -> Tile:
     lik = Tile(a, precision=stored, coords=(2, 0))
     ljk = Tile(b, precision=stored, coords=(1, 0))
     if kernel == "gemm":
-        return GemmTrailSpec(compute, 1, 2).run(
+        return GemmTrailSpec(compute).run(
             lik, ljk, Tile(c, precision=stored, coords=(2, 1)))
-    return SyrkSpec(compute, 1).run(
+    return SyrkSpec(compute).run(
         lik, Tile(c_sym, precision=stored, coords=(2, 2)))
 
 
@@ -260,7 +251,7 @@ class TestBehaviorEquality:
     def test_syrk(self, size, compute, stored):
         lik = _panel_tile(size, stored, 3, (2, 0))
         aii = _spd(size, stored, 4, (2, 2))
-        out = _round_trip(SyrkSpec(compute, key_ik=7)).run(lik, aii)
+        out = _round_trip(SyrkSpec(compute)).run(lik, aii)
         expect = tile_syrk(lik.to_float64(), aii.to_float64(), compute)
         _assert_tile(out, expect, compute, (2, 2))
 
@@ -269,8 +260,7 @@ class TestBehaviorEquality:
         lik = _panel_tile(size, stored, 5, (2, 0))
         ljk = _panel_tile(size, stored, 6, (1, 0))
         aij = _panel_tile(size, stored, 7, (2, 1))
-        out = _round_trip(GemmTrailSpec(compute, key_ik=8, key_jk=9)).run(
-            lik, ljk, aij)
+        out = _round_trip(GemmTrailSpec(compute)).run(lik, ljk, aij)
         expect = tile_gemm(lik.to_float64(), ljk.to_float64(),
                            aij.to_float64(), compute)
         _assert_tile(out, expect, compute, (2, 1))
@@ -284,13 +274,39 @@ class TestBehaviorEquality:
         digest = hashlib.sha256(bits(data).tobytes()).hexdigest()[:16]
         assert digest == GOLDEN[case]
 
-    def test_operand_cache_hit_is_bitwise_stable(self):
+    def test_rerun_is_bitwise_stable(self):
         lik = _tile(seed=3, coords=(2, 0))
         aii = _spd_tile(seed=4, coords=(2, 2))
-        spec = SyrkSpec(Precision.FP32, key_ik=7)
+        spec = SyrkSpec(Precision.FP32)
         first = spec.run(lik, aii).to_float64()
-        second = spec.run(lik, aii).to_float64()  # cache hit path
+        second = spec.run(lik, aii).to_float64()
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("kernel", ["syrk", "gemm"])
+    @pytest.mark.parametrize("compute", [Precision.FP16, Precision.BF16,
+                                         Precision.FP8_E4M3],
+                             ids=lambda p: p.value)
+    def test_an_update_keeps_nothing_between_runs(self, kernel, compute):
+        """One spec run on a panel, then on other panels at the same
+        coordinates, then on the first again: each result is the
+        array-level kernel's on those tiles, bit for bit.  An emulated
+        update quantizes its panels per run and holds no operand across
+        tasks."""
+        def case(seed):
+            panels = (_panel_tile(T, Precision.FP32, seed, (2, 0)),
+                      _panel_tile(T, Precision.FP32, seed + 1, (1, 0)))
+            if kernel == "gemm":
+                return panels + (_panel_tile(T, Precision.FP32, seed + 2,
+                                             (2, 1)),)
+            return panels[:1] + (_spd(T, Precision.FP32, seed + 2, (2, 2)),)
+
+        spec = (GemmTrailSpec if kernel == "gemm" else SyrkSpec)(compute)
+        first, other = case(20), case(30)
+        runs = [spec.run(*tiles) for tiles in (first, other, first)]
+        array_kernel = tile_gemm if kernel == "gemm" else tile_syrk
+        for tiles, out in zip((first, other, first), runs):
+            expect = array_kernel(*(t.to_float64() for t in tiles), compute)
+            _assert_tile(out, expect, compute, tiles[-1].coords)
 
     @pytest.mark.parametrize("p", [Precision.FP32, Precision.FP64],
                              ids=lambda p: p.value)
@@ -331,16 +347,6 @@ class TestBehaviorEquality:
         assert out.dtype == dtype
         np.testing.assert_array_equal(out, expect)
         np.testing.assert_array_equal(acc, before)
-
-    def test_shared_operand_is_quantized_once(self):
-        lik = _tile(seed=3, coords=(2, 0))
-        aii = _spd_tile(seed=4, coords=(2, 2))
-        spec = _round_trip(SyrkSpec(Precision.FP16, key_ik=7, uses_ik=2))
-        first = spec.run(lik, aii).to_float64()
-        assert len(OPERANDS) == 1  # kept for the second consumer
-        second = spec.run(lik, aii).to_float64()
-        assert len(OPERANDS) == 0  # ... and dropped with it
-        np.testing.assert_array_equal(first, second)
 
     def test_build_row(self):
         g = _rng(13).integers(0, 3, size=(24, 96)).astype(np.int8)

@@ -100,14 +100,6 @@ class TestGraphQueries:
         counts = g.task_counts_by_name()
         assert counts == {"src": 1, "l": 1, "r": 1, "sink": 1}
 
-    def test_execute_sequential_runs_bodies(self):
-        a = DataHandle("a", payload=0)
-        g = TaskGraph()
-        g.insert_task("inc", (a, AccessMode.READWRITE), body=lambda x: x + 1)
-        g.insert_task("inc", (a, AccessMode.READWRITE), body=lambda x: x + 1)
-        g.execute_sequential()
-        assert a.payload == 2
-
     def test_len_and_precision_default(self):
         g, _ = self._diamond()
         assert len(g) == 4

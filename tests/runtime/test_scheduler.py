@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
+from repro.runtime.dag import TaskGraph
 from repro.runtime.device import Device, DeviceModel, GENERIC_GPU, make_devices
 from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
-from repro.runtime.task import AccessMode
+from repro.runtime.scheduler import Scheduler
+from repro.runtime.task import AccessMode, DataHandle
 
 
 class TestDeviceModel:
@@ -57,6 +59,15 @@ class TestRuntimeExecution:
         result = rt.run()
         np.testing.assert_array_equal(a.payload, [2.0])
         np.testing.assert_array_equal(b.payload, [3.0])
+        assert result.trace.num_tasks == 2
+
+    def test_serial_drain_runs_readwrite_bodies_in_order(self):
+        a = DataHandle("a", payload=1)
+        g = TaskGraph()
+        g.insert_task("double", (a, AccessMode.READWRITE), body=lambda x: x * 2)
+        g.insert_task("inc", (a, AccessMode.READWRITE), body=lambda x: x + 1)
+        result = Scheduler(execution="serial").run(g)
+        assert a.payload == 3  # (1 * 2) + 1, not (1 + 1) * 2
         assert result.trace.num_tasks == 2
 
     def test_all_tasks_executed_in_dependency_order(self):
