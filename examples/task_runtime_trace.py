@@ -26,7 +26,6 @@ from repro.experiments.report import format_table
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.linalg import cholesky
 from repro.runtime import Runtime, replay
-from repro.tiles.layout import TileLayout
 
 
 def main() -> None:
@@ -50,14 +49,11 @@ def main() -> None:
     build = builder.build_training(cohort.genotypes, cohort.confounders)
     a = build.to_dense() + cfg.alpha * np.eye(n)
 
-    plan_map = cfg.precision_plan.precision_map(
-        TileLayout.square(n, args.tile_size), matrix=a)
-
     runtime = Runtime()  # execution/workers from REPRO_* or the defaults
     print(f"Factorizing through the task runtime ({runtime.execution}, "
           f"{runtime.workers} worker(s)) ...")
     result = cholesky(a, tile_size=args.tile_size, working_precision="fp32",
-                      precision_map=plan_map, runtime=runtime)
+                      precision_map=build.precision_map, runtime=runtime)
     runtime.close()
 
     # run() drains the pending graph; the executed DAG is retained

@@ -20,10 +20,10 @@
 
 The symmetric training Build never materializes the full dense FP64
 kernel: tiles flow from the tile-row task loop into symmetric tile
-storage, and the adaptive precision rule is applied tile-wise from the
-streamed container.  Peak dense temporaries are a handful of single
-tiles, tracked in :class:`BuildStats` so tests can assert the memory
-behaviour.
+storage, and the adaptive precision rule decides the mosaic from the
+norms taken as each tile is stored.  Peak dense temporaries are a
+handful of single tiles, tracked in :class:`BuildStats` so tests can
+assert the memory behaviour.
 
 Concurrency is owned by the task runtime, not by this module: each
 block row of tiles becomes a *row task* (the Gram/distance/kernel
@@ -53,9 +53,10 @@ from repro.precision.gemm import (
 from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
-from repro.tiles.adaptive import AdaptivePrecisionRule, decide_tile_precisions
+from repro.tiles.adaptive import AdaptivePrecisionRule, _decide_from_norms
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
+from repro.tiles.tile import Tile
 
 
 @dataclass
@@ -411,7 +412,10 @@ class KernelBuilder:
         """Build the symmetric training kernel matrix ``K`` (NP1 × NP1).
 
         The kernel streams tile-by-tile into symmetric tile storage;
-        no full dense FP64 staging matrix is ever allocated.
+        no full dense FP64 staging matrix is ever allocated.  An
+        adaptive rule decides the mosaic here, once, from the norms of
+        the FP64 staging tiles taken as they are stored; every tile is
+        then rounded to its format, and the factorization reads it.
         """
         genotypes = np.asarray(genotypes)
         n = genotypes.shape[0]
@@ -424,15 +428,19 @@ class KernelBuilder:
         if self.store is not None:
             # out-of-core Build: consumed rows stream into budget-managed
             # storage, spilling as the budget fills (bitwise-exact
-            # round-trips; the adaptive pass below faults tiles back in
-            # one at a time to read their norms)
+            # round-trips; only the rounding to the mosaic faults a
+            # spilled staging tile back in)
             tiled.attach_store(self.store)
+        norms: dict[tuple[int, int], float] = {}
 
         def consume(coords: tuple[int, int], tile_k: np.ndarray) -> None:
             bi, bj = coords
             if bi == bj:
                 np.fill_diagonal(tile_k, 1.0)
-            tiled.set_tile(bi, bj, tile_k, precision=staging)
+            tile = Tile(tile_k, precision=staging, coords=coords)
+            if self.adaptive_rule is not None:
+                norms[coords] = tile.norm()
+            tiled.set_tile(bi, bj, tile)
 
         trace = self._stream_tiles(genotypes, genotypes, confounders,
                                    confounders, symmetric=True,
@@ -440,7 +448,8 @@ class KernelBuilder:
 
         precision_map: dict[tuple[int, int], Precision] | None = None
         if self.adaptive_rule is not None:
-            precision_map = decide_tile_precisions(tiled, self.adaptive_rule)
+            precision_map = _decide_from_norms(tiled, norms,
+                                               self.adaptive_rule)
             tiled.apply_precision_map(precision_map)
         return BuildResult(kernel=tiled, flops=trace.total_flops,
                            flops_by_precision=trace.flops_by_precision(),

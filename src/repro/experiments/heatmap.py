@@ -112,14 +112,7 @@ def run_precision_heatmaps(scale: str | ScalePreset = "small",
         )
         heatmap = precision_heatmap(kernel, rule)
         adaptive = kernel.copy()
-        adaptive.apply_precision_map({
-            (i, j): heatmap.grid[i, j]
-            for i in range(heatmap.grid.shape[0])
-            for j in range(heatmap.grid.shape[1])
-            if (i, j) in dict.fromkeys(
-                adaptive.layout.iter_lower_tiles() if adaptive.symmetric
-                else adaptive.layout.iter_tiles())
-        })
+        adaptive.apply_precision_map(lambda i, j: heatmap.grid[i, j])
         fp32_copy = kernel.copy()
         fp32_copy.apply_precision_map(Precision.FP32)
         results[gpu] = HeatmapExperiment(

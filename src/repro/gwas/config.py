@@ -203,12 +203,9 @@ class PrecisionPlan(_WithOptionsMixin):
         if matrix is None:
             raise ValueError("adaptive precision plans need the matrix to decide")
         from repro.tiles.adaptive import decide_tile_precisions
-        from repro.tiles.matrix import TileMatrix
-        import numpy as np
 
-        if isinstance(matrix, np.ndarray):
-            matrix = TileMatrix.from_dense(matrix, layout.tile_size, Precision.FP64)
-        return decide_tile_precisions(matrix, self.adaptive_rule())
+        return decide_tile_precisions(matrix, self.adaptive_rule(),
+                                      tile_size=layout.tile_size)
 
 
 def _validate_execution_knobs(cfg) -> None:

@@ -254,9 +254,10 @@ class KRRSession:
     def adopt_kernel(self, kernel: TileMatrix | np.ndarray) -> TileMatrix:
         """Attach an externally built training kernel to the session.
 
-        A dense array is tiled at the configured tile size (quantized to
-        the plan's working precision, matching what the historical dense
-        Associate path stored); a ``TileMatrix`` is adopted as-is.  The
+        A dense array is tiled at the configured tile size and stored
+        at the plan's working precision, or in the mosaic an adaptive
+        plan decides on its float64 tiles, as a Build does; a
+        ``TileMatrix`` is adopted as-is, mosaic included.  The
         session can then run :meth:`associate` without
         :meth:`build` — note :meth:`predict` still requires the training
         genotypes, i.e. a full :meth:`build`/:meth:`fit`.
@@ -267,9 +268,12 @@ class KRRSession:
             dense = np.asarray(kernel, dtype=np.float64)
             if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
                 raise ValueError("the training kernel matrix must be square")
-            tiled = TileMatrix.from_dense(
-                dense, self.config.tile_size,
-                self.config.precision_plan.working_precision, symmetric=True)
+            plan = self.config.precision_plan
+            tiled = TileMatrix.from_dense(dense, self.config.tile_size,
+                                          Precision.FP64, symmetric=True)
+            tiled.apply_precision_map(
+                plan.precision_map(tiled.layout, matrix=tiled)
+                if plan.mode == "adaptive" else plan.working_precision)
         if tiled.shape[0] != tiled.shape[1]:
             raise ValueError("the training kernel matrix must be square")
         self.kernel_ = tiled
@@ -297,6 +301,9 @@ class KRRSession:
         shift is boosted 10x in place — up to twice — before giving up;
         the boost count is recorded in ``regularization_boosts_``.
 
+        An adaptive kernel factors in the mosaic its tiles carry, decided
+        once; band and uniform plans pass their layout-only map.
+
         Returns the factorization and the effective (possibly boosted)
         alpha; the factor is retained as ``factorization_``, the held
         factor of :meth:`_solve`.
@@ -309,10 +316,11 @@ class KRRSession:
         # the factorization below works on its own workspace copy
         regularized = self.kernel_.shallow_copy()
         regularized.add_diagonal(current)
+        pmap = (None if plan.mode == "adaptive"
+                else plan.precision_map(regularized.layout))
         self.regularization_boosts_ = 0
         last_error: Exception | None = None
         for attempt in range(3):
-            pmap = plan.precision_map(regularized.layout, matrix=regularized)
             try:
                 fact = cholesky(regularized,
                                 working_precision=plan.working_precision,

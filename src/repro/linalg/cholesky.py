@@ -114,11 +114,10 @@ def cholesky(
     Parameters
     ----------
     matrix:
-        Symmetric positive-definite matrix, dense or tiled.  When a
-        ``TileMatrix`` is given its per-tile precisions (set e.g. by
-        :func:`repro.tiles.adaptive.decide_tile_precisions`) control the
-        precision of each trailing update; when a dense array is given,
-        ``precision_map`` can supply the mosaic.
+        Symmetric positive-definite matrix, dense or tiled.  A
+        ``TileMatrix``'s stored precisions (an adaptive kernel's mosaic,
+        as its Build decided it) set each trailing update's precision;
+        for a dense array, ``precision_map`` can supply the mosaic.
     tile_size:
         Required when a dense array is passed.
     working_precision:

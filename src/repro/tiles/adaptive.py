@@ -25,6 +25,7 @@ the UK BioBank / msprime kernel matrices.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,23 @@ def candidates_for_gpu(gpu: str) -> tuple[Precision, ...]:
     return (Precision.FP16, Precision.FP32, Precision.FP64)
 
 
+def _decide_from_norms(
+    matrix: TileMatrix,
+    tile_norms: Mapping[tuple[int, int], float],
+    rule: AdaptivePrecisionRule,
+) -> dict[tuple[int, int], Precision]:
+    """The adaptive map, every tile row-major, of ``matrix`` given its
+    stored tiles' Frobenius norms (a missing tile is zero); under
+    symmetric storage an upper tile takes its mirror's decision."""
+    matrix_norm = matrix._frobenius(tile_norms)
+    nt = matrix.layout.tile_cols
+    decided = {(i, j): rule.decide(tile_norms.get((i, j), 0.0), matrix_norm,
+                                   nt, is_diagonal=(i == j))
+               for i, j in matrix._iter_stored()}
+    return {(i, j): decided[(j, i) if matrix.symmetric and j > i else (i, j)]
+            for i, j in matrix.layout.iter_tiles()}
+
+
 def decide_tile_precisions(
     matrix: TileMatrix | np.ndarray,
     rule: AdaptivePrecisionRule | None = None,
@@ -107,26 +125,14 @@ def decide_tile_precisions(
 
     Returns a mapping ``{(i, j): Precision}`` covering every tile of the
     grid (both triangles for symmetric storage, so the map can be used
-    directly to build heatmaps).
+    directly to build heatmaps; upper tiles mirror the lower ones).
     """
     rule = rule or AdaptivePrecisionRule()
     if isinstance(matrix, np.ndarray):
         if tile_size is None:
             raise ValueError("tile_size is required when passing a dense array")
         matrix = TileMatrix.from_dense(matrix, tile_size, Precision.FP64)
-
-    matrix_norm = matrix.norm("fro")
-    nt = matrix.layout.tile_cols
-    decisions: dict[tuple[int, int], Precision] = {}
-    for i, j in matrix.layout.iter_tiles():
-        tile = matrix.get_tile(i, j)
-        decisions[(i, j)] = rule.decide(
-            tile_norm=tile.norm("fro"),
-            matrix_norm=matrix_norm,
-            num_tile_cols=nt,
-            is_diagonal=(i == j),
-        )
-    return decisions
+    return _decide_from_norms(matrix, matrix._tile_norms(), rule)
 
 
 @dataclass

@@ -90,31 +90,6 @@ def band_fraction_map(pmap: dict[tuple[int, int], Precision],
     return {p: c / total for p, c in counts.items()}
 
 
-def rainbow_pattern(layout: TileLayout,
-                    precisions: tuple[Precision, ...]) -> dict[tuple[int, int], Precision]:
-    """Generalized rainbow: split the off-diagonal bands evenly across formats.
-
-    ``precisions`` lists the formats from nearest to the diagonal to
-    farthest.  Used by the band ablation benchmark.
-    """
-    if not precisions:
-        raise ValueError("at least one precision required")
-    if not layout.is_square_grid:
-        raise ValueError("rainbow patterns require a square tile grid")
-    nt = layout.tile_rows
-    max_band = max(nt - 1, 1)
-    n_levels = len(precisions)
-    pmap: dict[tuple[int, int], Precision] = {}
-    for i, j in layout.iter_tiles():
-        band = abs(i - j)
-        if band == 0:
-            pmap[(i, j)] = precisions[0]
-        else:
-            level = min(int((band - 1) * n_levels / max_band), n_levels - 1)
-            pmap[(i, j)] = precisions[level]
-    return pmap
-
-
 def band_map_as_grid(pmap: dict[tuple[int, int], Precision],
                      layout: TileLayout) -> np.ndarray:
     """Render a precision map as an object array (for plotting/inspection)."""

@@ -332,22 +332,27 @@ class TileMatrix:
 
         Accumulating ``||A_ij||_F^2`` per stored tile (counting mirrored
         off-diagonal tiles twice for symmetric storage) avoids the dense
-        materialization the adaptive-precision rule would otherwise pay
-        on every streamed Build.
+        materialization a norm would otherwise pay.
         """
         if ord == "fro":
-            total = 0.0
-            for (i, j) in self._iter_stored():
-                if not self.has_tile_data(i, j):
-                    continue  # unmaterialized tiles are implicit zeros
-                # get_tile faults spilled tiles in (and back out) under
-                # the budget; values are bitwise whatever residency says
-                # (summed in C order, so whatever the payload layout too)
-                sq = float(np.linalg.norm(np.ascontiguousarray(
-                    self.get_tile(i, j).float64_values()))) ** 2
-                total += sq if (not self.symmetric or i == j) else 2.0 * sq
-            return float(np.sqrt(total))
+            return self._frobenius(self._tile_norms())
         return float(np.linalg.norm(self.to_dense(), ord=ord))
+
+    def _tile_norms(self) -> dict[tuple[int, int], float]:
+        """``Tile.norm`` of each stored tile holding data, read once
+        (get_tile faults a spilled tile in, bitwise, under the budget)."""
+        return {key: self.get_tile(*key).norm() for key in self._iter_stored()
+                if self.has_tile_data(*key)}
+
+    def _frobenius(self, tile_norms: Mapping[tuple[int, int], float]) -> float:
+        """Frobenius norm from the stored tiles' norms (a missing tile is
+        zero): squares summed in storage order, which fixes the last
+        bit, an off-diagonal tile of symmetric storage twice."""
+        total = 0.0
+        for i, j in self._iter_stored():
+            sq = tile_norms.get((i, j), 0.0) ** 2
+            total += sq if (not self.symmetric or i == j) else 2.0 * sq
+        return float(np.sqrt(total))
 
     def nbytes(self) -> int:
         """Total *logical* storage footprint under the precision mosaic.

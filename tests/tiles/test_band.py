@@ -7,7 +7,6 @@ from repro.tiles.band import (
     band_fraction_map,
     band_map_as_grid,
     band_precision_map,
-    rainbow_pattern,
 )
 from repro.tiles.layout import TileLayout
 
@@ -78,22 +77,6 @@ class TestFractionMap:
 
 
 class TestRainbow:
-    def test_levels_progress_outward(self, layout):
-        precisions = (Precision.FP32, Precision.FP16, Precision.FP8_E4M3)
-        pmap = rainbow_pattern(layout, precisions)
-        assert pmap[(0, 0)] is Precision.FP32
-        assert pmap[(9, 0)] is Precision.FP8_E4M3
-        # mid band gets the mid precision
-        assert pmap[(4, 0)] in precisions
-
-    def test_single_precision(self, layout):
-        pmap = rainbow_pattern(layout, (Precision.FP16,))
-        assert all(p is Precision.FP16 for p in pmap.values())
-
-    def test_empty_raises(self, layout):
-        with pytest.raises(ValueError):
-            rainbow_pattern(layout, ())
-
     def test_grid_rendering(self, layout):
         pmap = band_precision_map(layout, 0.5)
         grid = band_map_as_grid(pmap, layout)
