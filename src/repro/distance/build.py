@@ -37,12 +37,14 @@ execute out of order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.distance.euclidean import snp_gram_variant, squared_norms
 from repro.distance.kernels import gaussian_kernel, ibs_kernel
+from repro.linalg.blas3 import gemm
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
     QuantizedOperand,
@@ -250,6 +252,28 @@ def _row_groups(sizes: list[int], batch_rows: int | None) -> list[list[slice]]:
     return groups
 
 
+def _group_blocks(ctx: _OperandContext, gamma: float, snp_block: int,
+                  tile_size: int, group: list[slice]
+                  ) -> Iterator[tuple[slice, np.ndarray]]:
+    """The kernel blocks of one row group's batches, in order: one exact
+    Gram for the group, then each batch's block assembled band by band
+    in place (:meth:`KernelBuilder.iter_cross_rows` says why)."""
+    cols = slice(0, ctx.n2)
+    g0 = group[0].start
+    gram = (_snp_gram(ctx, snp_block, slice(g0, group[-1].stop), cols)
+            if ctx.snp_variant.accumulate_precision.is_integer
+            and not ctx.ibs_block else None)
+    for rows in group:
+        block = np.empty((rows.stop - rows.start, ctx.n2))
+        for b0 in range(rows.start, rows.stop, tile_size):
+            band = slice(b0, min(b0 + tile_size, rows.stop))
+            compute_kernel_rows(
+                ctx, gamma, snp_block, band, cols,
+                out=block[b0 - rows.start:band.stop - rows.start],
+                gram=None if gram is None else gram[b0 - g0:band.stop - g0])
+        yield rows, block
+
+
 @dataclass(frozen=True)
 class BuildRowSpec(BodySpec):
     """One kernel-matrix row band of the Build phase: columns
@@ -266,6 +290,27 @@ class BuildRowSpec(BodySpec):
         return compute_kernel_rows(
             ctx, self.gamma, self.snp_block,
             slice(self.row_start, self.row_stop), slice(0, self.col_end))
+
+
+@dataclass(frozen=True)
+class PredictGroupSpec(BodySpec):
+    """One row group of a Predict: each of its ``batches`` (row ranges)
+    as a kernel block (:func:`_group_blocks`) times ``W``, one
+    ``precision`` product per batch, stacked in row order.  Its inputs
+    are the call's operand context and ``W``."""
+
+    gamma: float
+    snp_block: int
+    tile_size: int
+    precision: Precision
+    batches: tuple[tuple[int, int], ...]
+
+    def run(self, ctx: _OperandContext, weights: np.ndarray) -> np.ndarray:
+        blocks = _group_blocks(ctx, self.gamma, self.snp_block,
+                               self.tile_size,
+                               [slice(*rows) for rows in self.batches])
+        return np.vstack([gemm(block, weights, precision=self.precision)
+                          for _, block in blocks])
 
 
 @dataclass
@@ -325,14 +370,11 @@ class CrossRowBlock:
         ``(batch, n_train)`` dense kernel block (float64 container).
     flops:
         Operation count of the block.
-    flops_by_precision:
-        The block's operation count split by compute precision.
     """
 
     rows: slice
     kernel: np.ndarray
     flops: float
-    flops_by_precision: dict[Precision, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -620,11 +662,12 @@ class KernelBuilder:
                         ) -> Iterator[CrossRowBlock]:
         """Stream the rectangular test-vs-train kernel in row batches.
 
-        This is the Predict-phase entry point of the tile-native solver
-        sessions: operands are quantized once, then ``batch_rows`` test
+        Operands are quantized once, then ``batch_rows`` test
         individuals at a time (the whole cohort when ``None``) flow
         through the Gram/distance/kernel pipeline.  Values equal
-        :meth:`build_cross` for any batching.
+        :meth:`build_cross` for any batching; the blocks are the ones a
+        session's Predict multiplies by ``W``, from the same per-group
+        loop (:func:`_group_blocks`).
 
         ``cohort_rows`` says the test rows are several cohorts stacked
         in that order (the serving micro-batch); a batch never straddles
@@ -657,29 +700,50 @@ class KernelBuilder:
         ctx = self._prepare_operands(test_genotypes, train_genotypes,
                                      test_confounders, train_confounders,
                                      symmetric=False, train_cache=train_cache)
-        cols = slice(0, n2)
-        stacked = (ctx.snp_variant.accumulate_precision.is_integer
-                   and not ctx.ibs_block)
         for group in _row_groups(sizes, batch_rows):
-            g0 = group[0].start
-            gram = (_snp_gram(ctx, self.snp_block,
-                              slice(g0, group[-1].stop), cols)
-                    if stacked else None)
-            for rows in group:
-                block = np.empty((rows.stop - rows.start, n2))
-                for b0 in range(rows.start, rows.stop, self.tile_size):
-                    band = slice(b0, min(b0 + self.tile_size, rows.stop))
-                    compute_kernel_rows(
-                        ctx, self.gamma, self.snp_block, band, cols,
-                        out=block[b0 - rows.start:band.stop - rows.start],
-                        gram=None if gram is None
-                        else gram[b0 - g0:band.stop - g0])
-                flops, by_prec = self._block_flops(
-                    ctx, rows.stop - rows.start, n2)
-                yield CrossRowBlock(rows=rows, kernel=block, flops=flops,
-                                    flops_by_precision=by_prec)
-            # the next group's Gram must not overlap this one's
-            gram = None
+            for rows, block in _group_blocks(ctx, self.gamma, self.snp_block,
+                                             self.tile_size, group):
+                flops, _ = self._block_flops(ctx, rows.stop - rows.start, n2)
+                yield CrossRowBlock(rows=rows, kernel=block, flops=flops)
+
+    def _predict_groups(self, genotypes: np.ndarray,
+                        confounders: np.ndarray | None, train: TrainOperands,
+                        weights: np.ndarray, precision: Precision,
+                        groups: list[list[slice]]) -> np.ndarray:
+        """``K_test · weights`` of the row-stacked test cohorts against
+        the ``train`` panel as one drain of ``trace_phase``: one
+        :class:`PredictGroupSpec` task per row group of ``groups``
+        (:func:`_row_groups`), tallying its kernel blocks and ``K·W``
+        products by precision (linear in rows: its batches' sum)."""
+        ctx = self._prepare_operands(genotypes, train.genotypes, confounders,
+                                     train.confounders, symmetric=False,
+                                     train_cache=train)
+        n2, nph = ctx.n2, weights.shape[1]
+        predictions = np.empty((ctx.n1, nph))
+        with self.runtime.dag("predict") as ns:
+            inputs = (ObjectInput(ctx, key=f"{ns}operands"),
+                      ObjectInput(weights, key=f"{ns}W"))
+            for gi, group in enumerate(groups):
+                rows = slice(group[0].start, group[-1].stop)
+                mb = rows.stop - rows.start
+                _, detail = self._block_flops(ctx, mb, n2)
+                detail[precision] = (detail.get(precision, 0.0)
+                                     + 2.0 * mb * n2 * nph)
+                self.runtime.insert_task(
+                    "predict_group",
+                    flops=float(sum(detail.values())), precision=precision,
+                    flops_detail=detail, tag=gi,
+                    spec=TaskSpec(
+                        PredictGroupSpec(
+                            gamma=self.gamma, snp_block=self.snp_block,
+                            tile_size=self.tile_size, precision=precision,
+                            batches=tuple((b.start, b.stop) for b in group)),
+                        mode="aux", aux=inputs,
+                        # each group writes its own rows of the panel
+                        on_complete=partial(predictions.__setitem__, rows)),
+                )
+            self.runtime.run(phase=self.trace_phase)
+        return predictions
 
     def _stream_tiles(self, g1: np.ndarray, g2: np.ndarray,
                       c1: np.ndarray | None, c2: np.ndarray | None,

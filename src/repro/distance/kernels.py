@@ -62,40 +62,6 @@ def ibs_kernel(g1: np.ndarray, g2: np.ndarray | None = None) -> np.ndarray:
     return shared / (2.0 * ns)
 
 
-def ibs_kernel_gemm(g1: np.ndarray, g2: np.ndarray | None = None) -> np.ndarray:
-    """IBS kernel computed with GEMM-friendly indicator encoding.
-
-    ``|a - b|`` summed over SNPs can be obtained from inner products of
-    the dosages and of the 0/2 genotype indicators, turning the IBS
-    kernel into matrix products just like the Gaussian kernel — the
-    "similarity kernels recast as distance kernels" observation of the
-    paper's conclusions.
-    """
-    g1 = np.asarray(g1)
-    g2v = g1 if g2 is None else np.asarray(g2)
-    ns = g1.shape[1]
-    if ns == 0:
-        raise ValueError("at least one SNP is required")
-
-    dose1 = np.clip(np.rint(np.asarray(g1, dtype=np.float64)), 0, 2)
-    dose2 = np.clip(np.rint(np.asarray(g2v, dtype=np.float64)), 0, 2)
-    # for values in {0,1,2}: |a-b| = (a-b)^2 - 2*I[|a-b|=2], where
-    # I[|a-b|=2] = I[a=0,b=2] + I[a=2,b=0]
-    sq = (
-        np.einsum("ij,ij->i", dose1, dose1)[:, None]
-        + np.einsum("ij,ij->i", dose2, dose2)[None, :]
-        - 2.0 * dose1 @ dose2.T
-    )
-    a0 = (dose1 == 0).astype(np.float64)
-    a2 = (dose1 == 2).astype(np.float64)
-    b0 = (dose2 == 0).astype(np.float64)
-    b2 = (dose2 == 2).astype(np.float64)
-    extreme = a0 @ b2.T + a2 @ b0.T
-    l1 = sq - 2.0 * extreme
-    shared = 2.0 * ns - l1
-    return shared / (2.0 * ns)
-
-
 def kernel_from_distance(sq_distances: np.ndarray, kernel_type: str = "gaussian",
                          gamma: float = 0.01) -> np.ndarray:
     """Apply a kernel function to a precomputed squared-distance matrix."""

@@ -18,17 +18,16 @@ The memory contract per phase:
   of re-copying the matrix, and the Cholesky factorizes a copy-on-write
   tile workspace (:meth:`TileMatrix.unpacked_lower`).  The weight-panel
   solve runs blockwise against the tiled factors.
-* **Predict** — the test cohort streams through
-  :meth:`~repro.distance.build.KernelBuilder.iter_cross_rows` in row
-  batches (``KRRConfig.predict_batch_rows``, the one batch size),
-  computing ``K_test_block · W`` per block; the peak cross-kernel
-  temporary is one batch plus one 4-byte INT8 Gram for its row group,
-  instead of the full ``n_test × n_train`` panel.
+* **Predict** — one drain per call, one task per row group of the
+  row batches (``KRRConfig.predict_batch_rows``, the one batch size),
+  computing ``K_test_block · W`` per batch; the peak cross-kernel
+  temporary is one batch plus one 4-byte INT8 Gram per row group in
+  flight, instead of the full ``n_test × n_train`` panel.
 
 Each session owns a single session-long
 :class:`~repro.runtime.runtime.Runtime`: every phase — the Build row
 tasks, the Cholesky tile tasks, the per-tile-row triangular-solve
-tasks and the per-batch Predict GEMMs — inserts its task DAG there and
+tasks and the Predict row-group tasks — inserts its task DAG there and
 executes under one out-of-order threaded scheduler
 (``KRRConfig.workers`` / ``KRRConfig.execution``);
 :meth:`KRRSession.close` releases its worker pool and the session
@@ -53,7 +52,8 @@ import time
 
 import numpy as np
 
-from repro.distance.build import BuildResult, KernelBuilder, TrainOperands
+from repro.distance.build import (BuildResult, KernelBuilder, TrainOperands,
+                                  _row_groups)
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.linalg.blas3 import gemm, syrk
 from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
@@ -544,8 +544,9 @@ class KRRSession:
                 phase: str = "predict") -> np.ndarray:
         """Predict phenotypes for a new cohort (Algorithm 4), streamed:
         ``K_test_block · W`` per row batch of
-        ``config.predict_batch_rows``.  Peak memory is one
-        ``batch × n_train`` block.
+        ``config.predict_batch_rows``, one drain with one task per row
+        group.  Peak memory is one ``batch × n_train`` block plus one
+        4-byte Gram per group in flight (one under the serial lane).
 
         ``phase`` labels the runtime tasks and the ledger entry — the
         prediction service tags its micro-batches ``"serve"`` so the
@@ -571,7 +572,8 @@ class KRRSession:
         solo :meth:`predict`
         (:meth:`~repro.distance.build.KernelBuilder.iter_cross_rows`).
         Per-cohort results are therefore **bitwise identical** to
-        calling :meth:`predict` per cohort.  This is the execution
+        calling :meth:`predict` per cohort, and memory is that of one
+        :meth:`predict` of the stacked rows.  This is the execution
         primitive of :class:`repro.serve.PredictionService`.
         """
         cohorts = [np.asarray(g) for g in genotype_list]
@@ -595,17 +597,15 @@ class KRRSession:
     def _predict_rows(self, genotypes: np.ndarray,
                       confounders: np.ndarray | None, cohort_rows: list[int],
                       phase: str) -> np.ndarray:
-        """The one Predict loop: ``K_test_block · W`` per streamed batch
-        of the row-stacked cohorts ``cohort_rows``.
+        """The one Predict drain over the row-stacked cohorts
+        ``cohort_rows``: one task per row group
+        (:meth:`KernelBuilder._predict_groups`).
 
         The batch is ``config.predict_batch_rows`` rounded down to a
         tile multiple, minimum one tile (``None``: one batch per
-        cohort).  The exact INT8 SNP Gram does not care; the products
-        that round — the FP32 confounder Gram, run per tile-row band,
-        and ``K·W``, run per batch — keep the monolithic path's BLAS
-        block shapes, so batched predictions are bitwise the monolithic
-        ones.  A sub-tile batch would turn the confounder term into a
-        GEMV with another accumulation order.
+        cohort), so the products that round keep the monolithic path's
+        BLAS block shapes: a sub-tile batch would turn the per-band
+        FP32 confounder term into a GEMV with another accumulation order.
         """
         cfg = self.config
         batch = cfg.predict_batch_rows
@@ -616,25 +616,10 @@ class KRRSession:
         if self._train_operands is None:
             self._train_operands = builder.train_operands(
                 self.training_genotypes_, self.training_confounders_)
-        wp = cfg.precision_plan.working_precision
-        n_train = self.training_genotypes_.shape[0]
-        nph = self.weights_.shape[1]
-        predictions = np.empty((genotypes.shape[0], nph), dtype=np.float64)
-        for block in builder.iter_cross_rows(
-                genotypes, self.training_genotypes_,
-                confounders, self.training_confounders_,
-                batch_rows=batch, train_cache=self._train_operands,
-                cohort_rows=cohort_rows):
-            gemm_fl = 2.0 * (block.rows.stop - block.rows.start) * n_train * nph
-            # per-batch task on the session runtime: it carries the
-            # block's Gram flops plus the K_test_block @ W GEMM, split
-            # by compute precision, into the ledger
-            detail = dict(block.flops_by_precision)
-            detail[wp] = detail.get(wp, 0.0) + gemm_fl
-            predictions[block.rows] = gemm(
-                block.kernel, self.weights_, precision=wp,
-                runtime=self.runtime, phase=phase, flops_detail=detail)
-
+        predictions = builder._predict_groups(
+            genotypes, confounders, self._train_operands, self.weights_,
+            cfg.precision_plan.working_precision,
+            _row_groups(cohort_rows, batch))
         predictions += self.y_means_[None, :]
         self._add_seconds(phase, time.perf_counter() - started)
         return predictions
@@ -680,14 +665,12 @@ class KRRSession:
         if weights.shape[1] % nph:
             raise ValueError(
                 "weights must stack whole phenotype panels side by side")
-        cfg = self.config
         started = time.perf_counter()
-        wp = cfg.precision_plan.working_precision
-        k_test = cross.kernel if isinstance(cross, BuildResult) else np.asarray(cross)
-        gemm_fl = 2.0 * k_test.shape[0] * k_test.shape[1] * weights.shape[1]
-        predictions = gemm(np.asarray(k_test), weights, precision=wp,
-                           runtime=self.runtime, phase="predict",
-                           flops_detail={wp: gemm_fl})
+        k_test = cross.kernel if isinstance(cross, BuildResult) else cross
+        predictions = gemm(
+            np.asarray(k_test), weights,
+            precision=self.config.precision_plan.working_precision,
+            runtime=self.runtime, phase="predict")
         self._add_seconds("predict", time.perf_counter() - started)
         return predictions + np.tile(self.y_means_, weights.shape[1] // nph)[None, :]
 

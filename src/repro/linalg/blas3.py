@@ -173,7 +173,6 @@ def gemm(
     transb: bool = False,
     runtime=None,
     phase: str = "gemm",
-    flops_detail=None,
 ) -> np.ndarray:
     """Mixed-precision GEMM ``op(A) @ op(B)`` as one ``gemm_mixed`` call.
 
@@ -183,10 +182,8 @@ def gemm(
     ``sgemm`` does.
 
     With ``runtime`` the product runs as one inserted task under the
-    runtime's scheduler, which lands its operation count — split by
-    ``flops_detail`` when the caller folds in co-accounted work such as
-    the streamed cross-kernel block — in the ``runtime.ledger[phase]``
-    the solver sessions read.
+    runtime's scheduler, which lands its operation count in the
+    ``runtime.ledger[phase]`` the solver sessions read.
     """
     precision = Precision.from_string(precision)
     if runtime is not None:
@@ -196,8 +193,7 @@ def gemm(
         k = ashape[0] if transa else ashape[1]
         return _run_as_task(
             runtime, phase, "gemm", DenseGemmSpec(precision, transa, transb),
-            (a, b), (m, n), precision,
-            flops_detail or {precision: 2.0 * m * n * k})
+            (a, b), (m, n), precision, {precision: 2.0 * m * n * k})
     out = gemm_mixed(a, b, variant=variant_for_input(precision),
                      transa=transa, transb=transb)
     return np.asarray(quantize(out, precision), dtype=np.float64)

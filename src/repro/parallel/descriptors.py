@@ -20,7 +20,7 @@ keeps no state between tasks beyond its exchange: a descriptor's
 result depends only on its inputs and its scalar parameters.
 """
 
-from repro.distance.build import BuildRowSpec
+from repro.distance.build import BuildRowSpec, PredictGroupSpec
 from repro.linalg.blas3 import DenseGemmSpec, DenseSyrkSpec
 from repro.linalg.cg import CgMatvecSpec
 from repro.linalg.kernels import (
@@ -42,6 +42,7 @@ __all__ = [
     "GemmTrailSpec",
     "ObjectInput",
     "PotrfSpec",
+    "PredictGroupSpec",
     "SolveGemmSpec",
     "SolveTrsmSpec",
     "SyrkSpec",
@@ -60,6 +61,7 @@ ALL_SPEC_KINDS = (
     SolveGemmSpec,
     SolveTrsmSpec,
     BuildRowSpec,
+    PredictGroupSpec,
     CgMatvecSpec,
     DenseGemmSpec,
     DenseSyrkSpec,

@@ -682,17 +682,6 @@ class TileStore:
         binding.clean.discard(key)
         self.residency.remove(entry)
 
-    def spill_all(self) -> None:
-        """Spill every evictable (unpinned) resident tile.
-
-        Mostly a test/debugging aid: forces the maximal out-of-core
-        state so reload paths can be exercised deterministically.
-        """
-        with self._lock:
-            for entry in list(self.residency.entries()):
-                if not self.residency.pinned(entry):
-                    self._evict_one(entry)
-
     # ------------------------------------------------------------------
     # integrity scrub
     # ------------------------------------------------------------------

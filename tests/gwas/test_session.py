@@ -153,13 +153,13 @@ class TestSeedPathEquivalence:
             return predictions, session.runtime.ledger["predict"].tasks
 
         monolithic, tasks = predict(None)
-        assert tasks == {"gemm": 1}
+        assert tasks == {"predict_group": 1}
         batched, tasks = predict(64)
-        assert tasks == {"gemm": 4}    # 64 + 64 + 64 + 8 rows
+        assert tasks == {"predict_group": 4}    # 64 + 64 + 64 + 8 rows
         np.testing.assert_array_equal(batched, monolithic)
         # a sub-tile batch is clamped up to one tile
         clamped, tasks = predict(1)
-        assert tasks == {"gemm": 4}
+        assert tasks == {"predict_group": 4}
         np.testing.assert_array_equal(clamped, monolithic)
 
     @pytest.mark.parametrize("batch_rows, batches", [
@@ -167,14 +167,16 @@ class TestSeedPathEquivalence:
     def test_the_batch_is_rounded_down_to_whole_tiles(self, batch_rows,
                                                       batches):
         """``predict_batch_rows`` rounds down to a tile multiple, at
-        least one tile: a 200-row cohort streams in ``batches`` GEMMs."""
+        least one tile: a 200-row cohort streams in ``batches`` row groups,
+        one task each."""
         rng = np.random.default_rng(3)
         g = rng.integers(0, 3, size=(128, 32)).astype(np.int8)
         session = KRRSession(KRRConfig(tile_size=64,
                                        predict_batch_rows=batch_rows))
         session.fit(g, rng.standard_normal(128))
         session.predict(rng.integers(0, 3, size=(200, 32)).astype(np.int8))
-        assert session.runtime.ledger["predict"].tasks == {"gemm": batches}
+        assert session.runtime.ledger["predict"].tasks == {
+            "predict_group": batches}
 
 
 def _indefinite_kernel(n: int, min_eig: float, seed: int = 0) -> np.ndarray:
@@ -658,8 +660,11 @@ class TestPredictMany:
         from repro.distance import build
 
         g_train, y, _ = cohort_512
+        # serial: the Gram runs inside the Predict task, which a process
+        # lane would run where this spy cannot see it
         session = KRRSession(KRRConfig(tile_size=64,
-                                       snp_precision=snp_precision))
+                                       snp_precision=snp_precision,
+                                       execution="serial"))
         session.fit(g_train, y)
         rng = np.random.default_rng(15)
         cohorts = [rng.integers(0, 3, size=(64, g_train.shape[1])).astype(np.int8)

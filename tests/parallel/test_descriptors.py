@@ -30,6 +30,7 @@ from repro.parallel.descriptors import (
     DenseSyrkSpec,
     GemmTrailSpec,
     PotrfSpec,
+    PredictGroupSpec,
     SolveGemmSpec,
     SolveTrsmSpec,
     SyrkSpec,
@@ -76,6 +77,9 @@ def _specimens():
         SolveTrsmSpec: SolveTrsmSpec(Precision.FP32, transpose=False),
         BuildRowSpec: BuildRowSpec(gamma=0.01, snp_block=64, row_start=0,
                                    row_stop=8, col_end=24),
+        PredictGroupSpec: PredictGroupSpec(
+            gamma=0.01, snp_block=64, tile_size=8,
+            precision=Precision.FP32, batches=((0, 8), (8, 12))),
         CgMatvecSpec: CgMatvecSpec(shifts=(0.5,), row_start=16, row_stop=32,
                                    transposes=(False, False, True)),
         DenseGemmSpec: DenseGemmSpec(precision=Precision.FP32, transa=False,
@@ -356,6 +360,24 @@ class TestBehaviorEquality:
                                         row_start=0, row_stop=8, col_end=24))
         out = spec.run(pickle.loads(pickle.dumps(ctx)))
         expect = compute_kernel_rows(ctx, 0.01, 64, slice(0, 8), slice(0, 24))
+        np.testing.assert_array_equal(out, expect)
+
+    def test_predict_group(self):
+        """The group's blocks times ``W``, one product per batch — the
+        blocks ``iter_cross_rows`` yields for the same group."""
+        g = _rng(20).integers(0, 3, size=(40, 96)).astype(np.int8)
+        w = _rng(21).standard_normal((24, 2))
+        builder = KernelBuilder(gamma=0.01, tile_size=8, snp_block=64)
+        ctx = builder._prepare_operands(g[24:], g[:24], None, None,
+                                        symmetric=False)
+        spec = _round_trip(PredictGroupSpec(
+            gamma=0.01, snp_block=64, tile_size=8, precision=Precision.FP32,
+            batches=((0, 8), (8, 12))))
+        out = spec.run(pickle.loads(pickle.dumps(ctx)), w)
+        expect = np.vstack([
+            gemm(block.kernel, w, precision=Precision.FP32)
+            for block in builder.iter_cross_rows(
+                g[24:36], g[:24], batch_rows=8, cohort_rows=[8, 4])])
         np.testing.assert_array_equal(out, expect)
 
     def test_cg_matvec(self):

@@ -131,7 +131,7 @@ class TestPerPhaseCoverage:
             assert fired >= 1, f"no fault injected for {spec}"
 
         predict_plan = FaultPlan(
-            [FaultSite(site=SITE_TASK_BODY, match="gemm", times=1)])
+            [FaultSite(site=SITE_TASK_BODY, match="predict_group", times=1)])
         with fault_plan(predict_plan):
             predictions = session.predict(g_test)
         assert predict_plan.fired == 1

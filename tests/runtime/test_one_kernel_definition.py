@@ -59,6 +59,15 @@ def _build(rt):
     return {"build_row", "consume_row"}
 
 
+def _predict(rt):
+    g = np.random.default_rng(2).integers(0, 3, size=(N, 32)).astype(np.int8)
+    builder = KernelBuilder(tile_size=TILE, runtime=rt)
+    builder._predict_groups(g[:20], None, builder.train_operands(g),
+                            np.ones((N, 2)), Precision.FP32,
+                            [[slice(0, 16)], [slice(16, 20)]])
+    return {"predict_group"}
+
+
 def _blas3_gemm(rt):
     gemm(np.ones((N, 8)), np.ones((8, 4)), runtime=rt)
     return {"gemm"}
@@ -66,7 +75,7 @@ def _blas3_gemm(rt):
 
 @pytest.mark.parametrize("site", [
     _cholesky_resident, _cholesky_store_backed, _solve, _cg_matvec, _build,
-    _blas3_gemm,
+    _predict, _blas3_gemm,
 ], ids=lambda site: site.__name__.lstrip("_"))
 def test_every_inserted_task_is_a_descriptor(site):
     rt = Runtime(execution="serial")

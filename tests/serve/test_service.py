@@ -157,7 +157,8 @@ class TestRequestStats:
         with PredictionService(session.export_model()) as service:
             result = service.predict(cohort, timeout=60)
             serving = next(iter(service._sessions.values()))
-        assert serving.runtime.ledger[SERVE_PHASE].tasks == {"gemm": batches}
+        assert serving.runtime.ledger[SERVE_PHASE].tasks == {
+            "predict_group": batches}
         assert np.array_equal(result.predictions, session.predict(cohort))
 
     def test_stats_accumulate(self, model, request_cohorts):
@@ -329,7 +330,7 @@ class TestConstantMemory:
                 == len(one.last_result.trace.events) == 1)
         # the tally kept counting where the events were let go
         assert set(fifty.ledger) == {SERVE_PHASE}
-        assert fifty.ledger[SERVE_PHASE].tasks == {"gemm": 50}
+        assert fifty.ledger[SERVE_PHASE].tasks == {"predict_group": 50}
         assert fifty.ledger[SERVE_PHASE].flops == pytest.approx(
             50 * one.ledger[SERVE_PHASE].flops)
 

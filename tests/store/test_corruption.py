@@ -17,6 +17,7 @@ from repro.precision.formats import Precision
 from repro.store import StoreCorruptionError, TileStore
 from repro.store.store import _Segment
 from repro.tiles.matrix import TileMatrix
+from tests.store import spill_all
 
 TILE = 16
 
@@ -33,7 +34,7 @@ def spilled_matrix(rng, store, precision):
     """A matrix attached to ``store`` with every tile spilled to disk."""
     tm = TileMatrix.from_dense(spd(rng), TILE, precision)
     tm.attach_store(store)
-    store.spill_all()
+    spill_all(store)
     assert not tm._tiles, "all tiles must be on disk for these tests"
     return tm
 
@@ -123,7 +124,7 @@ class TestPrefetchRace:
                 if not respilled:  # a writer gets in once, mid-read
                     respilled.append(key)
                     tm.set_tile(*key, rng.normal(size=slot.shape))
-                    store.spill_all()
+                    spill_all(store)
                 return read(segment, offset, length)
 
             monkeypatch.setattr(_Segment, "read", racing_read)
@@ -167,7 +168,7 @@ class TestVerifyScrub:
             assert report.clean
             assert store.stats.recovered_spills == 1
             # the repaired slot round-trips bitwise again
-            store.spill_all()
+            spill_all(store)
             np.testing.assert_array_equal(tm.to_dense(), ref)
 
     def test_unrepairable_slot_reported_not_raised(self, rng):

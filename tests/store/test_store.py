@@ -20,6 +20,7 @@ from repro.runtime.runtime import Runtime
 from repro.store import ResidencyManager, StoreStats, TileStore
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.serialize import encode_payload
+from tests.store import spill_all
 
 TILE = 16
 TILE_BYTES_FP64 = TILE * TILE * 8
@@ -241,7 +242,7 @@ class TestSharingAndAdoption:
         ref = matrix.to_dense().copy()
         with TileStore() as store:  # no budget: spill only on request
             matrix.attach_store(store)
-            store.spill_all()
+            spill_all(store)
             assert matrix.resident_nbytes() == 0
             np.testing.assert_array_equal(matrix.to_dense(), ref)
 
@@ -264,7 +265,7 @@ class TestCopyOnWriteWorkspace:
             kernel = TileMatrix.from_dense(spd(rng, self.N), TILE,
                                            Precision.FP32, symmetric=True)
             kernel.attach_store(store)
-            store.spill_all()  # nothing of the kernel is left to write
+            spill_all(store)  # nothing of the kernel is left to write
             tiles = list(kernel.layout.iter_lower_tiles())
             assert len(tiles) == self.LOWER
             before = {k: kernel.get_tile(*k).data.copy() for k in tiles}
@@ -340,7 +341,7 @@ class TestCopyOnWriteWorkspace:
             kernel = TileMatrix.from_dense(a, TILE, Precision.FP32,
                                            symmetric=True)
             kernel.attach_store(store)
-            store.spill_all()
+            spill_all(store)
             before = kernel.to_dense()
             size = kernel._binding._segment.path.stat().st_size
             rt = None if how == "reference" else Runtime(execution=how)

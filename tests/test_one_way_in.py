@@ -121,6 +121,7 @@ def test_the_library_dag_protocol_is_written_once():
 
 def test_every_tiled_routine_enters_the_one_scope():
     assert _sites(_calls_method("dag")) == [
+        "distance/build.py:_predict_groups",
         "distance/build.py:_stream_tiles",
         "linalg/blas3.py:_run_as_task",
         "linalg/cg.py:kernel_matvec",
