@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
@@ -227,28 +228,34 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     return gaussian_kernel(out, gamma, out=out)
 
 
-def _row_groups(sizes: list[int], batch_rows: int | None) -> list[list[slice]]:
-    """The predict batches of row-stacked cohorts, in row groups.
+def _row_groups(sizes: list[int], batch_rows: int | None,
+                lanes: int = 1) -> list[list[slice]]:
+    """The predict batches of row-stacked cohorts, in row groups: one
+    per lane of a drain ``lanes`` wide or more, batches permitting.
 
     Each cohort of ``sizes`` is cut into batches of ``batch_rows`` rows
-    (whole when ``None``); consecutive batches then join one group while
-    it holds at most ``batch_rows`` rows (the largest cohort when
-    ``None``).  An empty cohort has no batch.
+    (whole when ``None``); an empty cohort has no batch.  Consecutive
+    batches then join one group while it holds at most
+    ``min(batch_rows, ceil(rows / lanes))`` rows (``batch_rows`` is the
+    largest cohort when ``None``) and the batches left outnumber the
+    lanes left without a group.  A batch above the limit is a group of
+    its own.  With ``lanes=1`` a group holds up to ``batch_rows`` rows.
     """
-    limit = max(1, max(sizes, default=0) if batch_rows is None
-                else int(batch_rows))
+    cut = max(1, max(sizes, default=0) if batch_rows is None
+              else int(batch_rows))
+    limit = max(1, min(cut, -(-sum(sizes) // lanes)))
+    batches = [slice(r0, min(r0 + cut, start + m)) for start, m in
+               zip(accumulate(sizes, initial=0), sizes)
+               for r0 in range(start, start + m, cut)]
     groups: list[list[slice]] = []
     filled = limit
-    start = 0
-    for m in sizes:
-        for r0 in range(start, start + m, limit):
-            rows = slice(r0, min(r0 + limit, start + m))
-            if filled + rows.stop - r0 > limit:
-                groups.append([])
-                filled = 0
-            groups[-1].append(rows)
-            filled += rows.stop - r0
-        start += m
+    for i, rows in enumerate(batches):
+        if filled + rows.stop - rows.start > limit \
+                or len(batches) - i <= lanes - len(groups):
+            groups.append([])
+            filled = 0
+        groups[-1].append(rows)
+        filled += rows.stop - rows.start
     return groups
 
 

@@ -546,7 +546,7 @@ class KRRSession:
         ``K_test_block · W`` per row batch of
         ``config.predict_batch_rows``, one drain with one task per row
         group.  Peak memory is one ``batch × n_train`` block plus one
-        4-byte Gram per group in flight (one under the serial lane).
+        4-byte Gram per lane in flight (one under the serial lane).
 
         ``phase`` labels the runtime tasks and the ledger entry — the
         prediction service tags its micro-batches ``"serve"`` so the
@@ -566,15 +566,16 @@ class KRRSession:
         training panel, its BLAS float casts, the squared norms —
         prepared once, at the session's first Predict; the exact
         integer SNP Gram runs once per row group of up to one batch of
-        rows, whichever cohorts those rows belong to.
+        rows, whichever cohorts those rows belong to, cut so every lane
+        of the drain gets a group.
         Everything that rounds (the confounder Gram, a float SNP Gram,
         ``K_test_block · W``) keeps the block shapes of each cohort's
         solo :meth:`predict`
         (:meth:`~repro.distance.build.KernelBuilder.iter_cross_rows`).
         Per-cohort results are therefore **bitwise identical** to
         calling :meth:`predict` per cohort, and memory is that of one
-        :meth:`predict` of the stacked rows.  This is the execution
-        primitive of :class:`repro.serve.PredictionService`.
+        :meth:`predict` of the stacked rows, a block per lane.  This is
+        the execution primitive of :class:`repro.serve.PredictionService`.
         """
         cohorts = [np.asarray(g) for g in genotype_list]
         if confounder_list is None:
@@ -599,7 +600,8 @@ class KRRSession:
                       phase: str) -> np.ndarray:
         """The one Predict drain over the row-stacked cohorts
         ``cohort_rows``: one task per row group
-        (:meth:`KernelBuilder._predict_groups`).
+        (:meth:`KernelBuilder._predict_groups`), cut to the drain's
+        width (:meth:`~repro.runtime.scheduler.Scheduler.lanes`).
 
         The batch is ``config.predict_batch_rows`` rounded down to a
         tile multiple, minimum one tile (``None``: one batch per
@@ -616,10 +618,13 @@ class KRRSession:
         if self._train_operands is None:
             self._train_operands = builder.train_operands(
                 self.training_genotypes_, self.training_confounders_)
+        # a group holds at least one row, so the drain is at most as
+        # wide as the rows
+        lanes = self.runtime.scheduler.lanes(sum(cohort_rows))
         predictions = builder._predict_groups(
             genotypes, confounders, self._train_operands, self.weights_,
             cfg.precision_plan.working_precision,
-            _row_groups(cohort_rows, batch))
+            _row_groups(cohort_rows, batch, lanes))
         predictions += self.y_means_[None, :]
         self._add_seconds(phase, time.perf_counter() - started)
         return predictions

@@ -419,20 +419,24 @@ class Scheduler:
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive")
 
+    def lanes(self, tasks: int) -> int:
+        """How many lanes a drain of ``tasks`` tasks runs on: one on the
+        serial lane, every worker on the process lane, and one thread
+        per task up to ``workers`` on the threaded lane."""
+        if self.execution == "threaded":
+            return max(1, min(self.workers, tasks))
+        return self.workers if self.execution == "process" else 1
+
     def run(self, graph: TaskGraph) -> ScheduleResult:
         """Execute (and time) ``graph`` under the configured mode."""
         if not graph.is_acyclic():
             raise TaskGraphCycleError("task graph contains a cycle")
+        drain = _Drain(self, graph, self.lanes(graph.num_tasks))
         if self.execution == "process":
             from repro.parallel.executor import process_lane
 
-            drain = _Drain(self, graph, self.workers)
             process_lane(drain, self)
         else:
-            lanes = 1
-            if self.execution == "threaded":
-                lanes = max(1, min(self.workers, graph.num_tasks))
-            drain = _Drain(self, graph, lanes)
             drain.run_lanes()
         return drain.result()
 

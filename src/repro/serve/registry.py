@@ -135,24 +135,6 @@ class ModelRegistry:
             raise KeyError(f"no model registered under {name!r}")
         return ModelKey(name=name, version=max(versions))
 
-    # ------------------------------------------------------------------
-    def unregister(self, name: str, version: int | None = None) -> int:
-        """Drop one version (or, with ``version=None``, every version)."""
-        with self._lock:
-            if version is not None:
-                keys = [ModelKey(name=name, version=int(version))]
-                if keys[0] not in self._entries:
-                    raise KeyError(
-                        f"model {name!r} version {version} is not registered")
-            else:
-                keys = [k for k in self._entries if k.name == name]
-                if not keys:
-                    raise KeyError(f"no model registered under {name!r}")
-            for k in keys:
-                self._resident_total -= self._entries[k].resident_bytes
-                del self._entries[k]
-            return len(keys)
-
     def _evict_over_budget(self, protect: ModelKey) -> None:
         """Evict LRU entries until within budget (caller holds the lock).
 

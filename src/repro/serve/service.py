@@ -26,9 +26,11 @@ every float product keeps each cohort's solo tile-aligned block shapes
 Throughput contract: coalescing amortizes the per-predict fixed costs —
 quantization and BLAS float casts of the training panel, its squared
 norms, builder setup — across every request in the micro-batch, and
-its cohorts share one SNP Gram product per row group;
-the ``serve_burst`` workload of ``BENCHMARK.json`` measures the
-resulting throughput and latency with 8 requests outstanding.
+its cohorts share one SNP Gram product per row group, cut so every lane
+of the session's runtime gets a group (two 256-row Grams for eight
+64-row requests on two lanes); the ``serve_burst`` workload of
+``BENCHMARK.json`` measures the resulting throughput and latency with 8
+requests outstanding.
 """
 
 from __future__ import annotations

@@ -44,16 +44,6 @@ class TestVersions:
         with pytest.raises(KeyError, match="version 7"):
             reg.get("m", version=7)
 
-    def test_unregister(self, model):
-        reg = ModelRegistry()
-        reg.register("m", model)
-        reg.register("m", model)
-        assert reg.unregister("m", version=1) == 1
-        assert reg.versions("m") == [2]
-        assert reg.unregister("m") == 1
-        with pytest.raises(KeyError):
-            reg.unregister("m")
-
     def test_register_rejects_non_models(self):
         with pytest.raises(TypeError):
             ModelRegistry().register("m", np.zeros(3))

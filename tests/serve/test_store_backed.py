@@ -129,7 +129,7 @@ class TestResidencyRefresh:
 class TestRunningTotal:
     """The O(n²) eviction fix: the running total must track mutations."""
 
-    def test_total_tracks_register_unregister_evict(self, fitted, artifact):
+    def test_total_tracks_register_evict(self, fitted, artifact):
         plain = FittedModel.load(artifact)
         per_model = plain.resident_bytes()
         reg = ModelRegistry(max_resident_bytes=int(3.5 * per_model))
@@ -137,8 +137,6 @@ class TestRunningTotal:
         reg.register("a", plain)
         reg.register("b", plain)
         assert reg.resident_bytes() == 2 * per_model
-        reg.unregister("a")
-        assert reg.resident_bytes() == per_model
         # churn through evictions: total stays consistent with entries
         for i in range(8):
             reg.register(f"m{i}", plain)

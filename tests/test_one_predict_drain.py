@@ -5,11 +5,15 @@ group of the streamed batches (``distance/build.py::_row_groups``) and
 drain the runtime once, on every execution lane.  The task runs the
 group's kernel blocks and their ``K·W`` products in the order and block
 shapes of a block-by-block Predict, so predictions are bitwise that
-reference and the ledger holds the same operation counts.
+reference and the ledger holds the same operation counts.  The groups
+are cut to the drain's width (``Scheduler.lanes``), so a micro-batch
+fills every lane it runs on.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distance.build import KernelBuilder, _row_groups
 from repro.gwas.config import KRRConfig, ServeConfig
@@ -50,7 +54,8 @@ def _groups(session, sizes):
     batch = session.config.predict_batch_rows
     if batch is not None:
         batch = max(1, batch // TILE) * TILE
-    return batch, _row_groups(list(sizes), batch)
+    lanes = session.runtime.scheduler.lanes(sum(sizes))
+    return batch, _row_groups(list(sizes), batch, lanes)
 
 
 def _reference(session, genotypes, confounders, sizes):
@@ -131,3 +136,112 @@ def test_fifty_one_request_micro_batches_are_fifty_drains():
     assert service.stats.batches == 50
     assert serving.runtime.runs_completed == 50
     assert serving.runtime.ledger[SERVE_PHASE].tasks == {"predict_group": 150}
+
+
+# ----------------------------------------------------------------------
+# row groups cut to the drain's width
+# ----------------------------------------------------------------------
+def _one_lane_groups(sizes, batch_rows):
+    """The grouping of a one-lane drain: batches of ``batch_rows`` rows
+    packed into groups of at most ``batch_rows`` rows."""
+    limit = max(1, max(sizes, default=0) if batch_rows is None
+                else batch_rows)
+    groups, filled, start = [], limit, 0
+    for m in sizes:
+        for r0 in range(start, start + m, limit):
+            rows = slice(r0, min(r0 + limit, start + m))
+            if filled + rows.stop - r0 > limit:
+                groups.append([])
+                filled = 0
+            groups[-1].append(rows)
+            filled += rows.stop - r0
+        start += m
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=10),
+       batch_rows=st.none() | st.integers(1, 48),
+       lanes=st.integers(1, 8))
+def test_row_groups_cut_whole_batches_to_the_lanes(sizes, batch_rows, lanes):
+    groups = _row_groups(sizes, batch_rows, lanes)
+    batches = [rows for group in _one_lane_groups(sizes, batch_rows)
+               for rows in group]
+    # the groups partition the rows in order, and no batch is split
+    assert [rows for group in groups for rows in group] == batches
+    assert all(group for group in groups)
+    cut = max(1, max(sizes, default=0) if batch_rows is None else batch_rows)
+    for group in groups:
+        held = sum(rows.stop - rows.start for rows in group)
+        assert held <= cut or len(group) == 1
+    assert _row_groups(sizes, batch_rows, 1) == _one_lane_groups(
+        sizes, batch_rows)
+    assert len(groups) >= min(lanes, len(batches))
+
+
+def _fitted(execution, workers):
+    g, _ = _data(0, N_TRAIN, False)
+    s = KRRSession(KRRConfig(tile_size=TILE, execution=execution,
+                             workers=workers))
+    s.fit(g, np.random.default_rng(1).standard_normal((N_TRAIN, NPH)))
+    return s
+
+
+def test_a_micro_batch_fills_both_threaded_lanes_bitwise():
+    """Eight one-tile cohorts on two threads: two groups of four in one
+    drain, each cohort bitwise its solo ``predict`` and the serial
+    session's micro-batch; a serial runtime of two workers keeps them in
+    one group."""
+    rng = np.random.default_rng(5)
+    cohorts = [rng.integers(0, 3, size=(TILE, NS)).astype(np.int8)
+               for _ in range(8)]
+    threaded, serial = _fitted("threaded", 2), _fitted("serial", 2)
+    try:
+        assert serial.runtime.workers == 2
+        runs = threaded.runtime.runs_completed
+        answers = threaded.predict_many(cohorts)
+        assert threaded.runtime.runs_completed == runs + 1
+        assert threaded.runtime.ledger["predict"].tasks == {
+            "predict_group": 2}
+        serial_answers = serial.predict_many(cohorts)
+        assert serial.runtime.ledger["predict"].tasks == {
+            "predict_group": 1}
+        for answer, cohort, at_serial in zip(answers, cohorts,
+                                             serial_answers):
+            assert np.array_equal(answer, threaded.predict(cohort))
+            assert np.array_equal(answer, at_serial)
+    finally:
+        threaded.close()
+        serial.close()
+
+
+def test_eight_tile_cohorts_run_one_snp_gram_per_lane(monkeypatch):
+    """The two-thread twin of the serial eight-tile-cohort Gram count in
+    ``tests/gwas/test_session.py::TestPredictMany``: one exact Gram per
+    lane."""
+    from repro.distance import build
+
+    rng = np.random.default_rng(7)
+    g_train = rng.integers(0, 3, size=(512, 128)).astype(np.int8)
+    y = rng.standard_normal((512, 3))
+    session = KRRSession(KRRConfig(tile_size=64, execution="threaded",
+                                   workers=2))
+    try:
+        session.fit(g_train, y)
+        rng = np.random.default_rng(15)
+        cohorts = [rng.integers(0, 3, size=(64, 128)).astype(np.int8)
+                   for _ in range(8)]
+        refs = [session.predict(c) for c in cohorts]
+        rows = []
+        real = build.gemm_mixed
+
+        def counting(a, b, **kw):
+            rows.append(a.shape[0])
+            return real(a, b, **kw)
+
+        monkeypatch.setattr(build, "gemm_mixed", counting)
+        outs = session.predict_many(cohorts)
+    finally:
+        session.close()
+    assert rows == [256, 256]
+    assert all(np.array_equal(o, r) for o, r in zip(outs, refs))
