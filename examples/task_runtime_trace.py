@@ -59,8 +59,7 @@ def main() -> None:
     # run() drains the pending graph; the executed DAG is retained
     graph = runtime.last_graph
     print(f"\nTask DAG: {graph.num_tasks} tasks, "
-          f"{graph.num_edges} dependency edges "
-          f"(critical path: {graph.critical_path_length()} tasks)")
+          f"{graph.num_edges} dependency edges")
     print("Task mix:", result.task_counts)
     print("Operation count by precision:",
           {p.value: f"{f:.3e}" for p, f in result.flops_by_precision.items()})

@@ -13,9 +13,7 @@ paper compares against.  Its core idea is a two-level *stacked ridge*:
   whole-genome predictor.
 
 We implement both levels with a leave-out scheme at level 0 so the
-level-1 features are (approximately) out-of-sample, plus a throughput
-cost model used by the Sec. VII-F "five orders of magnitude"
-comparison.
+level-1 features are (approximately) out-of-sample.
 """
 
 from __future__ import annotations
@@ -189,24 +187,3 @@ class RegenieLikeRegression:
             model.fit(genotypes, phenotypes[:, k], seed=seed + k)
             models.append(model)
         return models
-
-    # ------------------------------------------------------------------
-    # cost model (for the Sec. VII-F throughput comparison)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def flop_count(n_individuals: int, n_snps: int, block_size: int = 1000,
-                   n_ridge_values: int = 5, n_phenotypes: int = 1) -> float:
-        """Approximate flop count of a REGENIE run.
-
-        Level 0 is dominated by per-block Gram matrices
-        (``n · block_size²`` per block → ``n · ns · block_size`` total)
-        plus small block solves; level 1 by the stacked-feature ridge.
-        REGENIE's complexity is linear in both ``n`` and ``ns``, the
-        property the paper credits it for.
-        """
-        n_blocks = max(int(np.ceil(n_snps / block_size)), 1)
-        n_features = n_blocks * n_ridge_values
-        level0 = 2.0 * n_individuals * n_snps * block_size
-        level0_solves = n_blocks * n_ridge_values * (block_size ** 3) / 3.0
-        level1 = 2.0 * n_individuals * n_features ** 2 + n_features ** 3 / 3.0
-        return (level0 + level0_solves + level1) * n_phenotypes

@@ -10,14 +10,12 @@ operands; the GEMM is one product in its input precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.precision.formats import Precision
-from repro.precision.gemm import QuantizedOperand, gemm_mixed, variant_for_input
+from repro.precision.gemm import (
+    QuantizedOperand, gemm_flop_count, gemm_mixed, variant_for_input)
 from repro.precision.quantize import quantize
-from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
 from repro.tiles.layout import TileLayout
 
 
@@ -44,31 +42,6 @@ def _column_tile_pairs(layout: TileLayout, col_types: np.ndarray):
     for bj, (cs_j, pj) in enumerate(tiles):
         for cs_k, pk in tiles[bj:]:
             yield cs_j, cs_k, (pj if pj is pk else Precision.FP32)
-
-
-def _run_as_task(runtime, phase: str, name: str, kernel: BodySpec,
-                 operands: tuple, shape: tuple[int, int],
-                 precision: Precision, flops_detail: dict) -> np.ndarray:
-    """Run a dense kernel of ``operands`` as one task of ``runtime``.
-
-    The drain tallies ``flops_detail`` (operations by compute precision)
-    in ``runtime.ledger[phase]``; the task's output is returned.
-    """
-    with runtime.dag(name) as ns:
-        out_h = runtime.register_data(f"{ns}C", shape=shape,
-                                      precision=precision)
-        runtime.insert_task(
-            name,
-            (out_h, AccessMode.WRITE),
-            flops=float(sum(flops_detail.values())), precision=precision,
-            flops_detail=flops_detail,
-            spec=TaskSpec(
-                kernel, mode="aux",
-                aux=tuple(ObjectInput(operand, key=f"{ns}{i}")
-                          for i, operand in enumerate(operands))),
-        )
-        runtime.run(phase=phase)
-        return out_h.payload
 
 
 def syrk(
@@ -98,10 +71,10 @@ def syrk(
     output_precision:
         Precision of the accumulated result.
     runtime, phase:
-        With ``runtime`` the product runs as one inserted task (as
-        :func:`gemm` does), which lands its operation count — split
-        into the INT8 and FP32 panel products ``integer_columns``
-        implies — in ``runtime.ledger[phase]``.
+        With ``runtime`` the product's operation count — split into the
+        INT8 and FP32 panel products ``integer_columns`` implies — is
+        added to ``runtime.ledger[phase]`` (:meth:`Runtime.tally`); the
+        product itself runs inline either way.
 
     Returns
     -------
@@ -123,15 +96,6 @@ def syrk(
 
     layout = TileLayout(rows=n, cols=p, tile_size=tile_size)
     pairs = list(_column_tile_pairs(layout, integer_columns))
-
-    if runtime is not None:
-        detail: dict[Precision, float] = {}
-        for cs_j, cs_k, prec in pairs:
-            detail[prec] = detail.get(prec, 0.0) + (
-                2.0 * n * (cs_j.stop - cs_j.start) * (cs_k.stop - cs_k.start))
-        return _run_as_task(
-            runtime, phase, "syrk", DenseSyrkSpec(tile_size, output_precision),
-            (x, integer_columns), (p, p), output_precision, detail)
 
     acc = np.zeros((p, p), dtype=np.float64)
 
@@ -162,6 +126,12 @@ def syrk(
                 acc[cs_k, cs_j] += block.T
 
     acc = (acc + acc.T) / 2.0  # exact symmetrization
+    if runtime is not None:
+        detail: dict[Precision, float] = {}
+        for cs_j, cs_k, prec in pairs:
+            detail[prec] = detail.get(prec, 0.0) + gemm_flop_count(
+                cs_j.stop - cs_j.start, cs_k.stop - cs_k.start, n)
+        runtime.tally(phase, detail)
     return np.asarray(quantize(acc, output_precision), dtype=np.float64)
 
 
@@ -181,45 +151,14 @@ def gemm(
     dimension accumulates in the variant's precision, as one cuBLAS
     ``sgemm`` does.
 
-    With ``runtime`` the product runs as one inserted task under the
-    runtime's scheduler, which lands its operation count in the
-    ``runtime.ledger[phase]`` the solver sessions read.
+    With ``runtime`` its operation count is added to the
+    ``runtime.ledger[phase]`` the solver sessions read
+    (:meth:`Runtime.tally`); the product is not a task.
     """
     precision = Precision.from_string(precision)
-    if runtime is not None:
-        ashape, bshape = np.shape(a), np.shape(b)
-        m = ashape[1] if transa else ashape[0]
-        n = bshape[0] if transb else bshape[1]
-        k = ashape[0] if transa else ashape[1]
-        return _run_as_task(
-            runtime, phase, "gemm", DenseGemmSpec(precision, transa, transb),
-            (a, b), (m, n), precision, {precision: 2.0 * m * n * k})
     out = gemm_mixed(a, b, variant=variant_for_input(precision),
                      transa=transa, transb=transb)
+    if runtime is not None:
+        k = np.shape(a)[0 if transa else 1]
+        runtime.tally(phase, {precision: float(gemm_flop_count(*out.shape, k))})
     return np.asarray(quantize(out, precision), dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class DenseSyrkSpec(BodySpec):
-    """:func:`syrk` of a dense design matrix as one task (its runtime path)."""
-
-    tile_size: int
-    output_precision: Precision
-
-    def run(self, x: np.ndarray, integer_columns: np.ndarray) -> np.ndarray:
-        return syrk(x, tile_size=self.tile_size,
-                    integer_columns=integer_columns,
-                    output_precision=self.output_precision)
-
-
-@dataclass(frozen=True)
-class DenseGemmSpec(BodySpec):
-    """:func:`gemm` of two dense operands as one task (its runtime path)."""
-
-    precision: Precision
-    transa: bool
-    transb: bool
-
-    def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return gemm(a, b, precision=self.precision,
-                    transa=self.transa, transb=self.transb)

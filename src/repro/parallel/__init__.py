@@ -28,8 +28,6 @@ from repro.parallel.descriptors import (
     ALL_SPEC_KINDS,
     BodySpec,
     BuildRowSpec,
-    DenseGemmSpec,
-    DenseSyrkSpec,
     GemmTrailSpec,
     ObjectInput,
     PotrfSpec,
@@ -48,8 +46,6 @@ __all__ = [
     "ALL_SPEC_KINDS",
     "BodySpec",
     "BuildRowSpec",
-    "DenseGemmSpec",
-    "DenseSyrkSpec",
     "ExchangeSpec",
     "GemmTrailSpec",
     "ObjectInput",

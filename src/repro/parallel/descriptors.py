@@ -21,7 +21,6 @@ result depends only on its inputs and its scalar parameters.
 """
 
 from repro.distance.build import BuildRowSpec, PredictGroupSpec
-from repro.linalg.blas3 import DenseGemmSpec, DenseSyrkSpec
 from repro.linalg.cg import CgMatvecSpec
 from repro.linalg.kernels import (
     GemmTrailSpec,
@@ -37,8 +36,6 @@ __all__ = [
     "BodySpec",
     "BuildRowSpec",
     "CgMatvecSpec",
-    "DenseGemmSpec",
-    "DenseSyrkSpec",
     "GemmTrailSpec",
     "ObjectInput",
     "PotrfSpec",
@@ -63,6 +60,4 @@ ALL_SPEC_KINDS = (
     BuildRowSpec,
     PredictGroupSpec,
     CgMatvecSpec,
-    DenseGemmSpec,
-    DenseSyrkSpec,
 )

@@ -497,8 +497,3 @@ def syrk_mixed(
 def gemm_flop_count(m: int, n: int, k: int) -> int:
     """Number of floating (or integer) operations of an ``m×k @ k×n`` GEMM."""
     return 2 * m * n * k
-
-
-def syrk_flop_count(n: int, k: int) -> int:
-    """Operation count of a rank-k update producing an ``n×n`` symmetric matrix."""
-    return n * (n + 1) * k

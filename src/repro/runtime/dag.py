@@ -154,36 +154,6 @@ class TaskGraph:
     def total_flops(self) -> float:
         return float(sum(t.flops for t in self._tasks))
 
-    def critical_path_flops(self) -> float:
-        """Maximum sum of task flops along any dependency chain.
-
-        This is the lower bound on execution "work depth" and is what
-        limits strong scaling once communication is free.
-        """
-        if not self._tasks:
-            return 0.0
-        longest: dict[Task, float] = {}
-        for task in self.topological_order():
-            preds = self.predecessors(task)
-            best = max((longest[p] for p in preds), default=0.0)
-            longest[task] = best + float(task.flops)
-        return max(longest.values())
-
-    def critical_path_length(self) -> int:
-        """Number of tasks on the longest dependency chain.
-
-        This is the depth bound on out-of-order execution: with
-        unbounded workers, a run can never take fewer "task steps" than
-        the critical path has tasks.
-        """
-        if not self._tasks:
-            return 0
-        depth: dict[Task, int] = {}
-        for task in self.topological_order():
-            preds = self.predecessors(task)
-            depth[task] = 1 + max((depth[p] for p in preds), default=0)
-        return max(depth.values())
-
     def task_counts_by_name(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for t in self._tasks:

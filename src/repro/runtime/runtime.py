@@ -24,11 +24,12 @@ later phases can keep inserting tasks against the same data.  The
 scheduler is constructed exactly once; no state is silently rebuilt
 between runs.
 
-:attr:`Runtime.ledger` is the library's one operation tally and
-:meth:`Runtime.run` its one writer.  Events are not kept: a drain's
-trace lives on the ``ScheduleResult`` that ``run`` returns
-(:attr:`Runtime.last_result` holds the latest), so a runtime's memory
-does not grow with the number of drains.
+:attr:`Runtime.ledger` is the library's one operation tally:
+:meth:`Runtime.run` folds each drain into it and :meth:`Runtime.tally`
+adds a product computed outside the graph (``blas3.gemm``/``syrk``).
+Events are not kept: a drain's trace lives on the ``ScheduleResult``
+that ``run`` returns (:attr:`Runtime.last_result` holds the latest), so
+a runtime's memory does not grow with the number of drains.
 """
 
 from __future__ import annotations
@@ -346,6 +347,12 @@ class Runtime:
         self.last_result = result
         self.runs_completed += 1
         return result
+
+    def tally(self, phase: str, flops_detail: dict[Precision, float]) -> None:
+        """Add an inline product's operations (by compute precision) to
+        ``ledger[phase]``; it ran no task, so ``tasks`` is unchanged."""
+        self.ledger.setdefault(phase, PhaseTotals()).add_flops(
+            float(sum(flops_detail.values())), flops_detail)
 
     # ------------------------------------------------------------------
     # out-of-core store integration

@@ -64,11 +64,15 @@ class PhaseTotals:
         tasks = self.tasks
         for e in events:
             tasks[e.task_name] = tasks.get(e.task_name, 0) + 1
-            self.flops += e.flops
             self.retries += e.retries
-            for prec, fl in (e.flops_detail or {e.precision: e.flops}).items():
-                self.flops_by_precision[prec] = (
-                    self.flops_by_precision.get(prec, 0.0) + fl)
+            self.add_flops(e.flops, e.flops_detail or {e.precision: e.flops})
+
+    def add_flops(self, flops: float, flops_detail: dict) -> None:
+        """Add ``flops`` operations, split by precision as ``flops_detail``."""
+        self.flops += flops
+        for prec, fl in flops_detail.items():
+            self.flops_by_precision[prec] = (
+                self.flops_by_precision.get(prec, 0.0) + fl)
 
 
 def ledger_by_precision(ledger: dict[str, PhaseTotals]) -> dict[Precision, float]:

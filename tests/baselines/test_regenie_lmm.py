@@ -61,13 +61,6 @@ class TestRegenie:
         with pytest.raises(ValueError):
             RegenieConfig(level0_ridge_values=())
 
-    def test_flop_count_linear_in_both_dimensions(self):
-        base = RegenieLikeRegression.flop_count(10_000, 100_000)
-        assert RegenieLikeRegression.flop_count(20_000, 100_000) == pytest.approx(
-            2 * base, rel=0.2)
-        assert RegenieLikeRegression.flop_count(10_000, 200_000) == pytest.approx(
-            2 * base, rel=0.2)
-
     def test_keyword_overrides(self):
         model = RegenieLikeRegression(block_size=8)
         assert model.config.block_size == 8

@@ -203,8 +203,9 @@ class TestSweepMemory:
         six = sweep((0.125, 0.25, 0.5, 1.0, 2.0, 4.0))
         for (held_1, last_1, runs_1), (held_6, last_6, runs_6) in zip(one, six):
             assert runs_6 > runs_1
-            # the sweep ends on predict_with_kernel's one GEMM task
-            assert held_6 == held_1 == last_6 == last_1 == 1
+            # predict_with_kernel drains nothing: the last drain is the
+            # fold's cross-kernel Build, the same whatever the alpha axis
+            assert held_6 == held_1 == last_6 == last_1 > 0
 
 
 class TestAssociatePath:

@@ -48,7 +48,7 @@ class TestSyrk:
         rt = Runtime(execution="serial")
         syrk(x, tile_size=4, runtime=rt)
         totals = rt.ledger["syrk"]
-        assert totals.tasks == {"syrk": 1}
+        assert totals.tasks == {}   # a dense product is not a task
         # upper-triangle pairs of the two 4-wide column tiles
         assert totals.flops == 3 * 2.0 * 20 * 4 * 4
         assert rt.handles == {}
@@ -78,8 +78,8 @@ class TestGemm:
 
     def test_one_gemm_mixed_call_on_every_lane(self, rng, monkeypatch):
         """The whole inner dimension is one product in the variant's
-        accumulator — no k-blocks summed in float64 — and the serial,
-        threaded and process drains of its task return those bits."""
+        accumulator — no k-blocks summed in float64 — and a serial,
+        threaded or process runtime computes it with that one call."""
         a = rng.normal(size=(25, 33))
         b = rng.normal(size=(33, 7))
         calls = []
@@ -100,7 +100,7 @@ class TestGemm:
                     gemm(a, b, precision=Precision.FP32, runtime=rt), out)
             finally:
                 rt.close()
-        assert len(calls) == 1 + 2    # the in-process lanes, through the spy
+        assert len(calls) == 1 + 3    # every runtime, on the caller's thread
 
     @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64,
                                            Precision.FP16])
@@ -115,3 +115,46 @@ class TestGemm:
         assert out.dtype == np.float64 and out.shape == (250, 7)
         assert np.array_equal(
             out, np.asarray(quantize(one, precision), dtype=np.float64))
+
+
+@pytest.mark.parametrize("execution", ["serial", "threaded", "process"])
+class TestInlineWithRuntime:
+    """With ``runtime=`` a dense product still runs on the caller's
+    thread: the runtime only tallies its operations."""
+
+    @pytest.fixture
+    def rt(self, execution):
+        rt = Runtime(execution=execution, workers=2)
+
+        def no_drain(graph):
+            raise AssertionError("a dense product drained the runtime")
+
+        rt.scheduler.run = no_drain
+        yield rt
+        assert rt.num_tasks() == 0 and rt.runs_completed == 0
+        assert rt.last_graph is None and rt.handles == {}
+        assert getattr(rt.scheduler, "_pool", None) is None
+        rt.close()
+
+    def test_gemm(self, rt, rng):
+        a = rng.normal(size=(33, 25))
+        b = rng.normal(size=(7, 33))
+        out = gemm(a, b, transa=True, transb=True, runtime=rt, phase="p")
+        assert np.array_equal(out, gemm(a, b, transa=True, transb=True))
+        totals = rt.ledger["p"]
+        assert totals.tasks == {}
+        assert totals.flops == 2.0 * 25 * 7 * 33
+        assert totals.flops_by_precision == {Precision.FP32: 2.0 * 25 * 7 * 33}
+
+    def test_syrk(self, rt, rng):
+        snps = rng.integers(0, 3, size=(30, 8)).astype(np.float64)
+        x = np.hstack([snps, rng.normal(size=(30, 2))])
+        out = syrk(x, tile_size=4, runtime=rt, phase="p")
+        assert np.array_equal(out, syrk(x, tile_size=4))
+        gemm(x, x, transa=True, runtime=rt, phase="p")   # adds to the phase
+        totals = rt.ledger["p"]
+        assert totals.tasks == {}
+        assert totals.flops_by_precision == {
+            Precision.INT8: 2.0 * 30 * 3 * 16,
+            Precision.FP32: 2.0 * 30 * (2 * 8 + 4) + 2.0 * 10 * 10 * 30}
+        assert totals.flops == 2.0 * 30 * (3 * 16 + 2 * 8 + 4 + 100)

@@ -15,6 +15,7 @@ from repro.runtime.runtime import Runtime
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.band import band_precision_map
+from tests.runtime.test_dag import critical_path, flops
 
 
 def _spd(n, seed=0, diag=None):
@@ -178,8 +179,8 @@ class TestRuntimePath:
         runtime = Runtime(execution="serial")
         cholesky(_spd(128), tile_size=16, runtime=runtime)
         graph = runtime.last_graph
-        assert graph.critical_path_length() == 22  # 3 * (nt - 1) + 1
-        assert graph.total_flops() / graph.critical_path_flops() >= 1.5
+        assert critical_path(graph) == 22  # 3 * (nt - 1) + 1
+        assert graph.total_flops() / critical_path(graph, flops) >= 1.5
 
     def test_session_runtime_reused_across_factorizations(self):
         """One session-long runtime serves repeated factorizations, with

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 from repro.distance.build import KernelBuilder, compute_kernel_rows
-from repro.linalg.blas3 import gemm, syrk
+from repro.linalg.blas3 import gemm
 from repro.linalg.kernels import (
     tile_gemm,
     tile_potrf,
@@ -26,8 +26,6 @@ from repro.parallel.descriptors import (
     BodySpec,
     BuildRowSpec,
     CgMatvecSpec,
-    DenseGemmSpec,
-    DenseSyrkSpec,
     GemmTrailSpec,
     PotrfSpec,
     PredictGroupSpec,
@@ -82,10 +80,6 @@ def _specimens():
             precision=Precision.FP32, batches=((0, 8), (8, 12))),
         CgMatvecSpec: CgMatvecSpec(shifts=(0.5,), row_start=16, row_stop=32,
                                    transposes=(False, False, True)),
-        DenseGemmSpec: DenseGemmSpec(precision=Precision.FP32, transa=False,
-                                     transb=True),
-        DenseSyrkSpec: DenseSyrkSpec(tile_size=8,
-                                     output_precision=Precision.FP64),
     }
 
 
@@ -401,27 +395,3 @@ class TestBehaviorEquality:
         # same row band — bit for bit
         expect = kernel_matvec(kernel, v, alpha=np.array([0.5, 0.25]))[T:2 * T]
         np.testing.assert_array_equal(out, expect)
-
-    def test_dense_gemm(self):
-        a = _rng(14).standard_normal((24, 16))
-        b = _rng(15).standard_normal((24, 16))
-        spec = _round_trip(DenseGemmSpec(precision=Precision.FP32,
-                                         transa=False, transb=True))
-        out = spec.run(a, b)
-        expect = gemm(a, b, precision=Precision.FP32, transa=False,
-                      transb=True)
-        np.testing.assert_array_equal(out, expect)
-
-    def test_dense_syrk(self):
-        """A mixed design — INT8 SNP panels and one whose confounder
-        column sends it (and every product with it) down the FP32 path."""
-        x = _rng(18).integers(0, 3, size=(40, 20)).astype(np.float64)
-        x[:, -1] = _rng(19).standard_normal(40)
-        integer_columns = np.arange(20) < 19
-        spec = _round_trip(DenseSyrkSpec(tile_size=8,
-                                         output_precision=Precision.FP64))
-        out = spec.run(x, integer_columns)
-        expect = syrk(x, tile_size=8, integer_columns=integer_columns,
-                      output_precision=Precision.FP64)
-        np.testing.assert_array_equal(out, expect)
-        np.testing.assert_allclose(out, x.T @ x, rtol=1e-6)

@@ -1,17 +1,16 @@
 """End-to-end process-backend drains: bitwise equality with serial.
 
 Every phase that ships descriptors to workers — Build rows, Cholesky
-tile tasks (resident and store-backed), triangular-solve row blocks,
-dense GEMM — must produce results bitwise identical to the serial
-drain, and worker-side failures must surface as the same typed
-exceptions the in-process paths raise.
+tile tasks (resident and store-backed), triangular-solve row blocks —
+must produce results bitwise identical to the serial drain, and
+worker-side failures must surface as the same typed exceptions the
+in-process paths raise.
 """
 
 import numpy as np
 import pytest
 
 from repro.distance.build import KernelBuilder
-from repro.linalg.blas3 import gemm
 from repro.linalg.cholesky import cholesky
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
@@ -119,18 +118,6 @@ class TestBuildProcess:
         # inline consume_row tasks ran on the coordinator, build rows on
         # the pool's two workers
         assert proc_builder.runtime is process_rt and process_rt.workers == 2
-
-
-class TestDenseGemmProcess:
-    def test_gemm_bitwise_vs_direct(self, process_rt):
-        rng = np.random.default_rng(23)
-        a = rng.standard_normal((96, 64))
-        b = rng.standard_normal((96, 64))
-        direct = gemm(a, b, precision=Precision.FP32,
-                      transa=True, transb=False)
-        proc = gemm(a, b, precision=Precision.FP32,
-                    transa=True, transb=False, runtime=process_rt)
-        np.testing.assert_array_equal(proc, direct)
 
 
 class TestRuntimeReuse:

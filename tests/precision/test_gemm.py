@@ -12,7 +12,6 @@ from repro.precision.gemm import (
     gemm_flop_count,
     gemm_mixed,
     gemm_variant,
-    syrk_flop_count,
     syrk_mixed,
     variant_for_input,
 )
@@ -167,9 +166,6 @@ class TestSyrk:
 class TestFlopCounts:
     def test_gemm_flops(self):
         assert gemm_flop_count(10, 20, 30) == 2 * 10 * 20 * 30
-
-    def test_syrk_flops(self):
-        assert syrk_flop_count(10, 30) == 10 * 11 * 30
 
 
 class TestGemmProperties:

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.linalg.blas3 import DenseGemmSpec
+from repro.linalg.solve import SolveGemmSpec
 from repro.precision.formats import Precision
 from repro.resilience import TaskGroupError
 from repro.resilience.faults import clear_plan
@@ -27,6 +27,8 @@ HOOKS = ("task_ready", "task_dispatch", "task_complete")
 
 A = np.arange(12.0).reshape(3, 4)
 B = np.arange(8.0).reshape(4, 2)
+#: what every task of ``_graph`` writes: the solve update ``0 - A @ B``
+OUT = -(A @ B)
 
 
 class FailingHooks:
@@ -70,9 +72,11 @@ def _graph(rt):
                          ("right", 2)):
         rt.insert_task(
             name, (handles[handle], AccessMode.WRITE), flops=1.0,
-            spec=TaskSpec(DenseGemmSpec(Precision.FP64, False, False),
+            spec=TaskSpec(SolveGemmSpec(Precision.FP64, transpose=False),
                           mode="aux",
-                          aux=(ObjectInput(A, key="a"), ObjectInput(B, key="b"))))
+                          aux=(ObjectInput(B, key="b"),
+                               ObjectInput(np.zeros((3, 2)), key="acc"),
+                               ObjectInput(A, key="a"))))
     return handles
 
 
@@ -116,13 +120,13 @@ def test_raising_hook_fails_its_task_and_the_drain_goes_on(mode, hook):
                 ["first", "second"]
             assert ("task_dispatch", "second") not in hooks.calls
             for handle in handles[1:]:
-                np.testing.assert_array_equal(handle.payload, A @ B)
+                np.testing.assert_array_equal(handle.payload, OUT)
             # resumable: exactly the unfinished subgraph is pending again
             assert rt.num_tasks() == 2
             result = rt.run()
             assert [e.task_name for e in result.trace.events] == \
                 ["first", "second"]
-            np.testing.assert_array_equal(handles[0].payload, A @ B)
+            np.testing.assert_array_equal(handles[0].payload, OUT)
             # no lane was lost to the failure
             assert not [t for t in threading.enumerate()
                         if t.name.startswith("repro-runtime")]
@@ -145,7 +149,7 @@ def test_transient_hook_failure_is_retried_like_a_body_failure(mode, hook):
             result = rt.run()
             retries = {e.task_name: e.retries for e in result.trace.events}
             assert retries == {"first": 1, "second": 0, "left": 0, "right": 0}
-            np.testing.assert_array_equal(handles[0].payload, A @ B)
+            np.testing.assert_array_equal(handles[0].payload, OUT)
         finally:
             rt.close()
 

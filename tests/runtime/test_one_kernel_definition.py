@@ -69,8 +69,9 @@ def _predict(rt):
 
 
 def _blas3_gemm(rt):
+    # a dense product is a call on the caller's thread: it inserts no task
     gemm(np.ones((N, 8)), np.ones((8, 4)), runtime=rt)
-    return {"gemm"}
+    return set()
 
 
 @pytest.mark.parametrize("site", [
@@ -80,7 +81,9 @@ def _blas3_gemm(rt):
 def test_every_inserted_task_is_a_descriptor(site):
     rt = Runtime(execution="serial")
     names = site(rt)
-    tasks = rt.last_graph.tasks
+    # the drained graph; a site that ran no drain leaves none, and no
+    # pending task either
+    tasks = rt.last_graph.tasks if rt.last_graph else rt.graph.tasks
     assert {task.name for task in tasks} == names
     for task in tasks:
         if task.name == "consume_row":

@@ -28,6 +28,7 @@ from repro.runtime.device import GENERIC_GPU
 from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, DataHandle
+from tests.runtime.test_dag import critical_path, flops
 
 
 def _spd(n, seed=0, diag=4.0):
@@ -185,13 +186,13 @@ class TestCriticalPath:
         h = DataHandle("h")
         for i in range(7):
             g.insert_task(f"t{i}", (h, AccessMode.READWRITE))
-        assert g.critical_path_length() == 7
+        assert critical_path(g) == 7
 
     def test_parallel_tasks_have_unit_depth(self):
         g = TaskGraph()
         for i in range(5):
             g.insert_task(f"t{i}", (DataHandle(f"h{i}"), AccessMode.READWRITE))
-        assert g.critical_path_length() == 1
+        assert critical_path(g) == 1
 
     def test_cholesky_dag_depth_matches_elimination_structure(self):
         """Right-looking tiled Cholesky on an nt x nt grid has a
@@ -200,16 +201,16 @@ class TestCriticalPath:
         rt = Runtime(execution="threaded", workers=2)
         cholesky(_spd(16 * nt), tile_size=16, runtime=rt)
         graph = rt.last_graph
-        assert graph.critical_path_length() == 3 * (nt - 1) + 1
+        assert critical_path(graph) == 3 * (nt - 1) + 1
         # and the critical-path flops bound the replayed makespan
-        assert graph.critical_path_flops() <= graph.total_flops()
+        assert critical_path(graph, flops) <= graph.total_flops()
         replayed = replay(graph, num_devices=nt)
         assert replayed.trace.num_tasks == graph.num_tasks
         fastest = max(GENERIC_GPU.throughput.values())
-        assert replayed.makespan >= graph.critical_path_flops() / fastest
+        assert replayed.makespan >= critical_path(graph, flops) / fastest
 
     def test_empty_graph(self):
-        assert TaskGraph().critical_path_length() == 0
+        assert critical_path(TaskGraph()) == 0
 
 
 class TestBitwiseDeterminism:

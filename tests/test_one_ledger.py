@@ -1,11 +1,13 @@
-"""One ledger: ``Runtime.run`` is the only writer of operation counts.
+"""One ledger: ``Runtime.run`` and ``Runtime.tally`` write operation counts.
 
 ``Runtime.ledger`` holds per-phase counters folded from each drain's
-trace; ``KRRSession.phase_flops`` / ``flops_by_precision``,
-``RRSession.flops_`` and ``BuildResult.flops`` are reads of what a
-drain recorded.  A hand-kept copy, an event log that outlives its
-drain, or a kernel type that bypasses the runtime cannot come back
-without editing one of the lists below.
+trace (``run``) or added by a dense ``blas3`` product that runs inline
+(``tally``); both go through ``PhaseTotals.add_flops``.
+``KRRSession.phase_flops`` / ``flops_by_precision``, ``RRSession.flops_``
+and ``BuildResult.flops`` are reads of what those recorded.  A
+hand-kept copy, an event log that outlives its drain, or a kernel type
+that bypasses the runtime cannot come back without editing one of the
+lists below.
 """
 
 import ast
@@ -15,6 +17,7 @@ from repro.gwas.config import ServeConfig
 from repro.gwas.session import KRRSession, RRSession
 from tests.runtime.test_one_drain import _sites
 from tests.test_one_front_door import _identifiers
+from tests.test_one_way_in import _calls_method
 
 
 def test_the_hand_kept_tallies_and_event_logs_are_gone():
@@ -36,6 +39,14 @@ def test_a_drain_is_folded_into_the_ledger_from_run_only():
     ]
 
 
+def test_operations_reach_the_ledger_through_one_adder():
+    # a dense product is not a task: it is tallied, and adds no task count
+    assert _sites(_calls_method("tally")) == [
+        "linalg/blas3.py:syrk", "linalg/blas3.py:gemm"]
+    assert _sites(_calls_method("add_flops")) == [
+        "runtime/runtime.py:tally", "runtime/trace.py:fold"]
+
+
 def test_per_precision_counts_are_added_up_in_two_functions():
     def adds(node):
         if isinstance(node, ast.AugAssign):
@@ -50,7 +61,7 @@ def test_per_precision_counts_are_added_up_in_two_functions():
     assert _sites(adds) == [
         # CholeskyResult's own tally: _cholesky_direct has no runtime
         "linalg/cholesky.py:_accumulate",
-        "runtime/trace.py:fold",
+        "runtime/trace.py:add_flops",
     ]
 
 
