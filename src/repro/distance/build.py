@@ -7,13 +7,14 @@
 2. each tile of the Gram product ``G G^T`` is computed with the INT8
    tensor-core GEMM variant dispatched through BLAS (the genotype
    matrix is quantized **once** into a
-   :class:`~repro.precision.gemm.QuantizedOperand`, not once per tile),
+   :class:`~repro.precision.gemm.QuantizedOperand`, not once per tile,
+   and cast for BLAS one SNP block of the tile's rows at a time),
 3. confounder (real-valued) columns contribute a separate FP32 Gram
    accumulation,
-4. the squared distance tile is assembled in place in the output
-   block — exact integer terms first, then the confounder term — and
-   the Gaussian exponentiation is fused in before the tile is
-   released, and
+4. the squared distance tile is assembled in place — the exact integer
+   terms in the Gram's INT32 accumulator, then the confounder term in
+   the output block — and the Gaussian exponentiation is fused in
+   before the tile is released, and
 5. the finished tile is **streamed** straight into the output
    :class:`~repro.tiles.matrix.TileMatrix` (or the dense cross-kernel
    array) at the requested storage precision.
@@ -48,7 +49,9 @@ from repro.distance.kernels import gaussian_kernel, ibs_kernel
 from repro.linalg.blas3 import gemm
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
+    GemmVariant,
     QuantizedOperand,
+    gemm_flop_count,
     gemm_mixed,
     integer_gemm_dtype,
     variant_for_input,
@@ -60,6 +63,8 @@ from repro.tiles.adaptive import AdaptivePrecisionRule, _decide_from_norms
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass
@@ -125,10 +130,16 @@ class BuildResult:
 class _OperandContext:
     """Shared read-only operand state of one kernel computation.
 
-    Prepared once per Build/Predict call (quantization, float casts,
-    squared norms, confounder Gram inputs) and then read by every row
-    block — whether the rows are consumed tile-by-tile by the streamed
-    training Build or batch-by-batch by the streamed Predict phase.
+    Prepared once per Build/Predict call (quantization, ``max|.|``
+    bounds, squared norms, confounder Gram inputs) and then read by
+    every row block — whether the rows are consumed tile-by-tile by the
+    streamed training Build or batch-by-batch by the streamed Predict
+    phase.  The genotypes stay in their INT8 storage: each Gram casts
+    only the rows and SNP block it multiplies (:func:`snp_gram`).
+
+    ``d1``/``d2`` are INT32 when the distances are assembled in the
+    Gram's INT32 accumulator (:func:`compute_kernel_rows`), float64
+    otherwise.
     """
 
     n1: int
@@ -143,32 +154,50 @@ class _OperandContext:
     e1: np.ndarray | None
     e2: np.ndarray | None
     n_conf: int
-    snp_variant: object
-    conf_variant: object
-    fuse_snp_blocks: bool
+    snp_variant: GemmVariant
+    conf_variant: GemmVariant
     #: tile-size blocking of the IBS L1 broadcast; 0 = Gaussian kernel
     ibs_block: int = 0
 
 
-def _snp_gram(ctx: _OperandContext, snp_block: int, rs: slice,
-              cs: slice) -> np.ndarray:
-    """The SNP Gram ``G[rs] · G[cs]ᵀ`` of one block.
+def snp_gram(q1: QuantizedOperand, q2: QuantizedOperand,
+             variant: GemmVariant, snp_block: int, rs: slice,
+             cs: slice) -> np.ndarray:
+    """The SNP Gram ``q1[rs] · q2[cs]ᵀ``, walking the SNP axis in
+    ``snp_block`` columns.
 
-    One product when the SNP blocks fuse (or there is only one block):
-    INT32 for the integer variant, the accumulator's own dtype for a
-    float one.  Otherwise the per-block products are summed in float64.
-    The integer variant's values are exact integers either way, so they
-    do not depend on the rows the product ran over; a float variant's
-    rounding does.
+    Up to ``snp_block`` SNPs it is one :func:`gemm_mixed` call.  Past
+    that, each step casts only its block of each side.  The integer
+    variant accumulates the steps exactly in INT32, as the tensor core
+    accumulates every block GEMM into one INT32 C (int64 once
+    ``max|a|·max|b|·ns`` reaches 2³¹), and where the columns end with
+    the rows themselves (a symmetric band) that diagonal block is
+    ``a @ a.T`` on the rows' own cast: numpy's ``?syrk``.  A float
+    variant keeps the full columns and sums its blocks in float64: its
+    rounding order is observable.  Integer values are exact, so they
+    do not depend on the rows or blocks the products ran over.
     """
-    if ctx.fuse_snp_blocks or ctx.ns <= snp_block:
-        return gemm_mixed(ctx.q1[rs, :], ctx.q2[cs, :],
-                          variant=ctx.snp_variant, transb=True)
-    gram = np.zeros((rs.stop - rs.start, cs.stop - cs.start))
-    for s0 in range(0, ctx.ns, snp_block):
-        s1 = min(s0 + snp_block, ctx.ns)
-        gram += gemm_mixed(ctx.q1[rs, s0:s1], ctx.q2[cs, s0:s1],
-                           variant=ctx.snp_variant, transb=True)
+    a = q1[rs, :]
+    b = a if q1 is q2 and rs == cs else q2[cs, :]
+    ns = a.shape[1]
+    if ns <= snp_block:
+        return gemm_mixed(a, b, variant=variant, transb=True)
+    exact = variant.accumulate_precision.is_integer
+    own = exact and q1 is q2 and cs.stop == rs.stop and cs.start <= rs.start
+    m, n = a.shape[0], b.shape[0]
+    k = n - m if own else n  # columns before the diagonal block
+    dtype = np.float64 if not exact else (
+        np.int32 if q1.max_abs() * q2.max_abs() * ns <= _INT32_MAX
+        else np.int64)
+    gram = np.zeros((m, n), dtype)
+    for s0 in range(0, ns, snp_block):
+        step = a[:, s0:s0 + snp_block]
+        if k:
+            gram[:, :k] += gemm_mixed(step, b[:k, s0:s0 + snp_block],
+                                      variant=variant, transb=True)
+        if own:
+            gram[:, k:] += gemm_mixed(step, step, variant=variant,
+                                      transb=True)
     return gram
 
 
@@ -180,7 +209,10 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
 
     ``gram`` is the block's integer SNP Gram when the caller computed it
     over a larger row group (:meth:`KernelBuilder.iter_cross_rows`);
-    otherwise the block computes its own.
+    otherwise the block computes its own.  Either way the assembly
+    consumes it: with INT32 norms ``D = d₁ + d₂ − 2G`` is summed in the
+    Gram's own INT32 accumulator and converted to float64 once, at
+    ``×(−γ)``; otherwise it is summed in ``out``.
 
     Module-level (rather than a :class:`KernelBuilder` method) so the
     :class:`BuildRowSpec` descriptor can name it with only scalar
@@ -203,17 +235,22 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
                 rows, ctx.q2.array[c0:c1])
         return out
     if gram is None:
-        gram = _snp_gram(ctx, snp_block, rs, cs)
-    if ctx.snp_variant.accumulate_precision.is_integer:
-        # −2·G, +d₁, +d₂ are exact integers in float64: any order
-        # gives the same bits
-        np.multiply(gram, -2.0, out=out)
-        out += ctx.d1[rs, None]
-        out += ctx.d2[None, cs]
+        gram = snp_gram(ctx.q1, ctx.q2, ctx.snp_variant, snp_block, rs, cs)
+    if ctx.d1.dtype == np.int32:
+        # (max|a| + max|b|)²·ns < 2³¹ bounds every partial sum of
+        # −2·G + d₁ + d₂, so INT32 is exact in any order
+        dist = np.multiply(gram, -2, out=gram)
+        dist += ctx.d1[rs, None]
+        dist += ctx.d2[None, cs]
+    elif ctx.snp_variant.accumulate_precision.is_integer:
+        # exact integers in float64: any order gives the same bits
+        dist = np.multiply(gram, -2.0, out=out)
+        dist += ctx.d1[rs, None]
+        dist += ctx.d2[None, cs]
     else:
         # a float Gram is rounded: keep the order (d₁ + d₂) − 2·G
-        np.add(ctx.d1[rs, None], ctx.d2[None, cs], out=out)
-        out -= np.multiply(gram, 2.0, out=gram)
+        dist = np.add(ctx.d1[rs, None], ctx.d2[None, cs], out=out)
+        dist -= np.multiply(gram, 2.0, out=gram)
 
     # --- confounder FP32 contribution accumulated separately
     if ctx.n_conf:
@@ -221,11 +258,12 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
                             variant=ctx.conf_variant, transb=True)
         term = np.add(ctx.e1[rs, None], ctx.e2[None, cs])
         term -= np.multiply(gram_c, 2.0, out=gram_c)
-        out += term
+        dist = np.add(dist, term, out=out)
 
-    np.maximum(out, 0.0, out=out)
+    if dist is out:  # a float sum may round below zero
+        np.maximum(out, 0.0, out=out)
     # fused exponentiation before the row block is released
-    return gaussian_kernel(out, gamma, out=out)
+    return gaussian_kernel(dist, gamma, out=out)
 
 
 def _row_groups(sizes: list[int], batch_rows: int | None,
@@ -267,7 +305,8 @@ def _group_blocks(ctx: _OperandContext, gamma: float, snp_block: int,
     in place (:meth:`KernelBuilder.iter_cross_rows` says why)."""
     cols = slice(0, ctx.n2)
     g0 = group[0].start
-    gram = (_snp_gram(ctx, snp_block, slice(g0, group[-1].stop), cols)
+    gram = (snp_gram(ctx.q1, ctx.q2, ctx.snp_variant, snp_block,
+                     slice(g0, group[-1].stop), cols)
             if ctx.snp_variant.accumulate_precision.is_integer
             and not ctx.ibs_block else None)
     for rows in group:
@@ -324,12 +363,13 @@ class PredictGroupSpec(BodySpec):
 class TrainOperands:
     """Cached train-side GEMM operand state for cross-kernel builds.
 
-    Quantizing a training panel, materializing its float casts and
-    folding its squared norms is the dominant *fixed* cost of a
-    cross-kernel build.  :meth:`KernelBuilder.train_operands` prepares
-    this state once and :meth:`KernelBuilder.iter_cross_rows` accepts
-    it back, so several calls against one panel pay it once (a
-    ``KRRSession`` holds one from its first Predict).
+    Quantizing a training panel, scanning its ``max|.|`` and folding its
+    squared norms is the dominant *fixed* cost of a cross-kernel build.
+    :meth:`KernelBuilder.train_operands` prepares this state once and
+    :meth:`KernelBuilder.iter_cross_rows` accepts it back, so several
+    calls against one panel pay it once (a ``KRRSession`` holds one
+    from its first Predict).  The panel stays INT8: no float copy of it
+    is cached, each Gram casts the SNP block it multiplies.
 
     Reuse is bitwise-safe: the cached values are produced by exactly
     the code the uncached path runs, on the same arrays.
@@ -540,9 +580,9 @@ class KernelBuilder:
 
         The returned :class:`TrainOperands` can be passed to any number
         of :meth:`iter_cross_rows` calls against the same training
-        panel, skipping the per-call quantization, float casts and squared
-        norms of the training matrix.  Values are bitwise identical to
-        the uncached path.
+        panel, skipping the per-call quantization, ``max|.|`` scan and
+        squared norms of the training matrix.  Values are bitwise
+        identical to the uncached path.
         """
         g2 = np.asarray(train_genotypes)
         q2, d2, qc2, e2 = self._side_operands(g2, train_confounders)
@@ -562,9 +602,9 @@ class KernelBuilder:
         if (variant.accumulate_precision.is_integer and integer_gemm_dtype(
                 q.max_abs(), q.max_abs(), g.shape[1]) is np.float32):
             # the Gram's own bound max|g|²·ns < 2²⁴ makes every partial
-            # sum exact in float32, and the Gram needs this cast anyway
-            f = q.as_float(np.float32)
-            d = np.einsum("ij,ij->i", f, f).astype(np.float64)
+            # sum exact in float32; einsum casts in its own small buffers
+            d = np.einsum("ij,ij->i", q.array, q.array,
+                          dtype=np.float32).astype(np.float64)
         else:
             d = squared_norms(
                 g, integer=self.snp_precision.is_integer).astype(np.float64)
@@ -613,47 +653,27 @@ class KernelBuilder:
         else:
             q2, d2, qc2, e2 = self._side_operands(g2, c2)
         n_conf = 0 if c1 is None else np.asarray(c1).shape[1]
-        # materialize the float/max|.| caches before threading so the
-        # worker tasks only ever read shared state; the integer path
-        # picks the narrowest exact BLAS dtype (sgemm for genotypes)
-        if snp_variant.accumulate_precision.is_integer:
-            blas_dtype = integer_gemm_dtype(
-                q1.max_abs(), q2.max_abs(), ns) or np.float64
-            q1.as_float(blas_dtype)
-            if q2 is not q1:
-                q2.as_float(blas_dtype)
-        else:
-            q1.max_abs()
-            if q2 is not q1:
-                q2.max_abs()
-
-        # For the integer variant the SNP-block loop exists only to keep
-        # the emulated INT32 accumulator in range; when the analytic
-        # bound max|a|*max|b|*ns already proves the *total* accumulation
-        # safe (genotypes {0,1,2} always do), the blocks fuse into one
-        # contiguous dgemm — both faster and closer to the hardware,
-        # which accumulates every block GEMM into the same INT32 C.
-        # Float variants keep the blocked loop: their per-block rounding
-        # order is observable.
-        fuse_snp_blocks = (
-            snp_variant.accumulate_precision.is_integer
-            and q1.max_abs() * q2.max_abs() * ns <= float(np.iinfo(np.int32).max)
-        )
+        # the max|.| scans happen here, before threading, so the worker
+        # tasks only ever read shared state; |d₁ + d₂ − 2G| is at most
+        # (max|a| + max|b|)²·ns, so under 2³¹ the distances are summed
+        # in the Gram's INT32 accumulator
+        if snp_variant.accumulate_precision.is_integer and (
+                q1.max_abs() + q2.max_abs()) ** 2 * ns <= _INT32_MAX:
+            d1, d2 = d1.astype(np.int32), d2.astype(np.int32)
         return _OperandContext(
             n1=n1, n2=n2, ns=ns, q1=q1, q2=q2, d1=d1, d2=d2,
             qc1=qc1, qc2=qc2, e1=e1, e2=e2, n_conf=n_conf,
             snp_variant=snp_variant, conf_variant=conf_variant,
-            fuse_snp_blocks=fuse_snp_blocks,
             ibs_block=self.tile_size if ibs else 0,
         )
 
     def _block_flops(self, ctx: _OperandContext, mb: int, nb: int
                      ) -> tuple[float, dict[Precision, float]]:
         """Operation count of an ``mb × nb`` kernel block, split by precision."""
-        flops = 2.0 * mb * nb * ctx.ns
+        flops = gemm_flop_count(mb, nb, ctx.ns)
         by_prec = {self.snp_precision: flops}
         if ctx.n_conf > 0:
-            cf = 2.0 * mb * nb * ctx.n_conf
+            cf = gemm_flop_count(mb, nb, ctx.n_conf)
             flops += cf
             by_prec[self.confounder_precision] = (
                 by_prec.get(self.confounder_precision, 0.0) + cf)
@@ -735,7 +755,7 @@ class KernelBuilder:
                 mb = rows.stop - rows.start
                 _, detail = self._block_flops(ctx, mb, n2)
                 detail[precision] = (detail.get(precision, 0.0)
-                                     + 2.0 * mb * n2 * nph)
+                                     + gemm_flop_count(mb, n2, nph))
                 self.runtime.insert_task(
                     "predict_group",
                     flops=float(sum(detail.values())), precision=precision,

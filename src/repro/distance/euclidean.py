@@ -24,12 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.precision.formats import Precision
-from repro.precision.gemm import (
-    GemmVariant,
-    QuantizedOperand,
-    gemm_mixed,
-    variant_for_input,
-)
+from repro.precision.gemm import GemmVariant, QuantizedOperand, variant_for_input
 
 
 def squared_norms(g: np.ndarray, integer: bool = True) -> np.ndarray:
@@ -56,42 +51,6 @@ def snp_gram_variant(precision: Precision) -> GemmVariant:
     return variant_for_input(precision if precision in (
         Precision.INT8, Precision.FP64, Precision.FP32, Precision.FP16,
         Precision.FP8_E4M3) else Precision.FP32)
-
-
-def _gram(g1: np.ndarray, g2: np.ndarray, precision: Precision,
-          snp_block: int) -> np.ndarray:
-    """Blocked ``G1 @ G2.T`` in the requested input precision.
-
-    The SNP dimension is processed in blocks of ``snp_block`` columns so
-    the INT32 accumulator cannot overflow even for millions of SNPs
-    (each partial product is at most ``4 * snp_block``); partial sums
-    are carried in float64 on the host, mirroring the per-tile
-    accumulation into the C operand on the GPU.
-    """
-    g1 = np.asarray(g1)
-    g2 = np.asarray(g2)
-    ns = g1.shape[1]
-    if g2.shape[1] != ns:
-        raise ValueError("G1 and G2 must have the same number of columns")
-    variant = snp_gram_variant(precision)
-
-    # quantize each side once; the block loop slices shared views
-    q1 = QuantizedOperand(g1, variant.input_precision)
-    q2 = q1 if g2 is g1 else QuantizedOperand(g2, variant.input_precision)
-    if (variant.accumulate_precision.is_integer
-            and q1.max_abs() * q2.max_abs() * ns <= float(np.iinfo(np.int32).max)):
-        # total INT32 accumulation provably safe: one fused dgemm
-        return np.asarray(
-            gemm_mixed(q1, q2, variant=variant, transb=True), dtype=np.float64)
-    out = np.zeros((g1.shape[0], g2.shape[0]), dtype=np.float64)
-    for start in range(0, ns, snp_block):
-        stop = min(start + snp_block, ns)
-        out += np.asarray(
-            gemm_mixed(q1[:, start:stop], q2[:, start:stop],
-                       variant=variant, transb=True),
-            dtype=np.float64,
-        )
-    return out
 
 
 def squared_euclidean_gemm(
@@ -123,16 +82,24 @@ def squared_euclidean_gemm(
         ``n1 × n2`` matrix of squared distances (float64 container).
         For ``g2 is None`` the diagonal is exactly zero.
     """
+    from repro.distance.build import snp_gram
+
     precision = Precision.from_string(precision)
     g1 = np.asarray(g1)
     symmetric = g2 is None
     g2v = g1 if symmetric else np.asarray(g2)
+    if g2v.shape[1] != g1.shape[1]:
+        raise ValueError("G1 and G2 must have the same number of columns")
 
     integer_input = precision.is_integer
     d1 = squared_norms(g1, integer=integer_input).astype(np.float64)
     d2 = d1 if symmetric else squared_norms(g2v, integer=integer_input).astype(np.float64)
 
-    gram = _gram(g1, g2v, precision, snp_block)
+    variant = snp_gram_variant(precision)
+    q1 = QuantizedOperand(g1, variant.input_precision)
+    q2 = q1 if symmetric else QuantizedOperand(g2v, variant.input_precision)
+    gram = snp_gram(q1, q2, variant, snp_block, slice(0, len(g1)),
+                    slice(0, len(g2v)))
     dist = d1[:, None] + d2[None, :] - 2.0 * gram
     # numerical floor: distances cannot be negative; integer path is exact
     np.maximum(dist, 0.0, out=dist)

@@ -23,11 +23,11 @@ def gaussian_kernel(sq_distances: np.ndarray, gamma: float,
     ``K = exp(-gamma * D)`` applied element-wise; this is the
     exponentiation fused into the Build phase tile release in the paper.
     ``out`` (which may be ``sq_distances`` itself) receives the result.
+    Integer distances are converted to float64 inside the product.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    d = np.asarray(sq_distances, dtype=np.float64)
-    out = np.multiply(d, -gamma, out=out)
+    out = np.multiply(sq_distances, -gamma, out=out, dtype=np.float64)
     return np.exp(out, out=out)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.gwas.config import KRRConfig
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_flop_count
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.serialize import (
     meta_from_array,
@@ -169,11 +170,11 @@ class FittedModel:
         this for exact per-request attribution inside shared
         micro-batches.
         """
-        fl = 2.0 * rows * self.n_train * self.n_snps
+        fl = gemm_flop_count(rows, self.n_train, self.n_snps)
         if self.training_confounders is not None:
-            fl += 2.0 * rows * self.n_train * self.training_confounders.shape[1]
-        fl += 2.0 * rows * self.n_train * self.n_phenotypes
-        return fl
+            fl += gemm_flop_count(rows, self.n_train,
+                                  self.training_confounders.shape[1])
+        return fl + gemm_flop_count(rows, self.n_train, self.n_phenotypes)
 
     # ------------------------------------------------------------------
     # (de)serialization

@@ -136,9 +136,9 @@ class KRRSession:
         self.training_genotypes_: np.ndarray | None = None
         self.training_confounders_: np.ndarray | None = None
         self.gamma_: float | None = None
-        # the training panel's Predict-side operands (quantized, BLAS
-        # float cast, squared norms): made by the first Predict after a
-        # build()/from_model(), dropped by build() and close()
+        # the training panel's Predict-side operands (quantized, max|.|,
+        # squared norms; no float copy): made by the first Predict after
+        # a build()/from_model(), dropped by build() and close()
         self._train_operands: TrainOperands | None = None
         # Associate state
         self.factorization_: CholeskyResult | None = None
@@ -563,7 +563,7 @@ class KRRSession:
 
         The cohorts are row-stacked into one Predict against the
         session's train-side operand state — quantization of the
-        training panel, its BLAS float casts, the squared norms —
+        training panel, its ``max|.|`` bound, the squared norms —
         prepared once, at the session's first Predict; the exact
         integer SNP Gram runs once per row group of up to one batch of
         rows, whichever cohorts those rows belong to, cut so every lane

@@ -160,5 +160,5 @@ def gemm(
                      transa=transa, transb=transb)
     if runtime is not None:
         k = np.shape(a)[0 if transa else 1]
-        runtime.tally(phase, {precision: float(gemm_flop_count(*out.shape, k))})
+        runtime.tally(phase, {precision: gemm_flop_count(*out.shape, k)})
     return np.asarray(quantize(out, precision), dtype=np.float64)

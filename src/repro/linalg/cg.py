@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.linalg.cholesky import CholeskyResult
-from repro.linalg.kernels import gemm_flops
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_flop_count
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, BodySpec, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
@@ -203,7 +203,7 @@ def kernel_matvec(kernel: TileMatrix, v: np.ndarray,
                 "cg_matvec",
                 (v_handle, AccessMode.READ),
                 (h, AccessMode.WRITE),
-                flops=gemm_flops(rows, nrhs, layout.cols) + rows * nrhs,
+                flops=gemm_flop_count(rows, nrhs, layout.cols) + rows * nrhs,
                 precision=Precision.FP64, tag=(i,),
                 tile_deps=(() if binding is None
                            else tuple((binding, key) for key in keys)),

@@ -39,12 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_flop_count
 from repro.linalg.kernels import (
     GemmTrailSpec,
     PotrfSpec,
     SyrkSpec,
     TrsmSpec,
-    gemm_flops,
     potrf_flops,
     syrk_flops,
     trsm_flops,
@@ -232,7 +232,7 @@ def _elimination(layout, wp: Precision, tile_precision, by_column=False):
                 p_ij = tile_precision(i, j)
                 yield task("gemm", GemmTrailSpec(p_ij),
                            [(i, k), (j, k), (i, j)], p_ij,
-                           gemm_flops(*shape(i, j), kbk))
+                           gemm_flop_count(*shape(i, j), kbk))
 
 
 def _cholesky_direct(tiled: TileMatrix, wp: Precision,

@@ -238,11 +238,6 @@ def syrk_flops(nb: int, kb: int) -> float:
     return float(nb) * (nb + 1) * kb
 
 
-def gemm_flops(mb: int, nb: int, kb: int) -> float:
-    """Operation count of an ``mb×kb @ kb×nb`` GEMM."""
-    return 2.0 * mb * nb * kb
-
-
 # ----------------------------------------------------------------------
 # the tiled Cholesky's task descriptors
 # ----------------------------------------------------------------------

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_flop_count
 from repro.precision.quantize import quantize
 from repro.linalg.cholesky import CholeskyResult
-from repro.linalg.kernels import (gemm_flops, tile_solve_gemm, tile_trsm,
-                                  trsm_flops)
+from repro.linalg.kernels import tile_solve_gemm, tile_trsm, trsm_flops
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, BodySpec, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
@@ -108,7 +108,8 @@ def _sweep(factor: TileMatrix, x: list[np.ndarray], trans: bool,
                     "solve_gemm",
                     (handles[j], AccessMode.READ),
                     (handles[i], AccessMode.READWRITE),
-                    flops=gemm_flops(*factor.layout.tile_shape(*coords), width),
+                    flops=gemm_flop_count(
+                        *factor.layout.tile_shape(*coords), width),
                     precision=precision, tag=(i, j),
                     tile_deps=deps(coords),
                     spec=TaskSpec(update, mode="both",

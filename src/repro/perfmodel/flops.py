@@ -11,6 +11,7 @@ precision they execute in).
 from __future__ import annotations
 
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_flop_count
 
 __all__ = [
     "build_flops",
@@ -41,8 +42,8 @@ def solve_flops(n_patients: int, n_phenotypes: int) -> float:
 
 def predict_flops(n_test: int, n_train: int, n_snps: int, n_phenotypes: int) -> float:
     """Predict phase: cross kernel build plus ``K_test @ W``."""
-    return (2.0 * float(n_test) * float(n_train) * float(n_snps)
-            + 2.0 * float(n_test) * float(n_train) * float(n_phenotypes))
+    return (gemm_flop_count(n_test, n_train, n_snps)
+            + gemm_flop_count(n_test, n_train, n_phenotypes))
 
 
 def krr_flops(n_patients: int, n_snps: int, n_phenotypes: int = 1,

@@ -29,9 +29,11 @@ cross-checking; :func:`integer_backend` switches it temporarily.
 
 Operands that are reused across many tiles (the genotype matrix in the
 Build phase, the panel tiles in the Cholesky trailing update) can be
-wrapped in a :class:`QuantizedOperand` so quantization, the float64
-cast for BLAS, and the ``max|.|`` bound are computed once per matrix
-instead of once per (tile x SNP-block) GEMM call.
+wrapped in a :class:`QuantizedOperand` so quantization and the
+``max|.|`` bound are computed once per matrix instead of once per
+(tile x SNP-block) GEMM call.  The float cast BLAS multiplies with is
+made by the operand that is multiplied: a Build slices the genotype
+operand and each slice casts only its own rows and SNP block.
 """
 
 from __future__ import annotations
@@ -183,17 +185,18 @@ def variant_for_input(precision: Precision | str) -> GemmVariant:
 class QuantizedOperand:
     """A matrix quantized once to a GEMM input precision.
 
-    Wrapping an operand amortizes three per-call costs of
-    :func:`gemm_mixed` across every tile GEMM that reads the matrix:
-
-    * quantization onto the input format's value grid,
-    * the float64 cast the BLAS backend multiplies with, and
-    * the ``max|.|`` scan backing the analytic overflow/exactness bounds.
+    Wrapping an operand amortizes two per-call costs of
+    :func:`gemm_mixed` across every tile GEMM that reads the matrix —
+    quantization onto the input format's value grid and the ``max|.|``
+    scan backing the analytic overflow/exactness bounds — and caches
+    the float cast the BLAS backend multiplies with for as long as the
+    operand object lives (two products of one block share it).
 
     Slicing (``q[rows, cols]``) returns a view-backed operand sharing
-    the parent's caches, so the Build phase quantizes the genotype
-    matrix exactly once no matter how many (tile x SNP-block) products
-    are taken from it.
+    the parent's quantized values, bound and any cast already made, so
+    the Build phase quantizes the genotype matrix exactly once no matter
+    how many (tile x SNP-block) products are taken from it; a slice of
+    an uncast parent casts only its own block.
     """
 
     __slots__ = ("array", "precision", "_floats", "_max_abs")
@@ -244,10 +247,6 @@ class QuantizedOperand:
             self._floats[dtype] = cached
         return cached
 
-    def as_float64(self) -> np.ndarray:
-        """The quantized values as float64 (cached)."""
-        return self.as_float(np.float64)
-
     def max_abs(self) -> float:
         """Cached ``max|.|`` of the quantized values (overflow bounds)."""
         if self._max_abs is None:
@@ -259,8 +258,7 @@ class QuantizedOperand:
                 self._max_abs = max(abs(float(self.array.min())),
                                     abs(float(self.array.max())))
             else:
-                f = self.as_float64()
-                self._max_abs = float(np.max(np.abs(f)))
+                self._max_abs = float(np.max(np.abs(self.array)))
         return self._max_abs
 
     def __getitem__(self, idx) -> "QuantizedOperand":
@@ -494,6 +492,7 @@ def syrk_mixed(
     return quantize(result, variant.output_precision)
 
 
-def gemm_flop_count(m: int, n: int, k: int) -> int:
-    """Number of floating (or integer) operations of an ``m×k @ k×n`` GEMM."""
-    return 2 * m * n * k
+def gemm_flop_count(m: int, n: int, k: int) -> float:
+    """Number of floating (or integer) operations of an ``m×k @ k×n`` GEMM
+    (the one definition every operation count of a product calls)."""
+    return 2.0 * m * n * k

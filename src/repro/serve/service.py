@@ -24,7 +24,7 @@ every float product keeps each cohort's solo tile-aligned block shapes
 ``docs/api.md``).
 
 Throughput contract: coalescing amortizes the per-predict fixed costs —
-quantization and BLAS float casts of the training panel, its squared
+quantization and the ``max|.|`` scan of the training panel, its squared
 norms, builder setup — across every request in the micro-batch, and
 its cohorts share one SNP Gram product per row group, cut so every lane
 of the session's runtime gets a group (two 256-row Grams for eight

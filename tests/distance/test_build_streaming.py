@@ -397,3 +397,41 @@ class TestTrainOperands:
         with pytest.raises(ValueError, match="cross kernels"):
             builder._prepare_operands(train, train, None, None,
                                       symmetric=True, train_cache=cache)
+
+
+class TestNoFloatPanel:
+    """The genotype panel stays INT8: a Build and a Predict over
+    ``ns = 3·snp_block`` SNPs cast one SNP block of the rows they
+    multiply at a time, and nothing keeps a float copy of a cohort."""
+
+    def test_build_and_predict_peak_below_one_float32_panel(self):
+        import tracemalloc
+
+        from repro.gwas.config import KRRConfig
+        from repro.gwas.session import KRRSession
+
+        ns = 3 * KernelBuilder().snp_block
+        rng = np.random.default_rng(12)
+        g = rng.integers(0, 3, size=(32, ns)).astype(np.int8)
+        g_test = rng.integers(0, 3, size=(32, ns)).astype(np.int8)
+        y = rng.standard_normal((32, 2))
+        panel_f32 = g.size * 4
+        session = KRRSession(KRRConfig(tile_size=32, execution="serial"))
+        tracemalloc.start()
+        try:
+            peaks = []
+            for step in (lambda: session.fit(g, y),
+                         lambda: session.predict(g_test)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        try:
+            assert max(peaks) < panel_f32, peaks
+            # the training side is held as prepared, INT8 and uncast
+            train = session._train_operands
+            assert train.q.array is g and train.q._floats == {}
+        finally:
+            session.close()

@@ -5,8 +5,9 @@ import pytest
 
 from repro.gwas.config import PrecisionPlan, RRConfig
 from repro.gwas.session import RRSession
-from repro.linalg.kernels import gemm_flops, potrf_flops, syrk_flops, trsm_flops
+from repro.linalg.kernels import potrf_flops, syrk_flops, trsm_flops
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_flop_count
 
 
 def _reference_ridge(x, y, lam):
@@ -113,10 +114,10 @@ class TestFit:
             for i in range(k + 1, 3):
                 factor += trsm_flops(widths[k], widths[i])
                 factor += syrk_flops(widths[i], widths[k])
-                factor += sum(gemm_flops(widths[i], widths[j], widths[k])
+                factor += sum(gemm_flop_count(widths[i], widths[j], widths[k])
                               for j in range(k + 1, i))
         assert session.factorization_.flops == pytest.approx(factor, rel=1e-12)
-        xty = gemm_flops(p, nph, n)
+        xty = gemm_flop_count(p, nph, n)
         sweeps = 2 * float(p * p * nph)
         assert ledger["associate"].flops == pytest.approx(
             factor + xty + sweeps, rel=1e-12)

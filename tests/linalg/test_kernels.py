@@ -7,7 +7,6 @@ import pytest
 
 from repro.linalg.cholesky import cholesky
 from repro.linalg.kernels import (
-    gemm_flops,
     panel_operand,
     potrf_flops,
     syrk_flops,
@@ -19,7 +18,8 @@ from repro.linalg.kernels import (
 )
 from repro.linalg.solve import SolveGemmSpec, SolveTrsmSpec
 from repro.precision.formats import Precision
-from repro.precision.gemm import QuantizedOperand, gemm_mixed, syrk_mixed
+from repro.precision.gemm import (QuantizedOperand, gemm_flop_count,
+                                  gemm_mixed, syrk_mixed)
 from repro.precision.quantize import quantize
 from repro.resilience import FaultPlan, FaultSite
 from repro.resilience.faults import SITE_TASK_BODY, clear_plan, fault_plan
@@ -167,7 +167,7 @@ class TestFlopFormulas:
 
     def test_trsm_gemm_syrk(self):
         assert trsm_flops(10, 20) == 2000
-        assert gemm_flops(4, 5, 6) == 240
+        assert gemm_flop_count(4, 5, 6) == 240
         assert syrk_flops(10, 20) == 10 * 11 * 20
 
 

@@ -141,18 +141,18 @@ class TestQuantizedOperand:
         rng = np.random.default_rng(4)
         g = rng.integers(0, 3, size=(16, 64)).astype(np.int8)
         q = QuantizedOperand(g, Precision.INT8)
-        parent = q.as_float64()
+        parent = q.as_float(np.float64)
         view = q[2:6, 8:32]
-        assert view.as_float64().base is parent or (
-            view.as_float64().base is not None)
-        np.testing.assert_array_equal(view.as_float64(),
+        assert view.as_float(np.float64).base is parent or (
+            view.as_float(np.float64).base is not None)
+        np.testing.assert_array_equal(view.as_float(np.float64),
                                       parent[2:6, 8:32])
 
     def test_sliced_gemm_matches_sliced_array(self):
         rng = np.random.default_rng(5)
         g = rng.integers(0, 3, size=(24, 96)).astype(np.int8)
         q = QuantizedOperand(g, Precision.INT8)
-        q.as_float64()
+        q.as_float(np.float64)
         expected = np.asarray(gemm_mixed(g[:8, 0:48], g[8:, 0:48],
                                          variant="AB8I_C32I_OP32I", transb=True))
         got = np.asarray(gemm_mixed(q[:8, 0:48], q[8:, 0:48],
@@ -162,9 +162,10 @@ class TestQuantizedOperand:
     def test_transpose_view(self):
         g = np.arange(6, dtype=np.int8).reshape(2, 3) % 3
         q = QuantizedOperand(g, Precision.INT8)
-        q.as_float64()
+        q.as_float(np.float64)
         assert q.T.shape == (3, 2)
-        np.testing.assert_array_equal(q.T.as_float64(), q.as_float64().T)
+        np.testing.assert_array_equal(q.T.as_float(np.float64),
+                                      q.as_float(np.float64).T)
 
     def test_max_abs_cached_and_conservative_for_slices(self):
         g = np.array([[0, 1], [2, 0]], dtype=np.int8)
