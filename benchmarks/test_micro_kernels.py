@@ -18,6 +18,7 @@ from repro.data.genotypes import simulate_genotypes
 from repro.distance.euclidean import squared_euclidean_direct, squared_euclidean_gemm
 from repro.linalg.cholesky import cholesky
 from repro.precision.formats import Precision
+from repro.precision.gemm import integer_backend
 from repro.runtime import Runtime, replay
 from repro.tiles.adaptive import AdaptivePrecisionRule, decide_tile_precisions
 from repro.tiles.layout import TileLayout
@@ -47,9 +48,11 @@ def test_distance_gemm_form_vs_direct(benchmark, genotypes):
 
 def test_distance_int8_path_is_exact(benchmark, genotypes):
     """The INT8 tensor-core path loses nothing for 0/1/2 genotype data."""
-    int8 = benchmark(squared_euclidean_gemm, genotypes, None, Precision.INT8)
-    fp64 = squared_euclidean_gemm(genotypes, precision=Precision.FP64)
-    np.testing.assert_array_equal(int8, fp64)
+    int8 = benchmark(squared_euclidean_gemm, genotypes)
+    with integer_backend("int64"):
+        reference = squared_euclidean_gemm(genotypes)
+    np.testing.assert_array_equal(int8, reference)
+    np.testing.assert_array_equal(int8, squared_euclidean_direct(genotypes))
 
 
 def test_adaptive_cholesky_accuracy_and_footprint(benchmark):

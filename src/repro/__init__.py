@@ -26,7 +26,7 @@ The package is organised around the paper's three-phase KRR workflow
     SYRK and GEMM drivers built on the tile kernels.
 ``repro.distance``
     GEMM-form squared Euclidean distances (the INT8 tensor-core trick),
-    Gaussian and IBS kernels, and the fused Build phase.
+    the Gaussian kernel, and the fused Build phase.
 ``repro.gwas``
     The paper's contribution: ridge regression (RR) and kernel ridge
     regression (KRR) multivariate GWAS with mixed-precision plans,

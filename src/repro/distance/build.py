@@ -44,12 +44,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.distance.euclidean import snp_gram_variant, squared_norms
-from repro.distance.kernels import gaussian_kernel, ibs_kernel
+from repro.distance.euclidean import squared_norms
+from repro.distance.kernels import gaussian_kernel
 from repro.linalg.blas3 import gemm
 from repro.precision.formats import Precision
 from repro.precision.gemm import (
-    GemmVariant,
     QuantizedOperand,
     gemm_flop_count,
     gemm_mixed,
@@ -65,6 +64,27 @@ from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
 _INT32_MAX = np.iinfo(np.int32).max
+#: The SNP Gram: INT8 operands, INT32 accumulator (the tensor-core path).
+SNP_VARIANT = variant_for_input(Precision.INT8)
+#: The confounder Gram: real-valued columns in FP32.
+CONF_VARIANT = variant_for_input(Precision.FP32)
+
+
+def genotype_operand(g: np.ndarray) -> QuantizedOperand:
+    """The INT8 operand of a genotype panel.
+
+    An ``int8`` panel is taken as it is.  Any other panel must hold
+    integers in [−128, 127]: the INT8 Gram would round or clip anything
+    else, so such a panel is rejected rather than silently changed.
+    """
+    g = np.asarray(g)
+    with np.errstate(invalid="ignore"):   # NaN is rejected just below
+        q = QuantizedOperand(g, Precision.INT8)
+    if g.dtype != np.int8 and not np.array_equal(q.array, g):
+        raise ValueError(
+            "genotypes must be integers in [-128, 127] (the INT8 SNP "
+            "Gram's range)")
+    return q
 
 
 @dataclass
@@ -139,7 +159,7 @@ class _OperandContext:
 
     ``d1``/``d2`` are INT32 when the distances are assembled in the
     Gram's INT32 accumulator (:func:`compute_kernel_rows`), float64
-    otherwise.
+    (exact integers) otherwise.
     """
 
     n1: int
@@ -154,49 +174,40 @@ class _OperandContext:
     e1: np.ndarray | None
     e2: np.ndarray | None
     n_conf: int
-    snp_variant: GemmVariant
-    conf_variant: GemmVariant
-    #: tile-size blocking of the IBS L1 broadcast; 0 = Gaussian kernel
-    ibs_block: int = 0
 
 
-def snp_gram(q1: QuantizedOperand, q2: QuantizedOperand,
-             variant: GemmVariant, snp_block: int, rs: slice,
-             cs: slice) -> np.ndarray:
-    """The SNP Gram ``q1[rs] · q2[cs]ᵀ``, walking the SNP axis in
+def snp_gram(q1: QuantizedOperand, q2: QuantizedOperand, snp_block: int,
+             rs: slice, cs: slice) -> np.ndarray:
+    """The INT8 SNP Gram ``q1[rs] · q2[cs]ᵀ``, walking the SNP axis in
     ``snp_block`` columns.
 
     Up to ``snp_block`` SNPs it is one :func:`gemm_mixed` call.  Past
-    that, each step casts only its block of each side.  The integer
-    variant accumulates the steps exactly in INT32, as the tensor core
-    accumulates every block GEMM into one INT32 C (int64 once
-    ``max|a|·max|b|·ns`` reaches 2³¹), and where the columns end with
-    the rows themselves (a symmetric band) that diagonal block is
-    ``a @ a.T`` on the rows' own cast: numpy's ``?syrk``.  A float
-    variant keeps the full columns and sums its blocks in float64: its
-    rounding order is observable.  Integer values are exact, so they
-    do not depend on the rows or blocks the products ran over.
+    that, each step casts only its block of each side and the steps
+    accumulate exactly in INT32, as the tensor core accumulates every
+    block GEMM into one INT32 C (int64 once ``max|a|·max|b|·ns``
+    reaches 2³¹).  Where the columns end with the rows themselves (a
+    symmetric band) that diagonal block is ``a @ a.T`` on the rows' own
+    cast: numpy's ``?syrk``.  The values are exact, so they do not
+    depend on the rows or blocks the products ran over.
     """
     a = q1[rs, :]
     b = a if q1 is q2 and rs == cs else q2[cs, :]
     ns = a.shape[1]
     if ns <= snp_block:
-        return gemm_mixed(a, b, variant=variant, transb=True)
-    exact = variant.accumulate_precision.is_integer
-    own = exact and q1 is q2 and cs.stop == rs.stop and cs.start <= rs.start
+        return gemm_mixed(a, b, variant=SNP_VARIANT, transb=True)
+    own = q1 is q2 and cs.stop == rs.stop and cs.start <= rs.start
     m, n = a.shape[0], b.shape[0]
     k = n - m if own else n  # columns before the diagonal block
-    dtype = np.float64 if not exact else (
-        np.int32 if q1.max_abs() * q2.max_abs() * ns <= _INT32_MAX
-        else np.int64)
+    dtype = (np.int32 if q1.max_abs() * q2.max_abs() * ns <= _INT32_MAX
+             else np.int64)
     gram = np.zeros((m, n), dtype)
     for s0 in range(0, ns, snp_block):
         step = a[:, s0:s0 + snp_block]
         if k:
             gram[:, :k] += gemm_mixed(step, b[:k, s0:s0 + snp_block],
-                                      variant=variant, transb=True)
+                                      variant=SNP_VARIANT, transb=True)
         if own:
-            gram[:, k:] += gemm_mixed(step, step, variant=variant,
+            gram[:, k:] += gemm_mixed(step, step, variant=SNP_VARIANT,
                                       transb=True)
     return gram
 
@@ -207,12 +218,12 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     """Dense kernel block for rows ``rs`` × columns ``cs``, assembled in
     place in ``out`` (a fresh float64 array when not given).
 
-    ``gram`` is the block's integer SNP Gram when the caller computed it
-    over a larger row group (:meth:`KernelBuilder.iter_cross_rows`);
-    otherwise the block computes its own.  Either way the assembly
-    consumes it: with INT32 norms ``D = d₁ + d₂ − 2G`` is summed in the
-    Gram's own INT32 accumulator and converted to float64 once, at
-    ``×(−γ)``; otherwise it is summed in ``out``.
+    ``gram`` is the block's SNP Gram when the caller computed it over a
+    larger row group (:meth:`KernelBuilder.iter_cross_rows`); otherwise
+    the block computes its own.  Either way the assembly consumes it:
+    with INT32 norms ``D = d₁ + d₂ − 2G`` is summed in the Gram's own
+    INT32 accumulator and converted to float64 once, at ``×(−γ)``;
+    otherwise it is summed in ``out``.
 
     Module-level (rather than a :class:`KernelBuilder` method) so the
     :class:`BuildRowSpec` descriptor can name it with only scalar
@@ -220,42 +231,26 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     and runs the same fused Gram/distance/exponentiation pipeline —
     the INT8 Gram is exact integer arithmetic and the elementwise
     assembly is per-element, so results are bitwise identical for any
-    row batching and any executor.  The IBS kernel (an exact integer
-    L1 sum per element) equals ``ibs_kernel`` under any blocking.
+    row batching and any executor.
     """
     if out is None:
         out = np.empty((rs.stop - rs.start, cs.stop - cs.start))
-    if ctx.ibs_block:
-        # the L1 broadcast is blocked by column tile: its peak
-        # temporary is mb × tile × ns, never rows × cols × ns
-        rows = ctx.q1.array[rs]
-        for c0 in range(cs.start, cs.stop, ctx.ibs_block):
-            c1 = min(c0 + ctx.ibs_block, cs.stop)
-            out[:, c0 - cs.start:c1 - cs.start] = ibs_kernel(
-                rows, ctx.q2.array[c0:c1])
-        return out
     if gram is None:
-        gram = snp_gram(ctx.q1, ctx.q2, ctx.snp_variant, snp_block, rs, cs)
+        gram = snp_gram(ctx.q1, ctx.q2, snp_block, rs, cs)
     if ctx.d1.dtype == np.int32:
         # (max|a| + max|b|)²·ns < 2³¹ bounds every partial sum of
         # −2·G + d₁ + d₂, so INT32 is exact in any order
         dist = np.multiply(gram, -2, out=gram)
-        dist += ctx.d1[rs, None]
-        dist += ctx.d2[None, cs]
-    elif ctx.snp_variant.accumulate_precision.is_integer:
+    else:
         # exact integers in float64: any order gives the same bits
         dist = np.multiply(gram, -2.0, out=out)
-        dist += ctx.d1[rs, None]
-        dist += ctx.d2[None, cs]
-    else:
-        # a float Gram is rounded: keep the order (d₁ + d₂) − 2·G
-        dist = np.add(ctx.d1[rs, None], ctx.d2[None, cs], out=out)
-        dist -= np.multiply(gram, 2.0, out=gram)
+    dist += ctx.d1[rs, None]
+    dist += ctx.d2[None, cs]
 
     # --- confounder FP32 contribution accumulated separately
     if ctx.n_conf:
         gram_c = gemm_mixed(ctx.qc1[rs, :], ctx.qc2[cs, :],
-                            variant=ctx.conf_variant, transb=True)
+                            variant=CONF_VARIANT, transb=True)
         term = np.add(ctx.e1[rs, None], ctx.e2[None, cs])
         term -= np.multiply(gram_c, 2.0, out=gram_c)
         dist = np.add(dist, term, out=out)
@@ -305,10 +300,8 @@ def _group_blocks(ctx: _OperandContext, gamma: float, snp_block: int,
     in place (:meth:`KernelBuilder.iter_cross_rows` says why)."""
     cols = slice(0, ctx.n2)
     g0 = group[0].start
-    gram = (snp_gram(ctx.q1, ctx.q2, ctx.snp_variant, snp_block,
-                     slice(g0, group[-1].stop), cols)
-            if ctx.snp_variant.accumulate_precision.is_integer
-            and not ctx.ibs_block else None)
+    gram = snp_gram(ctx.q1, ctx.q2, snp_block, slice(g0, group[-1].stop),
+                    cols)
     for rows in group:
         block = np.empty((rows.stop - rows.start, ctx.n2))
         for b0 in range(rows.start, rows.stop, tile_size):
@@ -316,7 +309,7 @@ def _group_blocks(ctx: _OperandContext, gamma: float, snp_block: int,
             compute_kernel_rows(
                 ctx, gamma, snp_block, band, cols,
                 out=block[b0 - rows.start:band.stop - rows.start],
-                gram=None if gram is None else gram[b0 - g0:band.stop - g0])
+                gram=gram[b0 - g0:band.stop - g0])
         yield rows, block
 
 
@@ -377,18 +370,14 @@ class TrainOperands:
 
     genotypes: np.ndarray
     confounders: np.ndarray | None
-    snp_precision: Precision
-    confounder_precision: Precision
     q: QuantizedOperand
     d: np.ndarray
     qc: QuantizedOperand | None
     e: np.ndarray | None
 
     def check_compatible(self, train_genotypes: np.ndarray,
-                         train_confounders: np.ndarray | None,
-                         snp_precision: Precision,
-                         confounder_precision: Precision) -> None:
-        """Reject reuse against a different panel or input precision."""
+                         train_confounders: np.ndarray | None) -> None:
+        """Reject reuse against a different panel."""
         if self.genotypes is not train_genotypes:
             raise ValueError(
                 "TrainOperands were prepared for a different training "
@@ -398,11 +387,6 @@ class TrainOperands:
                 and self.confounders is not train_confounders):
             raise ValueError(
                 "TrainOperands were prepared for different confounders")
-        if (self.snp_precision is not snp_precision
-                or self.confounder_precision is not confounder_precision):
-            raise ValueError(
-                "TrainOperands were prepared under different input "
-                "precisions")
 
 
 @dataclass
@@ -428,23 +412,17 @@ class CrossRowBlock:
 class KernelBuilder:
     """Configurable Build-phase driver.
 
+    The kernel is the paper's Gaussian of squared Euclidean distances:
+    the SNP Gram in INT8 with an INT32 accumulator (genotypes must be
+    integers in [−128, 127]), the confounder Gram in FP32.
+
     Parameters
     ----------
-    kernel_type:
-        ``"gaussian"`` (default, the paper's kernel) or ``"ibs"``.
-        Both run the same row tasks, so IBS streams, spills to a
-        store and runs on every execution lane like the Gaussian
-        kernel.  IBS ignores confounders (genotypes alone define it).
     gamma:
         Gaussian bandwidth (paper uses 0.01).
     tile_size:
         Tile edge of the produced kernel matrix (default 256, the
         sessions' default).
-    snp_precision:
-        Input precision of the SNP Gram product (INT8 reproduces the
-        tensor-core path; FP32/FP64 give reference results).
-    confounder_precision:
-        Precision of the confounder Gram accumulation (FP32 in the paper).
     adaptive_rule:
         When given, finished tiles are stored at the precision the rule
         selects (producing the Fig. 4 mosaic); otherwise tiles are stored
@@ -472,11 +450,8 @@ class KernelBuilder:
         bitwise identical to the unbudgeted Build.
     """
 
-    kernel_type: str = "gaussian"
     gamma: float = 0.01
     tile_size: int = 256
-    snp_precision: Precision | str = Precision.INT8
-    confounder_precision: Precision | str = Precision.FP32
     adaptive_rule: AdaptivePrecisionRule | None = None
     storage_precision: Precision | str = Precision.FP32
     snp_block: int = 4096
@@ -485,11 +460,7 @@ class KernelBuilder:
     store: object | None = None
 
     def __post_init__(self) -> None:
-        self.snp_precision = Precision.from_string(self.snp_precision)
-        self.confounder_precision = Precision.from_string(self.confounder_precision)
         self.storage_precision = Precision.from_string(self.storage_precision)
-        if self.kernel_type.lower() not in ("gaussian", "ibs"):
-            raise ValueError("kernel_type must be 'gaussian' or 'ibs'")
         if self.tile_size <= 0:
             raise ValueError("tile_size must be positive")
         if self.runtime is None:
@@ -568,11 +539,6 @@ class KernelBuilder:
                            stats=stats)
 
     # ------------------------------------------------------------------
-    def _conf_variant(self):
-        return variant_for_input(
-            Precision.FP32 if self.confounder_precision is Precision.FP32
-            else Precision.FP64)
-
     def train_operands(self, train_genotypes: np.ndarray,
                        train_confounders: np.ndarray | None = None
                        ) -> TrainOperands:
@@ -586,32 +552,25 @@ class KernelBuilder:
         """
         g2 = np.asarray(train_genotypes)
         q2, d2, qc2, e2 = self._side_operands(g2, train_confounders)
-        return TrainOperands(
-            genotypes=g2, confounders=train_confounders,
-            snp_precision=snp_gram_variant(
-                self.snp_precision).input_precision,
-            confounder_precision=self._conf_variant().input_precision,
-            q=q2, d=d2, qc=qc2, e=e2,
-        )
+        return TrainOperands(genotypes=g2, confounders=train_confounders,
+                             q=q2, d=d2, qc=qc2, e=e2)
 
     def _side_operands(self, g: np.ndarray, c: np.ndarray | None):
         """One operand side, prepared once: the quantized genotypes,
         their squared norms and the confounder Gram inputs."""
-        variant = snp_gram_variant(self.snp_precision)
-        q = QuantizedOperand(g, variant.input_precision)
-        if (variant.accumulate_precision.is_integer and integer_gemm_dtype(
-                q.max_abs(), q.max_abs(), g.shape[1]) is np.float32):
+        q = genotype_operand(g)
+        if integer_gemm_dtype(q.max_abs(), q.max_abs(),
+                              g.shape[1]) is np.float32:
             # the Gram's own bound max|g|²·ns < 2²⁴ makes every partial
             # sum exact in float32; einsum casts in its own small buffers
             d = np.einsum("ij,ij->i", q.array, q.array,
                           dtype=np.float32).astype(np.float64)
         else:
-            d = squared_norms(
-                g, integer=self.snp_precision.is_integer).astype(np.float64)
+            d = squared_norms(q.array).astype(np.float64)
         qc = e = None
         if c is not None:
             c64 = np.asarray(c, dtype=np.float64)
-            qc = QuantizedOperand(c64, self._conf_variant().input_precision)
+            qc = QuantizedOperand(c64, CONF_VARIANT.input_precision)
             e = np.einsum("ij,ij->i", c64, c64)
         return q, d, qc, e
 
@@ -629,19 +588,12 @@ class KernelBuilder:
         n1, n2 = g1.shape[0], g2.shape[0]
         ns = g1.shape[1]
 
-        snp_variant = snp_gram_variant(self.snp_precision)
-        conf_variant = self._conf_variant()
         if train_cache is not None:
             if symmetric:
                 raise ValueError(
                     "train-side operand caching applies to cross kernels "
                     "only")
-            train_cache.check_compatible(
-                g2, c2, snp_variant.input_precision,
-                conf_variant.input_precision)
-        ibs = self.kernel_type.lower() == "ibs"
-        if ibs:
-            c1 = c2 = None  # ignored by IBS, hence not counted either
+            train_cache.check_compatible(g2, c2)
 
         # Prepare each operand side once; row blocks slice shared views.
         q1, d1, qc1, e1 = self._side_operands(g1, c1)
@@ -657,26 +609,22 @@ class KernelBuilder:
         # tasks only ever read shared state; |d₁ + d₂ − 2G| is at most
         # (max|a| + max|b|)²·ns, so under 2³¹ the distances are summed
         # in the Gram's INT32 accumulator
-        if snp_variant.accumulate_precision.is_integer and (
-                q1.max_abs() + q2.max_abs()) ** 2 * ns <= _INT32_MAX:
+        if (q1.max_abs() + q2.max_abs()) ** 2 * ns <= _INT32_MAX:
             d1, d2 = d1.astype(np.int32), d2.astype(np.int32)
         return _OperandContext(
             n1=n1, n2=n2, ns=ns, q1=q1, q2=q2, d1=d1, d2=d2,
             qc1=qc1, qc2=qc2, e1=e1, e2=e2, n_conf=n_conf,
-            snp_variant=snp_variant, conf_variant=conf_variant,
-            ibs_block=self.tile_size if ibs else 0,
         )
 
     def _block_flops(self, ctx: _OperandContext, mb: int, nb: int
                      ) -> tuple[float, dict[Precision, float]]:
         """Operation count of an ``mb × nb`` kernel block, split by precision."""
         flops = gemm_flop_count(mb, nb, ctx.ns)
-        by_prec = {self.snp_precision: flops}
+        by_prec = {Precision.INT8: flops}
         if ctx.n_conf > 0:
             cf = gemm_flop_count(mb, nb, ctx.n_conf)
             flops += cf
-            by_prec[self.confounder_precision] = (
-                by_prec.get(self.confounder_precision, 0.0) + cf)
+            by_prec[Precision.FP32] = cf
         return flops, by_prec
 
     def iter_cross_rows(self, test_genotypes: np.ndarray,
@@ -701,15 +649,14 @@ class KernelBuilder:
         two of them.  The exact part is row-stacked, the float part
         keeps solo shapes:
 
-        * the integer SNP Gram runs once per *row group* — consecutive
+        * the INT8 SNP Gram runs once per *row group* — consecutive
           batches, possibly from several cohorts, of at most
           ``batch_rows`` rows (the largest cohort when ``None``).  It is
           exact integer arithmetic, so its bits do not depend on the
           rows it ran over;
-        * everything that rounds — the FP32 confounder Gram, a float
-          ``snp_precision`` Gram, and the caller's ``K·W`` — runs per
-          tile-row band or per batch, with the block shapes a cohort
-          streamed on its own would use.
+        * everything that rounds — the FP32 confounder Gram and the
+          caller's ``K·W`` — runs per tile-row band or per batch, with
+          the block shapes a cohort streamed on its own would use.
 
         Each band is assembled in place in the yielded block, so the
         peak is the block plus one 4-byte Gram for the group.
@@ -834,7 +781,7 @@ class KernelBuilder:
                     ctx, rs.stop - rs.start, col_end)
                 rt.insert_task(
                     "build_row", *row_accesses,
-                    flops=row_flops, precision=self.snp_precision,
+                    flops=row_flops, precision=Precision.INT8,
                     flops_detail=row_detail, tag=bi,
                     spec=TaskSpec(
                         BuildRowSpec(gamma=self.gamma,

@@ -23,40 +23,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.precision.formats import Precision
-from repro.precision.gemm import GemmVariant, QuantizedOperand, variant_for_input
 
-
-def squared_norms(g: np.ndarray, integer: bool = True) -> np.ndarray:
-    """Per-row squared Euclidean norms (the folded ``d`` vector).
-
-    For integer genotype data the norms are computed exactly in int64;
-    for real-valued confounders in float64.
-    """
-    g = np.asarray(g)
-    if integer:
-        if np.issubdtype(g.dtype, np.integer):
-            # einsum widens to the accumulation dtype internally —
-            # exact, and skips a full int64 copy of the matrix
-            return np.einsum("ij,ij->i", g, g, dtype=np.int64)
-        gi = g.astype(np.int64)
-        return np.einsum("ij,ij->i", gi, gi).astype(np.int64)
-    gf = g.astype(np.float64)
-    return np.einsum("ij,ij->i", gf, gf)
-
-
-def snp_gram_variant(precision: Precision) -> GemmVariant:
-    """The SNP Gram's GEMM variant at input ``precision`` (FP32 for a
-    format other than INT8, FP64, FP32, FP16 and FP8 E4M3)."""
-    return variant_for_input(precision if precision in (
-        Precision.INT8, Precision.FP64, Precision.FP32, Precision.FP16,
-        Precision.FP8_E4M3) else Precision.FP32)
+def squared_norms(g: np.ndarray) -> np.ndarray:
+    """Per-row squared Euclidean norms (the folded ``d`` vector) of an
+    integer genotype panel, exact in int64.  A float panel is a
+    ``TypeError`` (no safe cast to int64), never truncated."""
+    # einsum widens to the accumulation dtype internally —
+    # exact, and skips a full int64 copy of the matrix
+    return np.einsum("ij,ij->i", g, g, dtype=np.int64)
 
 
 def squared_euclidean_gemm(
     g1: np.ndarray,
     g2: np.ndarray | None = None,
-    precision: Precision | str = Precision.INT8,
     snp_block: int = 4096,
 ) -> np.ndarray:
     """All-pairs squared Euclidean distances via the GEMM trick.
@@ -64,14 +43,11 @@ def squared_euclidean_gemm(
     Parameters
     ----------
     g1:
-        ``n1 × ns`` matrix (rows are patients).
+        ``n1 × ns`` integer matrix (rows are patients), values in
+        [−128, 127]: the Gram product is the exact INT8 one.
     g2:
         Optional ``n2 × ns`` matrix; defaults to ``g1`` (the symmetric
         training-kernel case, where the Gram part is a SYRK).
-    precision:
-        Input precision of the Gram product.  ``INT8`` (default) is
-        exact for genotype data; float precisions model pushing
-        real-valued data through the same path.
     snp_block:
         Column blocking of the SNP dimension (keeps INT32 partial sums
         in range and bounds temporary memory, per Sec. VI-B2).
@@ -82,27 +58,21 @@ def squared_euclidean_gemm(
         ``n1 × n2`` matrix of squared distances (float64 container).
         For ``g2 is None`` the diagonal is exactly zero.
     """
-    from repro.distance.build import snp_gram
+    from repro.distance.build import genotype_operand, snp_gram
 
-    precision = Precision.from_string(precision)
     g1 = np.asarray(g1)
     symmetric = g2 is None
     g2v = g1 if symmetric else np.asarray(g2)
     if g2v.shape[1] != g1.shape[1]:
         raise ValueError("G1 and G2 must have the same number of columns")
 
-    integer_input = precision.is_integer
-    d1 = squared_norms(g1, integer=integer_input).astype(np.float64)
-    d2 = d1 if symmetric else squared_norms(g2v, integer=integer_input).astype(np.float64)
-
-    variant = snp_gram_variant(precision)
-    q1 = QuantizedOperand(g1, variant.input_precision)
-    q2 = q1 if symmetric else QuantizedOperand(g2v, variant.input_precision)
-    gram = snp_gram(q1, q2, variant, snp_block, slice(0, len(g1)),
+    q1 = genotype_operand(g1)
+    q2 = q1 if symmetric else genotype_operand(g2v)
+    d1 = squared_norms(q1.array).astype(np.float64)
+    d2 = d1 if symmetric else squared_norms(q2.array).astype(np.float64)
+    gram = snp_gram(q1, q2, snp_block, slice(0, len(g1)),
                     slice(0, len(g2v)))
     dist = d1[:, None] + d2[None, :] - 2.0 * gram
-    # numerical floor: distances cannot be negative; integer path is exact
-    np.maximum(dist, 0.0, out=dist)
     if symmetric:
         np.fill_diagonal(dist, 0.0)
     return dist

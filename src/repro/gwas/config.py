@@ -243,9 +243,6 @@ class RRConfig(_WithOptionsMixin):
         keep the BLAS busy and the task count small).
     precision_plan:
         Mixed-precision plan of the Cholesky factorization.
-    snp_precision:
-        Input precision of the SNP part of the SYRK (INT8 engages the
-        emulated tensor-core path).
     workers:
         Worker threads of the session's task runtime.
     execution:
@@ -267,7 +264,6 @@ class RRConfig(_WithOptionsMixin):
     regularization: float = 1.0
     tile_size: int = 256
     precision_plan: PrecisionPlan = field(default_factory=PrecisionPlan.fp32)
-    snp_precision: Precision = Precision.INT8
     workers: int | None = None
     execution: str | None = None
     task_retries: int | None = None
@@ -281,8 +277,6 @@ class RRConfig(_WithOptionsMixin):
             raise ValueError("tile_size must be positive")
         _validate_resilience_knobs(self)
         _validate_execution_knobs(self)
-        object.__setattr__(self, "snp_precision",
-                           Precision.from_string(self.snp_precision))
 
 
 @dataclass(frozen=True)
@@ -294,22 +288,24 @@ class KRRConfig(_WithOptionsMixin):
     :class:`repro.settings.Settings` snapshot: the environment's value,
     else the library default.
 
+    The kernel is the paper's Gaussian of squared Euclidean distances,
+    its SNP Gram the exact INT8 one (genotypes are integers in
+    [−128, 127]).
+
     Parameters
     ----------
     gamma:
-        Gaussian kernel bandwidth (paper uses 0.01).
+        Gaussian kernel bandwidth (paper uses 0.01), anchored at
+        ``GAMMA_REFERENCE_SNPS``: the bandwidth applied is
+        :meth:`effective_gamma`.
     alpha:
         Regularization added to the kernel diagonal.
-    kernel_type:
-        ``"gaussian"`` or ``"ibs"``.
     tile_size:
         Tile edge of the kernel matrix (default 256: large tiles keep
         the BLAS busy and the task count small, at the price of a
         coarser precision mosaic).
     precision_plan:
         Mixed-precision plan of the Associate phase.
-    snp_precision:
-        Input precision of the distance Gram products (INT8 default).
     workers:
         Worker threads of the session's task runtime — one knob for
         *every* phase (Build row tasks, Cholesky tiles, triangular
@@ -354,21 +350,6 @@ class KRRConfig(_WithOptionsMixin):
         and ``K·W`` on their monolithic block shapes, so the batched
         predictions are bitwise identical to the monolithic path).
         ``None`` processes each cohort in one batch.
-    normalize_gamma:
-        When True (default), γ is rescaled with the SNP count so that
-        ``γ_eff · E[||g_i - g_j||²]`` stays constant across cohorts of
-        different NS: ``γ_eff = γ · NS_REF / NS`` with ``NS_REF = 200``.
-        The paper quotes γ = 0.01 for its fixed NS = 43,333; with the
-        anchor at 200 SNPs the same γ value lands in the informative
-        range of the Gaussian kernel for the scaled-down synthetic
-        cohorts used here (exponent of order one instead of hundreds).
-        Set False to use γ exactly as given.
-    artifact_compress:
-        Default compression of fitted-model artifacts
-        (:meth:`~repro.gwas.model.FittedModel.save`).  Off by default
-        so the artifact's file size reports the precision mosaic's true
-        native-bytes footprint; turn on to trade save/load time for
-        size.
     store_budget_bytes:
         Residency budget of the session's out-of-core tile store.  When
         set, the session creates a :class:`~repro.store.TileStore`, the
@@ -401,18 +382,14 @@ class KRRConfig(_WithOptionsMixin):
 
     gamma: float = 0.01
     alpha: float = 0.5
-    kernel_type: str = "gaussian"
     tile_size: int = 256
     precision_plan: PrecisionPlan = field(default_factory=PrecisionPlan.adaptive_fp16)
-    snp_precision: Precision = Precision.INT8
     workers: int | None = None
     execution: str | None = None
     solver: str | None = None
     cg_tol: float = 1e-8
     cg_max_iters: int = 200
     predict_batch_rows: int | None = 1024
-    normalize_gamma: bool = True
-    artifact_compress: bool = False
     store_budget_bytes: int | None = None
     store_dir: str | None = None
     task_retries: int | None = None
@@ -426,8 +403,6 @@ class KRRConfig(_WithOptionsMixin):
             raise ValueError("alpha must be non-negative")
         if self.predict_batch_rows is not None and self.predict_batch_rows <= 0:
             raise ValueError("predict_batch_rows must be positive (or None)")
-        if self.kernel_type not in ("gaussian", "ibs"):
-            raise ValueError("kernel_type must be 'gaussian' or 'ibs'")
         if self.tile_size <= 0:
             raise ValueError("tile_size must be positive")
         if self.store_budget_bytes is not None and self.store_budget_bytes <= 0:
@@ -443,8 +418,6 @@ class KRRConfig(_WithOptionsMixin):
             raise ValueError("cg_max_iters must be at least 1")
         _validate_resilience_knobs(self)
         _validate_execution_knobs(self)
-        object.__setattr__(self, "snp_precision",
-                           Precision.from_string(self.snp_precision))
 
     # ------------------------------------------------------------------
     # artifact (de)serialization
@@ -462,35 +435,51 @@ class KRRConfig(_WithOptionsMixin):
         return {
             "gamma": self.gamma,
             "alpha": self.alpha,
-            "kernel_type": self.kernel_type,
             "tile_size": self.tile_size,
             "precision_plan": self.precision_plan.to_dict(),
-            "snp_precision": self.snp_precision.value,
             "predict_batch_rows": self.predict_batch_rows,
-            "normalize_gamma": self.normalize_gamma,
-            "artifact_compress": self.artifact_compress,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "KRRConfig":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        An artifact written before the one Build route also carries
+        ``kernel_type``, ``snp_precision``, ``normalize_gamma`` and
+        ``artifact_compress``: the first three load at the one value the
+        Build computes and raise a ``ValueError`` naming the key
+        otherwise; ``artifact_compress`` is dropped.
+        """
         data = dict(data)
+        data.pop("artifact_compress", None)
+        for key, only in (("kernel_type", "gaussian"),
+                          ("snp_precision", "int8"),
+                          ("normalize_gamma", True)):
+            value = data.pop(key, only)
+            if value != only:
+                raise ValueError(
+                    f"artifact config {key}={value!r} is not supported: "
+                    f"the Build computes {key}={only!r} only")
         plan = data.pop("precision_plan", None)
         if plan is not None:
             data["precision_plan"] = PrecisionPlan.from_dict(plan)
         return cls(**data)
 
-    #: SNP count at which ``gamma`` is anchored when ``normalize_gamma``.
+    #: SNP count at which ``gamma`` is anchored.
     GAMMA_REFERENCE_SNPS: ClassVar[float] = 200.0
 
     def effective_gamma(self, n_snps: int) -> float:
-        """γ actually applied, optionally rescaled by the SNP count.
+        """γ actually applied, rescaled by the SNP count.
 
-        With ``normalize_gamma`` the bandwidth keeps ``γ·E[D]`` constant
-        across SNP counts (squared distances grow linearly with NS for
-        0/1/2 genotype data), anchored at ``GAMMA_REFERENCE_SNPS``.
+        The bandwidth keeps ``γ·E[D]`` constant across SNP counts
+        (squared distances grow linearly with NS for 0/1/2 genotype
+        data): ``γ_eff = γ · GAMMA_REFERENCE_SNPS / NS``.  The paper
+        quotes γ = 0.01 for its fixed NS = 43,333; with the anchor at
+        200 SNPs the same γ value lands in the informative range of the
+        Gaussian kernel for the scaled-down synthetic cohorts used here
+        (exponent of order one instead of hundreds).
         """
-        if self.normalize_gamma and n_snps > 0:
+        if n_snps > 0:
             return self.gamma * (self.GAMMA_REFERENCE_SNPS / float(n_snps))
         return self.gamma
 

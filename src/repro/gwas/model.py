@@ -138,10 +138,6 @@ class FittedModel:
     def n_phenotypes(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def kernel_type(self) -> str:
-        return self.config.kernel_type
-
     def resident_bytes(self) -> int:
         """In-memory footprint: precision-aware tile bytes + dense panels.
 
@@ -179,13 +175,13 @@ class FittedModel:
     # ------------------------------------------------------------------
     # (de)serialization
     # ------------------------------------------------------------------
-    def save(self, path: str | Path, compress: bool | None = None) -> Path:
+    def save(self, path: str | Path, compress: bool = False) -> Path:
         """Write the artifact to ``path`` (``.npz`` appended if missing).
 
         Every factor tile is stored in its native precision bytes (see
         :mod:`repro.tiles.serialize`), so the file size reflects the
-        precision mosaic.  ``compress`` defaults to
-        ``config.artifact_compress``.
+        precision mosaic, uncompressed by default; ``compress=True``
+        trades save/load time for size.
         """
         meta = {
             "format": ARTIFACT_FORMAT,
@@ -206,8 +202,6 @@ class FittedModel:
                 self.training_confounders)
         arrays.update(pack_tile_matrix(self.factor, prefix="factor/",
                                        lower_only=True))
-        if compress is None:
-            compress = self.config.artifact_compress
         return write_archive(path, arrays, compress=compress)
 
     @classmethod

@@ -209,10 +209,8 @@ class KRRSession:
         adaptive_rule = (plan.adaptive_rule()
                          if adaptive and plan.mode == "adaptive" else None)
         return KernelBuilder(
-            kernel_type=cfg.kernel_type,
             gamma=gamma,
             tile_size=cfg.tile_size,
-            snp_precision=cfg.snp_precision,
             adaptive_rule=adaptive_rule,
             storage_precision=plan.working_precision,
             runtime=self.runtime,
@@ -568,7 +566,7 @@ class KRRSession:
         integer SNP Gram runs once per row group of up to one batch of
         rows, whichever cohorts those rows belong to, cut so every lane
         of the drain gets a group.
-        Everything that rounds (the confounder Gram, a float SNP Gram,
+        Everything that rounds (the confounder Gram and
         ``K_test_block · W``) keeps the block shapes of each cohort's
         solo :meth:`predict`
         (:meth:`~repro.distance.build.KernelBuilder.iter_cross_rows`).

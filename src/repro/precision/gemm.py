@@ -122,11 +122,6 @@ class GemmVariant:
     accumulate_precision: Precision
     output_precision: Precision
 
-    @property
-    def flops_precision(self) -> Precision:
-        """Precision class used by the performance model for this variant."""
-        return self.input_precision
-
 
 #: Registry of the GEMM variants referenced in the paper.
 _VARIANTS: dict[str, GemmVariant] = {

@@ -154,12 +154,6 @@ class TaskGraph:
     def total_flops(self) -> float:
         return float(sum(t.flops for t in self._tasks))
 
-    def task_counts_by_name(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for t in self._tasks:
-            counts[t.name] = counts.get(t.name, 0) + 1
-        return counts
-
     def __len__(self) -> int:
         return self.num_tasks
 

@@ -218,12 +218,6 @@ class Task:
     def writes(self) -> tuple[DataHandle, ...]:
         return tuple(h for h, m in self.accesses if m.writes)
 
-    def bytes_read(self) -> int:
-        return sum(h.nbytes() for h in self.reads)
-
-    def bytes_written(self) -> int:
-        return sum(h.nbytes() for h in self.writes)
-
     def execute(self) -> None:
         """Run the task in this process: its descriptor, else its body."""
         spec = self.spec

@@ -145,13 +145,6 @@ class ExecutionTrace:
         utils = self.utilization_by_device()
         return sum(utils.values()) / len(utils) if utils else 0.0
 
-    def gantt_rows(self) -> dict[int, list[tuple[float, float, str]]]:
-        """Per-device list of ``(start, end, task_name)`` sorted by start."""
-        rows: dict[int, list[tuple[float, float, str]]] = {}
-        for e in sorted(self.events, key=lambda e: e.start):
-            rows.setdefault(e.device, []).append((e.start, e.end, e.task_name))
-        return rows
-
     def summary(self) -> dict[str, float]:
         """Headline metrics used by tests and reports."""
         return {

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.distance.build import genotype_operand
 from repro.gwas.config import ServeConfig
 from repro.gwas.model import FittedModel
 from repro.gwas.session import KRRSession
@@ -258,7 +259,8 @@ class PredictionService:
         The model is resolved (and its registry recency bumped) at
         submit time, so an eviction between submit and execution cannot
         fail the request.  Cohort/model contract violations (SNP panel
-        width, confounder presence) raise here, synchronously.
+        width, confounder presence, genotypes the INT8 Gram would
+        change) raise here, synchronously.
 
         Degradation: a full admission queue raises
         :class:`~repro.resilience.errors.ServiceOverloadedError`
@@ -287,6 +289,10 @@ class PredictionService:
                 f"request cohort has {genotypes.shape[1]} SNPs; model "
                 f"{entry.key.name!r} v{entry.key.version} expects "
                 f"{fitted.n_snps}")
+        # the genotype range too: a dosage the INT8 Gram would change
+        # fails this caller now, not every request in its micro-batch;
+        # the queued cohort is then int8, so the dispatcher skips it
+        genotypes = genotype_operand(genotypes).array
         if (confounders is None) != (fitted.training_confounders is None):
             raise ValueError(
                 "request confounders must match the model's training "

@@ -396,16 +396,6 @@ class StoreBinding:
                         return True
             return key in self.index
 
-    def data_keys(self) -> set[tuple[int, int]]:
-        """Keys holding data (resident or spilled)."""
-        with self.store._lock:
-            m = self.matrix()
-            keys = set(self.index)
-            if m is not None:
-                with m._grid_lock:
-                    keys.update(m._tiles)
-            return keys
-
     def tile_precision(self, key: tuple[int, int]) -> Precision | None:
         with self.store._lock:
             m = self.matrix()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.distance.build import BuildResult, KernelBuilder
-from repro.distance.euclidean import squared_euclidean_gemm, squared_norms
-from repro.distance.kernels import gaussian_kernel, ibs_kernel
+from repro.distance.euclidean import (squared_euclidean_direct,
+                                      squared_euclidean_gemm, squared_norms)
+from repro.distance.kernels import gaussian_kernel
 from repro.precision.formats import Precision
 from repro.tiles.adaptive import AdaptivePrecisionRule, candidates_for_gpu
 from repro.tiles.matrix import TileMatrix
@@ -50,7 +51,7 @@ class TestTrainingBuild:
         builder = KernelBuilder(gamma=0.03, tile_size=16)
         result = builder.build_training(genotypes, confounders)
         full = np.hstack([genotypes.astype(np.float64), confounders])
-        expected = gaussian_kernel(squared_euclidean_gemm(full, precision="fp64"), 0.03)
+        expected = gaussian_kernel(squared_euclidean_direct(full), 0.03)
         np.testing.assert_allclose(result.to_dense(), expected, rtol=1e-4, atol=1e-4)
 
     def test_adaptive_rule_sets_precision_map(self, genotypes):
@@ -68,16 +69,6 @@ class TestTrainingBuild:
         assert result.flops == pytest.approx(2.0 * n * n * ns, rel=0.6)
         assert Precision.INT8 in result.flops_by_precision
 
-    def test_ibs_kernel_type(self, genotypes):
-        builder = KernelBuilder(kernel_type="ibs", tile_size=16)
-        result = builder.build_training(genotypes)
-        np.testing.assert_allclose(result.to_dense(), ibs_kernel(genotypes),
-                                   atol=1e-12)
-
-    def test_invalid_kernel_type(self):
-        with pytest.raises(ValueError):
-            KernelBuilder(kernel_type="polynomial")
-
     def test_invalid_tile_size(self):
         with pytest.raises(ValueError):
             KernelBuilder(tile_size=0)
@@ -93,17 +84,12 @@ class TestCrossBuild:
         np.testing.assert_allclose(result.to_dense(), expected, rtol=1e-6, atol=1e-6)
         assert result.to_dense().shape == (20, 40)
 
-    @pytest.mark.parametrize("kernel_type", ["gaussian", "ibs"])
-    def test_row_batching_never_changes_a_bit(self, genotypes, kernel_type):
+    def test_row_batching_never_changes_a_bit(self, genotypes):
         """``iter_cross_rows`` equals ``build_cross`` for any batching,
         with or without the shared train-side operands."""
-        builder = KernelBuilder(kernel_type=kernel_type, gamma=0.03,
-                                tile_size=16)
+        builder = KernelBuilder(gamma=0.03, tile_size=16)
         test, train = genotypes[:27], genotypes[27:]
         whole = builder.build_cross(test, train)
-        if kernel_type == "ibs":
-            np.testing.assert_array_equal(whole.kernel,
-                                          ibs_kernel(test, train))
         assert whole.stats.dense_staging_elements == whole.kernel.size
         assert whole.stats.max_dense_temp_elements <= 16 * train.shape[0]
         cache = builder.train_operands(train)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.distance.build import BuildStats, KernelBuilder
 from repro.distance.euclidean import squared_euclidean_gemm, squared_norms
-from repro.distance.kernels import gaussian_kernel, ibs_kernel
+from repro.distance.kernels import gaussian_kernel
 from repro.precision.formats import Precision
 from repro.runtime.runtime import Runtime
 from repro.tiles.adaptive import AdaptivePrecisionRule, candidates_for_gpu
@@ -88,7 +88,7 @@ def _int64_seed_training(genotypes, gamma, tile, snp_block):
         assert int32.min <= prod.min() and prod.max() <= int32.max
         return prod.astype(np.int32)
 
-    d = squared_norms(genotypes, integer=True).astype(np.float64)
+    d = squared_norms(genotypes).astype(np.float64)
     k = np.zeros((n, n), dtype=np.float64)
     for r0 in range(0, n, tile):
         rs = slice(r0, min(r0 + tile, n))
@@ -225,54 +225,59 @@ class TestThreadParallelBuild:
         assert builder.runtime.runs_completed == 1
 
 
-KERNEL_TYPES = ["gaussian", "ibs"]
+class TestTheBuildStreamsOnEveryLane:
+    """The row tasks stream, spill to a store and run on every lane,
+    with and without the FP32 confounder Gram."""
 
-
-@pytest.mark.parametrize("kernel_type", KERNEL_TYPES)
-class TestEveryKernelTypeStreams:
-    """IBS is a row kernel like the Gaussian one: same row tasks, so it
-    streams, spills to a store and runs on every lane for nothing."""
-
-    def _build(self, genotypes, kernel_type, execution="serial", workers=1,
+    def _build(self, genotypes, confounders, execution="serial", workers=1,
                store=None):
         rt = Runtime(execution=execution, workers=workers)
         try:
             return KernelBuilder(
-                kernel_type=kernel_type, gamma=0.03, tile_size=16,
-                runtime=rt, store=store).build_training(genotypes), rt
+                gamma=0.03, tile_size=16, runtime=rt,
+                store=store).build_training(genotypes, confounders), rt
         finally:
             rt.close()
 
-    def test_serial_threaded_process_identical(self, genotypes, kernel_type):
+    @staticmethod
+    def _confounders(genotypes, n_conf):
+        if not n_conf:
+            return None
+        return np.random.default_rng(9).normal(size=(genotypes.shape[0],
+                                                     n_conf))
+
+    @pytest.mark.parametrize("n_conf", [0, 3])
+    def test_serial_threaded_process_identical(self, genotypes, n_conf):
         n = genotypes.shape[0]
-        reference, rt = self._build(genotypes, kernel_type)
+        conf = self._confounders(genotypes, n_conf)
+        reference, rt = self._build(genotypes, conf)
         dense = reference.to_dense()
-        if kernel_type == "ibs":
-            np.testing.assert_array_equal(
-                dense, np.float32(ibs_kernel(genotypes)))
         for execution, workers in (("threaded", 2), ("process", 2)):
-            result, _ = self._build(genotypes, kernel_type, execution, workers)
+            result, _ = self._build(genotypes, conf, execution, workers)
             np.testing.assert_array_equal(result.to_dense(), dense)
             assert result.flops == reference.flops
             assert result.flops_by_precision == reference.flops_by_precision
         assert reference.stats.dense_staging_elements == 0
         assert reference.stats.max_dense_temp_elements <= 16 * n
         # the result's count is a read of the drain the ledger folded:
-        # each row task's rows x lower-triangle width x SNPs product
+        # each row task's rows x lower-triangle width x (SNPs +
+        # confounders) products, the INT8 and the FP32 Gram
         row_ends = [min(r0 + 16, n) for r0 in range(0, n, 16)]
-        expected = sum(2.0 * (end - r0) * end * genotypes.shape[1]
+        expected = sum(2.0 * (end - r0) * end * (genotypes.shape[1] + n_conf)
                        for r0, end in zip(range(0, n, 16), row_ends))
         assert rt.ledger["build"].flops == reference.flops == expected
         assert rt.ledger["build"].flops_by_precision == (
             reference.flops_by_precision)
 
-    def test_store_backed_identical_to_resident(self, genotypes, kernel_type):
+    @pytest.mark.parametrize("n_conf", [0, 3])
+    def test_store_backed_identical_to_resident(self, genotypes, n_conf):
         from repro.store import TileStore
 
-        resident, _ = self._build(genotypes, kernel_type)
+        conf = self._confounders(genotypes, n_conf)
+        resident, _ = self._build(genotypes, conf)
         budget = resident.kernel.nbytes() // 4
         with TileStore(budget_bytes=budget) as store:
-            spilled, _ = self._build(genotypes, kernel_type, "threaded", 2,
+            spilled, _ = self._build(genotypes, conf, "threaded", 2,
                                      store=store)
             np.testing.assert_array_equal(spilled.to_dense(),
                                           resident.to_dense())
@@ -378,16 +383,6 @@ class TestTrainOperands:
         cache = builder.train_operands(train)
         with pytest.raises(ValueError, match="different training"):
             next(builder.iter_cross_rows(small_genotypes[60:], other,
-                                         train_cache=cache))
-
-    def test_foreign_precision_rejected(self, small_genotypes):
-        train = small_genotypes[:60]
-        cache = KernelBuilder(gamma=0.05, tile_size=32,
-                              snp_precision="fp32").train_operands(train)
-        builder = KernelBuilder(gamma=0.05, tile_size=32,
-                                snp_precision="int8")
-        with pytest.raises(ValueError, match="input\\s+precisions"):
-            next(builder.iter_cross_rows(small_genotypes[60:], train,
                                          train_cache=cache))
 
     def test_symmetric_build_rejects_cache(self, small_genotypes):

@@ -10,7 +10,6 @@ from repro.distance.euclidean import (
     squared_euclidean_gemm,
     squared_norms,
 )
-from repro.precision.formats import Precision
 
 
 class TestSquaredNorms:
@@ -18,15 +17,15 @@ class TestSquaredNorms:
         g = np.array([[0, 1, 2], [2, 2, 2]], dtype=np.int8)
         np.testing.assert_array_equal(squared_norms(g), [5, 12])
 
-    def test_float_norms(self):
-        x = np.array([[3.0, 4.0]])
-        assert squared_norms(x, integer=False)[0] == pytest.approx(25.0)
+    def test_float_panel_raises_rather_than_truncates(self):
+        with pytest.raises(TypeError):
+            squared_norms(np.array([[0.5, 1.7]]))
 
 
 class TestGemmTrick:
     def test_matches_direct_for_genotypes(self, small_genotypes):
         g = small_genotypes[:40]
-        gemm_form = squared_euclidean_gemm(g, precision=Precision.INT8)
+        gemm_form = squared_euclidean_gemm(g)
         direct = squared_euclidean_direct(g)
         np.testing.assert_array_equal(gemm_form, direct)
 
@@ -59,16 +58,40 @@ class TestGemmTrick:
         d2 = squared_euclidean_gemm(g, snp_block=4096)
         np.testing.assert_array_equal(d1, d2)
 
-    def test_fp32_path_for_real_data(self, rng):
-        x = rng.normal(size=(20, 10))
-        d = squared_euclidean_gemm(x, precision=Precision.FP32)
-        np.testing.assert_allclose(d, squared_euclidean_direct(x), rtol=1e-4,
-                                   atol=1e-4)
+    @pytest.mark.parametrize("bad", [0.5, 300, -129, 128, -0.25,
+                                     float("nan"), float("inf")])
+    def test_values_the_int8_gram_would_change_raise(self, bad):
+        g = np.zeros((3, 4), dtype=type(bad))  # float64 / int64
+        g[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+            squared_euclidean_gemm(g)
+        # the cross side is checked too
+        with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+            squared_euclidean_gemm(np.zeros((2, 4), dtype=np.int8), g)
 
-    def test_distances_non_negative(self, rng):
-        x = rng.normal(size=(30, 8))
-        d = squared_euclidean_gemm(x, precision=Precision.FP16)
-        assert np.all(d >= 0)
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float32,
+                                       np.float64])
+    def test_any_dtype_of_int8_values_is_the_int8_gram(self, dtype):
+        """A panel of integers in [−128, 127] is accepted in any dtype,
+        the range ends included, and gives the ``int8`` panel's
+        distances bitwise."""
+        rng = np.random.default_rng(21)
+        g8 = rng.integers(-128, 128, size=(9, 13)).astype(np.int8)
+        g8[0, :2] = (-128, 127)
+        d = squared_euclidean_gemm(g8.astype(dtype))
+        np.testing.assert_array_equal(d, squared_euclidean_gemm(g8))
+        np.testing.assert_array_equal(d, squared_euclidean_direct(g8))
+
+    def test_distances_non_negative(self, small_genotypes):
+        """The exact INT8 Gram cancels without a negative residue, even
+        for far-apart extreme codes."""
+        rng = np.random.default_rng(22)
+        g = np.vstack([small_genotypes[:20],
+                       rng.choice(np.array([-128, 127], dtype=np.int8),
+                                  size=(6, small_genotypes.shape[1]))])
+        d = squared_euclidean_gemm(g, snp_block=5)
+        assert (d >= 0).all()
+        np.testing.assert_array_equal(d, squared_euclidean_direct(g))
 
     def test_mismatched_snp_dimension_raises(self, small_genotypes):
         with pytest.raises(ValueError):

@@ -81,7 +81,6 @@ class TestRRConfig:
     def test_defaults(self):
         cfg = RRConfig()
         assert cfg.regularization == 1.0
-        assert cfg.snp_precision is Precision.INT8
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -98,28 +97,28 @@ class TestRRConfig:
 class TestKRRConfig:
     def test_defaults(self):
         cfg = KRRConfig()
-        assert cfg.kernel_type == "gaussian"
         assert cfg.precision_plan.mode == "adaptive"
 
+    @pytest.mark.parametrize("n_snps", [1, 50, 200, 43_333])
+    def test_effective_gamma_is_gamma_times_reference_over_snps(self, n_snps):
+        """γ is always normalized: ``γ · GAMMA_REFERENCE_SNPS / NS``."""
+        cfg = KRRConfig(gamma=0.01)
+        assert cfg.effective_gamma(n_snps) == pytest.approx(
+            0.01 * KRRConfig.GAMMA_REFERENCE_SNPS / n_snps)
+
     def test_effective_gamma_normalization(self):
-        cfg = KRRConfig(gamma=0.01, normalize_gamma=True)
+        cfg = KRRConfig(gamma=0.01)
         anchored = cfg.effective_gamma(int(KRRConfig.GAMMA_REFERENCE_SNPS))
         assert anchored == pytest.approx(0.01)
         # more SNPs -> smaller effective gamma (distances grow with NS)
         assert cfg.effective_gamma(400) < anchored
         assert cfg.effective_gamma(100) > anchored
 
-    def test_effective_gamma_raw(self):
-        cfg = KRRConfig(gamma=0.02, normalize_gamma=False)
-        assert cfg.effective_gamma(10_000) == 0.02
-
     def test_validation(self):
         with pytest.raises(ValueError):
             KRRConfig(gamma=-0.1)
         with pytest.raises(ValueError):
             KRRConfig(alpha=-1.0)
-        with pytest.raises(ValueError):
-            KRRConfig(kernel_type="linear")
         with pytest.raises(ValueError):
             KRRConfig(tile_size=-2)
         for field in ("gamma", "alpha", "cg_tol", "task_timeout_s"):
@@ -152,10 +151,6 @@ class TestWithOptions:
     def test_validation_reruns_on_replace(self):
         with pytest.raises(ValueError):
             KRRConfig().with_options(alpha=-1.0)
-
-    def test_string_precisions_normalized(self):
-        cfg = KRRConfig().with_options(snp_precision="fp32")
-        assert cfg.snp_precision is Precision.FP32
 
 
 class TestPredictBatchRows:
@@ -202,12 +197,45 @@ class TestConfigSerialization:
 
     def test_krr_round_trip(self):
         cfg = KRRConfig(
-            gamma=0.035, alpha=2.5, kernel_type="gaussian", tile_size=32,
+            gamma=0.035, alpha=2.5, tile_size=32,
             precision_plan=PrecisionPlan.adaptive_fp8(accuracy=0.3),
-            snp_precision="fp32", predict_batch_rows=256,
-            normalize_gamma=False, artifact_compress=True)
+            predict_batch_rows=256)
         back = KRRConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    #: the config an artifact written before the one Build route embeds
+    PARENT_FORMAT = {
+        "gamma": 0.035, "alpha": 2.5, "kernel_type": "gaussian",
+        "tile_size": 32,
+        "precision_plan": PrecisionPlan.adaptive_fp8(accuracy=0.3).to_dict(),
+        "snp_precision": "int8", "predict_batch_rows": 256,
+        "normalize_gamma": True, "artifact_compress": True}
+
+    def test_parent_format_loads(self):
+        back = KRRConfig.from_dict(self.PARENT_FORMAT)
+        assert back == KRRConfig(
+            gamma=0.035, alpha=2.5, tile_size=32,
+            precision_plan=PrecisionPlan.adaptive_fp8(accuracy=0.3),
+            predict_batch_rows=256)
+        assert KRRConfig.from_dict(back.to_dict()) == back
+
+    @pytest.mark.parametrize("key, value", [
+        ("kernel_type", "gaussian"), ("snp_precision", "int8"),
+        ("normalize_gamma", True), ("artifact_compress", True),
+        ("artifact_compress", False)])
+    def test_each_parent_key_loads_alone(self, key, value):
+        cfg = KRRConfig(gamma=0.02, tile_size=64)
+        back = KRRConfig.from_dict({**cfg.to_dict(), key: value})
+        assert back == cfg
+        assert key not in back.to_dict()
+
+    @pytest.mark.parametrize("key, value", [
+        ("kernel_type", "ibs"), ("snp_precision", "fp32"),
+        ("normalize_gamma", False), ("kernel_type", "laplacian"),
+        ("snp_precision", "fp16")])
+    def test_parent_format_other_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            KRRConfig.from_dict({**self.PARENT_FORMAT, key: value})
 
     def test_runtime_knobs_not_serialized(self):
         cfg = KRRConfig(workers=7, execution="serial")

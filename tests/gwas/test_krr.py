@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from repro.distance.build import KernelBuilder
-from repro.distance.euclidean import squared_euclidean_gemm
+from repro.distance.euclidean import squared_euclidean_direct
 from repro.distance.kernels import gaussian_kernel
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.gwas.session import KRRSession
-from repro.precision.formats import Precision
 from repro.tiles.matrix import TileMatrix
 
 
 def _reference_krr(g_train, y_train, g_test, gamma, alpha):
     """Direct FP64 KRR (no tiling, no mixed precision)."""
-    k = gaussian_kernel(squared_euclidean_gemm(g_train, precision="fp64"), gamma)
+    k = gaussian_kernel(squared_euclidean_direct(g_train), gamma)
     y_mean = y_train.mean(axis=0)
     w = np.linalg.solve(k + alpha * np.eye(k.shape[0]), y_train - y_mean)
     k_test = gaussian_kernel(
-        squared_euclidean_gemm(g_test, g_train, precision="fp64"), gamma)
+        squared_euclidean_direct(g_test, g_train), gamma)
     return k_test @ w + y_mean
 
 
@@ -51,12 +50,13 @@ class TestPhases:
 
     def test_fit_predict_matches_reference_in_high_precision(self, cohort_arrays):
         train, test = cohort_arrays
-        cfg = KRRConfig(tile_size=52, alpha=0.5, gamma=0.02, normalize_gamma=False,
-                        precision_plan=PrecisionPlan.fp64(),
-                        snp_precision=Precision.INT8)
+        cfg = KRRConfig(tile_size=52, alpha=0.5, gamma=0.02,
+                        precision_plan=PrecisionPlan.fp64())
         pred = KRRSession(cfg).fit_predict(train.genotypes, train.phenotypes, test.genotypes)
         reference = _reference_krr(train.genotypes, train.phenotypes,
-                                   test.genotypes, 0.02, 0.5)
+                                   test.genotypes,
+                                   cfg.effective_gamma(train.genotypes.shape[1]),
+                                   0.5)
         np.testing.assert_allclose(pred, reference, rtol=1e-4, atol=1e-4)
 
     def test_adaptive_fp16_close_to_fp32(self, cohort_arrays):
@@ -169,7 +169,7 @@ class TestLibraryDefaultTile:
             session.fit(g, y)
             edge = -(-n // 256)
             assert session.kernel_.layout.grid_shape == (edge, edge)
-            k = gaussian_kernel(squared_euclidean_gemm(g, precision="fp64"),
+            k = gaussian_kernel(squared_euclidean_direct(g),
                                 cfg.effective_gamma(g.shape[1]))
             expected = np.linalg.solve(k + cfg.alpha * np.eye(n),
                                        y - y.mean(axis=0))

@@ -123,6 +123,29 @@ class TestBitwiseRoundTrip:
         loaded = FittedModel.load(path)
         assert np.array_equal(_restored(loaded, "predict", g_test), ref)
 
+    def test_parent_format_artifact_predicts_bitwise(self, cohort,
+                                                     tmp_path):
+        """An artifact whose config still carries the retired kernel,
+        SNP-precision, γ-normalization and compression keys loads, and
+        predicts exactly like the session that wrote it."""
+        from repro.tiles.serialize import (meta_from_array, meta_to_array,
+                                           write_archive)
+
+        _, _, g_test = cohort
+        session = _fitted(cohort, PrecisionPlan.adaptive_fp8())
+        ref = session.predict(g_test)
+        path = session.export_model().save(tmp_path / "model")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = meta_from_array(arrays["meta_json"])
+        meta["config"].update(kernel_type="gaussian", snp_precision="int8",
+                              normalize_gamma=True, artifact_compress=True)
+        arrays["meta_json"] = meta_to_array(meta)
+        parent = write_archive(tmp_path / "parent", arrays)
+        loaded = FittedModel.load(parent)
+        assert loaded.config == session.config
+        assert np.array_equal(_restored(loaded, "predict", g_test), ref)
+
     def test_artifact_keeps_its_tile_size(self, cohort, tmp_path):
         """A tile-64 artifact loads and predicts at 64, not the default."""
         _, _, g_test = cohort
@@ -212,14 +235,11 @@ class TestArtifactFootprint:
         assert np.array_equal(FittedModel.load(packed).weights,
                               FittedModel.load(raw).weights)
 
-    def test_config_artifact_compress_default(self, cohort, tmp_path):
-        g_train, y, _ = cohort
-        session = KRRSession(KRRConfig(tile_size=64, artifact_compress=True))
-        session.fit(g_train, y)
-        model = session.export_model()
-        compressed = model.save(tmp_path / "default")
-        explicit_raw = model.save(tmp_path / "raw", compress=False)
-        assert compressed.stat().st_size < explicit_raw.stat().st_size
+    def test_save_is_uncompressed_by_default(self, cohort, tmp_path):
+        model = _fitted(cohort, PrecisionPlan.fp32()).export_model()
+        default = model.save(tmp_path / "default")
+        raw = model.save(tmp_path / "raw", compress=False)
+        assert default.stat().st_size == raw.stat().st_size
 
 
 class TestIOWiring:

@@ -33,7 +33,7 @@ class TestFit:
         x, y = linear_problem
         model = RRSession(RRConfig(
             regularization=5.0, tile_size=8,
-            precision_plan=PrecisionPlan.fp64(), snp_precision=Precision.INT8))
+            precision_plan=PrecisionPlan.fp64()))
         fitted = model.fit(x, y)
         reference = _reference_ridge(x, y, 5.0)
         np.testing.assert_allclose(fitted.beta_, reference, rtol=1e-4, atol=1e-5)

@@ -45,8 +45,7 @@ def _seed_dense_fit_predict(cfg: KRRConfig, g_train, y, g_test):
     plan = cfg.precision_plan
     gamma = cfg.effective_gamma(g_train.shape[1])
     builder = KernelBuilder(
-        kernel_type=cfg.kernel_type, gamma=gamma, tile_size=cfg.tile_size,
-        snp_precision=cfg.snp_precision,
+        gamma=gamma, tile_size=cfg.tile_size,
         adaptive_rule=plan.adaptive_rule() if plan.mode == "adaptive" else None,
         storage_precision=plan.working_precision)
     build = builder.build_training(g_train)
@@ -66,8 +65,7 @@ def _seed_dense_fit_predict(cfg: KRRConfig, g_train, y, g_test):
                                   precision=plan.working_precision),
                    dtype=np.float64)
     pbuilder = KernelBuilder(
-        kernel_type=cfg.kernel_type, gamma=gamma, tile_size=cfg.tile_size,
-        snp_precision=cfg.snp_precision,
+        gamma=gamma, tile_size=cfg.tile_size,
         storage_precision=plan.working_precision)
     cross = pbuilder.build_cross(g_test, g_train, None, None)
     k_test = cross.to_dense()
@@ -616,15 +614,47 @@ class TestGridSearchTieBreaking:
         assert result.best_gamma == 0.001
 
 
+class TestGenotypesTheInt8GramWouldChange:
+    """A dosage off the integers or a code outside [-128, 127] is a
+    ``ValueError`` at every entry to the INT8 Gram, never rounded or
+    clipped in silence."""
+
+    @staticmethod
+    def _bad(value, rows=8, ns=12):
+        g = np.ones((rows, ns), dtype=type(value))  # float64 / int64
+        g[rows // 2, ns // 2] = value
+        return g
+
+    @pytest.mark.parametrize("value", [0.5, 300, -129, float("nan")])
+    def test_build_predict_and_predict_many_raise(self, value):
+        rng = np.random.default_rng(17)
+        g = rng.integers(0, 3, size=(32, 12)).astype(np.int8)
+        y = rng.standard_normal((32, 1))
+        session = KRRSession(KRRConfig(tile_size=16))
+        try:
+            with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+                session.build(self._bad(value, rows=32))
+            session.fit(g, y)
+            with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+                session.predict(self._bad(value))
+            with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+                session.predict_many([g[:4], self._bad(value)])
+            # the same values as integers of another dtype are accepted
+            assert np.array_equal(session.predict(g.astype(np.float64)),
+                                  session.predict(g))
+        finally:
+            session.close()
+
+
 class TestPredictMany:
     """The micro-batch primitive underneath repro.serve."""
 
     @pytest.mark.parametrize("options, n_conf", [
         ({}, 0),
         ({}, 3),
-        ({"kernel_type": "ibs"}, 0),
-        ({"snp_precision": "fp32"}, 0),   # a float Gram: no stacking
-        ({"snp_precision": "fp32"}, 3),
+        ({"execution": "threaded", "workers": 2}, 3),  # groups cut to 2 lanes
+        ({"store_budget_bytes": 1 << 18}, 3),          # spilled weights
+        ({"precision_plan": PrecisionPlan.adaptive_fp8()}, 0),
     ])
     def test_bitwise_equal_to_solo_predicts(self, cohort_512, options,
                                             n_conf):
@@ -651,24 +681,22 @@ class TestPredictMany:
                 assert np.array_equal(out, ref)
                 assert np.array_equal(out, batched.predict(g, c))
 
-    @pytest.mark.parametrize("snp_precision, gram_rows", [
-        ("int8", [8 * 64]),      # one exact Gram for the micro-batch
-        ("fp32", [64] * 8),      # a float Gram keeps solo band shapes
+    @pytest.mark.parametrize("cohort_rows", [
+        [64] * 8,                          # tile-aligned
+        [1, 33, 64, 0, 130, 7, 63, 214],   # ragged, one empty
     ])
-    def test_eight_tile_cohorts_issue_one_snp_gram(
-            self, cohort_512, monkeypatch, snp_precision, gram_rows):
+    def test_eight_tile_cohorts_issue_one_snp_gram(self, cohort_512,
+                                                   monkeypatch, cohort_rows):
         from repro.distance import build
 
         g_train, y, _ = cohort_512
         # serial: the Gram runs inside the Predict task, which a process
         # lane would run where this spy cannot see it
-        session = KRRSession(KRRConfig(tile_size=64,
-                                       snp_precision=snp_precision,
-                                       execution="serial"))
+        session = KRRSession(KRRConfig(tile_size=64, execution="serial"))
         session.fit(g_train, y)
         rng = np.random.default_rng(15)
-        cohorts = [rng.integers(0, 3, size=(64, g_train.shape[1])).astype(np.int8)
-                   for _ in range(8)]
+        cohorts = [rng.integers(0, 3, size=(m, g_train.shape[1])).astype(np.int8)
+                   for m in cohort_rows]
         refs = [session.predict(c) for c in cohorts]
         rows = []
         real = build.gemm_mixed
@@ -679,7 +707,7 @@ class TestPredictMany:
 
         monkeypatch.setattr(build, "gemm_mixed", counting)
         outs = session.predict_many(cohorts)
-        assert rows == gram_rows
+        assert rows == [sum(cohort_rows)]  # one exact Gram for the micro-batch
         assert all(np.array_equal(o, r) for o, r in zip(outs, refs))
 
     def test_one_gemm_per_row_group_and_one_per_cohort(self, cohort_512,

@@ -51,9 +51,6 @@ class TestVariantRegistry:
     def test_variant_for_input(self, precision, expected):
         assert variant_for_input(precision).name == expected
 
-    def test_flops_precision_property(self):
-        assert gemm_variant("FP16_FP32ACC").flops_precision is Precision.FP16
-
 
 class TestIntegerGemm:
     def test_exact_for_genotype_data(self, rng):

@@ -110,11 +110,6 @@ class TestGraphQueries:
         assert g.total_flops() == 9.0
         assert critical_path(g, flops) == 7.0  # src -> r -> sink
 
-    def test_task_counts_by_name(self):
-        g, _ = self._diamond()
-        counts = g.task_counts_by_name()
-        assert counts == {"src": 1, "l": 1, "r": 1, "sink": 1}
-
     def test_len_and_precision_default(self):
         g, _ = self._diamond()
         assert len(g) == 4

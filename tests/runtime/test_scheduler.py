@@ -190,13 +190,3 @@ class TestRuntimeExecution:
         assert rt.num_tasks() == 0
         assert rt.data("a") is a
 
-    def test_gantt_rows_sorted(self):
-        rt = Runtime(workers=2)
-        a = rt.register_data("a", payload=1.0)
-        for i in range(3):
-            rt.insert_task(f"t{i}", (a, AccessMode.READWRITE), flops=10.0)
-        result = rt.run()
-        rows = result.trace.gantt_rows()
-        for events in rows.values():
-            starts = [s for s, _, _ in events]
-            assert starts == sorted(starts)

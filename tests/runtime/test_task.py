@@ -83,13 +83,6 @@ class TestTask:
         t = Task("empty", ())
         t.execute()  # must not raise
 
-    def test_byte_accounting(self):
-        a = DataHandle("A", shape=(4, 4), precision=Precision.FP32)
-        b = DataHandle("B", shape=(4, 4), precision=Precision.FP16)
-        t = Task("k", ((a, AccessMode.READ), (b, AccessMode.WRITE)))
-        assert t.bytes_read() == 64
-        assert t.bytes_written() == 32
-
 
 @dataclass(frozen=True)
 class _Sum(BodySpec):

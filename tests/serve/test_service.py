@@ -359,6 +359,24 @@ class TestReviewRegressions:
                 cohort, confounders=np.zeros((cohort.shape[0], 3)))
         assert ok.result(timeout=60).rows == cohort.shape[0]
 
+    @pytest.mark.parametrize("value", [0.5, float("nan"), 300])
+    def test_genotypes_the_int8_gram_would_change_rejected_at_submit(
+            self, model, request_cohorts, solo_predictions, value):
+        bad = request_cohorts[1].astype(np.float64)
+        bad[3, 5] = value
+        service = PredictionService(model, autostart=False)
+        first = service.submit(request_cohorts[0])
+        with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+            service.submit(bad)
+        # an integer panel of another dtype is accepted, queued as int8
+        second = service.submit(request_cohorts[2].astype(np.int64))
+        service.close()  # one micro-batch: the rejected cohort is not in it
+        assert np.array_equal(first.result(timeout=60).predictions,
+                              solo_predictions[0])
+        assert np.array_equal(second.result(timeout=60).predictions,
+                              solo_predictions[2])
+        assert service.stats.failures == 0
+
     def test_close_without_start_drains_the_backlog(self, model,
                                                     request_cohorts,
                                                     solo_predictions):

@@ -326,7 +326,8 @@ class TestCopyOnWriteWorkspace:
             full.attach_store(store)
             work = full.unpacked_lower()
             lower = set(full.layout.iter_lower_tiles())
-            assert work._binding.data_keys() == lower
+            assert {key for key in full.layout.iter_tiles()
+                    if work._binding.has_data(key)} == lower
             dense = full.to_dense()
             for i, j in full.layout.iter_tiles():
                 rs, cs = full.layout.tile_slice(i, j)

@@ -1,12 +1,13 @@
 """One blocked integer Gram, exact: the streamed INT8 SNP Gram and the
-INT32 distance assembly.
+INT32 distance assembly, on the one Build route.
 
 ``distance/build.py::snp_gram`` is the only place that walks the SNP
 axis in ``snp_block`` columns — the Build, the Predict and
 ``squared_euclidean_gemm`` all call it.  Each step casts only its block
 and accumulates exactly in INT32, so the streamed Gram equals one
 unblocked ``integer_backend("int64")`` product, and the INT32 assembly
-of ``D = d₁ + d₂ − 2G`` equals the float64 one bit for bit.
+of ``D = d₁ + d₂ − 2G`` equals the float64 one bit for bit.  It is the
+only Gram: no kernel, SNP precision or Gram variant is selectable.
 """
 
 import ast
@@ -18,16 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance import build
-from repro.distance.build import KernelBuilder, compute_kernel_rows, snp_gram
-from repro.distance.euclidean import (snp_gram_variant,
-                                      squared_euclidean_direct,
+from repro.distance.build import (SNP_VARIANT, KernelBuilder,
+                                  compute_kernel_rows, snp_gram)
+from repro.distance.euclidean import (squared_euclidean_direct,
                                       squared_euclidean_gemm)
 from repro.distance.kernels import gaussian_kernel
 from repro.precision.formats import Precision
 from repro.precision.gemm import QuantizedOperand, gemm_mixed, integer_backend
-from tests.runtime.test_one_drain import _sites
+from tests.runtime.test_one_drain import SRC, _sites
 
-INT8 = snp_gram_variant(Precision.INT8)
 #: ns relative to the block B: one SNP, B−1, B, B+1 and 3B+5
 NS_CASES = (lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1,
             lambda b: 3 * b + 5)
@@ -41,7 +41,8 @@ def _panel(seed, rows, ns, extremes):
 
 def _int64_reference(q1, q2, rs, cs):
     with integer_backend("int64"):
-        return gemm_mixed(q1[rs, :], q2[cs, :], variant=INT8, transb=True)
+        return gemm_mixed(q1[rs, :], q2[cs, :], variant=SNP_VARIANT,
+                          transb=True)
 
 
 @st.composite
@@ -70,12 +71,12 @@ def test_streamed_gram_equals_the_int64_reference(case):
     g1, g2, block, rs, cs, kind = case
     q1 = QuantizedOperand(g1, Precision.INT8)
     q2 = q1 if kind != "cross" else QuantizedOperand(g2, Precision.INT8)
-    gram = snp_gram(q1, q2, INT8, block, rs, cs)
+    gram = snp_gram(q1, q2, block, rs, cs)
     assert gram.dtype == np.int32
     assert np.array_equal(gram, _int64_reference(q1, q2, rs, cs))
     # the int64 backend streams to the same integers
     with integer_backend("int64"):
-        assert np.array_equal(snp_gram(q1, q2, INT8, block, rs, cs), gram)
+        assert np.array_equal(snp_gram(q1, q2, block, rs, cs), gram)
 
 
 @given(gram_cases(), st.booleans())
@@ -133,7 +134,7 @@ def test_a_gram_within_one_block_is_one_gemm_mixed_call(monkeypatch, ns,
 
     monkeypatch.setattr(build, "gemm_mixed", spy)
     q = QuantizedOperand(_panel(1, 12, ns, False), Precision.INT8)
-    snp_gram(q, q, INT8, 16, slice(8, 12), slice(0, 12))
+    snp_gram(q, q, 16, slice(8, 12), slice(0, 12))
     assert len(seen) == calls
     if calls > 1:
         assert [same for *_, same in seen] == [False, True, False, True]
@@ -159,3 +160,37 @@ def test_a_gemm_operation_count_is_defined_once():
         return factors == 3 and isinstance(node, ast.Constant) \
             and node.value == 2
     assert _sites(two_m_n_k) == ["precision/gemm.py:gemm_flop_count"]
+
+
+#: the knobs of the retired second kernel and float SNP Gram
+RETIRED_KNOBS = {"kernel_type", "snp_precision", "confounder_precision",
+                 "normalize_gamma", "artifact_compress"}
+
+
+def test_no_kernel_or_gram_knob_is_declared():
+    """No field, attribute, parameter or property of ``src/repro`` is
+    named after a retired knob (``KRRConfig.from_dict`` still reads them
+    from old artifacts, as strings)."""
+    def declares(node):
+        if isinstance(node, ast.arg):
+            return node.arg in RETIRED_KNOBS
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name in RETIRED_KNOBS
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            return any(getattr(t, "id", getattr(t, "attr", None))
+                       in RETIRED_KNOBS for t in targets)
+        return False
+    assert _sites(declares) == []
+
+
+def test_the_gram_takes_no_variant_argument():
+    tree = ast.parse((SRC / "distance" / "build.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("snp_gram", "compute_kernel_rows"):
+        args = functions[name].args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            assert "variant" not in arg.arg
+            assert "GemmVariant" not in ast.dump(arg)

@@ -65,17 +65,6 @@ def test_per_precision_counts_are_added_up_in_two_functions():
     ]
 
 
-def test_ibs_is_dispatched_in_one_function_of_the_build():
-    def compares_to_ibs(node):
-        return isinstance(node, ast.Compare) and any(
-            isinstance(part, ast.Constant) and part.value == "ibs"
-            for part in ast.walk(node))
-    sites = [s for s in _sites(compares_to_ibs)
-             if s.startswith("distance/build.py:")]
-    assert sites == ["distance/build.py:__post_init__",
-                     "distance/build.py:_prepare_operands"]
-
-
 def test_the_sessions_hold_no_flop_state():
     for cls, views in ((KRRSession, ("phase_flops", "flops_by_precision")),
                        (RRSession, ("flops_", "flops_by_precision"))):

@@ -64,8 +64,7 @@ def _reference(session, genotypes, confounders, sizes):
     cfg = session.config
     wp = cfg.precision_plan.working_precision
     batch, _ = _groups(session, sizes)
-    builder = KernelBuilder(gamma=session.gamma_, tile_size=TILE,
-                            snp_precision=cfg.snp_precision)
+    builder = KernelBuilder(gamma=session.gamma_, tile_size=TILE)
     predictions = np.empty((genotypes.shape[0], NPH))
     flops = {}
     for block in builder.iter_cross_rows(
