@@ -27,12 +27,11 @@ handful of single tiles, tracked in :class:`BuildStats` so tests can
 assert the memory behaviour.
 
 Concurrency is owned by the task runtime, not by this module: each
-block row of tiles becomes a *row task* (the Gram/distance/kernel
-pipeline, BLAS releases the GIL) and a *consume task* (streaming the
-finished row into tile storage).  Consume tasks read-write the shared
-output handle, so the derived dependency chain serializes all
-container mutation on one worker while row tasks of different rows
-execute out of order.
+block row of tiles becomes one *row task* — the Gram/distance/kernel
+pipeline (BLAS releases the GIL) whose ``on_complete`` streams the
+finished row into tile storage.  Row tasks of different rows execute
+out of order; the container takes concurrent stores of distinct tiles
+under its own lock (or the store's).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.precision.gemm import (
 )
 from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import ScheduleResult
-from repro.runtime.task import AccessMode, BodySpec, ObjectInput, TaskSpec
+from repro.runtime.task import BodySpec, ObjectInput, TaskSpec
 from repro.tiles.adaptive import AdaptivePrecisionRule, _decide_from_norms
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
@@ -109,10 +108,6 @@ class BuildStats:
     max_dense_temp_elements: int = 0
     dense_staging_elements: int = 0
     tile_tasks: int = 0
-
-    def note_temp(self, n_elements: int) -> None:
-        if n_elements > self.max_dense_temp_elements:
-            self.max_dense_temp_elements = n_elements
 
 
 @dataclass
@@ -261,21 +256,23 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     return gaussian_kernel(dist, gamma, out=out)
 
 
-def _row_groups(sizes: list[int], batch_rows: int | None,
+def _row_groups(sizes: list[int], batch_rows: int | None, tile_size: int,
                 lanes: int = 1) -> list[list[slice]]:
     """The predict batches of row-stacked cohorts, in row groups: one
     per lane of a drain ``lanes`` wide or more, batches permitting.
 
     Each cohort of ``sizes`` is cut into batches of ``batch_rows`` rows
-    (whole when ``None``); an empty cohort has no batch.  Consecutive
-    batches then join one group while it holds at most
-    ``min(batch_rows, ceil(rows / lanes))`` rows (``batch_rows`` is the
-    largest cohort when ``None``) and the batches left outnumber the
-    lanes left without a group.  A batch above the limit is a group of
-    its own.  With ``lanes=1`` a group holds up to ``batch_rows`` rows.
+    rounded down to whole tiles, at least one (whole when ``None``), so
+    the FP32 confounder Gram keeps the unbatched kernel's band shapes (a
+    sub-tile batch would make it a GEMV); an empty cohort has no batch.
+    Consecutive batches then join one group while it holds at most
+    ``min(batch, ceil(rows / lanes))`` rows (the batch is the largest
+    cohort when ``None``) and the batches left outnumber the lanes left
+    without a group.  A batch above the limit is a group of its own.
+    With ``lanes=1`` a group holds up to one batch of rows.
     """
     cut = max(1, max(sizes, default=0) if batch_rows is None
-              else int(batch_rows))
+              else max(1, int(batch_rows) // tile_size) * tile_size)
     limit = max(1, min(cut, -(-sum(sizes) // lanes)))
     batches = [slice(r0, min(r0 + cut, start + m)) for start, m in
                zip(accumulate(sizes, initial=0), sizes)
@@ -638,7 +635,8 @@ class KernelBuilder:
         """Stream the rectangular test-vs-train kernel in row batches.
 
         Operands are quantized once, then ``batch_rows`` test
-        individuals at a time (the whole cohort when ``None``) flow
+        individuals at a time, rounded down to whole tiles and at least
+        one (the whole cohort when ``None``; :func:`_row_groups`), flow
         through the Gram/distance/kernel pipeline.  Values equal
         :meth:`build_cross` for any batching; the blocks are the ones a
         session's Predict multiplies by ``W``, from the same per-group
@@ -650,8 +648,8 @@ class KernelBuilder:
         keeps solo shapes:
 
         * the INT8 SNP Gram runs once per *row group* — consecutive
-          batches, possibly from several cohorts, of at most
-          ``batch_rows`` rows (the largest cohort when ``None``).  It is
+          batches, possibly from several cohorts, of at most one batch
+          of rows (the largest cohort when ``None``).  It is
           exact integer arithmetic, so its bits do not depend on the
           rows it ran over;
         * everything that rounds — the FP32 confounder Gram and the
@@ -674,7 +672,7 @@ class KernelBuilder:
         ctx = self._prepare_operands(test_genotypes, train_genotypes,
                                      test_confounders, train_confounders,
                                      symmetric=False, train_cache=train_cache)
-        for group in _row_groups(sizes, batch_rows):
+        for group in _row_groups(sizes, batch_rows, self.tile_size):
             for rows, block in _group_blocks(ctx, self.gamma, self.snp_block,
                                              self.tile_size, group):
                 flops, _ = self._block_flops(ctx, rows.stop - rows.start, n2)
@@ -731,56 +729,33 @@ class KernelBuilder:
         a (tile_size x ns) @ (ns x row_width) dgemm — large enough for
         BLAS to reach peak — while the peak dense temporary stays at
         one tile row.  For the symmetric case a row task covers only
-        the lower-triangle width.  Row tasks read the shared operand
-        context and write their own row handle, so the scheduler runs
-        them out of order; the per-row *consume tasks* read-write the
-        output handle, which derives a WAW/RAW chain serializing all
-        container mutation in row order.
+        the lower-triangle width.  Row tasks only read the shared
+        operand context, so the scheduler runs them out of order; each
+        hands its row to ``consume`` tile by tile as it completes
+        (``TaskSpec.on_complete``, on its lane or the process
+        coordinator), so a row is dead before its lane takes the next.
         """
         ctx = self._prepare_operands(g1, g2, c1, c2, symmetric)
-        n2 = ctx.n2
-        layout = TileLayout(rows=ctx.n1, cols=n2, tile_size=self.tile_size)
+        layout = TileLayout(rows=ctx.n1, cols=ctx.n2, tile_size=self.tile_size)
+        stats.tile_tasks = layout.tile_rows
+
+        def store_row(bi: int, row_k: np.ndarray) -> None:
+            for bj in range(bi + 1 if symmetric else layout.tile_cols):
+                consume((bi, bj), row_k[:, layout.tile_slice(bi, bj)[1]])
 
         rt = self.runtime
-        stats.tile_tasks = layout.tile_rows
-        # Bounded submission window, expressed as dataflow: row task bi
-        # reads the handle that consume task bi-window read-writes, so
-        # at most `window` row payloads are ever in flight.
-        window = max(rt.workers * 4, 1)
-
-        def make_consume_body(row_h, bi: int, col_tiles: int):
-            def body(row_k, _sink):
-                # the consume chain is serialized by the scheduler, so
-                # stats mutation needs no further synchronization
-                stats.note_temp(row_k.size)
-                for bj in range(col_tiles):
-                    cs = layout.tile_slice(bi, bj)[1]
-                    consume((bi, bj), row_k[:, cs])
-                # the row block is dead once streamed into tile storage
-                row_h.payload = None
-            return body
-
         with rt.dag("build") as ns:
-            ctx_h = rt.register_data(f"{ns}operands", shape=())
-            out_h = rt.register_data(f"{ns}K", shape=())
-            row_handles = []
+            operands = (ObjectInput(ctx, key=f"{ns}operands"),)
             for bi in range(layout.tile_rows):
                 rs = layout.tile_slice(bi, 0)[0]
-                col_end = (min((bi + 1) * layout.tile_size, n2) if symmetric
-                           else n2)
-                col_tiles = (bi + 1) if symmetric else layout.tile_cols
-                row_h = rt.register_data(f"{ns}row({bi})",
-                                         shape=(rs.stop - rs.start, col_end))
-                row_handles.append(row_h)
-                row_accesses = [(ctx_h, AccessMode.READ),
-                                (row_h, AccessMode.WRITE)]
-                if bi >= window:
-                    row_accesses.append(
-                        (row_handles[bi - window], AccessMode.READ))
-                row_flops, row_detail = self._block_flops(
-                    ctx, rs.stop - rs.start, col_end)
+                col_end = (min((bi + 1) * layout.tile_size, ctx.n2)
+                           if symmetric else ctx.n2)
+                mb = rs.stop - rs.start
+                stats.max_dense_temp_elements = max(
+                    stats.max_dense_temp_elements, mb * col_end)
+                row_flops, row_detail = self._block_flops(ctx, mb, col_end)
                 rt.insert_task(
-                    "build_row", *row_accesses,
+                    "build_row",
                     flops=row_flops, precision=Precision.INT8,
                     flops_detail=row_detail, tag=bi,
                     spec=TaskSpec(
@@ -788,15 +763,7 @@ class KernelBuilder:
                                      snp_block=self.snp_block,
                                      row_start=rs.start, row_stop=rs.stop,
                                      col_end=col_end),
-                        mode="aux",
-                        aux=(ObjectInput(ctx, key=f"{ns}operands"),)),
-                )
-                rt.insert_task(
-                    "consume_row",
-                    (row_h, AccessMode.READWRITE),
-                    (out_h, AccessMode.READWRITE),
-                    body=make_consume_body(row_h, bi, col_tiles),
-                    flops=0.0, precision=self.storage_precision,
-                    priority=layout.tile_rows - bi, tag=bi,
+                        mode="aux", aux=operands,
+                        on_complete=partial(store_row, bi)),
                 )
             return rt.run(phase=self.trace_phase)

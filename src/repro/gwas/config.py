@@ -344,11 +344,14 @@ class KRRConfig(_WithOptionsMixin):
         many rows of consecutive batches; a serving micro-batch fills
         it from several cohorts.  This is the only Predict batch size:
         it travels with an exported model, so a serving host streams
-        at the size the model was fitted with.  Rounded to a multiple of
-        ``tile_size`` at run time, minimum one tile (keeping batch
-        boundaries on tile boundaries keeps the FP32 confounder Gram
-        and ``K·W`` on their monolithic block shapes, so the batched
-        predictions are bitwise identical to the monolithic path).
+        at the size the model was fitted with.  Rounded down to a
+        multiple of ``tile_size`` at run time, minimum one tile: batch
+        boundaries on tile boundaries keep the FP32 confounder Gram on
+        its monolithic block shapes, so the cross-kernel blocks are
+        bitwise those of the unbatched kernel.  A prediction's last bits
+        still depend on the batch size through the ``K·W`` product,
+        which runs once per batch: a one-row trailing batch, for
+        instance, is a GEMV with another accumulation order.
         ``None`` processes each cohort in one batch.
     store_budget_bytes:
         Residency budget of the session's out-of-core tile store.  When

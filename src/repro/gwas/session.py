@@ -601,16 +601,11 @@ class KRRSession:
         (:meth:`KernelBuilder._predict_groups`), cut to the drain's
         width (:meth:`~repro.runtime.scheduler.Scheduler.lanes`).
 
-        The batch is ``config.predict_batch_rows`` rounded down to a
-        tile multiple, minimum one tile (``None``: one batch per
-        cohort), so the products that round keep the monolithic path's
-        BLAS block shapes: a sub-tile batch would turn the per-band
-        FP32 confounder term into a GEMV with another accumulation order.
+        The batches are ``config.predict_batch_rows`` rows rounded down
+        to whole tiles (:func:`~repro.distance.build._row_groups`;
+        ``None``: one batch per cohort).
         """
         cfg = self.config
-        batch = cfg.predict_batch_rows
-        if batch is not None:
-            batch = max(1, batch // cfg.tile_size) * cfg.tile_size
         started = time.perf_counter()
         builder = self._builder(self.gamma_, trace_phase=phase)
         if self._train_operands is None:
@@ -622,7 +617,8 @@ class KRRSession:
         predictions = builder._predict_groups(
             genotypes, confounders, self._train_operands, self.weights_,
             cfg.precision_plan.working_precision,
-            _row_groups(cohort_rows, batch, lanes))
+            _row_groups(cohort_rows, cfg.predict_batch_rows,
+                        builder.tile_size, lanes))
         predictions += self.y_means_[None, :]
         self._add_seconds(phase, time.perf_counter() - started)
         return predictions

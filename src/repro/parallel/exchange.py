@@ -31,9 +31,9 @@ from repro.parallel.payload import decode_obj, encode_obj
 
 __all__ = ["ExchangeSpec", "PayloadRef", "TileExchange"]
 
-#: Decoded-payload LRU entries kept per reader.  Bounds memory while
-#: keeping hot panel tiles (read by every task in a trailing update)
-#: decoded exactly once per process.
+#: Decoded-payload LRU entries kept per worker (:meth:`TileExchange
+#: .get_cached`).  Bounds memory while keeping hot panel tiles (read by
+#: every task in a trailing update) decoded exactly once per process.
 _DECODE_CACHE_MAX = 64
 
 
@@ -133,12 +133,19 @@ class TileExchange:
 
     # -- reader side ---------------------------------------------------
     def get(self, ref: PayloadRef) -> object:
+        """The payload behind ``ref``, decoded afresh and kept nowhere:
+        the coordinator reads each ref once, so a Build row it stores as
+        tiles is freed at once."""
+        raw = self._reader.read(ref.segment, ref.offset, ref.length)
+        return decode_obj(ref.kind, ref.meta_dict(), raw)
+
+    def get_cached(self, ref: PayloadRef) -> object:
+        """:meth:`get` through an LRU, for a worker's re-read panel tiles."""
         key = (ref.segment, ref.offset, ref.length, ref.kind)
         if key in self._decoded:
             self._decoded.move_to_end(key)
             return self._decoded[key]
-        raw = self._reader.read(ref.segment, ref.offset, ref.length)
-        obj = decode_obj(ref.kind, ref.meta_dict(), raw)
+        obj = self.get(ref)
         self._decoded[key] = obj
         if len(self._decoded) > _DECODE_CACHE_MAX:
             self._decoded.popitem(last=False)

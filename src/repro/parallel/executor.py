@@ -10,14 +10,13 @@ locators, ships them with the kernel to an idle worker process, reaps
 ``("ok" | "err", uid, ...)`` replies via ``multiprocessing.connection
 .wait`` and retires each through the drain.
 
-Handle payloads are *lazy* on the coordinator: a worker-written handle
-holds only a ref until some coordinator-side consumer needs the bytes
-(an inline task, an ``on_complete`` writeback, or the end of the
-drain, when every still-referenced handle is materialized so callers
-see ordinary payloads).  Tasks that have a ``body`` instead of a
-descriptor (e.g. the Build consume step, which mutates builder state,
-or user tasks) take the drain's inline step on the coordinator, after
-their handles are materialized.
+Every task that runs something runs on a worker: its descriptor is all
+there is to it.  Handle payloads are *lazy* on the coordinator: a
+worker-written handle holds only a ref until the end of the drain,
+when every still-referenced handle is materialized so callers see
+ordinary payloads; outputs that go to an ``on_complete`` (a
+store-backed tile, a Build row, a Predict group) are fetched when the
+task completes and handed to it on the coordinator.
 
 Pre-emption is real here: a worker that overruns ``task_timeout_s`` is
 killed and respawned.  A worker that dies mid-task (closed pipe / dead
@@ -119,12 +118,6 @@ def process_lane(drain, scheduler) -> None:
                 refs.append(publish_aux(entry))
         return tuple(refs)
 
-    def materialize(handle):
-        """Make ``handle.payload`` current when a worker wrote it."""
-        if handle.uid in stale:
-            handle.payload = exchange.get(current_ref[handle.uid])
-            del stale[handle.uid]
-
     def adopt(task, out_refs):
         """Take a worker's outputs: write back, or re-point the handles."""
         spec = task.spec
@@ -153,16 +146,8 @@ def process_lane(drain, scheduler) -> None:
                 stale[handle.uid] = handle
 
     # ------------------------------------------------------------------
-    # the two ways a popped task runs
+    # one attempt
     # ------------------------------------------------------------------
-    def run_on_coordinator(task):
-        for handle, mode in task.accesses:
-            materialize(handle)
-            if mode.writes:
-                # the coordinator's payload is the truth from here on
-                current_ref.pop(handle.uid, None)
-        drain.run_inline(task, 0)
-
     def ship(task, widx) -> bool:
         """Send ``task`` to worker ``widx``; False if the attempt ended
         here (hook or injected failure, dead worker) and the slot is
@@ -196,7 +181,8 @@ def process_lane(drain, scheduler) -> None:
         while ready or running:
             while ready:
                 if ready[0][2].spec is None:
-                    run_on_coordinator(drain.pop())
+                    # nothing to ship: the task only orders its accesses
+                    drain.run_inline(drain.pop(), 0)
                     continue
                 if not idle:
                     break
@@ -259,6 +245,6 @@ def process_lane(drain, scheduler) -> None:
     # exchange on both sides — refs never outlive a drain.  This runs
     # on the failure path too: a resumed run's surviving inputs must be
     # ordinary payloads.
-    for handle in list(stale.values()):
-        materialize(handle)
+    for handle in stale.values():
+        handle.payload = exchange.get(current_ref[handle.uid])
     pool.end_drain()

@@ -81,8 +81,8 @@ def decode_obj(kind: str, meta: dict, buf: bytes) -> object:
                              tuple(coords) if coords is not None else None)
     if kind == KIND_ARRAY:
         arr = np.frombuffer(buf, dtype=np.dtype(meta["dtype"]))
-        # frombuffer views are read-only; consumers (e.g. the Build
-        # consume step's fill_diagonal) may write, so take ownership.
+        # frombuffer views are read-only; a consumer may write (a Build
+        # row's on_complete fills the diagonal), so take ownership.
         return arr.reshape(meta["shape"]).copy()
     if kind == KIND_PICKLE:
         return pickle.loads(buf)

@@ -131,7 +131,8 @@ def worker_main(worker_id: int, tag: str, conn, spec: ExchangeSpec,
                         is not None):
                     os._exit(KILLED_EXIT_CODE)
                 try:
-                    args = [exchange.get(r) if isinstance(r, PayloadRef)
+                    args = [exchange.get_cached(r)
+                            if isinstance(r, PayloadRef)
                             else None for r in refs]
                     out = kernel.run(*args)
                     outs = out if isinstance(out, tuple) else (out,)

@@ -70,7 +70,7 @@ class TaskGraph:
                 self._readers_since_write[handle].append(task)
         return task
 
-    def insert_task(self, name: str, *accesses, body=None, flops: float = 0.0,
+    def insert_task(self, name: str, *accesses, flops: float = 0.0,
                     precision=None, priority: int = 0, tag=None,
                     flops_detail=None, tile_deps=(), spec=None) -> Task:
         """PaRSEC-style convenience wrapper around :meth:`add_task`.
@@ -82,7 +82,6 @@ class TaskGraph:
         task = Task(
             name=name,
             accesses=tuple(accesses),
-            body=body,
             flops=flops,
             precision=precision or Precision.FP64,
             priority=priority,

@@ -265,7 +265,6 @@ class Runtime:
         self,
         name: str,
         *accesses: tuple[DataHandle, AccessMode],
-        body=None,
         flops: float = 0.0,
         precision: Precision | str = Precision.FP64,
         priority: int = 0,
@@ -286,9 +285,7 @@ class Runtime:
         pin, unpin and prefetch them (see :mod:`repro.store`).
 
         ``spec`` is the task's :class:`~repro.runtime.task.TaskSpec`
-        descriptor, which every execution mode runs; ``body`` is for
-        tasks that have none and always runs in this process.  Giving
-        both raises ``ValueError``.
+        descriptor, which every execution mode runs.
         """
         for handle, _ in accesses:
             if handle.uid not in self._handle_uids:
@@ -299,7 +296,6 @@ class Runtime:
         return self.graph.insert_task(
             name,
             *accesses,
-            body=body,
             flops=flops,
             precision=Precision.from_string(precision),
             priority=priority,

@@ -9,12 +9,11 @@ like PaRSEC's / StarPU's task insertion interface.  Dependencies are
 * a WRITE after any previous access depends on all of them
   (write-after-read and write-after-write ordering).
 
-What a task *does* is either a :class:`TaskSpec` — a picklable kernel
+What a task *does* is its :class:`TaskSpec`: a picklable kernel
 descriptor plus a description of where its inputs come from and where
 its outputs go, which every execution mode runs (inline here, shipped
-to a worker by the process backend) — or, for tasks that have no
-descriptor, a plain ``body`` callable that only ever runs in the
-inserting process.  Never both: one task, one definition.
+to a worker by the process backend).  A task without one only orders
+its accesses and runs nothing.
 """
 
 from __future__ import annotations
@@ -149,13 +148,6 @@ class Task:
         Kernel name, e.g. ``"potrf"``, ``"gemm"``, ``"build_tile"``.
     accesses:
         Sequence of ``(handle, mode)`` pairs.
-    body:
-        Callable of a task that has no descriptor (Build's consume
-        step, user tasks); it always runs in the inserting process.  It
-        receives the handles' payloads in declaration order and should
-        return either ``None`` (in-place mutation) or a tuple of new
-        payloads for the written handles, in declaration order of the
-        writing accesses.  Mutually exclusive with ``spec``.
     flops:
         Operation count attributed to the task (for the performance
         model / trace).
@@ -184,12 +176,12 @@ class Task:
     spec:
         The task's :class:`TaskSpec` descriptor.  The serial and
         threaded lanes run it inline (:meth:`execute`); the process
-        lane ships its kernel to a worker.
+        lane ships its kernel to a worker.  ``None``: the task runs
+        nothing.
     """
 
     name: str
     accesses: tuple[tuple[DataHandle, AccessMode], ...]
-    body: Callable[..., Any] | None = None
     flops: float = 0.0
     precision: Precision = Precision.FP64
     priority: int = 0
@@ -200,10 +192,6 @@ class Task:
     uid: int = field(default_factory=lambda: next(_task_counter))
 
     def __post_init__(self) -> None:
-        if self.body is not None and self.spec is not None:
-            raise ValueError(
-                f"task {self.name!r} was given both body= and spec=; a task "
-                "has one definition (drop the body: every mode runs the spec)")
         self.accesses = tuple(
             (h, m if isinstance(m, AccessMode) else AccessMode(m))
             for h, m in self.accesses
@@ -219,26 +207,21 @@ class Task:
         return tuple(h for h, m in self.accesses if m.writes)
 
     def execute(self) -> None:
-        """Run the task in this process: its descriptor, else its body."""
+        """Run the task's descriptor in this process."""
         spec = self.spec
         if spec is None:
-            if self.body is None:
-                return
-            result = self.body(*[h.payload for h, _ in self.accesses])
-            if result is None:
-                return  # in-place mutation
-        else:
-            args = []
-            if spec.mode != "aux":
-                args += [h.payload for h, _ in self.accesses]
-            if spec.mode != "handles":
-                args += [entry.obj if isinstance(entry, ObjectInput)
-                         else entry.matrix.get_tile(*entry.coords)
-                         for entry in spec.aux]
-            result = spec.kernel.run(*args)
+            return
+        args = []
+        if spec.mode != "aux":
+            args += [h.payload for h, _ in self.accesses]
+        if spec.mode != "handles":
+            args += [entry.obj if isinstance(entry, ObjectInput)
+                     else entry.matrix.get_tile(*entry.coords)
+                     for entry in spec.aux]
+        result = spec.kernel.run(*args)
         if not isinstance(result, tuple):
             result = (result,)
-        if spec is not None and spec.on_complete is not None:
+        if spec.on_complete is not None:
             spec.on_complete(*result)
             return
         written = [h for h, m in self.accesses if m.writes]

@@ -1,5 +1,7 @@
 """Tests for the fused tile-wise Build phase."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -86,17 +88,21 @@ class TestCrossBuild:
 
     def test_row_batching_never_changes_a_bit(self, genotypes):
         """``iter_cross_rows`` equals ``build_cross`` for any batching,
-        with or without the shared train-side operands."""
+        with or without the shared train-side operands and confounders:
+        a batch is whole tiles, so the FP32 confounder Gram keeps the
+        tile-row shapes (a sub-tile batch would make it a GEMV)."""
         builder = KernelBuilder(gamma=0.03, tile_size=16)
         test, train = genotypes[:27], genotypes[27:]
-        whole = builder.build_cross(test, train)
-        assert whole.stats.dense_staging_elements == whole.kernel.size
-        assert whole.stats.max_dense_temp_elements <= 16 * train.shape[0]
-        cache = builder.train_operands(train)
-        for batch_rows in (None, 1, 7, 16, 100):
-            for train_cache in (None, cache):
+        c = np.random.default_rng(5).standard_normal((genotypes.shape[0], 3))
+        for c_test, c_train in ((None, None), (c[:27], c[27:])):
+            whole = builder.build_cross(test, train, c_test, c_train)
+            assert whole.stats.dense_staging_elements == whole.kernel.size
+            assert whole.stats.max_dense_temp_elements <= 16 * train.shape[0]
+            cache = builder.train_operands(train, c_train)
+            for batch_rows, train_cache in itertools.product(
+                    (None, 1, 7, 16, 100), (None, cache)):
                 blocks = list(builder.iter_cross_rows(
-                    test, train, batch_rows=batch_rows,
+                    test, train, c_test, c_train, batch_rows=batch_rows,
                     train_cache=train_cache))
                 streamed = np.vstack([b.kernel for b in blocks])
                 np.testing.assert_array_equal(streamed, whole.kernel)

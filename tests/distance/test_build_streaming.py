@@ -216,6 +216,54 @@ class TestThreadParallelBuild:
             genotypes, confounders)
         np.testing.assert_array_equal(k1.to_dense(), k4.to_dense())
 
+    def test_row_stores_survive_forced_interleavings(self, genotypes):
+        """Each row task stores its own tiles and norms from its lane:
+        8 lanes on a smaller host, a 1e-5 s switch interval, resident and
+        store-backed — a lost store or norm breaks the bitwise kernel or
+        the mosaic decided from the norms."""
+        import sys
+        import threading
+
+        from repro.store import TileStore
+
+        rule = AdaptivePrecisionRule(candidates=candidates_for_gpu("GH200"))
+
+        def build(workers, store=None):
+            rt = Runtime(execution="threaded" if workers > 1 else "serial",
+                         workers=workers)
+            try:
+                return KernelBuilder(gamma=0.2, tile_size=8,
+                                     adaptive_rule=rule, runtime=rt,
+                                     store=store).build_training(genotypes)
+            finally:
+                rt.close()
+
+        reference = build(1)
+        dense = reference.to_dense()
+        results = []
+
+        def stress():
+            for _ in range(3):
+                results.append(build(8))
+            with TileStore(budget_bytes=reference.kernel.nbytes() // 4) as s:
+                spilled = build(8, store=s)
+                results.append((spilled.to_dense(), spilled.precision_map))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = threading.Thread(target=stress, daemon=True)
+            worker.start()
+            worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(results) == 4
+        for result in results[:3]:
+            np.testing.assert_array_equal(result.to_dense(), dense)
+            assert result.precision_map == reference.precision_map
+        np.testing.assert_array_equal(results[3][0], dense)
+        assert results[3][1] == reference.precision_map
+
     def test_default_worker_resolution(self, genotypes):
         """An unset runtime is a ``Runtime()``, resolved like any other."""
         builder = KernelBuilder(gamma=0.03, tile_size=16)
@@ -315,37 +363,47 @@ class TestStreamingContainer:
 
 class TestBoundedInFlightRows:
     def test_row_payloads_released_after_consume(self, genotypes):
-        """Consumed row blocks must not survive on their handles — the
-        streamed Build's peak stays bounded, not O(n^2)."""
-        from repro.runtime.runtime import Runtime
-        from repro.runtime.task import AccessMode
-
+        """A row band lives on no handle — the streamed Build's peak
+        stays bounded, not O(n^2)."""
         rt = Runtime(execution="threaded", workers=2)
         builder = KernelBuilder(gamma=0.03, tile_size=8, runtime=rt)
         builder.build_training(genotypes)
-        # handles were released with the namespace...
+        # no handle of the Build's namespace outlives it...
         assert not [n for n in rt.handles if n.startswith("build")]
-        # ...and the consume bodies dropped each row payload eagerly
-        for task in rt.last_graph.tasks:
-            if task.name == "build_row":
-                for handle, mode in task.accesses:
-                    if mode is AccessMode.WRITE:
-                        assert handle.payload is None
+        # ...and a row task writes none: it stores its own tiles
+        rows = [t for t in rt.last_graph.tasks if t.name == "build_row"]
+        assert len(rows) == 9
+        assert all(not t.accesses and t.spec.on_complete for t in rows)
 
-    def test_row_tasks_throttled_by_consume_window(self, genotypes):
-        """Late row tasks depend on earlier consume tasks, so at most
-        ~4*workers row blocks can ever be in flight."""
-        from repro.runtime.runtime import Runtime
+    def test_no_more_row_bands_alive_than_lanes(self, genotypes,
+                                                monkeypatch):
+        """Each row task stores its band when it completes, so a lane
+        holds one band at a time: a threaded Build of 9 tile rows on 2
+        workers never has more than 2 bands alive."""
+        import weakref
 
-        rt = Runtime(execution="threaded", workers=1)  # window = 4
+        from repro.distance.build import BuildRowSpec
+
+        bands, alive = [], []
+        run, set_tile = BuildRowSpec.run, TileMatrix.set_tile
+
+        def tracked_run(self, ctx):
+            band = run(self, ctx)
+            bands.append(weakref.ref(band))
+            return band
+
+        def counting_set_tile(self, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in bands))
+            return set_tile(self, *args, **kwargs)
+
+        monkeypatch.setattr(BuildRowSpec, "run", tracked_run)
+        monkeypatch.setattr(TileMatrix, "set_tile", counting_set_tile)
+        rt = Runtime(execution="threaded", workers=2)
         builder = KernelBuilder(gamma=0.03, tile_size=8, runtime=rt)
         builder.build_training(genotypes)  # 9 tile rows at n=72
-        graph = rt.last_graph
-        consumes = {t.tag: t for t in graph.tasks if t.name == "consume_row"}
-        rows = {t.tag: t for t in graph.tasks if t.name == "build_row"}
-        for bi, row_task in rows.items():
-            if bi >= 4:
-                assert consumes[bi - 4] in graph.predecessors(row_task)
+        assert len(bands) == 9
+        assert len(alive) == 9 * 10 // 2  # every lower tile stored
+        assert 1 <= max(alive) <= 2
 
 
 class TestTrainOperands:

@@ -141,6 +141,8 @@ class TestTileExchange:
         xchg = TileExchange(_spec(tmp_path), producer_tag="t0")
         try:
             ref = xchg.put(_tile(Precision.FP32))
-            assert xchg.get(ref) is xchg.get(ref)
+            assert xchg.get_cached(ref) is xchg.get_cached(ref)
+            # the coordinator's read keeps nothing alive
+            assert xchg.get(ref) is not xchg.get(ref)
         finally:
             xchg.close()

@@ -28,6 +28,7 @@ from repro.resilience.faults import (
 )
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode
+from tests.runtime.call import call
 
 EXECUTIONS = ("serial", "threaded")
 
@@ -53,7 +54,7 @@ class TestRetry:
         a = rt.register_data("a", payload=np.array([1.0]))
         for _ in range(8):
             rt.insert_task("double", (a, AccessMode.READWRITE),
-                           body=lambda x: x * 2, flops=1)
+                           spec=call(lambda x: x * 2), flops=1)
         # occurrences advance per *attempt*: faults land on the 3rd and
         # 5th task (their retries consume occurrences 4 and 7)
         with fault_plan(transient_plan(every=3, times=2)) as plan:
@@ -67,9 +68,9 @@ class TestRetry:
         rt = Runtime(execution="serial", task_retries=1)
         a = rt.register_data("a", payload=np.array([0.0]))
         rt.insert_task("ok", (a, AccessMode.READWRITE),
-                       body=lambda x: x + 1, flops=1)
+                       spec=call(lambda x: x + 1), flops=1)
         rt.insert_task("flaky", (a, AccessMode.READWRITE),
-                       body=lambda x: x + 1, flops=1)
+                       spec=call(lambda x: x + 1), flops=1)
         plan = FaultPlan([FaultSite(site=SITE_TASK_BODY, match="flaky",
                                     times=1)])
         with fault_plan(plan):
@@ -82,7 +83,7 @@ class TestRetry:
         rt = Runtime(execution=execution, workers=2, task_retries=1)
         a = rt.register_data("a", payload=np.array([1.0]))
         rt.insert_task("doomed", (a, AccessMode.READWRITE),
-                       body=lambda x: x, flops=1)
+                       spec=call(lambda x: x), flops=1)
         with fault_plan(transient_plan(every=1)):  # fires on every attempt
             with pytest.raises(TaskGroupError) as err:
                 rt.run()
@@ -95,7 +96,7 @@ class TestRetry:
     def test_permanent_fault_not_retried(self):
         rt = Runtime(execution="serial", task_retries=5)
         a = rt.register_data("a", payload=np.array([1.0]))
-        rt.insert_task("t", (a, AccessMode.READWRITE), body=lambda x: x,
+        rt.insert_task("t", (a, AccessMode.READWRITE), spec=call(lambda x: x),
                        flops=1)
         plan = transient_plan(every=1, transient=False)
         with fault_plan(plan):
@@ -110,7 +111,7 @@ class TestRetry:
                      retry_policy=RetryPolicy(max_retries=3, base_delay_s=0.0))
         a = rt.register_data("a", payload=np.array([1.0]))
         rt.insert_task("t", (a, AccessMode.READWRITE),
-                       body=lambda x: x + 1, flops=1)
+                       spec=call(lambda x: x + 1), flops=1)
         with fault_plan(transient_plan(times=3)):
             result = rt.run()
         assert result.trace.total_retries == 3
@@ -119,7 +120,7 @@ class TestRetry:
         monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
         rt = Runtime(execution="serial")
         a = rt.register_data("a", payload=np.array([1.0]))
-        rt.insert_task("t", (a, AccessMode.READWRITE), body=lambda x: x,
+        rt.insert_task("t", (a, AccessMode.READWRITE), spec=call(lambda x: x),
                        flops=1)
         with fault_plan(transient_plan(times=1)):
             with pytest.raises(TaskGroupError):
@@ -135,7 +136,7 @@ class TestAggregateFailures:
                    for i in range(6)]
         for i, h in enumerate(handles):
             rt.insert_task(f"task{i}", (h, AccessMode.READWRITE),
-                           body=lambda x: x + 1, flops=1)
+                           spec=call(lambda x: x + 1), flops=1)
         plan = FaultPlan([
             FaultSite(site=SITE_TASK_BODY, match="task1", transient=False),
             FaultSite(site=SITE_TASK_BODY, match="task4", transient=False),
@@ -155,9 +156,9 @@ class TestAggregateFailures:
         rt = Runtime(execution=execution, workers=2)
         a = rt.register_data("a", payload=np.array([1.0]))
         rt.insert_task("parent", (a, AccessMode.READWRITE),
-                       body=lambda x: x, flops=1)
+                       spec=call(lambda x: x), flops=1)
         rt.insert_task("child", (a, AccessMode.READWRITE),
-                       body=lambda x: x * 100, flops=1)
+                       spec=call(lambda x: x * 100), flops=1)
         plan = FaultPlan([FaultSite(site=SITE_TASK_BODY, match="parent",
                                     transient=False)])
         with fault_plan(plan):
@@ -184,13 +185,13 @@ class TestResume:
 
         # chain on a (a1 -> a2 -> a3), independent task on b
         rt.insert_task("a1", (a, AccessMode.READWRITE),
-                       body=body_of("a1", lambda x: x + 1), flops=1)
+                       spec=call(body_of("a1", lambda x: x + 1)), flops=1)
         rt.insert_task("a2", (a, AccessMode.READWRITE),
-                       body=body_of("a2", lambda x: x * 2), flops=1)
+                       spec=call(body_of("a2", lambda x: x * 2)), flops=1)
         rt.insert_task("a3", (a, AccessMode.READWRITE),
-                       body=body_of("a3", lambda x: x + 3), flops=1)
+                       spec=call(body_of("a3", lambda x: x + 3)), flops=1)
         rt.insert_task("bside", (b, AccessMode.READWRITE),
-                       body=body_of("bside", lambda x: x * 10), flops=1)
+                       spec=call(body_of("bside", lambda x: x * 10)), flops=1)
 
         plan = FaultPlan([FaultSite(site=SITE_TASK_BODY, match="a2",
                                     transient=False, times=1)])
@@ -215,9 +216,9 @@ class TestResume:
         def build(rt):
             a = rt.register_data("a", payload=np.arange(4.0))
             rt.insert_task("scale", (a, AccessMode.READWRITE),
-                           body=lambda x: x * 3, flops=1)
+                           spec=call(lambda x: x * 3), flops=1)
             rt.insert_task("shift", (a, AccessMode.READWRITE),
-                           body=lambda x: x - 1, flops=1)
+                           spec=call(lambda x: x - 1), flops=1)
             return a
 
         clean_rt = Runtime(execution="serial")
@@ -246,9 +247,10 @@ class TestWatchdog:
             time.sleep(0.4)
             return x
 
-        rt.insert_task("stuck", (a, AccessMode.READWRITE), body=slow, flops=1)
+        rt.insert_task("stuck", (a, AccessMode.READWRITE),
+                       spec=call(slow), flops=1)
         rt.insert_task("fine", (b, AccessMode.READWRITE),
-                       body=lambda x: x + 1, flops=1)
+                       spec=call(lambda x: x + 1), flops=1)
         t0 = time.perf_counter()
         with pytest.raises(TaskGroupError) as err:
             rt.run()
@@ -264,7 +266,7 @@ class TestWatchdog:
         rt = Runtime(execution="threaded", workers=2, task_timeout_s=5.0)
         a = rt.register_data("a", payload=np.array([1.0]))
         rt.insert_task("t", (a, AccessMode.READWRITE),
-                       body=lambda x: x + 1, flops=1)
+                       spec=call(lambda x: x + 1), flops=1)
         plan = FaultPlan([FaultSite(site=SITE_WORKER_STALL, kind="stall",
                                     delay_s=0.02)])
         with fault_plan(plan):

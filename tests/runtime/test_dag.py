@@ -10,7 +10,8 @@ from repro.precision.formats import Precision
 from repro.resilience.errors import TaskGraphCycleError
 from repro.runtime import Runtime
 from repro.runtime.dag import TaskGraph
-from repro.runtime.task import AccessMode, DataHandle
+from repro.runtime.task import AccessMode, DataHandle, ObjectInput
+from tests.runtime.call import call
 
 
 def critical_path(graph: TaskGraph, weight=lambda task: 1):
@@ -132,15 +133,17 @@ class TestGraphQueries:
         assert g.topological_order() == list(tasks)
 
 
+def _total(_payload, *operands):
+    """The sum of the operands (module-level: the process lane pickles it)."""
+    return float(sum(operand.sum() for operand in operands))
+
+
 @pytest.mark.parametrize("execution", ["serial", "threaded", "process"])
 def test_a_drained_graph_is_freed_without_the_cyclic_collector(execution):
     # the graph must not refer to itself, nor any drain keep it: a serving
     # session otherwise keeps every request's operands until the collector
     # happens to run
     rt = Runtime(execution=execution, workers=2)
-    def holding(operand):
-        return lambda _payload: float(operand.sum())
-
     operand = np.ones((4, 4))
     freed = weakref.ref(operand)
     h = rt.register_data("h", payload=0)
@@ -149,15 +152,15 @@ def test_a_drained_graph_is_freed_without_the_cyclic_collector(execution):
     gc.disable()
     try:
         rt.insert_task("hold", (h, AccessMode.WRITE),
-                       body=holding(operand))
+                       spec=call(_total, mode="both",
+                                 aux=(ObjectInput(operand, key="operand"),)))
         # a second, independent task: two lanes really start
-        rt.insert_task("beside", (other, AccessMode.WRITE),
-                       body=lambda _payload: 2)
+        rt.insert_task("beside", (other, AccessMode.WRITE), spec=call(_total))
         del operand
         graph = weakref.ref(rt.graph)
         rt.run()
         critical_path(graph(), flops)
-        rt.insert_task("next", (h, AccessMode.WRITE), body=lambda _payload: 1)
+        rt.insert_task("next", (h, AccessMode.WRITE), spec=call(_total))
         rt.run()
         assert graph() is None and freed() is None
     finally:

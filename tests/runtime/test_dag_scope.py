@@ -12,6 +12,7 @@ from repro.resilience.faults import clear_plan
 from repro.runtime import AccessMode, Runtime
 from repro.store import StoreSchedulerHooks, TileStore
 from repro.tiles.matrix import TileMatrix
+from tests.runtime.call import call
 
 EXECUTIONS = ["serial", "threaded"]
 
@@ -25,9 +26,10 @@ def _no_chaos(monkeypatch):
     clear_plan()
 
 
-def _insert(rt, name, body=lambda v: v):
+def _insert(rt, name, fn=lambda v: v):
     handle = rt.register_data(name, payload=1.0)
-    rt.insert_task(name, (handle, AccessMode.READWRITE), flops=1.0, body=body)
+    rt.insert_task(name, (handle, AccessMode.READWRITE), flops=1.0,
+                   spec=call(fn))
     return handle
 
 
@@ -36,7 +38,7 @@ def test_a_successful_scope_tallies_and_releases(execution):
     rt = Runtime(execution=execution, workers=2)
     with rt.dag("demo") as ns:
         assert ns == "demo#0:"
-        handle = _insert(rt, f"{ns}x", body=lambda v: v + 1)
+        handle = _insert(rt, f"{ns}x", fn=lambda v: v + 1)
         rt.run(phase="p")
     assert handle.payload == 2.0  # the caller still holds what it read
     assert rt.num_tasks() == 0
@@ -58,9 +60,9 @@ def test_a_failing_task_leaves_nothing_behind(execution):
     with pytest.raises(TaskGroupError) as info:
         with rt.dag("demo") as ns:
             _insert(rt, f"{ns}ok")
-            bad = _insert(rt, f"{ns}bad", body=boom)
+            bad = _insert(rt, f"{ns}bad", fn=boom)
             rt.insert_task("after", (bad, AccessMode.READWRITE), flops=1.0,
-                           body=lambda v: v)
+                           spec=call(lambda v: v))
             rt.run(phase="p")
     assert len(info.value.completed) == 1 and len(info.value.unfinished) == 2
     assert rt.num_tasks() == 0

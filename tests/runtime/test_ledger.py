@@ -15,6 +15,7 @@ from repro.precision.formats import Precision
 from repro.resilience.errors import InjectedFault, TaskGroupError
 from repro.resilience.faults import clear_plan
 from repro.runtime import AccessMode, PhaseTotals, Runtime, TaskEvent
+from tests.runtime.call import call
 
 EXECUTIONS = ["serial", "threaded"]
 
@@ -29,11 +30,11 @@ def _clean_plan_state(monkeypatch):
     clear_plan()
 
 
-def _insert(rt, name, flops, precision=Precision.FP32, body=lambda v: v,
+def _insert(rt, name, flops, precision=Precision.FP32, fn=lambda v: v,
             **kwargs):
     handle = rt.register_data(f"{name}#{len(rt.handles)}", payload=1.0)
     rt.insert_task(name, (handle, AccessMode.READWRITE), flops=flops,
-                   precision=precision, body=body, **kwargs)
+                   precision=precision, spec=call(fn), **kwargs)
     return handle
 
 
@@ -82,7 +83,7 @@ class TestLedger:
             return v
 
         rt = Runtime(execution="serial", task_retries=3)
-        _insert(rt, "t", 10.0, body=flaky)
+        _insert(rt, "t", 10.0, fn=flaky)
         rt.run(phase="p")
         assert rt.ledger["p"].retries == 2
         assert rt.ledger["p"].tasks == {"t": 1}  # one task, not three
@@ -104,10 +105,10 @@ class TestFailedDrains:
         _insert(rt, "ok", 10.0)
         _insert(rt, "ok", 10.0)
         bad = _insert(rt, "gated", 7.0, precision=Precision.FP64,
-                      body=guarded)
+                      fn=guarded)
         # blocked behind the failing task
         rt.insert_task("after", (bad, AccessMode.READWRITE), flops=3.0,
-                       precision=Precision.FP32, body=lambda v: v)
+                       precision=Precision.FP32, spec=call(lambda v: v))
         with pytest.raises(TaskGroupError) as info:
             rt.run(phase="p")
         assert len(info.value.completed) == 2

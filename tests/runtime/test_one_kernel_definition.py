@@ -1,11 +1,13 @@
 """Every library task is a descriptor: no closure twin next to it.
 
 Each insertion site of the library is driven once on a serial runtime
-and the graph it inserted is inspected: apart from Build's
-``consume_row`` — which mutates builder state and has no descriptor —
-every task carries a ``TaskSpec`` and no ``body``, so the serial,
+and the graph it inserted is inspected: every task carries a
+``TaskSpec``, and a task has nothing else to run, so the serial,
 threaded and process drains cannot help running the same kernel.
 """
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from repro.linalg.cg import kernel_matvec
 from repro.linalg.cholesky import cholesky
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
+from repro.runtime.dag import TaskGraph
 from repro.runtime.runtime import Runtime
+from repro.runtime.task import Task
 from repro.store import TileStore
 from repro.tiles.matrix import TileMatrix
 
@@ -56,7 +60,7 @@ def _cg_matvec(rt):
 def _build(rt):
     g = np.random.default_rng(1).integers(0, 3, size=(N, 32)).astype(np.int8)
     KernelBuilder(tile_size=TILE, runtime=rt).build_training(g)
-    return {"build_row", "consume_row"}
+    return {"build_row"}
 
 
 def _predict(rt):
@@ -86,8 +90,12 @@ def test_every_inserted_task_is_a_descriptor(site):
     tasks = rt.last_graph.tasks if rt.last_graph else rt.graph.tasks
     assert {task.name for task in tasks} == names
     for task in tasks:
-        if task.name == "consume_row":
-            assert task.spec is None and task.body is not None
-        else:
-            assert task.spec is not None, task
-            assert task.body is None, task
+        assert task.spec is not None, task
+
+
+def test_a_task_has_no_second_definition():
+    """No ``body`` beside the descriptor: not on the task, not at either
+    insertion entry point."""
+    assert "body" not in {f.name for f in dataclasses.fields(Task)}
+    for insert in (Runtime.insert_task, TaskGraph.insert_task):
+        assert "body" not in inspect.signature(insert).parameters, insert

@@ -16,6 +16,7 @@ from repro.precision.formats import Precision
 from repro.runtime import Runtime, replay
 from repro.runtime.task import AccessMode
 from repro.tiles.layout import TileLayout
+from tests.runtime.call import call
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,7 @@ def test_replay_runs_no_body():
     def boom(_payload):
         raise AssertionError("a replay must not execute task bodies")
 
-    rt.insert_task("boom", (h, AccessMode.READWRITE), body=boom, flops=1.0)
+    rt.insert_task("boom", (h, AccessMode.READWRITE),
+                   spec=call(boom), flops=1.0)
     assert replay(rt.graph).trace.num_tasks == 1
     assert h.payload == 0

@@ -1,6 +1,8 @@
 """Tests for the scheduler, the device model and graph replayer, traces,
 and the Runtime facade."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,25 @@ from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import AccessMode, DataHandle
+from tests.runtime.call import call
+
+
+# module-level task functions: ``Runtime()`` follows REPRO_EXECUTION, and
+# the process lane pickles what it runs
+def _double(x):
+    return x * 2
+
+
+def _plus_one(x, _written):
+    return x + 1
+
+
+def _same(x):
+    return x
+
+
+def _then(idx, done, _written):
+    return done + [idx]
 
 
 class TestDeviceModel:
@@ -52,10 +73,10 @@ class TestRuntimeExecution:
         rt = Runtime(workers=2)
         a = rt.register_data("a", payload=np.array([1.0]))
         b = rt.register_data("b", payload=np.array([0.0]))
-        rt.insert_task("double", (a, AccessMode.READWRITE), body=lambda x: x * 2,
-                       flops=10)
+        rt.insert_task("double", (a, AccessMode.READWRITE),
+                       spec=call(_double), flops=10)
         rt.insert_task("copy", (a, AccessMode.READ), (b, AccessMode.WRITE),
-                       body=lambda x, y: x + 1, flops=10)
+                       spec=call(_plus_one), flops=10)
         result = rt.run()
         np.testing.assert_array_equal(a.payload, [2.0])
         np.testing.assert_array_equal(b.payload, [3.0])
@@ -64,29 +85,26 @@ class TestRuntimeExecution:
     def test_serial_drain_runs_readwrite_bodies_in_order(self):
         a = DataHandle("a", payload=1)
         g = TaskGraph()
-        g.insert_task("double", (a, AccessMode.READWRITE), body=lambda x: x * 2)
-        g.insert_task("inc", (a, AccessMode.READWRITE), body=lambda x: x + 1)
+        g.insert_task("double", (a, AccessMode.READWRITE),
+                      spec=call(lambda x: x * 2))
+        g.insert_task("inc", (a, AccessMode.READWRITE),
+                      spec=call(lambda x: x + 1))
         result = Scheduler(execution="serial").run(g)
         assert a.payload == 3  # (1 * 2) + 1, not (1 + 1) * 2
         assert result.trace.num_tasks == 2
 
     def test_all_tasks_executed_in_dependency_order(self):
         rt = Runtime(workers=4)
-        handles = [rt.register_data(f"x{i}", payload=i) for i in range(6)]
-        order = []
-
-        def make_body(idx):
-            def body(*args):
-                order.append(idx)
-            return body
-
-        # chain: each task reads the previous handle and writes the next
+        handles = [rt.register_data(f"x{i}", payload=[] if i == 0 else None)
+                   for i in range(6)]
+        # chain: each task reads the previous handle and writes the next,
+        # so the last holds the order the tasks ran in
         for i in range(5):
             rt.insert_task(f"t{i}", (handles[i], AccessMode.READ),
                            (handles[i + 1], AccessMode.WRITE),
-                           body=make_body(i), flops=1.0)
+                           spec=call(partial(_then, i)), flops=1.0)
         rt.run()
-        assert order == sorted(order)
+        assert handles[5].payload == [0, 1, 2, 3, 4]
 
     def test_duplicate_data_name_raises(self):
         rt = Runtime()
@@ -143,7 +161,7 @@ class TestRuntimeExecution:
                    for i in range(6)]
         for h in handles:
             rt.insert_task("work", (h, AccessMode.READWRITE),
-                           body=lambda x: x + 1, flops=1.0)
+                           spec=call(lambda x: x + 1), flops=1.0)
         drained = rt.run()
         lanes = {e.device for e in drained.trace.events}
         assert lanes <= {0, 1, 2}
@@ -157,15 +175,14 @@ class TestRuntimeExecution:
 
     def test_priority_breaks_ties(self):
         rt = Runtime(workers=1)
-        executed = []
         a = rt.register_data("a", payload=0)
         b = rt.register_data("b", payload=0)
-        rt.insert_task("low", (a, AccessMode.READWRITE),
-                       body=lambda x: executed.append("low"), priority=0)
-        rt.insert_task("high", (b, AccessMode.READWRITE),
-                       body=lambda x: executed.append("high"), priority=10)
-        rt.run()
-        assert executed[0] == "high"
+        rt.insert_task("low", (a, AccessMode.READWRITE), spec=call(_same),
+                       priority=0)
+        rt.insert_task("high", (b, AccessMode.READWRITE), spec=call(_same),
+                       priority=10)
+        events = rt.run().trace.events
+        assert min(events, key=lambda e: e.start).task_name == "high"
 
     def test_trace_summary_and_flops_by_precision(self):
         rt = Runtime(workers=1)

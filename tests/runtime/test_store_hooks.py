@@ -18,6 +18,7 @@ from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode
 from repro.store import StoreSchedulerHooks, TileStore
 from repro.tiles.matrix import TileMatrix
+from tests.runtime.call import call
 
 TILE = 32
 
@@ -60,9 +61,9 @@ class TestHookLifecycle:
             for d in range(4):
                 rt.insert_task(
                     f"touch{d}", (handles[d], AccessMode.READWRITE),
-                    body=(lambda d=d: (lambda _:
+                    spec=call((lambda d=d: (lambda _:
                           tm.set_tile(d, d, tm.get_tile(d, d).to_float64()
-                                      + 1.0)))(),
+                                      + 1.0)))()),
                     tile_deps=((binding, (d, d)),),
                 )
             rt.run()
@@ -88,7 +89,7 @@ class TestHookLifecycle:
             rt.scheduler.hooks = Spy(store)
             h = rt.register_data("x", payload=None)
             rt.insert_task("noop", (h, AccessMode.READWRITE),
-                           body=lambda _: None,
+                           spec=call(lambda _: None),
                            tile_deps=((binding, (0, 0)),))
             rt.run()
             assert seen == ["ready"]
@@ -105,7 +106,7 @@ class TestHookLifecycle:
             def boom(_):
                 raise RuntimeError("task failure")
 
-            rt.insert_task("boom", (h, AccessMode.READWRITE), body=boom,
+            rt.insert_task("boom", (h, AccessMode.READWRITE), spec=call(boom),
                            tile_deps=((binding, (0, 0)),))
             with pytest.raises(RuntimeError, match="task failure"):
                 rt.run()

@@ -18,6 +18,7 @@ from repro.runtime.task import (
     TileInput,
 )
 from repro.tiles.matrix import TileMatrix
+from tests.runtime.call import call
 
 
 class TestAccessMode:
@@ -58,9 +59,15 @@ class TestTask:
         assert t.accesses[0][1] is AccessMode.READWRITE
 
     def test_execute_inplace_body(self):
+        """A task that writes no handle returns no output."""
         a = DataHandle("A", payload=np.ones(3))
         calls = []
-        t = Task("noop", ((a, AccessMode.READ),), body=lambda x: calls.append(x.sum()))
+
+        def record(x):
+            calls.append(x.sum())
+            return ()
+
+        t = Task("noop", ((a, AccessMode.READ),), spec=call(record))
         t.execute()
         assert calls == [3.0]
 
@@ -68,14 +75,14 @@ class TestTask:
         a = DataHandle("A", payload=np.ones(3))
         b = DataHandle("B", payload=np.zeros(3))
         t = Task("copy", ((a, AccessMode.READ), (b, AccessMode.WRITE)),
-                 body=lambda x, y: x * 2)
+                 spec=call(lambda x, y: x * 2))
         t.execute()
         np.testing.assert_array_equal(b.payload, [2, 2, 2])
         np.testing.assert_array_equal(a.payload, [1, 1, 1])
 
     def test_execute_output_count_mismatch(self):
         a = DataHandle("A", payload=1.0)
-        t = Task("bad", ((a, AccessMode.READ),), body=lambda x: (x, x))
+        t = Task("bad", ((a, AccessMode.READ),), spec=call(lambda x: (x, x)))
         with pytest.raises(RuntimeError, match="outputs"):
             t.execute()
 
@@ -168,15 +175,16 @@ class TestInlineDescriptor:
             t.execute()
 
     def test_body_and_descriptor_together_are_rejected(self):
+        """A task is its descriptor: no ``body`` can be given beside it."""
         a = DataHandle("A", payload=1.0)
         access = (a, AccessMode.READWRITE)
         both = dict(body=lambda x: x, spec=TaskSpec(_Sum()))
-        with pytest.raises(ValueError, match="both body= and spec="):
+        with pytest.raises(TypeError, match="body"):
             Task("twin", (access,), **both)
-        with pytest.raises(ValueError, match="both body= and spec="):
+        with pytest.raises(TypeError, match="body"):
             TaskGraph().insert_task("twin", access, **both)
         rt = Runtime(execution="serial")
         h = rt.register_data("A", payload=1.0)
-        with pytest.raises(ValueError, match="both body= and spec="):
+        with pytest.raises(TypeError, match="body"):
             rt.insert_task("twin", (h, AccessMode.READWRITE), **both)
         assert rt.num_tasks() == 0

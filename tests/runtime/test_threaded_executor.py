@@ -28,6 +28,7 @@ from repro.runtime.device import GENERIC_GPU
 from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, DataHandle
+from tests.runtime.call import call
 from tests.runtime.test_dag import critical_path, flops
 
 
@@ -58,11 +59,12 @@ class TestDependencyOrderingUnderConcurrency:
         def make_body(idx):
             def body(acc):
                 order.append(idx)
+                return acc
             return body
 
         for i in range(64):
             rt.insert_task(f"t{i}", (h, AccessMode.READWRITE),
-                           body=make_body(i))
+                           spec=call(make_body(i)))
         rt.run()
         assert order == list(range(64))
 
@@ -75,11 +77,11 @@ class TestDependencyOrderingUnderConcurrency:
         seen = {}
 
         rt.insert_task("read1", (a, AccessMode.READ), (b, AccessMode.WRITE),
-                       body=lambda x, _: float(x[0]))
+                       spec=call(lambda x, _: float(x[0])))
         rt.insert_task("read2", (a, AccessMode.READ), (c, AccessMode.WRITE),
-                       body=lambda x, _: float(x[0]))
+                       spec=call(lambda x, _: float(x[0])))
         rt.insert_task("overwrite", (a, AccessMode.WRITE),
-                       body=lambda _: np.array([2.0]))
+                       spec=call(lambda _: np.array([2.0])))
         rt.run()
         seen["b"], seen["c"] = b.payload, c.payload
         # both readers observed the pre-overwrite value
@@ -91,12 +93,13 @@ class TestDependencyOrderingUnderConcurrency:
         rt = Runtime(execution="threaded", workers=4)
         barrier = threading.Barrier(4, timeout=10.0)
 
-        def body(_):
+        def body(payload):
             barrier.wait()  # deadlocks unless 4 bodies are in flight
+            return payload
 
         for i in range(4):
             h = rt.register_data(f"h{i}", payload=i)
-            rt.insert_task(f"t{i}", (h, AccessMode.READWRITE), body=body)
+            rt.insert_task(f"t{i}", (h, AccessMode.READWRITE), spec=call(body))
         result = rt.run()
         assert result.trace.num_tasks == 4
         assert {e.device for e in result.trace.events} == {0, 1, 2, 3}
@@ -118,7 +121,7 @@ class TestDependencyOrderingUnderConcurrency:
             for i, h in enumerate(handles):
                 rt.insert_task("inc", (h, AccessMode.READWRITE),
                                (handles[(i + 1) % chains], AccessMode.READ),
-                               body=lambda own, _other: own + 1)
+                               spec=call(lambda own, _other: own + 1))
         plan = FaultPlan([FaultSite(site=SITE_TASK_BODY, every=7)], seed=3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -145,9 +148,9 @@ class TestDependencyOrderingUnderConcurrency:
         rt = Runtime(execution="threaded", workers=4)
         h = rt.register_data("x", payload=-np.eye(4))
         rt.insert_task("potrf", (h, AccessMode.READWRITE),
-                       body=np.linalg.cholesky)
+                       spec=call(np.linalg.cholesky))
         rt.insert_task("never", (h, AccessMode.READWRITE),
-                       body=lambda a: a)
+                       spec=call(lambda a: a))
         with pytest.raises(TaskGroupError) as excinfo:
             rt.run()
         # the aggregate error carries every failure with task context
@@ -170,12 +173,12 @@ class TestDependencyOrderingUnderConcurrency:
             r = rt.register_data("r", payload=None)
             out = rt.register_data("out", payload=None)
             rt.insert_task("left", (src, AccessMode.READ), (l, AccessMode.WRITE),
-                           body=lambda s, _: s * 2)
+                           spec=call(lambda s, _: s * 2))
             rt.insert_task("right", (src, AccessMode.READ), (r, AccessMode.WRITE),
-                           body=lambda s, _: s + 1)
+                           spec=call(lambda s, _: s + 1))
             rt.insert_task("join", (l, AccessMode.READ), (r, AccessMode.READ),
                            (out, AccessMode.WRITE),
-                           body=lambda x, y, _: x + y)
+                           spec=call(lambda x, y, _: x + y))
             rt.run()
             np.testing.assert_array_equal(out.payload, [10.0])
 
@@ -268,7 +271,8 @@ class TestRuntimeReuse:
     def test_run_drains_pending_tasks_only(self):
         rt = Runtime(execution="threaded", workers=2)
         h = rt.register_data("x", payload=np.array([1.0]))
-        rt.insert_task("inc", (h, AccessMode.READWRITE), body=lambda v: v + 1)
+        rt.insert_task("inc", (h, AccessMode.READWRITE),
+                       spec=call(lambda v: v + 1))
         first = rt.run()
         assert first.trace.num_tasks == 1
         # a second run with nothing pending must be a no-op, not a replay
@@ -281,7 +285,8 @@ class TestRuntimeReuse:
         scheduler = rt.scheduler
         for i in range(3):
             h = rt.register_data(f"x{i}", payload=float(i))
-            rt.insert_task("t", (h, AccessMode.READWRITE), body=lambda v: v)
+            rt.insert_task("t", (h, AccessMode.READWRITE),
+                           spec=call(lambda v: v))
             rt.run()
         assert rt.scheduler is scheduler
         rt.reset_graph()
@@ -331,7 +336,8 @@ class TestLibraryDrainGuard:
 
         rt = Runtime(execution="threaded", workers=2)
         h = rt.register_data("mine", payload=np.array([1.0]))
-        rt.insert_task("foreign", (h, AccessMode.READWRITE), body=lambda v: v)
+        rt.insert_task("foreign", (h, AccessMode.READWRITE),
+                       spec=call(lambda v: v))
         a = _spd(32)
         with pytest.raises(RuntimeError, match="unrelated pending"):
             cholesky(a, tile_size=16, runtime=rt)

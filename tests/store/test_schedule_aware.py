@@ -28,6 +28,7 @@ from repro.runtime.task import Task
 from repro.store import StoreSchedulerHooks, TileStore
 from repro.store.stats import ResidencyManager
 from repro.tiles.matrix import TileMatrix
+from tests.runtime.call import call
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +280,9 @@ def test_foreign_hooks_without_drain_begin_still_drain():
         hooks, ran = Foreign(), []
         graph = TaskGraph()
         for name in ("a", "b"):
-            graph.add_task(Task(name, (), body=lambda n=name: ran.append(n)))
+            # a task writing no handle returns no output
+            graph.add_task(Task(name, (), spec=call(
+                lambda n=name: ran.append(n) or ())))
         Scheduler(execution=execution, workers=workers, hooks=hooks).run(graph)
         assert sorted(ran) == ["a", "b"]
         assert sorted(hooks.seen) == sorted(
@@ -303,6 +306,6 @@ def test_drain_begin_sees_the_graph_before_any_task_is_ready():
         task_complete = task_dispatch
 
     graph = TaskGraph()
-    graph.add_task(Task("only", (), body=lambda: None))
+    graph.add_task(Task("only", (), spec=call(lambda: ())))
     Scheduler(execution="serial", hooks=Hooks()).run(graph)
     assert calls == [("begin", 1), ("ready", "only")]

@@ -51,11 +51,9 @@ IDS = [f"{lane[0]}-{'conf' if confounded else 'snps'}-batch{batch_rows}"
 
 
 def _groups(session, sizes):
-    batch = session.config.predict_batch_rows
-    if batch is not None:
-        batch = max(1, batch // TILE) * TILE
     lanes = session.runtime.scheduler.lanes(sum(sizes))
-    return batch, _row_groups(list(sizes), batch, lanes)
+    return _row_groups(list(sizes), session.config.predict_batch_rows, TILE,
+                       lanes)
 
 
 def _reference(session, genotypes, confounders, sizes):
@@ -63,13 +61,12 @@ def _reference(session, genotypes, confounders, sizes):
     each block's operation count by compute precision."""
     cfg = session.config
     wp = cfg.precision_plan.working_precision
-    batch, _ = _groups(session, sizes)
     builder = KernelBuilder(gamma=session.gamma_, tile_size=TILE)
     predictions = np.empty((genotypes.shape[0], NPH))
     flops = {}
     for block in builder.iter_cross_rows(
             genotypes, session.training_genotypes_, confounders,
-            session.training_confounders_, batch_rows=batch,
+            session.training_confounders_, batch_rows=cfg.predict_batch_rows,
             cohort_rows=list(sizes)):
         predictions[block.rows] = gemm(block.kernel, session.weights_,
                                        precision=wp)
@@ -89,7 +86,7 @@ def test_predict_is_one_drain_with_one_task_per_group(session):
     runs = session.runtime.runs_completed
     predictions = session.predict(g, c)
     assert session.runtime.runs_completed == runs + 1
-    _, groups = _groups(session, [g.shape[0]])
+    groups = _groups(session, [g.shape[0]])
     assert session.runtime.ledger["predict"].tasks == {
         "predict_group": len(groups)}
     reference, flops = _reference(session, g, c, [g.shape[0]])
@@ -107,7 +104,7 @@ def test_a_micro_batch_is_one_drain_with_one_task_per_group(session):
     answers = session.predict_many([g for g, _ in cohorts],
                                    [c for _, c in cohorts])
     assert session.runtime.runs_completed == runs + 1
-    _, groups = _groups(session, COHORTS)
+    groups = _groups(session, COHORTS)
     assert session.runtime.ledger["predict"].tasks == {
         "predict_group": len(groups)}
     reference, flops = _reference(
@@ -163,7 +160,7 @@ def _one_lane_groups(sizes, batch_rows):
        batch_rows=st.none() | st.integers(1, 48),
        lanes=st.integers(1, 8))
 def test_row_groups_cut_whole_batches_to_the_lanes(sizes, batch_rows, lanes):
-    groups = _row_groups(sizes, batch_rows, lanes)
+    groups = _row_groups(sizes, batch_rows, 1, lanes)
     batches = [rows for group in _one_lane_groups(sizes, batch_rows)
                for rows in group]
     # the groups partition the rows in order, and no batch is split
@@ -173,7 +170,7 @@ def test_row_groups_cut_whole_batches_to_the_lanes(sizes, batch_rows, lanes):
     for group in groups:
         held = sum(rows.stop - rows.start for rows in group)
         assert held <= cut or len(group) == 1
-    assert _row_groups(sizes, batch_rows, 1) == _one_lane_groups(
+    assert _row_groups(sizes, batch_rows, 1, 1) == _one_lane_groups(
         sizes, batch_rows)
     assert len(groups) >= min(lanes, len(batches))
 
