@@ -39,9 +39,6 @@ The package is organised around the paper's three-phase KRR workflow
     Synthetic genotype/phenotype generation (LD-block and coalescent
     simulators, UK-BioBank-like cohorts) replacing the restricted-access
     datasets used in the paper.
-``repro.baselines``
-    Univariate GWAS, REGENIE-like stacked ridge regression, and a
-    GRM-based linear mixed model.
 ``repro.perfmodel``
     Machine/system performance models used to regenerate the paper's
     supercomputer-scale performance figures.

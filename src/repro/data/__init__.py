@@ -17,8 +17,8 @@ paper's conclusions rely on:
 * confounder covariates (age, sex, genetic principal components)
   (:mod:`repro.data.confounders`);
 * a UK-BioBank-like multi-disease cohort builder (:mod:`repro.data.ukb`);
-* dataset containers with train/test splitting and (de)serialization
-  (:mod:`repro.data.dataset`, :mod:`repro.data.io`).
+* dataset containers with train/test splitting
+  (:mod:`repro.data.dataset`).
 """
 
 from repro.data.genotypes import GenotypeSimulator, LDBlockConfig, simulate_genotypes
@@ -31,7 +31,6 @@ from repro.data.phenotypes import (
 from repro.data.confounders import simulate_confounders
 from repro.data.ukb import UKBLikeCohort, make_ukb_like_cohort, DISEASES
 from repro.data.dataset import GWASDataset, TrainTestSplit
-from repro.data.io import load_dataset, save_dataset
 
 __all__ = [
     "GenotypeSimulator",
@@ -48,6 +47,4 @@ __all__ = [
     "DISEASES",
     "GWASDataset",
     "TrainTestSplit",
-    "save_dataset",
-    "load_dataset",
 ]

@@ -123,16 +123,3 @@ def simulate_coalescent_genotypes(n_individuals: int, n_snps: int,
     """Convenience wrapper around :class:`CoalescentSimulator`."""
     sim = CoalescentSimulator(segment_snps=segment_snps, seed=seed)
     return sim.simulate(n_individuals, n_snps)
-
-
-def site_frequency_spectrum(genotypes: np.ndarray, n_bins: int = 10) -> np.ndarray:
-    """Histogram of derived-allele frequencies (diagnostic for the simulator).
-
-    Under the neutral coalescent the expected spectrum is ∝ 1/f — most
-    sites rare — which is what distinguishes coalescent data from the
-    uniform-frequency random fills also used in the paper's largest runs.
-    """
-    g = np.asarray(genotypes, dtype=np.float64)
-    freqs = g.mean(axis=0) / 2.0
-    hist, _ = np.histogram(freqs, bins=n_bins, range=(0.0, 1.0))
-    return hist

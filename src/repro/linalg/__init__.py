@@ -18,7 +18,7 @@ objects with a per-tile precision mosaic:
 """
 
 from repro.linalg.kernels import tile_gemm, tile_potrf, tile_syrk, tile_trsm
-from repro.linalg.cholesky import CholeskyResult, cholesky, cholesky_flops
+from repro.linalg.cholesky import CholeskyResult, cholesky
 from repro.linalg.solve import solve_cholesky, solve_triangular
 from repro.linalg.blas3 import gemm, syrk
 from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
@@ -30,7 +30,6 @@ __all__ = [
     "tile_gemm",
     "cholesky",
     "CholeskyResult",
-    "cholesky_flops",
     "solve_triangular",
     "solve_cholesky",
     "syrk",

@@ -87,11 +87,6 @@ class CholeskyResult:
         return np.tril(self.factor.to_dense())
 
 
-def cholesky_flops(n: int) -> float:
-    """Total operation count of a Cholesky factorization of order ``n``."""
-    return n ** 3 / 3.0 + n ** 2 / 2.0 + n / 6.0
-
-
 def _accumulate(result: CholeskyResult, name: str, precision: Precision,
                 flops: float) -> None:
     result.flops += flops

@@ -26,7 +26,6 @@ from repro.perfmodel.systems import SYSTEM_REGISTRY, SystemSpec, system
 from repro.perfmodel.flops import (
     associate_flops,
     build_flops,
-    krr_flops,
     predict_flops,
 )
 from repro.perfmodel.scaling import (
@@ -48,7 +47,6 @@ __all__ = [
     "build_flops",
     "associate_flops",
     "predict_flops",
-    "krr_flops",
     "MachineModel",
     "PhaseEstimate",
     "ScalingPoint",

@@ -18,10 +18,7 @@ __all__ = [
     "associate_flops",
     "solve_flops",
     "predict_flops",
-    "krr_flops",
-    "rr_flops",
     "associate_precision_fractions",
-    "memory_bytes_kernel_matrix",
 ]
 
 
@@ -44,24 +41,6 @@ def predict_flops(n_test: int, n_train: int, n_snps: int, n_phenotypes: int) -> 
     """Predict phase: cross kernel build plus ``K_test @ W``."""
     return (gemm_flop_count(n_test, n_train, n_snps)
             + gemm_flop_count(n_test, n_train, n_phenotypes))
-
-
-def krr_flops(n_patients: int, n_snps: int, n_phenotypes: int = 1,
-              n_test: int = 0) -> float:
-    """Total KRR workflow operation count (Build + Associate + solves [+ Predict])."""
-    total = (build_flops(n_patients, n_snps)
-             + associate_flops(n_patients)
-             + solve_flops(n_patients, n_phenotypes))
-    if n_test:
-        total += predict_flops(n_test, n_patients, n_snps, n_phenotypes)
-    return total
-
-
-def rr_flops(n_patients: int, n_features: int, n_phenotypes: int = 1) -> float:
-    """Ridge regression: SYRK (``N_P·N_S²``) + Cholesky (``N_S³/3``) + solves."""
-    return (float(n_patients) * float(n_features) ** 2
-            + float(n_features) ** 3 / 3.0
-            + 2.0 * float(n_features) ** 2 * float(n_phenotypes))
 
 
 def associate_precision_fractions(n_tiles: int,
@@ -91,23 +70,3 @@ def associate_precision_fractions(n_tiles: int,
     if low_precision == working_precision:
         return {working_precision: 1.0}
     return {working_precision: high, low_precision: low}
-
-
-def memory_bytes_kernel_matrix(n_patients: int, tile_fractions: dict[Precision, float],
-                               symmetric: bool = True) -> float:
-    """Storage footprint of the kernel matrix under a precision mix.
-
-    ``tile_fractions`` maps each storage precision to the fraction of
-    tiles stored in it (e.g. the output of the adaptive rule).  Used for
-    the memory-footprint-reduction accounting the paper highlights.
-    """
-    n = float(n_patients)
-    elements = n * (n + 1) / 2.0 if symmetric else n * n
-    total_fraction = sum(tile_fractions.values())
-    if total_fraction <= 0:
-        raise ValueError("tile_fractions must contain positive fractions")
-    bytes_per_element = sum(
-        (frac / total_fraction) * p.bytes_per_element
-        for p, frac in tile_fractions.items()
-    )
-    return elements * bytes_per_element

@@ -62,9 +62,6 @@ class SystemSpec:
     link_bandwidth: float
     link_latency: float = 5.0e-6
 
-    def nodes_for_gpus(self, n_gpus: int) -> int:
-        return max(1, -(-n_gpus // self.gpus_per_node))
-
     def memory_for_gpus(self, n_gpus: int) -> float:
         """Aggregate device memory (bytes) of ``n_gpus`` accelerators."""
         return n_gpus * self.gpu.memory_capacity

@@ -13,7 +13,7 @@ Public surface
 ``Precision``
     Enumeration of the supported formats with their numerical metadata
     (unit roundoff, max finite value, bytes per element).
-``quantize`` / ``dequantize_int8``
+``quantize``
     Round an array to a given format's value grid.
 ``gemm_mixed``, ``syrk_mixed``
     Tensor-core-style matrix products: operands quantized to a low
@@ -31,13 +31,7 @@ from repro.precision.formats import (
     Precision,
     unit_roundoff,
 )
-from repro.precision.fp8 import quantize_fp8
-from repro.precision.quantize import (
-    Int8Quantization,
-    dequantize_int8,
-    quantize,
-    quantize_int8,
-)
+from repro.precision.quantize import quantize
 from repro.precision.gemm import (
     EXACT_DGEMM_BOUND,
     EXACT_SGEMM_BOUND,
@@ -50,11 +44,6 @@ from repro.precision.gemm import (
     set_integer_backend,
     syrk_mixed,
 )
-from repro.precision.error_model import (
-    cholesky_error_bound,
-    dot_product_error_bound,
-    representable_relative_error,
-)
 
 __all__ = [
     "Precision",
@@ -63,10 +52,6 @@ __all__ = [
     "FP8_E4M3_MAX",
     "FP8_E5M2_MAX",
     "quantize",
-    "quantize_fp8",
-    "quantize_int8",
-    "dequantize_int8",
-    "Int8Quantization",
     "GemmVariant",
     "QuantizedOperand",
     "gemm_variant",
@@ -77,7 +62,4 @@ __all__ = [
     "integer_gemm_dtype",
     "EXACT_DGEMM_BOUND",
     "EXACT_SGEMM_BOUND",
-    "dot_product_error_bound",
-    "cholesky_error_bound",
-    "representable_relative_error",
 ]

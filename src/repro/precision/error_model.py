@@ -1,75 +1,18 @@
-"""Rounding-error bounds for the mixed-precision operations.
+"""The perturbation bound of a per-tile precision mosaic.
 
-Implements the standard backward-error bounds (Higham, *Accuracy and
-Stability of Numerical Algorithms*) and the mixed-precision bounds of
-Higham & Mary (Acta Numerica 2022, reference [19] of the paper) that
-justify the tile-centric adaptive precision rule used in the Associate
-phase: storing tile ``A_ij`` in a format with unit roundoff ``u_k``
-perturbs the global matrix by at most ``u_k * ||A_ij||``, so a tile may
-be demoted whenever that perturbation stays below the application's
-accuracy target ``eps * ||A||``.
+The mixed-precision bound of Higham & Mary (Acta Numerica 2022,
+reference [19] of the paper) justifies the tile-centric adaptive
+precision rule used in the Associate phase: storing tile ``A_ij`` in a
+format with unit roundoff ``u_k`` perturbs the global matrix by at most
+``u_k * ||A_ij||``, so a tile may be demoted whenever that perturbation
+stays below the application's accuracy target ``eps * ||A||``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.precision.formats import Precision, unit_roundoff
-
-
-def gamma(n: int, u: float) -> float:
-    """Higham's ``gamma_n = n*u / (1 - n*u)`` constant.
-
-    Raises ``ValueError`` when ``n*u >= 1`` (the bound is meaningless:
-    the accumulation is too long for the chosen precision).
-    """
-    nu = n * u
-    if nu >= 1.0:
-        raise ValueError(
-            f"n*u = {nu:.3g} >= 1: accumulation of length {n} cannot be "
-            f"bounded in a precision with unit roundoff {u:.3g}"
-        )
-    return nu / (1.0 - nu)
-
-
-def dot_product_error_bound(n: int, precision: Precision | str,
-                            accumulate: Precision | str | None = None) -> float:
-    """Relative forward-error bound for an ``n``-term dot product.
-
-    With operands stored in ``precision`` and accumulation in
-    ``accumulate`` (defaults to the same format), the computed dot
-    product x·y satisfies ``|fl(x·y) - x·y| <= bound * |x|·|y|``.
-    Tensor cores accumulate in a wider format, which is why the FP16
-    and FP8 GEMM variants remain usable for long inner dimensions.
-    """
-    p_in = Precision.from_string(precision)
-    p_acc = Precision.from_string(accumulate) if accumulate is not None else p_in
-    u_in = unit_roundoff(p_in)
-    u_acc = unit_roundoff(p_acc)
-    if p_in.is_integer and p_acc.is_integer:
-        return 0.0
-    # one rounding per operand conversion + gamma_n for the accumulation
-    return 2.0 * u_in + gamma(max(n, 1), u_acc) if u_acc > 0 else 2.0 * u_in
-
-
-def matmul_error_bound(m: int, n: int, k: int, precision: Precision | str,
-                       accumulate: Precision | str | None = None) -> float:
-    """Normwise relative error bound for an ``m×k @ k×n`` product."""
-    return dot_product_error_bound(k, precision, accumulate)
-
-
-def cholesky_error_bound(n: int, precision: Precision | str) -> float:
-    """Backward-error bound for a Cholesky factorization of order ``n``.
-
-    ``A + dA = L @ L.T`` with ``||dA|| <= bound * ||A||`` (uniform
-    precision).  For the tile-adaptive factorization the effective
-    bound combines this with the per-tile storage perturbation computed
-    by :func:`adaptive_perturbation_bound`.
-    """
-    u = unit_roundoff(precision)
-    if u == 0.0:
-        return 0.0
-    return gamma(3 * max(n, 1) + 1, u)
+from repro.precision.formats import unit_roundoff
 
 
 def adaptive_perturbation_bound(tile_norms: np.ndarray,
@@ -103,26 +46,3 @@ def adaptive_perturbation_bound(tile_norms: np.ndarray,
     # Frobenius norms of per-tile perturbations add in quadrature.
     perturbation = float(np.sqrt(np.sum((us * norms) ** 2)))
     return perturbation / float(matrix_norm)
-
-
-def representable_relative_error(precision: Precision | str) -> float:
-    """Worst-case relative error of representing a value in ``precision``.
-
-    Equal to the unit roundoff for normalised values; used by tests and
-    by the adaptive-precision heuristics.
-    """
-    return unit_roundoff(precision)
-
-
-def min_precision_for_accuracy(eps: float,
-                               candidates: tuple[Precision, ...] = (
-                                   Precision.FP8_E4M3,
-                                   Precision.FP16,
-                                   Precision.FP32,
-                                   Precision.FP64,
-                               )) -> Precision:
-    """Narrowest candidate precision whose unit roundoff is below ``eps``."""
-    for p in sorted(candidates, key=lambda q: q.rank):
-        if unit_roundoff(p) <= eps:
-            return p
-    return Precision.widest(*candidates)

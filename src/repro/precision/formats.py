@@ -122,18 +122,8 @@ class Precision(enum.Enum):
         """Width rank: larger means numerically wider (more accurate)."""
         return _RANK[self]
 
-    def wider_than(self, other: "Precision") -> bool:
-        return self.rank > other.rank
-
     def narrower_than(self, other: "Precision") -> bool:
         return self.rank < other.rank
-
-    @staticmethod
-    def widest(*precisions: "Precision") -> "Precision":
-        """Return the widest of the given precisions."""
-        if not precisions:
-            raise ValueError("widest() requires at least one precision")
-        return max(precisions, key=lambda p: p.rank)
 
     @staticmethod
     def narrowest(*precisions: "Precision") -> "Precision":
@@ -284,14 +274,3 @@ def unit_roundoff(precision: "Precision | str") -> float:
     Integer formats return 0.
     """
     return Precision.from_string(precision).spec.unit_roundoff
-
-
-#: Floating-point formats usable as tile storage, widest first.
-FLOAT_STORAGE_FORMATS: tuple[Precision, ...] = (
-    Precision.FP64,
-    Precision.FP32,
-    Precision.BF16,
-    Precision.FP16,
-    Precision.FP8_E5M2,
-    Precision.FP8_E4M3,
-)

@@ -34,7 +34,6 @@ _GRID_PARAMS = {
     Precision.FP8_E5M2: (2, 15, 57344.0, -14),
     Precision.FP16: (10, 15, 65504.0, -14),
 }
-_FP8_VARIANTS = (Precision.FP8_E4M3, Precision.FP8_E5M2)
 
 
 def _round_to_grid(x: np.ndarray, mantissa_bits: int, min_normal_exp: int,
@@ -87,58 +86,3 @@ def quantize_grid(x: np.ndarray, precision: Precision) -> np.ndarray:
     mantissa_bits, _bias, max_finite, min_normal_exp = _GRID_PARAMS[precision]
     rounded = _round_to_grid(x, mantissa_bits, min_normal_exp, max_finite)
     return rounded.astype(np.float32, copy=False)
-
-
-def quantize_fp8(x: np.ndarray, variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
-    """Quantize an array to the FP8 value grid, returned as ``float32``.
-
-    Parameters
-    ----------
-    x:
-        Input array (any float dtype).
-    variant:
-        ``Precision.FP8_E4M3`` (default, the variant used by the paper's
-        Cholesky tiles on GH200) or ``Precision.FP8_E5M2``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float32`` array whose values all lie on the chosen FP8 grid.
-        Values beyond the format's range saturate to ``±max_finite``;
-        NaNs propagate.
-    """
-    if variant not in _FP8_VARIANTS:
-        raise ValueError(f"{variant} is not an FP8 format")
-    return quantize_grid(x, variant)
-
-
-def fp8_grid(variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
-    """Return all non-negative representable FP8 values, ascending.
-
-    Useful for tests and for illustrating the format's dynamic range.
-    """
-    if variant not in _FP8_VARIANTS:
-        raise ValueError(f"{variant} is not an FP8 format")
-    mantissa_bits, _bias, max_finite, min_normal_exp = _GRID_PARAMS[variant]
-    values = [0.0]
-    # subnormals: fraction/2**m * 2**min_normal_exp
-    for frac in range(1, 2 ** mantissa_bits):
-        values.append(frac / (2 ** mantissa_bits) * 2.0 ** min_normal_exp)
-    # normals
-    max_exp = int(np.floor(np.log2(max_finite)))
-    for e in range(min_normal_exp, max_exp + 1):
-        for frac in range(2 ** mantissa_bits):
-            v = (1.0 + frac / (2 ** mantissa_bits)) * 2.0 ** e
-            if v <= max_finite:
-                values.append(v)
-    return np.array(sorted(set(values)), dtype=np.float64)
-
-
-def is_representable_fp8(x: np.ndarray, variant: Precision = Precision.FP8_E4M3,
-                         rtol: float = 0.0) -> np.ndarray:
-    """Element-wise check that values already lie on the FP8 grid."""
-    q = quantize_fp8(x, variant)
-    x = np.asarray(x, dtype=np.float64)  # float32 would round x onto the grid
-    if rtol == 0.0:
-        return q == x
-    return np.abs(q - x) <= rtol * np.abs(x)

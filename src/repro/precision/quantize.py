@@ -6,16 +6,9 @@ array rounded to that format's representable values.  For formats with
 a native NumPy dtype (FP64/FP32/INT8/INT32) this is a cast; for FP16,
 BF16 and FP8 it is a software round-to-nearest-even onto the format's
 grid, stored back in float32.
-
-INT8 quantization of real-valued data (needed when confounder columns
-are pushed through the integer tensor-core path) uses a symmetric
-linear scale recorded in :class:`Int8Quantization` so it can be undone
-after the integer GEMM.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +52,7 @@ def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:
     itself may be returned without copying — callers that need an
     independent buffer must copy explicitly.
 
-    For INT8 the input is rounded and clipped to [-128, 127]; use
-    :func:`quantize_int8` when a scale factor must be recorded.
+    For INT8 the input is rounded and clipped to [-128, 127].
     """
     precision = Precision.from_string(precision)
     if precision is Precision.FP64:
@@ -89,60 +81,6 @@ def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:
         x64 = np.asarray(x, dtype=np.float64)
         return np.clip(np.rint(x64), info.min, info.max).astype(np.int32)
     raise ValueError(f"unsupported precision {precision}")
-
-
-def quantization_error(x: np.ndarray, precision: Precision | str,
-                       ord: str | int | None = "fro") -> float:
-    """Norm of the error introduced by quantizing ``x`` to ``precision``."""
-    x64 = np.asarray(x, dtype=np.float64)
-    q = np.asarray(quantize(x64, precision), dtype=np.float64)
-    diff = x64 - q
-    if diff.ndim == 1:
-        return float(np.linalg.norm(diff))
-    return float(np.linalg.norm(diff, ord=ord))
-
-
-@dataclass(frozen=True)
-class Int8Quantization:
-    """Result of symmetric INT8 quantization of a real-valued array.
-
-    ``values ≈ scale * q`` where ``q`` is the stored int8 array.  The
-    scale is chosen so the maximum absolute input maps to 127 (or 1.0
-    if the input is all-zero, to avoid division by zero).
-    """
-
-    q: np.ndarray
-    scale: float
-
-    def dequantize(self) -> np.ndarray:
-        """Recover the (approximate) real values as float32."""
-        return (self.q.astype(np.float32)) * np.float32(self.scale)
-
-
-def quantize_int8(x: np.ndarray, scale: float | None = None) -> Int8Quantization:
-    """Symmetric linear quantization of ``x`` to INT8.
-
-    SNP genotypes (0/1/2) are already exact INT8 values and take
-    ``scale=1``; real-valued confounders use a data-derived scale.
-
-    Parameters
-    ----------
-    x:
-        Input array.
-    scale:
-        Optional fixed scale; when omitted, ``max(|x|)/127`` is used.
-    """
-    x64 = np.asarray(x, dtype=np.float64)
-    if scale is None:
-        max_abs = float(np.max(np.abs(x64))) if x64.size else 0.0
-        scale = max_abs / 127.0 if max_abs > 0 else 1.0
-    q = np.clip(np.rint(x64 / scale), -128, 127).astype(np.int8)
-    return Int8Quantization(q=q, scale=float(scale))
-
-
-def dequantize_int8(quantized: Int8Quantization) -> np.ndarray:
-    """Functional form of :meth:`Int8Quantization.dequantize`."""
-    return quantized.dequantize()
 
 
 def storage_bytes(shape: tuple[int, ...], precision: Precision | str) -> int:

@@ -38,7 +38,6 @@ from repro.resilience.faults import (
     FaultSite,
     active_plan,
     clear_plan,
-    corrupt_bytes,
     fault_plan,
     inject,
     install_plan,
@@ -74,7 +73,6 @@ __all__ = [
     "RetryPolicy",
     "active_plan",
     "clear_plan",
-    "corrupt_bytes",
     "fault_plan",
     "inject",
     "install_plan",

@@ -66,7 +66,6 @@ __all__ = [
     "fault_plan",
     "no_faults",
     "inject",
-    "corrupt_bytes",
     "reset_child_state",
 ]
 
@@ -328,14 +327,6 @@ def inject(site: str, key: object = None) -> None:
     plan = active_plan()
     if plan is not None:
         plan.inject(site, key)
-
-
-def corrupt_bytes(site: str, data: bytes, key: object = None) -> bytes:
-    """Module-level corruption site: identity unless a plan is active."""
-    plan = active_plan()
-    if plan is not None:
-        return plan.corrupt(site, data, key)
-    return data
 
 
 def reset_child_state() -> None:

@@ -121,17 +121,5 @@ class CommunicationEngine:
             out[t.policy] = out.get(t.policy, 0) + t.bytes_moved
         return out
 
-    def savings_vs_source_precision(self) -> int:
-        """Bytes saved relative to always shipping in the source precision."""
-        baseline = 0
-        actual = 0
-        for t in self.transfers:
-            # reconstruct source-precision size from the moved size
-            wire_p = self.wire_precision(t.src_precision, t.dst_precision)
-            elems = t.bytes_moved // max(wire_p.bytes_per_element, 1)
-            baseline += elems * t.src_precision.bytes_per_element
-            actual += t.bytes_moved
-        return baseline - actual
-
     def reset(self) -> None:
         self.transfers.clear()

@@ -44,7 +44,7 @@ from repro.resilience.errors import TaskGroupError
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.dag import TaskGraph
 from repro.runtime.scheduler import ScheduleResult, Scheduler
-from repro.runtime.task import AccessMode, DataHandle, Task
+from repro.runtime.task import AccessMode, DataHandle, Task, TaskSpec
 from repro.runtime.trace import PhaseTotals, TaskEvent
 from repro.settings import Settings
 
@@ -114,7 +114,8 @@ class Runtime:
         self._namespaces: dict[str, int] = {}
         #: outcome of the most recent successful :meth:`run`
         self.last_result: ScheduleResult | None = None
-        #: graph drained by the most recent :meth:`run`
+        #: graph drained by the most recent :meth:`run`; after a
+        #: successful drain its descriptors keep only their kernels
         self.last_graph: TaskGraph | None = None
         #: per-phase totals of what every ``run(phase=...)`` completed;
         #: a plain dict: ``ledger.pop(phase)`` / ``ledger.clear()`` reset
@@ -335,6 +336,11 @@ class Runtime:
                 resume.add_task(task)
             self.graph = resume
             raise
+        # last_graph is kept for replay(); each descriptor's operands and
+        # output closure would keep the drain's inputs and results alive
+        for task in graph.tasks:
+            if task.spec is not None:
+                task.spec = TaskSpec(task.spec.kernel, task.spec.mode)
         if phase is not None:
             totals = self.ledger.setdefault(phase, PhaseTotals())
             totals.fold(self._uncounted)

@@ -25,17 +25,10 @@ from repro.tiles.adaptive import (
     decide_tile_precisions,
     precision_heatmap,
 )
-from repro.tiles.band import band_fraction_map, band_precision_map
-from repro.tiles.serialize import (
-    load_tile_matrix,
-    pack_tile_matrix,
-    save_tile_matrix,
-    unpack_tile_matrix,
-)
+from repro.tiles.band import band_precision_map
+from repro.tiles.serialize import pack_tile_matrix, unpack_tile_matrix
 
 __all__ = [
-    "save_tile_matrix",
-    "load_tile_matrix",
     "pack_tile_matrix",
     "unpack_tile_matrix",
     "TileLayout",
@@ -45,5 +38,4 @@ __all__ = [
     "decide_tile_precisions",
     "precision_heatmap",
     "band_precision_map",
-    "band_fraction_map",
 ]

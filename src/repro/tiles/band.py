@@ -15,8 +15,6 @@ reproduce that assignment.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.precision.formats import Precision
 from repro.tiles.layout import TileLayout
 
@@ -73,27 +71,3 @@ def band_precision_map(
         else:
             pmap[(i, j)] = low
     return pmap
-
-
-def band_fraction_map(pmap: dict[tuple[int, int], Precision],
-                      layout: TileLayout) -> dict[Precision, float]:
-    """Fraction of off-diagonal tiles per precision in a band map."""
-    counts: dict[Precision, int] = {}
-    total = 0
-    for (i, j), p in pmap.items():
-        if i == j:
-            continue
-        counts[p] = counts.get(p, 0) + 1
-        total += 1
-    if total == 0:
-        return {}
-    return {p: c / total for p, c in counts.items()}
-
-
-def band_map_as_grid(pmap: dict[tuple[int, int], Precision],
-                     layout: TileLayout) -> np.ndarray:
-    """Render a precision map as an object array (for plotting/inspection)."""
-    grid = np.empty(layout.grid_shape, dtype=object)
-    for (i, j), p in pmap.items():
-        grid[i, j] = p
-    return grid

@@ -77,12 +77,6 @@ class TileLayout:
         c1 = min(c0 + self.tile_size, self.cols)
         return (slice(r0, r1), slice(c0, c1))
 
-    def tile_of_index(self, row: int, col: int) -> tuple[int, int]:
-        """Tile coordinates containing global element ``(row, col)``."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"element ({row}, {col}) outside {self.rows}x{self.cols}")
-        return (row // self.tile_size, col // self.tile_size)
-
     def iter_tiles(self) -> Iterator[tuple[int, int]]:
         """Iterate all tile coordinates in row-major order."""
         for i in range(self.tile_rows):

@@ -295,7 +295,8 @@ class TileMatrix:
         key, _ = self._stored_key(i, j)
         # set_tile, so the store accounting sees the new footprint: a
         # tile at ``precision`` is re-wrapped, any other is rounded from
-        # its own payload (``tile.convert``'s bits, no float64 copy)
+        # its own payload (the bits of rounding its float64 values,
+        # without the float64 copy)
         self.set_tile(*key, self.get_tile(*key), precision=precision)
 
     def apply_precision_map(self, pmap: PrecisionMap) -> None:

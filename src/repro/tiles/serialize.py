@@ -22,7 +22,7 @@ drive the on-disk format:
   therefore predicts bit-for-bit identically to the session that
   exported it.
 
-The module offers three layers:
+The module offers two layers:
 
 ``encode_payload`` / ``decode_payload``
     Array-level codec between the in-memory representation (the dtype
@@ -32,8 +32,6 @@ The module offers three layers:
     Flatten a ``TileMatrix`` into a dict of named arrays plus a JSON
     metadata blob, for embedding into a larger ``.npz`` archive (the
     fitted-model artifact packs the factor alongside the weight panel).
-``save_tile_matrix`` / ``load_tile_matrix``
-    One-call file round-trip of a single ``TileMatrix``.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ __all__ = [
     "decode_fp8",
     "pack_tile_matrix",
     "unpack_tile_matrix",
-    "save_tile_matrix",
-    "load_tile_matrix",
     "meta_to_array",
     "meta_from_array",
     "write_archive",
@@ -89,7 +85,7 @@ def encode_fp8(values: np.ndarray,
     mbits, ebits, bias, min_normal_exp = _FP8_CODEC_PARAMS[variant]
     x = np.asarray(values, dtype=np.float64)
     if np.any(np.isinf(x)):
-        # quantize_fp8 saturates infinities to +-max_finite, so an inf
+        # ``quantize`` saturates infinities to +-max_finite, so an inf
         # here means unquantized input; encoding it as 0 (or as the
         # E5M2 reserved inf pattern) would corrupt silently
         raise ValueError(
@@ -343,27 +339,3 @@ def unpack_tile_matrix(arrays, prefix: str = "", store=None) -> TileMatrix:
         payload = decode_payload(raw, precision)
         out._tiles[(i, j)] = Tile._on_grid(payload, precision, (i, j))
     return out
-
-
-# ----------------------------------------------------------------------
-# file round-trip
-# ----------------------------------------------------------------------
-def save_tile_matrix(matrix: TileMatrix, path: str | Path,
-                     compress: bool = False) -> Path:
-    """Write a ``TileMatrix`` to ``path`` (``.npz`` appended if missing).
-
-    ``compress`` trades write/read time for size; the default stores
-    raw native bytes so the file size reports the precision mosaic's
-    true footprint.
-    """
-    return write_archive(path, pack_tile_matrix(matrix), compress=compress)
-
-
-def load_tile_matrix(path: str | Path, store=None) -> TileMatrix:
-    """Load a ``TileMatrix`` written by :func:`save_tile_matrix`.
-
-    ``store`` opens the matrix store-backed and fully spilled (see
-    :func:`unpack_tile_matrix`).
-    """
-    with np.load(resolve_archive_path(path), allow_pickle=False) as archive:
-        return unpack_tile_matrix(archive, store=store)

@@ -4,14 +4,15 @@ Tiles are the unit of both storage and computation in the paper's
 runtime: each tile carries its own precision, and every task (POTRF,
 TRSM, SYRK, GEMM, kernel-build) consumes/produces tiles.  A ``Tile``
 always keeps its payload quantized to its declared precision, so
-conversions are explicit (:meth:`Tile.convert`), mirroring the
+conversions are explicit (:meth:`TileMatrix.set_tile_precision
+<repro.tiles.matrix.TileMatrix.set_tile_precision>`), mirroring the
 datatype-conversion tasks PaRSEC inserts on the fly.
 
 The on-grid invariant
 ---------------------
 ``tile.data`` holds values of ``tile.precision``'s grid in that
-format's storage dtype — always.  ``Tile(...)``, :meth:`Tile.update`
-and :meth:`Tile.convert_` establish it by rounding; everything that
+format's storage dtype — always.  ``Tile(...)`` and :meth:`Tile.update`
+establish it by rounding; everything that
 reads a tile may rely on it: a kernel handed a ``Tile`` at its own
 compute precision reads :meth:`Tile.float64_values` without rounding
 again.  Rounding is the expensive part of emulated low precision, so
@@ -115,24 +116,6 @@ class Tile:
             view.flags.writeable = False
             return view
         return np.asarray(self.data, dtype=np.float64)
-
-    def convert(self, precision: Precision | str) -> "Tile":
-        """Return a new tile re-quantized to ``precision``.
-
-        Conversion to a narrower precision loses information (that is
-        the point of the adaptive mosaic); conversion back to a wider
-        precision does not recover it.
-        """
-        precision = Precision.from_string(precision)
-        return Tile(data=self.to_float64(), precision=precision, coords=self.coords)
-
-    def convert_(self, precision: Precision | str) -> "Tile":
-        """In-place re-quantization; returns ``self`` for chaining."""
-        precision = Precision.from_string(precision)
-        self.data = quantize(self.to_float64(), precision)
-        self.precision = precision
-        self._version += 1
-        return self
 
     def update(self, data: np.ndarray) -> "Tile":
         """Replace the payload (quantized to the tile's precision)."""

@@ -6,9 +6,21 @@ import pytest
 from repro.data.coalescent import (
     CoalescentSimulator,
     simulate_coalescent_genotypes,
-    site_frequency_spectrum,
 )
-from repro.data.genotypes import allele_frequencies, ld_matrix
+from tests.data.popgen import allele_frequencies, ld_matrix
+
+
+def site_frequency_spectrum(genotypes: np.ndarray, n_bins: int = 10) -> np.ndarray:
+    """Histogram of derived-allele frequencies.
+
+    Under the neutral coalescent the expected spectrum is ∝ 1/f — most
+    sites rare — which is what distinguishes coalescent data from the
+    uniform-frequency random fills also used in the paper's largest runs.
+    """
+    g = np.asarray(genotypes, dtype=np.float64)
+    freqs = g.mean(axis=0) / 2.0
+    hist, _ = np.histogram(freqs, bins=n_bins, range=(0.0, 1.0))
+    return hist
 
 
 class TestCoalescentGenotypes:

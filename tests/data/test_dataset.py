@@ -5,7 +5,6 @@ import pytest
 
 from repro.data.confounders import genotype_principal_components, simulate_confounders
 from repro.data.dataset import GWASDataset, TrainTestSplit
-from repro.data.io import load_dataset, save_dataset
 from repro.data.ukb import DISEASES, make_ukb_like_cohort
 
 
@@ -92,28 +91,6 @@ class TestSplit:
     def test_overlap_detection(self, dataset):
         with pytest.raises(ValueError):
             TrainTestSplit(dataset, np.array([0, 1]), np.array([1, 2]))
-
-
-class TestIO:
-    def test_roundtrip(self, dataset, tmp_path):
-        path = save_dataset(dataset, tmp_path / "cohort")
-        assert path.suffix == ".npz"
-        loaded = load_dataset(path)
-        np.testing.assert_array_equal(loaded.genotypes, dataset.genotypes)
-        np.testing.assert_array_equal(loaded.phenotypes, dataset.phenotypes)
-        np.testing.assert_array_equal(loaded.confounders, dataset.confounders)
-        assert loaded.phenotype_names == dataset.phenotype_names
-        assert loaded.name == "test"
-
-    def test_roundtrip_without_confounders(self, small_genotypes, rng, tmp_path):
-        ds = GWASDataset(small_genotypes, rng.normal(size=120), name="noconf")
-        loaded = load_dataset(save_dataset(ds, tmp_path / "noconf.npz"))
-        assert loaded.confounders is None
-
-    def test_load_adds_suffix(self, dataset, tmp_path):
-        save_dataset(dataset, tmp_path / "x")
-        loaded = load_dataset(tmp_path / "x")
-        assert loaded.n_individuals == dataset.n_individuals
 
 
 class TestConfounders:

@@ -6,10 +6,9 @@ import pytest
 from repro.data.genotypes import (
     GenotypeSimulator,
     LDBlockConfig,
-    allele_frequencies,
-    ld_matrix,
     simulate_genotypes,
 )
+from tests.data.popgen import allele_frequencies, ld_matrix
 
 
 class TestGenotypeValues:
@@ -105,8 +104,3 @@ class TestDiagnostics:
         g = simulate_genotypes(200, 20, seed=9, maf_low=0.3)
         r2 = ld_matrix(g)
         np.testing.assert_allclose(np.diag(r2), 1.0, atol=1e-10)
-
-    def test_ld_matrix_max_snps(self):
-        g = simulate_genotypes(100, 30, seed=10)
-        r2 = ld_matrix(g, max_snps=10)
-        assert r2.shape == (10, 10)

@@ -370,10 +370,12 @@ class TestBoundedInFlightRows:
         builder.build_training(genotypes)
         # no handle of the Build's namespace outlives it...
         assert not [n for n in rt.handles if n.startswith("build")]
-        # ...and a row task writes none: it stores its own tiles
+        # ...and a row task writes none: it stores its own tiles through
+        # its on_complete, which the drained graph no longer holds
         rows = [t for t in rt.last_graph.tasks if t.name == "build_row"]
         assert len(rows) == 9
-        assert all(not t.accesses and t.spec.on_complete for t in rows)
+        assert all(not t.accesses and t.spec.on_complete is None
+                   and t.spec.aux == () for t in rows)
 
     def test_no_more_row_bands_alive_than_lanes(self, genotypes,
                                                 monkeypatch):

@@ -10,17 +10,13 @@ results of the paper's evaluation:
 3. The FP8 floor degrades accuracy only slightly (Fig. 6 / Table I).
 4. The runtime-scheduled factorization is numerically identical to the
    direct tile-by-tile execution.
-5. KRR also beats the REGENIE-like and LMM baselines on epistatic traits.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines.lmm import GRMLinearMixedModel
-from repro.baselines.regenie import RegenieConfig, RegenieLikeRegression
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.gwas.session import KRRSession
-from repro.gwas.metrics import pearson_correlation
 from repro.gwas.workflow import GWASWorkflow
 
 
@@ -104,24 +100,3 @@ class TestRuntimeConsistency:
         w_sched = solve_cholesky(scheduled, y, precision="fp32")
         np.testing.assert_allclose(w_sched, w_direct, rtol=1e-5, atol=1e-6)
 
-
-class TestAgainstBaselines:
-    def test_krr_beats_regenie_on_epistatic_trait(self, workflow, krr_result):
-        split = workflow.split
-        train, test = split.train, split.test
-        regenie = RegenieLikeRegression(RegenieConfig(block_size=16, n_folds=3))
-        name = workflow.dataset.phenotype_names[0]
-        pred = regenie.fit_predict(train.genotypes, train.phenotype(name),
-                                   test.genotypes)
-        regenie_rho = pearson_correlation(test.phenotype(name), pred)
-        assert krr_result.pearson(name) > regenie_rho
-
-    def test_krr_beats_lmm_on_epistatic_trait(self, workflow, krr_result):
-        split = workflow.split
-        train, test = split.train, split.test
-        name = workflow.dataset.phenotype_names[1]
-        lmm = GRMLinearMixedModel()
-        pred = lmm.fit_predict(train.genotypes, train.phenotype(name),
-                               test.genotypes)
-        lmm_rho = pearson_correlation(test.phenotype(name), pred)
-        assert krr_result.pearson(name) > lmm_rho

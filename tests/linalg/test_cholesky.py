@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.gwas.config import PrecisionPlan
-from repro.linalg.cholesky import cholesky, cholesky_flops
-from repro.precision.formats import Precision
+from repro.linalg.cholesky import cholesky
+from repro.precision.formats import Precision, unit_roundoff
 from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
 from repro.tiles.layout import TileLayout
@@ -300,6 +300,11 @@ def test_concurrent_factorizations_share_no_state(execution):
         _assert_same_factor(got, want)
 
 
+def cholesky_flops(n: int) -> float:
+    """Total operation count of a Cholesky factorization of order ``n``."""
+    return n ** 3 / 3.0 + n ** 2 / 2.0 + n / 6.0
+
+
 class TestFlopsFormula:
     def test_cholesky_flops_cubic(self):
         assert cholesky_flops(1000) == pytest.approx(1000 ** 3 / 3, rel=0.01)
@@ -368,9 +373,22 @@ class TestTileNativeInput:
 
 class TestNativeAccuracy:
     """The FP32/FP64 factor is LAPACK/BLAS in that dtype, tile by tile:
-    its backward error obeys the uniform-precision bound of
-    ``repro.precision.error_model`` and, for FP32, stays within a small
+    its backward error obeys the uniform-precision bound
+    :meth:`cholesky_error_bound` and, for FP32, stays within a small
     factor of LAPACK's own single-precision factorization."""
+
+    @staticmethod
+    def cholesky_error_bound(n, precision):
+        """Backward-error bound for a Cholesky factorization of order
+        ``n``: ``A + dA = L @ L.T`` with ``||dA|| <= bound * ||A||``
+        (uniform precision; Higham's ``gamma_{3n+1} = nu / (1 - nu)``
+        with ``nu = (3n+1)·u``)."""
+        u = unit_roundoff(precision)
+        if u == 0.0:
+            return 0.0
+        nu = (3 * max(n, 1) + 1) * u
+        assert nu < 1.0
+        return nu / (1.0 - nu)
 
     @staticmethod
     def _kernel(n):
@@ -385,18 +403,28 @@ class TestNativeAccuracy:
         l = np.asarray(l, dtype=np.float64)
         return np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
 
+    def test_bound_is_zero_for_integers(self):
+        assert self.cholesky_error_bound(100, Precision.INT8) == 0.0
+
+    def test_bound_grows_with_n(self):
+        assert self.cholesky_error_bound(100, Precision.FP32) < \
+            self.cholesky_error_bound(1000, Precision.FP32)
+
+    def test_narrower_precision_has_the_larger_bound(self):
+        assert self.cholesky_error_bound(100, Precision.FP32) < \
+            self.cholesky_error_bound(100, Precision.FP16)
+
     @pytest.mark.parametrize("n", [256, 640, 1000])
     @pytest.mark.parametrize("p", [Precision.FP32, Precision.FP64],
                              ids=lambda p: p.value)
     def test_backward_error_within_the_model_bound(self, runtime, p, n):
         import scipy.linalg
-        from repro.precision.error_model import cholesky_error_bound
 
         a = np.asarray(self._kernel(n), dtype=p.numpy_dtype)  # the input, at p
         result = cholesky(a, tile_size=128, working_precision=p,
                           runtime=runtime)
         error = self._backward_error(result.to_dense(), a)
-        assert 0.0 < error <= cholesky_error_bound(n, p)
+        assert 0.0 < error <= self.cholesky_error_bound(n, p)
         if p is Precision.FP32:
             lapack = scipy.linalg.cholesky(a, lower=True)
             assert lapack.dtype == np.float32

@@ -3,74 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.precision.error_model import (
-    adaptive_perturbation_bound,
-    cholesky_error_bound,
-    dot_product_error_bound,
-    gamma,
-    matmul_error_bound,
-    min_precision_for_accuracy,
-    representable_relative_error,
-)
+from repro.precision.error_model import adaptive_perturbation_bound
 from repro.precision.formats import Precision, unit_roundoff
-
-
-class TestGamma:
-    def test_small_nu(self):
-        u = 2.0 ** -24
-        assert gamma(100, u) == pytest.approx(100 * u, rel=1e-4)
-
-    def test_monotone_in_n(self):
-        u = 2.0 ** -11
-        assert gamma(10, u) < gamma(100, u) < gamma(1000, u)
-
-    def test_raises_when_nu_too_large(self):
-        with pytest.raises(ValueError):
-            gamma(5000, 2.0 ** -11)  # 5000 * 2^-11 > 1
-
-
-class TestDotProductBound:
-    def test_integer_exact(self):
-        assert dot_product_error_bound(1000, Precision.INT8) == 0.0
-
-    def test_wider_accumulation_helps(self):
-        narrow = dot_product_error_bound(1_000, Precision.FP16, Precision.FP16)
-        wide = dot_product_error_bound(1_000, Precision.FP16, Precision.FP32)
-        assert wide < narrow
-
-    def test_accumulation_too_long_for_fp16_raises(self):
-        with pytest.raises(ValueError):
-            dot_product_error_bound(10_000, Precision.FP16, Precision.FP16)
-
-    def test_matmul_bound_equals_dot_bound(self):
-        assert matmul_error_bound(5, 6, 200, Precision.FP16) == \
-            dot_product_error_bound(200, Precision.FP16)
-
-    def test_bound_is_actually_a_bound(self):
-        rng = np.random.default_rng(0)
-        n = 256
-        x = rng.normal(size=n)
-        y = rng.normal(size=n)
-        from repro.precision.quantize import quantize
-        xf = np.asarray(quantize(x, Precision.FP16), dtype=np.float32)
-        yf = np.asarray(quantize(y, Precision.FP16), dtype=np.float32)
-        computed = float(np.dot(xf, yf))
-        exact = float(np.dot(x, y))
-        bound = dot_product_error_bound(n, Precision.FP16, Precision.FP32)
-        assert abs(computed - exact) <= bound * float(np.dot(np.abs(x), np.abs(y))) + 1e-6
-
-
-class TestCholeskyBound:
-    def test_zero_for_integers(self):
-        assert cholesky_error_bound(100, Precision.INT8) == 0.0
-
-    def test_grows_with_n(self):
-        assert cholesky_error_bound(100, Precision.FP32) < \
-            cholesky_error_bound(1000, Precision.FP32)
-
-    def test_narrower_precision_larger_bound(self):
-        assert cholesky_error_bound(100, Precision.FP32) < \
-            cholesky_error_bound(100, Precision.FP16)
 
 
 class TestAdaptivePerturbation:
@@ -98,16 +32,3 @@ class TestAdaptivePerturbation:
                                            np.array([Precision.FP16] * 2, dtype=object),
                                            0.0) == 0.0
 
-
-class TestPrecisionSelection:
-    def test_representable_relative_error(self):
-        assert representable_relative_error("fp16") == pytest.approx(2.0 ** -11)
-
-    def test_min_precision_for_accuracy(self):
-        assert min_precision_for_accuracy(1e-1) is Precision.FP8_E4M3
-        assert min_precision_for_accuracy(1e-3) is Precision.FP16
-        assert min_precision_for_accuracy(1e-7) is Precision.FP32
-        assert min_precision_for_accuracy(1e-15) is Precision.FP64
-
-    def test_min_precision_falls_back_to_widest(self):
-        assert min_precision_for_accuracy(1e-20) is Precision.FP64

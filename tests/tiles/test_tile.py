@@ -26,21 +26,6 @@ class TestTile:
         for p in (Precision.FP16, Precision.BF16, Precision.FP8_E4M3):
             assert Tile(data, p).data.nbytes == 4 * 64
 
-    def test_convert_roundtrip_loses_information(self):
-        rng = np.random.default_rng(0)
-        tile = Tile(rng.normal(size=(6, 6)), precision=Precision.FP64)
-        low = tile.convert(Precision.FP8_E4M3)
-        back = low.convert(Precision.FP64)
-        assert not np.allclose(back.data, tile.data)
-        assert low.precision is Precision.FP8_E4M3
-
-    def test_convert_inplace_bumps_version(self):
-        tile = Tile(np.ones((3, 3)), precision=Precision.FP32)
-        v0 = tile.version
-        tile.convert_(Precision.FP16)
-        assert tile.precision is Precision.FP16
-        assert tile.version == v0 + 1
-
     def test_update_requantizes(self):
         tile = Tile(np.zeros((2, 2)), precision=Precision.FP16)
         tile.update(np.full((2, 2), 1e6))
