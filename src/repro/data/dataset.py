@@ -85,20 +85,6 @@ class GWASDataset:
                            f"available: {self.phenotype_names}") from exc
         return self.phenotypes[:, idx]
 
-    def design_matrix(self) -> np.ndarray:
-        """Genotypes and confounders concatenated (the RR design matrix X)."""
-        if self.confounders is None or self.confounders.shape[1] == 0:
-            return np.asarray(self.genotypes, dtype=np.float64)
-        return np.hstack([
-            np.asarray(self.genotypes, dtype=np.float64), self.confounders
-        ])
-
-    def integer_column_mask(self) -> np.ndarray:
-        """Boolean mask over design-matrix columns marking integer (SNP) columns."""
-        mask = np.zeros(self.n_snps + self.n_confounders, dtype=bool)
-        mask[: self.n_snps] = True
-        return mask
-
     # ------------------------------------------------------------------
     def split(self, train_fraction: float = 0.8, seed: int | None = 0) -> "TrainTestSplit":
         """Random train/test split (default 80/20 as in the paper)."""

@@ -67,6 +67,8 @@ _INT32_MAX = np.iinfo(np.int32).max
 SNP_VARIANT = variant_for_input(Precision.INT8)
 #: The confounder Gram: real-valued columns in FP32.
 CONF_VARIANT = variant_for_input(Precision.FP32)
+#: Columns :func:`snp_gram` casts per step (``KernelBuilder.snp_block``).
+SNP_BLOCK = 4096
 
 
 def genotype_operand(g: np.ndarray) -> QuantizedOperand:
@@ -451,7 +453,7 @@ class KernelBuilder:
     tile_size: int = 256
     adaptive_rule: AdaptivePrecisionRule | None = None
     storage_precision: Precision | str = Precision.FP32
-    snp_block: int = 4096
+    snp_block: int = SNP_BLOCK
     runtime: Runtime | None = None
     trace_phase: str = "build"
     store: object | None = None

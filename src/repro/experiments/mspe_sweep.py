@@ -79,24 +79,16 @@ def run_mspe_sweep(scale: str | ScalePreset = "small",
     cohort = make_ukb_like_cohort(
         n_individuals=preset.n_individuals, n_snps=preset.n_snps, seed=seed,
     )
-    if diseases is not None:
-        idx = [cohort.phenotype_names.index(d) for d in diseases]
-        cohort = GWASDataset(
-            genotypes=cohort.genotypes,
-            phenotypes=cohort.phenotypes[:, idx],
-            confounders=cohort.confounders,
-            phenotype_names=list(diseases),
-            name=cohort.name,
-        )
-    else:
-        keep = min(preset.n_diseases, cohort.n_phenotypes)
-        cohort = GWASDataset(
-            genotypes=cohort.genotypes,
-            phenotypes=cohort.phenotypes[:, :keep],
-            confounders=cohort.confounders,
-            phenotype_names=cohort.phenotype_names[:keep],
-            name=cohort.name,
-        )
+    names = (list(diseases) if diseases is not None
+             else cohort.phenotype_names[:preset.n_diseases])
+    cohort = GWASDataset(
+        genotypes=cohort.genotypes,
+        phenotypes=cohort.phenotypes[
+            :, [cohort.phenotype_names.index(d) for d in names]],
+        confounders=cohort.confounders,
+        phenotype_names=names,
+        name=cohort.name,
+    )
 
     workflow = GWASWorkflow(cohort, train_fraction=0.8, seed=0)
 

@@ -6,9 +6,9 @@
   to end with zero dense n×n round-trips, the regularization boost
   touches only diagonal tiles, and Predict streams in row batches.
 * :class:`~repro.gwas.session.RRSession` — linear ridge regression on
-  the genotype+confounder design matrix (Eq. 1–2 of the paper), solved
-  with the mixed-precision SYRK + tiled Cholesky path, in the same
-  session shape.  The two sessions are the only estimator classes.
+  the genotypes and confounders (Eq. 1–2 of the paper): the INT8 SNP
+  Gram, FP32 confounder products and the tiled Cholesky, with the KRR
+  session's inputs and shape.  The two sessions are the only estimator classes.
 * :mod:`repro.gwas.metrics` — MSPE and Pearson correlation, the two
   accuracy metrics of Sec. VII.
 * :mod:`repro.gwas.cv` — cross-validation for the α / γ hyperparameters

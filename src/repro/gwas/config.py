@@ -239,8 +239,8 @@ class RRConfig(_WithOptionsMixin):
     regularization:
         The λ penalty added to ``X^T X``.
     tile_size:
-        Tile edge for the SYRK and Cholesky (default 256: large tiles
-        keep the BLAS busy and the task count small).
+        Tile edge of the Cholesky and its solves (default 256: large
+        tiles keep the BLAS busy and the task count small).
     precision_plan:
         Mixed-precision plan of the Cholesky factorization.
     workers:

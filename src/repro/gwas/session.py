@@ -37,7 +37,7 @@ store's spill files.  The runtime's per-phase ledger
 sessions keep no flop state of their own.
 
 :class:`RRSession` gives the linear ridge-regression baseline the same
-staged session shape (gram → associate → predict) so the two methods
+inputs and staged shape (gram → associate → predict) so the two methods
 are driven identically by :class:`~repro.gwas.workflow.GWASWorkflow`.
 
 The sessions are the only estimator front door: every fit in the
@@ -52,14 +52,16 @@ import time
 
 import numpy as np
 
-from repro.distance.build import (BuildResult, KernelBuilder, TrainOperands,
-                                  _row_groups)
+from repro.distance.build import (SNP_BLOCK, BuildResult, KernelBuilder,
+                                  TrainOperands, _row_groups,
+                                  genotype_operand, snp_gram)
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
-from repro.linalg.blas3 import gemm, syrk
+from repro.linalg.blas3 import gemm
 from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
 from repro.linalg.cholesky import CholeskyResult, cholesky
 from repro.linalg.solve import solve_cholesky
 from repro.precision.formats import Precision
+from repro.precision.gemm import gemm_flop_count
 from repro.runtime.runtime import Runtime
 from repro.runtime.trace import ledger_by_precision
 from repro.settings import Settings
@@ -787,18 +789,18 @@ class KRRSession:
 
 
 class RRSession:
-    """Staged linear ridge-regression session (the paper's RR baseline).
+    """Staged linear ridge-regression session (the paper's RR baseline)
+    over :class:`KRRSession`'s inputs: an INT8 genotype panel ``G``
+    (:func:`~repro.distance.build.genotype_operand` rejects anything
+    else), optional confounders ``C`` and a phenotype panel.
 
-    Same session shape as :class:`KRRSession` — a ``fit`` that runs the
-    mixed-precision SYRK + tiled Cholesky pipeline, a streamed
-    ``predict``, and factor reuse for additional phenotypes — over the
-    design matrix ``X`` instead of a kernel.
-
-    ``flops_`` / ``flops_by_precision`` are reads of ``runtime.ledger``
-    (reset by :meth:`fit`): the Gram SYRK under ``"build"``; the
-    factorization, the ``XᵀY`` GEMM and the two solve sweeps under
-    ``"associate"``; then whatever ``predict`` /
-    ``solve_additional_phenotypes`` ran since.
+    ``X = [G | C]`` is never assembled: ``XᵀX``'s SNP block is the one
+    INT8 Gram (:func:`snp_gram` on ``Gᵀ``, exact), the blocks that touch
+    confounders are FP32 products (Fig. 2), and the standardization
+    ``D`` is analytic.  ``flops_`` / ``flops_by_precision`` read
+    ``runtime.ledger`` (reset by :meth:`fit`): the Gram under
+    ``"build"``; the factorization, ``XᵀY`` and the sweeps under
+    ``"associate"``; then ``"predict"`` / ``"solve"``.
     """
 
     def __init__(self, config: RRConfig | None = None, **overrides) -> None:
@@ -818,6 +820,7 @@ class RRSession:
         self.column_means_: np.ndarray | None = None
         self.column_scales_: np.ndarray | None = None
         self.y_means_: np.ndarray | None = None
+        self.n_snps_: int | None = None
 
     @property
     def flops_by_precision(self) -> dict[Precision, float]:
@@ -830,100 +833,137 @@ class RRSession:
         return float(sum(t.flops for t in self.runtime.ledger.values()))
 
     # ------------------------------------------------------------------
-    def _standardize(self, x: np.ndarray) -> np.ndarray:
-        if self.column_means_ is None:
-            raise RuntimeError("fit() must be called first")
-        return (np.asarray(x, dtype=np.float64) - self.column_means_) / (
-            self.column_scales_)
+    def _cohort(self, genotypes: np.ndarray, confounders: np.ndarray | None,
+                fitted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """The INT8 panel and the float64 confounders (``n × 0`` when
+        there are none), checked against the fitted columns."""
+        g = genotype_operand(genotypes).array
+        c = (np.empty((len(g), 0)) if confounders is None
+             else np.asarray(confounders, dtype=np.float64))
+        if c.shape[0] != len(g):
+            raise ValueError("confounders must have one row per individual")
+        if fitted and (g.shape[1] != self.n_snps_ or g.shape[1]
+                       + c.shape[1] != len(self.column_means_)):
+            raise ValueError("the SNP panel and confounders must match the "
+                             "training configuration")
+        return g, c
 
-    def fit(self, design: np.ndarray, phenotypes: np.ndarray,
-            integer_columns: np.ndarray | None = None) -> "RRSession":
-        """Fit ``beta = (X^T X + lambda*I)^{-1} X^T Y`` (Eq. 2).
+    def _gram(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Raw ``XᵀX``, tallied under ``"build"``: :func:`snp_gram` of
+        ``Gᵀ`` (it walks the individual axis in ``SNP_BLOCK`` steps) and
+        FP32 ``GᵀC``/``CᵀC``."""
+        (n, s), k = g.shape, c.shape[1]
+        qt = genotype_operand(g).T
+        gram = np.empty((s + k, s + k))
+        gram[:s, :s] = snp_gram(qt, qt, SNP_BLOCK, slice(0, s), slice(0, s))
+        self.runtime.tally("build", {Precision.INT8: gemm_flop_count(s, s, n)})
+        if k:
+            gc = _fp32_product(g, c, self.runtime, "build", transa=True)
+            cc = gemm(c, c, transa=True, runtime=self.runtime, phase="build")
+            gram[:s, s:], gram[s:, :s] = gc, gc.T
+            gram[s:, s:] = (cc + cc.T) / 2.0
+        return gram
 
-        The Gram matrix runs through the mixed INT8/FP32 SYRK, the
-        factorization through the tiled mixed-precision Cholesky with
-        the configured precision plan, and the solves in the working
-        precision.
-        """
+    def _solve(self, g: np.ndarray, c: np.ndarray, y: np.ndarray,
+               phase: str) -> np.ndarray:
+        """``β`` from ``XᵀY = D⁻¹[Gᵀy_c; Cᵀy_c]`` (FP32) and the factor."""
+        y_centered = y - y.mean(axis=0, keepdims=True)
+        xty = np.vstack([
+            _fp32_product(g, y_centered, self.runtime, phase, transa=True),
+            gemm(c, y_centered, transa=True, runtime=self.runtime,
+                 phase=phase)]) / self.column_scales_[:, None]
+        return solve_cholesky(
+            self.factorization_, xty,
+            precision=self.config.precision_plan.working_precision,
+            runtime=self.runtime, phase=phase)
+
+    def fit(self, genotypes: np.ndarray, phenotypes: np.ndarray,
+            confounders: np.ndarray | None = None) -> "RRSession":
+        """Fit ``beta = (X^T X + lambda*I)^{-1} X^T Y`` (Eq. 2) on the
+        standardized ``X = [G | C]``, factorizing with the precision
+        plan and solving in its working precision."""
         cfg = self.config
-        design = np.asarray(design, dtype=np.float64)
-        phenotypes = np.asarray(phenotypes, dtype=np.float64)
-        if phenotypes.ndim == 1:
-            phenotypes = phenotypes[:, None]
-        n, p = design.shape
-        if phenotypes.shape[0] != n:
-            raise ValueError("design and phenotypes must have the same number of rows")
-
+        g, c = self._cohort(genotypes, confounders, fitted=False)
+        n, s = g.shape
+        y = _phenotype_panel(phenotypes, n)
         self.runtime.ledger.clear()
-        # --- Gram matrix on raw columns via the mixed INT8/FP32 SYRK
-        gram_raw = syrk(design, tile_size=cfg.tile_size,
-                        integer_columns=integer_columns,
-                        output_precision=Precision.FP64,
-                        runtime=self.runtime, phase="build")
-
-        # Standardize the Gram matrix analytically:
-        #   X_std = (X - 1 μᵀ) D⁻¹  ⇒  X_stdᵀ X_std = D⁻¹ (XᵀX − n μ μᵀ) D⁻¹
-        mu = design.mean(axis=0)
-        scales = design.std(axis=0)
+        gram = self._gram(g, c)
+        # the SNP columns' means and variances are exact integer sums
+        # of the INT8 panel (Σg² is the Gram's diagonal)
+        sums = g.sum(axis=0, dtype=np.int64)
+        squares = np.diagonal(gram)[:s].astype(np.int64)
+        mu = np.concatenate([sums / n, c.mean(axis=0)])
+        scales = np.concatenate([np.sqrt((n * squares - sums * sums) / n ** 2),
+                                 c.std(axis=0)])
         scales[scales == 0] = 1.0
-        self.column_means_, self.column_scales_ = mu, scales
-        gram = (gram_raw - n * np.outer(mu, mu)) / np.outer(scales, scales)
+        self.column_means_, self.column_scales_, self.n_snps_ = mu, scales, s
+        # X_std = (X - 1 μᵀ) D⁻¹  ⇒  X_stdᵀ X_std = D⁻¹ (XᵀX − n μ μᵀ) D⁻¹
+        gram -= n * np.outer(mu, mu)
+        gram /= np.outer(scales, scales)
+        gram[np.diag_indices_from(gram)] += cfg.regularization
 
-        # --- regularize and factorize with the precision plan
-        a = gram + cfg.regularization * np.eye(p)
-        layout = TileLayout.square(p, cfg.tile_size)
         plan: PrecisionPlan = cfg.precision_plan
-        pmap = plan.precision_map(layout, matrix=a)
-        fact = cholesky(a, tile_size=cfg.tile_size,
-                        working_precision=plan.working_precision,
-                        precision_map=pmap,
-                        runtime=self.runtime, phase="associate")
-
-        # --- XᵀY in FP32 and the triangular solves
-        x_std = self._standardize(design)
-        y_centered = phenotypes - phenotypes.mean(axis=0, keepdims=True)
-        self.y_means_ = phenotypes.mean(axis=0)
-        xty = gemm(x_std, y_centered, precision=Precision.FP32, transa=True,
-                   runtime=self.runtime, phase="associate")
-        beta = solve_cholesky(fact, xty, precision=plan.working_precision,
-                              runtime=self.runtime, phase="associate")
-
-        self.beta_ = np.asarray(beta, dtype=np.float64)
-        self.factorization_ = fact
+        layout = TileLayout.square(len(gram), cfg.tile_size)
+        self.factorization_ = cholesky(
+            gram, tile_size=cfg.tile_size,
+            working_precision=plan.working_precision,
+            precision_map=plan.precision_map(layout, matrix=gram),
+            runtime=self.runtime, phase="associate")
+        self.y_means_ = y.mean(axis=0)
+        self.beta_ = self._solve(g, c, y, "associate")
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, design: np.ndarray) -> np.ndarray:
-        """Predict phenotypes for new individuals (test design matrix)."""
+    def predict(self, genotypes: np.ndarray,
+                confounders: np.ndarray | None = None) -> np.ndarray:
+        """Predict phenotypes for new individuals in FP32:
+        ``G·(D⁻¹β)_G + C·(D⁻¹β)_C − μᵀD⁻¹β + ȳ``."""
         if self.beta_ is None:
             raise RuntimeError("fit() must be called before predict()")
-        x_std = self._standardize(design)
-        pred = gemm(x_std, self.beta_, precision=Precision.FP32,
-                    runtime=self.runtime, phase="predict")
-        return pred + self.y_means_[None, :]
+        g, c = self._cohort(genotypes, confounders)
+        w = self.beta_ / self.column_scales_[:, None]
+        pred = _fp32_product(g, w[:self.n_snps_], self.runtime, "predict")
+        pred += gemm(c, w[self.n_snps_:], runtime=self.runtime,
+                     phase="predict")
+        return pred + (self.y_means_ - self.column_means_ @ w)
 
-    def fit_predict(self, train_design: np.ndarray,
+    def fit_predict(self, train_genotypes: np.ndarray,
                     train_phenotypes: np.ndarray,
-                    test_design: np.ndarray,
-                    integer_columns: np.ndarray | None = None) -> np.ndarray:
+                    test_genotypes: np.ndarray,
+                    train_confounders: np.ndarray | None = None,
+                    test_confounders: np.ndarray | None = None) -> np.ndarray:
         """Fit on the training set and predict the test set in one call."""
-        self.fit(train_design, train_phenotypes, integer_columns=integer_columns)
-        return self.predict(test_design)
+        self.fit(train_genotypes, train_phenotypes, train_confounders)
+        return self.predict(test_genotypes, test_confounders)
 
-    def solve_additional_phenotypes(self, design: np.ndarray,
-                                    phenotypes: np.ndarray) -> np.ndarray:
+    def solve_additional_phenotypes(self, genotypes: np.ndarray,
+                                    phenotypes: np.ndarray,
+                                    confounders: np.ndarray | None = None
+                                    ) -> np.ndarray:
         """Solve extra phenotype panels reusing the existing factorization."""
         if self.factorization_ is None:
             raise RuntimeError("fit() must be called before reusing the factors")
-        phenotypes = np.asarray(phenotypes, dtype=np.float64)
-        if phenotypes.ndim == 1:
-            phenotypes = phenotypes[:, None]
-        x_std = self._standardize(design)
-        if phenotypes.shape[0] != x_std.shape[0]:
-            raise ValueError("design and phenotypes must have the same number of rows")
-        y_centered = phenotypes - phenotypes.mean(axis=0, keepdims=True)
-        xty = gemm(x_std, y_centered, precision=Precision.FP32, transa=True,
-                   runtime=self.runtime, phase="solve")
-        return solve_cholesky(self.factorization_, xty,
-                              precision=self.config.precision_plan.working_precision,
-                              runtime=self.runtime, phase="solve")
+        g, c = self._cohort(genotypes, confounders)
+        return self._solve(g, c, _phenotype_panel(phenotypes, len(g)), "solve")
+
+
+def _phenotype_panel(phenotypes: np.ndarray, n: int) -> np.ndarray:
+    """The ``n × nph`` float64 phenotype panel (a vector is one column)."""
+    y = np.asarray(phenotypes, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.shape[0] != n:
+        raise ValueError("genotypes and phenotypes must have the same "
+                         "number of rows")
+    return y
+
+
+def _fp32_product(g: np.ndarray, r: np.ndarray, runtime: Runtime,
+                  phase: str, transa: bool = False) -> np.ndarray:
+    """``Gᵀ·r`` (``transa``) or ``G·r`` in FP32 over the INT8 panel ``g``,
+    casting ``SNP_BLOCK`` individuals at a time, never the whole panel."""
+    parts = [gemm(g[b], r[b] if transa else r, transa=transa,
+                  runtime=runtime, phase=phase)
+             for b in (slice(i, i + SNP_BLOCK)
+                       for i in range(0, max(len(g), 1), SNP_BLOCK))]
+    return sum(parts[1:], parts[0]) if transa else np.vstack(parts)

@@ -34,7 +34,7 @@ class WorkflowResult:
     predictions:
         ``n_test × nph`` prediction panel.
     phase_flops:
-        Per-phase operation counts when available (KRR only).
+        Per-phase operation counts of the session's ledger.
     """
 
     method: str
@@ -76,28 +76,27 @@ class GWASWorkflow:
     # ------------------------------------------------------------------
     def run_rr(self, config: RRConfig | None = None) -> WorkflowResult:
         """Linear ridge-regression GWAS on the split."""
-        train, test = self.split.train, self.split.test
-        session = RRSession(config)
-        predictions = session.fit_predict(
-            train.design_matrix(), train.phenotypes, test.design_matrix(),
-            integer_columns=train.integer_column_mask(),
-        )
-        report = accuracy_report(test.phenotypes, predictions,
-                                 self.dataset.phenotype_names)
-        return WorkflowResult(method="rr", report=report, predictions=predictions)
+        return self._run("rr", RRSession(config))
 
     def run_krr(self, config: KRRConfig | None = None) -> WorkflowResult:
         """Kernel ridge-regression GWAS on the split (tile-native session)."""
+        return self._run("krr", KRRSession(config))
+
+    def _run(self, method: str, session: KRRSession | RRSession
+             ) -> WorkflowResult:
+        """Fit on the train split, predict the test split: both sessions
+        take the same genotype panel and confounders."""
         train, test = self.split.train, self.split.test
-        session = KRRSession(config)
         predictions = session.fit_predict(
             train.genotypes, train.phenotypes, test.genotypes,
             train_confounders=train.confounders, test_confounders=test.confounders,
         )
         report = accuracy_report(test.phenotypes, predictions,
                                  self.dataset.phenotype_names)
-        return WorkflowResult(method="krr", report=report, predictions=predictions,
-                              phase_flops=dict(session.phase_flops))
+        return WorkflowResult(
+            method=method, report=report, predictions=predictions,
+            phase_flops={phase: totals.flops
+                         for phase, totals in session.runtime.ledger.items()})
 
     def compare(self, rr_config: RRConfig | None = None,
                 krr_config: KRRConfig | None = None) -> dict[str, WorkflowResult]:

@@ -10,8 +10,8 @@ objects with a per-tile precision mosaic:
   factorization, optionally driven through the task runtime.
 * :func:`solve_triangular`, :func:`solve_cholesky` — forward/backward
   substitution and the full POTRS-style solve.
-* :func:`syrk`, :func:`gemm` — tiled drivers for the rank-k update and
-  matrix multiply used by the RR and Build phases.
+* :func:`gemm` — the one-call FP32 product of the RR and Predict
+  phases, tallied on a runtime's ledger.
 * :func:`cg_solve`, :func:`kernel_matvec` — the tile-native
   preconditioned conjugate-gradient solver behind factor-once
   hyperparameter sweeps (``KRRConfig.solver="cg"``).
@@ -20,7 +20,7 @@ objects with a per-tile precision mosaic:
 from repro.linalg.kernels import tile_gemm, tile_potrf, tile_syrk, tile_trsm
 from repro.linalg.cholesky import CholeskyResult, cholesky
 from repro.linalg.solve import solve_cholesky, solve_triangular
-from repro.linalg.blas3 import gemm, syrk
+from repro.linalg.blas3 import gemm
 from repro.linalg.cg import CGResult, cg_solve, kernel_matvec
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "CholeskyResult",
     "solve_triangular",
     "solve_cholesky",
-    "syrk",
     "gemm",
     "cg_solve",
     "CGResult",

@@ -26,7 +26,7 @@ between runs.
 
 :attr:`Runtime.ledger` is the library's one operation tally:
 :meth:`Runtime.run` folds each drain into it and :meth:`Runtime.tally`
-adds a product computed outside the graph (``blas3.gemm``/``syrk``).
+adds a product computed outside the graph (``blas3.gemm``).
 Events are not kept: a drain's trace lives on the ``ScheduleResult``
 that ``run`` returns (:attr:`Runtime.last_result` holds the latest), so
 a runtime's memory does not grow with the number of drains.

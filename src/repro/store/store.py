@@ -892,3 +892,5 @@ def _reader_loop(store_ref, queue: deque, cv: threading.Condition,
             store._prefetch_one(dep)
         except Exception:  # pragma: no cover - prefetch is best-effort
             pass
+        # idle waits must not keep the store (or a binding) alive
+        del store, dep

@@ -31,16 +31,10 @@ class TestGWASDataset:
         with pytest.raises(KeyError):
             dataset.phenotype("missing")
 
-    def test_design_matrix_concatenates(self, dataset):
-        x = dataset.design_matrix()
-        assert x.shape == (120, 43)
-        mask = dataset.integer_column_mask()
-        assert mask.sum() == 40
-        assert not mask[-1]
-
-    def test_design_matrix_without_confounders(self, small_genotypes, rng):
+    def test_one_dimensional_phenotypes_without_confounders(
+            self, small_genotypes, rng):
         ds = GWASDataset(small_genotypes, rng.normal(size=120))
-        assert ds.design_matrix().shape == (120, 40)
+        assert ds.n_confounders == 0
         assert ds.n_phenotypes == 1  # 1D phenotypes promoted to a column
 
     def test_row_mismatch_raises(self, small_genotypes, rng):

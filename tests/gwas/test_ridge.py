@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gwas.config import PrecisionPlan, RRConfig
-from repro.gwas.session import RRSession
+from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
+from repro.gwas.session import KRRSession, RRSession
 from repro.linalg.kernels import potrf_flops, syrk_flops, trsm_flops
 from repro.precision.formats import Precision
 from repro.precision.gemm import gemm_flop_count
@@ -22,7 +22,7 @@ def _reference_ridge(x, y, lam):
 @pytest.fixture
 def linear_problem(rng):
     n, p = 300, 24
-    x = rng.integers(0, 3, size=(n, p)).astype(np.float64)
+    x = rng.integers(0, 3, size=(n, p)).astype(np.int8)
     beta_true = rng.normal(size=p)
     y = (x - x.mean(0)) @ beta_true + 0.3 * rng.normal(size=n)
     return x, y[:, None]
@@ -75,23 +75,25 @@ class TestFit:
     def test_flop_accounting_by_precision(self, linear_problem):
         x, y = linear_problem
         model = RRSession(RRConfig(tile_size=8))
-        fitted = model.fit(x, y, integer_columns=np.ones(x.shape[1], dtype=bool))
+        fitted = model.fit(x, y)
         assert fitted.flops_ > 0
         assert Precision.INT8 in fitted.flops_by_precision
 
     @pytest.mark.parametrize("execution", ["serial", "process"])
     def test_flops_count_the_whole_fit(self, rng, execution):
-        """``flops_`` = SYRK + factorization + XᵀY GEMM + two sweeps —
+        """``flops_`` = Gram + factorization + XᵀY GEMM + two sweeps —
         the ledger of the session's runtime, against the closed forms
-        (the last two were traced but never reported before)."""
-        n, p, tile, nph = 60, 21, 8, 2
-        x = np.hstack([rng.integers(0, 3, size=(n, p - 1)).astype(np.float64),
-                       rng.normal(size=(n, 1))])  # one confounder column
+        of the products that run: the whole INT8 ``GᵀG``, the FP32
+        ``GᵀC`` and ``CᵀC``."""
+        n, s, tile, nph = 60, 20, 8, 2
+        g = rng.integers(0, 3, size=(n, s)).astype(np.int8)
+        c = rng.normal(size=(n, 1))  # one confounder column
         y = rng.normal(size=(n, nph))
+        p = s + 1
         session = RRSession(RRConfig(tile_size=tile, execution=execution,
                                      workers=2))
         try:
-            session.fit(x, y)
+            session.fit(g, y, c)
             ledger = session.runtime.ledger
             assert list(ledger) == ["build", "associate"]
             assert session.flops_ == pytest.approx(
@@ -99,16 +101,13 @@ class TestFit:
         finally:
             session.runtime.close()
 
-        widths = [8, 8, 5]  # the last column tile holds the confounder
-        pairs = [(j, k) for j in range(3) for k in range(j, 3)]
-        syrk_int8 = sum(2.0 * n * widths[j] * widths[k]
-                        for j, k in pairs if k < 2)
-        syrk_fp32 = sum(2.0 * n * widths[j] * widths[k]
-                        for j, k in pairs if k == 2)
-        assert ledger["build"].tasks == {}   # an inline SYRK is not a task
+        gram_int8 = gemm_flop_count(s, s, n)
+        gram_fp32 = gemm_flop_count(s, 1, n) + gemm_flop_count(1, 1, n)
+        assert ledger["build"].tasks == {}   # an inline Gram is not a task
         assert ledger["build"].flops_by_precision == {
-            Precision.INT8: syrk_int8, Precision.FP32: syrk_fp32}
+            Precision.INT8: gram_int8, Precision.FP32: gram_fp32}
 
+        widths = [8, 8, 5]  # the last column tile holds the confounder
         factor = sum(potrf_flops(w) for w in widths)
         for k in range(3):
             for i in range(k + 1, 3):
@@ -122,7 +121,7 @@ class TestFit:
         assert ledger["associate"].flops == pytest.approx(
             factor + xty + sweeps, rel=1e-12)
         assert session.flops_ == pytest.approx(
-            syrk_int8 + syrk_fp32 + factor + xty + sweeps, rel=1e-12)
+            gram_int8 + gram_fp32 + factor + xty + sweeps, rel=1e-12)
         assert not [k for k in vars(session) if "flops" in k]
 
     def test_predict_before_fit_raises(self):
@@ -159,3 +158,98 @@ class TestFit:
     def test_keyword_override_constructor(self):
         model = RRSession(regularization=7.0)
         assert model.config.regularization == 7.0
+
+
+@pytest.fixture
+def cohort(rng):
+    """An INT8 panel with two confounders and two phenotypes."""
+    n, s = 200, 30
+    g = rng.integers(0, 3, size=(n, s)).astype(np.int8)
+    c = rng.normal(size=(n, 2))
+    y = np.hstack([g, c]) @ rng.normal(size=(s + 2, 2)) \
+        + 0.3 * rng.normal(size=(n, 2))
+    return g, c, y
+
+
+class TestGram:
+    """``XᵀX`` of ``X = [G | C]``, never assembled: the SNP block is the
+    one INT8 Gram, the blocks that touch confounders FP32 products."""
+
+    def test_snps_and_confounders_against_xtx(self, rng):
+        snps = rng.integers(0, 3, size=(50, 16)).astype(np.int8)
+        confounders = rng.normal(size=(50, 4))
+        x = np.hstack([snps, confounders])
+        gram = RRSession(RRConfig(tile_size=8))._gram(snps, confounders)
+        np.testing.assert_allclose(gram, x.T @ x, rtol=1e-5, atol=1e-5)
+        wide = snps.astype(np.int64)
+        assert np.array_equal(gram[:16, :16], wide.T @ wide)
+        assert np.array_equal(gram, gram.T)
+
+    def test_matches_closed_form_with_confounders(self, cohort):
+        g, c, y = cohort
+        model = RRSession(RRConfig(regularization=3.0, tile_size=8,
+                                   precision_plan=PrecisionPlan.fp64()))
+        model.fit(g, y, c)
+        x = np.hstack([g, c])
+        np.testing.assert_allclose(model.beta_, _reference_ridge(x, y, 3.0),
+                                   rtol=1e-4, atol=1e-5)
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
+        np.testing.assert_allclose(
+            model.predict(g[:20], c[:20]),
+            xs[:20] @ model.beta_ + y.mean(axis=0), rtol=1e-4, atol=1e-4)
+
+    def test_reuse_with_confounders_matches_a_fresh_fit(self, cohort, rng):
+        g, c, y = cohort
+        config = RRConfig(regularization=2.0, tile_size=8,
+                          precision_plan=PrecisionPlan.fp64())
+        model = RRSession(config).fit(g, y, c)
+        y_new = rng.normal(size=(len(g), 1))
+        np.testing.assert_allclose(
+            model.solve_additional_phenotypes(g, y_new, c),
+            RRSession(config).fit(g, y_new, c).beta_, rtol=1e-6, atol=1e-8)
+
+
+class TestGenotypePanel:
+    """RR takes KRR's genotype panel: one validation rule for both."""
+
+    @pytest.mark.parametrize("bad", [0.5, 128.0, -129.0])
+    def test_a_panel_that_is_not_int8_is_rejected(self, cohort, bad):
+        g, c, y = cohort
+        wrong = g.astype(np.float64)
+        wrong[3, 4] = bad
+        model = RRSession(RRConfig(tile_size=8))
+        with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+            model.fit(wrong, y, c)
+        krr = KRRSession(KRRConfig(tile_size=8, execution="serial"))
+        try:
+            with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+                krr.fit(wrong, y, c)
+        finally:
+            krr.close()
+        model.fit(g, y, c)
+        with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+            model.predict(wrong, c)
+        with pytest.raises(ValueError, match=r"\[-128, 127\]"):
+            model.solve_additional_phenotypes(wrong, y, c)
+        assert list(model.runtime.ledger) == ["build", "associate"]
+
+    def test_integer_valued_float_panel_is_the_int8_panel(self, cohort):
+        g, c, y = cohort
+        config = RRConfig(tile_size=8)
+        a = RRSession(config).fit(g, y, c)
+        b = RRSession(config).fit(g.astype(np.float64), y, c)
+        assert np.array_equal(a.beta_, b.beta_)
+        assert np.array_equal(a.predict(g, c),
+                              b.predict(g.astype(np.float64), c))
+
+    def test_predict_checks_the_training_columns(self, cohort):
+        g, c, y = cohort
+        model = RRSession(RRConfig(tile_size=8)).fit(g, y, c)
+        with pytest.raises(ValueError, match="SNP panel"):
+            model.predict(g[:, :-1], c)
+        with pytest.raises(ValueError, match="SNP panel"):
+            model.predict(np.hstack([g, g[:, :1]]), c[:, :1])
+        with pytest.raises(ValueError, match="confounders"):
+            model.predict(g)
+        with pytest.raises(ValueError, match="confounders"):
+            model.predict(g, c[:, :1])

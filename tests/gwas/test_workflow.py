@@ -66,6 +66,10 @@ class TestWorkflow:
         n_test = wf.split.n_test
         assert results["rr"].predictions.shape[0] == n_test
         assert results["krr"].predictions.shape[0] == n_test
+        # both read their session's ledger: RR's INT8 Gram is "build"
+        for result in results.values():
+            assert result.phase_flops["build"] > 0
+            assert result.phase_flops["associate"] > 0
 
     def test_report_contains_all_phenotypes(self, small_cohort):
         wf = GWASWorkflow(small_cohort, seed=0)

@@ -1,6 +1,9 @@
 """Unit tests of the out-of-core tile store (repro.store)."""
 
+import gc
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,32 @@ class TestSpillReload:
         matrix.to_dense()
         store.close()
         assert not directory.exists()
+
+    def test_unclosed_store_dies_with_its_last_reference(self, rng,
+                                                         tmp_path):
+        """The background reader holds only a weakref between tiles: a
+        store dropped without ``close()`` is collected, and its reader
+        thread and segment files go with it."""
+        matrix = TileMatrix.from_dense(spd(rng), TILE, Precision.FP64)
+        store = TileStore(directory=tmp_path)
+        matrix.attach_store(store)
+        spill_all(store)
+        key = sorted(matrix._binding.index)[0]
+        store.prefetch([(matrix._binding, key)])
+        deadline = time.monotonic() + 2.0
+        while store.stats.prefetches < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert store.stats.prefetches == 1
+        reader, alive = store._reader, weakref.ref(store)
+        del store, matrix
+        deadline = time.monotonic() + 2.0
+        while alive() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert alive() is None
+        reader.join(timeout=2.0)
+        assert not reader.is_alive()
+        assert not any(tmp_path.glob("seg-*.bin"))
 
 
 class TestResidencyAccounting:

@@ -2,8 +2,8 @@
 INT32 distance assembly, on the one Build route.
 
 ``distance/build.py::snp_gram`` is the only place that walks the SNP
-axis in ``snp_block`` columns — the Build, the Predict and
-``squared_euclidean_gemm`` all call it.  Each step casts only its block
+axis in ``snp_block`` columns — the Build, the Predict,
+``squared_euclidean_gemm`` and RR's ``XᵀX`` (on ``Gᵀ``) all call it.  Each step casts only its block
 and accumulates exactly in INT32, so the streamed Gram equals one
 unblocked ``integer_backend("int64")`` product, and the INT32 assembly
 of ``D = d₁ + d₂ − 2G`` equals the float64 one bit for bit.  It is the
@@ -19,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance import build
-from repro.distance.build import (SNP_VARIANT, KernelBuilder,
+from repro.distance.build import (SNP_BLOCK, SNP_VARIANT, KernelBuilder,
                                   compute_kernel_rows, snp_gram)
 from repro.distance.euclidean import (squared_euclidean_direct,
                                       squared_euclidean_gemm)
 from repro.distance.kernels import gaussian_kernel
+from repro.gwas.config import RRConfig
+from repro.gwas.session import RRSession
 from repro.precision.formats import Precision
 from repro.precision.gemm import QuantizedOperand, gemm_mixed, integer_backend
 from tests.runtime.test_one_drain import SRC, _sites
@@ -194,3 +196,29 @@ def test_the_gram_takes_no_variant_argument():
         for arg in args.posonlyargs + args.args + args.kwonlyargs:
             assert "variant" not in arg.arg
             assert "GemmVariant" not in ast.dump(arg)
+
+
+def test_the_int8_gram_variant_is_named_in_one_function():
+    """Every INT8 Gram of the library — the Build's, the Predict's and
+    RR's ``XᵀX`` — is a :func:`snp_gram` call."""
+    def names_it(node):
+        return isinstance(node, ast.Name) and node.id == "SNP_VARIANT" \
+            and isinstance(node.ctx, ast.Load)
+    assert set(_sites(names_it)) == {"distance/build.py:snp_gram"}
+
+
+@pytest.mark.parametrize("extremes", [False, True])
+@pytest.mark.parametrize("rows", NS_CASES)
+def test_rr_snp_block_is_the_int64_product(rows, extremes):
+    """RR's SNP×SNP block of ``XᵀX`` is :func:`snp_gram` on ``Gᵀ``: the
+    individual axis is the blocked one, so cohorts of one, ``B − 1``,
+    ``B``, ``B + 1`` and ``3B + 5`` individuals take the one-product
+    and the streamed paths, bitwise the unblocked int64 ``GᵀG``."""
+    g = _panel(5, rows(SNP_BLOCK), 3, extremes)
+    session = RRSession(RRConfig(execution="serial"))
+    gram = session._gram(g, np.empty((len(g), 0)))
+    q = QuantizedOperand(g.T, Precision.INT8)
+    assert np.array_equal(gram, _int64_reference(q, q, slice(0, 3),
+                                                 slice(0, 3)))
+    assert session.runtime.ledger["build"].flops_by_precision == {
+        Precision.INT8: 2.0 * 3 * 3 * len(g)}
