@@ -11,10 +11,10 @@
    and cast for BLAS one SNP block of the tile's rows at a time),
 3. confounder (real-valued) columns contribute a separate FP32 Gram
    accumulation,
-4. the squared distance tile is assembled in place — the exact integer
-   terms in the Gram's INT32 accumulator, then the confounder term in
-   the output block — and the Gaussian exponentiation is fused in
-   before the tile is released, and
+4. the squared distance tile is the Gram's accumulator — a float ``C``
+   preloaded with ``d₁ + d₂`` that each SNP block adds ``−2·A·Bᵀ`` into,
+   exact — the confounder term is added in the output block, and the
+   Gaussian exponentiation is fused in before the tile is released, and
 5. the finished tile is **streamed** straight into the output
    :class:`~repro.tiles.matrix.TileMatrix` (or the dense cross-kernel
    array) at the requested storage precision.
@@ -52,6 +52,8 @@ from repro.precision.gemm import (
     gemm_flop_count,
     gemm_mixed,
     integer_gemm_dtype,
+    mirror_lower,
+    syrk_mixed,
     variant_for_input,
 )
 from repro.runtime.runtime import Runtime
@@ -62,13 +64,12 @@ from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
-_INT32_MAX = np.iinfo(np.int32).max
-#: The SNP Gram: INT8 operands, INT32 accumulator (the tensor-core path).
+#: The SNP Gram: INT8 operands, an exact accumulator (the tensor-core path).
 SNP_VARIANT = variant_for_input(Precision.INT8)
 #: The confounder Gram: real-valued columns in FP32.
 CONF_VARIANT = variant_for_input(Precision.FP32)
 #: Columns :func:`snp_gram` casts per step (``KernelBuilder.snp_block``).
-SNP_BLOCK = 4096
+SNP_BLOCK = 1024
 
 
 def genotype_operand(g: np.ndarray) -> QuantizedOperand:
@@ -153,10 +154,8 @@ class _OperandContext:
     streamed training Build or batch-by-batch by the streamed Predict
     phase.  The genotypes stay in their INT8 storage: each Gram casts
     only the rows and SNP block it multiplies (:func:`snp_gram`).
-
-    ``d1``/``d2`` are INT32 when the distances are assembled in the
-    Gram's INT32 accumulator (:func:`compute_kernel_rows`), float64
-    (exact integers) otherwise.
+    ``d1``/``d2`` are the sides' squared norms, exact integers in
+    float64: :func:`snp_gram` preloads their sum into its accumulator.
     """
 
     n1: int
@@ -173,54 +172,70 @@ class _OperandContext:
     n_conf: int
 
 
-def snp_gram(q1: QuantizedOperand, q2: QuantizedOperand, snp_block: int,
-             rs: slice, cs: slice) -> np.ndarray:
-    """The INT8 SNP Gram ``q1[rs] · q2[cs]ᵀ``, walking the SNP axis in
-    ``snp_block`` columns.
+def _norm_sum(d1: np.ndarray, d2: np.ndarray, rs: slice, cs: slice,
+              dtype: type = np.float64) -> np.ndarray:
+    """``d1[rs] + d2[cs]`` over a block, summed in ``dtype``: the norm part
+    of a squared distance (the SNP preload, the confounder term)."""
+    out = np.empty((rs.stop - rs.start, cs.stop - cs.start), dtype)
+    return np.add(np.asarray(d1[rs], dtype)[:, None],
+                  np.asarray(d2[cs], dtype)[None, :], out=out)
 
-    Up to ``snp_block`` SNPs it is one :func:`gemm_mixed` call.  Past
-    that, each step casts only its block of each side and the steps
-    accumulate exactly in INT32, as the tensor core accumulates every
-    block GEMM into one INT32 C (int64 once ``max|a|·max|b|·ns``
-    reaches 2³¹).  Where the columns end with the rows themselves (a
-    symmetric band) that diagonal block is ``a @ a.T`` on the rows' own
-    cast: numpy's ``?syrk``.  The values are exact, so they do not
-    depend on the rows or blocks the products ran over.
+
+def snp_gram(q1: QuantizedOperand, q2: QuantizedOperand, snp_block: int,
+             rs: slice, cs: slice,
+             norms: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> np.ndarray:
+    """The exact INT8 SNP Gram of rows ``rs`` of ``q1`` and ``cs`` of
+    ``q2`` as its accumulator: the distances ``d₁[rs] + d₂[cs] − 2·G``
+    with ``norms = (d₁, d₂)``, the Gram ``G`` without.
+
+    It starts at ``d₁ + d₂`` (zero without norms); each step of
+    ``snp_block`` SNPs casts only its block of each side and adds its
+    product into it in place, as the tensor core accumulates every block
+    GEMM into one C.  It is float32 while ``(max|a| + max|b|)²·ns``
+    bounds every partial sum under 2²⁴, float64 past it: the same
+    integers in any order.  Up to ``snp_block`` SNPs a band is one
+    full-width product; past it, and for a whole symmetric Gram, the
+    columns before the band's own rows are a ``?gemm`` and its own block
+    a ``?syrk``, mirrored once.
     """
     a = q1[rs, :]
     b = a if q1 is q2 and rs == cs else q2[cs, :]
-    ns = a.shape[1]
-    if ns <= snp_block:
-        return gemm_mixed(a, b, variant=SNP_VARIANT, transb=True)
+    (m, ns), n = a.shape, b.shape[0]
     own = q1 is q2 and cs.stop == rs.stop and cs.start <= rs.start
-    m, n = a.shape[0], b.shape[0]
-    k = n - m if own else n  # columns before the diagonal block
-    dtype = (np.int32 if q1.max_abs() * q2.max_abs() * ns <= _INT32_MAX
-             else np.int64)
-    gram = np.zeros((m, n), dtype)
-    for s0 in range(0, ns, snp_block):
-        step = a[:, s0:s0 + snp_block]
+    split = own and (ns > snp_block or m == n)
+    k = n - m if split else n  # columns before the own block
+    top = q1.max_abs() + q2.max_abs()
+    dtype = integer_gemm_dtype(top, top, ns)
+    alpha, acc = (1.0 if norms is None else -2.0), None
+    for s0 in range(0, max(ns, 1), snp_block):
+        step, cols = a[:, s0:s0 + snp_block], b[:k, s0:s0 + snp_block]
+        if acc is None:
+            # cast before the accumulator exists: docs/performance.md
+            step.as_float(dtype), cols.as_float(dtype)
+            acc = (np.zeros((m, n), dtype) if norms is None
+                   else _norm_sum(*norms, rs, cs, dtype))
         if k:
-            gram[:, :k] += gemm_mixed(step, b[:k, s0:s0 + snp_block],
-                                      variant=SNP_VARIANT, transb=True)
-        if own:
-            gram[:, k:] += gemm_mixed(step, step, variant=SNP_VARIANT,
-                                      transb=True)
-    return gram
+            gemm_mixed(step, cols, c=acc[:, :k], variant=SNP_VARIANT,
+                       alpha=alpha, beta=1.0, transb=True)
+        if split:
+            syrk_mixed(step, c=acc[:, k:], variant=SNP_VARIANT,
+                       alpha=alpha, beta=1.0)
+    if split:
+        mirror_lower(acc[:, k:])
+    return acc
 
 
 def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
                         rs: slice, cs: slice, out: np.ndarray | None = None,
-                        gram: np.ndarray | None = None) -> np.ndarray:
+                        dist: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel block for rows ``rs`` × columns ``cs``, assembled in
     place in ``out`` (a fresh float64 array when not given).
 
-    ``gram`` is the block's SNP Gram when the caller computed it over a
-    larger row group (:meth:`KernelBuilder.iter_cross_rows`); otherwise
-    the block computes its own.  Either way the assembly consumes it:
-    with INT32 norms ``D = d₁ + d₂ − 2G`` is summed in the Gram's own
-    INT32 accumulator and converted to float64 once, at ``×(−γ)``;
-    otherwise it is summed in ``out``.
+    ``dist`` is the block's :func:`snp_gram` distances when the caller
+    took them over a larger row group (:meth:`KernelBuilder.iter_cross_rows`);
+    otherwise the block takes its own.  They are exact integers, so
+    ``exp(−γ·D)`` reads the same float64 values in any dtype or layout.
 
     Module-level (rather than a :class:`KernelBuilder` method) so the
     :class:`BuildRowSpec` descriptor can name it with only scalar
@@ -232,28 +247,17 @@ def compute_kernel_rows(ctx: _OperandContext, gamma: float, snp_block: int,
     """
     if out is None:
         out = np.empty((rs.stop - rs.start, cs.stop - cs.start))
-    if gram is None:
-        gram = snp_gram(ctx.q1, ctx.q2, snp_block, rs, cs)
-    if ctx.d1.dtype == np.int32:
-        # (max|a| + max|b|)²·ns < 2³¹ bounds every partial sum of
-        # −2·G + d₁ + d₂, so INT32 is exact in any order
-        dist = np.multiply(gram, -2, out=gram)
-    else:
-        # exact integers in float64: any order gives the same bits
-        dist = np.multiply(gram, -2.0, out=out)
-    dist += ctx.d1[rs, None]
-    dist += ctx.d2[None, cs]
+    if dist is None:
+        dist = snp_gram(ctx.q1, ctx.q2, snp_block, rs, cs, (ctx.d1, ctx.d2))
 
     # --- confounder FP32 contribution accumulated separately
     if ctx.n_conf:
         gram_c = gemm_mixed(ctx.qc1[rs, :], ctx.qc2[cs, :],
                             variant=CONF_VARIANT, transb=True)
-        term = np.add(ctx.e1[rs, None], ctx.e2[None, cs])
+        term = _norm_sum(ctx.e1, ctx.e2, rs, cs)
         term -= np.multiply(gram_c, 2.0, out=gram_c)
         dist = np.add(dist, term, out=out)
-
-    if dist is out:  # a float sum may round below zero
-        np.maximum(out, 0.0, out=out)
+        np.maximum(out, 0.0, out=out)  # a float sum may round below zero
     # fused exponentiation before the row block is released
     return gaussian_kernel(dist, gamma, out=out)
 
@@ -294,13 +298,13 @@ def _row_groups(sizes: list[int], batch_rows: int | None, tile_size: int,
 def _group_blocks(ctx: _OperandContext, gamma: float, snp_block: int,
                   tile_size: int, group: list[slice]
                   ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The kernel blocks of one row group's batches, in order: one exact
-    Gram for the group, then each batch's block assembled band by band
-    in place (:meth:`KernelBuilder.iter_cross_rows` says why)."""
+    """The kernel blocks of one row group's batches, in order: the exact
+    SNP distances of the group, then each batch's block assembled band
+    by band in place (:meth:`KernelBuilder.iter_cross_rows` says why)."""
     cols = slice(0, ctx.n2)
     g0 = group[0].start
-    gram = snp_gram(ctx.q1, ctx.q2, snp_block, slice(g0, group[-1].stop),
-                    cols)
+    dist = snp_gram(ctx.q1, ctx.q2, snp_block, slice(g0, group[-1].stop),
+                    cols, (ctx.d1, ctx.d2))
     for rows in group:
         block = np.empty((rows.stop - rows.start, ctx.n2))
         for b0 in range(rows.start, rows.stop, tile_size):
@@ -308,7 +312,7 @@ def _group_blocks(ctx: _OperandContext, gamma: float, snp_block: int,
             compute_kernel_rows(
                 ctx, gamma, snp_block, band, cols,
                 out=block[b0 - rows.start:band.stop - rows.start],
-                gram=gram[b0 - g0:band.stop - g0])
+                dist=dist[b0 - g0:band.stop - g0])
         yield rows, block
 
 
@@ -412,8 +416,8 @@ class KernelBuilder:
     """Configurable Build-phase driver.
 
     The kernel is the paper's Gaussian of squared Euclidean distances:
-    the SNP Gram in INT8 with an INT32 accumulator (genotypes must be
-    integers in [−128, 127]), the confounder Gram in FP32.
+    the exact INT8 SNP distances (genotypes must be integers in
+    [−128, 127]) plus the FP32 confounder Gram.
 
     Parameters
     ----------
@@ -604,12 +608,8 @@ class KernelBuilder:
         else:
             q2, d2, qc2, e2 = self._side_operands(g2, c2)
         n_conf = 0 if c1 is None else np.asarray(c1).shape[1]
-        # the max|.| scans happen here, before threading, so the worker
-        # tasks only ever read shared state; |d₁ + d₂ − 2G| is at most
-        # (max|a| + max|b|)²·ns, so under 2³¹ the distances are summed
-        # in the Gram's INT32 accumulator
-        if (q1.max_abs() + q2.max_abs()) ** 2 * ns <= _INT32_MAX:
-            d1, d2 = d1.astype(np.int32), d2.astype(np.int32)
+        # the max|.| scans happened above, before threading, so the
+        # worker tasks only ever read shared state
         return _OperandContext(
             n1=n1, n2=n2, ns=ns, q1=q1, q2=q2, d1=d1, d2=d2,
             qc1=qc1, qc2=qc2, e1=e1, e2=e2, n_conf=n_conf,
@@ -659,7 +659,7 @@ class KernelBuilder:
           the block shapes a cohort streamed on its own would use.
 
         Each band is assembled in place in the yielded block, so the
-        peak is the block plus one 4-byte Gram for the group.
+        peak is the block plus the group's 4-byte distance accumulator.
 
         ``train_cache`` (from :meth:`train_operands`) skips the
         train-side operand preparation without changing a single

@@ -36,7 +36,7 @@ def squared_norms(g: np.ndarray) -> np.ndarray:
 def squared_euclidean_gemm(
     g1: np.ndarray,
     g2: np.ndarray | None = None,
-    snp_block: int = 4096,
+    snp_block: int | None = None,
 ) -> np.ndarray:
     """All-pairs squared Euclidean distances via the GEMM trick.
 
@@ -49,16 +49,18 @@ def squared_euclidean_gemm(
         Optional ``n2 × ns`` matrix; defaults to ``g1`` (the symmetric
         training-kernel case, where the Gram part is a SYRK).
     snp_block:
-        Column blocking of the SNP dimension (keeps INT32 partial sums
-        in range and bounds temporary memory, per Sec. VI-B2).
+        Column blocking of the SNP dimension (bounds temporary memory,
+        per Sec. VI-B2); the Build's ``SNP_BLOCK`` when ``None``.
 
     Returns
     -------
     numpy.ndarray
-        ``n1 × n2`` matrix of squared distances (float64 container).
-        For ``g2 is None`` the diagonal is exactly zero.
+        ``n1 × n2`` matrix of squared distances (float64 container):
+        the exact integers of the Build's distance accumulator
+        (:func:`~repro.distance.build.snp_gram`), so the diagonal of
+        the ``g2 is None`` case is exactly zero.
     """
-    from repro.distance.build import genotype_operand, snp_gram
+    from repro.distance.build import SNP_BLOCK, genotype_operand, snp_gram
 
     g1 = np.asarray(g1)
     symmetric = g2 is None
@@ -70,12 +72,10 @@ def squared_euclidean_gemm(
     q2 = q1 if symmetric else genotype_operand(g2v)
     d1 = squared_norms(q1.array).astype(np.float64)
     d2 = d1 if symmetric else squared_norms(q2.array).astype(np.float64)
-    gram = snp_gram(q1, q2, snp_block, slice(0, len(g1)),
-                    slice(0, len(g2v)))
-    dist = d1[:, None] + d2[None, :] - 2.0 * gram
-    if symmetric:
-        np.fill_diagonal(dist, 0.0)
-    return dist
+    block = SNP_BLOCK if snp_block is None else snp_block
+    dist = snp_gram(q1, q2, block, slice(0, len(g1)), slice(0, len(g2v)),
+                    (d1, d2))
+    return dist.astype(np.float64)
 
 
 def squared_euclidean_direct(g1: np.ndarray, g2: np.ndarray | None = None) -> np.ndarray:

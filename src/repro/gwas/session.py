@@ -850,8 +850,9 @@ class RRSession:
 
     def _gram(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Raw ``XᵀX``, tallied under ``"build"``: :func:`snp_gram` of
-        ``Gᵀ`` (it walks the individual axis in ``SNP_BLOCK`` steps) and
-        FP32 ``GᵀC``/``CᵀC``."""
+        ``Gᵀ`` (it walks the individual axis in ``SNP_BLOCK`` steps,
+        adding each into one exact float accumulator) and FP32
+        ``GᵀC``/``CᵀC``."""
         (n, s), k = g.shape, c.shape[1]
         qt = genotype_operand(g).T
         gram = np.empty((s + k, s + k))

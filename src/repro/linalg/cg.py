@@ -90,10 +90,6 @@ class CGResult:
     column_iterations: np.ndarray | None = None
     column_converged: np.ndarray | None = None
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_norms[-1] if self.residual_norms else float("nan")
-
 
 # ----------------------------------------------------------------------
 # the DAG matvec

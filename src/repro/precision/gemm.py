@@ -17,15 +17,20 @@ like the hardware.
 
 Backend
 -------
-The integer variants dispatch the actual multiplication through float64
-dgemm (``"blas"`` backend, the default): a float64 product of
-integer-valued operands is bit-exact as long as every partial sum stays
-below ``2**53`` (:data:`EXACT_DGEMM_BOUND`), which the analytic bound
-``max|a| * max|b| * k`` proves for any realistic SNP blocking.  NumPy
+The integer variants dispatch the actual multiplication through the
+narrowest float BLAS routine that is exact (``"blas"`` backend, the
+default): a float product of integer-valued operands is bit-exact as
+long as every partial sum stays below ``2**24`` in float32
+(:data:`EXACT_SGEMM_BOUND`; sgemm for genotype data) or ``2**53`` in
+float64 (:data:`EXACT_DGEMM_BOUND`), which the analytic bound
+``max|a| * max|b| * k`` proves (:func:`integer_gemm_dtype`).  NumPy
 executes integer matmul with scalar loops (no BLAS), so this dispatch
-is what makes the "fast" INT8 path actually fast on the host.  The
-historical int64 matmul is kept behind the ``"int64"`` backend for
-cross-checking; :func:`integer_backend` switches it temporarily.
+is what makes the "fast" INT8 path actually fast on the host.  Given a
+float ``C`` and ``beta=1``, an integer variant adds its product into
+that ``C`` in place — the caller's exact accumulator, standing in for
+the tensor core's INT32 ``C``.  The historical int64 matmul is kept
+behind the ``"int64"`` backend for cross-checking;
+:func:`integer_backend` switches it temporarily.
 
 Operands that are reused across many tiles (the genotype matrix in the
 Build phase, the panel tiles in the Cholesky trailing update) can be
@@ -39,10 +44,12 @@ operand and each slice casts only its own rows and SNP block.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas as _scipy_blas
+from scipy.linalg import cython_blas as _scipy_cython_blas
 
 from repro.precision.formats import Precision
 from repro.precision.quantize import quantize
@@ -283,10 +290,10 @@ def _check_int32_overflow(prod: np.ndarray, max_a: float, max_b: float,
     """Raise if the emulated INT32 accumulator would have overflowed.
 
     The analytic bound ``max|a| * max|b| * k`` proves safety without
-    touching the product: genotypes in {0, 1, 2} with the default
-    ``snp_block=4096`` give ``2*2*4096 = 16384``, nowhere near ``2**31``,
-    so the hot path never pays the full ``O(m*n)`` min/max scan the
-    historical implementation performed on every tile.
+    touching the product: genotypes in {0, 1, 2} give ``4*k``, under
+    ``2**31`` for any ``k`` below 500 million, so the hot path never
+    pays the full ``O(m*n)`` min/max scan the historical implementation
+    performed on every tile.
     """
     if max_a * max_b * k <= _INT32_MAX:
         return
@@ -330,6 +337,107 @@ def _integer_product(qa: QuantizedOperand, qb: QuantizedOperand,
     return prod
 
 
+def _cython_blas(name: str, nargs: int):
+    """BLAS routine ``name`` of scipy's ``cython_blas`` table as a ctypes
+    function.  Unlike scipy's f2py wrappers it takes leading dimensions,
+    so ``C`` may be a block of a larger array, and it releases the GIL
+    while it runs, so the products of concurrent lanes overlap."""
+    capsule = _scipy_cython_blas.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(
+        _capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+#: ``?gemm`` / ``?syrk`` and their scalar type, by accumulator dtype
+_GEMM = {np.float32: _cython_blas("sgemm", 13),
+         np.float64: _cython_blas("dgemm", 13)}
+_SYRK = {np.float32: _cython_blas("ssyrk", 10),
+         np.float64: _cython_blas("dsyrk", 10)}
+_SCALAR = {np.float32: ctypes.c_float, np.float64: ctypes.c_double}
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _column_major(m: np.ndarray) -> tuple[bytes, np.ndarray, int]:
+    """``(trans, x, ld)``: ``op(x) = m`` for the column-major array at
+    ``x`` (``m`` itself when contiguous) with leading dimension ``ld``."""
+    if not (m.flags.f_contiguous or m.flags.c_contiguous):
+        m = np.ascontiguousarray(m)
+    if m.flags.f_contiguous:
+        return b"N", m, max(1, m.shape[0])
+    return b"T", m, max(1, m.shape[1])
+
+
+def _is_exact_accumulator(c, beta: float) -> bool:
+    """``C`` is a caller's float accumulator that ``beta=1`` adds into."""
+    return beta == 1.0 and isinstance(c, np.ndarray) \
+        and c.dtype in (np.float32, np.float64)
+
+
+def _add_integer_product(c: np.ndarray, alpha: float, qa: QuantizedOperand,
+                         transa: bool, qb: QuantizedOperand | None = None,
+                         transb: bool = False, lower: bool = True
+                         ) -> np.ndarray:
+    """``C += alpha·op(A)·op(B)`` in place in the float array ``C``.
+
+    With ``qb=None`` it is the symmetric update ``alpha·op(A)·op(A)ᵀ``
+    (``?syrk``) of ``C``'s ``lower`` (or upper) triangle only.  The
+    operands are cast one call at a time to ``C``'s dtype, so every
+    partial sum is an integer: the update is exact while the caller's
+    bound on ``C`` (its preload plus every product) stays under that
+    dtype's :func:`integer_gemm_dtype` limit.  ``C`` may be any block
+    of a larger array with unit stride along one axis.
+    """
+    dtype = c.dtype.type
+    if _INTEGER_BACKEND != "blas":
+        ia = np.asarray(qa.array, dtype=np.int64)
+        ia = ia.T if transa else ia
+        if qb is None:
+            prod = ia @ ia.T
+            prod = np.tril(prod) if lower else np.triu(prod)
+        else:
+            ib = np.asarray(qb.array, dtype=np.int64)
+            prod = ia @ (ib.T if transb else ib)
+        c += alpha * prod
+        return c
+    fa = qa.as_float(dtype)
+    fa = fa.T if transa else fa
+    if not (c.size and fa.shape[1]):
+        return c
+    # BLAS is column-major: a row-major C is updated as Cᵀ = α·Bᵀ·Aᵀ + Cᵀ
+    row_major = c.strides[1] == c.itemsize
+    ld, rows = ((c.strides[0], c.shape[1]) if row_major
+                else (c.strides[1], c.shape[0]))
+    if not (row_major or c.strides[0] == c.itemsize) \
+            or ld < rows * c.itemsize:
+        raise ValueError("the accumulator C must be a block of an array "
+                         "with unit stride along one axis")
+    ldc = ld // c.itemsize
+    one, scale = _SCALAR[dtype](1.0), _SCALAR[dtype](alpha)
+    if qb is None:
+        trans, x, ld = _column_major(fa)
+        uplo = b"U" if row_major == lower else b"L"
+        _SYRK[dtype](uplo, trans, _int(c.shape[0]), _int(fa.shape[1]),
+                     ctypes.byref(scale), x.ctypes.data, _int(ld),
+                     ctypes.byref(one), c.ctypes.data, _int(ldc))
+        return c
+    fb = qb.as_float(dtype)
+    fb = fb.T if transb else fb
+    left, right = (fb.T, fa.T) if row_major else (fa, fb)
+    (ta, xa, lda), (tb, xb, ldb) = _column_major(left), _column_major(right)
+    _GEMM[dtype](ta, tb, _int(left.shape[0]), _int(right.shape[1]),
+                 _int(fa.shape[1]), ctypes.byref(scale), xa.ctypes.data,
+                 _int(lda), xb.ctypes.data, _int(ldb), ctypes.byref(one),
+                 c.ctypes.data, _int(ldc))
+    return c
+
+
 def _float_accumulator_dtype(acc: Precision) -> type:
     return np.float64 if acc is Precision.FP64 else np.float32
 
@@ -355,7 +463,10 @@ def gemm_mixed(
     For the integer variant the computation is exact provided the INT32
     accumulator does not overflow; an overflow raises ``OverflowError``
     (hardware would silently wrap, which is never acceptable for the
-    distance computation the paper performs).
+    distance computation the paper performs).  Given a float32/float64
+    ``C`` and ``beta=1`` instead, the integer product is added into
+    that ``C`` in place and ``C`` is returned: it is the caller's exact
+    accumulator (:func:`_add_integer_product` states its bound).
     """
     if isinstance(variant, str):
         variant = gemm_variant(variant)
@@ -373,6 +484,8 @@ def gemm_mixed(
 
     acc = variant.accumulate_precision
     if acc.is_integer:
+        if _is_exact_accumulator(c, beta):
+            return _add_integer_product(c, alpha, qa, transa, qb, transb)
         prod = _integer_product(qa, qb, transa, transb)
         if (alpha == 1.0 and beta == 0.0
                 and variant.output_precision is Precision.INT32):
@@ -419,6 +532,19 @@ def _mirror_triangle(tri: np.ndarray) -> np.ndarray:
     return full
 
 
+def mirror_lower(c: np.ndarray) -> np.ndarray:
+    """Copy the square ``c``'s lower triangle onto its upper, in place
+    and one tile-sized strip of columns at a time: the one mirror of a
+    :func:`syrk_mixed` accumulation, with no full-size temporary."""
+    n = len(c)
+    for j0 in range(0, n, 256):
+        j1 = min(j0 + 256, n)
+        diagonal = c[j0:j1, j0:j1]
+        np.copyto(diagonal, diagonal.T, where=~np.tri(j1 - j0, dtype=bool))
+        c[j0:j1, j1:] = c[j1:, j0:j1].T
+    return c
+
+
 def syrk_mixed(
     a: np.ndarray | QuantizedOperand,
     c: np.ndarray | None = None,
@@ -437,13 +563,17 @@ def syrk_mixed(
     requested triangle is *computed* — the update runs through the BLAS
     ``?syrk`` routine at half the flops of a full GEMM — and the result
     is mirrored exactly into the other triangle on return, so the full
-    symmetric matrix is available for convenience.
+    symmetric matrix is available for convenience.  An integer variant
+    given a float ``C`` and ``beta=1`` adds into that ``C``'s triangle
+    in place instead, and mirrors nothing (as :func:`gemm_mixed` does).
     """
     if isinstance(variant, str):
         variant = gemm_variant(variant)
     q = QuantizedOperand.wrap(a, variant.input_precision)
     acc = variant.accumulate_precision
 
+    if acc.is_integer and _is_exact_accumulator(c, beta):
+        return _add_integer_product(c, alpha, q, trans, lower=lower)
     if acc.is_integer:
         k = q.shape[0] if trans else q.shape[-1]
         blas_dtype = integer_gemm_dtype(q.max_abs(), q.max_abs(), k)

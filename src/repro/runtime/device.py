@@ -93,12 +93,6 @@ class Device:
     tasks_executed: int = 0
     bytes_received: float = 0.0
 
-    def utilization(self, makespan: float) -> float:
-        """Busy fraction over the schedule's makespan."""
-        if makespan <= 0:
-            return 0.0
-        return min(self.busy_time / makespan, 1.0)
-
 
 def make_devices(count: int, model: DeviceModel = GENERIC_GPU) -> list[Device]:
     """Create ``count`` identical devices."""

@@ -114,11 +114,6 @@ class ExecutionTrace:
     def num_tasks(self) -> int:
         return len(self.events)
 
-    @property
-    def total_retries(self) -> int:
-        """Retry budget spent across the trace (fault-tolerance cost)."""
-        return sum(e.retries for e in self.events)
-
     def throughput(self) -> float:
         """Aggregate op/s over the schedule (the paper's "mixed-precision op/s")."""
         span = self.makespan

@@ -51,10 +51,6 @@ class TileLayout:
         return (self.tile_rows, self.tile_cols)
 
     @property
-    def num_tiles(self) -> int:
-        return self.tile_rows * self.tile_cols
-
-    @property
     def is_square_grid(self) -> bool:
         return self.tile_rows == self.tile_cols
 

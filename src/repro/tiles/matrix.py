@@ -304,13 +304,6 @@ class TileMatrix:
         for (i, j) in list(self._iter_stored()):
             self.set_tile_precision(i, j, _resolve_precision(pmap, i, j))
 
-    def precision_grid(self) -> np.ndarray:
-        """Object array of the current per-tile precisions (full grid)."""
-        grid = np.empty(self.layout.grid_shape, dtype=object)
-        for i, j in self.layout.iter_tiles():
-            grid[i, j] = self.tile_precision(i, j)
-        return grid
-
     def _iter_stored(self) -> Iterator[tuple[int, int]]:
         if self.symmetric:
             yield from self.layout.iter_lower_tiles()

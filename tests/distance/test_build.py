@@ -123,9 +123,9 @@ class TestCrossBuild:
             grams.append((a.shape[0], kw["variant"].name))
             return real_gemm(a, b, **kw)
 
-        def rows(ctx, gamma, snp_block, rs, cs, out=None, gram=None):
+        def rows(ctx, gamma, snp_block, rs, cs, out=None, dist=None):
             bands.append(((rs.start, rs.stop), out))
-            return real_rows(ctx, gamma, snp_block, rs, cs, out=out, gram=gram)
+            return real_rows(ctx, gamma, snp_block, rs, cs, out=out, dist=dist)
 
         monkeypatch.setattr(build, "gemm_mixed", gemm)
         monkeypatch.setattr(build, "compute_kernel_rows", rows)
@@ -147,8 +147,8 @@ class TestCrossBuild:
             np.vstack([b.kernel for b in blocks]), whole)
 
     def test_no_float64_temporary_of_batch_size(self, genotypes):
-        """Producing a batch allocates its block, the group's 4-byte Gram
-        (briefly twice: the sgemm output and its INT32 store) and
+        """Producing a batch allocates its block, the group's 4-byte
+        distance accumulator (the SNP Gram adds into it in place) and
         nothing batch-sized in float64: the assembly writes in place."""
         import tracemalloc
 

@@ -490,3 +490,39 @@ class TestNoFloatPanel:
             assert train.q.array is g and train.q._floats == {}
         finally:
             session.close()
+
+    def test_predict_peak_is_the_accumulator_two_casts_and_the_block(self):
+        """Past one SNP block a Predict holds one float32 distance
+        accumulator, and besides it either the two SNP-block casts that
+        add into it or the float64 kernel block read from it, never both:
+        no product, INT32 copy or whole-panel cast.  The slack covers
+        norms, predictions, the preload's broadcast buffers (~64 KiB)
+        and Python objects."""
+        import tracemalloc
+
+        from repro.distance.build import SNP_BLOCK
+        from repro.gwas.config import KRRConfig
+        from repro.gwas.session import KRRSession
+
+        n = n_test = 256
+        ns = 3 * SNP_BLOCK + 5
+        rng = np.random.default_rng(13)
+        g = rng.integers(0, 3, size=(n, ns)).astype(np.int8)
+        g_test = rng.integers(0, 3, size=(n_test, ns)).astype(np.int8)
+        session = KRRSession(KRRConfig(tile_size=32, execution="serial"))
+        try:
+            session.fit(g, rng.standard_normal((n, 2)))
+            session.predict(g_test)   # prepares the training side
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                session.predict(g_test)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        finally:
+            session.close()
+        accumulator = 4 * n_test * n
+        casts = 4 * (n_test + n) * SNP_BLOCK
+        block = 8 * n_test * n
+        assert peak <= accumulator + max(casts, block) + 128 * 1024, peak

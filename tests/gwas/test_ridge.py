@@ -209,6 +209,30 @@ class TestGram:
             RRSession(config).fit(g, y_new, c).beta_, rtol=1e-6, atol=1e-8)
 
 
+    def test_gram_peak_is_the_gram_and_one_accumulator(self):
+        """At 4096 individuals × 2048 SNPs + 3 confounders ``_gram`` holds
+        the float64 ``XᵀX`` (32 MiB), the float32 SNP accumulator
+        (16 MiB) and one cast block of 1024 individuals (8 MiB): no
+        whole-panel cast, product copy or INT32 Gram (96 MiB before)."""
+        import tracemalloc
+
+        rng = np.random.default_rng(47)
+        g = rng.integers(0, 3, size=(4096, 2048)).astype(np.int8)
+        c = rng.normal(size=(4096, 3))
+        session = RRSession(RRConfig(execution="serial"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gram = session._gram(g, c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 66 * 2 ** 20, peak / 2 ** 20
+        # float64 products of integers under 2⁵³ are the exact GᵀG
+        wide = g.astype(np.float64)
+        assert np.array_equal(gram[:2048, :2048], wide.T @ wide)
+
+
 class TestGenotypePanel:
     """RR takes KRR's genotype panel: one validation rule for both."""
 

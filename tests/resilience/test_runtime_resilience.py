@@ -61,7 +61,6 @@ class TestRetry:
             result = rt.run()
         np.testing.assert_array_equal(a.payload, [256.0])
         assert plan.fired == 2
-        assert result.trace.total_retries == 2
         assert sum(e.retries for e in result.trace.events) == 2
 
     def test_retry_accounting_lands_on_the_retried_task(self):
@@ -114,7 +113,7 @@ class TestRetry:
                        spec=call(lambda x: x + 1), flops=1)
         with fault_plan(transient_plan(times=3)):
             result = rt.run()
-        assert result.trace.total_retries == 3
+        assert sum(e.retries for e in result.trace.events) == 3
 
     def test_default_is_fail_fast(self, monkeypatch):
         monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.precision.formats import Precision
 from repro.runtime.dag import TaskGraph
-from repro.runtime.device import Device, DeviceModel, GENERIC_GPU, make_devices
+from repro.runtime.device import DeviceModel, GENERIC_GPU, make_devices
 from repro.runtime.replay import replay
 from repro.runtime.runtime import Runtime
 from repro.runtime.scheduler import Scheduler
@@ -60,12 +60,6 @@ class TestDeviceModel:
         assert [d.index for d in devices] == [0, 1, 2]
         with pytest.raises(ValueError):
             make_devices(0)
-
-    def test_device_utilization(self):
-        d = Device(index=0)
-        d.busy_time = 2.0
-        assert d.utilization(4.0) == 0.5
-        assert d.utilization(0.0) == 0.0
 
 
 class TestRuntimeExecution:

@@ -73,10 +73,12 @@ class TestAssociateNeverDecides:
         session = KRRSession(KRRConfig(tile_size=64,
                                        precision_plan=PLANS[plan]))
         session.build(g)
-        mosaic = session.kernel_.precision_grid()
+        kernel = session.kernel_
+        mosaic = {(i, j): kernel.tile_precision(i, j)
+                  for i, j in kernel.layout.iter_lower_tiles()}
         with no_decision():
             session.associate(y)
-        assert len(set(mosaic.ravel())) > 1
+        assert len(set(mosaic.values())) > 1
         factor = session.factorization_.factor
         for i, j in factor.layout.iter_lower_tiles(include_diagonal=False):
             assert factor.tile_precision(i, j) is mosaic[i, j]
@@ -224,6 +226,7 @@ class TestAdoptedKernels:
         session.adopt_kernel(kernel)
         with no_decision():
             session.associate(y)
-        assert set(session.factorization_.factor.precision_grid().ravel()) \
-            == {Precision.FP32}
+        factor = session.factorization_.factor
+        assert {factor.tile_precision(i, j)
+                for i, j in factor.layout.iter_tiles()} == {Precision.FP32}
         assert set(session.flops_by_precision) == {Precision.FP32}

@@ -1,17 +1,19 @@
-"""One blocked integer Gram, exact: the streamed INT8 SNP Gram and the
-INT32 distance assembly, on the one Build route.
+"""One blocked integer Gram, exact: the streamed INT8 SNP Gram is the
+distance accumulator, on the one Build route.
 
 ``distance/build.py::snp_gram`` is the only place that walks the SNP
 axis in ``snp_block`` columns — the Build, the Predict,
-``squared_euclidean_gemm`` and RR's ``XᵀX`` (on ``Gᵀ``) all call it.  Each step casts only its block
-and accumulates exactly in INT32, so the streamed Gram equals one
-unblocked ``integer_backend("int64")`` product, and the INT32 assembly
-of ``D = d₁ + d₂ − 2G`` equals the float64 one bit for bit.  It is the
-only Gram: no kernel, SNP precision or Gram variant is selectable.
+``squared_euclidean_gemm`` and RR's ``XᵀX`` (on ``Gᵀ``) all call it.
+Its accumulator starts at ``d₁ + d₂`` (zero for a plain Gram) and each
+step casts only its block and adds ``−2·A·Bᵀ`` into it in place, in the
+narrowest float that the bound ``(max|a| + max|b|)²·ns`` proves exact.
+So the streamed result equals one unblocked ``integer_backend("int64")``
+product, and the kernel assembled from it equals the float64 assembly
+of ``D = d₁ + d₂ − 2G`` bit for bit.  It is the only Gram: no kernel,
+SNP precision or Gram variant is selectable.
 """
 
 import ast
-import dataclasses
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from repro.distance.kernels import gaussian_kernel
 from repro.gwas.config import RRConfig
 from repro.gwas.session import RRSession
 from repro.precision.formats import Precision
-from repro.precision.gemm import QuantizedOperand, gemm_mixed, integer_backend
+from repro.precision.gemm import (QuantizedOperand, gemm_mixed,
+                                  integer_backend, integer_gemm_dtype,
+                                  syrk_mixed)
 from tests.runtime.test_one_drain import SRC, _sites
 
 #: ns relative to the block B: one SNP, B−1, B, B+1 and 3B+5
@@ -45,6 +49,19 @@ def _int64_reference(q1, q2, rs, cs):
     with integer_backend("int64"):
         return gemm_mixed(q1[rs, :], q2[cs, :], variant=SNP_VARIANT,
                           transb=True)
+
+
+def _exact_distances(q1, q2, rs, cs):
+    """``d₁ + d₂ − 2G`` in int64, from the unblocked int64 Gram."""
+    d1 = np.einsum("ij,ij->i", q1.array, q1.array, dtype=np.int64)
+    d2 = np.einsum("ij,ij->i", q2.array, q2.array, dtype=np.int64)
+    return (d1[rs, None] + d2[None, cs]
+            - 2 * _int64_reference(q1, q2, rs, cs).astype(np.int64))
+
+
+def _norms(q1, q2):
+    return tuple(np.einsum("ij,ij->i", q.array, q.array, dtype=np.int64)
+                 .astype(np.float64) for q in (q1, q2))
 
 
 @st.composite
@@ -67,23 +84,31 @@ def gram_cases(draw):
     return g, g, block, *rows, kind
 
 
-@given(gram_cases())
+@given(gram_cases(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_streamed_gram_equals_the_int64_reference(case):
+def test_streamed_gram_equals_the_int64_reference(case, with_norms):
     g1, g2, block, rs, cs, kind = case
     q1 = QuantizedOperand(g1, Precision.INT8)
     q2 = q1 if kind != "cross" else QuantizedOperand(g2, Precision.INT8)
-    gram = snp_gram(q1, q2, block, rs, cs)
-    assert gram.dtype == np.int32
-    assert np.array_equal(gram, _int64_reference(q1, q2, rs, cs))
+    norms = _norms(q1, q2) if with_norms else None
+    acc = snp_gram(q1, q2, block, rs, cs, norms)
+    # the narrowest float that (max|a| + max|b|)²·ns proves exact
+    top = q1.max_abs() + q2.max_abs()
+    assert acc.dtype == integer_gemm_dtype(top, top, g1.shape[1])
+    want = (_exact_distances(q1, q2, rs, cs) if with_norms
+            else _int64_reference(q1, q2, rs, cs))
+    assert np.array_equal(acc, want)
     # the int64 backend streams to the same integers
     with integer_backend("int64"):
-        assert np.array_equal(snp_gram(q1, q2, block, rs, cs), gram)
+        assert np.array_equal(snp_gram(q1, q2, block, rs, cs, norms), acc)
 
 
 @given(gram_cases(), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_int32_assembly_is_bitwise_the_float64_assembly(case, confounders):
+def test_the_accumulator_assembly_is_bitwise_the_float64_assembly(
+        case, confounders):
+    """The kernel read from the (float32) accumulator equals the kernel
+    of ``D = d₁ + d₂ − 2G`` summed in float64, confounder term and all."""
     g1, g2, block, rs, cs, kind = case
     symmetric = kind != "cross"
     rng = np.random.default_rng(g1.size)
@@ -91,55 +116,72 @@ def test_int32_assembly_is_bitwise_the_float64_assembly(case, confounders):
     c2 = c1 if symmetric or c1 is None else rng.standard_normal((len(g2), 2))
     builder = KernelBuilder(gamma=2.0 ** -14, tile_size=8, snp_block=block)
     ctx = builder._prepare_operands(g1, g2, c1, c2, symmetric=symmetric)
-    assert ctx.d1.dtype == ctx.d2.dtype == np.int32
-    wide = dataclasses.replace(ctx, d1=ctx.d1.astype(np.float64),
-                               d2=ctx.d2.astype(np.float64))
-    k32 = compute_kernel_rows(ctx, builder.gamma, block, rs, cs)
-    k64 = compute_kernel_rows(wide, builder.gamma, block, rs, cs)
-    assert np.array_equal(k32, k64)
+    assert ctx.d1.dtype == ctx.d2.dtype == np.float64
+    got = compute_kernel_rows(ctx, builder.gamma, block, rs, cs)
+    dist = _exact_distances(ctx.q1, ctx.q2, rs, cs).astype(np.float64)
+    if confounders:
+        gram_c = gemm_mixed(ctx.qc1[rs, :], ctx.qc2[cs, :],
+                            variant=build.CONF_VARIANT, transb=True)
+        dist = np.maximum(dist + ((ctx.e1[rs, None] + ctx.e2[None, cs])
+                                  - 2.0 * gram_c), 0.0)
+    assert np.array_equal(got, gaussian_kernel(dist, builder.gamma))
     if not confounders:
-        # and both are exp(−γ·D) of the exact distances
+        # and it is exp(−γ·D) of the directly summed distances
         exact = squared_euclidean_direct(g1[rs], g2[cs])
-        assert np.array_equal(k32, gaussian_kernel(exact, builder.gamma))
+        assert np.array_equal(got, gaussian_kernel(exact, builder.gamma))
 
 
-@pytest.mark.parametrize("ns, int32", [(32767, True), (32768, False),
-                                       (33100, False)])
-def test_the_assembly_falls_back_to_float64_at_the_exactness_edge(ns,
-                                                                  int32):
-    """INT8 extremes: (128 + 128)²·ns < 2³¹ holds up to ns = 32767.
-    Past the edge the distances are summed in float64 and stay exact —
-    at ns = 33100 the −128 row and the 127 row are 255²·33100 > 2³¹
-    apart, which an INT32 sum would wrap."""
+@pytest.mark.parametrize("ns, dtype", [(255, np.float32), (256, np.float64),
+                                       (301, np.float64)])
+def test_the_accumulator_widens_to_float64_at_the_exactness_edge(ns, dtype):
+    """INT8 extremes: (128 + 128)²·ns < 2²⁴ holds up to ns = 255.  Past
+    the edge the distances accumulate in float64 and stay exact — at
+    ns = 301 the −128 row and the 127 row are 255²·301 = 19 572 525
+    apart, an odd integer past 2²⁴ that float32 would round."""
     g = np.array([[-128] * ns, [127] * ns, [0, 1] * (ns // 2) + [5] * (ns % 2)],
                  dtype=np.int8)
     builder = KernelBuilder(gamma=2.0 ** -32, tile_size=2)
     ctx = builder._prepare_operands(g, g, None, None, symmetric=True)
-    assert (ctx.d1.dtype == np.int32) is int32
+    rows = slice(0, 3)
+    acc = snp_gram(ctx.q1, ctx.q2, builder.snp_block, rows, rows,
+                   (ctx.d1, ctx.d2))
+    assert acc.dtype == dtype
     exact = squared_euclidean_direct(g)
-    k = compute_kernel_rows(ctx, builder.gamma, builder.snp_block,
-                            slice(0, 3), slice(0, 3))
+    assert np.array_equal(acc, exact)
+    k = compute_kernel_rows(ctx, builder.gamma, builder.snp_block, rows,
+                            rows)
     assert np.array_equal(k, gaussian_kernel(exact, builder.gamma))
     assert np.array_equal(squared_euclidean_gemm(g), exact)
 
 
-@pytest.mark.parametrize("ns, calls", [(16, 1), (17, 4)])
-def test_a_gram_within_one_block_is_one_gemm_mixed_call(monkeypatch, ns,
-                                                        calls):
-    """Up to snp_block SNPs a symmetric band is one product; past it each
-    block is an off-diagonal product plus the band's own ``a @ a.T``."""
+@pytest.mark.parametrize("rs, ns, calls", [
+    (slice(8, 12), 16, ["gemm"]),
+    (slice(0, 12), 16, ["syrk"]),
+    (slice(8, 12), 17, ["gemm", "syrk", "gemm", "syrk"]),
+])
+def test_each_block_adds_into_one_accumulator(monkeypatch, rs, ns, calls):
+    """Up to snp_block SNPs a symmetric band is one full-width product (a
+    whole symmetric Gram one ``?syrk``); past it each block is an
+    off-diagonal ``?gemm`` plus the band's own ``?syrk``.  Every product
+    is a ``precision/gemm.py`` call that adds into a view of the one
+    accumulator the Gram returns."""
     seen = []
 
-    def spy(a, b, **kw):
-        seen.append((a.shape, b.shape, a is b))
-        return gemm_mixed(a, b, **kw)
+    def spy(kind, fn):
+        def call(*args, **kw):
+            seen.append((kind, kw["c"], kw["beta"]))
+            return fn(*args, **kw)
+        return call
 
-    monkeypatch.setattr(build, "gemm_mixed", spy)
+    monkeypatch.setattr(build, "gemm_mixed", spy("gemm", gemm_mixed))
+    monkeypatch.setattr(build, "syrk_mixed", spy("syrk", syrk_mixed))
     q = QuantizedOperand(_panel(1, 12, ns, False), Precision.INT8)
-    snp_gram(q, q, 16, slice(8, 12), slice(0, 12))
-    assert len(seen) == calls
-    if calls > 1:
-        assert [same for *_, same in seen] == [False, True, False, True]
+    cs = slice(0, 12)
+    acc = snp_gram(q, q, 16, rs, cs, _norms(q, q))
+    assert [kind for kind, *_ in seen] == calls
+    assert all(beta == 1.0 and np.shares_memory(c, acc)
+               for _, c, beta in seen)
+    assert np.array_equal(acc, _exact_distances(q, q, rs, cs))
 
 
 def test_the_snp_axis_is_blocked_in_one_function():
@@ -149,6 +191,29 @@ def test_the_snp_axis_is_blocked_in_one_function():
             and any(isinstance(arg, ast.Name) and arg.id == "snp_block"
                     for arg in node.args)
     assert _sites(blocks_snps) == ["distance/build.py:snp_gram"]
+
+
+def test_the_norm_sum_is_formed_in_one_function():
+    """The outer sum ``d₁[rows, None] + d₂[None, cols]`` — the norm part
+    of every squared distance (the SNP accumulator's preload and the
+    confounder term) — is written once, in ``_norm_sum``; the kernel
+    assembly and ``squared_euclidean_gemm`` reach it through it."""
+    def broadcast(node):
+        return isinstance(node, ast.Subscript) \
+            and isinstance(node.slice, ast.Tuple) \
+            and any(isinstance(e, ast.Constant) and e.value is None
+                    for e in node.slice.elts)
+
+    def outer_sum(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) \
+                and getattr(node.func, "attr", None) == "add":
+            operands = node.args[:2]
+        else:
+            return False
+        return len(operands) == 2 and all(map(broadcast, operands))
+    assert _sites(outer_sum) == ["distance/build.py:_norm_sum"]
 
 
 def test_a_gemm_operation_count_is_defined_once():

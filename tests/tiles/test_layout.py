@@ -11,7 +11,7 @@ class TestTileLayout:
     def test_even_division(self):
         layout = TileLayout(rows=100, cols=60, tile_size=20)
         assert layout.grid_shape == (5, 3)
-        assert layout.num_tiles == 15
+        assert len(list(layout.iter_tiles())) == 15
         assert layout.tile_shape(0, 0) == (20, 20)
         assert layout.tile_shape(4, 2) == (20, 20)
 
@@ -62,7 +62,7 @@ class TestTileLayout:
 
     def test_empty_matrix(self):
         layout = TileLayout(rows=0, cols=0, tile_size=4)
-        assert layout.num_tiles == 0
+        assert layout.grid_shape == (0, 0)
         assert list(layout.iter_tiles()) == []
 
     @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 64))

@@ -102,13 +102,8 @@ class TestTileAccess:
     def test_apply_precision_map(self, dense):
         tm = TileMatrix.from_dense(dense, tile_size=16)
         tm.apply_precision_map(Precision.FP16)
-        grid = tm.precision_grid()
-        assert all(grid[i, j] is Precision.FP16
+        assert all(tm.tile_precision(i, j) is Precision.FP16
                    for i in range(4) for j in range(2))
-
-    def test_precision_grid_shape(self, dense):
-        tm = TileMatrix.from_dense(dense, tile_size=16)
-        assert tm.precision_grid().shape == tm.grid_shape
 
 
 class TestFootprint:
