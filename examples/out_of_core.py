@@ -9,7 +9,7 @@ of the mosaic footprint: the tile whose next use is farthest in the
 drain's own order spills to disk in its native storage precision (a
 budgeted factorization runs its updates column by column, so that is
 mostly a finished tile), the scheduler pins each task's working set,
-and the background reader prefetches upcoming tiles.
+and a spilled tile is reloaded when a task reads it.
 
 The contract being demonstrated (and asserted): the budgeted run's
 predictions are **bitwise identical** to the fully-resident run, and
@@ -90,8 +90,7 @@ def main() -> None:
     print(f"  peak resident tile bytes   {fmt(stats.peak_resident_bytes)} "
           f"(budget {fmt(budget)})")
     print(f"  spills {stats.spills:6d}   ({fmt(stats.bytes_spilled)} written)")
-    print(f"  reloads {stats.reloads:5d}   ({fmt(stats.bytes_reloaded)} read, "
-          f"{stats.prefetches} prefetched)")
+    print(f"  reloads {stats.reloads:5d}   ({fmt(stats.bytes_reloaded)} read)")
     print(f"  clean drops {stats.drops:5d}   "
           f"budget overflows {stats.budget_overflows}")
     print(f"  wall clock: resident {t_ref:.1f} s vs budgeted {t_oo:.1f} s "

@@ -6,7 +6,7 @@ coordinator/worker architecture over OS processes, selected via
 / ``REPRO_EXECUTION=process``:
 
 * the **coordinator** (the caller's process) keeps the task graph,
-  dependency tracking, store pin/prefetch hooks and trace accounting,
+  dependency tracking, store plan/pin hooks and trace accounting,
   and ships only picklable *task descriptors* plus payload references
   over a pipe;
 * **workers** execute task bodies GIL-free and exchange tile payloads

@@ -103,7 +103,7 @@ def _limit_blas_threads(limit: int) -> None:
 def _bootstrap(blas_threads: int) -> None:
     _limit_blas_threads(blas_threads)
     # A fork can capture locks and cached fault plans mid-operation
-    # (e.g. the store prefetch thread holding the env-plan lock):
+    # (e.g. a threaded drain's lane thread holding the env-plan lock):
     # rebuild the module state so this process starts clean, with its
     # own injection counters.
     faults.reset_child_state()

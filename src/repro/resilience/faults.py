@@ -23,7 +23,7 @@ a site spec fires on deterministic occurrence numbers (``every``/
 (``rate``), so the same plan against the same workload injects the same
 faults — the property the bitwise-identity chaos tests lean on.  All
 counters are guarded by one lock; plans are safe to share across the
-scheduler's worker threads and the store's prefetch thread.
+scheduler's lane threads.
 
 Plans come from two places, checked in order:
 
@@ -332,8 +332,8 @@ def inject(site: str, key: object = None) -> None:
 def reset_child_state() -> None:
     """Reinitialize module state in a freshly forked worker process.
 
-    A ``fork`` can capture ``_env_lock`` held by another thread (the
-    store's prefetch thread injects segment faults under it) and plan
+    A ``fork`` can capture ``_env_lock`` held by another thread (a
+    threaded drain's lane injects task and segment faults under it) and plan
     objects whose internal locks are likewise mid-acquire — either
     would deadlock the child on its first injection site.  Process-
     backend workers call this from their bootstrap: a fresh lock, no

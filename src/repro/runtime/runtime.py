@@ -216,9 +216,9 @@ class Runtime:
             try:
                 self.attach_store(store)
             except RuntimeError:
-                # the runtime is hooked to something else: pins and
-                # prefetch for this operand are skipped, which only
-                # costs reload traffic — the round-trips stay bitwise
+                # the runtime is hooked to something else: the plan and
+                # pins for this operand are skipped, which only costs
+                # reload traffic — the round-trips stay bitwise
                 pass
         prefix = self.namespace(label)
         try:
@@ -283,7 +283,8 @@ class Runtime:
 
         ``tile_deps`` declares the store-backed tiles the task touches
         (``(binding, (i, j))`` pairs) so the scheduler's store hooks can
-        pin, unpin and prefetch them (see :mod:`repro.store`).
+        plan evictions from them and pin and unpin them (see
+        :mod:`repro.store`).
 
         ``spec`` is the task's :class:`~repro.runtime.task.TaskSpec`
         descriptor, which every execution mode runs.
@@ -362,10 +363,10 @@ class Runtime:
     def attach_store(self, store) -> None:
         """Wire a :class:`~repro.store.TileStore` into the executors.
 
-        Installs the store's scheduler hooks: tasks that declare
-        ``tile_deps`` get their tiles prefetched when they become
-        ready, pinned against eviction while they run, and released on
-        completion.  One store per runtime; attaching the same store
+        Installs the store's scheduler hooks: the drain's order of the
+        tasks that declare ``tile_deps`` is the eviction plan, and their
+        tiles are pinned against eviction while they run and released
+        on completion.  One store per runtime; attaching the same store
         again is a no-op.
         """
         from repro.store import StoreSchedulerHooks

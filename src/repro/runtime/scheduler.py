@@ -31,11 +31,10 @@ kernel runs and how a stalled lane is pre-empted:
     worker is killed and respawned; a dead one is a transient fault.
 
 Lifecycle **hooks** (``Scheduler.hooks``): ``drain_begin`` (optional)
-with the graph before anything is ready, then ``task_ready`` when a
-task enters the ready heap, ``task_dispatch`` before an attempt, and
-``task_complete`` after it, whatever its outcome.  The out-of-core tile
-store uses these to plan its evictions from the drain's order and to
-prefetch, pin and release a task's tiles
+with the graph before anything is ready, then ``task_dispatch`` before
+an attempt and ``task_complete`` after it, whatever its outcome.  The
+out-of-core tile store uses these to plan its evictions from the
+drain's order and to pin and release a task's tiles
 (:class:`repro.store.StoreSchedulerHooks`).  A hook that raises fails
 *that task*, typed, like a body that raises; the drain goes on.
 
@@ -143,23 +142,13 @@ class _Drain:
             begin(graph)  # the store plans its evictions from the order
         for task, degree in self.indegree.items():
             if degree == 0:
-                self._release(task)
+                self._push(task)
 
     # ------------------------------------------------------------------
     # ready heap (``cond`` held, or a single-threaded lane)
     # ------------------------------------------------------------------
     def _push(self, task: Task) -> None:
         heapq.heappush(self.ready, (-task.priority, self.order[task], task))
-
-    def _release(self, task: Task) -> None:
-        """``task``'s dependencies resolved: announce it and queue it."""
-        if self.hooks is not None:
-            try:
-                self.hooks.task_ready(task)
-            except BaseException as exc:  # noqa: BLE001 - reported upstream
-                self._fail(task, exc)
-                return
-        self._push(task)
 
     def pop(self) -> Task:
         """Take the best ready task; it is in flight until retired."""
@@ -235,7 +224,7 @@ class _Drain:
             else:
                 del self.in_flight[task]
                 if again:
-                    self._push(task)  # task_ready already fired for it
+                    self._push(task)
                 elif error is not None:
                     self._fail(task, error)
                 else:
@@ -245,7 +234,7 @@ class _Drain:
                     for succ in self.graph.successors(task):
                         self.indegree[succ] -= 1
                         if self.indegree[succ] == 0:
-                            self._release(succ)
+                            self._push(succ)
             self.cond.notify_all()
 
     def run_inline(self, task: Task, lane: int) -> None:
@@ -386,10 +375,10 @@ class Scheduler:
         process run exercises the full descriptor/exchange path and
         stays bitwise identical to serial).
     hooks:
-        Optional task-lifecycle observer with ``task_ready`` /
-        ``task_dispatch`` / ``task_complete`` methods (and, optionally,
+        Optional task-lifecycle observer with ``task_dispatch`` /
+        ``task_complete`` methods (and, optionally,
         ``drain_begin(graph)``), called in every mode.  Used by the
-        out-of-core store to plan evictions and pin/prefetch task tiles.
+        out-of-core store to plan evictions and pin task tiles.
     retry_policy:
         Pacing of per-task re-execution after *transient* failures;
         ``None`` fails fast.  The environment's ``task_retries`` is

@@ -168,11 +168,10 @@ class Task:
         of attributing everything to ``precision``.
     tile_deps:
         Tiles of store-backed matrices this task touches, declared as
-        ``(binding, (i, j))`` pairs.  The scheduler's store hooks pin
-        them at dispatch (no eviction under an in-flight task), release
-        them on completion, and hand them to the prefetch reader when
-        the task becomes ready.  Empty for tasks that only operate on
-        handle payloads.
+        ``(binding, (i, j))`` pairs.  The scheduler's store hooks plan
+        evictions from them, pin them at dispatch (no eviction under an
+        in-flight task) and release them on completion.  Empty for
+        tasks that only operate on handle payloads.
     spec:
         The task's :class:`TaskSpec` descriptor.  The serial and
         threaded lanes run it inline (:meth:`execute`); the process

@@ -10,8 +10,9 @@ no longer fits in memory.  This package breaks that ceiling:
   with pin/unpin refcounts, evicting by farthest next use inside a
   drain (the drain's own order is the plan) and by LRU outside one;
 * :class:`StoreSchedulerHooks` wires the task runtime in: the drain's
-  order becomes the eviction plan, input tiles are prefetched when a
-  task becomes ready, pinned while it runs, and released on completion;
+  order becomes the eviction plan, a task's tiles are pinned while it
+  runs and released on completion, and a spilled tile is reloaded on
+  demand by the task that reads it (the store starts no thread);
 * :class:`~repro.store.stats.StoreStats` reports spills/reloads and the
   peak resident bytes the out-of-core contract is asserted against.
 

@@ -1,7 +1,7 @@
-"""Scheduler ↔ store integration: pinning and prefetch.
+"""Scheduler ↔ store integration: the eviction plan and pinning.
 
 The out-of-order executors (:class:`~repro.runtime.scheduler.Scheduler`)
-expose one hook per drain and three lifecycle hooks per task;
+expose one hook per drain and two lifecycle hooks per task;
 ``StoreSchedulerHooks`` maps them onto the store's residency protocol:
 
 ``drain_begin``
@@ -13,18 +13,12 @@ expose one hook per drain and three lifecycle hooks per task;
     choice, exact on one lane, an approximation on several) instead of
     the least recently used one.
 
-``task_ready``
-    The task's dependencies have resolved and it entered the ready
-    heap.  Its declared input/output tiles (``Task.tile_deps``) are
-    handed to the background reader, which faults spilled tiles in
-    ahead of dispatch — but only when they fit the budget without
-    evicting anything (prefetch never steals the working set).
-
 ``task_dispatch``
     A worker picked the task: the plan's "now" moves to the first
-    position not dispatched yet.  Its tiles are **pinned**: eviction will
-    not select them while the task runs, so an in-flight task can never
-    have a tile evicted under it.  Pinning at dispatch (rather than at
+    position not dispatched yet.  Its declared input/output tiles
+    (``Task.tile_deps``) are **pinned**: eviction will not select them
+    while the task runs, so an in-flight task can never have a tile
+    evicted under it.  Pinning at dispatch (rather than at
     ready) keeps the pinned set bounded by the worker count — with a
     wide trailing update, hundreds of GEMMs may be ready at once, and
     pinning all of their tiles would wedge the budget.
@@ -34,8 +28,10 @@ expose one hook per drain and three lifecycle hooks per task;
     ordinary eviction candidates again.
 
 Correctness never depends on these hooks: a task that reads an evicted
-tile faults it back in bitwise.  The hooks exist to keep the working
-set resident (pins) and to hide reload latency (prefetch).
+tile faults it back in bitwise, on demand, on its own lane.  The hooks
+exist to choose what leaves (the plan) and to keep the working set
+resident (pins); no tile is read ahead, so a one-lane drain makes the
+same spills and reloads on every run.
 """
 
 from __future__ import annotations
@@ -64,11 +60,6 @@ class StoreSchedulerHooks:
         self._position = ({task.uid: at for at, task in enumerate(order)}
                           if uses else {})
         self.store.set_plan(uses, len(order))
-
-    def task_ready(self, task) -> None:
-        deps = getattr(task, "tile_deps", ())
-        if deps:
-            self.store.prefetch(deps)
 
     def task_dispatch(self, task) -> None:
         deps = getattr(task, "tile_deps", ())

@@ -39,7 +39,8 @@ class StoreStats:
     reloads:
         Tiles faulted back in from a segment file.
     prefetches:
-        Reloads performed ahead of demand by the background reader.
+        Always 0: every reload happens on demand (the field stays for
+        readers of the former read-ahead's counter).
     bytes_spilled, bytes_reloaded:
         Byte totals of the above (storage-precision bytes).
     budget_overflows:
@@ -263,12 +264,6 @@ class ResidencyManager:
     # ------------------------------------------------------------------
     # eviction planning
     # ------------------------------------------------------------------
-    def would_fit(self, incoming: int) -> bool:
-        """True when ``incoming`` bytes fit without any eviction."""
-        if self.budget_bytes is None:
-            return True
-        return self.stats.resident_bytes + int(incoming) <= self.budget_bytes
-
     def victims_to_fit(
         self, incoming: int,
         exclude: tuple[int, tuple[int, int]] | None = None,

@@ -31,7 +31,10 @@ Concurrency contract (the part that makes threaded DAG execution safe):
   (:class:`~repro.store.stats.ResidencyManager` refcounts pins);
 * readers that race an eviction simply fault the tile back in — the
   reload is bitwise, so correctness never depends on pin timing; pins
-  exist to keep the working set resident, not to guard values.
+  exist to keep the working set resident, not to guard values;
+* every reload happens on demand, on the thread that reads the tile,
+  under the store lock: the store starts no thread, so a serial drain
+  makes the same spills and reloads on every run.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import tempfile
 import threading
 import weakref
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -83,9 +85,8 @@ TileDep = tuple["StoreBinding", tuple[int, int]]
 class _Segment:
     """One spill file: positional writes and reads on one unbuffered file.
 
-    ``pwrite``/``pread`` carry their own offset, so the background
-    reader (which reads with the store lock released) never races a
-    writer over a shared file position, and nothing of the file stays
+    ``pwrite``/``pread`` carry their own offset, so no read or write
+    depends on a shared file position, and nothing of the file stays
     mapped into the process.
     """
 
@@ -151,7 +152,7 @@ class _Slot:
     dtype: str
     shape: tuple[int, ...]
     precision: Precision
-    #: CRC32 of the slot's bytes, verified on every reload/prefetch.
+    #: CRC32 of the slot's bytes, verified on every reload.
     crc: int = 0
     #: Bindings referencing this slot; in-place overwrite requires 1.
     owners: int = 1
@@ -244,23 +245,18 @@ class StoreBinding:
             matrix=self._describe(), coords=key, precision=slot.precision,
             path=slot.segment.path, reason=reason)
 
-    def _read_slot(self, slot: _Slot, key: tuple[int, int] = (-1, -1),
-                   superseded=lambda: False) -> np.ndarray | None:
+    def _read_slot(self, slot: _Slot, key: tuple[int, int]) -> np.ndarray:
         """Read and *verify* a slot's bytes (one transient-fault retry).
 
-        Every reload path — demand fault-in, prefetch, detach, verify —
-        funnels through here, so no corrupted byte ever reaches a tile
-        payload: length and CRC32 are checked against the offset index
-        and a mismatch raises a typed :class:`StoreCorruptionError`
-        naming the tile instead of an opaque reshape crash.  ``superseded``
-        (a lock-free reader's check) is asked before anything is counted:
-        a slot re-spilled in place mid-read returns None, uncounted.
+        Every reload path — demand fault-in, detach, verify — funnels
+        through here, so no corrupted byte ever reaches a tile payload:
+        length and CRC32 are checked against the offset index and a
+        mismatch raises a typed :class:`StoreCorruptionError` naming the
+        tile instead of an opaque reshape crash.
         """
         last_reason = "unreadable slot"
         for attempt in range(2):
             if attempt:
-                if superseded():
-                    return None
                 self.store.residency.stats.io_retries += 1
             try:
                 buf = slot.segment.read(slot.offset, slot.length)
@@ -275,14 +271,10 @@ class StoreBinding:
                 last_reason = "checksum mismatch (corrupted bytes)"
                 continue
             return np.frombuffer(buf, dtype=slot.dtype).reshape(slot.shape)
-        if not superseded():
-            raise self._corruption(key, slot, last_reason)
+        raise self._corruption(key, slot, last_reason)
 
-    def _decode_slot(self, slot: _Slot, key: tuple[int, int],
-                     superseded=lambda: False) -> np.ndarray | None:
-        raw = self._read_slot(slot, key, superseded)
-        if raw is None:
-            return None
+    def _decode_slot(self, slot: _Slot, key: tuple[int, int]) -> np.ndarray:
+        raw = self._read_slot(slot, key)
         try:
             return decode_payload(raw, slot.precision)
         except Exception as exc:
@@ -486,9 +478,8 @@ class TileStore:
         bytes).  ``None`` disables eviction — the store then only spills
         on request (``adopt``) and for artifact-backed loads.
 
-    A background reader faults in the upcoming tiles the scheduler
-    hooks announce (:class:`~repro.store.hooks.StoreSchedulerHooks`),
-    strictly best-effort: it never evicts to make room.
+    A spilled tile comes back when something reads it, on the reading
+    thread; the store starts no thread of its own.
     """
 
     def __init__(self, directory: str | Path | None = None,
@@ -504,16 +495,11 @@ class TileStore:
         self._segments: list[_Segment] = []
         self._closed = False
 
-        self._queue: deque[TileDep] = deque()
-        self._queue_cv = threading.Condition()
-        self._stop = threading.Event()
-        self._reader: threading.Thread | None = None
-
         # GC-time cleanup must not resurrect the store: capture only the
         # state the janitor needs.
         self._finalizer = weakref.finalize(
             self, TileStore._janitor, self._segments, self.directory,
-            self._owns_directory, self._stop, self._queue_cv)
+            self._owns_directory)
 
     # ------------------------------------------------------------------
     @property
@@ -715,7 +701,7 @@ class TileStore:
                                      errors=tuple(errors))
 
     # ------------------------------------------------------------------
-    # scheduler integration: pins and prefetch
+    # scheduler integration: the plan and pins
     # ------------------------------------------------------------------
     def set_plan(self, uses: dict, length: int) -> None:
         """Adopt a drain's order for eviction (see
@@ -741,96 +727,14 @@ class TileStore:
                     self.residency.unpin((binding.bid, key))
 
     def prefetch(self, deps: Iterable[TileDep]) -> None:
-        """Queue tiles for the background reader (best-effort).
-
-        Tiles that are resident already, have no slot, or whose slot
-        does not fit the current headroom are dropped here, without the
-        store lock (dict and int reads; :meth:`_prefetch_one` decides
-        again under it) and before the reader is woken: at a tight
-        budget that is nearly every tile of every ready task.
-        """
-        if self._closed:
-            return
-        residency = self.residency
-        wanted = []
-        for binding, key in deps:
-            if binding.store is self and not residency.resident(
-                    (binding.bid, key)):
-                slot = binding.index.get(key)
-                if slot is not None and residency.would_fit(slot.length):
-                    wanted.append((binding, key))
-        if not wanted:
-            return
-        with self._queue_cv:
-            self._queue.extend(wanted)
-            if self._reader is None:
-                self._reader = threading.Thread(
-                    target=_reader_loop,
-                    args=(weakref.ref(self), self._queue, self._queue_cv,
-                          self._stop),
-                    name="repro-store-reader", daemon=True)
-                self._reader.start()
-            self._queue_cv.notify()
-
-    def _prefetch_one(self, dep: TileDep) -> None:
-        """Fault one queued tile in ahead of demand.
-
-        The segment read and payload decode run *outside* the store
-        lock — prefetch exists to hide reload latency, so it must not
-        stall concurrent fault-ins/writes/evictions for the I/O's
-        duration.  The result is installed only after re-validating
-        under the lock that the slot is still current (same ``_Slot``
-        object: an in-place re-spill replaces it, so a torn concurrent
-        read is never installed nor counted), the tile is still absent,
-        and it fits the budget without evicting anything.
-        """
-        binding, key = dep
-        with self._lock:
-            if self._closed or binding.bid not in self._bindings:
-                return
-            m = binding.matrix()
-            if m is None:
-                return
-            with m._grid_lock:
-                if key in m._tiles:
-                    return  # already resident
-            slot = binding.index.get(key)
-            if slot is None or not self.residency.would_fit(slot.length):
-                return
-
-        def superseded() -> bool:
-            with self._lock:
-                return binding.index.get(key) is not slot
-        # I/O + decode with the lock released
-        payload = binding._decode_slot(slot, key, superseded)
-        if payload is None:
-            return  # superseded while we read: discard
-        tile = Tile._on_grid(payload, slot.precision, key)
-        with self._lock:
-            if (self._closed or binding.bid not in self._bindings
-                    or superseded()):
-                return
-            m = binding.matrix()
-            if m is None:
-                return
-            with m._grid_lock:
-                # prefetch never evicts the working set
-                if key in m._tiles or not self.residency.would_fit(
-                        tile.nbytes):
-                    return
-                m._tiles[key] = tile
-            self.residency.add((binding.bid, key), tile.nbytes)
-            binding.clean.add(key)
-            stats = self.residency.stats
-            stats.reloads += 1
-            stats.bytes_reloaded += slot.length
-            stats.prefetches += 1
+        """No-op, kept for callers of the former read-ahead: every
+        reload happens on demand, so ``stats.prefetches`` stays 0."""
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the reader and delete segment files.
+        """Delete the segment files.
 
         Spilled tiles become unreadable — close only once every bound
         matrix is either detached or no longer needed.
@@ -841,15 +745,11 @@ class TileStore:
             self._closed = True
         self._finalizer.detach()
         TileStore._janitor(self._segments, self.directory,
-                           self._owns_directory, self._stop, self._queue_cv)
+                           self._owns_directory)
 
     @staticmethod
     def _janitor(segments: list[_Segment], directory: Path,
-                 owns_directory: bool, stop: threading.Event,
-                 queue_cv: threading.Condition) -> None:
-        stop.set()
-        with queue_cv:
-            queue_cv.notify_all()
+                 owns_directory: bool) -> None:
         for segment in segments:
             segment.close()
             try:
@@ -872,25 +772,3 @@ class TileStore:
                 f"resident={s.resident_bytes}/{budget} B, "
                 f"spills={s.spills}, reloads={s.reloads})")
 
-
-def _reader_loop(store_ref, queue: deque, cv: threading.Condition,
-                 stop: threading.Event) -> None:
-    """Background prefetch reader (holds only a weakref to the store)."""
-    while True:
-        with cv:
-            while not queue and not stop.is_set():
-                cv.wait(timeout=1.0)
-                if store_ref() is None:
-                    return
-            if stop.is_set():
-                return
-            dep = queue.popleft()
-        store = store_ref()
-        if store is None:
-            return
-        try:
-            store._prefetch_one(dep)
-        except Exception:  # pragma: no cover - prefetch is best-effort
-            pass
-        # idle waits must not keep the store (or a binding) alive
-        del store, dep

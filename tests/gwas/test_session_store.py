@@ -1,11 +1,14 @@
 """Out-of-core KRR sessions: budgeted fit/predict bitwise contracts."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.session import KRRSession
-from repro.store import TileStore
+from repro.resilience.faults import no_faults
+from repro.store import StoreSchedulerHooks, TileStore
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +99,45 @@ class TestBudgetedFitPredict:
         restored.close()
 
 
+class TestSerialTrafficRepeats:
+    def test_three_serial_fits_move_the_same_tiles_on_demand(self, cohort,
+                                                            monkeypatch):
+        """Every reload happens on demand on the draining thread, chosen
+        by the plan's next-use eviction, so a serial store-backed fit +
+        predict repeats its spills and reloads exactly and the store
+        starts no thread.  Injected faults are scoped out: a retried
+        segment read moves ``io_retries``, not the traffic."""
+        g_train, y, g_test = cohort
+        mosaic = KRRSession(KRRConfig(tile_size=64)).fit(
+            g_train, y).kernel_.nbytes()
+        store_threads = set()
+        dispatch = StoreSchedulerHooks.task_dispatch
+
+        def watching(hooks, task):
+            store_threads.update(t.name for t in threading.enumerate()
+                                 if t.name.startswith("repro-store"))
+            dispatch(hooks, task)
+
+        monkeypatch.setattr(StoreSchedulerHooks, "task_dispatch", watching)
+        runs = []
+        with no_faults():
+            for _ in range(3):
+                session, pred = fit_predict(
+                    KRRConfig(tile_size=64, execution="serial",
+                              store_budget_bytes=mosaic // 4), cohort)
+                runs.append((session.store_stats(), pred))
+                session.close()
+        first, pred = runs[0]
+        assert first.spills > 0 and first.reloads > 0
+        assert first.prefetches == 0
+        for stats, again in runs[1:]:
+            assert stats == first
+            np.testing.assert_array_equal(again, pred)
+        assert not store_threads
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("repro-store")]
+
+
 class TestStoreWiring:
     def test_no_store_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_BUDGET", raising=False)
@@ -139,8 +181,6 @@ class TestStoreWiring:
 
     def test_scheduler_hooks_installed(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_BUDGET", raising=False)
-        from repro.store import StoreSchedulerHooks
-
         session = KRRSession(KRRConfig(tile_size=64,
                                        store_budget_bytes=1 << 20))
         hooks = session.runtime.scheduler.hooks

@@ -1,7 +1,7 @@
 """A lifecycle hook that raises fails *its task*, not the drain.
 
-In every execution mode a ``task_ready`` / ``task_dispatch`` /
-``task_complete`` hook that raises is a :class:`TaskFailure` of the
+In every execution mode a ``task_dispatch`` / ``task_complete`` hook
+that raises is a :class:`TaskFailure` of the
 task it was called for: the drain goes on past it, the task's
 successors stay blocked, the aggregate error is resumable and no lane
 is lost.  (Before the one-drain refactor the serial drain let the
@@ -23,7 +23,7 @@ from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, ObjectInput, TaskSpec
 
 MODES = ("serial", "threaded", "process")
-HOOKS = ("task_ready", "task_dispatch", "task_complete")
+HOOKS = ("task_dispatch", "task_complete")
 
 A = np.arange(12.0).reshape(3, 4)
 B = np.arange(8.0).reshape(4, 2)
@@ -44,9 +44,6 @@ class FailingHooks:
         if (method, task.name) == (self.method, self.victim) and self.times:
             self.times -= 1
             raise OSError(f"{method} hook failed for {task.name}")
-
-    def task_ready(self, task):
-        self._call("task_ready", task)
 
     def task_dispatch(self, task):
         self._call("task_dispatch", task)

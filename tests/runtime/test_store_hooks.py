@@ -81,9 +81,9 @@ class TestHookLifecycle:
             seen = []
 
             class Spy(StoreSchedulerHooks):
-                def task_ready(self, task):
-                    seen.append("ready")
-                    super().task_ready(task)
+                def task_dispatch(self, task):
+                    seen.append("dispatch")
+                    super().task_dispatch(task)
 
             rt = Runtime(execution="serial")
             rt.scheduler.hooks = Spy(store)
@@ -92,7 +92,7 @@ class TestHookLifecycle:
                            spec=call(lambda _: None),
                            tile_deps=((binding, (0, 0)),))
             rt.run()
-            assert seen == ["ready"]
+            assert seen == ["dispatch"]
 
     def test_pins_released_on_task_failure(self, rng):
         tm = TileMatrix.from_dense(spd(rng, 2 * TILE), TILE, Precision.FP64)

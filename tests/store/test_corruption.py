@@ -4,8 +4,7 @@ Satellite of ISSUE 6: truncation, bit-flips and missing segment files
 must raise :class:`~repro.store.StoreCorruptionError` naming the tile
 (matrix, coordinates, precision, segment path) for every storage
 precision — never a silent wrong answer or an opaque reshape crash —
-and :meth:`~repro.store.TileStore.verify` must scrub and repair.  A
-prefetch read that an in-place re-spill superseded is no corruption.
+and :meth:`~repro.store.TileStore.verify` must scrub and repair.
 """
 
 import os
@@ -14,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
+from repro.resilience.faults import no_faults
 from repro.store import StoreCorruptionError, TileStore
-from repro.store.store import _Segment
 from repro.tiles.matrix import TileMatrix
 from tests.store import spill_all
 
@@ -108,44 +107,38 @@ class TestMissingSegment:
             assert store.stats.io_retries >= 1  # the retry was attempted
 
 
-class TestPrefetchRace:
-    """The background reader reads a slot with the store lock released,
-    so an in-place re-spill can rewrite the slot under it: that read is
-    superseded, not corrupt — dropped before anything is counted."""
+class TestDemandReload:
+    """Reloads run on demand with the store lock held, so a slot re-spilled
+    in place is read whole and current, and a damaged one is counted
+    once and installs nothing.  Injected faults are scoped out: the
+    counts here are exact."""
 
-    def test_slot_respilled_mid_read_is_dropped_uncounted(self, rng,
-                                                           monkeypatch):
-        with TileStore() as store:
+    def test_slot_respilled_in_place_reads_its_new_bytes(self, rng):
+        with no_faults(), TileStore() as store:
             tm = spilled_matrix(rng, store, Precision.FP32)
             key, slot = a_slot(tm)
-            read, respilled = _Segment.read, []
-
-            def racing_read(segment, offset, length):
-                if not respilled:  # a writer gets in once, mid-read
-                    respilled.append(key)
-                    tm.set_tile(*key, rng.normal(size=slot.shape))
-                    spill_all(store)
-                return read(segment, offset, length)
-
-            monkeypatch.setattr(_Segment, "read", racing_read)
-            store._prefetch_one((tm._binding, key))
+            new = rng.normal(size=slot.shape)
+            tm.set_tile(*key, new)
+            spill_all(store)
             now = tm._binding.index[key]
             assert now is not slot and now.offset == slot.offset  # in place
-            assert key not in tm._tiles  # nothing installed
+            assert np.array_equal(tm.get_tile(*key).data,
+                                  new.astype(np.float32))
             assert store.stats.crc_failures == 0
             assert store.stats.io_retries == 0
 
-    def test_damaged_current_slot_still_counts_and_raises(self, rng):
-        with TileStore() as store:
+    def test_damaged_slot_counts_once_and_installs_nothing(self, rng):
+        with no_faults(), TileStore() as store:
             tm = spilled_matrix(rng, store, Precision.FP32)
             key, slot = a_slot(tm)
             flip_byte(slot.segment.path, slot.offset + 1)
             with pytest.raises(StoreCorruptionError) as err:
-                store._prefetch_one((tm._binding, key))
+                tm.get_tile(*key)
             assert err.value.coords == key
             assert key not in tm._tiles
             assert store.stats.crc_failures == 1
             assert store.stats.io_retries == 1
+            assert store.stats.reloads == 0
 
 
 class TestVerifyScrub:

@@ -6,7 +6,8 @@ into per-tile use positions and ``ResidencyManager.victims_to_fit``
 evicts the unpinned tile whose next use is farthest.  Pinned: the
 victims are Belady's on any pinned trace and never cost more misses
 than LRU; a serial store-backed factorization moves fewer tiles than
-the same drain without the plan, the same number every run; a
+the same drain without the plan, the same number every run (every
+reload is on demand); a
 store-backed factorization's updates go column by column while a
 resident one keeps the lookahead order; several lanes stay bitwise and
 inside the budget; hooks that know nothing of ``drain_begin`` still
@@ -147,17 +148,8 @@ LOWER_TILES = (N // TILE) * (N // TILE + 1) // 2
 BUDGET = LOWER_TILES * TILE * TILE * 4 // 4  # a quarter of the mosaic
 
 
-class Planned(StoreSchedulerHooks):
-    """The store hooks minus the background reader — the one actor of
-    the store whose effect depends on timing (it installs a tile only
-    if headroom exists when it gets there), so counts repeat exactly."""
-
-    def task_ready(self, task):
-        pass
-
-
-class Unplanned(Planned):
-    """... and minus the plan: pins only, LRU eviction."""
+class Unplanned(StoreSchedulerHooks):
+    """The store hooks minus the plan: pins only, LRU eviction."""
 
     drain_begin = None
 
@@ -186,16 +178,13 @@ class TestFactorUnderThePlan:
     def test_serial_traffic_repeats_and_beats_lru(self, rng):
         a = spd(rng, N)
         resident, _ = factor(a, budget=None, execution="serial")
-        first, s1 = factor(a, hooks=Planned, execution="serial")
-        second, s2 = factor(a, hooks=Planned, execution="serial")
+        first, s1 = factor(a, execution="serial")
+        second, s2 = factor(a, execution="serial")
         lru, s0 = factor(a, hooks=Unplanned, execution="serial")
         for dense in (first, second, lru):
             assert np.array_equal(dense, resident)
-        assert (s1.spills, s1.reloads) == (s2.spills, s2.reloads)
+        assert s1 == s2
         assert s1.spills < s0.spills and s1.reloads < s0.reloads
-        # with the reader on, counts move by a tile or two, not by the gap
-        _, live = factor(a, execution="serial")
-        assert live.spills < s0.spills and live.reloads < s0.reloads
         for stats in (s0, s1, s2):
             assert stats.budget_overflows == 0
 
@@ -204,14 +193,14 @@ class TestFactorUnderThePlan:
         order and the tile sizes, not on the values.  Before the updates
         went column by column they were 254 spills and 223 reloads."""
         a = spd(np.random.default_rng(0), N)
-        _, stats = factor(a, hooks=Planned, execution="serial")
+        _, stats = factor(a, execution="serial")
         assert (stats.spills, stats.reloads) == (166, 208)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_threaded_lanes_stay_bitwise_and_in_budget(self, rng, workers):
         """Lanes dispatch out of the plan's order (the plan is then an
-        approximation) while the reader reads with the lock released;
-        four lanes on a shortened switch interval to shake that."""
+        approximation) and fault tiles in concurrently; four lanes on a
+        shortened switch interval to shake that."""
         a = spd(rng, N)
         resident, _ = factor(a, budget=None, execution="serial")
         interval = sys.getswitchinterval()
@@ -267,9 +256,6 @@ def test_foreign_hooks_without_drain_begin_still_drain():
         def __init__(self):
             self.seen = []
 
-        def task_ready(self, task):
-            self.seen.append(("ready", task.name))
-
         def task_dispatch(self, task):
             self.seen.append(("dispatch", task.name))
 
@@ -287,7 +273,7 @@ def test_foreign_hooks_without_drain_begin_still_drain():
         assert sorted(ran) == ["a", "b"]
         assert sorted(hooks.seen) == sorted(
             (step, name) for name in ("a", "b")
-            for step in ("ready", "dispatch", "complete"))
+            for step in ("dispatch", "complete"))
 
 
 def test_drain_begin_sees_the_graph_before_any_task_is_ready():
@@ -297,15 +283,13 @@ def test_drain_begin_sees_the_graph_before_any_task_is_ready():
         def drain_begin(self, graph):
             calls.append(("begin", graph.num_tasks))
 
-        def task_ready(self, task):
-            calls.append(("ready", task.name))
-
         def task_dispatch(self, task):
-            pass
+            calls.append(("dispatch", task.name))
 
-        task_complete = task_dispatch
+        def task_complete(self, task):
+            pass
 
     graph = TaskGraph()
     graph.add_task(Task("only", (), spec=call(lambda: ())))
     Scheduler(execution="serial", hooks=Hooks()).run(graph)
-    assert calls == [("begin", 1), ("ready", "only")]
+    assert calls == [("begin", 1), ("dispatch", "only")]

@@ -2,7 +2,7 @@
 
 import gc
 import sys
-import time
+import threading
 import weakref
 from pathlib import Path
 
@@ -18,9 +18,11 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSite,
     fault_plan,
+    no_faults,
 )
 from repro.runtime.runtime import Runtime
 from repro.store import ResidencyManager, StoreStats, TileStore
+from repro.store.store import _Segment
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.serialize import encode_payload
 from tests.store import spill_all
@@ -127,29 +129,76 @@ class TestSpillReload:
 
     def test_unclosed_store_dies_with_its_last_reference(self, rng,
                                                          tmp_path):
-        """The background reader holds only a weakref between tiles: a
-        store dropped without ``close()`` is collected, and its reader
-        thread and segment files go with it."""
+        """A store dropped without ``close()`` is collected, and its
+        segment files go with it."""
         matrix = TileMatrix.from_dense(spd(rng), TILE, Precision.FP64)
         store = TileStore(directory=tmp_path)
         matrix.attach_store(store)
         spill_all(store)
-        key = sorted(matrix._binding.index)[0]
-        store.prefetch([(matrix._binding, key)])
-        deadline = time.monotonic() + 2.0
-        while store.stats.prefetches < 1 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert store.stats.prefetches == 1
-        reader, alive = store._reader, weakref.ref(store)
+        assert any(tmp_path.glob("seg-*.bin"))
+        alive = weakref.ref(store)
         del store, matrix
-        deadline = time.monotonic() + 2.0
-        while alive() is not None and time.monotonic() < deadline:
-            gc.collect()
-            time.sleep(0.01)
+        gc.collect()
         assert alive() is None
-        reader.join(timeout=2.0)
-        assert not reader.is_alive()
         assert not any(tmp_path.glob("seg-*.bin"))
+
+
+class TestOnDemandReload:
+    """A spilled tile comes back when something reads it: on the reading
+    thread, with the store lock held, so no read can interleave with a
+    re-spill of the same slot and the store needs no thread of its own."""
+
+    @staticmethod
+    def record_reads(store, monkeypatch):
+        reads, read = [], _Segment.read
+
+        def recording(segment, offset, length):
+            reads.append((threading.current_thread().name,
+                          store._lock._is_owned()))
+            return read(segment, offset, length)
+
+        monkeypatch.setattr(_Segment, "read", recording)
+        return reads
+
+    def test_prefetch_is_a_no_op(self, matrix):
+        with TileStore() as store:
+            binding = matrix.attach_store(store)._binding
+            spill_all(store)
+            threads = set(threading.enumerate())
+            store.prefetch([(binding, key) for key in binding.index])
+            assert not matrix._tiles
+            assert store.stats.prefetches == 0
+            assert store.stats.reloads == 0
+            assert set(threading.enumerate()) <= threads
+
+    def test_reload_reads_under_the_lock_on_the_reading_thread(
+            self, matrix, monkeypatch):
+        ref = matrix.to_dense().copy()
+        with no_faults(), TileStore(budget_bytes=2 * TILE_BYTES_FP64) as store:
+            matrix.attach_store(store)
+            spill_all(store)
+            reads = self.record_reads(store, monkeypatch)
+            np.testing.assert_array_equal(matrix.to_dense(), ref)
+            assert len(reads) == store.stats.reloads > 0
+            me = threading.current_thread().name
+            assert set(reads) == {(me, True)}
+
+    def test_threaded_drain_reloads_on_its_lanes(self, rng, monkeypatch):
+        a = spd(rng, 6 * TILE)
+        ref = cholesky(TileMatrix.from_dense(a, TILE, Precision.FP64,
+                                             symmetric=True)).to_dense()
+        with no_faults(), TileStore(budget_bytes=4 * TILE_BYTES_FP64) as store:
+            tm = TileMatrix.from_dense(a, TILE, Precision.FP64,
+                                       symmetric=True)
+            tm.attach_store(store)
+            reads = self.record_reads(store, monkeypatch)
+            result = cholesky(tm, runtime=Runtime(execution="threaded",
+                                                  workers=2))
+            assert store.stats.reloads > 0 and reads
+            lanes = {"MainThread", "repro-runtime-0", "repro-runtime-1"}
+            assert {name for name, _ in reads} <= lanes
+            assert all(locked for _, locked in reads)
+            np.testing.assert_array_equal(result.to_dense(), ref)
 
 
 class TestResidencyAccounting:

@@ -160,13 +160,11 @@ class TestWorkerDefault:
         seen = set()
 
         class Threads:
-            def task_ready(self, task):
-                pass
-
-            task_complete = task_ready
-
             def task_dispatch(self, task):
                 seen.add(threading.current_thread().name)
+
+            def task_complete(self, task):
+                pass
 
         session = KRRSession(tile_size=64)
         assert session.runtime.execution == "threaded"
