@@ -208,7 +208,7 @@ class PrecisionPlan(_WithOptionsMixin):
                                       tile_size=layout.tile_size)
 
 
-def _validate_execution_knobs(cfg) -> None:
+def _validate_runtime_knobs(cfg) -> None:
     if cfg.execution is not None and cfg.execution not in EXECUTION_MODES:
         raise ValueError(
             f"execution must be one of {EXECUTION_MODES} (or None), got "
@@ -216,14 +216,8 @@ def _validate_execution_knobs(cfg) -> None:
         )
     if cfg.workers is not None and cfg.workers <= 0:
         raise ValueError("workers must be positive (or None)")
-
-
-def _validate_resilience_knobs(cfg) -> None:
-    _require_finite(cfg, "task_timeout_s")
     if cfg.task_retries is not None and cfg.task_retries < 0:
         raise ValueError("task_retries must be non-negative (or None)")
-    if cfg.task_timeout_s is not None and cfg.task_timeout_s <= 0:
-        raise ValueError("task_timeout_s must be positive (or None)")
 
 
 @dataclass(frozen=True)
@@ -254,11 +248,6 @@ class RRConfig(_WithOptionsMixin):
         with deterministic jitter); unset everywhere, tasks fail fast.
         Retries are bitwise neutral: task bodies are pure, so a
         re-execution produces the identical tiles.
-    task_timeout_s:
-        Per-task wall-clock timeout.  An overdue task fails with
-        :class:`~repro.resilience.TaskTimeoutError` (aggregated into
-        the run's :class:`~repro.resilience.TaskGroupError`).  ``None``
-        disables the watchdog.
     """
 
     regularization: float = 1.0
@@ -267,7 +256,6 @@ class RRConfig(_WithOptionsMixin):
     workers: int | None = None
     execution: str | None = None
     task_retries: int | None = None
-    task_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         _require_finite(self, "regularization")
@@ -275,8 +263,7 @@ class RRConfig(_WithOptionsMixin):
             raise ValueError("regularization must be non-negative")
         if self.tile_size <= 0:
             raise ValueError("tile_size must be positive")
-        _validate_resilience_knobs(self)
-        _validate_execution_knobs(self)
+        _validate_runtime_knobs(self)
 
 
 @dataclass(frozen=True)
@@ -374,13 +361,6 @@ class KRRConfig(_WithOptionsMixin):
         tasks fail fast.  Retries are bitwise neutral: task bodies are pure,
         so a re-execution reproduces the identical tiles and the run's
         result matches the fault-free run exactly.
-    task_timeout_s:
-        Per-task wall-clock timeout enforced by the scheduler watchdog.
-        An overdue task fails with
-        :class:`~repro.resilience.TaskTimeoutError`, aggregated with
-        any other failures into a
-        :class:`~repro.resilience.TaskGroupError`.  ``None`` disables
-        the watchdog.
     """
 
     gamma: float = 0.01
@@ -396,7 +376,6 @@ class KRRConfig(_WithOptionsMixin):
     store_budget_bytes: int | None = None
     store_dir: str | None = None
     task_retries: int | None = None
-    task_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         _require_finite(self, "gamma", "alpha", "cg_tol")
@@ -419,8 +398,7 @@ class KRRConfig(_WithOptionsMixin):
             raise ValueError("cg_tol must be positive")
         if self.cg_max_iters < 1:
             raise ValueError("cg_max_iters must be at least 1")
-        _validate_resilience_knobs(self)
-        _validate_execution_knobs(self)
+        _validate_runtime_knobs(self)
 
     # ------------------------------------------------------------------
     # artifact (de)serialization
@@ -429,11 +407,11 @@ class KRRConfig(_WithOptionsMixin):
         """JSON-ready representation embedded in fitted-model artifacts.
 
         The machine-specific runtime knobs (``workers``, ``execution``,
-        ``store_budget_bytes``, ``store_dir``, ``task_retries``,
-        ``task_timeout_s``) are deliberately *not*
-        serialized: an artifact loaded on another host must resolve its
-        concurrency and memory budget from that host's environment, not
-        from wherever the model happened to be trained.
+        ``store_budget_bytes``, ``store_dir``, ``task_retries``) are
+        deliberately *not* serialized: an artifact loaded on another
+        host must resolve its concurrency and memory budget from that
+        host's environment, not from wherever the model happened to be
+        trained.
         """
         return {
             "gamma": self.gamma,

@@ -113,8 +113,7 @@ class KRRSession:
         # Predict GEMMs) and its per-phase ledger is the accounting.
         self.runtime = Runtime(execution=config.execution,
                                workers=config.workers,
-                               task_retries=config.task_retries,
-                               task_timeout_s=config.task_timeout_s)
+                               task_retries=config.task_retries)
         # The environment is read here, once: what the config leaves
         # open is fixed for the session's life, not per associate().
         settings = Settings.from_env()
@@ -813,8 +812,7 @@ class RRSession:
         # predict GEMMs (same execution engine as KRRSession)
         self.runtime = Runtime(execution=config.execution,
                                workers=config.workers,
-                               task_retries=config.task_retries,
-                               task_timeout_s=config.task_timeout_s)
+                               task_retries=config.task_retries)
         self.beta_: np.ndarray | None = None
         self.factorization_: CholeskyResult | None = None
         self.column_means_: np.ndarray | None = None

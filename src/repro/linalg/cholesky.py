@@ -308,10 +308,11 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
                 raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
             raise
 
-    if not stored:
-        # hand the results back to the tile matrix: every payload is a
-        # Tile at its target precision (the last task on it stored it
-        # there), so set_tile takes it over without rounding
-        for (i, j), handle in handles.items():
-            tiled.set_tile(i, j, handle.payload,
-                           precision=tile_precision(i, j))
+        if not stored:
+            # hand the results back to the tile matrix before the scope
+            # releases the handles: every payload is a Tile at its target
+            # precision (the last task on it stored it there), so
+            # set_tile takes it over without rounding
+            for (i, j), handle in handles.items():
+                tiled.set_tile(i, j, handle.payload,
+                               precision=tile_precision(i, j))

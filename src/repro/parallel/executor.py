@@ -18,12 +18,11 @@ ordinary payloads; outputs that go to an ``on_complete`` (a
 store-backed tile, a Build row, a Predict group) are fetched when the
 task completes and handed to it on the coordinator.
 
-Pre-emption is real here: a worker that overruns ``task_timeout_s`` is
-killed and respawned.  A worker that dies mid-task (closed pipe / dead
-process) surfaces as a transient
-:class:`~repro.resilience.errors.WorkerCrashError` — respawned, and the
-task retried under the :class:`RetryPolicy` like any other transient
-failure, or folded into the drain's :class:`TaskGroupError`.
+A worker that dies mid-task (closed pipe / dead process) surfaces as a
+transient :class:`~repro.resilience.errors.WorkerCrashError` —
+respawned, and the task retried under the :class:`RetryPolicy` like
+any other transient failure, or folded into the drain's
+:class:`TaskGroupError`.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ from repro.runtime.task import ObjectInput, TileInput
 
 __all__ = ["ensure_pool", "process_lane"]
 
-#: Poll period of the reply wait when no per-task timeout is set; only
-#: bounds how fast Ctrl-C is noticed, not throughput (replies wake the
-#: wait immediately).
+#: Poll period of the reply wait; only bounds how fast Ctrl-C is
+#: noticed, not throughput (replies wake the wait immediately).
 _IDLE_POLL_S = 1.0
 
 
@@ -69,7 +67,6 @@ def process_lane(drain, scheduler) -> None:
     """Run ``drain`` to the end on the scheduler's worker-process pool."""
     pool = ensure_pool(scheduler)
     exchange = pool.exchange
-    timeout = drain.timeout
     ready = drain.ready
 
     #: handle uid -> PayloadRef of its current value in the exchange
@@ -193,26 +190,7 @@ def process_lane(drain, scheduler) -> None:
                 continue  # a failed attempt may have requeued work
 
             conns = {pool.conn(widx): widx for widx in running}
-            poll = _IDLE_POLL_S
-            if timeout is not None:
-                poll = max(0.005, min(timeout / 4.0, poll))
-            readable = mp_connection.wait(list(conns), timeout=poll)
-            if not readable:
-                if timeout is None:
-                    continue
-                now = time.perf_counter()
-                for widx in list(running):
-                    task, sent = running[widx]
-                    if now - sent > timeout:
-                        # preempt for real: kill the wedged worker
-                        del running[widx]
-                        pool.respawn(widx)
-                        idle.append(widx)
-                        drain.retire(task, widx, sent - drain.t0,
-                                     drain.overdue(task, now - sent))
-                continue
-
-            for conn in readable:
+            for conn in mp_connection.wait(list(conns), timeout=_IDLE_POLL_S):
                 widx = conns[conn]
                 task, sent = running.pop(widx)
                 idle.append(widx)
@@ -243,8 +221,8 @@ def process_lane(drain, scheduler) -> None:
 
     # Hand every still-referenced handle its bytes back, then reset the
     # exchange on both sides — refs never outlive a drain.  This runs
-    # on the failure path too: a resumed run's surviving inputs must be
-    # ordinary payloads.
+    # on the failure path too: what a failed drain completed is still
+    # an ordinary payload.
     for handle in stale.values():
         handle.payload = exchange.get(current_ref[handle.uid])
     pool.end_drain()

@@ -152,7 +152,7 @@ class ProcessPool:
     # ------------------------------------------------------------------
     @property
     def respawns(self) -> int:
-        """Workers respawned after crashes/timeouts (chaos tests assert
+        """Workers respawned after crashes (chaos tests assert
         coverage through this counter)."""
         return self._respawns
 

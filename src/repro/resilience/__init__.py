@@ -21,7 +21,6 @@ from repro.resilience.errors import (
     TaskFailure,
     TaskGraphCycleError,
     TaskGroupError,
-    TaskTimeoutError,
     WorkerCrashError,
     is_transient,
 )
@@ -33,7 +32,6 @@ from repro.resilience.faults import (
     SITE_SLOW_READ,
     SITE_TASK_BODY,
     SITE_WORKER_KILL,
-    SITE_WORKER_STALL,
     FaultPlan,
     FaultSite,
     active_plan,
@@ -57,7 +55,6 @@ __all__ = [
     "TaskFailure",
     "TaskGraphCycleError",
     "TaskGroupError",
-    "TaskTimeoutError",
     "WorkerCrashError",
     "is_transient",
     "SITE_CORRUPT_READ",
@@ -67,7 +64,6 @@ __all__ = [
     "SITE_SLOW_READ",
     "SITE_TASK_BODY",
     "SITE_WORKER_KILL",
-    "SITE_WORKER_STALL",
     "FaultPlan",
     "FaultSite",
     "RetryPolicy",

@@ -10,8 +10,6 @@ mortem without re-running it:
     reported (name, uid, tag, retries taken, underlying error), along
     with which tasks completed and which never ran — replacing the
     historical behaviour of re-raising an arbitrary first failure.
-``TaskTimeoutError``
-    A task exceeded the scheduler's per-task timeout (stalled worker).
 ``TaskGraphCycleError``
     A task graph has a dependency cycle, so no execution order exists.
 ``WorkerCrashError``
@@ -47,7 +45,6 @@ __all__ = [
     "TaskFailure",
     "TaskGraphCycleError",
     "TaskGroupError",
-    "TaskTimeoutError",
     "WorkerCrashError",
     "RemoteTaskError",
     "StoreCorruptionError",
@@ -98,30 +95,13 @@ def is_transient(exc: BaseException) -> bool:
     Transient means: an explicitly transient injected fault, a plain
     I/O error (the classic supercomputer filesystem hiccup), or an
     aggregate whose every member is itself transient.  Typed permanent
-    failures (``StoreCorruptionError``, ``TaskTimeoutError``,
-    numerical errors) are *not* transient — retrying them re-fails.
+    failures (``StoreCorruptionError``, numerical errors) are *not*
+    transient — retrying them re-fails.
     """
     marker = getattr(exc, "transient", None)
     if marker is not None:
         return bool(marker)
-    if isinstance(exc, (StoreCorruptionError, TaskTimeoutError)):
-        return False
     return isinstance(exc, OSError)
-
-
-class TaskTimeoutError(RuntimeError):
-    """A task exceeded the scheduler's per-task timeout."""
-
-    def __init__(self, task_name: str, task_uid: int, tag: object,
-                 timeout_s: float, elapsed_s: float) -> None:
-        self.task_name = task_name
-        self.task_uid = task_uid
-        self.tag = tag
-        self.timeout_s = timeout_s
-        self.elapsed_s = elapsed_s
-        super().__init__(
-            f"task {task_name!r}#{task_uid} (tag={tag!r}) exceeded the "
-            f"per-task timeout: {elapsed_s:.3f}s > {timeout_s:.3f}s")
 
 
 class TaskGraphCycleError(RuntimeError):
@@ -207,12 +187,10 @@ class TaskGroupError(RuntimeError):
         not just whichever thread lost the race.
     completed:
         Tasks that finished successfully before the drain ended; their
-        results are valid, their events are in :attr:`trace`, and a
-        resumed run must not re-execute them.
+        results are valid and their events are in :attr:`trace`.
     unfinished:
         Failed tasks plus every task left blocked or never started, in
-        insertion order — exactly the subgraph a follow-up
-        :meth:`~repro.runtime.runtime.Runtime.run` re-drains.
+        insertion order.
     trace:
         The partial :class:`~repro.runtime.trace.ExecutionTrace` of the
         completed tasks.

@@ -7,7 +7,7 @@ A :class:`FaultPlan` is a list of :class:`FaultSite` specs evaluated at
 site                 where it fires
 ==================== =====================================================
 ``task-body``        in the scheduler, immediately before a task body runs
-``worker-stall``     same spot, as a sleep (simulates a slow/stuck worker)
+                     (``stall`` kind: a slow worker)
 ``segment-read``     in ``_Segment.read`` (raises ``InjectedIOError``)
 ``segment-write``    in ``_Segment.write`` (raises ``InjectedIOError``)
 ``corrupt-read``     in ``_Segment.read`` — flips one byte of the payload
@@ -50,7 +50,6 @@ from repro.settings import ENVIRONMENT, read
 
 __all__ = [
     "SITE_TASK_BODY",
-    "SITE_WORKER_STALL",
     "SITE_SEGMENT_READ",
     "SITE_SEGMENT_WRITE",
     "SITE_CORRUPT_READ",
@@ -70,7 +69,6 @@ __all__ = [
 ]
 
 SITE_TASK_BODY = "task-body"
-SITE_WORKER_STALL = "worker-stall"
 SITE_SEGMENT_READ = "segment-read"
 SITE_SEGMENT_WRITE = "segment-write"
 SITE_CORRUPT_READ = "corrupt-read"

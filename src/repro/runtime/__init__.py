@@ -44,11 +44,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.runtime import Runtime
 from repro.runtime.replay import replay
-from repro.resilience.errors import (
-    TaskFailure,
-    TaskGroupError,
-    TaskTimeoutError,
-)
+from repro.resilience.errors import TaskFailure, TaskGroupError
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -72,6 +68,5 @@ __all__ = [
     "replay",
     "TaskFailure",
     "TaskGroupError",
-    "TaskTimeoutError",
     "RetryPolicy",
 ]

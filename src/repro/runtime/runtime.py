@@ -40,12 +40,11 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.precision.formats import Precision
-from repro.resilience.errors import TaskGroupError
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.dag import TaskGraph
 from repro.runtime.scheduler import ScheduleResult, Scheduler
 from repro.runtime.task import AccessMode, DataHandle, Task, TaskSpec
-from repro.runtime.trace import PhaseTotals, TaskEvent
+from repro.runtime.trace import PhaseTotals
 from repro.settings import Settings
 
 
@@ -68,13 +67,6 @@ class Runtime:
         Transient-failure retry budget per task (see
         :class:`~repro.resilience.retry.RetryPolicy`); unset anywhere,
         tasks fail fast.
-    task_timeout_s:
-        Per-task wall-clock budget; overruns become
-        :class:`~repro.resilience.errors.TaskTimeoutError` failures
-        instead of hanging the drain.
-    retry_policy:
-        Full :class:`~repro.resilience.retry.RetryPolicy` override
-        (backoff pacing, jitter seed); wins over ``task_retries``.
 
     ``execution``, ``workers`` and ``task_retries`` left ``None`` take
     the field of :meth:`repro.settings.Settings.from_env`, read here
@@ -87,8 +79,6 @@ class Runtime:
         execution: str | None = None,
         workers: int | None = None,
         task_retries: int | None = None,
-        task_timeout_s: float | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         settings = Settings.from_env()
         if workers is None:
@@ -97,15 +87,14 @@ class Runtime:
             raise ValueError(f"workers must be >= 1 (or None), got {workers}")
         if task_retries is None:
             task_retries = settings.task_retries
-        if retry_policy is None and task_retries is not None:
-            retry_policy = RetryPolicy(max_retries=int(task_retries))
         self.graph = TaskGraph()  # pending (not yet run) tasks
         # the one and only scheduler of this runtime — reused by every
         # run() so repeated runs never silently rebuild executor state
         self.scheduler = Scheduler(
             execution=execution or settings.execution,
             workers=workers,
-            retry_policy=retry_policy, task_timeout_s=task_timeout_s,
+            retry_policy=(None if task_retries is None
+                          else RetryPolicy(max_retries=int(task_retries))),
         )
         self.execution = self.scheduler.execution
         self.workers = self.scheduler.workers
@@ -114,14 +103,12 @@ class Runtime:
         self._namespaces: dict[str, int] = {}
         #: outcome of the most recent successful :meth:`run`
         self.last_result: ScheduleResult | None = None
-        #: graph drained by the most recent :meth:`run`; after a
-        #: successful drain its descriptors keep only their kernels
+        #: graph drained by the most recent :meth:`run`; its
+        #: descriptors keep only their kernels
         self.last_graph: TaskGraph | None = None
         #: per-phase totals of what every ``run(phase=...)`` completed;
         #: a plain dict: ``ledger.pop(phase)`` / ``ledger.clear()`` reset
         self.ledger: dict[str, PhaseTotals] = {}
-        #: events of the pending graph's failed drains (see :meth:`run`)
-        self._uncounted: list[TaskEvent] = []
         self.runs_completed = 0
 
     # ------------------------------------------------------------------
@@ -205,10 +192,10 @@ class Runtime:
         pending tasks (:meth:`require_drained`), wires ``store`` — the
         store behind a store-backed operand — into the scheduler, and
         yields a fresh handle-name prefix (:meth:`namespace`).  Leaving
-        releases the prefix's handles, always; an exception passing
-        through — a failed drain or an error while inserting — also
-        drops the pending graph (:meth:`reset_graph`): a library DAG is
-        raise-and-discard, the caller's retry (the regularization
+        releases the prefix's handles, always, so a routine reads its
+        results inside the scope; an error while inserting also drops
+        the pending graph (:meth:`reset_graph`).  A library DAG is
+        raise-and-discard: the caller's retry (the regularization
         boost, a retried solve) inserts a fresh one.
         """
         self.require_drained(f"the {label!r} DAG")
@@ -250,13 +237,17 @@ class Runtime:
         """Drop registered handles whose name starts with ``prefix``.
 
         Returns the number of handles released.  Dropping a namespace
-        after its algorithm finished keeps session-long registries (and
-        their tile payloads) from accumulating without bound.
+        after its algorithm finished keeps session-long registries from
+        accumulating without bound.  A released handle holds no
+        payload: the drained graph kept in :attr:`last_graph` still
+        references it, and must not keep the algorithm's tiles alive
+        after its caller dropped them.
         """
         names = [n for n in self._handles if n.startswith(prefix)]
         for n in names:
             handle = self._handles.pop(n)
             self._handle_uids.discard(handle.uid)
+            handle.payload = None
         return len(names)
 
     # ------------------------------------------------------------------
@@ -311,42 +302,25 @@ class Runtime:
         """Drain the pending graph: schedule and execute its tasks.
 
         On success the drain's events are folded into
-        ``ledger[phase]`` (an unlabelled run is not tallied).
-
-        Failed runs are **resumable**: when the scheduler raises
-        :class:`~repro.resilience.errors.TaskGroupError`, the tasks
-        that completed stay done, and the unfinished subgraph — failed
-        tasks plus everything blocked behind them — becomes the pending
-        graph again, so a follow-up :meth:`run` re-drains only what
-        never finished.  The completed tasks enter the ledger when that
-        follow-up run succeeds, each counted once; callers that treat a
-        failed DAG as disposable (the library routines do, through
-        :meth:`dag`) call :meth:`reset_graph` instead, which drops them.
+        ``ledger[phase]`` (an unlabelled run is not tallied).  A failed
+        drain raises :class:`~repro.resilience.errors.TaskGroupError`
+        and counts nothing: the pending graph is empty either way, and
+        what the failed drain completed is reported on the error.
         """
         graph, self.graph = self.graph, TaskGraph()
         self.last_graph = graph
         try:
             result = self.scheduler.run(graph)
-        except TaskGroupError as exc:
-            if exc.trace is not None:
-                self._uncounted.extend(exc.trace.events)
-            # re-adding the unfinished tasks in insertion order
-            # re-derives exactly the induced dependency subgraph
-            resume = TaskGraph()
-            for task in exc.unfinished:
-                resume.add_task(task)
-            self.graph = resume
-            raise
-        # last_graph is kept for replay(); each descriptor's operands and
-        # output closure would keep the drain's inputs and results alive
-        for task in graph.tasks:
-            if task.spec is not None:
-                task.spec = TaskSpec(task.spec.kernel, task.spec.mode)
+        finally:
+            # last_graph is kept for replay(); each descriptor's operands
+            # and output closure would keep the drain's inputs and
+            # results alive
+            for task in graph.tasks:
+                if task.spec is not None:
+                    task.spec = TaskSpec(task.spec.kernel, task.spec.mode)
         if phase is not None:
-            totals = self.ledger.setdefault(phase, PhaseTotals())
-            totals.fold(self._uncounted)
-            totals.fold(result.trace.events)
-        self._uncounted = []
+            self.ledger.setdefault(phase, PhaseTotals()).fold(
+                result.trace.events)
         self.last_result = result
         self.runs_completed += 1
         return result
@@ -389,11 +363,9 @@ class Runtime:
         """Discard pending tasks while keeping registered data.
 
         The scheduler is *not* rebuilt — it is constructed once per
-        runtime and shared by every run.  Tasks of the discarded graph
-        that a failed drain had completed never reach the ledger.
+        runtime and shared by every run.
         """
         self.graph = TaskGraph()
-        self._uncounted = []
 
     def close(self) -> None:
         """Release executor resources.

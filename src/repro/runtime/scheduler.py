@@ -4,31 +4,29 @@ The scheduler owns *how* a :class:`~repro.runtime.dag.TaskGraph` is
 executed.  Every ``Scheduler.run`` builds one drain (:class:`_Drain`)
 that owns, exactly once, everything that happens per task: the ready
 heap and successor release, the lifecycle hooks, the fault-injection
-sites, the retry decision, timeout typing, the trace and the aggregate
-error.  The execution mode only chooses the **lane** — where a task's
-kernel runs and how a stalled lane is pre-empted:
+site, the retry decision, the trace and the aggregate error.  The
+execution mode only chooses the **lane** — where a task's kernel runs:
 
 ``serial``
     One inline lane on the caller's thread (priority order,
     insertion-order tie-break).  This is the reference execution the
-    other modes must match bit for bit.  A single-threaded lane cannot
-    pre-empt, so ``task_timeout_s`` is checked post hoc.
+    other modes must match bit for bit.
 
 ``threaded``
     N of the same inline lane on N host threads, each pulling from the
     ready heap itself (BLAS releases the GIL, so tile kernels genuinely
     overlap).  Because every ordering constraint between tasks touching
     the same data is an explicit RAW/WAR/WAW edge, any interleaving is
-    bitwise identical to the serial order.  A watchdog thread fails
-    overdue tasks and releases their lane's slot; the late result is
-    discarded.  ``workers <= 1`` and one-task graphs take the serial lane.
+    bitwise identical to the serial order.  Every lane thread is
+    joined before the drain returns, whatever its outcome.
+    ``workers <= 1`` and one-task graphs take the serial lane.
 
 ``process``
     The GIL-free lane (:mod:`repro.parallel.executor`): a coordinator
     loop ships picklable task descriptors to worker OS processes and
     exchanges tiles through mmap'd segment files; tasks without a
-    descriptor take the inline step on the coordinator.  A wedged
-    worker is killed and respawned; a dead one is a transient fault.
+    descriptor take the inline step on the coordinator.  A dead worker
+    is respawned, and its task's attempt is a transient fault.
 
 Lifecycle **hooks** (``Scheduler.hooks``): ``drain_begin`` (optional)
 with the graph before anything is ready, then ``task_dispatch`` before
@@ -45,10 +43,9 @@ exponential backoff with deterministic seeded jitter, retries counted
 in the task's :class:`TaskEvent`.  Permanent failures do **not** abort
 the drain: every task that does not depend on a failed one still runs,
 then a single :class:`TaskGroupError` aggregates all failures (with
-per-task context), the completed set and the unfinished subgraph.  The
-named injection sites ``task-body`` and ``worker-stall`` fire before
-each attempt when a :class:`~repro.resilience.faults.FaultPlan` is
-active.
+per-task context), the completed set and the unfinished tasks.  The
+named injection site ``task-body`` fires before each attempt when a
+:class:`~repro.resilience.faults.FaultPlan` is active.
 """
 
 from __future__ import annotations
@@ -59,13 +56,8 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.resilience.errors import (
-    TaskFailure,
-    TaskGraphCycleError,
-    TaskGroupError,
-    TaskTimeoutError,
-)
-from repro.resilience.faults import SITE_TASK_BODY, SITE_WORKER_STALL, active_plan
+from repro.resilience.errors import TaskFailure, TaskGraphCycleError, TaskGroupError
+from repro.resilience.faults import SITE_TASK_BODY, active_plan
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.dag import TaskGraph
 from repro.runtime.task import Task
@@ -119,17 +111,12 @@ class _Drain:
         self.graph = graph
         self.hooks = scheduler.hooks
         self.policy = scheduler.retry_policy
-        self.timeout = scheduler.task_timeout_s
         self.cond = threading.Condition()
         self.order = {t: i for i, t in enumerate(graph.tasks)}
         self.indegree = {t: len(graph.predecessors(t)) for t in self.order}
         self.ready: list[tuple[int, int, Task]] = []
-        #: task -> wall-clock of its pop, read by the watchdog
-        self.in_flight: dict[Task, float] = {}
-        #: tasks the watchdog gave up on: their lane (if it ever comes
-        #: back) must discard the result instead of double-accounting it
-        self.abandoned: set[Task] = set()
-        self.watched = False
+        #: popped and not yet retired
+        self.in_flight: set[Task] = set()
         #: retries charged per task (absent = 0)
         self.attempts: dict[Task, int] = {}
         self.completed: list[Task] = []
@@ -153,17 +140,13 @@ class _Drain:
     def pop(self) -> Task:
         """Take the best ready task; it is in flight until retired."""
         task = heapq.heappop(self.ready)[2]
-        self.in_flight[task] = time.perf_counter()
+        self.in_flight.add(task)
         return task
 
     def _fail(self, task: Task, error: BaseException) -> None:
         # successors stay blocked; the drain goes on with the rest
         self.failures.append(TaskFailure(
             task=task, error=error, retries=self.attempts.get(task, 0)))
-
-    def overdue(self, task: Task, elapsed: float) -> TaskTimeoutError:
-        return TaskTimeoutError(task.name, task.uid, task.tag, self.timeout,
-                                elapsed)
 
     # ------------------------------------------------------------------
     # one attempt
@@ -178,13 +161,11 @@ class _Drain:
         return None
 
     def inject(self, task: Task) -> None:
-        """The drain's fault sites, fired before every attempt so a
+        """The drain's fault site, fired before every attempt so a
         retried attempt sees a fresh schedule decision."""
         plan = active_plan()
         if plan is not None:
-            key = fault_key(task)
-            plan.inject(SITE_WORKER_STALL, key)
-            plan.inject(SITE_TASK_BODY, key)
+            plan.inject(SITE_TASK_BODY, fault_key(task))
 
     def _retry(self, task: Task, error: BaseException) -> bool:
         """Grant (and pace) one more attempt after a transient ``error``."""
@@ -217,24 +198,19 @@ class _Drain:
         end = time.perf_counter() - self.t0
         again = error is not None and self._retry(task, error)
         with self.cond:
-            if self.watched and task in self.abandoned:
-                # the watchdog already failed this task and released
-                # its slot; drop the late result
-                self.abandoned.discard(task)
+            self.in_flight.remove(task)
+            if again:
+                self._push(task)
+            elif error is not None:
+                self._fail(task, error)
             else:
-                del self.in_flight[task]
-                if again:
-                    self._push(task)
-                elif error is not None:
-                    self._fail(task, error)
-                else:
-                    self.completed.append(task)
-                    self.trace.record(task, lane, start, end,
-                                      self.attempts.get(task, 0))
-                    for succ in self.graph.successors(task):
-                        self.indegree[succ] -= 1
-                        if self.indegree[succ] == 0:
-                            self._push(succ)
+                self.completed.append(task)
+                self.trace.record(task, lane, start, end,
+                                  self.attempts.get(task, 0))
+                for succ in self.graph.successors(task):
+                    self.indegree[succ] -= 1
+                    if self.indegree[succ] == 0:
+                        self._push(succ)
             self.cond.notify_all()
 
     def run_inline(self, task: Task, lane: int) -> None:
@@ -247,16 +223,10 @@ class _Drain:
                 task.execute()
             except BaseException as exc:  # noqa: BLE001 - reported upstream
                 error = exc
-            else:
-                if self.timeout is not None and not self.watched:
-                    # post-hoc check: this lane cannot be pre-empted
-                    elapsed = time.perf_counter() - self.t0 - start
-                    if elapsed > self.timeout:
-                        error = self.overdue(task, elapsed)
         self.retire(task, lane, start, error)
 
     # ------------------------------------------------------------------
-    # inline lanes: the caller's thread, or N threads plus the watchdog
+    # inline lanes: the caller's thread, or N threads
     # ------------------------------------------------------------------
     def lane_loop(self, lane: int) -> None:
         """Pull ready tasks and run them here until the graph is drained."""
@@ -273,33 +243,12 @@ class _Drain:
             # takes its own lock and never waits on this one
             self.run_inline(task, lane)
 
-    def _watch(self) -> None:
-        """Fail tasks in flight for longer than the timeout and release
-        their lanes' slots, so the drain terminates."""
-        timeout, cond = self.timeout, self.cond
-        poll = max(0.005, min(timeout / 4.0, 0.1))
-        while True:
-            with cond:
-                if not (self.ready or self.in_flight):
-                    return  # drained
-                now = time.perf_counter()
-                expired = [(t, ts) for t, ts in self.in_flight.items()
-                           if now - ts > timeout]
-                for task, started in expired:
-                    del self.in_flight[task]
-                    self.abandoned.add(task)
-                    self._fail(task, self.overdue(task, now - started))
-                if expired:
-                    cond.notify_all()
-                cond.wait(timeout=poll)
-
     def run_lanes(self) -> None:
-        """Drain on this drain's inline lanes."""
+        """Drain on this drain's inline lanes; every lane thread has
+        ended when this returns."""
         if self.lanes == 1:
             self.lane_loop(0)
             return
-        cond = self.cond
-        self.watched = self.timeout is not None
         threads = [
             threading.Thread(target=self.lane_loop, args=(i,),
                              name=f"repro-runtime-{i}", daemon=True)
@@ -307,21 +256,10 @@ class _Drain:
         ]
         for t in threads:
             t.start()
-        watchdog = None
-        if self.watched:
-            watchdog = threading.Thread(target=self._watch,
-                                        name="repro-runtime-watchdog",
-                                        daemon=True)
-            watchdog.start()
-
-        with cond:
-            while self.ready or self.in_flight:
-                cond.wait()
-            stuck = bool(self.abandoned)
-        # lanes stuck inside a timed-out body stay behind as daemons;
-        # everyone else exits promptly once the ready set is empty
+        # a lane returns once nothing is ready or in flight, which no
+        # other lane can change any more: joining them is the drain
         for t in threads:
-            t.join(timeout=0.5 if stuck else None)
+            t.join()
         # join() returns once a worker's Python state is gone; the OS
         # thread still has to run its exit handlers, which is where the
         # allocator takes its arena back.  Confined to one CPU, a caller
@@ -331,8 +269,6 @@ class _Drain:
         if hasattr(os, "sched_yield"):
             for _ in threads:
                 os.sched_yield()
-        if watchdog is not None:
-            watchdog.join(timeout=1.0)
 
     # ------------------------------------------------------------------
     # tail
@@ -341,9 +277,7 @@ class _Drain:
         """The drain's outcome, or its aggregate error.
 
         ``unfinished`` is the failed tasks plus everything left blocked
-        or unstarted, in insertion order — re-adding them to a fresh
-        graph re-derives exactly the induced dependency subgraph, which
-        is what makes post-failure runs resumable.
+        or unstarted, in insertion order.
         """
         if self.failures:
             done = set(self.completed)
@@ -384,19 +318,12 @@ class Scheduler:
         ``None`` fails fast.  The environment's ``task_retries`` is
         resolved by the owning :class:`~repro.runtime.runtime.Runtime`,
         not here.
-    task_timeout_s:
-        Per-task wall-clock budget; an overrun is a
-        :class:`TaskTimeoutError` failure of that task.  Checked post
-        hoc where the kernel runs on the draining thread, by a watchdog
-        thread on the threaded lanes, and by killing the wedged worker
-        on the process lane — the drain terminates instead of hanging.
     """
 
     execution: str = "threaded"
     workers: int = 1
     hooks: object | None = None
     retry_policy: RetryPolicy | None = None
-    task_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.execution not in EXECUTION_MODES:
@@ -405,8 +332,6 @@ class Scheduler:
                 f"{self.execution!r}"
             )
         self.workers = max(1, int(self.workers))
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive")
 
     def lanes(self, tasks: int) -> int:
         """How many lanes a drain of ``tasks`` tasks runs on: one on the

@@ -19,7 +19,6 @@ from repro.resilience import (
     StoreCorruptionError,
     TaskFailure,
     TaskGroupError,
-    TaskTimeoutError,
     is_transient,
 )
 from repro.resilience.faults import (
@@ -133,7 +132,7 @@ class TestParseGrammar:
             "seed=42;task-body:raise:every=97:transient=0;"
             "segment-read:oserror:times=2:after=1;"
             "corrupt-read:corrupt:match=seg-00001;"
-            "worker-stall:stall:delay=0.01;"
+            "task-body:stall:delay=0.01;"
             "task-body:raise:rate=0.125")
         assert plan.seed == 42
         assert len(plan.sites) == 5
@@ -224,14 +223,12 @@ class TestRetryPolicy:
         assert not policy.retryable(np_linalg_error())
         assert not policy.retryable(
             StoreCorruptionError("m", (0, 0), None, "p", "bad crc"))
-        assert not policy.retryable(TaskTimeoutError("t", 1, None, 1.0, 2.0))
 
     def test_runtime_resolution_order(self, monkeypatch):
         def policy(**kwargs):
             return Runtime(**kwargs).scheduler.retry_policy
 
         monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
-        assert policy(retry_policy=RetryPolicy(max_retries=0)).max_retries == 0
         assert policy(task_retries=2).max_retries == 2    # explicit wins
         assert policy().max_retries == 5                  # env
         # the scheduler itself never reads the environment

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.precision.formats import Precision
-from repro.resilience.errors import TaskGraphCycleError
+from repro.resilience.errors import TaskGraphCycleError, TaskGroupError
 from repro.runtime import Runtime
 from repro.runtime.dag import TaskGraph
 from repro.runtime.task import AccessMode, DataHandle, ObjectInput
@@ -168,6 +168,36 @@ def test_a_drained_graph_is_freed_without_the_cyclic_collector(execution):
         rt.close()
 
 
+def _fail(*_):
+    """A task that always fails (module-level: the process lane pickles it)."""
+    raise RuntimeError("task failure")
+
+
+@pytest.mark.parametrize("execution", ["serial", "threaded", "process"])
+def test_a_failed_drain_keeps_no_operand_alive(execution):
+    # a failed drain is stripped like a drained one: the error's report
+    # and last_graph keep the tasks, not the operands of those that ran
+    rt = Runtime(execution=execution, workers=2)
+    operand = np.ones((4, 4))
+    freed = weakref.ref(operand)
+    h = rt.register_data("h", payload=0)
+    other = rt.register_data("other", payload=0)
+    try:
+        rt.insert_task("hold", (h, AccessMode.WRITE),
+                       spec=call(_total, mode="both",
+                                 aux=(ObjectInput(operand, key="operand"),)))
+        rt.insert_task("boom", (other, AccessMode.WRITE), spec=call(_fail))
+        del operand
+        with pytest.raises(TaskGroupError) as err:
+            rt.run()
+        assert [f.task.name for f in err.value.failures] == ["boom"]
+        assert [t.name for t in err.value.completed] == ["hold"]
+        gc.collect()
+        assert freed() is None
+    finally:
+        rt.close()
+
+
 def _cross_kernel(execution, g):
     from repro.distance.build import KernelBuilder
 
@@ -202,3 +232,23 @@ def test_a_drained_graph_keeps_no_output_alive(execution, output):
         assert freed() is None
     finally:
         owner.close()
+
+
+@pytest.mark.parametrize("execution", ["serial", "threaded", "process"])
+def test_a_dropped_resident_factor_leaves_no_tile_alive(execution):
+    # the drained graph's handles are released with their namespace: a
+    # handle kept by last_graph must not hold a factor tile as payload
+    from repro.linalg.cholesky import cholesky
+
+    a = np.random.default_rng(0).standard_normal((96, 96))
+    a = a @ a.T / 96 + 2.0 * np.eye(96)
+    rt = Runtime(execution=execution, workers=2)
+    try:
+        factor = cholesky(a, tile_size=32, runtime=rt).factor
+        tiles = [weakref.ref(factor.get_tile(i, j).data)
+                 for i, j in factor.layout.iter_lower_tiles()]
+        del factor
+        gc.collect()
+        assert [t() for t in tiles] == [None] * len(tiles)
+    finally:
+        rt.close()

@@ -40,7 +40,8 @@ def test_a_successful_scope_tallies_and_releases(execution):
         assert ns == "demo#0:"
         handle = _insert(rt, f"{ns}x", fn=lambda v: v + 1)
         rt.run(phase="p")
-    assert handle.payload == 2.0  # the caller still holds what it read
+        assert handle.payload == 2.0  # read inside the scope
+    assert handle.payload is None  # released: the drained graph keeps nothing
     assert rt.num_tasks() == 0
     assert rt.handles == {}
     assert rt.ledger["p"].tasks == {f"{ns}x": 1}

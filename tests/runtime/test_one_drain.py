@@ -3,9 +3,8 @@
 The serial, threaded and process modes are lanes over one drain
 (``repro.runtime.scheduler._Drain``), so the sources of ``src/repro``
 hold exactly one place that builds a ``TaskEvent``, one that raises the
-aggregate ``TaskGroupError``, one that types a ``TaskTimeoutError``, one
-function that fires the ``task-body`` injection site and one that calls
-the ``task_complete`` hook.  A second drain loop cannot be written
+aggregate ``TaskGroupError``, one function that fires the ``task-body``
+injection site and one that calls the ``task_complete`` hook.  A second drain loop cannot be written
 without adding a site to one of these lists.
 """
 
@@ -56,12 +55,6 @@ def test_task_group_error_is_raised_from_one_site():
     assert _sites(_constructs("TaskGroupError"),
                   skip=("resilience/errors.py",)) == [
         "runtime/scheduler.py:result"]
-
-
-def test_task_timeout_error_is_typed_at_one_site():
-    assert _sites(_constructs("TaskTimeoutError"),
-                  skip=("resilience/errors.py",)) == [
-        "runtime/scheduler.py:overdue"]
 
 
 def test_task_body_site_is_injected_from_one_function():

@@ -158,10 +158,9 @@ class TestDependencyOrderingUnderConcurrency:
         assert exc.matches(np.linalg.LinAlgError)
         assert [f.task.name for f in exc.failures] == ["potrf"]
         assert "potrf" in str(exc)
-        # both the failed task and the successor it blocked are parked
-        # as the pending graph, ready for a resumed run()
-        assert rt.num_tasks() == 2
-        assert [t.name for t in rt.graph.tasks] == ["potrf", "never"]
+        # the successor it blocked is reported, not left pending
+        assert [t.name for t in exc.unfinished] == ["potrf", "never"]
+        assert rt.num_tasks() == 0
 
     def test_diamond_dependencies(self):
         """fan-out/fan-in: both branches read the source, the sink reads

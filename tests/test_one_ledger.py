@@ -33,7 +33,6 @@ def test_a_drain_is_folded_into_the_ledger_from_run_only():
         return isinstance(node, ast.Call) \
             and getattr(node.func, "attr", None) == "fold"
     assert _sites(folds) == [
-        "runtime/runtime.py:run",  # a resumed graph's earlier completions
         "runtime/runtime.py:run",  # this drain's events
         "runtime/trace.py:flops_by_precision",  # one trace's own split
     ]

@@ -110,13 +110,13 @@ def test_the_library_dag_protocol_is_written_once():
             _calls_method("release")(node) and bool(node.args))
     assert _sites(runtime_protocol) == ["runtime/runtime.py:dag"] * 3
 
-    # ... and a failed drain is caught where it is resumed, and where an
-    # indefinite pivot keeps its LinAlgError type
+    # ... and a failed drain is caught only where an indefinite pivot
+    # keeps its LinAlgError type
     def catches_group_error(node):
         return isinstance(node, ast.ExceptHandler) \
             and getattr(node.type, "id", None) == "TaskGroupError"
     assert _sites(catches_group_error) == [
-        "linalg/cholesky.py:_cholesky_runtime", "runtime/runtime.py:run"]
+        "linalg/cholesky.py:_cholesky_runtime"]
 
 
 def test_every_tiled_routine_enters_the_one_scope():
