@@ -8,8 +8,8 @@ The package is organised around the paper's three-phase KRR workflow
 (Build / Associate / Predict) and the substrates it depends on:
 
 ``repro.precision``
-    Software-emulated low-precision arithmetic (FP64/FP32/FP16/BF16,
-    FP8 E4M3/E5M2, INT8) and the tensor-core style mixed-precision
+    Software-emulated low-precision arithmetic (FP64/FP32/FP16,
+    FP8 E4M3, INT8) and the tensor-core style mixed-precision
     GEMM/SYRK variants used throughout the paper.
 ``repro.tiles``
     Tiled matrix storage with a per-tile precision mosaic, the

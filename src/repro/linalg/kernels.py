@@ -22,7 +22,7 @@ read-only map of a store segment or of another process's arena.  An
 operand is read as ``np.asarray(data, dtype)``: for these two formats
 the cast *is* the rounding, and it is the payload itself when the dtype
 already matches (an FP8-grid tile in its float32 container feeds
-``sgemm`` as is).  An emulated format (FP16, BF16, FP8) quantizes its
+``sgemm`` as is).  An emulated format (FP16, FP8) quantizes its
 inputs onto its grid, in float32.  Its SYRK/GEMM update is the tensor
 core's ``C = C − A·Bᵀ``: ``ssyrk``/``sgemm`` with ``beta=1`` in place
 in a float32 copy of the on-grid destination — the FP32 accumulator —

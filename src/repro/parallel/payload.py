@@ -3,8 +3,8 @@
 Workers and the coordinator never pickle tile *data* — numeric payloads
 cross the process boundary as raw native-precision bytes, produced by
 the same :mod:`repro.tiles.serialize` codecs the out-of-core store uses
-for spill segments (FP64/FP32/FP16 native dtypes, BF16 as the high
-uint16 halves, FP8 as 1-byte E4M3/E5M2 codes).  Those codecs are exact
+for spill segments (FP64/FP32/FP16 native dtypes, FP8 as 1-byte E4M3
+codes).  Those codecs are exact
 inverses of each other, which is what makes ``execution="process"``
 bitwise identical to the serial drain: a tile decoded in a worker is
 the same array of floats the coordinator held, down to the last bit.

@@ -59,10 +59,6 @@ class GPUSpec:
     def peak_for(self, precision: Precision) -> float:
         if precision in self.peak:
             return self.peak[precision]
-        if precision is Precision.BF16 and Precision.FP16 in self.peak:
-            return self.peak[Precision.FP16]
-        if precision is Precision.FP8_E5M2 and Precision.FP8_E4M3 in self.peak:
-            return self.peak[Precision.FP8_E4M3]
         if precision is Precision.INT32 and Precision.INT8 in self.peak:
             return self.peak[Precision.INT8]
         return self.peak.get(Precision.FP32, 1.0e13)
@@ -71,8 +67,7 @@ class GPUSpec:
         """Sustained Cholesky rate for a mix whose low precision is given."""
         if low_precision in self.sustained_associate:
             return self.sustained_associate[low_precision]
-        if (low_precision in (Precision.FP8_E4M3, Precision.FP8_E5M2)
-                and not self.fp8_capable):
+        if low_precision is Precision.FP8_E4M3 and not self.fp8_capable:
             # FP8 requested on non-FP8 hardware falls back to FP16
             return self.sustained_associate.get(
                 Precision.FP16, 0.3 * self.peak_for(Precision.FP16))

@@ -26,7 +26,6 @@ Public surface
 
 from repro.precision.formats import (
     FP8_E4M3_MAX,
-    FP8_E5M2_MAX,
     FormatSpec,
     Precision,
     unit_roundoff,
@@ -50,7 +49,6 @@ __all__ = [
     "FormatSpec",
     "unit_roundoff",
     "FP8_E4M3_MAX",
-    "FP8_E5M2_MAX",
     "quantize",
     "GemmVariant",
     "QuantizedOperand",

@@ -8,13 +8,11 @@ tensor-core throughput class it maps to).
 The formats follow the hardware the paper targets:
 
 * ``FP64``, ``FP32`` — IEEE binary64/binary32.
-* ``FP16`` — IEEE binary16, emulated like BF16/FP8 (see ``numpy_dtype``).
-* ``BF16`` — bfloat16, included for completeness of the adaptive rule.
+* ``FP16`` — IEEE binary16, emulated like FP8 (see ``numpy_dtype``).
 * ``FP8_E4M3`` — the OCP/IEEE-style 8-bit float used by Hopper tensor
   cores (4 exponent bits, 3 mantissa bits, max finite 448).  This is
   the only FP8 formulation usable by ``cublasLtMatmul`` for both
   operands, as discussed in Sec. VI-B3 of the paper.
-* ``FP8_E5M2`` — the wider-range/lower-precision FP8 variant.
 * ``INT8`` / ``INT32`` — integer formats used for the SNP-matrix
   distance computations (inputs in INT8, accumulation in INT32).
 """
@@ -28,8 +26,6 @@ import numpy as np
 
 #: Largest finite value representable in FP8 E4M3 (S.1111.110 = 448).
 FP8_E4M3_MAX = 448.0
-#: Largest finite value representable in FP8 E5M2 (S.11110.11 = 57344).
-FP8_E5M2_MAX = 57344.0
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,8 @@ class FormatSpec:
         within range).
     numpy_dtype:
         The dtype values of this format are *stored* in: ``float32`` on
-        the format's value grid for the emulated formats (FP16, BF16,
-        FP8), which only the codecs write in ``bytes_per_element``.
+        the format's value grid for the emulated formats (FP16, FP8),
+        which only the codecs write in ``bytes_per_element``.
     """
 
     name: str
@@ -81,9 +77,7 @@ class Precision(enum.Enum):
     FP64 = "fp64"
     FP32 = "fp32"
     FP16 = "fp16"
-    BF16 = "bf16"
     FP8_E4M3 = "fp8_e4m3"
-    FP8_E5M2 = "fp8_e5m2"
     INT8 = "int8"
     INT32 = "int32"
 
@@ -157,13 +151,9 @@ _ALIASES: dict[str, Precision] = {
     "half": Precision.FP16,
     "float16": Precision.FP16,
     "fp16": Precision.FP16,
-    "bfloat16": Precision.BF16,
-    "bf16": Precision.BF16,
     "fp8": Precision.FP8_E4M3,
     "fp8_e4m3": Precision.FP8_E4M3,
     "e4m3": Precision.FP8_E4M3,
-    "fp8_e5m2": Precision.FP8_E5M2,
-    "e5m2": Precision.FP8_E5M2,
     "int8": Precision.INT8,
     "int32": Precision.INT32,
 }
@@ -199,16 +189,6 @@ _SPECS: dict[Precision, FormatSpec] = {
         unit_roundoff=2.0 ** -11,
         numpy_dtype=np.dtype(np.float32),
     ),
-    Precision.BF16: FormatSpec(
-        name="bf16",
-        bytes_per_element=2,
-        is_integer=False,
-        mantissa_bits=7,
-        exponent_bits=8,
-        max_finite=3.3895313892515355e38,
-        unit_roundoff=2.0 ** -8,
-        numpy_dtype=np.dtype(np.float32),
-    ),
     Precision.FP8_E4M3: FormatSpec(
         name="fp8_e4m3",
         bytes_per_element=1,
@@ -217,16 +197,6 @@ _SPECS: dict[Precision, FormatSpec] = {
         exponent_bits=4,
         max_finite=FP8_E4M3_MAX,
         unit_roundoff=2.0 ** -4,
-        numpy_dtype=np.dtype(np.float32),
-    ),
-    Precision.FP8_E5M2: FormatSpec(
-        name="fp8_e5m2",
-        bytes_per_element=1,
-        is_integer=False,
-        mantissa_bits=2,
-        exponent_bits=5,
-        max_finite=FP8_E5M2_MAX,
-        unit_roundoff=2.0 ** -3,
         numpy_dtype=np.dtype(np.float32),
     ),
     Precision.INT8: FormatSpec(
@@ -256,9 +226,7 @@ _SPECS: dict[Precision, FormatSpec] = {
 _RANK: dict[Precision, int] = {
     Precision.FP64: 70,
     Precision.FP32: 60,
-    Precision.BF16: 45,
     Precision.FP16: 40,
-    Precision.FP8_E5M2: 25,
     Precision.FP8_E4M3: 20,
     Precision.INT32: 10,
     Precision.INT8: 0,

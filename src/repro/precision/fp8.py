@@ -1,4 +1,4 @@
-"""Bit-faithful FP8 quantization (E4M3 and E5M2), and FP16's.
+"""Bit-faithful FP8 (E4M3) quantization, and FP16's.
 
 NumPy has no 8-bit float dtype, so FP8 values are represented as
 ``float32`` arrays whose values lie exactly on the FP8 grid.  The
@@ -11,8 +11,6 @@ binary16) is emulated by the same routine, in the same container.
 The E4M3 format (1 sign, 4 exponent, 3 mantissa bits, bias 7) follows
 the OCP FP8 specification: exponent field 0b1111 is *not* reserved for
 infinities, so the maximum finite value is ``1.75 * 2**8 = 448``.
-E5M2 (bias 15) mirrors IEEE binary16 semantics with a max finite of
-``1.75 * 2**14 = 57344``.
 """
 
 from __future__ import annotations
@@ -27,12 +25,11 @@ from repro.precision.formats import Precision
 _LAYOUT = {np.dtype(np.float64): (np.uint64, 1 << 63, 0x7FF0000000000000, 52),
            np.dtype(np.float32): (np.uint32, 1 << 31, 0x7F800000, 23)}
 
-# (mantissa_bits, exponent_bias, max_finite, min_normal_exponent) of the
-# formats emulated as float32 on their binary grid
+# (mantissa_bits, max_finite, min_normal_exponent) of the formats
+# emulated as float32 on their binary grid
 _GRID_PARAMS = {
-    Precision.FP8_E4M3: (3, 7, 448.0, -6),
-    Precision.FP8_E5M2: (2, 15, 57344.0, -14),
-    Precision.FP16: (10, 15, 65504.0, -14),
+    Precision.FP8_E4M3: (3, 448.0, -6),
+    Precision.FP16: (10, 65504.0, -14),
 }
 
 
@@ -61,11 +58,12 @@ def _round_to_grid(x: np.ndarray, mantissa_bits: int, min_normal_exp: int,
     mag = mag_bits.view(x.dtype)
     with np.errstate(invalid="ignore"):  # signalling NaNs stay silent
         smallest = mag.min() if mag.size else 1.0
-        # two-sided clips: numpy's fastest clamp against a scalar
-        np.clip(mag, 0.0, max_finite, out=mag)  # NaN propagates
+        # one-sided: |x| >= 0, and after the saturation max_finite
+        # bounds the magic addend too; NaN propagates through both
+        np.minimum(mag, max_finite, out=mag)
         # per-element magic addend: keep only the exponent field of the
         # clamped magnitude, then raise it by t - mantissa_bits binades
-        magic = np.clip(mag, 2.0 ** min_normal_exp, max_finite)
+        magic = np.maximum(mag, 2.0 ** min_normal_exp)
         magic_bits = magic.view(uint)
         magic_bits &= uint(exponent_field)
         magic_bits += uint((t - mantissa_bits) << t)
@@ -81,8 +79,8 @@ def _round_to_grid(x: np.ndarray, mantissa_bits: int, min_normal_exp: int,
 
 
 def quantize_grid(x: np.ndarray, precision: Precision) -> np.ndarray:
-    """Round ``x`` onto the grid of FP16 or an FP8 format, as ``float32``
+    """Round ``x`` onto the grid of FP16 or FP8 E4M3, as ``float32``
     (exact zeros come back ``+0.0``, NaNs as the canonical quiet NaN)."""
-    mantissa_bits, _bias, max_finite, min_normal_exp = _GRID_PARAMS[precision]
+    mantissa_bits, max_finite, min_normal_exp = _GRID_PARAMS[precision]
     rounded = _round_to_grid(x, mantissa_bits, min_normal_exp, max_finite)
     return rounded.astype(np.float32, copy=False)

@@ -140,14 +140,8 @@ _VARIANTS: dict[str, GemmVariant] = {
     "FP16_FP32ACC": GemmVariant(
         "FP16_FP32ACC", Precision.FP16, Precision.FP32, Precision.FP32
     ),
-    "BF16_FP32ACC": GemmVariant(
-        "BF16_FP32ACC", Precision.BF16, Precision.FP32, Precision.FP32
-    ),
     "FP8_E4M3_FP32ACC": GemmVariant(
         "FP8_E4M3_FP32ACC", Precision.FP8_E4M3, Precision.FP32, Precision.FP32
-    ),
-    "FP8_E5M2_FP32ACC": GemmVariant(
-        "FP8_E5M2_FP32ACC", Precision.FP8_E5M2, Precision.FP32, Precision.FP32
     ),
 }
 
@@ -177,9 +171,7 @@ def variant_for_input(precision: Precision | str) -> GemmVariant:
         Precision.FP64: "FP64",
         Precision.FP32: "FP32",
         Precision.FP16: "FP16_FP32ACC",
-        Precision.BF16: "BF16_FP32ACC",
         Precision.FP8_E4M3: "FP8_E4M3_FP32ACC",
-        Precision.FP8_E5M2: "FP8_E5M2_FP32ACC",
     }
     return gemm_variant(mapping[precision])
 

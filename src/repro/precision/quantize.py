@@ -3,9 +3,9 @@
 ``quantize`` is the single entry point used by the tile layer: given an
 array and a :class:`~repro.precision.formats.Precision` it returns the
 array rounded to that format's representable values.  For formats with
-a native NumPy dtype (FP64/FP32/INT8/INT32) this is a cast; for FP16,
-BF16 and FP8 it is a software round-to-nearest-even onto the format's
-grid, stored back in float32.
+a native NumPy dtype (FP64/FP32/INT8/INT32) this is a cast; for FP16
+and FP8 it is a software round-to-nearest-even onto the format's grid,
+stored back in float32.
 """
 
 from __future__ import annotations
@@ -16,33 +16,11 @@ from repro.precision.formats import Precision
 from repro.precision.fp8 import quantize_grid
 
 
-def _quantize_bf16(x: np.ndarray) -> np.ndarray:
-    """Round float data to the bfloat16 grid (round-to-nearest-even).
-
-    Finite overflow and ``±inf`` saturate to ``±max_finite`` like the
-    FP16/FP8 quantizer; NaNs propagate as the canonical quiet NaN.
-    """
-    with np.errstate(over="ignore"):  # beyond float32 range: inf, then saturated
-        x32 = np.asarray(x, dtype=np.float32)
-    bits = x32.view(np.uint32)
-    # round-to-nearest-even on the upper 16 bits
-    rounding_bias = ((bits >> 16) & 1) + np.uint32(0x7FFF)
-    rounded = ((bits + rounding_bias) & np.uint32(0xFFFF0000)).view(np.float32)
-    max_finite = np.float32(Precision.BF16.max_finite)
-    out = np.clip(rounded, -max_finite, max_finite)
-    # the bias carries out of an all-ones NaN mantissa into the
-    # exponent/sign bits, so NaNs are restored from the input
-    nan = np.isnan(x32)
-    if nan.any():
-        out = np.where(nan, np.float32(np.nan), out)
-    return out
-
-
 def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:
     """Round ``x`` onto the value grid of ``precision``.
 
     The returned array's dtype is the format's storage dtype
-    (``float32`` for the FP16/BF16/FP8 grids, ``int8`` for INT8, ...).
+    (``float32`` for the FP16/FP8 grids, ``int8`` for INT8, ...).
     Quantization is value-faithful: converting the result back to
     float64 yields exactly the values low-precision hardware would have
     stored.
@@ -59,9 +37,7 @@ def quantize(x: np.ndarray, precision: Precision | str) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)
     if precision is Precision.FP32:
         return np.asarray(x, dtype=np.float32)
-    if precision is Precision.BF16:
-        return _quantize_bf16(x)
-    if precision in (Precision.FP16, Precision.FP8_E4M3, Precision.FP8_E5M2):
+    if precision in (Precision.FP16, Precision.FP8_E4M3):
         return quantize_grid(x, precision)
     if precision is Precision.INT8:
         x = np.asarray(x)

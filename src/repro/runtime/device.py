@@ -49,10 +49,6 @@ class DeviceModel:
             return self.throughput[precision]
         if precision is Precision.INT32 and Precision.INT8 in self.throughput:
             return self.throughput[Precision.INT8]
-        if precision in (Precision.FP8_E5M2,) and Precision.FP8_E4M3 in self.throughput:
-            return self.throughput[Precision.FP8_E4M3]
-        if precision is Precision.BF16 and Precision.FP16 in self.throughput:
-            return self.throughput[Precision.FP16]
         return self.throughput.get(Precision.FP32, 1.0e12)
 
     def task_time(self, flops: float, precision: Precision) -> float:
@@ -75,7 +71,6 @@ GENERIC_GPU = DeviceModel(
         Precision.FP64: 3.4e13,
         Precision.FP32: 6.7e13,
         Precision.FP16: 9.9e14,
-        Precision.BF16: 9.9e14,
         Precision.FP8_E4M3: 1.98e15,
         Precision.INT8: 1.98e15,
     },

@@ -5,7 +5,7 @@
 matrices exceed ``budget_bytes``, unpinned tiles — during a drain the
 one whose next use in the drain's own order is farthest, otherwise the
 least recently used — are encoded to their *native storage precision*
-bytes (the same fp64/32/16, bf16 and 1-byte FP8 codecs the fitted-model
+bytes (the same fp64/32/16 and 1-byte FP8 codecs the fitted-model
 artifacts use, see :mod:`repro.tiles.serialize`), checksummed and
 written to a segment file in one positional write from the encoded
 array's buffer; a later access reads the slot back in one positional
@@ -413,7 +413,10 @@ class StoreBinding:
             return total
 
     def resident_nbytes(self) -> int:
-        """Bytes actually resident for this matrix (what a budget sees)."""
+        """Declared bytes of this matrix's resident tiles (what a budget
+        sees): ``Tile.nbytes``, the format's bytes per element, not the
+        container's, so an FP8 tile counts 1 byte an element while RAM
+        holds a 4-byte float32 (ROADMAP item 23(a))."""
         with self.store._lock:
             m = self.matrix()
             if m is None:

@@ -174,9 +174,7 @@ class PrecisionHeatmap:
             Precision.FP64: "D",
             Precision.FP32: "S",
             Precision.FP16: "h",
-            Precision.BF16: "b",
             Precision.FP8_E4M3: "q",
-            Precision.FP8_E5M2: "Q",
             Precision.INT8: "i",
             Precision.INT32: "I",
         }

@@ -7,10 +7,9 @@ drive the on-disk format:
 
 * **Native bytes per tile.**  Each tile is written in the byte width of
   its declared precision — 8/4/2 bytes per element for FP64/FP32/FP16
-  (IEEE ``float16``; in memory FP16 is float32 on its grid), 2 bytes
-  for BF16 (the upper half of the float32 bit pattern) and
-  **1 byte** for the FP8 formats, which NumPy cannot represent natively
-  and which are therefore encoded to their E4M3/E5M2 bit codes.  An
+  (IEEE ``float16``; in memory FP16 is float32 on its grid) and
+  **1 byte** for FP8, which NumPy cannot represent natively and which
+  is therefore encoded to its E4M3 bit codes.  An
   adaptive-FP8 model's artifact is consequently about 4x smaller than
   the same model under a uniform FP32 plan — the on-disk footprint
   mirrors the in-memory precision mosaic the paper's Fig. 4 shows.
@@ -41,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.precision.formats import Precision
+from repro.precision.formats import FP8_E4M3_MAX, Precision
 from repro.tiles.layout import TileLayout
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
@@ -62,113 +61,64 @@ __all__ = [
 #: Archive format marker, bumped on incompatible layout changes.
 FORMAT_VERSION = 1
 
-# (mantissa_bits, exponent_bits, exponent_bias, min_normal_exponent)
-_FP8_CODEC_PARAMS = {
-    Precision.FP8_E4M3: (3, 4, 7, -6),
-    Precision.FP8_E5M2: (2, 5, 15, -14),
-}
-
 
 # ----------------------------------------------------------------------
 # FP8 bit codec
 # ----------------------------------------------------------------------
-def encode_fp8(values: np.ndarray,
-               variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
-    """Encode FP8-grid float values to their 1-byte bit codes.
+def _e4m3_values() -> np.ndarray:
+    """The float32 value of each of the 256 E4M3 codes, by code."""
+    codes = np.arange(256)
+    field, mant = (codes >> 3) & 0xF, codes & 0x7
+    # subnormals are multiples of 2**-9; a normal code is
+    # (1 + mant/8) * 2**(field - 7) = (8 + mant) * 2**(field - 10)
+    mag = np.where(field == 0, mant * 2.0 ** -9,
+                   (8 + mant) * 2.0 ** (field - 10))
+    values = np.where(codes & 0x80, -mag, mag)
+    # S.1111.111 is E4M3's only NaN pattern: both signs decode to the
+    # canonical quiet NaN
+    values[(codes & 0x7F) == 0x7F] = np.nan
+    return values.astype(np.float32)
 
-    ``values`` must already lie on the FP8 value grid (the invariant
+
+#: Decode table: the float32 value of every E4M3 code, built once.
+_E4M3_VALUES = _e4m3_values()
+
+
+def encode_fp8(values: np.ndarray) -> np.ndarray:
+    """Encode FP8 E4M3 grid values to their 1-byte bit codes.
+
+    ``values`` must already lie on the E4M3 value grid (the invariant
     every FP8 tile payload satisfies); grid membership is what makes
-    the encoding exact.  NaNs map to the format's NaN encoding.
+    the encoding exact.  NaNs encode as 0x7F, whatever their sign.
     """
-    if variant not in _FP8_CODEC_PARAMS:
-        raise ValueError(f"{variant} is not an FP8 format")
-    mbits, ebits, bias, min_normal_exp = _FP8_CODEC_PARAMS[variant]
-    x = np.asarray(values, dtype=np.float64)
-    if np.any(np.isinf(x)):
+    x = np.asarray(values, dtype=np.float32)
+    mag = np.abs(x)
+    if np.isinf(mag).any():
         # ``quantize`` saturates infinities to +-max_finite, so an inf
-        # here means unquantized input; encoding it as 0 (or as the
-        # E5M2 reserved inf pattern) would corrupt silently
-        raise ValueError(
-            f"infinite value is not on the {variant.value} grid; quantize "
-            "before encoding")
-    codes = np.zeros(x.shape, dtype=np.uint8)
-
-    sign = np.signbit(x)
-    nan = np.isnan(x)
-    v = np.abs(x)
-    nonzero = np.isfinite(x) & (v > 0.0)
-    subnormal = nonzero & (v < 2.0 ** min_normal_exp)
-    normal = nonzero & ~subnormal
-
-    if np.any(subnormal):
-        # spacing below the normal range is 2**(min_normal_exp - mbits)
-        mant = np.rint(v[subnormal] * 2.0 ** (mbits - min_normal_exp))
-        codes[subnormal] = mant.astype(np.uint8)
-
-    if np.any(normal):
-        frac, exp2 = np.frexp(v[normal])          # v = frac * 2**exp2, frac in [0.5, 1)
-        exp = exp2.astype(np.int64) - 1
-        mant = np.rint((frac * 2.0 - 1.0) * (1 << mbits)).astype(np.int64)
-        carry = mant >> mbits                      # defensive: off-grid inputs
-        exp = exp + carry
-        mant = mant & ((1 << mbits) - 1)
-        field = exp + bias
-        max_field = (1 << ebits) - 1
-        if variant is Precision.FP8_E5M2:
-            # exponent field 31 is reserved for inf/NaN in E5M2
-            max_field -= 1
-        if np.any(field < 0) or np.any(field > max_field):
-            raise ValueError(
-                f"value outside the {variant.value} range; quantize before "
-                "encoding")
-        if variant is Precision.FP8_E4M3 and np.any(
-                (field == max_field) & (mant == (1 << mbits) - 1)):
-            # S.1111.111 is E4M3's NaN: a finite value rounding there
-            # (e.g. 480) is off-grid, not representable
-            raise ValueError(
-                f"value outside the {variant.value} range; quantize before "
-                "encoding")
-        codes[normal] = ((field << mbits) | mant).astype(np.uint8)
-
-    if np.any(nan):
-        # E4M3: S.1111.111; E5M2: S.11111.01 (a quiet-NaN pattern)
-        nan_code = (((1 << ebits) - 1) << mbits) | ((1 << mbits) - 1) \
-            if variant is Precision.FP8_E4M3 else \
-            ((((1 << ebits) - 1) << mbits) | 0b01)
-        codes[nan] = nan_code
-
-    codes[sign & ~nan] |= np.uint8(0x80)
-    return codes
+        # here means unquantized input; encoding it would corrupt silently
+        raise ValueError("infinite value is not on the fp8_e4m3 grid; "
+                         "quantize before encoding")
+    if (mag > FP8_E4M3_MAX).any():  # False for NaN
+        # 480 would take S.1111.111, E4M3's NaN, if unchecked
+        raise ValueError("value outside the fp8_e4m3 range; quantize "
+                         "before encoding")
+    # a normal code is the float32 exponent, rebased from bias 127 to 7,
+    # over the top three mantissa bits; a subnormal one counts steps of
+    # 2**-9 (the branch not taken may wrap, or cast NaN: both discarded)
+    with np.errstate(invalid="ignore", over="ignore"):
+        normal = (mag.view(np.uint32) >> np.uint32(20)) - np.uint32(120 << 3)
+        subnormal = (mag * np.float32(2.0 ** 9)).astype(np.uint32)
+    codes = np.where(mag < np.float32(2.0 ** -6), subnormal, normal)
+    codes |= (x.view(np.uint32) >> np.uint32(24)) & np.uint32(0x80)
+    nan = np.isnan(mag)
+    if nan.any():
+        codes = np.where(nan, np.uint32(0x7F), codes)
+    return codes.astype(np.uint8)
 
 
-def decode_fp8(codes: np.ndarray,
-               variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
-    """Decode FP8 bit codes back to the float32 grid representation."""
-    if variant not in _FP8_CODEC_PARAMS:
-        raise ValueError(f"{variant} is not an FP8 format")
-    mbits, ebits, bias, min_normal_exp = _FP8_CODEC_PARAMS[variant]
-    c = np.asarray(codes, dtype=np.uint8)
-    sign = np.where((c & 0x80) != 0, -1.0, 1.0)
-    field = ((c >> mbits) & ((1 << ebits) - 1)).astype(np.int64)
-    mant = (c & ((1 << mbits) - 1)).astype(np.float64)
-
-    sub = field == 0
-    out = np.empty(c.shape, dtype=np.float64)
-    out[sub] = mant[sub] * 2.0 ** (min_normal_exp - mbits)
-    norm = ~sub
-    out[norm] = (1.0 + mant[norm] / (1 << mbits)) * np.exp2(
-        (field[norm] - bias).astype(np.float64))
-
-    if variant is Precision.FP8_E4M3:
-        # exponent field 15 with mantissa 0b111 is the only NaN pattern
-        nan = (field == (1 << ebits) - 1) & (mant == (1 << mbits) - 1)
-    else:
-        # E5M2 reserves exponent 31: mantissa 0 is inf, otherwise NaN
-        reserved = field == (1 << ebits) - 1
-        out[reserved & (mant == 0)] = np.inf
-        nan = reserved & (mant != 0)
-    out[nan] = np.nan
-    return (sign * out).astype(np.float32)
+def decode_fp8(codes: np.ndarray) -> np.ndarray:
+    """Decode FP8 E4M3 bit codes back to the float32 grid representation."""
+    return np.take(_E4M3_VALUES, np.asarray(codes, dtype=np.uint8))
 
 
 # ----------------------------------------------------------------------
@@ -187,13 +137,8 @@ def encode_payload(data: np.ndarray, precision: Precision | str) -> np.ndarray:
         return np.asarray(data, dtype=np.float32)
     if precision is Precision.FP16:
         return np.asarray(data, dtype=np.float16)  # exact: on FP16's grid
-    if precision is Precision.BF16:
-        # bf16 payloads live in float32 with a zero lower half: keep the
-        # upper 16 bits of the bit pattern
-        x32 = np.ascontiguousarray(data, dtype=np.float32)
-        return (x32.view(np.uint32) >> np.uint32(16)).astype(np.uint16)
-    if precision in (Precision.FP8_E4M3, Precision.FP8_E5M2):
-        return encode_fp8(np.asarray(data, dtype=np.float32), precision)
+    if precision is Precision.FP8_E4M3:
+        return encode_fp8(data)
     if precision is Precision.INT8:
         return np.asarray(data, dtype=np.int8)
     if precision is Precision.INT32:
@@ -210,11 +155,8 @@ def decode_payload(raw: np.ndarray, precision: Precision | str) -> np.ndarray:
         return np.asarray(raw, dtype=np.float32)
     if precision is Precision.FP16:
         return np.asarray(raw, dtype=np.float16).astype(np.float32)
-    if precision is Precision.BF16:
-        u32 = np.ascontiguousarray(raw, dtype=np.uint16).astype(np.uint32)
-        return (u32 << np.uint32(16)).view(np.float32)
-    if precision in (Precision.FP8_E4M3, Precision.FP8_E5M2):
-        return decode_fp8(raw, precision)
+    if precision is Precision.FP8_E4M3:
+        return decode_fp8(raw)
     if precision is Precision.INT8:
         return np.asarray(raw, dtype=np.int8)
     if precision is Precision.INT32:

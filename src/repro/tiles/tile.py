@@ -44,7 +44,7 @@ class Tile:
     data:
         Tile payload.  Stored quantized to ``precision`` (the array's
         values lie on that format's grid even when the dtype is a wider
-        container, as for FP16/BF16/FP8) — the on-grid invariant of the
+        container, as for FP16/FP8) — the on-grid invariant of the
         module docstring.
     precision:
         Storage precision of the tile.
@@ -67,7 +67,7 @@ class Tile:
         """Adopt ``values`` that are on ``precision``'s grid already.
 
         Skips the constructor's rounding (a no-op on such values, but a
-        full software pass for FP8/FP16/BF16) and only casts to the
+        full software pass for FP8/FP16) and only casts to the
         format's storage dtype.  See the module docstring for who may
         call this.
         """

@@ -28,8 +28,7 @@ from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
 NATIVE = [Precision.FP32, Precision.FP64]
-PRECISIONS = NATIVE + [Precision.FP16, Precision.BF16, Precision.FP8_E4M3,
-                       Precision.FP8_E5M2]
+PRECISIONS = NATIVE + [Precision.FP16, Precision.FP8_E4M3]
 
 
 def bits(a: np.ndarray) -> np.ndarray:

@@ -178,11 +178,9 @@ GOLDEN = {
     ("gemm", 16, Precision.FP8_E4M3, Precision.FP8_E4M3): "aad05807a517a3d7",
     ("gemm", 16, Precision.FP16, Precision.FP32): "0177093e939ef645",
     ("gemm", 16, Precision.FP16, Precision.FP8_E4M3): "314146305e3fbbfc",
-    ("gemm", 16, Precision.BF16, Precision.FP64): "c2a064882eb834f4",
     ("gemm", 256, Precision.FP8_E4M3, Precision.FP8_E4M3): "28f810d669e33142",
     ("gemm", 256, Precision.FP16, Precision.FP32): "cd1623bae729a233",
     ("gemm", 256, Precision.FP16, Precision.FP8_E4M3): "b3e22df142ccd223",
-    ("gemm", 256, Precision.BF16, Precision.FP64): "ddbfe0514f16c26d",
     ("syrk", 16, Precision.FP16, Precision.FP16): "d343eeb4551a1104",
     ("syrk", 16, Precision.FP8_E4M3, Precision.FP32): "34cf0c92ab1d3c13",
     ("syrk", 256, Precision.FP16, Precision.FP16): "8ad27fac1cf09c2e",
@@ -281,8 +279,7 @@ class TestBehaviorEquality:
         np.testing.assert_array_equal(first, second)
 
     @pytest.mark.parametrize("kernel", ["syrk", "gemm"])
-    @pytest.mark.parametrize("compute", [Precision.FP16, Precision.BF16,
-                                         Precision.FP8_E4M3],
+    @pytest.mark.parametrize("compute", [Precision.FP16, Precision.FP8_E4M3],
                              ids=lambda p: p.value)
     def test_an_update_keeps_nothing_between_runs(self, kernel, compute):
         """One spec run on a panel, then on other panels at the same

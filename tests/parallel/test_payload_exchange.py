@@ -12,9 +12,7 @@ TILE_PRECISIONS = (
     Precision.FP64,
     Precision.FP32,
     Precision.FP16,
-    Precision.BF16,
     Precision.FP8_E4M3,
-    Precision.FP8_E5M2,
 )
 
 

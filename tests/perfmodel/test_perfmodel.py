@@ -45,7 +45,6 @@ class TestGPUSpecs:
                 assert rate <= spec.peak_for(precision)
 
     def test_peak_fallbacks(self):
-        assert V100.peak_for(Precision.BF16) == V100.peak_for(Precision.FP16)
         assert GH200.peak_for(Precision.INT32) == GH200.peak_for(Precision.INT8)
 
 

@@ -1,20 +1,12 @@
-"""The FP8 value grids, enumerated: the oracle of the quantizer and
+"""The FP8 E4M3 value grid, enumerated: the oracle of the quantizer and
 codec tests."""
 
 import numpy as np
 
-from repro.precision.formats import Precision
 
-# (mantissa_bits, max_finite, min_normal_exponent)
-_FP8_PARAMS = {
-    Precision.FP8_E4M3: (3, 448.0, -6),
-    Precision.FP8_E5M2: (2, 57344.0, -14),
-}
-
-
-def fp8_grid(variant: Precision = Precision.FP8_E4M3) -> np.ndarray:
-    """Return all non-negative representable FP8 values, ascending."""
-    mantissa_bits, max_finite, min_normal_exp = _FP8_PARAMS[variant]
+def fp8_grid() -> np.ndarray:
+    """Return all non-negative representable FP8 E4M3 values, ascending."""
+    mantissa_bits, max_finite, min_normal_exp = 3, 448.0, -6
     values = [0.0]
     # subnormals: fraction/2**m * 2**min_normal_exp
     for frac in range(1, 2 ** mantissa_bits):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.precision.formats import (
     FP8_E4M3_MAX,
-    FP8_E5M2_MAX,
     Precision,
     unit_roundoff,
 )
@@ -16,7 +15,6 @@ class TestPrecisionMetadata:
         assert Precision.FP64.bytes_per_element == 8
         assert Precision.FP32.bytes_per_element == 4
         assert Precision.FP16.bytes_per_element == 2
-        assert Precision.BF16.bytes_per_element == 2
         assert Precision.FP8_E4M3.bytes_per_element == 1
         assert Precision.INT8.bytes_per_element == 1
         assert Precision.INT32.bytes_per_element == 4
@@ -30,21 +28,18 @@ class TestPrecisionMetadata:
 
     def test_max_finite_values(self):
         assert Precision.FP8_E4M3.max_finite == pytest.approx(448.0)
-        assert Precision.FP8_E5M2.max_finite == pytest.approx(57344.0)
         assert Precision.FP16.max_finite == pytest.approx(65504.0)
         assert Precision.INT8.max_finite == 127.0
 
     def test_numpy_dtypes(self):
         assert Precision.FP64.numpy_dtype == np.dtype(np.float64)
-        # FP16/FP8/BF16 are emulated: stored as float32 on the grid
+        # FP16/FP8 are emulated: stored as float32 on the grid
         assert Precision.FP16.numpy_dtype == np.dtype(np.float32)
         assert Precision.FP8_E4M3.numpy_dtype == np.dtype(np.float32)
-        assert Precision.BF16.numpy_dtype == np.dtype(np.float32)
         assert Precision.INT8.numpy_dtype == np.dtype(np.int8)
 
     def test_module_constants(self):
         assert FP8_E4M3_MAX == 448.0
-        assert FP8_E5M2_MAX == 57344.0
 
 
 class TestUnitRoundoff:
@@ -52,9 +47,7 @@ class TestUnitRoundoff:
         assert unit_roundoff(Precision.FP64) == pytest.approx(2.0 ** -53)
         assert unit_roundoff(Precision.FP32) == pytest.approx(2.0 ** -24)
         assert unit_roundoff(Precision.FP16) == pytest.approx(2.0 ** -11)
-        assert unit_roundoff(Precision.BF16) == pytest.approx(2.0 ** -8)
         assert unit_roundoff(Precision.FP8_E4M3) == pytest.approx(2.0 ** -4)
-        assert unit_roundoff(Precision.FP8_E5M2) == pytest.approx(2.0 ** -3)
 
     def test_integer_roundoff_is_zero(self):
         assert unit_roundoff(Precision.INT8) == 0.0
@@ -91,9 +84,7 @@ class TestFromString:
         ("fp64", Precision.FP64), ("double", Precision.FP64),
         ("float32", Precision.FP32), ("single", Precision.FP32),
         ("half", Precision.FP16), ("FP16", Precision.FP16),
-        ("bf16", Precision.BF16), ("bfloat16", Precision.BF16),
         ("fp8", Precision.FP8_E4M3), ("e4m3", Precision.FP8_E4M3),
-        ("e5m2", Precision.FP8_E5M2),
         ("int8", Precision.INT8), ("int32", Precision.INT32),
     ])
     def test_aliases(self, alias, expected):

@@ -39,13 +39,6 @@ class TestQuantize:
         assert float(out[0]) == pytest.approx(65504.0)
         assert float(out[1]) == pytest.approx(-65504.0)
 
-    def test_bf16_grid(self):
-        out = quantize(np.array([1.0, 3.14159]), Precision.BF16)
-        assert out.dtype == np.float32
-        assert float(out[0]) == 1.0
-        # bf16 has ~3 significant decimal digits
-        assert abs(float(out[1]) - 3.14159) < 0.02
-
     def test_fp8_dispatch(self):
         out = quantize(np.array([1000.0]), Precision.FP8_E4M3)
         assert float(out[0]) == 448.0
@@ -124,7 +117,7 @@ class TestQuantizeProperties:
     @given(st.lists(st.floats(min_value=-1e4, max_value=1e4,
                               allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=40),
-           st.sampled_from(["fp32", "fp16", "bf16", "fp8"]))
+           st.sampled_from(["fp32", "fp16", "fp8"]))
     @settings(max_examples=60, deadline=None)
     def test_idempotence(self, values, precision):
         x = np.array(values)

@@ -7,12 +7,6 @@ FP16 rounds through the same routine with its own format parameters and
 is held to the same oracle.  Results are compared as *integer views*, so
 ``-0.0`` vs ``+0.0`` and the NaN bit pattern count — ``==`` would wave
 both through.
-
-BF16 has no retained implementation to compare against; it is held to
-its specified semantics (round-to-nearest-even, gradual underflow,
-saturation of overflow and ``±inf`` to ``±max_finite``, NaN propagation,
-the sign of zero kept), expressed through the same oracle run with its
-format parameters.
 """
 
 import warnings
@@ -29,11 +23,9 @@ from tests.precision.grids import fp8_grid
 # (mantissa_bits, min_normal_exponent, max_finite)
 _PARAMS = {
     Precision.FP8_E4M3: (3, -6, 448.0),
-    Precision.FP8_E5M2: (2, -14, 57344.0),
     Precision.FP16: (10, -14, 65504.0),
-    Precision.BF16: (7, -126, Precision.BF16.max_finite),
 }
-FP8_VARIANTS = (Precision.FP8_E4M3, Precision.FP8_E5M2)
+FP8_VARIANTS = (Precision.FP8_E4M3,)
 #: The formats ``quantize`` rounds with the FP8 routine.
 GRID_FORMATS = FP8_VARIANTS + (Precision.FP16,)
 
@@ -90,8 +82,8 @@ def all_half_patterns():
 
 def midpoints_and_neighbours(precision):
     if precision in FP8_VARIANTS:
-        grid = fp8_grid(precision)
-    else:  # a stretch of the FP16/BF16 grid around 1 and in the subnormals
+        grid = fp8_grid()
+    else:  # a stretch of the FP16 grid around 1 and in the subnormals
         m, emin, _ = _PARAMS[precision]
         steps = np.arange(0, 4 << m, dtype=np.float64)
         grid = np.concatenate([steps * 2.0 ** (emin - m),
@@ -113,7 +105,7 @@ SPECIALS = np.array([
     1e300, -1e300,
     # saturation boundary, E4M3 (448 max; 464 is the midpoint to 480)
     448.0, 464.0, 465.0, 480.0, -448.0, -464.0, -465.0, -480.0,
-    # saturation boundary, E5M2 (57344 max; 61440 the midpoint to 65536)
+    # large finite values between FP8's and FP16's maxima
     57344.0, 61440.0, 61441.0, -57344.0, -61440.0, -61441.0,
     # FP16 boundary (65504 max; 65520 the midpoint to 65536)
     65504.0, 65519.0, 65520.0, 65521.0, 1e6, -65520.0,
@@ -188,7 +180,7 @@ finite64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @settings(max_examples=100, deadline=None)
 def test_fp8_result_is_on_the_grid(variant, values):
     q = quantize(np.array(values), variant).astype(np.float64)
-    assert np.isin(np.abs(q), fp8_grid(variant)).all()
+    assert np.isin(np.abs(q), fp8_grid()).all()
 
 
 @pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
@@ -217,22 +209,15 @@ def test_fp8_monotone(variant, values):
 @given(value=finite64)
 @settings(max_examples=200, deadline=None)
 def test_fp8_rounds_to_a_nearest_grid_point(variant, value):
-    grid = fp8_grid(variant)
+    grid = fp8_grid()
     q = float(quantize(np.array([value]), variant)[0])
     clipped = min(abs(value), grid[-1])
     assert abs(abs(q) - clipped) == np.min(np.abs(grid - clipped))
 
 
 # ----------------------------------------------------------------------
-# FP16 / BF16: specified semantics
+# FP16: specified semantics
 # ----------------------------------------------------------------------
-def expected_ieee_like(x, precision):
-    """Oracle rounding + the sign of zero kept (casts keep it)."""
-    with np.errstate(invalid="ignore"):  # widening a signalling NaN
-        x = np.asarray(x, dtype=np.float64)
-    return np.copysign(reference(x, precision), x)
-
-
 def test_fp16_saturates_and_ties_to_even():
     got = quantize(np.array([1e6, np.inf, -np.inf, 65519.0, 65520.0]), "fp16")
     np.testing.assert_array_equal(
@@ -242,75 +227,3 @@ def test_fp16_saturates_and_ties_to_even():
     got = quantize(np.array([1 + 2.0 ** -11, 1 + 3 * 2.0 ** -11]), "fp16")
     np.testing.assert_array_equal(got.astype(np.float64),
                                   [1.0, 1 + 2.0 ** -9])
-
-
-def float32_inputs(case):
-    """The matrix as float32 values (BF16 rounds from float32)."""
-    if case == "random-64-bit":
-        rng = np.random.default_rng(7)
-        return rng.integers(0, 1 << 32, size=1 << 20,
-                            dtype=np.uint64).astype(np.uint32).view(np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return MATRIX[case](Precision.BF16).astype(np.float32)
-
-
-@pytest.mark.parametrize("case", sorted(MATRIX))
-def test_bf16_matches_specified_semantics(case):
-    x = float32_inputs(case)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = quantize(x, Precision.BF16)
-    want = expected_ieee_like(x, Precision.BF16).astype(np.float32)
-    assert got.dtype == np.float32 and got.shape == x.shape
-    nan = np.isnan(x)
-    np.testing.assert_array_equal(bits(got)[~nan], bits(want)[~nan])
-    # NaNs propagate, as the canonical quiet NaN
-    assert (bits(got)[nan] == 0x7FC00000).all()
-    # on the bf16 grid: the lower 16 bits are clear
-    assert not (bits(got) & 0xFFFF).any()
-
-
-def test_bf16_propagates_every_nan_payload():
-    # sweep the payloads whose rounding bias carries out of the
-    # mantissa (0x7FFFxxxx / 0xFFFFxxxx mapped to -0.0 / +0.0 before)
-    # and the quiet/signalling patterns around them
-    high = np.array([0x7F80, 0x7F81, 0x7FBF, 0x7FC0, 0x7FFF,
-                     0xFF80, 0xFF81, 0xFFBF, 0xFFC0, 0xFFFF], dtype=np.uint32)
-    low = np.array([0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF], dtype=np.uint32)
-    patterns = ((high[:, None] << 16) | low[None, :]).ravel()
-    x = patterns.view(np.float32)
-    assert np.isnan(x).all()
-    got = quantize(x, Precision.BF16)
-    assert np.isnan(got).all()
-    assert np.isnan(quantize(np.float32(x[4]), Precision.BF16))  # scalars too
-
-
-def test_bf16_saturates_overflow():
-    big = Precision.BF16.max_finite
-    x = np.array([3.4e38, 1e39, -1e39, np.inf, -np.inf, 1e300, -1e300, big])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no overflow-in-cast warning
-        got = quantize(x, Precision.BF16)
-    np.testing.assert_array_equal(
-        got.astype(np.float64), [big, big, -big, big, -big, big, -big, big])
-    # float32 input takes the same route
-    got32 = quantize(np.array([3.4e38, np.inf, -np.inf], dtype=np.float32),
-                     Precision.BF16)
-    np.testing.assert_array_equal(got32.astype(np.float64), [big, big, -big])
-    # the quantizer agrees with the other formats on saturation
-    assert float(quantize(np.array([np.inf]), "fp16")[0]) == 65504.0
-    assert float(quantize(np.array([np.inf]), "fp8")[0]) == 448.0
-
-
-def test_bf16_ties_to_even():
-    # 1 + 2**-8 is the midpoint of 1 and 1 + 2**-7 (even: 1.0);
-    # 1 + 3 * 2**-8 ties up to 1 + 2**-6
-    got = quantize(np.array([1 + 2.0 ** -8, 1 + 3 * 2.0 ** -8]), "bf16")
-    np.testing.assert_array_equal(got.astype(np.float64),
-                                  [1.0, 1 + 2.0 ** -6])
-
-
-def test_bf16_result_is_independent_of_its_input():
-    x = np.array([1.0, 2.0], dtype=np.float32)  # already on the grid
-    got = quantize(x, Precision.BF16)
-    assert not np.shares_memory(got, x)

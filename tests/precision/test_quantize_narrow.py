@@ -23,7 +23,7 @@ from repro.precision.formats import Precision
 from repro.precision.quantize import quantize
 from tests.precision.test_quantize_bitwise import MATRIX, all_half_patterns, bits
 
-FORMATS = (Precision.FP8_E4M3, Precision.FP8_E5M2, Precision.FP16)
+FORMATS = (Precision.FP8_E4M3, Precision.FP16)
 
 
 def representable(x, dtype):

@@ -38,9 +38,7 @@ class TestDeviceModel:
     def test_throughput_fallbacks(self):
         assert GENERIC_GPU.throughput_for(Precision.FP16) == \
             GENERIC_GPU.throughput[Precision.FP16]
-        # BF16 falls back to FP16, INT32 to INT8, E5M2 to E4M3
-        assert GENERIC_GPU.throughput_for(Precision.BF16) == \
-            GENERIC_GPU.throughput[Precision.FP16]
+        # INT32 falls back to INT8
         assert GENERIC_GPU.throughput_for(Precision.INT32) == \
             GENERIC_GPU.throughput[Precision.INT8]
 

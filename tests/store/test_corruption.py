@@ -21,7 +21,7 @@ from tests.store import spill_all
 TILE = 16
 
 PRECISIONS = [Precision.FP64, Precision.FP32, Precision.FP16,
-              Precision.BF16, Precision.FP8_E4M3]
+              Precision.FP8_E4M3]
 
 
 def spd(rng, n=48):

@@ -182,7 +182,7 @@ class TestSerialization:
     def test_unpack_store_backed_roundtrip_all_precisions(self, rng):
         pmap = {}
         cycle = [Precision.FP64, Precision.FP32, Precision.FP16,
-                 Precision.BF16, Precision.FP8_E4M3]
+                 Precision.FP8_E4M3]
         for idx, key in enumerate((i, j) for i in range(4) for j in range(4)):
             pmap[key] = cycle[idx % len(cycle)]
         tm = TileMatrix.from_dense(spd(rng), TILE, pmap)

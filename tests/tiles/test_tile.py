@@ -23,7 +23,7 @@ class TestTile:
         assert Tile(data, Precision.FP16).nbytes == 2 * 64
         assert Tile(data, Precision.FP8_E4M3).nbytes == 64
         # format bytes: an emulated payload is float32 in memory
-        for p in (Precision.FP16, Precision.BF16, Precision.FP8_E4M3):
+        for p in (Precision.FP16, Precision.FP8_E4M3):
             assert Tile(data, p).data.nbytes == 4 * 64
 
     def test_update_requantizes(self):
