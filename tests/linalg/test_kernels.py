@@ -17,6 +17,7 @@ from repro.linalg.kernels import (
     trsm_flops,
 )
 from repro.linalg.solve import SolveGemmSpec, SolveTrsmSpec
+from repro.parallel.payload import decode_obj, encode_obj
 from repro.precision.formats import Precision
 from repro.precision.gemm import (QuantizedOperand, gemm_flop_count,
                                   gemm_mixed, syrk_mixed)
@@ -24,6 +25,7 @@ from repro.precision.quantize import quantize
 from repro.resilience import FaultPlan, FaultSite
 from repro.resilience.faults import SITE_TASK_BODY, clear_plan, fault_plan
 from repro.runtime.runtime import Runtime
+from repro.store import TileStore
 from repro.tiles.matrix import TileMatrix
 from repro.tiles.tile import Tile
 
@@ -44,6 +46,29 @@ def spd(rng, n: int) -> np.ndarray:
 @pytest.fixture
 def spd_tile(rng):
     return spd(rng, 16)
+
+
+def _exchanged(x, precision):
+    """The tile as a process lane receives it: decoded from its format's
+    bytes (an FP64/FP32 tile is then a read-only buffer view)."""
+    return decode_obj(*encode_obj(Tile(x, precision=precision)))
+
+
+def _reloaded(x, precision):
+    """The tile as an out-of-core drain reads it: spilled to a store
+    segment and reloaded from its format's bytes."""
+    matrix = TileMatrix.from_dense(x, max(x.shape), precision)
+    with TileStore(budget_bytes=1) as store:  # evict on every load
+        matrix.attach_store(store)
+        tile = matrix.get_tile(0, 0)
+        assert store.stats.reloads == 1
+    return tile
+
+
+#: The ways a tile reaches a kernel: built in memory, received from a
+#: process lane, reloaded from a spill.
+ORIGINS = {"built": lambda x, p: Tile(x, precision=p),
+           "exchanged": _exchanged, "reloaded": _reloaded}
 
 
 class TestPotrf:
@@ -183,11 +208,12 @@ class TestTileDestination:
         c = 3.0 * rng.standard_normal((size, size))
         return a, b, c
 
+    @pytest.mark.parametrize("origin", sorted(ORIGINS))
     @pytest.mark.parametrize("stored", PRECISIONS, ids=lambda p: p.value)
     @pytest.mark.parametrize("compute", PRECISIONS, ids=lambda p: p.value)
-    def test_gemm_tile_equals_ndarray(self, size, compute, stored):
+    def test_gemm_tile_equals_ndarray(self, size, compute, stored, origin):
         a, b, c = self._operands(size)
-        a, b, tile = (Tile(x, precision=stored) for x in (a, b, c))
+        a, b, tile = (ORIGINS[origin](x, stored) for x in (a, b, c))
         # same precision: read without rounding; another one: must
         # still quantize to the compute precision, like the array call
         got = tile_gemm(a, b, tile, precision=compute)
@@ -196,11 +222,13 @@ class TestTileDestination:
         assert got.dtype == want.dtype == compute.numpy_dtype
         np.testing.assert_array_equal(bits(got), bits(want))
 
+    @pytest.mark.parametrize("origin", sorted(ORIGINS))
     @pytest.mark.parametrize("stored", PRECISIONS, ids=lambda p: p.value)
     @pytest.mark.parametrize("compute", PRECISIONS, ids=lambda p: p.value)
-    def test_syrk_tile_equals_ndarray(self, size, compute, stored):
+    def test_syrk_tile_equals_ndarray(self, size, compute, stored, origin):
         a, _, c = self._operands(size)
-        a, tile = Tile(a, precision=stored), Tile(c + c.T, precision=stored)
+        make = ORIGINS[origin]
+        a, tile = make(a, stored), make(c + c.T, stored)
         got = tile_syrk(a, tile, precision=compute)
         want = tile_syrk(a.to_float64(), tile.to_float64(), precision=compute)
         assert got.dtype == want.dtype == compute.numpy_dtype
@@ -231,10 +259,11 @@ class TestTileDestination:
 class TestPanelOperandFromTile:
     """A panel tile on the operand's input grid is the operand."""
 
+    @pytest.mark.parametrize("origin", sorted(ORIGINS))
     @pytest.mark.parametrize("stored", PRECISIONS, ids=lambda p: p.value)
     @pytest.mark.parametrize("compute", PRECISIONS, ids=lambda p: p.value)
-    def test_tile_equals_ndarray(self, rng, compute, stored):
-        tile = Tile(3.0 * rng.standard_normal((16, 12)), precision=stored)
+    def test_tile_equals_ndarray(self, rng, compute, stored, origin):
+        tile = ORIGINS[origin](3.0 * rng.standard_normal((16, 12)), stored)
         got = panel_operand(tile, compute)
         want = panel_operand(tile.to_float64(), compute)
         assert got.precision is want.precision

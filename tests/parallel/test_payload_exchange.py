@@ -13,6 +13,8 @@ TILE_PRECISIONS = (
     Precision.FP32,
     Precision.FP16,
     Precision.FP8_E4M3,
+    Precision.INT8,
+    Precision.INT32,
 )
 
 

@@ -82,9 +82,13 @@ class TestOrdering:
 class TestFromString:
     @pytest.mark.parametrize("alias, expected", [
         ("fp64", Precision.FP64), ("double", Precision.FP64),
+        ("float64", Precision.FP64),
         ("float32", Precision.FP32), ("single", Precision.FP32),
+        ("fp32", Precision.FP32),
         ("half", Precision.FP16), ("FP16", Precision.FP16),
+        ("fp16", Precision.FP16), ("float16", Precision.FP16),
         ("fp8", Precision.FP8_E4M3), ("e4m3", Precision.FP8_E4M3),
+        ("fp8_e4m3", Precision.FP8_E4M3),
         ("int8", Precision.INT8), ("int32", Precision.INT32),
     ])
     def test_aliases(self, alias, expected):

@@ -127,7 +127,7 @@ MATRIX = {
 
 
 # ----------------------------------------------------------------------
-# FP8: bit-identical to the retained reference
+# FP8 and FP16: bit-identical to the retained reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", GRID_FORMATS, ids=lambda p: p.value)
 @pytest.mark.parametrize("case", sorted(MATRIX))
@@ -141,7 +141,7 @@ def test_fp8_bit_identical_to_reference(variant, case):
     np.testing.assert_array_equal(bits(got), bits(want))
 
 
-@pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
+@pytest.mark.parametrize("variant", GRID_FORMATS, ids=lambda p: p.value)
 def test_fp8_zero_and_nan_bit_patterns(variant):
     x = np.array([0.0, -0.0, -1e-30, 1e-30, np.nan, -np.nan])
     got = bits(quantize(x, variant))
@@ -150,7 +150,7 @@ def test_fp8_zero_and_nan_bit_patterns(variant):
     assert list(got) == [0, 0, 0x80000000, 0, 0x7FC00000, 0x7FC00000]
 
 
-@pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
+@pytest.mark.parametrize("variant", GRID_FORMATS, ids=lambda p: p.value)
 @pytest.mark.parametrize("make", [
     lambda x: x.astype(np.float32),
     lambda x: x.astype(np.float16),
@@ -170,7 +170,7 @@ def test_fp8_input_layouts(variant, make):
 
 
 # ----------------------------------------------------------------------
-# FP8: properties
+# FP8 and FP16: properties
 # ----------------------------------------------------------------------
 finite64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -183,7 +183,7 @@ def test_fp8_result_is_on_the_grid(variant, values):
     assert np.isin(np.abs(q), fp8_grid()).all()
 
 
-@pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
+@pytest.mark.parametrize("variant", GRID_FORMATS, ids=lambda p: p.value)
 @given(values=st.lists(finite64, min_size=1, max_size=64))
 @settings(max_examples=100, deadline=None)
 def test_fp8_idempotent(variant, values):
@@ -197,7 +197,7 @@ def test_fp8_idempotent(variant, values):
     np.testing.assert_array_equal(bits(twice)[nonzero], bits(once)[nonzero])
 
 
-@pytest.mark.parametrize("variant", FP8_VARIANTS, ids=lambda p: p.value)
+@pytest.mark.parametrize("variant", GRID_FORMATS, ids=lambda p: p.value)
 @given(values=st.lists(finite64, min_size=2, max_size=64))
 @settings(max_examples=100, deadline=None)
 def test_fp8_monotone(variant, values):

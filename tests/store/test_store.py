@@ -56,6 +56,7 @@ class TestSpillReload:
 
     @pytest.mark.parametrize("precision", [
         Precision.FP64, Precision.FP32, Precision.FP16, Precision.FP8_E4M3,
+        Precision.INT8, Precision.INT32,
     ])
     def test_every_codec_roundtrips_bitwise(self, rng, precision):
         tm = TileMatrix.from_dense(spd(rng, 32), TILE, precision)
