@@ -13,13 +13,16 @@ execution mode only chooses the **lane** — where a task's kernel runs:
     other modes must match bit for bit.
 
 ``threaded``
-    N of the same inline lane on N host threads, each pulling from the
-    ready heap itself (BLAS releases the GIL, so tile kernels genuinely
-    overlap).  Because every ordering constraint between tasks touching
-    the same data is an explicit RAW/WAR/WAW edge, any interleaving is
-    bitwise identical to the serial order.  Every lane thread is
-    joined before the drain returns, whatever its outcome.
-    ``workers <= 1`` and one-task graphs take the serial lane.
+    N of the same inline lane: the caller's thread plus N−1 host
+    threads, each pulling from the ready heap itself (BLAS releases the
+    GIL, so tile kernels genuinely overlap).  Because every ordering
+    constraint between tasks touching the same data is an explicit
+    RAW/WAR/WAW edge, any interleaving is bitwise identical to the
+    serial order.  A lane thread that cannot start is not used, and
+    every started one is joined before the drain returns, whatever its
+    outcome; an interrupt on the caller's lane stops every lane, and is
+    re-raised once they have ended.  ``workers <= 1`` and one-task
+    graphs run one lane, the caller's, and start no thread.
 
 ``process``
     The GIL-free lane (:mod:`repro.parallel.executor`): a coordinator
@@ -123,6 +126,8 @@ class _Drain:
         self.failures: list[TaskFailure] = []
         self.trace = ExecutionTrace()
         self.lanes = lanes
+        #: set when the caller's lane is interrupted: every lane stops
+        self.stopped = False
         self.t0 = time.perf_counter()
         begin = getattr(self.hooks, "drain_begin", None)
         if begin is not None:
@@ -226,16 +231,17 @@ class _Drain:
         self.retire(task, lane, start, error)
 
     # ------------------------------------------------------------------
-    # inline lanes: the caller's thread, or N threads
+    # inline lanes: the caller's thread, plus N−1 threads
     # ------------------------------------------------------------------
     def lane_loop(self, lane: int) -> None:
-        """Pull ready tasks and run them here until the graph is drained."""
+        """Pull ready tasks and run them here until the graph is drained
+        or the drain is stopped."""
         cond, ready, in_flight = self.cond, self.ready, self.in_flight
         while True:
             with cond:
-                while not ready and in_flight:
+                while not ready and in_flight and not self.stopped:
                     cond.wait()
-                if not ready:
+                if not ready or self.stopped:
                     cond.notify_all()
                     return
                 task = self.pop()
@@ -244,28 +250,41 @@ class _Drain:
             self.run_inline(task, lane)
 
     def run_lanes(self) -> None:
-        """Drain on this drain's inline lanes; every lane thread has
-        ended when this returns."""
-        if self.lanes == 1:
+        """Drain on this drain's inline lanes: lane 0 on the calling
+        thread, lanes 1 … N−1 on threads it starts.  Every lane thread
+        has ended when this returns."""
+        threads = []
+        try:
+            for i in range(1, self.lanes):
+                t = threading.Thread(target=self.lane_loop, args=(i,),
+                                     name=f"repro-runtime-{i}", daemon=True)
+                try:
+                    t.start()
+                except RuntimeError:
+                    # no lane is owed: the caller's lane always runs, so
+                    # the drain finishes on the lanes that started
+                    break
+                threads.append(t)
             self.lane_loop(0)
-            return
-        threads = [
-            threading.Thread(target=self.lane_loop, args=(i,),
-                             name=f"repro-runtime-{i}", daemon=True)
-            for i in range(self.lanes)
-        ]
-        for t in threads:
-            t.start()
-        # a lane returns once nothing is ready or in flight, which no
-        # other lane can change any more: joining them is the drain
-        for t in threads:
-            t.join()
+        except BaseException:
+            # an interrupt lands on the caller's thread, and lane 0 may
+            # leave its task in flight: no other lane waits for it
+            with self.cond:
+                self.stopped = True
+                self.cond.notify_all()
+            raise
+        finally:
+            # a lane returns once nothing is ready or in flight, which
+            # no other lane can change any more: joining them is the drain
+            for t in threads:
+                t.join()
         # join() returns once a worker's Python state is gone; the OS
         # thread still has to run its exit handlers, which is where the
         # allocator takes its arena back.  Confined to one CPU, a caller
         # that starts the next drain right away creates those workers
         # first, and each then opens a fresh arena (~9 MB retained per
-        # drain on a tile-64 fit).  A yield per worker lets the exits finish.
+        # drain on a tile-64 fit).  A yield per joined worker lets the
+        # exits finish.
         if hasattr(os, "sched_yield"):
             for _ in threads:
                 os.sched_yield()
@@ -303,8 +322,9 @@ class Scheduler:
     execution:
         ``"threaded"``, ``"serial"`` or ``"process"``.
     workers:
-        Worker threads of the threaded mode (capped at the task count
-        per run; 1 takes the serial lane) or worker *processes* of the
+        Lanes of the threaded mode, the caller's thread plus
+        ``workers - 1`` threads (capped at the task count per run; 1
+        starts no thread), or worker *processes* of the
         process mode (always pooled, even at 1 — a single-worker
         process run exercises the full descriptor/exchange path and
         stays bitwise identical to serial).
@@ -335,8 +355,8 @@ class Scheduler:
 
     def lanes(self, tasks: int) -> int:
         """How many lanes a drain of ``tasks`` tasks runs on: one on the
-        serial lane, every worker on the process lane, and one thread
-        per task up to ``workers`` on the threaded lane."""
+        serial lane, every worker on the process lane, and one lane per
+        task up to ``workers`` on the threaded lane."""
         if self.execution == "threaded":
             return max(1, min(self.workers, tasks))
         return self.workers if self.execution == "process" else 1

@@ -33,13 +33,14 @@ class AccessMode(enum.Enum):
     WRITE = "W"
     READWRITE = "RW"
 
+    # identity tests: called several times per task, in add_task and execute
     @property
     def reads(self) -> bool:
-        return self in (AccessMode.READ, AccessMode.READWRITE)
+        return self is not AccessMode.WRITE
 
     @property
     def writes(self) -> bool:
-        return self in (AccessMode.WRITE, AccessMode.READWRITE)
+        return self is not AccessMode.READ
 
 
 _handle_counter = itertools.count()

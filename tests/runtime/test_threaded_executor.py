@@ -8,12 +8,15 @@ Three layers of guarantees are pinned here:
 2. **Bitwise determinism** — the threaded executor's Cholesky and
    Build outputs equal the serial reference bit for bit, across
    precision plans (fp64 / fp32 / adaptive-fp16 / adaptive-fp8) and
-   worker counts {1, 2, 8}.
-3. **Session-long reuse** — repeated ``run()`` calls drain the pending
+   worker counts {1, 2, 3, 8}.
+3. **Lane threads** — a drain of N lanes runs lane 0 on the caller's
+   thread and starts exactly N−1 threads; a one-lane drain starts none.
+4. **Session-long reuse** — repeated ``run()`` calls drain the pending
    graph without rebuilding scheduler state, namespaces keep the handle
    registry collision-free, and foreign handles are rejected.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -45,7 +48,7 @@ PLANS = [
     PrecisionPlan.adaptive_fp16(),
     PrecisionPlan.adaptive_fp8(),
 ]
-WORKER_COUNTS = (1, 2, 8)
+WORKER_COUNTS = (1, 2, 3, 8)
 
 
 class TestDependencyOrderingUnderConcurrency:
@@ -180,6 +183,67 @@ class TestDependencyOrderingUnderConcurrency:
                            spec=call(lambda x, y, _: x + y))
             rt.run()
             np.testing.assert_array_equal(out.payload, [10.0])
+
+
+@pytest.fixture
+def lane_starts(monkeypatch):
+    """Names of the lane threads started while the test runs."""
+    start = threading.Thread.start
+    names = []
+
+    def recording_start(thread):
+        if thread.name.startswith("repro-runtime"):
+            names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
+
+
+def _ident_tasks(rt, count, body=lambda: None):
+    """``count`` independent tasks, each recording the thread it ran on."""
+    ran = {}
+    for i in range(count):
+        h = rt.register_data(f"h{i}", payload=i)
+
+        def record(payload, i=i):
+            body()
+            ran[f"t{i}"] = threading.get_ident()
+            return payload
+
+        rt.insert_task(f"t{i}", (h, AccessMode.READWRITE), spec=call(record))
+    return ran
+
+
+class TestLaneThreads:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_lane_zero_is_the_caller_and_n_minus_one_threads_start(
+            self, workers, lane_starts):
+        rt = Runtime(execution="threaded", workers=workers)
+        barrier = threading.Barrier(workers, timeout=10.0)
+        # deadlocks unless every lane holds one task
+        ran = _ident_tasks(rt, workers, body=barrier.wait)
+        events = rt.run().trace.events
+        assert lane_starts == [f"repro-runtime-{i}" for i in range(1, workers)]
+        lane_of = {e.task_name: e.device for e in events}
+        assert sorted(lane_of.values()) == list(range(workers))
+        me = threading.get_ident()
+        assert len(set(ran.values())) == workers
+        for name, ident in ran.items():
+            assert (ident == me) == (lane_of[name] == 0)
+
+    @pytest.mark.parametrize("case", ["serial", "one task", "one CPU"])
+    def test_a_one_lane_drain_starts_no_thread(self, case, lane_starts,
+                                               monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rt = {"serial": lambda: Runtime(execution="serial", workers=4),
+              "one task": lambda: Runtime(execution="threaded", workers=4),
+              "one CPU": lambda: Runtime(execution="threaded")}[case]()
+        ran = _ident_tasks(rt, 1 if case == "one task" else 4)
+        rt.run()
+        assert lane_starts == []
+        assert set(ran.values()) == {threading.get_ident()}
 
 
 class TestCriticalPath:

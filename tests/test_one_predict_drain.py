@@ -24,7 +24,8 @@ from repro.serve.service import SERVE_PHASE, PredictionService
 
 N_TRAIN, NS, NPH, N_CONF, TILE = 96, 40, 2, 3, 32
 COHORTS = (20, 50, 30)
-LANES = [("serial", 1), ("threaded", 2), ("process", 2)]
+LANES = {"serial": ("serial", 1), "threaded": ("threaded", 2),
+         "threaded3": ("threaded", 3), "process": ("process", 2)}
 
 
 def _data(seed, rows, confounded):
@@ -44,10 +45,11 @@ def session(request):
     s.close()
 
 
-CASES = [(lane, confounded, batch_rows) for lane in LANES
+CASES = [(lane, confounded, batch_rows) for lane in LANES.values()
          for confounded in (False, True) for batch_rows in (None, 64, 1)]
-IDS = [f"{lane[0]}-{'conf' if confounded else 'snps'}-batch{batch_rows}"
-       for lane, confounded, batch_rows in CASES]
+IDS = [f"{name}-{'conf' if confounded else 'snps'}-batch{batch_rows}"
+       for name in LANES for confounded in (False, True)
+       for batch_rows in (None, 64, 1)]
 
 
 def _groups(session, sizes):
