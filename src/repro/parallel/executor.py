@@ -175,8 +175,8 @@ def process_lane(drain, scheduler) -> None:
     # main loop
     # ------------------------------------------------------------------
     try:
-        while ready or running:
-            while ready:
+        while (ready or running) and not drain.stopped:
+            while ready and not drain.stopped:
                 if ready[0][2].spec is None:
                     # nothing to ship: the task only orders its accesses
                     drain.run_inline(drain.pop(), 0)
@@ -213,6 +213,8 @@ def process_lane(drain, scheduler) -> None:
                         error = RuntimeError(
                             f"unexpected worker message {message[0]!r}")
                 drain.retire(task, widx, sent - drain.t0, error)
+        if drain.interrupt is not None:
+            raise drain.interrupt
     except BaseException:
         # abnormal exit (KeyboardInterrupt, bug) with tasks in flight:
         # never let stale replies poison the next drain

@@ -20,9 +20,8 @@ execution mode only chooses the **lane** — where a task's kernel runs:
     RAW/WAR/WAW edge, any interleaving is bitwise identical to the
     serial order.  A lane thread that cannot start is not used, and
     every started one is joined before the drain returns, whatever its
-    outcome; an interrupt on the caller's lane stops every lane, and is
-    re-raised once they have ended.  ``workers <= 1`` and one-task
-    graphs run one lane, the caller's, and start no thread.
+    outcome.  ``workers <= 1`` and one-task graphs run one lane, the
+    caller's, and start no thread.
 
 ``process``
     The GIL-free lane (:mod:`repro.parallel.executor`): a coordinator
@@ -46,7 +45,11 @@ exponential backoff with deterministic seeded jitter, retries counted
 in the task's :class:`TaskEvent`.  Permanent failures do **not** abort
 the drain: every task that does not depend on a failed one still runs,
 then a single :class:`TaskGroupError` aggregates all failures (with
-per-task context), the completed set and the unfinished tasks.  The
+per-task context), the completed set and the unfinished tasks.  Only an
+``Exception`` fails a task.  Any other exception (an interrupt, an
+exit), whether raised by a body, a hook or the drain itself, ends its
+attempt (``task_complete`` still releases what the dispatch took),
+stops every lane, and ``run()`` re-raises it once they have ended.  The
 named injection site ``task-body`` fires before each attempt when a
 :class:`~repro.resilience.faults.FaultPlan` is active.
 """
@@ -126,8 +129,10 @@ class _Drain:
         self.failures: list[TaskFailure] = []
         self.trace = ExecutionTrace()
         self.lanes = lanes
-        #: set when the caller's lane is interrupted: every lane stops
+        #: set on an interrupt: every lane stops
         self.stopped = False
+        #: the first exception that was no task failure, for run()
+        self.interrupt: BaseException | None = None
         self.t0 = time.perf_counter()
         begin = getattr(self.hooks, "drain_begin", None)
         if begin is not None:
@@ -148,16 +153,26 @@ class _Drain:
         self.in_flight.add(task)
         return task
 
-    def _fail(self, task: Task, error: BaseException) -> None:
+    def _fail(self, task: Task, error: Exception) -> None:
         # successors stay blocked; the drain goes on with the rest
         self.failures.append(TaskFailure(
             task=task, error=error, retries=self.attempts.get(task, 0)))
+
+    def stop(self, interrupt: BaseException) -> None:
+        """Stop every lane; ``run()`` re-raises ``interrupt`` (the first
+        one) once they have ended."""
+        with self.cond:
+            self.stopped = True
+            if self.interrupt is None:
+                self.interrupt = interrupt
+            self.cond.notify_all()
 
     # ------------------------------------------------------------------
     # one attempt
     # ------------------------------------------------------------------
     def dispatch(self, task: Task) -> BaseException | None:
-        """``task_dispatch``; a raising hook is that attempt's error."""
+        """``task_dispatch``; a raising hook is that attempt's error
+        (:meth:`retire` tells a failure from an interrupt)."""
         if self.hooks is not None:
             try:
                 self.hooks.task_dispatch(task)
@@ -190,16 +205,23 @@ class _Drain:
         Runs ``task_complete`` (always, so a failed attempt releases
         what its dispatch took), then either records the event and
         releases the successors, or puts the task back on the heap for
-        a retry, or records its failure.  Bodies are pure functions of
-        their (quantized) inputs: however many attempts a task takes,
-        its successful output is bitwise that of the fault-free run.
+        a retry, or records its failure.  An ``error`` that is not an
+        ``Exception`` is no failure: it stops the drain instead.  Bodies
+        are pure functions of their (quantized) inputs: however many
+        attempts a task takes, its successful output is bitwise that of
+        the fault-free run.
         """
         if self.hooks is not None:
             try:
                 self.hooks.task_complete(task)
             except BaseException as exc:  # noqa: BLE001 - reported upstream
-                if error is None:
+                if error is None or not isinstance(exc, Exception):
                     error = exc
+        if error is not None and not isinstance(error, Exception):
+            with self.cond:
+                self.in_flight.remove(task)
+            self.stop(error)
+            return
         end = time.perf_counter() - self.t0
         again = error is not None and self._retry(task, error)
         with self.cond:
@@ -226,7 +248,7 @@ class _Drain:
             try:
                 self.inject(task)
                 task.execute()
-            except BaseException as exc:  # noqa: BLE001 - reported upstream
+            except BaseException as exc:  # noqa: BLE001 - retire sorts it
                 error = exc
         self.retire(task, lane, start, error)
 
@@ -252,7 +274,9 @@ class _Drain:
     def run_lanes(self) -> None:
         """Drain on this drain's inline lanes: lane 0 on the calling
         thread, lanes 1 … N−1 on threads it starts.  Every lane thread
-        has ended when this returns."""
+        has ended when this returns or raises: an interrupt a task's
+        attempt met on any lane, or one on the caller's lane between
+        attempts (a signal lands there), is raised after the joins."""
         threads = []
         try:
             for i in range(1, self.lanes):
@@ -266,12 +290,10 @@ class _Drain:
                     break
                 threads.append(t)
             self.lane_loop(0)
-        except BaseException:
-            # an interrupt lands on the caller's thread, and lane 0 may
-            # leave its task in flight: no other lane waits for it
-            with self.cond:
-                self.stopped = True
-                self.cond.notify_all()
+        except BaseException as exc:
+            # lane 0 may leave its task in flight: no other lane waits
+            # for it
+            self.stop(exc)
             raise
         finally:
             # a lane returns once nothing is ready or in flight, which
@@ -288,6 +310,8 @@ class _Drain:
         if hasattr(os, "sched_yield"):
             for _ in threads:
                 os.sched_yield()
+        if self.interrupt is not None:
+            raise self.interrupt
 
     # ------------------------------------------------------------------
     # tail

@@ -4,7 +4,8 @@ rest in one ``TaskGroupError``, and nothing of it outlives ``run``.
 A failed ``Runtime.run`` leaves no pending graph to resume and no lane
 thread behind, on the serial lane and the threaded one alike; a lane
 thread that cannot start is not used, and the drain finishes on the
-lanes it has; an interrupt on the caller's lane stops every lane. The
+lanes it has; an interrupt, from a task body or on the caller's lane,
+is no task failure: it stops every lane and ``run`` re-raises it. The
 retry budget is the runtime's one failure knob.
 """
 
@@ -142,3 +143,52 @@ def test_an_interrupt_on_the_callers_lane_stops_the_drain(monkeypatch):
     assert _lanes() == []
     assert rt.num_tasks() == 0
     assert sorted(float(h.payload[0]) for h in handles) == [0.0, 1.0]
+
+
+class _Pins:
+    """Scheduler hooks that count each task's pins: a dispatch takes
+    one, a ``task_complete`` gives it back."""
+
+    def __init__(self):
+        self.held = {}
+
+    def task_dispatch(self, task):
+        self.held[task.name] = self.held.get(task.name, 0) + 1
+
+    def task_complete(self, task):
+        self.held[task.name] -= 1
+
+
+@pytest.mark.parametrize("execution", ["serial", "threaded"])
+def test_an_interrupt_in_a_task_body_is_no_task_failure(execution):
+    """Only an ``Exception`` fails a task.  A ``KeyboardInterrupt`` from
+    a body beside an independent task retires its task (its pins are
+    released), stops every lane, and ``run()`` re-raises it once they
+    have ended; the runtime then runs a fresh graph."""
+    rt = Runtime(execution=execution, workers=2)
+    pins = rt.scheduler.hooks = _Pins()
+
+    def interrupted(_):
+        raise KeyboardInterrupt
+
+    try:
+        handles = [rt.register_data(f"h{i}", payload=np.array([0.0]))
+                   for i in range(2)]
+        rt.insert_task("interrupted", (handles[0], AccessMode.READWRITE),
+                       spec=call(interrupted))
+        rt.insert_task("beside", (handles[1], AccessMode.READWRITE),
+                       spec=call(lambda x: x + 1))
+        with pytest.raises(KeyboardInterrupt):
+            rt.run()
+        assert _lanes() == []
+        assert rt.num_tasks() == 0
+        assert pins.held["interrupted"] == 0
+        assert set(pins.held.values()) == {0}
+
+        rt.insert_task("again", (handles[0], AccessMode.READWRITE),
+                       spec=call(lambda x: x + 1))
+        assert rt.run().trace.num_tasks == 1
+        assert float(handles[0].payload[0]) == 1.0
+        assert _lanes() == []
+    finally:
+        rt.close()
