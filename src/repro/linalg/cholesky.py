@@ -8,8 +8,11 @@ by the adaptive rule — the "four-precision Cholesky-based solver"
 
 Structure of the algorithm per panel ``k`` (lower-triangular variant):
 
-1. ``POTRF``  — factorize the diagonal tile ``A[k,k]`` (working precision).
-2. ``TRSM``   — update panel tiles ``A[i,k] <- A[i,k] @ L[k,k]^{-T}``.
+1. ``POTRF``  — factorize the diagonal tile ``A[k,k]`` (working
+   precision) and invert the factor tile, ``L[k,k]^{-1}``.
+2. ``TRSM``   — update panel tiles ``A[i,k] <- A[i,k] @ L[k,k]^{-T}``, one
+   triangular multiply by that inverse each; the column's last one
+   drops it.
 3. ``SYRK``   — update diagonal trailing tiles
    ``A[i,i] <- A[i,i] - A[i,k] @ A[i,k]^T``.
 4. ``GEMM``   — update off-diagonal trailing tiles
@@ -35,6 +38,7 @@ ordering constraint of the DAG is an explicit dependency edge
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +52,13 @@ from repro.linalg.kernels import (
     potrf_flops,
     syrk_flops,
     trsm_flops,
+    trtri_flops,
 )
 from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode, TaskSpec, TileInput
 from repro.tiles.matrix import TileMatrix
+from repro.tiles.tile import Tile
 
 
 @dataclass
@@ -193,41 +199,71 @@ def cholesky(
 # ----------------------------------------------------------------------
 # the elimination, and its direct (host-ordered) execution
 # ----------------------------------------------------------------------
+class _Inverse(NamedTuple):
+    """Operand key of column ``k``'s ``L(k,k)^-1``: written by its POTRF,
+    read by its TRSMs, dropped by the last of them.  Never a tile of the
+    factor."""
+
+    k: int
+
+
+_R, _W, _RW = AccessMode.READ, AccessMode.WRITE, AccessMode.READWRITE
+
+
 def _elimination(layout, wp: Precision, tile_precision, by_column=False):
     """The right-looking elimination's tasks in host order.
 
-    Yields ``(name, kernel, coords, attrs)``: the kernel reads the tiles
-    at ``coords`` and replaces the last of them, and depends on nothing
-    else (a descriptor holds only precisions); ``attrs`` are the task's
-    ``tag``/``precision``/``flops``/``priority``.  Panel tasks outrank
-    every update (the lookahead); updates tie at 0, or ``by_column`` go
-    leftmost destination column first.
+    Yields ``(name, kernel, accesses, attrs)``: ``accesses`` are
+    ``(key, mode)`` pairs, a key being a tile's ``(i, j)`` or an
+    :class:`_Inverse`; the kernel takes the operands it reads, in order,
+    and returns one output per operand it writes, and depends on nothing
+    else (a descriptor holds only precisions and flags); ``attrs`` are
+    the task's ``tag``/``precision``/``flops``/``priority``.  Panel tasks
+    outrank every update (the lookahead); updates tie at 0, or
+    ``by_column`` go leftmost destination column first.
     """
     nt, shape = layout.tile_rows, layout.tile_shape
 
-    def task(name, kernel, coords, precision, flops, priority=0):
-        tag = (*coords[-1], coords[0][1])  # destination, panel index
+    def task(name, kernel, accesses, k, precision, flops, priority=0):
+        dest = next(key for key, mode in accesses
+                    if mode.writes and not isinstance(key, _Inverse))
         if by_column and name in ("syrk", "gemm"):
-            priority = -coords[-1][1]
-        return name, kernel, coords, dict(tag=tag, precision=precision,
-                                          flops=flops, priority=priority)
+            priority = -dest[1]
+        return name, kernel, accesses, dict(tag=(*dest, k),
+                                            precision=precision,
+                                            flops=flops, priority=priority)
 
     for k in range(nt):
-        yield task("potrf", PotrfSpec(wp), [(k, k)], wp,
-                   potrf_flops(shape(k, k)[0]), nt - k + 10)
+        nb = shape(k, k)[0]
+        if k == nt - 1:  # no panel below: nothing reads an inverse
+            yield task("potrf", PotrfSpec(wp), [((k, k), _RW)], k, wp,
+                       potrf_flops(nb), nt - k + 10)
+        else:
+            yield task("potrf", PotrfSpec(wp, invert=True),
+                       [((k, k), _RW), (_Inverse(k), _W)], k, wp,
+                       potrf_flops(nb) + trtri_flops(nb), nt - k + 10)
         for i in range(k + 1, nt):
-            mb, nb = shape(i, k)
-            yield task("trsm", TrsmSpec(wp, tile_precision(i, k)),
-                       [(k, k), (i, k)], wp, trsm_flops(nb, mb), nt - k + 5)
+            last = i == nt - 1
+            yield task("trsm", TrsmSpec(wp, tile_precision(i, k), last),
+                       [(_Inverse(k), _RW if last else _R), ((i, k), _RW)],
+                       k, wp, trsm_flops(nb, shape(i, k)[0]), nt - k + 5)
         for i in range(k + 1, nt):
             kbk = shape(i, k)[1]
-            yield task("syrk", SyrkSpec(wp), [(i, k), (i, i)], wp,
-                       syrk_flops(shape(i, i)[0], kbk))
+            yield task("syrk", SyrkSpec(wp), [((i, k), _R), ((i, i), _RW)],
+                       k, wp, syrk_flops(shape(i, i)[0], kbk))
             for j in range(k + 1, i):
                 p_ij = tile_precision(i, j)
                 yield task("gemm", GemmTrailSpec(p_ij),
-                           [(i, k), (j, k), (i, j)], p_ij,
-                           gemm_flop_count(*shape(i, j), kbk))
+                           [((i, k), _R), ((j, k), _R), ((i, j), _RW)],
+                           k, p_ij, gemm_flop_count(*shape(i, j), kbk))
+
+
+class _InverseTiles(dict):
+    """A store-backed drain's live inverses, by column: read through a
+    ``TileInput`` like a factor tile, ``get_tile(*_Inverse(k))``."""
+
+    def get_tile(self, k: int) -> Tile:
+        return self[k]
 
 
 def _cholesky_direct(tiled: TileMatrix, wp: Precision,
@@ -235,12 +271,24 @@ def _cholesky_direct(tiled: TileMatrix, wp: Precision,
     """Run the elimination's kernels one after the other: no task graph.
 
     Every kernel returns a ``Tile`` at its destination's storage
-    precision, which ``set_tile`` takes over as it is.
+    precision, which ``set_tile`` takes over as it is.  In host order
+    one inverse is alive at a time: this frame holds it from its POTRF
+    to its column's last TRSM, never the factor.
     """
-    for name, kernel, coords, attrs in _elimination(
+    inverse = None
+    for name, kernel, accesses, attrs in _elimination(
             tiled.layout, wp, tile_precision):
-        tiled.set_tile(*coords[-1],
-                       kernel.run(*(tiled.get_tile(*c) for c in coords)))
+        out = kernel.run(*(inverse if isinstance(key, _Inverse)
+                           else tiled.get_tile(*key)
+                           for key, mode in accesses if mode.reads))
+        written = [key for key, mode in accesses if mode.writes]
+        if not isinstance(out, tuple):
+            out = (out,)
+        for key, value in zip(written, out):
+            if isinstance(key, _Inverse):
+                inverse = value
+            else:
+                tiled.set_tile(*key, value)
         _accumulate(result, name, attrs["precision"], attrs["flops"])
 
 
@@ -262,11 +310,18 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
     ``tile_deps`` while it runs, and writes its result straight back
     through ``set_tile`` (making it spillable at once).  The resident
     working set is then the active panel plus the in-flight updates.
+
+    Each column's ``L(k,k)^-1`` lives in this drain alone: its POTRF
+    writes it, its TRSMs read it, and the last TRSM takes it READWRITE
+    and leaves ``None`` in its place.  Resident, it is the payload of
+    its handle; store-backed, its handle is a token like the tiles', and
+    the inverse sits in an :class:`_InverseTiles` map its tasks read and
+    write the way they do the store's tiles.
     """
     layout, binding = tiled.layout, tiled._binding
     stored = binding is not None
     with runtime.dag("chol", store=tiled.store) as ns:
-        handles: dict[tuple[int, int], object] = {}
+        handles: dict[object, object] = {}
         for i, j in layout.iter_lower_tiles():
             tile = None if stored else tiled.get_tile(i, j)
             handles[(i, j)] = runtime.register_data(
@@ -274,30 +329,48 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
                 precision=tile_precision(i, j) if stored else tile.precision,
                 shape=layout.tile_shape(i, j),
             )
+        for k in range(layout.tile_rows - 1):
+            handles[_Inverse(k)] = runtime.register_data(
+                f"{ns}inv({k})", precision=wp, shape=layout.tile_shape(k, k))
+        inverses = _InverseTiles()
 
-        def declare(kernel, *coords):
-            """Accesses and descriptor of a task that reads the tiles at
-            ``coords`` and replaces the last of them."""
-            *reads, out = coords
-            accesses = [(handles[c], AccessMode.READ) for c in reads]
-            accesses.append((handles[out], AccessMode.READWRITE))
+        def declare(kernel, accesses):
+            """Accesses and descriptor of a task on the operands
+            ``accesses`` names."""
+            declared = [(handles[key], mode) for key, mode in accesses]
             if not stored:
-                return accesses, {"spec": TaskSpec(kernel)}
-            return accesses, {
+                return declared, {"spec": TaskSpec(kernel)}
+            written = [key for key, mode in accesses if mode.writes]
+
+            def complete(*outs):
+                # the kernel returns a Tile at the destination's storage
+                # precision: set_tile takes it over as it is
+                for key, value in zip(written, outs):
+                    if not isinstance(key, _Inverse):
+                        tiled.set_tile(*key, value)
+                    elif value is None:
+                        del inverses[key.k]
+                    else:
+                        inverses[key.k] = value
+
+            tiles = [key for key, _ in accesses
+                     if not isinstance(key, _Inverse)]
+            return declared, {
                 "spec": TaskSpec(
                     kernel, mode="aux",
-                    aux=tuple(TileInput(tiled, c, writeback=c == out)
-                              for c in coords),
-                    # the kernel returns a Tile at the destination's
-                    # storage precision: set_tile takes it over as it is
-                    on_complete=lambda tile: tiled.set_tile(*out, tile)),
-                "tile_deps": tuple((binding, c) for c in coords),
+                    aux=tuple(
+                        TileInput(inverses if isinstance(key, _Inverse)
+                                  else tiled, key,
+                                  writeback=key in written)
+                        for key, mode in accesses if mode.reads),
+                    on_complete=complete),
+                "tile_deps": tuple((binding, c) for c in tiles),
             }
 
-        for name, kernel, coords, attrs in _elimination(
+        for name, kernel, accesses, attrs in _elimination(
                 layout, wp, tile_precision, by_column=stored):
-            accesses, how = declare(kernel, *coords)
-            runtime.insert_task(name, *accesses, **how, **attrs)
+            declared, how = declare(kernel, accesses)
+            runtime.insert_task(name, *declared, **how, **attrs)
             _accumulate(result, name, attrs["precision"], attrs["flops"])
         try:
             result.schedule = runtime.run(phase=phase)
@@ -313,6 +386,6 @@ def _cholesky_runtime(tiled: TileMatrix, wp: Precision,
             # releases the handles: every payload is a Tile at its target
             # precision (the last task on it stored it there), so
             # set_tile takes it over without rounding
-            for (i, j), handle in handles.items():
-                tiled.set_tile(i, j, handle.payload,
+            for i, j in layout.iter_lower_tiles():
+                tiled.set_tile(i, j, handles[(i, j)].payload,
                                precision=tile_precision(i, j))

@@ -4,9 +4,14 @@ These are the task bodies of the tiled algorithms — the Python
 equivalents of the cuSOLVER/cuBLAS kernels PaRSEC dispatches per tile:
 
 ========  =============================================================
-POTRF     Cholesky factorization of a diagonal tile.
-TRSM      Triangular solve updating a panel tile (or, transposed, a
-          block of a triangular solve's right-hand side).
+POTRF     Cholesky factorization of a diagonal tile; in the factor
+          (``PotrfSpec(invert=True)``) also the inverse of that factor
+          tile (``?trtri``), which its column's panel solves multiply by.
+TRSM      Panel solve of the factor: one triangular multiply
+          (``?trmm``) of a panel tile by the inverted diagonal tile.
+          The sweeps' diagonal step, a block of a triangular solve's
+          few-column right-hand side, stays a triangular solve
+          (``?trsm``).
 SYRK      Symmetric rank-k update of a diagonal tile.
 GEMM      General update of an off-diagonal tile, and the block update
           of a triangular solve's right-hand side.
@@ -15,7 +20,8 @@ GEMM      General update of an off-diagonal tile, and the block update
 Which arithmetic runs is decided by the *compute* precision alone.  A
 hardware float format (FP32, FP64) is handed to LAPACK/BLAS in its own
 dtype, the way the paper's solver hands a tile to cuSOLVER/cuBLAS:
-``?potrf``/``?trsm``/``?syrk``/``?gemm`` on the zero-copy transposed
+``?potrf``/``?trtri``/``?trmm``/``?trsm``/``?syrk``/``?gemm`` on the
+zero-copy transposed
 (Fortran-ordered) views of the C-ordered payloads, in place in a *copy*
 of the destination — an input payload is never written, it may be a
 read-only map of a store segment or of another process's arena.  An
@@ -26,8 +32,8 @@ already matches (an FP8-grid tile in its float32 container feeds
 inputs onto its grid, in float32.  Its SYRK/GEMM update is the tensor
 core's ``C = C − A·Bᵀ``: ``ssyrk``/``sgemm`` with ``beta=1`` in place
 in a float32 copy of the on-grid destination — the FP32 accumulator —
-rounded once on store.  Its POTRF/TRSM factor and solve in float64 and
-round once.
+rounded once on store.  Its POTRF, inverse and panel product (or
+solve) run in float64 and round once.
 
 Either way the result is on the compute precision's grid *in that
 format's storage dtype*: the caller adopts it as a tile of the compute
@@ -38,7 +44,7 @@ that grid by the tile invariant.
 
 The second half of the module wraps the four kernels as the tiled
 Cholesky's task descriptors (:class:`PotrfSpec`, :class:`TrsmSpec`,
-:class:`SyrkSpec`, :class:`GemmTrailSpec`): tile in, tile out, the one
+:class:`SyrkSpec`, :class:`GemmTrailSpec`): tiles in, tiles out, the one
 body every execution of the factorization runs — in host order for the
 graph-free reference, inline under the serial/threaded drains, on a
 worker under the process drain.  A descriptor is a pure function of its
@@ -138,15 +144,63 @@ def tile_potrf(a: "np.ndarray | Tile",
     return factor.T
 
 
+def tile_trtri(l_tile: "np.ndarray | Tile",
+               precision: Precision | str = Precision.FP64) -> np.ndarray:
+    """Inverse of a lower-triangular tile, ``?trtri`` on its lower
+    triangle (the only one read or written; the strict upper one keeps
+    the input's values, zero for a :func:`tile_potrf` factor).  An
+    emulated precision inverts the on-grid tile in float64 and rounds
+    once.  Raises ``numpy.linalg.LinAlgError`` on an exactly singular
+    tile, as :func:`tile_potrf` does on an indefinite one."""
+    precision = Precision.from_string(precision)
+    if precision not in NATIVE:
+        t64 = _as64(quantize(_payload(l_tile), precision))
+        return quantize(tile_trtri(t64, Precision.FP64), precision)
+    work, = _blas_arrays(precision, l_tile)
+    if not work.size:
+        return work
+    # the C-ordered lower triangle is the transposed view's upper one
+    trtri = getattr(lapack, NATIVE[precision] + "trtri")
+    inverse, info = trtri(work.T, lower=0, overwrite_c=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"tile is singular at {precision.value}: diagonal element "
+            f"{info} is zero")
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} in {trtri.__name__}")
+    return inverse.T
+
+
+def tile_trmm(inverse: "np.ndarray | Tile", b_tile: "np.ndarray | Tile",
+              precision: Precision | str = Precision.FP64) -> np.ndarray:
+    """Panel solve ``X = B @ L^{-T}`` as a product: ``inverse`` is
+    ``L^{-1}`` (:func:`tile_trtri`, only its lower triangle is read), and
+    ``X`` one ``?trmm`` in a copy of ``B``.  An emulated precision
+    multiplies its on-grid operands in float64 and rounds once."""
+    precision = Precision.from_string(precision)
+    if precision not in NATIVE:
+        inv64 = _as64(quantize(_payload(inverse), precision))
+        b64 = _as64(quantize(_payload(b_tile), precision))
+        return quantize(tile_trmm(inv64, b64, Precision.FP64), precision)
+    lower, work = _blas_arrays(precision, inverse, b_tile)
+    if not work.size:
+        return work
+    # X^T = L^{-1} B^T on the transposed views, in place in the copy of
+    # B: the inverse's transposed view is upper, trans_a=1 applies L^{-1}
+    trmm = getattr(blas, NATIVE[precision] + "trmm")
+    return trmm(1.0, lower.T, work.T, side=0, lower=0, trans_a=1,
+                overwrite_b=1).T
+
+
 def tile_trsm(l_tile: "np.ndarray | Tile", b_tile: "np.ndarray | Tile",
               precision: Precision | str = Precision.FP64,
               trans: bool = False) -> np.ndarray:
-    """Panel solve ``X = B @ L^{-T}`` against a lower-triangular tile (only
-    its lower triangle is read): the update applied to the tiles below the
-    diagonal in the right-looking tiled Cholesky.  ``trans`` solves
-    ``X = B @ L^{-1}`` instead; on a transposed right-hand-side block,
+    """Triangular solve ``X = B @ L^{-T}`` against a lower-triangular tile
+    (only its lower triangle is read).  ``trans`` solves ``X = B @
+    L^{-1}`` instead; on a transposed right-hand-side block,
     ``trans=False``/``True`` are the diagonal steps of the forward
-    (``L``) and backward (``L^T``) triangular sweeps."""
+    (``L``) and backward (``L^T``) triangular sweeps, whose panels are a
+    few columns wide.  The factor's panel solve is :func:`tile_trmm`."""
     precision = Precision.from_string(precision)
     if precision not in NATIVE:
         t64 = _as64(quantize(_payload(l_tile), precision))
@@ -228,8 +282,14 @@ def potrf_flops(nb: int) -> float:
     return nb ** 3 / 3.0 + nb ** 2 / 2.0 + nb / 6.0
 
 
+def trtri_flops(nb: int) -> float:
+    """Operation count of a TRTRI inverting an ``nb × nb`` triangle."""
+    return nb ** 3 / 3.0 + 2.0 * nb / 3.0
+
+
 def trsm_flops(nb: int, mb: int) -> float:
-    """Operation count of a TRSM updating an ``mb × nb`` tile."""
+    """Operation count of a TRSM (or of a TRMM by the inverse) updating
+    an ``mb × nb`` tile."""
     return float(mb) * nb * nb
 
 
@@ -243,26 +303,46 @@ def syrk_flops(nb: int, kb: int) -> float:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PotrfSpec(BodySpec):
-    """Diagonal Cholesky: ``A(k,k) -> chol(A(k,k))`` at ``wp``."""
+    """Diagonal Cholesky: ``A(k,k) -> L(k,k) = chol(A(k,k))`` at ``wp``.
+
+    With ``invert`` (a column with panel tiles below it) it returns
+    ``(L(k,k), L(k,k)^-1)``: the inverse of the stored factor tile, at
+    ``wp``, which the column's :class:`TrsmSpec` tasks multiply by.
+    Under a runtime it also receives the payload of the inverse's
+    write-only handle, empty and unread.
+    """
 
     wp: Precision
+    invert: bool = False
 
-    def run(self, a: Tile) -> Tile:
-        return Tile._on_grid(tile_potrf(a, self.wp), self.wp, a.coords)
+    def run(self, a: Tile, _inverse=None) -> "Tile | tuple[Tile, Tile]":
+        lkk = Tile._on_grid(tile_potrf(a, self.wp), self.wp, a.coords)
+        if not self.invert:
+            return lkk
+        return lkk, Tile._on_grid(tile_trtri(lkk, self.wp), self.wp,
+                                  a.coords)
 
 
 @dataclass(frozen=True)
 class TrsmSpec(BodySpec):
-    """Panel solve ``L(i,k) = A(i,k) L(k,k)^-T`` stored at ``storage``."""
+    """Panel solve ``L(i,k) = A(i,k) L(k,k)^-T`` stored at ``storage``:
+    one triangular multiply by ``L(k,k)^-1`` at ``wp``.
+
+    With ``release`` (the column's last panel solve) it returns
+    ``(None, L(i,k))``, the ``None`` replacing the inverse it read, so
+    no inverse outlives its column's panel solves.
+    """
 
     wp: Precision
     storage: Precision
+    release: bool = False
 
-    def run(self, lkk: Tile, aik: Tile) -> Tile:
-        lik = Tile._on_grid(tile_trsm(lkk, aik, self.wp), self.wp)
+    def run(self, inverse: Tile, aik: Tile) -> "Tile | tuple[None, Tile]":
+        lik = Tile._on_grid(tile_trmm(inverse, aik, self.wp), self.wp)
         # computed at wp, stored at the mosaic's precision: where the
         # two differ, the one real rounding of the factorization
-        return retile(lik, self.storage, aik.coords)
+        lik = retile(lik, self.storage, aik.coords)
+        return (None, lik) if self.release else lik
 
 
 @dataclass(frozen=True)

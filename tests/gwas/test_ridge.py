@@ -5,7 +5,8 @@ import pytest
 
 from repro.gwas.config import KRRConfig, PrecisionPlan, RRConfig
 from repro.gwas.session import KRRSession, RRSession
-from repro.linalg.kernels import potrf_flops, syrk_flops, trsm_flops
+from repro.linalg.kernels import (potrf_flops, syrk_flops, trsm_flops,
+                                   trtri_flops)
 from repro.precision.formats import Precision
 from repro.precision.gemm import gemm_flop_count
 
@@ -109,6 +110,8 @@ class TestFit:
 
         widths = [8, 8, 5]  # the last column tile holds the confounder
         factor = sum(potrf_flops(w) for w in widths)
+        # a column with panel tiles below also inverts its factor tile
+        factor += sum(trtri_flops(w) for w in widths[:-1])
         for k in range(3):
             for i in range(k + 1, 3):
                 factor += trsm_flops(widths[k], widths[i])

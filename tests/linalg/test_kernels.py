@@ -13,7 +13,9 @@ from repro.linalg.kernels import (
     tile_gemm,
     tile_potrf,
     tile_syrk,
+    tile_trmm,
     tile_trsm,
+    tile_trtri,
     trsm_flops,
 )
 from repro.linalg.solve import SolveGemmSpec, SolveTrsmSpec
@@ -279,18 +281,20 @@ class TestPanelOperandFromTile:
 # copy of the destination — never in an input
 # ----------------------------------------------------------------------
 def _specimens(rng, dtype, mb=24, nb=16):
-    """Inputs of the four kernels, keyed by kernel name."""
+    """Inputs of the kernels, keyed by kernel name."""
     def arr(*shape):
         return rng.standard_normal(shape).astype(dtype)
     lkk = np.linalg.cholesky(spd(rng, nb)).astype(dtype)
     return {"potrf": (spd(rng, nb).astype(dtype),),
             "trsm": (lkk, arr(mb, nb)),
+            "trtri": (lkk,),
+            "trmm": (np.linalg.inv(lkk).astype(dtype), arr(mb, nb)),
             "syrk": (arr(mb, nb), spd(rng, mb).astype(dtype)),
             "gemm": (arr(mb, nb), arr(nb + 4, nb), arr(mb, nb + 4))}
 
 
 KERNELS = {"potrf": tile_potrf, "trsm": tile_trsm, "syrk": tile_syrk,
-           "gemm": tile_gemm}
+           "gemm": tile_gemm, "trtri": tile_trtri, "trmm": tile_trmm}
 
 
 def _read_only(x):
@@ -345,6 +349,8 @@ class TestNativeInputs:
         got = KERNELS[kernel](*given, p).astype(np.float64)
         reference = {"potrf": lambda a: np.linalg.cholesky(a),
                      "trsm": lambda l, b: np.linalg.solve(l, b.T).T,
+                     "trtri": np.linalg.inv,
+                     "trmm": lambda inv, b: b @ inv.T,
                      "syrk": lambda a, c: c - a @ a.T,
                      "gemm": lambda a, b, c: c - a @ b.T}[kernel](*given)
         assert got.shape == reference.shape
@@ -355,6 +361,8 @@ class TestNativeInputs:
     def test_empty_tiles_do_not_reach_blas(self, kernel, p, capfd):
         empty = {"potrf": (np.zeros((0, 0)),),
                  "trsm": (np.zeros((4, 4)), np.zeros((0, 4))),
+                 "trtri": (np.zeros((0, 0)),),
+                 "trmm": (np.zeros((4, 4)), np.zeros((0, 4))),
                  "syrk": (np.zeros((5, 0)), np.ones((5, 5))),
                  "gemm": (np.zeros((5, 0)), np.zeros((3, 0)), np.ones((5, 3)))}
         got = KERNELS[kernel](*empty[kernel], p)

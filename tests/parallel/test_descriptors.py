@@ -19,7 +19,9 @@ from repro.linalg.kernels import (
     tile_gemm,
     tile_potrf,
     tile_syrk,
+    tile_trmm,
     tile_trsm,
+    tile_trtri,
 )
 from repro.parallel.descriptors import (
     ALL_SPEC_KINDS,
@@ -67,8 +69,8 @@ def _round_trip(spec):
 def _specimens():
     """One representative instance of every descriptor kind."""
     return {
-        PotrfSpec: PotrfSpec(Precision.FP32),
-        TrsmSpec: TrsmSpec(Precision.FP32, Precision.FP16),
+        PotrfSpec: PotrfSpec(Precision.FP32, invert=True),
+        TrsmSpec: TrsmSpec(Precision.FP32, Precision.FP16, release=True),
         SyrkSpec: SyrkSpec(Precision.FP32),
         GemmTrailSpec: GemmTrailSpec(Precision.FP16),
         SolveGemmSpec: SolveGemmSpec(Precision.FP32, transpose=True),
@@ -229,14 +231,25 @@ class TestBehaviorEquality:
         out = _round_trip(PotrfSpec(compute)).run(a)
         _assert_tile(out, tile_potrf(a.to_float64(), compute), compute, (0, 0))
         assert not np.triu(out.data, 1).any()
+        # with invert: the same factor, and the inverse of that stored tile
+        lkk, inverse = _round_trip(PotrfSpec(compute, invert=True)).run(a)
+        _assert_tile(lkk, out.data, compute, (0, 0))
+        _assert_tile(inverse, tile_trtri(out.data, compute), compute, (0, 0))
+        assert not np.triu(inverse.data, 1).any()
 
     @pytest.mark.parametrize("size,compute,stored", CASES)
     def test_trsm(self, size, compute, stored):
         lkk = Tile(np.linalg.cholesky(_spd(size, stored, 0, None).to_float64()),
                    precision=stored, coords=(0, 0))
+        inverse = Tile(tile_trtri(lkk.to_float64(), compute),
+                       precision=compute, coords=(0, 0))
         aik = _panel_tile(size, stored, 2, (1, 0))
-        out = _round_trip(TrsmSpec(compute, stored)).run(lkk, aik)
-        expect = tile_trsm(lkk.to_float64(), aik.to_float64(), compute)
+        out = _round_trip(TrsmSpec(compute, stored)).run(inverse, aik)
+        released, again = TrsmSpec(compute, stored, release=True).run(
+            inverse, aik)
+        assert released is None
+        np.testing.assert_array_equal(bits(again.data), bits(out.data))
+        expect = tile_trmm(inverse.to_float64(), aik.to_float64(), compute)
         # computed at ``compute``, stored at ``stored``: a real rounding,
         # and none where the two are the same format
         expect = (Tile._on_grid(expect, stored) if stored is compute

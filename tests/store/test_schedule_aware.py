@@ -191,10 +191,12 @@ class TestFactorUnderThePlan:
     def test_serial_traffic_is_pinned(self):
         """The drain's counts (plus the dense read-back's) depend on its
         order and the tile sizes, not on the values.  Before the updates
-        went column by column they were 254 spills and 223 reloads."""
+        went column by column they were 254 spills and 223 reloads, and
+        166 and 208 while each panel solve read the diagonal tile
+        instead of its column's inverse."""
         a = spd(np.random.default_rng(0), N)
         _, stats = factor(a, execution="serial")
-        assert (stats.spills, stats.reloads) == (166, 208)
+        assert (stats.spills, stats.reloads) == (164, 205)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_threaded_lanes_stay_bitwise_and_in_budget(self, rng, workers):
